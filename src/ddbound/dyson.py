@@ -6,12 +6,15 @@ nested integral
 
     f_word = int_0^1 ds_n f_{a_n}(s_n) int_0^{s_n} ds_{n-1} f_{a_{n-1}} ... ,
 
-with the first letter innermost.  Since every switching function is piecewise
-+-1 the integrand at each stage is a piecewise polynomial, which this module
-integrates stage by stage in exact arithmetic.  A word's error channel is
-fixed by the parities of its x/y/z letter counts; a sequence's claimed
-suppression order for a channel is certified by showing every word of that
-channel up to the order integrates to zero.
+with the first letter innermost.  These are the iterated integrals of the
+path X(t) = int_0^t (1, f_x, f_y, f_z)(s) ds, i.e. its signature.  X is
+piecewise linear between the merged x/z switching times, and a straight
+segment with increment v has signature exp(v) = sum_k v^(x)k / k!, so Chen's
+identity S(0, b) = S(0, a) (x) exp(v) yields every word up to depth n in one
+pass over the intervals, in exact arithmetic.  A word's error channel is fixed
+by the parities of its x/y/z letter counts; a sequence's claimed suppression
+order for a channel is certified by showing every word of that channel up to
+the order integrates to zero.
 
 Two arithmetic backends: exact ``Fraction`` rationals whenever every
 breakpoint is rational (inner/outer orders <= 2), and 50-digit ``mpmath``
@@ -20,23 +23,26 @@ otherwise ("zero" then means below a threshold, default 1e-25).
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import mpmath as mp
+import numpy as np
 
 from .qdd_bounds import DecouplingOrders, decoupling_orders
-from .sequences import _nested_pulse_times
+from .sequences import _DYADIC_SIN_SQ, SwitchingProfile, _nested_pulse_times, _sin_sq
 
 __all__ = [
     "LETTERS",
     "Word",
     "word_parities",
     "word_channel",
-    "PiecewisePoly",
     "QddProfiles",
     "qdd_profiles",
+    "signature",
     "word_integral",
     "verify_orders",
     "OrderCertification",
@@ -63,13 +69,6 @@ _CHANNEL_OF_PARITY = {
     (1, 0, 1): "y",
     (1, 1, 0): "z",
     (1, 1, 1): "identity",
-}
-
-# sin^2(j*pi/(2N+2)) is rational only for orders 0..2; exact table by (N, j).
-_RATIONAL_SIN_SQ = {
-    0: (Fraction(0), Fraction(1)),
-    1: (Fraction(0), Fraction(1, 2), Fraction(1)),
-    2: (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)),
 }
 
 
@@ -111,12 +110,10 @@ def parity_class_counts(n: int) -> dict[str, int]:
 
 
 def _sin_sq_rational(j: int, n: int) -> Fraction:
-    try:
-        return _RATIONAL_SIN_SQ[n][j]
-    except KeyError:
-        raise ValueError(
-            f"rational backend supports orders <= 2 only (got order {n})"
-        ) from None
+    # the float table's positions are dyadic, so Fraction() converts them exactly
+    if n > max(_DYADIC_SIN_SQ):
+        raise ValueError(f"rational backend supports orders <= 2 only (got order {n})")
+    return Fraction(_sin_sq(j, n))
 
 
 def _sin_sq_mp(j: int, n: int):
@@ -128,75 +125,22 @@ def _sin_sq_mp(j: int, n: int):
 
 
 @dataclass(frozen=True)
-class _ExactProfile:
-    """Piecewise +-1 switching function with backend-typed breakpoints."""
-
-    points: tuple
-    signs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PiecewisePoly:
-    """Piecewise polynomial on [0, 1]: global-variable coefficients per interval.
-
-    ``coeffs[i]`` are ascending-power coefficients valid on
-    ``[points[i], points[i+1])``; after each integration stage the pieces are
-    continuous across interior breakpoints.
-    """
-
-    points: tuple
-    coeffs: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
 class QddProfiles:
     """The four switching functions of a quadratic sequence, exact breakpoints."""
 
     backend: str
     n1: int
     n2: int
-    channels: Mapping[str, _ExactProfile]
+    channels: Mapping[str, SwitchingProfile]
     zero: object
     one: object
     dps: int = DEFAULT_DPS
 
-
-def _alternating(nflips: int) -> tuple[int, ...]:
-    return tuple(1 - 2 * (k % 2) for k in range(nflips + 1))
-
-
-def _profile_from_flips(flips: Sequence, zero, one) -> _ExactProfile:
-    return _ExactProfile((zero, *flips, one), _alternating(len(flips)))
-
-
-def _product_profile(pa: _ExactProfile, pb: _ExactProfile) -> _ExactProfile:
-    """Pointwise product; breakpoints are the exact-equality union."""
-    merged = _merge_points(pa.points, pb.points)
-    signs = []
-    ia = ib = 0
-    for a in merged[:-1]:
-        while pa.points[ia + 1] <= a:
-            ia += 1
-        while pb.points[ib + 1] <= a:
-            ib += 1
-        signs.append(pa.signs[ia] * pb.signs[ib])
-    return _ExactProfile(merged, tuple(signs))
-
-
-def _merge_points(p1: Sequence, p2: Sequence) -> tuple:
-    out = []
-    i = j = 0
-    while i < len(p1) or j < len(p2):
-        if j >= len(p2) or (i < len(p1) and p1[i] <= p2[j]):
-            v = p1[i]
-            i += 1
-            if j < len(p2) and p2[j] == v:
-                j += 1
-        else:
-            v = p2[j]
-            j += 1
-        out.append(v)
-    return tuple(out)
+    def precision(self):
+        """Context for arithmetic on this backend: ``dps`` digits for mp."""
+        if self.backend == "mp":
+            return mp.workdps(self.dps)
+        return contextlib.nullcontext()
 
 
 def qdd_profiles(
@@ -227,58 +171,60 @@ def qdd_profiles(
         raise ValueError("backend must be 'rational', 'mp', or 'auto'")
     z_flips = sorted(t for t, level in events if level == 1 and t < one)
     x_flips = sorted(t for t, level in events if level == 2 and t < one)
-    f_0 = _ExactProfile((zero, one), (1,))
-    f_x = _profile_from_flips(z_flips, zero, one)
-    f_z = _profile_from_flips(x_flips, zero, one)
-    f_y = _product_profile(f_x, f_z)
+    f_x = SwitchingProfile.from_flip_times(z_flips, zero, one)
+    f_z = SwitchingProfile.from_flip_times(x_flips, zero, one)
     return QddProfiles(
         backend=backend,
         n1=n1,
         n2=n2,
-        channels={"0": f_0, "x": f_x, "y": f_y, "z": f_z},
+        channels={
+            "0": SwitchingProfile.trivial(zero, one),
+            "x": f_x,
+            "y": f_x.product(f_z),
+            "z": f_z,
+        },
         zero=zero,
         one=one,
         dps=dps,
     )
 
 
-def _poly_eval(coeffs: Sequence, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+def _times(x: np.ndarray, c, signs: Sequence[int]) -> np.ndarray:
+    """Tensor product x (x) (c * signs) for a +-1 sign vector, first factor major."""
+    y = x * c
+    out = np.empty((len(y), len(signs)), dtype=object)
+    for col, s in enumerate(signs):
+        out[:, col] = y if s > 0 else -y
+    return out.ravel()
 
 
-def _integrate_stage(g: PiecewisePoly, f: _ExactProfile, zero):
-    """One nested-integral step: G'(s) = int_0^s f(u) G(u) du.
+def signature(profiles: QddProfiles, depth: int) -> list[np.ndarray]:
+    """Every word integral up to length ``depth``, by Chen's identity.
 
-    Returns the new piecewise polynomial and its value at s = 1.
+    ``levels[k][i]`` is the integral of the length-k word whose letters, as
+    indices into ``LETTERS``, are the base-4 digits of ``i`` with the first
+    (innermost) letter most significant; ``levels[0]`` is ``[1]``.  Each
+    interval of the merged x/z breakpoints multiplies in exp(v) with
+    v = h * (1, s_x, s_y, s_z); level k is updated from the top down by the
+    Horner form S_k += ((S_0 (x) v/k + S_1) (x) v/(k-1) + ... + S_{k-1}) (x) v.
+    Entries are ``Fraction`` or ``mpf`` matching the backend.
     """
-    pts = _merge_points(g.points, f.points)
-    out_coeffs = []
-    acc = zero
-    gi = fi = 0
-    for idx in range(len(pts) - 1):
-        a = pts[idx]
-        b = pts[idx + 1]
-        while g.points[gi + 1] <= a:
-            gi += 1
-        while f.points[fi + 1] <= a:
-            fi += 1
-        sign = f.signs[fi]
-        anti = [zero]
-        for k, c in enumerate(g.coeffs[gi]):
-            anti.append(sign * c / (k + 1))
-        va = _poly_eval(anti, a)
-        vb = _poly_eval(anti, b)
-        const = acc - va
-        out_coeffs.append((const, *anti[1:]))
-        acc = acc + (vb - va)
-    return PiecewisePoly(pts, tuple(out_coeffs)), acc
-
-
-def _unit_poly(profiles: QddProfiles) -> PiecewisePoly:
-    return PiecewisePoly((profiles.zero, profiles.one), ((profiles.one,),))
+    f_y = profiles.channels["y"]
+    # f_y's breakpoints hold all of f_x's, so f_x * f_y = f_z on f_y's intervals
+    z_signs = profiles.channels["x"].product(f_y).signs
+    with profiles.precision():
+        levels = [np.array([profiles.one], dtype=object)]
+        levels += [np.full(4**k, profiles.zero, dtype=object) for k in range(1, depth + 1)]
+        bp = f_y.breakpoints
+        for a, b, s_y, s_z in zip(bp, bp[1:], f_y.signs, z_signs):
+            h = b - a
+            signs = (1, s_y * s_z, s_y, s_z)
+            for k in range(depth, 0, -1):
+                acc = _times(levels[0], h / k, signs)
+                for j in range(1, k):
+                    acc = _times(acc + levels[j], h / (k - j), signs)
+                levels[k] += acc
+    return levels
 
 
 def word_integral(
@@ -290,26 +236,18 @@ def word_integral(
 
     The first letter is innermost (acts earliest).  Returns a ``Fraction``
     (rational backend) or an ``mpmath.mpf``.  Words longer than ``max_depth``
-    are rejected: cost grows with the full 4^n enumeration this feeds.
+    are rejected: the value is read from ``signature``, which computes all
+    4^n words of the word's length.
     """
     word = tuple(word)
     if not 1 <= len(word) <= max_depth:
         raise ValueError(f"word length must be in 1..{max_depth}")
+    index = 0
     for a in word:
         if a not in LETTERS:
             raise ValueError(f"invalid letter {a!r}")
-    if profiles.backend == "mp":
-        with mp.workdps(profiles.dps):
-            return _word_integral_inner(word, profiles)
-    return _word_integral_inner(word, profiles)
-
-
-def _word_integral_inner(word: Word, profiles: QddProfiles):
-    g = _unit_poly(profiles)
-    value = profiles.zero
-    for letter in word:
-        g, value = _integrate_stage(g, profiles.channels[letter], profiles.zero)
-    return value
+        index = 4 * index + LETTERS.index(a)
+    return signature(profiles, len(word))[len(word)][index]
 
 
 @dataclass(frozen=True)
@@ -371,12 +309,16 @@ def verify_orders(
 ) -> OrderCertification:
     """Certify claimed suppression orders by exhaustive word enumeration.
 
-    Walks all words up to length ``n_max`` depth-first, sharing integral
-    prefixes, and checks that every error-channel word at or below the
+    Computes all words up to length ``n_max`` with ``signature``, visits them
+    depth-first, and checks that every error-channel word at or below the
     channel's claimed order integrates to zero (exactly, or below
     ``zero_tol`` on the mp backend).  Absence of a nonzero witness at length
-    d+1 is reported as "inconclusive", never as failure.
+    d+1 is reported as "inconclusive", never as failure.  Both tolerances
+    must be finite and >= 0.
     """
+    for name, tol in (("zero_tol", zero_tol), ("witness_tol", witness_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > max_depth:
@@ -436,19 +378,18 @@ def verify_orders(
                     "value": str(value),
                 }
 
-    def walk(word: Word, g: PiecewisePoly) -> None:
-        for letter in LETTERS:
-            g2, value = _integrate_stage(g, profiles.channels[letter], profiles.zero)
-            new_word = word + (letter,)
-            record(new_word, value)
-            if len(new_word) < n_max:
-                walk(new_word, g2)
+    levels = signature(profiles, n_max)
 
-    if profiles.backend == "mp":
-        with mp.workdps(dps):
-            walk((), _unit_poly(profiles))
-    else:
-        walk((), _unit_poly(profiles))
+    def walk(word: Word, index: int) -> None:
+        for i, letter in enumerate(LETTERS):
+            new_word = word + (letter,)
+            new_index = 4 * index + i
+            record(new_word, levels[len(new_word)][new_index])
+            if len(new_word) < n_max:
+                walk(new_word, new_index)
+
+    with profiles.precision():
+        walk((), 0)
 
     status = {}
     for ch, d in d_of.items():

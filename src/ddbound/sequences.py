@@ -35,7 +35,6 @@ __all__ = [
     "effective_order",
     "switching_qdd",
     "switching_nudd",
-    "profile_for_mu",
     "MU_LABELS",
 ]
 
@@ -221,9 +220,12 @@ class SwitchingProfile:
 
     ``signs[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the value at
     s = 1 is the last sign (right-continuous convention, closed at the end).
+    Breakpoints may be floats, ``Fraction`` or ``mpmath.mpf``, one type per
+    profile: every operation here only compares them, so exact breakpoints
+    stay exact and coincident times are matched by exact equality.
     """
 
-    breakpoints: tuple[float, ...]
+    breakpoints: tuple
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -238,21 +240,25 @@ class SwitchingProfile:
             raise ValueError("signs must be +1 or -1")
 
     @classmethod
-    def trivial(cls) -> "SwitchingProfile":
-        return cls((0.0, 1.0), (1,))
+    def trivial(cls, zero=0.0, one=1.0) -> "SwitchingProfile":
+        """Identically +1; ``zero``/``one`` give the breakpoints' number type."""
+        return cls((zero, one), (1,))
 
     @classmethod
-    def from_flip_times(cls, times: Iterable[float]) -> "SwitchingProfile":
-        """Profile starting at +1 that flips at each time in (0, 1)."""
+    def from_flip_times(cls, times: Iterable, zero=0.0, one=1.0) -> "SwitchingProfile":
+        """Profile starting at +1 that flips at each time in (0, 1).
+
+        ``zero`` and ``one`` are the end breakpoints, in the times' number type.
+        """
         ts = tuple(times)
         if any(not 0.0 < t < 1.0 for t in ts):
             raise ValueError("flip times must lie strictly inside (0, 1)")
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValueError("flip times must be strictly increasing")
         signs = tuple(1 - 2 * (k % 2) for k in range(len(ts) + 1))
-        return cls((0.0, *ts, 1.0), signs)
+        return cls((zero, *ts, one), signs)
 
-    def value(self, s: float) -> int:
+    def value(self, s) -> int:
         """Sign at fractional time ``s`` in [0, 1]."""
         if not 0.0 <= s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
@@ -265,17 +271,29 @@ class SwitchingProfile:
         return sum(1 for a, b in zip(self.signs, self.signs[1:]) if a != b)
 
     def integral(self) -> float:
-        """Exact first moment: sum of sign * interval width."""
+        """First moment as a float: sum of sign * interval width."""
         bp = self.breakpoints
         return math.fsum(
             s * (b - a) for s, a, b in zip(self.signs, bp, bp[1:])
         )
 
     def product(self, other: "SwitchingProfile") -> "SwitchingProfile":
-        """Pointwise product profile on the union of breakpoints."""
-        merged = sorted(set(self.breakpoints) | set(other.breakpoints))
-        signs = tuple(self.value(a) * other.value(a) for a in merged[:-1])
-        return SwitchingProfile(tuple(merged), signs)
+        """Pointwise product profile on the union of breakpoints.
+
+        One merge pass over both sorted breakpoint lists; a point present in
+        both (by exact equality) appears once.  Both lists end at 1, so they
+        run out together.
+        """
+        p, q = self.breakpoints, other.breakpoints
+        merged, signs = [p[0]], []
+        i = j = 0
+        while i < len(self.signs):
+            signs.append(self.signs[i] * other.signs[j])
+            a, b = p[i + 1], q[j + 1]
+            merged.append(a if a <= b else b)
+            i += a <= b
+            j += b <= a
+        return SwitchingProfile(tuple(merged), tuple(signs))
 
 
 def _profile_for_level(schedule: PulseSchedule, level: int) -> SwitchingProfile:
@@ -300,17 +318,6 @@ def switching_nudd(
         out[(q, (0, 1))] = f_z
         out[(q, (1, 1))] = f_x.product(f_z)
     return out
-
-
-def profile_for_mu(
-    profiles: Mapping[tuple[int, tuple[int, int]], SwitchingProfile],
-    mu: Sequence[tuple[int, int]],
-) -> SwitchingProfile:
-    """Product switching function over all qubits for a multi-qubit index ``mu``."""
-    acc = SwitchingProfile.trivial()
-    for q, pair in enumerate(mu):
-        acc = acc.product(profiles[(q, tuple(pair))])
-    return acc
 
 
 def switching_qdd(n1: int, n2: int) -> dict[str, SwitchingProfile]:

@@ -206,6 +206,17 @@ def test_verify_orders_certifies(capsys):
     assert cert["orders"] == {"d_x": 1, "d_y": 2, "d_z": 1}
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-30"])
+def test_verify_orders_rejects_bad_zero_tol(tol, capsys):
+    code, out, err = run_cli(
+        ["verify", "orders", "--qdd", "3", "3", "--nmax", "2", f"--zero-tol={tol}"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "zero_tol" in err
+
+
 def test_verify_bound_rows(capsys):
     code, out, _ = run_cli(
         [

@@ -11,15 +11,20 @@ with f_x = +1 on [0, 1/4) u [1/2, 3/4) and -1 elsewhere.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddbound.dyson import (
+    LETTERS,
     OrderCertification,
     parity_class_counts,
     qdd_profiles,
+    signature,
     verify_orders,
     word_channel,
     word_integral,
@@ -80,6 +85,73 @@ def test_fubini_symmetrization():
             assert lhs == singles[a] * singles[b]
 
 
+@cache
+def _rational_levels(n1, n2):
+    return signature(qdd_profiles(n1, n2, backend="rational"), 5)
+
+
+def _from_levels(levels, word):
+    index = 0
+    for a in word:
+        index = 4 * index + LETTERS.index(a)
+    return levels[len(word)][index]
+
+
+def _shuffles(u, v):
+    """Every interleaving of u and v, with multiplicity."""
+    if not u or not v:
+        return [u + v]
+    return [u[0] + w for w in _shuffles(u[1:], v)] + [
+        v[0] + w for w in _shuffles(u, v[1:])
+    ]
+
+
+@st.composite
+def _word_pairs(draw):
+    u = draw(st.text("0xyz", min_size=1, max_size=4))
+    v = draw(st.text("0xyz", min_size=1, max_size=5 - len(u)))
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(n1=st.integers(0, 2), n2=st.integers(0, 2), words=_word_pairs())
+def test_shuffle_identity(n1, n2, words):
+    """I(u) I(v) = sum over the shuffles w of u and v of I(w), exactly.
+
+    Holds for the iterated integrals of any path, so a wrong Horner factor
+    in the signature update breaks it (e.g. I(x)^2 = 2 I(xx) needs v^2/2).
+    """
+    u, v = words
+    levels = _rational_levels(n1, n2)
+    rhs = sum(_from_levels(levels, w) for w in _shuffles(u, v))
+    assert _from_levels(levels, u) * _from_levels(levels, v) == rhs
+
+
+def test_rational_exact_values_depth4():
+    """Frozen exact values of words that differ from their reversals, so a
+    signature multiplied in the wrong order (reversed time) would fail."""
+    cases = {
+        (1, 1): {"0zzx": Fraction(-7, 1536), "yz00": Fraction(31, 1536)},
+        (1, 2): {"x0z0": Fraction(-145, 24576), "zx00": Fraction(33, 8192),
+                 "yz00": Fraction(117, 8192)},
+        (2, 1): {"0y0x": Fraction(1, 768), "0x0z": Fraction(1, 512)},
+        (2, 2): {"0zzx": Fraction(5, 2048), "0x0z": Fraction(-3, 2048)},
+    }
+    for (n1, n2), words in cases.items():
+        prof = qdd_profiles(n1, n2, backend="rational")
+        for word, value in words.items():
+            assert word_integral(word, prof) == value
+
+
+def test_exact_profiles_merge_like_float_profiles():
+    sw = switching_qdd(2, 2)
+    channels = qdd_profiles(2, 2, backend="rational").channels
+    for c in "0xyz":
+        assert all(type(t) is Fraction for t in channels[c].breakpoints)
+        assert channels[c].breakpoints == sw[c].breakpoints
+        assert channels[c].signs == sw[c].signs
+
+
 def test_single_integrals_match_switching_profiles():
     for n1, n2 in [(2, 3), (1, 4)]:
         prof = qdd_profiles(n1, n2)  # auto picks mp here
@@ -100,12 +172,14 @@ def test_backend_selection_and_limits():
 
 
 def test_rational_mp_agreement():
-    prof_r = qdd_profiles(2, 2, backend="rational")
-    prof_m = qdd_profiles(2, 2, backend="mp")
-    for word in [("x",), ("0", "x"), ("0", "z", "0"), ("x", "y", "0")]:
-        exact = word_integral(word, prof_r)
-        approx = word_integral(word, prof_m)
-        assert abs(float(approx) - float(exact)) < 1e-30
+    """All 340 words of length <= 4 for (2, 2) agree across backends."""
+    exact = signature(qdd_profiles(2, 2, backend="rational"), 4)
+    approx = signature(qdd_profiles(2, 2, backend="mp"), 4)
+    assert sum(len(level) for level in exact[1:]) == 340
+    with mp.workdps(60):
+        for lev_r, lev_m in zip(exact[1:], approx[1:]):
+            for r, m in zip(lev_r, lev_m):
+                assert abs(mp.mpf(r.numerator) / r.denominator - m) < 1e-40
 
 
 def test_word_validation():
@@ -170,6 +244,13 @@ def test_verify_orders_footnote_14():
         assert z_rows[n]["max_abs"] <= 1e-20
     assert not z_rows[4]["expected_zero"]
     assert z_rows[4]["max_abs"] == pytest.approx(8.40865570034986e-05, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["zero_tol", "witness_tol"])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-30])
+def test_verify_orders_rejects_bad_tolerances(name, tol):
+    with pytest.raises(ValueError, match=name):
+        verify_orders(3, 3, 2, **{name: tol})
 
 
 def test_verify_orders_respects_nmax():
