@@ -10,9 +10,12 @@ verify orders   certify claimed suppression orders via exact word integrals
 verify bound    check bound dominance over randomized baths
 sweep           randomized experiment grid from a JSON config
 
-Configs are JSON objects whose keys mirror the long flag names with
-underscores (``--eps-min`` -> ``"eps_min"``).  Flags override file values;
-unknown keys are rejected.  A ``simulate`` config looks like::
+Each command's options are declared once, in ``_COMMANDS``.  Configs are JSON
+objects whose keys mirror the long flag names with underscores (``--eps-min``
+-> ``"eps_min"``).  Flags override file values; unknown keys are rejected.
+A ``null`` value counts as unset; any other value must have the JSON type and
+one of the choices of the option it sets, and is used as written, never
+converted.  A ``simulate`` config looks like::
 
     {"kind": "qdd", "orders": [2, 2], "T": 0.05,
      "bath": {"dim": 8, "seed": 42,
@@ -24,12 +27,13 @@ with optional ``initial_state``, ``bath_state``, ``mode``, ``rel_tol`` and
     {"kind": "qdd", "orders": [[1, 1], [2, 2]], "bath_dim": [2, 8],
      "eps": [0.001, 0.01], "eta": [0.1, 1.0], "seeds": 3, "master_seed": 0}
 
-Every artifact starts with a header block recording the package version, the
+``verify bound`` runs the same grid with one cell per bath seed.  Every
+artifact starts with a header block recording the package version, the
 resolved-config hash, the master seed, and the mode, so identical inputs
 produce byte-identical output.  CSV floats use 17 significant digits; JSON
-floats use shortest round-trip repr.  ``DDBOUND_THREADS`` caps sweep workers.
+floats use shortest round-trip repr.
 
-Exit codes: 0 success, 1 assertion failure (a verified property is violated),
+Exit codes: 0 success, 1 a verified property is violated (and nothing else),
 2 invalid input, 3 numerical non-convergence (possibly partial: rows that
 failed to converge are flagged with ``# non-convergence`` comment lines).
 """
@@ -40,9 +44,9 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Any, Callable, Sequence
 
@@ -64,7 +68,7 @@ from .qdd_bounds import (
 )
 from .sequences import nudd_schedule, qdd_schedule
 from .series import NonConvergenceError
-from .simulator import BathSpec, ExperimentConfig, SimResult, run_experiment
+from .simulator import BathSpec, ExperimentConfig, run_experiment
 
 __all__ = ["main"]
 
@@ -142,37 +146,89 @@ def _emit(lines: list[str], out: str | None, append: bool = False) -> None:
             fh.write(text)
 
 
-def _worker_count(cells: int) -> int:
-    env = os.environ.get("DDBOUND_THREADS")
-    if env is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CliError(f"DDBOUND_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise CliError("DDBOUND_THREADS must be >= 1")
-    return max(1, min(cap, cells))
+# ----------------------------------------------------------------- options --
 
 
-def _run_cells(configs: Sequence[ExperimentConfig]) -> list[SimResult | NonConvergenceError]:
-    """Run experiments in parallel; results in submission order.
+@dataclass(frozen=True)
+class Opt:
+    """One option of one command.
 
-    Non-convergence is captured per cell so one bad cell cannot hide the
-    others; any other exception propagates.
+    ``type`` is what a config value must be: ``int``, ``float`` (an integer
+    is accepted too), ``str``, ``dict`` (any object), ``[t]`` (a non-empty
+    list of ``t``) or ``{str: t}`` (an object of ``t`` values); JSON booleans
+    match none of them.  A ``flag`` option is also ``--name`` with dashes for
+    underscores; a ``key`` option is a key of the resolved config (and of the
+    config file, for commands that read one).  With ``preset`` each choice is
+    a flag of its own (``--fig2``).  A ``required`` option must be given on
+    the command line, or, for commands that read ``--config``, by the file
+    or a flag.
     """
 
-    def one(cfg: ExperimentConfig) -> SimResult | NonConvergenceError:
-        try:
-            return run_experiment(cfg)
-        except NonConvergenceError as exc:
-            return exc
+    name: str
+    type: Any
+    default: Any = None
+    choices: tuple[str, ...] = ()
+    help: str | None = None
+    flag: bool = True
+    key: bool = True
+    preset: bool = False
+    nargs: int | None = None
+    metavar: Any = None
+    required: bool = False
 
-    if len(configs) <= 1:
-        return [one(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(configs))) as pool:
-        return list(pool.map(one, configs))
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: handler, help line, options, and its ``--config`` flag
+    (None, "optional" or "required")."""
+
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[Opt, ...]
+    config: str | None = None
+
+
+_TYPE_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+}
+
+
+def _describe(spec: Any) -> tuple[str, str]:
+    """Singular and plural name of a config value type."""
+    if isinstance(spec, list):
+        inner = _describe(spec[0])[1]
+        return f"a non-empty list of {inner}", f"non-empty lists of {inner}"
+    if isinstance(spec, dict):
+        inner = _describe(*spec.values())[1]
+        return f"an object of {inner}", f"objects of {inner}"
+    return _TYPE_NAMES[spec]
+
+
+def _matches(value: Any, spec: Any) -> bool:
+    if isinstance(spec, list):
+        return (
+            isinstance(value, list)
+            and bool(value)
+            and all(_matches(v, spec[0]) for v in value)
+        )
+    if isinstance(spec, dict):
+        return isinstance(value, dict) and all(
+            _matches(v, *spec.values()) for v in value.values()
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if spec is float else spec)
+
+
+def _check(name: str, value: Any, spec: Any, choices: Sequence[str] = ()) -> None:
+    """Reject a config value of the wrong type or outside ``choices``."""
+    if not _matches(value, spec):
+        raise CliError(f"{name} must be {_describe(spec)[0]}, got {json.dumps(value)}")
+    if choices and value not in choices:
+        raise CliError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -188,57 +244,85 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _resolve(
-    args: argparse.Namespace,
-    keys: Sequence[str],
-    defaults: dict[str, Any],
-) -> dict[str, Any]:
+def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     """Merge defaults <- config file <- explicitly passed flags.
 
-    All flags use ``default=None`` so a set flag is distinguishable from an
-    unset one.  Unknown config keys are rejected.
+    All flags default to None so a set flag is distinguishable from an unset
+    one, and a config ``null`` is unset too.  Other config values are checked
+    against their option and kept as written, so the config hash sees the
+    input itself.
     """
-    resolved = dict(defaults)
+    keys = {opt.name: opt for opt in args.spec.options if opt.key}
+    resolved = {name: opt.default for name, opt in keys.items()}
     path = getattr(args, "config", None)
     if path is not None:
         doc = _load_json(path)
         unknown = sorted(set(doc) - set(keys))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update(doc)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
+        for name, value in doc.items():
+            if value is not None:
+                _check(f"config key {name!r}", value, keys[name].type, keys[name].choices)
+                resolved[name] = value
+    for name, opt in keys.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            resolved[name] = value
+        if opt.required and resolved[name] is None:
+            raise CliError(f"config key {name!r} is required")
     return resolved
+
+
+def _orders(resolved: dict) -> tuple[str, tuple[int, ...], int]:
+    """(kind, orders, qubit count) of ``--qdd N1 N2`` or ``--nudd ... --qubits M``."""
+    qdd, nudd = resolved["qdd"], resolved.get("nudd")
+    if (qdd is None) == (nudd is None):
+        raise CliError("exactly one of --qdd or --nudd is required")
+    if qdd is not None:
+        kind, flag, text, m = "qdd", "--qdd", " ".join(map(str, qdd)), 1
+        orders = tuple(qdd)
+    else:
+        kind, flag, text, m = "nudd", "--nudd", nudd, resolved["qubits"]
+        try:
+            orders = tuple(int(tok) for tok in nudd.split(","))
+        except ValueError:
+            raise CliError(f"--nudd: expected comma-separated integers, got {nudd!r}")
+    if any(n < 0 for n in orders):
+        raise CliError(f"{flag}: orders must be nonnegative, got {text}")
+    if m is None:
+        raise CliError("--nudd requires --qubits")
+    if m < 1:
+        raise CliError("--qubits must be >= 1")
+    if len(orders) != 2 * m:
+        raise CliError(
+            f"--nudd/--qubits: expected {2 * m} per-level orders for {m} qubit(s), "
+            f"got {len(orders)}"
+        )
+    return kind, orders, m
+
+
+def _qdd_eta(resolved: dict) -> tuple[float, float, float]:
+    """Per-axis eta from ``--eta-x/-y/-z`` (unset axes 0), else ``--eta`` (default 1)."""
+    comps = (resolved["eta_x"], resolved["eta_y"], resolved["eta_z"])
+    if all(c is None for c in comps):
+        eta = 1.0 if resolved["eta"] is None else resolved["eta"]
+        return (eta, eta, eta)
+    if resolved["eta"] is not None:
+        raise CliError("--eta conflicts with --eta-x/--eta-y/--eta-z")
+    return tuple(0.0 if c is None else c for c in comps)
 
 
 # ---------------------------------------------------------------- sequence --
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    if (args.qdd is None) == (args.nudd is None):
-        raise CliError("exactly one of --qdd or --nudd is required")
-    if args.qdd is not None:
-        n1, n2 = args.qdd
-        if n1 < 0 or n2 < 0:
-            raise CliError(f"--qdd: orders must be nonnegative, got {n1} {n2}")
-        schedule = qdd_schedule(n1, n2)
-        resolved: dict[str, Any] = {"qdd": [n1, n2]}
+    kind, orders, m = _orders(_resolve(args))
+    if kind == "qdd":
+        schedule = qdd_schedule(*orders)
+        resolved: dict[str, Any] = {"qdd": list(orders)}
     else:
-        try:
-            orders = [int(tok) for tok in args.nudd.split(",")]
-        except ValueError:
-            raise CliError(f"--nudd: expected comma-separated integers, got {args.nudd!r}")
-        if any(n < 0 for n in orders):
-            raise CliError(f"--nudd: orders must be nonnegative, got {args.nudd}")
-        if args.qubits is None:
-            raise CliError("--nudd requires --qubits")
-        try:
-            schedule = nudd_schedule(orders, args.qubits)
-        except ValueError as exc:
-            raise CliError(f"--nudd/--qubits: {exc}")
-        resolved = {"nudd": orders, "qubits": args.qubits}
+        schedule = nudd_schedule(orders, m)
+        resolved = {"nudd": list(orders), "qubits": m}
 
     lines = _header("sequence", resolved)
     lines.append("time,axis,qubit,level")
@@ -251,14 +335,15 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ bounds --
 
 
-def _eps_grid_from(resolved: dict) -> tuple[float, ...]:
+def _eps_grid(resolved: dict, window: Callable = default_eps_grid) -> tuple[float, ...]:
+    """``window(eps_min, eps_max, eps_points)``; 0 points is an empty grid."""
     points = resolved["eps_points"]
     if points == 0:
         return ()
     if points == 1:
         raise CliError("eps_points must be 0 (empty grid) or >= 2")
     try:
-        return default_eps_grid(resolved["eps_min"], resolved["eps_max"], points)
+        return window(resolved["eps_min"], resolved["eps_max"], points)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -272,229 +357,126 @@ def _is_nan(value: Any) -> bool:
     return isinstance(value, float) and math.isnan(value)
 
 
-_QDD_BOUNDS_KEYS = (
-    "preset",
-    "n1",
-    "n2",
-    "eta",
-    "eta_x",
-    "eta_y",
-    "eta_z",
-    "eps_min",
-    "eps_max",
-    "eps_points",
-    "mode",
-    "rel_tol",
-)
+def _bounds_table(
+    out: str | None,
+    header: list[str],
+    columns: Sequence[str],
+    row_at: Callable[..., dict],
+    cells: Sequence[tuple[dict, tuple[float, ...], dict]],
+) -> int:
+    """Emit ``row_at(eps=eps, **kwargs)`` for each cell and grid point.
+
+    ``cells`` holds (fixed columns, eps grid, kwargs).  A point whose series
+    does not converge becomes a flagged row of its fixed columns and NaN.
+    """
+    lines = header + [",".join(columns)]
+    failures = 0
+    for fixed, grid, kwargs in cells:
+        for eps in grid:
+            try:
+                row = row_at(eps=eps, **kwargs)
+            except NonConvergenceError:
+                row = {**dict.fromkeys(columns, math.nan), **fixed, "epsilon": eps}
+                lines.append(_flag_line(row, columns))
+                failures += 1
+            except ValueError as exc:
+                raise CliError(str(exc))
+            lines.append(_csv_row(row, columns))
+    _emit(lines, out)
+    return EXIT_NONCONVERGENCE if failures else EXIT_OK
 
 
 def cmd_bounds_qdd(args: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "preset": None,
-        "n1": None,
-        "n2": None,
-        "eta": None,
-        "eta_x": None,
-        "eta_y": None,
-        "eta_z": None,
-        "eps_min": 1e-4,
-        "eps_max": 1.0,
-        "eps_points": 41,
-        "mode": "analytic",
-        "rel_tol": 1e-15,
-    }
-    resolved = _resolve(args, _QDD_BOUNDS_KEYS, defaults)
-
+    resolved = _resolve(args)
     if resolved["preset"] is not None:
         if resolved["n1"] is not None or resolved["n2"] is not None:
             raise CliError("a preset cannot be combined with --n1/--n2")
-        try:
-            cells = preset_cells(resolved["preset"])
-        except ValueError as exc:
-            raise CliError(str(exc))
+        cells = preset_cells(resolved["preset"])
     elif resolved["n1"] is not None or resolved["n2"] is not None:
         if resolved["n1"] is None or resolved["n2"] is None:
             raise CliError("--n1 and --n2 must be given together")
-        comps = (resolved["eta_x"], resolved["eta_y"], resolved["eta_z"])
-        if resolved["eta"] is not None and any(c is not None for c in comps):
-            raise CliError("--eta conflicts with --eta-x/--eta-y/--eta-z")
         try:
-            if any(c is not None for c in comps):
-                eta = EtaVector(*(0.0 if c is None else c for c in comps))
-            else:
-                eta = EtaVector.isotropic(
-                    1.0 if resolved["eta"] is None else resolved["eta"]
-                )
+            eta = EtaVector(*_qdd_eta(resolved))
         except ValueError as exc:
             raise CliError(str(exc))
         cells = ((resolved["n1"], resolved["n2"], eta),)
     else:
         cells = ()
 
-    eps_grid = _eps_grid_from(resolved)
+    grid = _eps_grid(resolved)
     mode = resolved["mode"]
-    if mode not in ("analytic", "numeric-footnote"):
-        raise CliError(f"mode must be analytic or numeric-footnote, got {mode!r}")
-
-    lines = _header("bounds qdd", resolved, mode=mode)
-    lines.append(",".join(QDD_SWEEP_COLUMNS))
-    failures = 0
+    table = []
     for n1, n2, eta in cells:
         try:
             orders = decoupling_orders(n1, n2, mode)
         except ValueError as exc:
             raise CliError(str(exc))
-        for eps in eps_grid:
-            try:
-                row = sweep_row(n1, n2, eps, eta, mode, resolved["rel_tol"])
-            except NonConvergenceError:
-                nan = float("nan")
-                row = {
-                    "epsilon": eps,
-                    "N1": n1,
-                    "N2": n2,
-                    "eta_x": eta.eta_x,
-                    "eta_y": eta.eta_y,
-                    "eta_z": eta.eta_z,
-                    "d_x": orders.d_x,
-                    "d_y": orders.d_y,
-                    "d_z": orders.d_z,
-                    "L_x": nan,
-                    "L_y": nan,
-                    "L_z": nan,
-                    "D_bound": nan,
-                    "D_leading": nan,
-                }
-                lines.append(_flag_line(row, QDD_SWEEP_COLUMNS))
-                failures += 1
-            lines.append(_csv_row(row, QDD_SWEEP_COLUMNS))
-    _emit(lines, args.out)
-    return EXIT_NONCONVERGENCE if failures else EXIT_OK
-
-
-_NUDD_BOUNDS_KEYS = (
-    "preset",
-    "m",
-    "dmin",
-    "eta",
-    "eps_min",
-    "eps_max",
-    "eps_points",
-    "rel_tol",
-)
+        fixed = {"N1": n1, "N2": n2, **asdict(eta), **asdict(orders)}
+        kwargs = {"n1": n1, "n2": n2, "eta": eta, "mode": mode, "rel_tol": resolved["rel_tol"]}
+        table.append((fixed, grid, kwargs))
+    header = _header("bounds qdd", resolved, mode=mode)
+    return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, sweep_row, table)
 
 
 def cmd_bounds_nudd(args: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "preset": None,
-        "m": None,
-        "dmin": None,
-        "eta": None,
-        "eps_min": 1e-4,
-        "eps_max": 1.0,
-        "eps_points": 41,
-        "rel_tol": 1e-15,
-    }
-    resolved = _resolve(args, _NUDD_BOUNDS_KEYS, defaults)
-
-    # (m, d_min, eta, eps_grid) work items; the preset rescales each cell's
+    resolved = _resolve(args)
+    # (m, d_min, eta, eps_grid) per cell; the preset rescales each cell's
     # grid into the representable window for its (eta, m).
-    items: list[tuple[int, int, float, tuple[float, ...]]] = []
+    cells: list[tuple[int, int, float, tuple[float, ...]]] = []
     if resolved["preset"] is not None:
         if resolved["m"] is not None or resolved["dmin"] is not None:
             raise CliError("a preset cannot be combined with --m/--dmin")
-        try:
-            cells = preset_nudd_cells(resolved["preset"])
-        except ValueError as exc:
-            raise CliError(str(exc))
-        points = resolved["eps_points"]
-        for m, d_min, eta in cells:
-            grid = (
-                ()
-                if points == 0
-                else nudd_eps_window(
-                    eta, m, resolved["eps_min"], resolved["eps_max"], points
-                )
-            )
-            items.append((m, d_min, eta, grid))
+        for m, d_min, eta in preset_nudd_cells(resolved["preset"]):
+            window = partial(nudd_eps_window, eta, m)
+            cells.append((m, d_min, eta, _eps_grid(resolved, window)))
     elif resolved["m"] is not None or resolved["dmin"] is not None:
         if resolved["m"] is None or resolved["dmin"] is None:
             raise CliError("--m and --dmin must be given together")
         m, d_min = resolved["m"], resolved["dmin"]
         eta = 1.0 if resolved["eta"] is None else resolved["eta"]
-        if not isinstance(m, int) or not (1 <= m <= 31):
+        if not 1 <= m <= 31:
             raise CliError(f"--m must be an integer in [1, 31], got {m!r}")
-        if not isinstance(d_min, int) or d_min < 0:
+        if d_min < 0:
             raise CliError(f"--dmin must be a nonnegative integer, got {d_min!r}")
         if not eta >= 0:
             raise CliError(f"--eta must be >= 0, got {eta!r}")
-        items.append((m, d_min, eta, _eps_grid_from(resolved)))
+        cells.append((m, d_min, eta, _eps_grid(resolved)))
 
-    lines = _header("bounds nudd", resolved)
-    lines.append(",".join(NUDD_SWEEP_COLUMNS))
-    failures = 0
-    for m, d_min, eta, grid in items:
-        for eps in grid:
-            try:
-                row = nudd_sweep_row(m, d_min, eps, eta, resolved["rel_tol"])
-            except NonConvergenceError:
-                nan = float("nan")
-                row = {
-                    "epsilon": eps,
-                    "m": m,
-                    "d_min": d_min,
-                    "eta": eta,
-                    "Delta": nan,
-                    "D_bound": nan,
-                    "D_leading": nan,
-                }
-                lines.append(_flag_line(row, NUDD_SWEEP_COLUMNS))
-                failures += 1
-            lines.append(_csv_row(row, NUDD_SWEEP_COLUMNS))
-    _emit(lines, args.out)
-    return EXIT_NONCONVERGENCE if failures else EXIT_OK
+    table = []
+    for m, d_min, eta, grid in cells:
+        fixed = {"m": m, "d_min": d_min, "eta": eta}
+        table.append((fixed, grid, {**fixed, "rel_tol": resolved["rel_tol"]}))
+    header = _header("bounds nudd", resolved)
+    return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, nudd_sweep_row, table)
 
 
 # ---------------------------------------------------------------- simulate --
 
 
-_SIM_KEYS = (
-    "kind",
-    "orders",
-    "bath",
-    "T",
-    "initial_state",
-    "bath_state",
-    "mode",
-    "rel_tol",
-    "tie_order",
-)
-_BATH_KEYS = ("dim", "seed", "norms")
+_BATH_TYPES = {"dim": int, "seed": int, "norms": {str: float}}
 
 
-def _experiment_from(resolved: dict) -> ExperimentConfig:
-    for key in ("kind", "orders", "bath", "T"):
-        if resolved.get(key) is None:
-            raise CliError(f"config key {key!r} is required")
-    bath_doc = resolved["bath"]
-    if not isinstance(bath_doc, dict):
-        raise CliError("config key 'bath' must be an object")
-    unknown = sorted(set(bath_doc) - set(_BATH_KEYS))
+def cmd_simulate(args: argparse.Namespace) -> int:
+    resolved = _resolve(args)
+    if args.seed is not None:
+        resolved["bath"] = {**resolved["bath"], "seed": args.seed}
+    bath = resolved["bath"]
+    unknown = sorted(set(bath) - set(_BATH_TYPES))
     if unknown:
         raise CliError(f"unknown bath keys: {', '.join(unknown)}")
-    for key in _BATH_KEYS:
-        if key not in bath_doc:
+    for key, spec in _BATH_TYPES.items():
+        if key not in bath:
             raise CliError(f"bath key {key!r} is required")
+        _check(f"bath key {key!r}", bath[key], spec)
     try:
-        bath = BathSpec(
-            dim=bath_doc["dim"],
-            seed=bath_doc["seed"],
-            norms={str(k): float(v) for k, v in bath_doc["norms"].items()},
-        )
-        return ExperimentConfig(
+        config = ExperimentConfig(
             kind=resolved["kind"],
             orders=tuple(resolved["orders"]),
-            bath=bath,
+            bath=BathSpec(
+                dim=bath["dim"],
+                seed=bath["seed"],
+                norms={k: float(v) for k, v in bath["norms"].items()},
+            ),
             T=resolved["T"],
             initial_state=resolved["initial_state"],
             bath_state=resolved["bath_state"],
@@ -502,28 +484,8 @@ def _experiment_from(resolved: dict) -> ExperimentConfig:
             rel_tol=resolved["rel_tol"],
             tie_order=resolved["tie_order"],
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "kind": None,
-        "orders": None,
-        "bath": None,
-        "T": None,
-        "initial_state": "random",
-        "bath_state": "maximally-mixed",
-        "mode": "analytic",
-        "rel_tol": 1e-15,
-        "tie_order": "inner-first",
-    }
-    resolved = _resolve(args, _SIM_KEYS, defaults)
-    if args.seed is not None:
-        if not isinstance(resolved.get("bath"), dict):
-            raise CliError("--seed needs a config with a bath object")
-        resolved["bath"] = {**resolved["bath"], "seed": args.seed}
-    config = _experiment_from(resolved)
     result = run_experiment(config)
     record = {
         "ddbound": __version__,
@@ -538,135 +500,86 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------------------ verify --
+# ------------------------------------------------------------------- sweep --
 
 
-def cmd_verify_orders(args: argparse.Namespace) -> int:
-    n1, n2 = args.qdd
-    if n1 < 0 or n2 < 0:
-        raise CliError(f"--qdd: orders must be nonnegative, got {n1} {n2}")
-    if args.nmax < 1:
-        raise CliError("--nmax must be >= 1")
-    try:
-        cert = verify_orders(
-            n1,
-            n2,
-            args.nmax,
-            backend=args.backend,
-            mode=args.mode,
-            zero_tol=args.zero_tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
-    resolved = {
-        "qdd": [n1, n2],
-        "nmax": args.nmax,
-        "backend": args.backend,
-        "mode": args.mode,
-        "zero_tol": args.zero_tol,
-    }
-    record = {
-        "ddbound": __version__,
-        "command": "verify orders",
-        "config_hash": _config_hash(resolved),
-        "seed": None,
-        "mode": args.mode,
-        "config": resolved,
-        "certification": cert.to_jsonable(),
-    }
-    _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
-    return EXIT_OK if cert.certified else EXIT_ASSERTION
+def _bath_norms(m: int, eta: Any) -> dict[str, float]:
+    """J0 = 1 on the identity channel and ``eta`` on every other channel.
+
+    A one-qubit ``eta`` may be an (x, y, z) triple of per-axis values.
+    """
+    axes = dict(zip("xyz", eta)) if isinstance(eta, tuple) else {}
+    identity = "0" * m
+    norms = {identity: 1.0}
+    for letters in product("0xyz", repeat=m):
+        label = "".join(letters)
+        if label != identity:
+            norms[label] = axes.get(label, eta)
+    return norms
 
 
-def _bound_experiments(args: argparse.Namespace) -> tuple[list[ExperimentConfig], dict]:
-    if (args.qdd is None) == (args.nudd is None):
-        raise CliError("exactly one of --qdd or --nudd is required")
-    eps = args.eps
-    if eps is None or eps <= 0:
-        raise CliError("--eps is required and must be > 0")
-    if args.seeds < 1:
-        raise CliError("--seeds must be >= 1")
+def _eta_label(eta: Any) -> str:
+    """``eta`` as written in rows: an isotropic triple is written once."""
+    axes = eta if isinstance(eta, tuple) else (eta,)
+    if all(e == axes[0] for e in axes):
+        axes = axes[:1]
+    return "/".join(_fmt(e) for e in axes)
 
-    if args.qdd is not None:
-        n1, n2 = args.qdd
-        if n1 < 0 or n2 < 0:
-            raise CliError(f"--qdd: orders must be nonnegative, got {n1} {n2}")
-        kind = "qdd"
-        orders = (n1, n2)
-        comps = (args.eta_x, args.eta_y, args.eta_z)
-        if any(c is not None for c in comps):
-            if args.eta is not None:
-                raise CliError("--eta conflicts with --eta-x/--eta-y/--eta-z")
-            etas = tuple(0.0 if c is None else c for c in comps)
-        else:
-            e = 1.0 if args.eta is None else args.eta
-            etas = (e, e, e)
-        norms = {"0": 1.0, "x": etas[0], "y": etas[1], "z": etas[2]}
-        eta_desc = _fmt(etas[0]) if etas[0] == etas[1] == etas[2] else "/".join(
-            _fmt(e) for e in etas
-        )
-    else:
-        try:
-            orders = tuple(int(tok) for tok in args.nudd.split(","))
-        except ValueError:
-            raise CliError(f"--nudd: expected comma-separated integers, got {args.nudd!r}")
-        if args.qubits is None:
-            raise CliError("--nudd requires --qubits")
-        kind = "nudd"
-        m = args.qubits
-        e = 1.0 if args.eta is None else args.eta
-        norms = {"0" * m: 1.0}
-        for label in product("0xyz", repeat=m):
-            lab = "".join(label)
-            if lab != "0" * m:
-                norms[lab] = e
-        eta_desc = _fmt(e)
 
-    configs = []
-    for i in range(args.seeds):
-        try:
-            bath = BathSpec(dim=args.bath_dim, seed=args.seed + i, norms=norms)
-            configs.append(
-                ExperimentConfig(
-                    kind=kind,
-                    orders=orders,
-                    bath=bath,
-                    T=eps,
-                    mode=args.mode,
-                    tie_order=args.tie_order,
+_CELL_FIELDS = ("initial_state", "bath_state", "mode", "rel_tol", "tie_order")
+
+
+def _experiment_grid(grid: dict) -> list[tuple[int, ExperimentConfig, str]]:
+    """(index, config, eta label) per cell of a sweep config, in nesting order.
+
+    Each cell's bath seed is master_seed + index, so results do not depend on
+    the order the cells run in.  Cell fields the config lacks take their
+    ``ExperimentConfig`` defaults.
+    """
+    fields = {k: grid[k] for k in _CELL_FIELDS if k in grid}
+    cells = []
+    axes = product(grid["orders"], grid["bath_dim"], grid["eps"], grid["eta"])
+    for orders, bath_dim, eps, eta in axes:
+        for _ in range(grid["seeds"]):
+            index = len(cells)
+            try:
+                bath = BathSpec(
+                    dim=bath_dim,
+                    seed=grid["master_seed"] + index,
+                    norms=_bath_norms(len(orders) // 2, eta),
                 )
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
-    meta = {
-        "kind": kind,
-        "orders": list(orders),
-        "eps": eps,
-        "eta": eta_desc,
-        "bath_dim": args.bath_dim,
-        "seeds": args.seeds,
-        "seed": args.seed,
-        "mode": args.mode,
-        "tie_order": args.tie_order,
-        "loosen": args.loosen,
-    }
-    return configs, meta
+                cfg = ExperimentConfig(
+                    kind=grid["kind"], orders=tuple(orders), bath=bath, T=eps, **fields
+                )
+            except ValueError as exc:
+                raise CliError(str(exc))
+            cells.append((index, cfg, _eta_label(eta)))
+    return cells
 
 
-def cmd_verify_bound(args: argparse.Namespace) -> int:
-    configs, meta = _bound_experiments(args)
-    results = _run_cells(configs)
+def _run_cells(
+    cells: Sequence[tuple[int, ExperimentConfig, str]],
+    columns: Sequence[str],
+    loosen: float = 1.0,
+) -> tuple[list[str], int, int]:
+    """Run the cells in order: CSV lines, violation count, non-convergence count.
 
-    lines = _header("verify bound", meta, seed=args.seed, mode=args.mode)
-    lines.append(",".join(_VERIFY_COLUMNS))
-    violations = 0
-    failures = 0
-    for cfg, res in zip(configs, results):
-        if isinstance(res, NonConvergenceError):
+    A cell is a violation when ``loosen`` times its bound falls below the
+    measured distance, a channel bound is exceeded, or the propagator is not
+    unitary to ``UNITARITY_TOL``.
+    """
+    lines: list[str] = []
+    violations = failures = 0
+    for index, cfg, eta in cells:
+        try:
+            res = run_experiment(cfg)
+        except NonConvergenceError as exc:
             failures += 1
-            lines.append(f"# non-convergence: seed={cfg.bath.seed} ({res})")
+            ids = {"cell": index, "seed": cfg.bath.seed}
+            where = " ".join(f"{c}={v}" for c, v in ids.items() if c in columns)
+            lines.append(f"# non-convergence: {where} ({exc})")
             continue
-        bound = args.loosen * res.distance_bound
+        bound = loosen * res.distance_bound
         margin = bound - res.distance_actual
         ch_min = min(res.channel_margins.values())
         ok = (
@@ -675,167 +588,259 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
             and res.unitarity_residual <= UNITARITY_TOL
             and max(res.cross_residuals.values(), default=0.0) <= UNITARITY_TOL
         )
-        if not ok:
-            violations += 1
-        lines.append(
-            _csv_row(
-                {
-                    "seed": cfg.bath.seed,
-                    "epsilon": res.epsilon,
-                    "eta": meta["eta"],
-                    "D_actual": res.distance_actual,
-                    "D_bound": bound,
-                    "margin": margin,
-                    "channel_margin_min": ch_min,
-                    "unitarity": res.unitarity_residual,
-                    "ok": int(ok),
-                },
-                _VERIFY_COLUMNS,
-            )
-        )
-    _emit(lines, args.out, append=True)
-    if violations:
-        return EXIT_ASSERTION
-    if failures:
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
-
-
-# ------------------------------------------------------------------- sweep --
-
-
-_SWEEP_KEYS = (
-    "kind",
-    "orders",
-    "bath_dim",
-    "eps",
-    "eta",
-    "seeds",
-    "master_seed",
-    "mode",
-    "tie_order",
-    "rel_tol",
-    "initial_state",
-    "bath_state",
-)
-
-
-def _sweep_norms(kind: str, orders: Sequence[int], eta: float) -> dict[str, float]:
-    if kind == "qdd":
-        return {"0": 1.0, "x": eta, "y": eta, "z": eta}
-    m = len(orders) // 2
-    norms = {"0" * m: 1.0}
-    for label in product("0xyz", repeat=m):
-        lab = "".join(label)
-        if lab != "0" * m:
-            norms[lab] = eta
-    return norms
+        violations += not ok
+        row = {
+            "cell": index,
+            "kind": cfg.kind,
+            "orders": "/".join(str(n) for n in cfg.orders),
+            "bath_dim": cfg.bath.dim,
+            "seed": cfg.bath.seed,
+            "epsilon": res.epsilon,
+            "eta": eta,
+            "D_actual": res.distance_actual,
+            "D_bound": bound,
+            "margin": margin,
+            "channel_margin_min": ch_min,
+            "unitarity": res.unitarity_residual,
+            "ok": int(ok),
+        }
+        lines.append(_csv_row(row, columns))
+    return lines, violations, failures
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "kind": None,
-        "orders": None,
-        "bath_dim": None,
-        "eps": None,
-        "eta": None,
-        "seeds": 1,
-        "master_seed": 0,
-        "mode": "analytic",
-        "tie_order": "inner-first",
-        "rel_tol": 1e-15,
-        "initial_state": "random",
-        "bath_state": "maximally-mixed",
-    }
-    resolved = _resolve(args, _SWEEP_KEYS, defaults)
-    for key in ("kind", "orders", "bath_dim", "eps", "eta"):
-        if resolved[key] is None:
-            raise CliError(f"config key {key!r} is required")
-    for key in ("orders", "bath_dim", "eps", "eta"):
-        if not isinstance(resolved[key], list) or not resolved[key]:
-            raise CliError(f"config key {key!r} must be a non-empty list")
-    if not isinstance(resolved["seeds"], int) or resolved["seeds"] < 1:
+    resolved = _resolve(args)
+    if resolved["seeds"] < 1:
         raise CliError("config key 'seeds' must be a positive integer")
-
-    # Cells in fixed nesting order; each cell's bath seed is master + index so
-    # results do not depend on scheduling.
-    cells: list[tuple[int, ExperimentConfig, dict]] = []
-    index = 0
-    for orders in resolved["orders"]:
-        orders_t = tuple(int(n) for n in orders)
-        for bath_dim in resolved["bath_dim"]:
-            for eps in resolved["eps"]:
-                for eta in resolved["eta"]:
-                    for _ in range(resolved["seeds"]):
-                        seed = resolved["master_seed"] + index
-                        try:
-                            cfg = ExperimentConfig(
-                                kind=resolved["kind"],
-                                orders=orders_t,
-                                bath=BathSpec(
-                                    dim=bath_dim,
-                                    seed=seed,
-                                    norms=_sweep_norms(
-                                        resolved["kind"], orders_t, eta
-                                    ),
-                                ),
-                                T=eps,
-                                initial_state=resolved["initial_state"],
-                                bath_state=resolved["bath_state"],
-                                mode=resolved["mode"],
-                                rel_tol=resolved["rel_tol"],
-                                tie_order=resolved["tie_order"],
-                            )
-                        except ValueError as exc:
-                            raise CliError(str(exc))
-                        cell_meta = {
-                            "orders": "/".join(str(n) for n in orders_t),
-                            "bath_dim": bath_dim,
-                            "eta": eta,
-                        }
-                        cells.append((index, cfg, cell_meta))
-                        index += 1
-
-    results = _run_cells([cfg for _, cfg, _ in cells])
-
+    rows, _, failures = _run_cells(_experiment_grid(resolved), _SWEEP_COLUMNS)
     lines = _header(
         "sweep", resolved, seed=resolved["master_seed"], mode=resolved["mode"]
     )
-    lines.append(",".join(_SWEEP_COLUMNS))
-    failures = 0
-    for (idx, cfg, cell_meta), res in zip(cells, results):
-        if isinstance(res, NonConvergenceError):
-            failures += 1
-            lines.append(f"# non-convergence: cell={idx} seed={cfg.bath.seed} ({res})")
-            continue
-        lines.append(
-            _csv_row(
-                {
-                    "cell": idx,
-                    "kind": cfg.kind,
-                    "orders": cell_meta["orders"],
-                    "bath_dim": cell_meta["bath_dim"],
-                    "seed": cfg.bath.seed,
-                    "epsilon": res.epsilon,
-                    "eta": cell_meta["eta"],
-                    "D_actual": res.distance_actual,
-                    "D_bound": res.distance_bound,
-                    "margin": res.margin,
-                    "channel_margin_min": min(res.channel_margins.values()),
-                    "unitarity": res.unitarity_residual,
-                },
-                _SWEEP_COLUMNS,
-            )
+    _emit(lines + [",".join(_SWEEP_COLUMNS)] + rows, args.out)
+    return EXIT_NONCONVERGENCE if failures else EXIT_OK
+
+
+# ------------------------------------------------------------------ verify --
+
+
+def cmd_verify_orders(args: argparse.Namespace) -> int:
+    resolved = _resolve(args)
+    _, (n1, n2), _ = _orders(resolved)
+    if resolved["nmax"] < 1:
+        raise CliError("--nmax must be >= 1")
+    try:
+        cert = verify_orders(
+            n1,
+            n2,
+            resolved["nmax"],
+            backend=resolved["backend"],
+            mode=resolved["mode"],
+            zero_tol=resolved["zero_tol"],
         )
-    _emit(lines, args.out)
+    except ValueError as exc:
+        raise CliError(str(exc))
+    record = {
+        "ddbound": __version__,
+        "command": "verify orders",
+        "config_hash": _config_hash(resolved),
+        "seed": None,
+        "mode": resolved["mode"],
+        "config": resolved,
+        "certification": cert.to_jsonable(),
+    }
+    _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
+    return EXIT_OK if cert.certified else EXIT_ASSERTION
+
+
+def cmd_verify_bound(args: argparse.Namespace) -> int:
+    resolved = _resolve(args)
+    kind, orders, _ = _orders(resolved)
+    eps = resolved["eps"]
+    if eps is None or eps <= 0:
+        raise CliError("--eps is required and must be > 0")
+    if resolved["seeds"] < 1:
+        raise CliError("--seeds must be >= 1")
+    if kind == "qdd":
+        eta = _qdd_eta(resolved)
+    else:
+        eta = 1.0 if resolved["eta"] is None else resolved["eta"]
+    meta = {
+        "kind": kind,
+        "orders": list(orders),
+        "eps": eps,
+        "eta": _eta_label(eta),
+        **{k: resolved[k] for k in ("bath_dim", "seeds", "seed", "mode", "tie_order", "loosen")},
+    }
+    grid = {
+        "kind": kind,
+        "orders": [orders],
+        "bath_dim": [resolved["bath_dim"]],
+        "eps": [eps],
+        "eta": [eta],
+        "seeds": resolved["seeds"],
+        "master_seed": resolved["seed"],
+        "mode": resolved["mode"],
+        "tie_order": resolved["tie_order"],
+    }
+    rows, violations, failures = _run_cells(
+        _experiment_grid(grid), _VERIFY_COLUMNS, resolved["loosen"]
+    )
+    lines = _header("verify bound", meta, seed=resolved["seed"], mode=resolved["mode"])
+    _emit(lines + [",".join(_VERIFY_COLUMNS)] + rows, args.out, append=True)
+    if violations:
+        return EXIT_ASSERTION
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
 
 
 # ------------------------------------------------------------------ parser --
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
+_MODE = Opt("mode", str, "analytic", ("analytic", "numeric-footnote"),
+            help="suppression-order table variant")
+_TIE_ORDER = Opt("tie_order", str, "inner-first", ("inner-first", "outer-first"),
+                 help="coincident-pulse ordering")
+_REL_TOL = Opt("rel_tol", float, 1e-15, help="tail summation tolerance")
+_EPS_GRID = (
+    Opt("eps_min", float, 1e-4, help="smallest epsilon"),
+    Opt("eps_max", float, 1.0, help="largest epsilon"),
+    Opt("eps_points", int, 41, help="log-grid size, 0 for an empty grid"),
+)
+_ETA_AXES = tuple(
+    Opt(f"eta_{axis}", float, help=f"{axis} relative coupling strength") for axis in "xyz"
+)
+_KIND = Opt("kind", str, choices=("qdd", "nudd"), flag=False, required=True)
+_STATES = (
+    Opt("initial_state", str, "random", flag=False),
+    Opt("bath_state", str, "maximally-mixed", flag=False),
+)
+_QDD = Opt("qdd", int, nargs=2, metavar=("N1", "N2"),
+           help="two-level sequence with inner order N1, outer N2")
+_NUDD = Opt("nudd", str, metavar="N1,N2,...", help="nested sequence orders, innermost first")
+_QUBITS = Opt("qubits", int, help="protected qubit count for --nudd")
+
+_COMMANDS = {
+    "sequence": Command(cmd_sequence, "emit a pulse schedule as CSV", (_QDD, _NUDD, _QUBITS)),
+    "bounds qdd": Command(
+        cmd_bounds_qdd,
+        "two-level channel and distance bounds",
+        (
+            Opt("preset", str, choices=("fig2", "fig3", "fig4"), help="preset grid",
+                preset=True),
+            Opt("n1", int, help="inner sequence order"),
+            Opt("n2", int, help="outer sequence order"),
+            Opt("eta", float, help="isotropic relative coupling strength"),
+            *_ETA_AXES,
+            *_EPS_GRID,
+            _MODE,
+            _REL_TOL,
+        ),
+        config="optional",
+    ),
+    "bounds nudd": Command(
+        cmd_bounds_nudd,
+        "nested multi-qubit bound",
+        (
+            Opt("preset", str, choices=("fig5",), help="preset grid", preset=True),
+            Opt("m", int, help="protected qubit count"),
+            Opt("dmin", int, help="minimum suppression order"),
+            Opt("eta", float, help="relative coupling strength"),
+            *_EPS_GRID,
+            _REL_TOL,
+        ),
+        config="optional",
+    ),
+    "simulate": Command(
+        cmd_simulate,
+        "run one exact experiment from JSON config",
+        (
+            _KIND,
+            Opt("orders", [int], flag=False, required=True),
+            Opt("bath", dict, flag=False, required=True),
+            Opt("T", float, help="override the duration", required=True),
+            *_STATES,
+            _MODE,
+            replace(_REL_TOL, flag=False),
+            _TIE_ORDER,
+            Opt("seed", int, key=False, help="override the bath seed"),
+        ),
+        config="required",
+    ),
+    "verify orders": Command(
+        cmd_verify_orders,
+        "exact word-integral certification",
+        (
+            replace(_QDD, required=True),
+            Opt("nmax", int, required=True, help="certify all word lengths up to NMAX"),
+            Opt("backend", str, "auto", ("auto", "rational", "mp"), help="number backend"),
+            _MODE,
+            Opt("zero_tol", float, 1e-25, help="threshold for 'vanishes' on the mp backend"),
+        ),
+    ),
+    "verify bound": Command(
+        cmd_verify_bound,
+        "randomized bound-dominance check",
+        (
+            _QDD,
+            _NUDD,
+            _QUBITS,
+            Opt("eps", float, help="epsilon = J0 * T (J0 fixed at 1)"),
+            Opt("eta", float, help="relative coupling strength"),
+            *_ETA_AXES,
+            Opt("bath_dim", int, 8, help="bath dimension, a power of two"),
+            Opt("seeds", int, 20, help="number of random baths"),
+            Opt("seed", int, 0, help="master seed"),
+            _MODE,
+            _TIE_ORDER,
+            Opt("loosen", float, 1.0, help="negative-control hook: multiply the bound "
+                "by this factor before the dominance check"),
+        ),
+    ),
+    "sweep": Command(
+        cmd_sweep,
+        "randomized experiment grid from JSON config",
+        tuple(
+            replace(opt, flag=False)
+            for opt in (
+                _KIND,
+                Opt("orders", [[int]], required=True),
+                Opt("bath_dim", [int], required=True),
+                Opt("eps", [float], required=True),
+                Opt("eta", [float], required=True),
+                Opt("seeds", int, 1),
+                Opt("master_seed", int, 0),
+                _MODE,
+                _TIE_ORDER,
+                _REL_TOL,
+                *_STATES,
+            )
+        ),
+        config="required",
+    ),
+}
+
+_GROUPS = {
+    "bounds": "evaluate analytic bounds over a grid",
+    "verify": "certify orders or check bound dominance",
+}
+
+
+def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
+    if opt.preset:
+        group = p.add_mutually_exclusive_group()
+        for name in opt.choices:
+            group.add_argument(f"--{name}", dest=opt.name, action="store_const",
+                               const=name, help=f"{opt.help} '{name}'")
+        return
+    default = "" if opt.default is None else f" (default {opt.default})"
+    p.add_argument(
+        "--" + opt.name.replace("_", "-"),
+        type=opt.type,
+        choices=opt.choices or None,
+        nargs=opt.nargs,
+        metavar=opt.metavar,
+        required=opt.required and not has_config,
+        help=f"{opt.help or ''}{default}".strip(),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -846,123 +851,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sequence", help="emit a pulse schedule as CSV")
-    p.add_argument("--qdd", nargs=2, type=int, metavar=("N1", "N2"),
-                   help="two-level sequence with inner order N1, outer N2")
-    p.add_argument("--nudd", metavar="N1,N2,...",
-                   help="nested sequence orders, innermost first")
-    p.add_argument("--qubits", type=int, help="protected qubit count for --nudd")
-    _add_out(p)
-    p.set_defaults(func=cmd_sequence)
-
-    b = sub.add_parser("bounds", help="evaluate analytic bounds over a grid")
-    bsub = b.add_subparsers(dest="family", required=True)
-
-    bq = bsub.add_parser("qdd", help="two-level channel and distance bounds")
-    grp = bq.add_mutually_exclusive_group()
-    for name in ("fig2", "fig3", "fig4"):
-        grp.add_argument(
-            f"--{name}",
-            dest="preset",
-            action="store_const",
-            const=name,
-            help=f"preset grid '{name}'",
-        )
-    bq.add_argument("--n1", type=int, help="inner sequence order")
-    bq.add_argument("--n2", type=int, help="outer sequence order")
-    bq.add_argument("--eta", type=float, help="isotropic relative coupling strength")
-    bq.add_argument("--eta-x", type=float, help="x relative coupling strength")
-    bq.add_argument("--eta-y", type=float, help="y relative coupling strength")
-    bq.add_argument("--eta-z", type=float, help="z relative coupling strength")
-    bq.add_argument("--eps-min", type=float, help="smallest epsilon (default 1e-4)")
-    bq.add_argument("--eps-max", type=float, help="largest epsilon (default 1)")
-    bq.add_argument("--eps-points", type=int,
-                    help="log-grid size (default 41; 0 for an empty grid)")
-    bq.add_argument("--mode", choices=("analytic", "numeric-footnote"),
-                    help="suppression-order table variant")
-    bq.add_argument("--rel-tol", type=float, help="tail summation tolerance")
-    bq.add_argument("--config", metavar="PATH", help="JSON config (flags override)")
-    _add_out(bq)
-    bq.set_defaults(func=cmd_bounds_qdd)
-
-    bn = bsub.add_parser("nudd", help="nested multi-qubit bound")
-    bn.add_argument("--fig5", dest="preset", action="store_const", const="fig5",
-                    help="preset grid 'fig5' (per-cell rescaled epsilon window)")
-    bn.add_argument("--m", type=int, help="protected qubit count")
-    bn.add_argument("--dmin", type=int, help="minimum suppression order")
-    bn.add_argument("--eta", type=float, help="relative coupling strength")
-    bn.add_argument("--eps-min", type=float, help="smallest epsilon (default 1e-4)")
-    bn.add_argument("--eps-max", type=float, help="largest epsilon (default 1)")
-    bn.add_argument("--eps-points", type=int,
-                    help="log-grid size (default 41; 0 for an empty grid)")
-    bn.add_argument("--rel-tol", type=float, help="tail summation tolerance")
-    bn.add_argument("--config", metavar="PATH", help="JSON config (flags override)")
-    _add_out(bn)
-    bn.set_defaults(func=cmd_bounds_nudd)
-
-    s = sub.add_parser("simulate", help="run one exact experiment from JSON config")
-    s.add_argument("--config", metavar="PATH", required=True, help="JSON config")
-    s.add_argument("--seed", type=int, help="override the bath seed")
-    s.add_argument("--T", type=float, dest="T", help="override the duration")
-    s.add_argument("--mode", choices=("analytic", "numeric-footnote"),
-                   help="override the bound mode")
-    s.add_argument("--tie-order", choices=("inner-first", "outer-first"),
-                   help="override coincident-pulse ordering")
-    _add_out(s)
-    s.set_defaults(func=cmd_simulate)
-
-    v = sub.add_parser("verify", help="certify orders or check bound dominance")
-    vsub = v.add_subparsers(dest="check", required=True)
-
-    vo = vsub.add_parser("orders", help="exact word-integral certification")
-    vo.add_argument("--qdd", nargs=2, type=int, metavar=("N1", "N2"), required=True)
-    vo.add_argument("--nmax", type=int, required=True,
-                    help="certify all word lengths up to NMAX")
-    vo.add_argument("--backend", choices=("auto", "rational", "mp"), default="auto")
-    vo.add_argument("--mode", choices=("analytic", "numeric-footnote"),
-                    default="analytic")
-    vo.add_argument("--zero-tol", type=float, default=1e-25,
-                    help="threshold for 'vanishes' on the mp backend")
-    _add_out(vo)
-    vo.set_defaults(func=cmd_verify_orders)
-
-    vb = vsub.add_parser("bound", help="randomized bound-dominance check")
-    vb.add_argument("--qdd", nargs=2, type=int, metavar=("N1", "N2"))
-    vb.add_argument("--nudd", metavar="N1,N2,...")
-    vb.add_argument("--qubits", type=int, help="protected qubit count for --nudd")
-    vb.add_argument("--eps", type=float, help="epsilon = J0 * T (J0 fixed at 1)")
-    vb.add_argument("--eta", type=float, help="relative coupling strength")
-    vb.add_argument("--eta-x", type=float)
-    vb.add_argument("--eta-y", type=float)
-    vb.add_argument("--eta-z", type=float)
-    vb.add_argument("--bath-dim", type=int, default=8)
-    vb.add_argument("--seeds", type=int, default=20, help="number of random baths")
-    vb.add_argument("--seed", type=int, default=0, help="master seed")
-    vb.add_argument("--mode", choices=("analytic", "numeric-footnote"),
-                    default="analytic")
-    vb.add_argument("--tie-order", choices=("inner-first", "outer-first"),
-                    default="inner-first")
-    vb.add_argument("--loosen", type=float, default=1.0,
-                    help="negative-control hook: multiply the bound by this "
-                    "factor before the dominance check")
-    _add_out(vb)
-    vb.set_defaults(func=cmd_verify_bound)
-
-    w = sub.add_parser("sweep", help="randomized experiment grid from JSON config")
-    w.add_argument("--config", metavar="PATH", required=True, help="JSON config")
-    _add_out(w)
-    w.set_defaults(func=cmd_sweep)
-
+    groups: dict[str, Any] = {}
+    for name, spec in _COMMANDS.items():
+        *group, leaf = name.split()
+        parent = sub
+        if group:
+            if group[0] not in groups:
+                g = sub.add_parser(group[0], help=_GROUPS[group[0]])
+                groups[group[0]] = g.add_subparsers(dest="subcommand", required=True)
+            parent = groups[group[0]]
+        p = parent.add_parser(leaf, help=spec.help)
+        for opt in spec.options:
+            if opt.flag:
+                _add_option(p, opt, spec.config is not None)
+        if spec.config is not None:
+            p.add_argument("--config", metavar="PATH", required=spec.config == "required",
+                           help="JSON config (flags override)")
+        p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
+        p.set_defaults(spec=spec)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    func: Callable[[argparse.Namespace], int] = args.func
+    args = build_parser().parse_args(argv)
     try:
-        return func(args)
+        return args.spec.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 from .qdd_bounds import default_eps_grid
-from .series import exp_series_tail
+from .series import check_rel_tol, exp_series_tail
 
 __all__ = [
     "NuddCouplings",
     "NuddBoundReport",
-    "NuddSweepConfig",
     "gamma_factor",
     "d_min_for_orders",
     "s_error_sum",
@@ -34,7 +33,6 @@ __all__ = [
     "nudd_delta",
     "nudd_distance_bound",
     "nudd_eps_window",
-    "nudd_sweep",
     "nudd_sweep_row",
     "preset_nudd_cells",
     "NUDD_SWEEP_COLUMNS",
@@ -183,8 +181,7 @@ def nudd_delta(
         raise ValueError("d_min must be >= 0")
     if epsilon < 0 or eta < 0:
         raise ValueError("epsilon and eta must be >= 0")
-    if not 0.0 < rel_tol <= 1e-6:
-        raise ValueError("rel_tol must be in (0, 1e-6]")
+    check_rel_tol(rel_tol)
     if epsilon == 0.0 or eta == 0.0:
         return 0.0
     g = gamma_factor(m)
@@ -208,15 +205,6 @@ def nudd_distance_bound(
         distance_bound=delta * delta + delta,
         leading_term=nudd_leading_term(d_min, epsilon, eta, m),
     )
-
-
-@dataclass(frozen=True)
-class NuddSweepConfig:
-    """Grid for a nested-bound sweep: epsilon grid x (m, d_min, eta) cells."""
-
-    eps_grid: tuple[float, ...]
-    cells: tuple[tuple[int, int, float], ...]
-    rel_tol: float = 1e-15
 
 
 def nudd_eps_window(
@@ -257,12 +245,3 @@ def nudd_sweep_row(
         "D_bound": rep.distance_bound,
         "D_leading": rep.leading_term,
     }
-
-
-def nudd_sweep(config: NuddSweepConfig) -> list[dict]:
-    """Evaluate the nested bound over a grid; CSV-ready rows (NUDD_SWEEP_COLUMNS)."""
-    return [
-        nudd_sweep_row(m, d_min, eps, eta, config.rel_tol)
-        for m, d_min, eta in config.cells
-        for eps in config.eps_grid
-    ]

@@ -25,14 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .series import exp_series_tail
+from .series import check_rel_tol, exp_series_tail
 
 __all__ = [
     "EtaVector",
     "DecouplingOrders",
     "ChannelBounds",
     "BoundReport",
-    "SweepConfig",
     "CASE_OF_CHANNEL",
     "case_parities",
     "decoupling_orders",
@@ -42,7 +41,6 @@ __all__ = [
     "delta_tail",
     "channel_bounds",
     "distance_bound",
-    "figure_sweep",
     "sweep_row",
     "preset_cells",
     "default_eps_grid",
@@ -236,8 +234,7 @@ def delta_tail(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    if not 0.0 < rel_tol <= 1e-6:
-        raise ValueError("rel_tol must be in (0, 1e-6]")
+    check_rel_tol(rel_tol)
     if epsilon == 0.0:
         return 0.0
     parities = case_parities(j)
@@ -321,16 +318,6 @@ def distance_bound(
     )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid description for a bounds sweep: epsilon grid x (N1, N2, eta) cells."""
-
-    eps_grid: tuple[float, ...]
-    cells: tuple[tuple[int, int, EtaVector], ...]
-    mode: str = "analytic"
-    rel_tol: float = 1e-15
-
-
 def default_eps_grid(
     lo: float = 1e-4, hi: float = 1.0, points: int = 41
 ) -> tuple[float, ...]:
@@ -394,16 +381,3 @@ def sweep_row(
         "D_bound": report.distance_bound,
         "D_leading": report.leading_term,
     }
-
-
-def figure_sweep(config: SweepConfig) -> list[dict]:
-    """Evaluate channel and distance bounds over a grid; CSV-ready rows.
-
-    Row keys follow ``QDD_SWEEP_COLUMNS``.  Deterministic: identical config
-    yields identical rows.
-    """
-    return [
-        sweep_row(n1, n2, eps, eta, config.mode, config.rel_tol)
-        for n1, n2, eta in config.cells
-        for eps in config.eps_grid
-    ]

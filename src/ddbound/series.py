@@ -16,13 +16,19 @@ import math
 
 import numpy as np
 
-__all__ = ["NonConvergenceError", "exp_series_tail", "series_cap"]
+__all__ = ["NonConvergenceError", "check_rel_tol", "exp_series_tail", "series_cap"]
 
 _BLOCK = 64
 
 
 class NonConvergenceError(RuntimeError):
     """Tail summation hit its iteration cap or produced non-finite values."""
+
+
+def check_rel_tol(rel_tol: float) -> None:
+    """Raise ValueError unless the tail tolerance lies in (0, 1e-6]."""
+    if not 0.0 < rel_tol <= 1e-6:
+        raise ValueError("rel_tol must be in (0, 1e-6]")
 
 
 def series_cap(order: int, r_max: float) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Sequence
@@ -27,6 +28,7 @@ import numpy as np
 from .nudd_bounds import NuddBoundReport, d_min_for_orders, nudd_distance_bound
 from .qdd_bounds import BoundReport, EtaVector, distance_bound
 from .sequences import PulseSchedule, nudd_schedule
+from .series import check_rel_tol
 
 __all__ = [
     "PAULI",
@@ -111,6 +113,8 @@ class BathSpec:
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.dim):
             raise ValueError("bath dim must be a power of two >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"bath seed must be an integer >= 0, got {self.seed!r}")
         for label, j in self.norms.items():
             if not (math.isfinite(j) and j >= 0.0):
                 raise ValueError(f"norm for channel {label!r} must be finite >= 0")
@@ -357,6 +361,8 @@ class ExperimentConfig:
             raise ValueError("kind must be 'qdd' or 'nudd'")
         orders = tuple(int(n) for n in self.orders)
         object.__setattr__(self, "orders", orders)
+        if any(n < 0 for n in orders):
+            raise ValueError(f"orders must be integers >= 0, got {orders}")
         if self.kind == "qdd" and len(orders) != 2:
             raise ValueError("qdd experiments take exactly two orders")
         if len(orders) % 2 or not orders:
@@ -366,6 +372,7 @@ class ExperimentConfig:
             raise ValueError(f"qubit count {m} outside supported range")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be finite and > 0")
+        check_rel_tol(self.rel_tol)
         if self.initial_state not in _INITIAL_STATES:
             raise ValueError(f"initial_state must be one of {_INITIAL_STATES}")
         if self.bath_state not in _BATH_STATES:

@@ -6,9 +6,13 @@ the emitted header block, and the data rows. Argparse-level failures raise
 command functions themselves.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddbound.cli import main
 
@@ -258,19 +262,17 @@ SWEEP_CONFIG = {
 }
 
 
-def test_sweep_grid_and_determinism(tmp_path, capsys, monkeypatch):
+def test_sweep_grid_and_determinism(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(SWEEP_CONFIG))
     target = tmp_path / "sweep.csv"
-    monkeypatch.setenv("DDBOUND_THREADS", "1")
     code, _, _ = run_cli(["sweep", "--config", str(cfg), "--out", str(target)], capsys)
     assert code == 0
-    serial = target.read_bytes()
-    assert len(data_lines(serial.decode())) == 1 + 2 * 2  # header + cells
-    monkeypatch.setenv("DDBOUND_THREADS", "4")
+    first = target.read_bytes()
+    assert len(data_lines(first.decode())) == 1 + 2 * 2  # header + cells
     code, _, _ = run_cli(["sweep", "--config", str(cfg), "--out", str(target)], capsys)
     assert code == 0
-    assert target.read_bytes() == serial
+    assert target.read_bytes() == first
 
 
 def test_sweep_unknown_key(tmp_path, capsys):
@@ -283,10 +285,154 @@ def test_sweep_unknown_key(tmp_path, capsys):
     assert "oops" in err
 
 
-def test_threads_env_validated(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps(SWEEP_CONFIG))
-    monkeypatch.setenv("DDBOUND_THREADS", "zero")
-    code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["bounds", "qdd", "--n1", "1", "--n2", "1", "--rel-tol", "0.1"], "rel_tol"),
+        (["bounds", "qdd", "--n1", "1", "--n2", "1", "--rel-tol", "nan"], "rel_tol"),
+        (["bounds", "nudd", "--m", "2", "--dmin", "1", "--eta", "1", "--rel-tol", "0.5"],
+         "rel_tol"),
+        (["bounds", "nudd", "--fig5", "--eps-points", "1"], "eps_points"),
+        (["bounds", "nudd", "--fig5", "--eps-min", "2", "--eps-max", "1"], "lo < hi"),
+        (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"], "nonnegative"),
+        (["verify", "bound", "--nudd", "1,1", "--qubits", "2", "--eps", "0.1"],
+         "expected 4 per-level orders"),
+    ],
+)
+def test_invalid_flags_exit_2(argv, needle, capsys):
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
-    assert "DDBOUND_THREADS" in err
+    assert out == ""
+    assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, needle",
+    [
+        ("sweep", {**SWEEP_CONFIG, "orders": [[1, -1]]}, [], ">= 0"),
+        ("sweep", {k: v for k, v in SWEEP_CONFIG.items() if k != "eps"}, [],
+         "'eps' is required"),
+        ("simulate", {k: v for k, v in SIM_CONFIG.items() if k != "T"}, ["--seed", "1"],
+         "'T' is required"),
+        ("simulate", {**SIM_CONFIG, "rel_tol": 0.5}, [], "rel_tol"),
+        ("simulate", {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "seed": "s"}}, [], "seed"),
+        ("simulate", SIM_CONFIG, ["--seed", "-1"], "seed"),
+    ],
+)
+def test_invalid_config_values_exit_2(command, doc, extra, needle, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and needle in err
+
+
+# Config-file keys of each command and the JSON type each takes, with a
+# config that runs.  Written out here rather than read from the CLI so the
+# test checks the CLI against an independent statement of its inputs.
+KEY_TYPES = {
+    "bounds qdd": {
+        "preset": str, "n1": int, "n2": int, "eta": float, "eta_x": float,
+        "eta_y": float, "eta_z": float, "eps_min": float, "eps_max": float,
+        "eps_points": int, "mode": str, "rel_tol": float,
+    },
+    "bounds nudd": {
+        "preset": str, "m": int, "dmin": int, "eta": float, "eps_min": float,
+        "eps_max": float, "eps_points": int, "rel_tol": float,
+    },
+    "sweep": {
+        "kind": str, "orders": list, "bath_dim": list, "eps": list, "eta": list,
+        "seeds": int, "master_seed": int, "mode": str, "tie_order": str,
+        "rel_tol": float, "initial_state": str, "bath_state": str,
+    },
+    "simulate": {
+        "kind": str, "orders": list, "bath": dict, "T": float, "initial_state": str,
+        "bath_state": str, "mode": str, "rel_tol": float, "tie_order": str,
+    },
+}
+BASE_CONFIGS = {
+    "bounds qdd": {"n1": 1, "n2": 2, "eta": 0.5, "eps_points": 2},
+    "bounds nudd": {"m": 2, "dmin": 1, "eta": 0.5, "eps_points": 2},
+    "sweep": {**SWEEP_CONFIG, "orders": [[1, 1]], "bath_dim": [2], "seeds": 1},
+    "simulate": SIM_CONFIG,
+}
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+WRONG_VALUES = {
+    int: st.one_of(st.text(), st.booleans(), st.lists(st.integers(), max_size=2)),
+    float: st.one_of(st.text(), st.booleans(), st.lists(_NUMBERS, max_size=2)),
+    str: st.one_of(st.integers(), _NUMBERS, st.booleans(), st.lists(st.text(), max_size=2)),
+    list: st.one_of(
+        st.text(), st.integers(), _NUMBERS, st.booleans(),
+        st.lists(st.text(), min_size=1, max_size=2),
+    ),
+    dict: st.one_of(st.text(), st.integers(), st.lists(st.integers(), max_size=2)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_value_of_wrong_type_exits_2(data, tmp_path_factory):
+    command = data.draw(st.sampled_from(sorted(KEY_TYPES)))
+    key = data.draw(st.sampled_from(sorted(KEY_TYPES[command])))
+    value = data.draw(WRONG_VALUES[KEY_TYPES[command][key]])
+    cfg = tmp_path_factory.getbasetemp() / "wrong_type.json"
+    cfg.write_text(json.dumps({**BASE_CONFIGS[command], key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*command.split(), "--config", str(cfg)])
+    assert code == 2
+    assert repr(key) in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c in sorted(KEY_TYPES) for k in sorted(KEY_TYPES[c])]
+)
+def test_config_null_is_unset_or_rejected(command, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIGS[command], key: None}))
+    code, _, err = run_cli([*command.split(), "--config", str(cfg)], capsys)
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error:")
+
+
+# config_hash of fixed inputs, recorded before the CLI options were declared
+# in one table.  The hash covers only the resolved inputs, so it is the same
+# on every host and must not change when the CLI code does.
+HASH_CONFIGS = {
+    "cell.json": {"n1": 2, "n2": 2, "eta": 1.0, "eps_points": 3},
+    "sim.json": SIM_CONFIG,
+    "sweep.json": SWEEP_CONFIG,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sequence", "--qdd", "2", "2"], "7ed332f58e69d3b5"),
+        (["sequence", "--nudd", "1,1", "--qubits", "1"], "a0bf6c806d17828e"),
+        (["bounds", "qdd", "--config", "cell.json"], "45b18c924338ac64"),
+        (["bounds", "nudd", "--m", "2", "--dmin", "2", "--eta", "0.7", "--eps-points", "5"],
+         "6470082c4cadd22b"),
+        (["simulate", "--config", "sim.json"], "4afc135b9a89f6a9"),
+        (["verify", "orders", "--qdd", "1", "1", "--nmax", "2"], "c66947e5704b6438"),
+        (
+            [
+                "verify", "bound", "--qdd", "2", "2", "--eps", "0.1", "--eta-x", "0.3",
+                "--eta-y", "0.7", "--eta-z", "0.05", "--seeds", "2", "--bath-dim", "2",
+            ],
+            "8bf0c559269f8746",
+        ),
+        (["sweep", "--config", "sweep.json"], "68153c738d6d52b5"),
+    ],
+)
+def test_config_hash_frozen(argv, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in HASH_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if out.startswith("{"):
+        assert json.loads(out)["config_hash"] == expected
+    else:
+        assert f"# config_hash={expected}" in header_lines(out)

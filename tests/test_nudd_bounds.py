@@ -14,7 +14,6 @@ from scipy.integrate import solve_ivp
 from ddbound.nudd_bounds import (
     NUDD_SWEEP_COLUMNS,
     NuddCouplings,
-    NuddSweepConfig,
     d_min_for_orders,
     gamma_factor,
     nudd_delta,
@@ -22,7 +21,6 @@ from ddbound.nudd_bounds import (
     nudd_eps_window,
     nudd_g,
     nudd_leading_term,
-    nudd_sweep,
     nudd_sweep_row,
     nudd_taylor_coeff,
     preset_nudd_cells,
@@ -189,19 +187,9 @@ def test_preset_cells_fig5():
         preset_nudd_cells("fig2")
 
 
-def test_sweep_rows():
-    config = NuddSweepConfig(
-        eps_grid=tuple(nudd_eps_window(0.5, 2, points=4)),
-        cells=((2, 1, 0.5), (2, 3, 0.5)),
-    )
-    rows = nudd_sweep(config)
-    assert len(rows) == 8
-    assert all(tuple(r.keys()) == NUDD_SWEEP_COLUMNS for r in rows)
-    assert nudd_sweep(config) == rows
-
-
 def test_sweep_row_values():
     row = nudd_sweep_row(2, 2, 0.05, 0.7)
+    assert tuple(row) == NUDD_SWEEP_COLUMNS
     rep = nudd_distance_bound(2, 0.05, 0.7, 2)
     assert row["Delta"] == rep.delta
     assert row["D_bound"] == rep.distance_bound

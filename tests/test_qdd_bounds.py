@@ -15,7 +15,6 @@ from ddbound.qdd_bounds import (
     CASE_OF_CHANNEL,
     QDD_SWEEP_COLUMNS,
     EtaVector,
-    SweepConfig,
     bounding_function,
     case_parities,
     channel_bounds,
@@ -23,7 +22,6 @@ from ddbound.qdd_bounds import (
     default_eps_grid,
     delta_tail,
     distance_bound,
-    figure_sweep,
     g_poly,
     preset_cells,
     scaled_bounding_function,
@@ -278,22 +276,10 @@ def test_preset_cells_shapes():
         preset_cells("fig9")
 
 
-def test_figure_sweep_rows():
-    config = SweepConfig(
-        eps_grid=default_eps_grid(1e-3, 1e-2, 5),
-        cells=((1, 1, EtaVector.isotropic(0.5)), (2, 2, EtaVector.isotropic(0.5))),
-    )
-    rows = figure_sweep(config)
-    assert len(rows) == 10
-    assert all(tuple(r.keys()) == QDD_SWEEP_COLUMNS for r in rows)
-    assert rows[0]["N1"] == 1 and rows[-1]["N1"] == 2
-    # deterministic
-    assert figure_sweep(config) == rows
-
-
 def test_sweep_row_matches_direct_eval():
     eta = EtaVector(0.1, 0.2, 0.3)
     row = sweep_row(2, 3, 0.05, eta)
+    assert tuple(row) == QDD_SWEEP_COLUMNS
     rep = distance_bound(2, 3, 0.05, eta)
     assert row["D_bound"] == rep.distance_bound
     assert row["L_y"] == rep.channel_bounds.L_y
