@@ -34,8 +34,9 @@ produce byte-identical output.  CSV floats use 17 significant digits; JSON
 floats use shortest round-trip repr.
 
 Exit codes: 0 success, 1 a verified property is violated (and nothing else),
-2 invalid input, 3 numerical non-convergence (possibly partial: rows that
-failed to converge are flagged with ``# non-convergence`` comment lines).
+2 invalid input, 3 numerical non-convergence or a bound beyond double range
+(possibly partial: such rows are flagged with ``# non-convergence`` comment
+lines).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .qdd_bounds import (
 )
 from .sequences import nudd_schedule, qdd_schedule
 from .series import NonConvergenceError
-from .simulator import BathSpec, ExperimentConfig, run_experiment
+from .simulator import BathSpec, ExperimentConfig, pauli_labels, run_experiment
 
 __all__ = ["main"]
 
@@ -506,16 +507,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _bath_norms(m: int, eta: Any) -> dict[str, float]:
     """J0 = 1 on the identity channel and ``eta`` on every other channel.
 
-    A one-qubit ``eta`` may be an (x, y, z) triple of per-axis values.
+    A one-qubit ``eta`` may be an (x, y, z) triple of per-axis values.  An
+    unsupported qubit count is rejected before any of the 4^m labels is listed.
     """
     axes = dict(zip("xyz", eta)) if isinstance(eta, tuple) else {}
-    identity = "0" * m
-    norms = {identity: 1.0}
-    for letters in product("0xyz", repeat=m):
-        label = "".join(letters)
-        if label != identity:
-            norms[label] = axes.get(label, eta)
-    return norms
+    identity, *errors = pauli_labels(m)
+    return {identity: 1.0, **{label: axes.get(label, eta) for label in errors}}
 
 
 def _eta_label(eta: Any) -> str:
@@ -662,6 +659,8 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         raise CliError("--seeds must be >= 1")
     if kind == "qdd":
         eta = _qdd_eta(resolved)
+    elif any(resolved[f"eta_{axis}"] is not None for axis in "xyz"):
+        raise CliError("per-axis eta (--eta-x/-y/-z) needs --qdd; use --eta with --nudd")
     else:
         eta = 1.0 if resolved["eta"] is None else resolved["eta"]
     meta = {

@@ -11,10 +11,15 @@ path X(t) = int_0^t (1, f_x, f_y, f_z)(s) ds, i.e. its signature.  X is
 piecewise linear between the merged x/z switching times, and a straight
 segment with increment v has signature exp(v) = sum_k v^(x)k / k!, so Chen's
 identity S(0, b) = S(0, a) (x) exp(v) yields every word up to depth n in one
-pass over the intervals, in exact arithmetic.  A word's error channel is fixed
-by the parities of its x/y/z letter counts; a sequence's claimed suppression
-order for a channel is certified by showing every word of that channel up to
-the order integrates to zero.
+pass over the intervals, in exact arithmetic.
+
+A word's error channel is fixed by the parities of its x/y/z letter counts:
+its sector j = 4 p_x + 2 p_y + p_z is the XOR of one code per letter, and
+``qdd_bounds.CASE_OF_CHANNEL`` maps sectors to channels.  A sequence's claimed
+suppression order for a channel is certified by showing every word of that
+channel up to the order integrates to zero; ``verify_orders`` reads the
+sectors of a whole signature level at once and reduces each channel's values
+with array operations.
 
 Two arithmetic backends: exact ``Fraction`` rationals whenever every
 breakpoint is rational (inner/outer orders <= 2), and 50-digit ``mpmath``
@@ -32,12 +37,18 @@ from typing import Mapping, Sequence
 import mpmath as mp
 import numpy as np
 
-from .qdd_bounds import DecouplingOrders, decoupling_orders
-from .sequences import _DYADIC_SIN_SQ, SwitchingProfile, _nested_pulse_times, _sin_sq
+from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, case_parities, decoupling_orders
+from .sequences import (
+    _DYADIC_SIN_SQ,
+    MU_LABELS,
+    SwitchingProfile,
+    _nested_pulse_times,
+    _sin_sq,
+    _switching_profiles,
+)
 
 __all__ = [
     "LETTERS",
-    "Word",
     "word_parities",
     "word_channel",
     "QddProfiles",
@@ -53,35 +64,50 @@ __all__ = [
 ]
 
 LETTERS = ("0", "x", "y", "z")
-Word = tuple[str, ...]
 
 DEFAULT_MAX_DEPTH = 6
 DEFAULT_ZERO_TOL = 1e-25
 DEFAULT_WITNESS_TOL = 1e-12
 DEFAULT_DPS = 50
 
-_CHANNEL_OF_PARITY = {
-    (0, 0, 0): "identity",
-    (0, 0, 1): "z",
-    (0, 1, 0): "y",
-    (0, 1, 1): "x",
-    (1, 0, 0): "x",
-    (1, 0, 1): "y",
-    (1, 1, 0): "z",
-    (1, 1, 1): "identity",
-}
+#: Sector code of each letter of ``LETTERS``; a word's sector
+#: j = 4 p_x + 2 p_y + p_z is the XOR of its letters' codes.
+_LETTER_SECTOR = (0, 4, 2, 1)
+
+#: Error channel of each sector; equal parities (sectors 0 and 7) give the identity.
+_CHANNEL_OF_SECTOR = tuple(
+    next((ch for ch, pair in CASE_OF_CHANNEL.items() if j in pair), "identity")
+    for j in range(8)
+)
+
+
+def _digits(word: Sequence[str]) -> list[int]:
+    """The word's letters as indices into ``LETTERS``."""
+    for a in word:
+        if a not in LETTERS:
+            raise ValueError(f"invalid letter {a!r}; expected one of {LETTERS}")
+    return [LETTERS.index(a) for a in word]
+
+
+def _word_index(word: Sequence[str]) -> int:
+    """Index of a word in its signature level; ``_index_word`` inverts it."""
+    return int(np.ravel_multi_index(_digits(word), (4,) * len(word)))
+
+
+def _index_word(index: int, n: int) -> str:
+    return "".join(LETTERS[d] for d in np.unravel_index(index, (4,) * n))
+
+
+def _sector(word: Sequence[str]) -> int:
+    j = 0
+    for d in _digits(word):
+        j ^= _LETTER_SECTOR[d]
+    return j
 
 
 def word_parities(word: Sequence[str]) -> tuple[int, int, int]:
     """Letter-count parities (p_x, p_y, p_z); the letter '0' never counts."""
-    for a in word:
-        if a not in LETTERS:
-            raise ValueError(f"invalid letter {a!r}; expected one of {LETTERS}")
-    return (
-        sum(1 for a in word if a == "x") % 2,
-        sum(1 for a in word if a == "y") % 2,
-        sum(1 for a in word if a == "z") % 2,
-    )
+    return case_parities(_sector(word))
 
 
 def word_channel(word: Sequence[str]) -> str:
@@ -90,22 +116,17 @@ def word_channel(word: Sequence[str]) -> str:
     Determined by the parity triple alone: equal parities give the identity;
     otherwise the unique Pauli whose conjugation signature matches.
     """
-    return _CHANNEL_OF_PARITY[word_parities(word)]
+    return _CHANNEL_OF_SECTOR[_sector(word)]
 
 
 def parity_class_counts(n: int) -> dict[str, int]:
     """Number of length-n words over the four letters mapping to each channel."""
-    counts = {(0, 0, 0): 1}
+    counts = [1] + [0] * 7  # words per sector at length 0
     for _ in range(n):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for par, c in counts.items():
-            for flip in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                key = tuple(p ^ f for p, f in zip(par, flip))
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    out = {"identity": 0, "x": 0, "y": 0, "z": 0}
-    for par, c in counts.items():
-        out[_CHANNEL_OF_PARITY[par]] += c
+        counts = [sum(counts[j ^ c] for c in _LETTER_SECTOR) for j in range(8)]
+    out = dict.fromkeys(("identity", "x", "y", "z"), 0)
+    for j, c in enumerate(counts):
+        out[_CHANNEL_OF_SECTOR[j]] += c
     return out
 
 
@@ -134,21 +155,15 @@ class QddProfiles:
     channels: Mapping[str, SwitchingProfile]
     zero: object
     one: object
-    dps: int = DEFAULT_DPS
 
     def precision(self):
-        """Context for arithmetic on this backend: ``dps`` digits for mp."""
+        """Context for arithmetic on this backend: ``DEFAULT_DPS`` digits for mp."""
         if self.backend == "mp":
-            return mp.workdps(self.dps)
+            return mp.workdps(DEFAULT_DPS)
         return contextlib.nullcontext()
 
 
-def qdd_profiles(
-    n1: int,
-    n2: int,
-    backend: str = "auto",
-    dps: int = DEFAULT_DPS,
-) -> QddProfiles:
+def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
     """Build exact-arithmetic switching functions for the quadratic sequence.
 
     ``backend="auto"`` picks exact rationals when both orders are <= 2 and
@@ -159,33 +174,22 @@ def qdd_profiles(
     if backend == "auto":
         backend = "rational" if max(n1, n2) <= 2 else "mp"
     if backend == "rational":
-        sin_sq = _sin_sq_rational
         zero, one = Fraction(0), Fraction(1)
-        events = _nested_pulse_times((n1, n2), sin_sq, zero, one)
+        events = _nested_pulse_times((n1, n2), _sin_sq_rational, zero, one)
     elif backend == "mp":
-        sin_sq = _sin_sq_mp
-        with mp.workdps(dps):
+        with mp.workdps(DEFAULT_DPS):
             zero, one = mp.mpf(0), mp.mpf(1)
-            events = _nested_pulse_times((n1, n2), sin_sq, zero, one)
+            events = _nested_pulse_times((n1, n2), _sin_sq_mp, zero, one)
     else:
         raise ValueError("backend must be 'rational', 'mp', or 'auto'")
-    z_flips = sorted(t for t, level in events if level == 1 and t < one)
-    x_flips = sorted(t for t, level in events if level == 2 and t < one)
-    f_x = SwitchingProfile.from_flip_times(z_flips, zero, one)
-    f_z = SwitchingProfile.from_flip_times(x_flips, zero, one)
+    per_mu = _switching_profiles(events, 1, zero, one)
     return QddProfiles(
         backend=backend,
         n1=n1,
         n2=n2,
-        channels={
-            "0": SwitchingProfile.trivial(zero, one),
-            "x": f_x,
-            "y": f_x.product(f_z),
-            "z": f_z,
-        },
+        channels={label: per_mu[(0, mu)] for mu, label in MU_LABELS.items()},
         zero=zero,
         one=one,
-        dps=dps,
     )
 
 
@@ -227,26 +231,18 @@ def signature(profiles: QddProfiles, depth: int) -> list[np.ndarray]:
     return levels
 
 
-def word_integral(
-    word: Sequence[str],
-    profiles: QddProfiles,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-):
+def word_integral(word: Sequence[str], profiles: QddProfiles):
     """Exact nested integral of a word's switching-function product.
 
     The first letter is innermost (acts earliest).  Returns a ``Fraction``
-    (rational backend) or an ``mpmath.mpf``.  Words longer than ``max_depth``
-    are rejected: the value is read from ``signature``, which computes all
-    4^n words of the word's length.
+    (rational backend) or an ``mpmath.mpf``.  Words longer than
+    ``DEFAULT_MAX_DEPTH`` are rejected: the value is read from ``signature``,
+    which computes all 4^n words of the word's length.
     """
     word = tuple(word)
-    if not 1 <= len(word) <= max_depth:
-        raise ValueError(f"word length must be in 1..{max_depth}")
-    index = 0
-    for a in word:
-        if a not in LETTERS:
-            raise ValueError(f"invalid letter {a!r}")
-        index = 4 * index + LETTERS.index(a)
+    if not 1 <= len(word) <= DEFAULT_MAX_DEPTH:
+        raise ValueError(f"word length must be in 1..{DEFAULT_MAX_DEPTH}")
+    index = _word_index(word)
     return signature(profiles, len(word))[len(word)][index]
 
 
@@ -304,105 +300,82 @@ def verify_orders(
     mode: str = "analytic",
     zero_tol: float = DEFAULT_ZERO_TOL,
     witness_tol: float = DEFAULT_WITNESS_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    dps: int = DEFAULT_DPS,
 ) -> OrderCertification:
     """Certify claimed suppression orders by exhaustive word enumeration.
 
-    Computes all words up to length ``n_max`` with ``signature``, visits them
-    depth-first, and checks that every error-channel word at or below the
-    channel's claimed order integrates to zero (exactly, or below
-    ``zero_tol`` on the mp backend).  Absence of a nonzero witness at length
-    d+1 is reported as "inconclusive", never as failure.  Both tolerances
-    must be finite and >= 0.
+    Computes all words up to length ``n_max`` with ``signature`` and checks
+    that every error-channel word at or below the channel's claimed order
+    integrates to zero (exactly, or below ``zero_tol`` on the mp backend).
+    Violations are listed in depth-first word order; a row's ``max_word`` and
+    a witness are the first word of largest magnitude in that order.  Absence
+    of a nonzero witness at length d+1 is reported as "inconclusive", never
+    as failure.  Both tolerances must be finite and >= 0.
     """
     for name, tol in (("zero_tol", zero_tol), ("witness_tol", witness_tol)):
         if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > max_depth:
+    if n_max > DEFAULT_MAX_DEPTH:
         raise ValueError(
-            f"n_max={n_max} exceeds max depth {max_depth} (4^n words explode)"
+            f"n_max={n_max} exceeds max depth {DEFAULT_MAX_DEPTH} (4^n words explode)"
         )
-    profiles = qdd_profiles(n1, n2, backend, dps)
+    profiles = qdd_profiles(n1, n2, backend)
     orders = decoupling_orders(n1, n2, mode)
     d_of = {"x": orders.d_x, "y": orders.d_y, "z": orders.d_z}
     exact = profiles.backend == "rational"
-
-    stats: dict[tuple[str, int], dict] = {}
-    witness: dict[str, dict | None] = {"x": None, "y": None, "z": None}
-    violations: list[dict] = []
-
-    def record(word: Word, value) -> None:
-        channel = word_channel(word)
-        if channel == "identity":
-            return
-        n = len(word)
-        a = abs(value)
-        a_float = float(a)
-        key = (channel, n)
-        row = stats.setdefault(
-            key,
-            {
-                "channel": channel,
-                "n": n,
-                "expected_zero": n <= d_of[channel],
-                "words": 0,
-                "max_abs": 0.0,
-                "max_word": None,
-            },
-        )
-        row["words"] += 1
-        if a_float > row["max_abs"]:
-            row["max_abs"] = a_float
-            row["max_word"] = "".join(word)
-        if row["expected_zero"]:
-            nonzero = (value != 0) if exact else (a_float > zero_tol)
-            if nonzero:
-                violations.append(
-                    {
-                        "word": "".join(word),
-                        "channel": channel,
-                        "n": n,
-                        "value": str(value),
-                        "abs": a_float,
-                    }
-                )
-        elif n == d_of[channel] + 1 and a_float > witness_tol:
-            best = witness[channel]
-            if best is None or a_float > best["abs"]:
-                witness[channel] = {
-                    "word": "".join(word),
-                    "abs": a_float,
-                    "value": str(value),
-                }
-
     levels = signature(profiles, n_max)
 
-    def walk(word: Word, index: int) -> None:
-        for i, letter in enumerate(LETTERS):
-            new_word = word + (letter,)
-            new_index = 4 * index + i
-            record(new_word, levels[len(new_word)][new_index])
-            if len(new_word) < n_max:
-                walk(new_word, new_index)
-
+    rows: list[dict] = []
+    violations: list[dict] = []
+    witness: dict[str, dict | None] = dict.fromkeys(d_of)
+    sectors = np.zeros(1, dtype=np.int8)
     with profiles.precision():
-        walk((), 0)
+        for n in range(1, n_max + 1):
+            sectors = (sectors[:, None] ^ np.array(_LETTER_SECTOR, np.int8)).ravel()
+            channels = np.array(_CHANNEL_OF_SECTOR)[sectors]
+            values = levels[n]
+            abs_f = np.abs(values).astype(float)
+            for ch, d in d_of.items():
+                idx = np.flatnonzero(channels == ch)
+                best = idx[np.argmax(abs_f[idx])]
+                top = float(abs_f[best])
+                if n <= d:
+                    nonzero = values[idx] != 0 if exact else abs_f[idx] > zero_tol
+                    violations += (
+                        {
+                            "word": _index_word(i, n),
+                            "channel": ch,
+                            "n": n,
+                            "value": str(values[i]),
+                            "abs": float(abs_f[i]),
+                        }
+                        for i in idx[nonzero]
+                    )
+                elif n == d + 1 and top > witness_tol:
+                    witness[ch] = {
+                        "word": _index_word(best, n),
+                        "abs": top,
+                        "value": str(values[best]),
+                    }
+                rows.append(
+                    {
+                        "channel": ch,
+                        "n": n,
+                        "expected_zero": n <= d,
+                        "words": len(idx),
+                        "max_abs": top,
+                        "max_word": _index_word(best, n) if top > 0 else None,
+                        "witness": witness[ch] if n == d + 1 else None,
+                    }
+                )
+    # depth-first order of words is string order, since "0" < "x" < "y" < "z"
+    violations.sort(key=lambda v: v["word"])
 
-    status = {}
-    for ch, d in d_of.items():
-        if n_max <= d:
-            status[ch] = "not-checked"
-        elif witness[ch] is not None:
-            status[ch] = "found"
-        else:
-            status[ch] = "inconclusive"
-    rows = tuple(
-        dict(stats[k], witness=witness[k[0]] if k[1] == d_of[k[0]] + 1 else None)
-        for k in sorted(stats, key=lambda t: (t[1], t[0]))
-    )
+    status = {
+        ch: "not-checked" if n_max <= d else "found" if witness[ch] else "inconclusive"
+        for ch, d in d_of.items()
+    }
     return OrderCertification(
         n1=n1,
         n2=n2,
@@ -412,7 +385,7 @@ def verify_orders(
         zero_tol=zero_tol,
         witness_tol=witness_tol,
         orders=orders,
-        rows=rows,
+        rows=tuple(rows),
         witness_status=status,
         violations=tuple(violations),
         certified=not violations,

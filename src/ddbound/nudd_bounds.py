@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .qdd_bounds import default_eps_grid
-from .series import check_rel_tol, exp_series_tail
+from .series import check_finite, check_rel_tol, exp_series_tail
 
 __all__ = [
     "NuddCouplings",
@@ -194,16 +194,25 @@ def nudd_delta(
 def nudd_distance_bound(
     d_min: int, epsilon: float, eta: float, m: int, rel_tol: float = 1e-15
 ) -> NuddBoundReport:
-    """Trace-norm distance bound Delta^2 + Delta for a nested sequence."""
+    """Trace-norm distance bound Delta^2 + Delta for a nested sequence.
+
+    Raises NonConvergenceError if a reported value overflows double range.
+    """
     delta = nudd_delta(d_min, epsilon, eta, m, rel_tol)
+    bound = delta * delta + delta
+    try:
+        leading = nudd_leading_term(d_min, epsilon, eta, m)
+    except OverflowError:  # a power or (d_min+1)! beyond double range
+        leading = math.inf
+    check_finite(Delta=delta, D_bound=bound, D_leading=leading)
     return NuddBoundReport(
         m=m,
         d_min=d_min,
         epsilon=epsilon,
         eta=eta,
         delta=delta,
-        distance_bound=delta * delta + delta,
-        leading_term=nudd_leading_term(d_min, epsilon, eta, m),
+        distance_bound=bound,
+        leading_term=leading,
     )
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .series import check_rel_tol, exp_series_tail
+from .series import check_finite, check_rel_tol, exp_series_tail
 
 __all__ = [
     "EtaVector",
@@ -285,7 +285,8 @@ def distance_bound(
         L_x + L_y + L_z + L_x^2 + L_y^2 + L_z^2 + L_x L_y + L_y L_z + L_x L_z.
 
     The leading term collects the lowest surviving Taylor order of each
-    channel, ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)``.
+    channel, ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)``.  Raises
+    NonConvergenceError if any reported value overflows double range.
     """
     orders = decoupling_orders(n1, n2, mode)
     deltas = _channel_deltas(orders, epsilon, eta, rel_tol)
@@ -303,15 +304,20 @@ def distance_bound(
                 pair_same_channel = (i // 2) == (k // 2)
                 bound += (2.0 if pair_same_channel else 1.0) * a * b
     leading = 0.0
-    for ch, sectors in CASE_OF_CHANNEL.items():
-        d = orders.for_channel(ch)
-        coeff = sum(g_poly(j, d + 1, eta) for j in sectors)
-        leading += coeff * epsilon ** (d + 1)
+    try:
+        for ch, sectors in CASE_OF_CHANNEL.items():
+            d = orders.for_channel(ch)
+            coeff = sum(g_poly(j, d + 1, eta) for j in sectors)
+            leading += coeff * epsilon ** (d + 1)
+    except OverflowError:  # a power or (d+1)! beyond double range
+        leading = math.inf
+    cb = ChannelBounds(*(sum(deltas[ch]) for ch in ("x", "y", "z")))
+    check_finite(L_x=cb.L_x, L_y=cb.L_y, L_z=cb.L_z, D_bound=bound, D_leading=leading)
     return BoundReport(
         epsilon=epsilon,
         eta=eta,
         orders=orders,
-        channel_bounds=ChannelBounds(*(sum(deltas[ch]) for ch in ("x", "y", "z"))),
+        channel_bounds=cb,
         distance_bound=bound,
         leading_term=leading,
         mode=mode,

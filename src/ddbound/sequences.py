@@ -135,20 +135,8 @@ class PulseSchedule:
     effective_orders: tuple[int, ...]
     qubit_count: int
 
-    @property
-    def level_count(self) -> int:
-        return 2 * self.qubit_count
-
     def events_at_level(self, level: int) -> tuple[PulseEvent, ...]:
         return tuple(e for e in self.events if e.level == level)
-
-    def flip_times(self, level: int) -> tuple[float, ...]:
-        """Times of level events strictly inside (0, 1), in order.
-
-        An event at time exactly 1 closes the toggling frame but never flips a
-        switching function inside the window, so it is excluded here.
-        """
-        return tuple(e.time for e in self.events if e.level == level and e.time < 1.0)
 
 
 def _axis_qubit(level: int) -> tuple[str, int]:
@@ -296,8 +284,28 @@ class SwitchingProfile:
         return SwitchingProfile(tuple(merged), tuple(signs))
 
 
-def _profile_for_level(schedule: PulseSchedule, level: int) -> SwitchingProfile:
-    return SwitchingProfile.from_flip_times(schedule.flip_times(level))
+def _switching_profiles(
+    events: Iterable[tuple[object, int]], qubit_count: int, zero=0.0, one=1.0
+) -> dict[tuple[int, tuple[int, int]], SwitchingProfile]:
+    """``switching_nudd``'s map, from ``(time, level)`` pulse events whose times
+    (floats, ``Fraction`` or ``mpmath.mpf``) share the type of ``zero``/``one``.
+    An event at time 1 closes the toggling frame and flips nothing."""
+    flips: dict[int, list] = {}
+    for t, level in events:
+        if t < one:
+            flips.setdefault(level, []).append(t)
+    out: dict[tuple[int, tuple[int, int]], SwitchingProfile] = {}
+    for q in range(qubit_count):
+        # qubit q's z pulses sit at level 2q+1, its x pulses at level 2q+2
+        f_x, f_z = (
+            SwitchingProfile.from_flip_times(sorted(flips.get(level, ())), zero, one)
+            for level in (2 * q + 1, 2 * q + 2)
+        )
+        out[(q, (0, 0))] = SwitchingProfile.trivial(zero, one)
+        out[(q, (1, 0))] = f_x
+        out[(q, (0, 1))] = f_z
+        out[(q, (1, 1))] = f_x.product(f_z)
+    return out
 
 
 def switching_nudd(
@@ -309,15 +317,8 @@ def switching_nudd(
     index pair: (0,0) identity, (1,0) flips at the qubit's z-pulse level,
     (0,1) flips at its x-pulse level, (1,1) their product.
     """
-    out: dict[tuple[int, tuple[int, int]], SwitchingProfile] = {}
-    for q in range(schedule.qubit_count):
-        f_x = _profile_for_level(schedule, 2 * q + 1)
-        f_z = _profile_for_level(schedule, 2 * q + 2)
-        out[(q, (0, 0))] = SwitchingProfile.trivial()
-        out[(q, (1, 0))] = f_x
-        out[(q, (0, 1))] = f_z
-        out[(q, (1, 1))] = f_x.product(f_z)
-    return out
+    events = ((e.time, e.level) for e in schedule.events)
+    return _switching_profiles(events, schedule.qubit_count)
 
 
 def switching_qdd(n1: int, n2: int) -> dict[str, SwitchingProfile]:

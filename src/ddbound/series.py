@@ -16,13 +16,20 @@ import math
 
 import numpy as np
 
-__all__ = ["NonConvergenceError", "check_rel_tol", "exp_series_tail", "series_cap"]
+__all__ = ["NonConvergenceError", "check_finite", "check_rel_tol", "exp_series_tail", "series_cap"]
 
 _BLOCK = 64
 
 
 class NonConvergenceError(RuntimeError):
     """Tail summation hit its iteration cap or produced non-finite values."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise NonConvergenceError naming each reported value beyond double range."""
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise NonConvergenceError(f"{', '.join(bad)} outside double range")
 
 
 def check_rel_tol(rel_tol: float) -> None:

@@ -71,7 +71,12 @@ _INITIAL_STATES = ("random", "plus", "zero")
 
 
 def pauli_labels(qubit_count: int) -> tuple[str, ...]:
-    """All length-m Pauli strings over '0xyz' in lexicographic product order."""
+    """All length-m Pauli strings over '0xyz' in lexicographic product order.
+
+    A count outside 1..MAX_QUBITS raises before any of its 4^m labels is built.
+    """
+    if not 1 <= qubit_count <= MAX_QUBITS:
+        raise ValueError(f"qubit count {qubit_count} outside supported range")
     return tuple(
         "".join(p) for p in itertools.product("0xyz", repeat=qubit_count)
     )
@@ -151,12 +156,11 @@ def random_bath(dim: int, J: float, seed) -> np.ndarray:
 
 @dataclass
 class HamiltonianModel:
-    """Joint Hamiltonian sum of (Pauli string) x (bath coupling)."""
+    """Couplings of the joint Hamiltonian, and its eigendecomposition V diag(w) V^dag."""
 
     qubit_count: int
     bath_dim: int
     couplings: dict[str, np.ndarray]
-    hamiltonian: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
 
@@ -167,8 +171,6 @@ def build_model(bath: BathSpec, qubit_count: int) -> HamiltonianModel:
     Coupling operators are drawn in sorted label order from independent
     seed-derived streams, so the model is a pure function of (bath, m).
     """
-    if not 1 <= qubit_count <= MAX_QUBITS:
-        raise ValueError(f"qubit_count must be in 1..{MAX_QUBITS}")
     labels = pauli_labels(qubit_count)
     unknown = set(bath.norms) - set(labels)
     if unknown:
@@ -194,7 +196,6 @@ def build_model(bath: BathSpec, qubit_count: int) -> HamiltonianModel:
         qubit_count=qubit_count,
         bath_dim=bath.dim,
         couplings=couplings,
-        hamiltonian=h,
         eigenvalues=w,
         eigenvectors=v,
     )
@@ -233,7 +234,7 @@ def evolve(
     def segment(tau: float) -> np.ndarray:
         return (v * np.exp(-1j * w * tau)) @ v_dag
 
-    dim = model.hamiltonian.shape[0]
+    dim = len(model.eigenvalues)
     u = np.eye(dim, dtype=complex)
     pulse_cache: dict[tuple[str, int], np.ndarray] = {}
     t_prev = 0.0
@@ -368,8 +369,7 @@ class ExperimentConfig:
         if len(orders) % 2 or not orders:
             raise ValueError("orders must come in (z, x) level pairs")
         m = len(orders) // 2
-        if not 1 <= m <= MAX_QUBITS:
-            raise ValueError(f"qubit count {m} outside supported range")
+        pauli_labels(m)  # rejects an unsupported qubit count
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be finite and > 0")
         check_rel_tol(self.rel_tol)

@@ -9,6 +9,7 @@ command functions themselves.
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,40 @@ def test_bounds_nudd_nonconvergence_flagged(capsys):
     assert any("non-convergence" in ln for ln in out.splitlines())
     rows = data_lines(out)[1:]
     assert all("nan" in r for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["bounds", "qdd", "--n1", "2", "--n2", "2", "--eta", "1",
+          "--eps-min", "100", "--eps-max", "150", "--eps-points", "2"], 2),
+        (["bounds", "nudd", "--m", "1", "--dmin", "2", "--eta", "1",
+          "--eps-min", "100", "--eps-max", "150", "--eps-points", "2"], 2),
+        (["bounds", "qdd", "--n1", "200", "--n2", "200", "--eta", "1"], 41),
+        (["bounds", "nudd", "--m", "1", "--dmin", "200", "--eta", "1"], 41),
+    ],
+)
+def test_bounds_overflow_flagged_not_printed(argv, points, capsys):
+    """A bound or leading term beyond double range is a flagged row, never
+    ``inf`` and never a traceback."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 3
+    flags = [ln for ln in out.splitlines() if ln.startswith("# non-convergence")]
+    assert len(flags) == points
+    rows = data_lines(out)[1:]
+    assert len(rows) == points and all(r.endswith("nan,nan,nan") for r in rows)
+    assert "inf" not in out
+
+
+def test_simulate_overflowed_bound_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    norms = {label: 1 for label in "0xyz"}
+    bath = {"dim": 2, "seed": 1, "norms": norms}
+    cfg.write_text(json.dumps({**SIM_CONFIG, "T": 150, "bath": bath}))
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "D_bound" in err
 
 
 def test_bounds_qdd_config_file(tmp_path, capsys):
@@ -275,6 +310,34 @@ def test_sweep_grid_and_determinism(tmp_path, capsys):
     assert target.read_bytes() == first
 
 
+def test_sweep_overflowed_bound_flags_the_cell(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    doc = {**SWEEP_CONFIG, "orders": [[2, 2]], "eps": [0.05, 150], "eta": [1.0], "seeds": 1}
+    cfg.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert [ln.split(" (")[0] for ln in out.splitlines() if "non-convergence" in ln] == [
+        "# non-convergence: cell=1 seed=1"
+    ]
+    assert len(data_lines(out)) == 2  # the column header and cell 0
+
+
+def test_oversized_qubit_count_rejected_before_labels(tmp_path, capsys):
+    """20 nudd orders mean 10 qubits: rejected without listing 4^10 labels."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "kind": "nudd", "orders": [[1] * 20]}))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "qubit count 10 outside supported range" in err
+    assert peak < 4e6
+
+
 def test_sweep_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     doc = dict(SWEEP_CONFIG)
@@ -297,6 +360,8 @@ def test_sweep_unknown_key(tmp_path, capsys):
         (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"], "nonnegative"),
         (["verify", "bound", "--nudd", "1,1", "--qubits", "2", "--eps", "0.1"],
          "expected 4 per-level orders"),
+        (["verify", "bound", "--nudd", "1,1", "--qubits", "1", "--eps", "0.05",
+          "--eta-x", "0.3"], "per-axis eta"),
     ],
 )
 def test_invalid_flags_exit_2(argv, needle, capsys):

@@ -10,6 +10,8 @@ simplex is
 with f_x = +1 on [0, 1/4) u [1/2, 3/4) and -1 elsewhere.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -19,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddbound.dyson
 from ddbound.dyson import (
+    DEFAULT_WITNESS_TOL,
+    DEFAULT_ZERO_TOL,
     LETTERS,
     OrderCertification,
     parity_class_counts,
@@ -30,7 +35,16 @@ from ddbound.dyson import (
     word_integral,
     word_parities,
 )
+from ddbound.qdd_bounds import DecouplingOrders
 from ddbound.sequences import switching_qdd
+
+
+def _channel_by_counts(word):
+    """Channel of a word from its letter counts alone: the letters' Pauli product
+    up to phase, whose X part counts x and y letters and whose Z part y and z."""
+    x_part = (word.count("x") + word.count("y")) % 2
+    z_part = (word.count("y") + word.count("z")) % 2
+    return {(0, 0): "identity", (1, 0): "x", (1, 1): "y", (0, 1): "z"}[(x_part, z_part)]
 
 
 def test_word_parities_and_channel():
@@ -44,6 +58,14 @@ def test_word_parities_and_channel():
     assert word_channel(("z", "0", "z", "y")) == "y"
     with pytest.raises(ValueError):
         word_parities(("q",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.text("0xyz", max_size=8))
+def test_word_channel_matches_letter_counts(word):
+    assert word_parities(word) == tuple(word.count(a) % 2 for a in "xyz")
+    assert word_channel(word) == _channel_by_counts(word)
+    assert word_channel(tuple(word)) == word_channel(word)
 
 
 def test_parity_class_counts():
@@ -229,7 +251,7 @@ def test_verify_orders_24_z_suppression():
     for n in (1, 2, 3, 4):
         assert z_rows[n] <= 1e-20
     prof = qdd_profiles(2, 4)
-    witness = word_integral(("z", "0", "0", "0", "0"), prof, max_depth=5)
+    witness = word_integral(("z", "0", "0", "0", "0"), prof)
     assert float(witness) == pytest.approx(1 / 6144, rel=1e-12)
 
 
@@ -273,3 +295,85 @@ def test_mp_zero_floor():
     prof = qdd_profiles(3, 3)
     val = word_integral(("x",), prof)
     assert abs(float(val)) < 1e-40
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, digest",
+    [
+        ((2, 2, 4), {"backend": "rational"},
+         "bdc7a35e3a43e53b883231f35c5685c13cf593d413e7792d5d9fa5c604f06cd6"),
+        ((1, 1, 5), {"backend": "rational"},
+         "06a09c993063a67969e64be71392909ea037a5c424becaa7f294bbd10829493e"),
+        ((3, 3, 4), {"backend": "mp"},
+         "494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25"),
+        ((1, 4, 4), {"mode": "numeric-footnote"},
+         "b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d"),
+    ],
+)
+def test_certificate_json_frozen(args, kwargs, digest):
+    """Whole certificates, rows, witnesses and value strings included, are frozen."""
+    blob = json.dumps(verify_orders(*args, **kwargs).to_jsonable(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _depth_first(n_max, prefix=""):
+    for letter in "0xyz":
+        yield prefix + letter
+        if len(prefix) + 1 < n_max:
+            yield from _depth_first(n_max, prefix + letter)
+
+
+def _reference_certificate(n1, n2, n_max, backend, d_of):
+    """Rows and violations from a depth-first walk over the words, each word's
+    channel from its letter counts; maxima and witnesses keep the first word
+    of largest magnitude."""
+    profiles = qdd_profiles(n1, n2, backend)
+    levels = signature(profiles, n_max)
+    exact = profiles.backend == "rational"
+    rows, violations, witness = {}, [], {}
+    with profiles.precision():
+        for word in _depth_first(n_max):
+            ch, n = _channel_by_counts(word), len(word)
+            if ch == "identity":
+                continue
+            value = _from_levels(levels, word)
+            a = float(abs(value))
+            row = rows.setdefault((n, ch), {
+                "channel": ch, "n": n, "expected_zero": n <= d_of[ch], "words": 0,
+                "max_abs": 0.0, "max_word": None,
+            })
+            row["words"] += 1
+            if a > row["max_abs"]:
+                row["max_abs"], row["max_word"] = a, word
+            if row["expected_zero"] and (value != 0 if exact else a > DEFAULT_ZERO_TOL):
+                violations.append(
+                    {"word": word, "channel": ch, "n": n, "value": str(value), "abs": a}
+                )
+            elif n == d_of[ch] + 1 and a > DEFAULT_WITNESS_TOL:
+                if ch not in witness or a > witness[ch]["abs"]:
+                    witness[ch] = {"word": word, "abs": a, "value": str(value)}
+    return tuple(
+        dict(row, witness=witness.get(ch) if n == d_of[ch] + 1 else None)
+        for (n, ch), row in sorted(rows.items())
+    ), tuple(violations)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, n_max, backend",
+    [(2, 2, 4, "rational"), (1, 1, 4, "rational"), (3, 3, 4, "mp"), (1, 4, 4, "mp")],
+)
+def test_overclaimed_orders_violations_match_reference(n1, n2, n_max, backend, monkeypatch):
+    """Claim one order more than proven: the violations, in depth-first word
+    order, and the rows match a word-by-word reference."""
+    proven = ddbound.dyson.decoupling_orders
+
+    def overclaimed(n1, n2, mode="analytic"):
+        return DecouplingOrders(*(d + 1 for d in proven(n1, n2, mode).as_tuple()))
+
+    monkeypatch.setattr(ddbound.dyson, "decoupling_orders", overclaimed)
+    cert = verify_orders(n1, n2, n_max, backend=backend)
+    d_of = dict(zip("xyz", cert.orders.as_tuple()))
+    rows, violations = _reference_certificate(n1, n2, n_max, backend, d_of)
+    assert violations and not cert.certified
+    assert cert.violations == violations
+    assert cert.rows == rows

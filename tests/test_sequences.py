@@ -236,3 +236,105 @@ def test_nudd_switching_m2_factorizes():
         assert per_mu[(1, _MU_OF_LABEL[label])] == solo1[label]
     # qubit 0 profiles flip once per outer segment, more than standalone
     assert per_mu[(0, _MU_OF_LABEL["x"])].sign_changes >= solo0["x"].sign_changes
+
+
+# Frozen breakpoints and signs ("+" for +1) of the float switching functions,
+# qdd (3, 2) and nested m = 1 (2, 3) and m = 2 (1, 2, 1, 1).
+_QDD_32 = {
+    "0": (
+        (0.0, 1.0),
+        "+",
+    ),
+    "x": (
+        (0.0, 0.03661165235168156, 0.12499999999999997, 0.21338834764831843, 0.25,
+         0.32322330470336313, 0.4999999999999999, 0.6767766952966368, 0.75,
+         0.7866116523516815, 0.875, 0.9633883476483185, 1.0),
+        "+-+-+-+-+-+-",
+    ),
+    "y": (
+        (0.0, 0.03661165235168156, 0.12499999999999997, 0.21338834764831843, 0.25,
+         0.32322330470336313, 0.4999999999999999, 0.6767766952966368, 0.75,
+         0.7866116523516815, 0.875, 0.9633883476483185, 1.0),
+        "+-+--+-++-+-",
+    ),
+    "z": (
+        (0.0, 0.25, 0.75, 1.0),
+        "+-+",
+    ),
+}
+
+_NUDD_23 = {
+    (0, (0, 0)): (
+        (0.0, 1.0),
+        "+",
+    ),
+    (0, (1, 0)): (
+        (0.0, 0.03661165235168156, 0.10983495705504467, 0.23483495705504465,
+         0.41161165235168146, 0.5883883476483183, 0.7651650429449552,
+         0.8901650429449552, 0.9633883476483185, 1.0),
+        "+-+-+-+-+",
+    ),
+    (0, (0, 1)): (
+        (0.0, 0.14644660940672624, 0.4999999999999999, 0.8535533905932737, 1.0),
+        "+-+-",
+    ),
+    (0, (1, 1)): (
+        (0.0, 0.03661165235168156, 0.10983495705504467, 0.14644660940672624,
+         0.23483495705504465, 0.41161165235168146, 0.4999999999999999,
+         0.5883883476483183, 0.7651650429449552, 0.8535533905932737,
+         0.8901650429449552, 0.9633883476483185, 1.0),
+        "+-+-+-+-+-+-",
+    ),
+}
+
+_NUDD_1211 = {
+    (0, (0, 0)): (
+        (0.0, 1.0),
+        "+",
+    ),
+    (0, (1, 0)): (
+        (0.0, 0.03125, 0.0625, 0.125, 0.1875, 0.21875, 0.25, 0.28125, 0.3125, 0.375,
+         0.4375, 0.46875, 0.5, 0.53125, 0.5625, 0.625, 0.6875, 0.71875, 0.75, 0.78125,
+         0.8125, 0.875, 0.9375, 0.96875, 1.0),
+        "+-+-+-+-+-+-+-+-+-+-+-+-",
+    ),
+    (0, (0, 1)): (
+        (0.0, 0.0625, 0.1875, 0.3125, 0.4375, 0.5625, 0.6875, 0.8125, 0.9375, 1.0),
+        "+-+-+-+-+",
+    ),
+    (0, (1, 1)): (
+        (0.0, 0.03125, 0.0625, 0.125, 0.1875, 0.21875, 0.25, 0.28125, 0.3125, 0.375,
+         0.4375, 0.46875, 0.5, 0.53125, 0.5625, 0.625, 0.6875, 0.71875, 0.75, 0.78125,
+         0.8125, 0.875, 0.9375, 0.96875, 1.0),
+        "+--++-+--++-+--++-+--++-",
+    ),
+    (1, (0, 0)): (
+        (0.0, 1.0),
+        "+",
+    ),
+    (1, (1, 0)): (
+        (0.0, 0.25, 0.5, 0.75, 1.0),
+        "+-+-",
+    ),
+    (1, (0, 1)): (
+        (0.0, 0.5, 1.0),
+        "+-",
+    ),
+    (1, (1, 1)): (
+        (0.0, 0.25, 0.5, 0.75, 1.0),
+        "+--+",
+    ),
+}
+
+
+def _as_recorded(profiles):
+    return {
+        key: (p.breakpoints, "".join("+" if s > 0 else "-" for s in p.signs))
+        for key, p in profiles.items()
+    }
+
+
+def test_switching_profiles_frozen():
+    assert _as_recorded(switching_qdd(3, 2)) == _QDD_32
+    assert _as_recorded(switching_nudd(nudd_schedule((2, 3), 1))) == _NUDD_23
+    assert _as_recorded(switching_nudd(nudd_schedule((1, 2, 1, 1), 2))) == _NUDD_1211
