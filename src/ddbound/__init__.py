@@ -17,7 +17,6 @@ A command-line front end lives in :mod:`ddbound.cli` (entry point
 from .dyson import OrderCertification, verify_orders, word_integral
 from .nudd_bounds import (
     NuddBoundReport,
-    NuddCouplings,
     d_min_for_orders,
     gamma_factor,
     nudd_delta,
@@ -29,7 +28,6 @@ from .qdd_bounds import (
     DecouplingOrders,
     EtaVector,
     bounding_function,
-    channel_bounds,
     decoupling_orders,
     delta_tail,
     distance_bound,
@@ -67,14 +65,12 @@ __all__ = [
     "ExperimentConfig",
     "NonConvergenceError",
     "NuddBoundReport",
-    "NuddCouplings",
     "OrderCertification",
     "PulseEvent",
     "PulseSchedule",
     "SimResult",
     "SwitchingProfile",
     "bounding_function",
-    "channel_bounds",
     "d_min_for_orders",
     "decoupling_orders",
     "delta_tail",

@@ -657,6 +657,8 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         raise CliError("--eps is required and must be > 0")
     if resolved["seeds"] < 1:
         raise CliError("--seeds must be >= 1")
+    if not math.isfinite(resolved["loosen"]):
+        raise CliError(f"--loosen must be finite, got {resolved['loosen']!r}")
     if kind == "qdd":
         eta = _qdd_eta(resolved)
     elif any(resolved[f"eta_{axis}"] is not None for axis in "xyz"):

@@ -9,7 +9,8 @@ error-word weights is bounded by the entire function
 
 whose Taylor tail past the sequence's minimum suppression order bounds the
 total error-channel norm; the trace-norm distance bound is then
-``Delta^2 + Delta``.
+``Delta^2 + Delta``.  ``_nudd_series`` writes that series once; the tail, its
+leading term and the coefficients ``g_l`` all come from it.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ import math
 from dataclasses import dataclass
 
 from .qdd_bounds import default_eps_grid
-from .series import check_finite, check_rel_tol, exp_series_tail
+from .series import check_finite, check_rel_tol, exp_series_coeff, exp_series_tail
 
 __all__ = [
-    "NuddCouplings",
     "NuddBoundReport",
     "gamma_factor",
     "d_min_for_orders",
     "s_error_sum",
     "s_identity_sum",
-    "nudd_taylor_coeff",
     "nudd_g",
-    "nudd_leading_term",
     "nudd_delta",
     "nudd_distance_bound",
     "nudd_eps_window",
@@ -71,41 +69,6 @@ def d_min_for_orders(orders) -> int:
 
 
 @dataclass(frozen=True)
-class NuddCouplings:
-    """Dimensionful coupling summary: bath norm J0, collapsed error norm J1.
-
-    ``epsilon = J0*T`` and ``eta = J1/J0`` are the dimensionless inputs of the
-    bound; ``gamma = 4^m - 1`` counts the collapsed error channels.
-    """
-
-    m: int
-    J0: float
-    J1: float
-    T: float
-
-    def __post_init__(self) -> None:
-        gamma_factor(self.m)
-        if not (self.J0 > 0.0 and math.isfinite(self.J0)):
-            raise ValueError("J0 must be finite and > 0")
-        if not (self.J1 >= 0.0 and math.isfinite(self.J1)):
-            raise ValueError("J1 must be finite and >= 0")
-        if not (self.T >= 0.0 and math.isfinite(self.T)):
-            raise ValueError("T must be finite and >= 0")
-
-    @property
-    def gamma(self) -> int:
-        return gamma_factor(self.m)
-
-    @property
-    def epsilon(self) -> float:
-        return self.J0 * self.T
-
-    @property
-    def eta(self) -> float:
-        return self.J1 / self.J0
-
-
-@dataclass(frozen=True)
 class NuddBoundReport:
     """Distance-bound evaluation at one (m, d_min, epsilon, eta) point."""
 
@@ -134,60 +97,45 @@ def s_identity_sum(T: float, J0: float, J1: float, m: int) -> float:
     return math.exp(J0 * T) * (math.exp(g * J1 * T) + g * math.exp(-J1 * T)) / (g + 1)
 
 
-def nudd_taylor_coeff(k: int, J0: float, J1: float, m: int) -> float:
-    """k-th Taylor coefficient p_k of S_K in T.
+def _nudd_series(epsilon: float, eta: float, m: int):
+    """Rates and weights of S_K's Taylor series in epsilon, in the tail format.
 
-    p_k = gamma/(gamma+1) * ((J0 + gamma*J1)^k - (J0 - J1)^k) / k!; p_0 = 0
-    and p_1 = gamma*J1.  Nonnegative for every k whenever gamma >= 1, since
-    J0 + gamma*J1 >= |J0 - J1|.
+    S_K = (1 - 4^-m) * (e^(eps (1 + gamma eta)) - e^(eps (1 - eta))) in units
+    of J0 = 1, with gamma = 4^m - 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     g = gamma_factor(m)
     c = g / (g + 1)
-    return c * ((J0 + g * J1) ** k - (J0 - J1) ** k) / math.factorial(k)
+    return (epsilon * (1.0 + g * eta), epsilon * (1.0 - eta)), (c, -c)
 
 
 def nudd_g(l: int, eta: float, m: int) -> float:
     """Dimensionless Taylor coefficient of S_K in epsilon.
 
-    g_l = (1 - 4^-m) * ((1 + gamma*eta)^l - (1 - eta)^l) / l!; g_1 collapses
-    to gamma*eta.  For large l at large gamma*eta prefer
-    ``nudd_leading_term``, which folds epsilon into the powers before they
-    can overflow.
+    g_l = (1 - 4^-m) * ((1 + gamma*eta)^l - (1 - eta)^l) / l!; g_0 = 0 and
+    g_1 collapses to gamma*eta.  Nonnegative for every l, since
+    1 + gamma*eta >= |1 - eta|.  With ``eps = J0*T`` and ``eta = J1/J0``,
+    g_l * eps^l is the T^l term of S_K(T).  The leading term
+    g_{d_min+1} * eps^(d_min+1) of a bound comes from ``nudd_delta``, which
+    folds epsilon into the running product before it can overflow.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    g = gamma_factor(m)
-    c = g / (g + 1)
-    return c * ((1.0 + g * eta) ** l - (1.0 - eta) ** l) / math.factorial(l)
-
-
-def nudd_leading_term(d_min: int, epsilon: float, eta: float, m: int) -> float:
-    """Leading tail term g_{d_min+1} * eps^(d_min+1), evaluated overflow-safely."""
-    g = gamma_factor(m)
-    c = g / (g + 1)
-    l = d_min + 1
-    a = epsilon * (1.0 + g * eta)
-    b = epsilon * (1.0 - eta)
-    return c * (a**l - b**l) / math.factorial(l)
+    return exp_series_coeff(*_nudd_series(1.0, eta, m), l)
 
 
 def nudd_delta(
     d_min: int, epsilon: float, eta: float, m: int, rel_tol: float = 1e-15
-) -> float:
-    """Tail Delta_{d_min} = sum_{l > d_min} g_l(eta, m) * eps^l, term by term."""
+) -> tuple[float, float]:
+    """Tail Delta_{d_min} = sum_{l > d_min} g_l(eta, m) * eps^l and its leading term.
+
+    Returns ``(Delta_{d_min}, g_{d_min+1} * eps^(d_min+1))`` from one pass.
+    """
     if d_min < 0:
         raise ValueError("d_min must be >= 0")
     if epsilon < 0 or eta < 0:
         raise ValueError("epsilon and eta must be >= 0")
     check_rel_tol(rel_tol)
     if epsilon == 0.0 or eta == 0.0:
-        return 0.0
-    g = gamma_factor(m)
-    c = g / (g + 1)
-    rates = (epsilon * (1.0 + g * eta), epsilon * (1.0 - eta))
-    weights = (c, -c)
+        return 0.0, 0.0
+    rates, weights = _nudd_series(epsilon, eta, m)
     return exp_series_tail(rates, weights, d_min, rel_tol)
 
 
@@ -198,12 +146,8 @@ def nudd_distance_bound(
 
     Raises NonConvergenceError if a reported value overflows double range.
     """
-    delta = nudd_delta(d_min, epsilon, eta, m, rel_tol)
+    delta, leading = nudd_delta(d_min, epsilon, eta, m, rel_tol)
     bound = delta * delta + delta
-    try:
-        leading = nudd_leading_term(d_min, epsilon, eta, m)
-    except OverflowError:  # a power or (d_min+1)! beyond double range
-        leading = math.inf
     check_finite(Delta=delta, D_bound=bound, D_leading=leading)
     return NuddBoundReport(
         m=m,

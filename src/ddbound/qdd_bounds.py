@@ -8,8 +8,9 @@ entire function
     S_j(eps, eta) = exp(eps) * h_x(eta_x*eps) * h_y(eta_y*eps) * h_z(eta_z*eps)
 
 where ``h_alpha`` is sinh when the sector's alpha-parity is odd and cosh when
-even.  Everything else here is derived from these: Taylor coefficients
-``g_l``, tail sums ``Delta_d`` starting beyond a sequence's suppression order,
+even.  ``_sector_series`` writes its Taylor series once, and everything else
+here is derived from it: the coefficients ``g_l``, the tail sums ``Delta_d``
+past a sequence's suppression order together with their leading terms,
 per-channel norm bounds ``L_alpha``, and the trace-norm distance bound.
 
 Dimensionless inputs throughout: ``eps = J_0 * T`` and ``eta_alpha =
@@ -21,11 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .series import check_finite, check_rel_tol, exp_series_tail
+from .series import check_finite, check_rel_tol, exp_series_coeff, exp_series_tail
 
 __all__ = [
     "EtaVector",
@@ -39,7 +39,6 @@ __all__ = [
     "scaled_bounding_function",
     "g_poly",
     "delta_tail",
-    "channel_bounds",
     "distance_bound",
     "sweep_row",
     "preset_cells",
@@ -196,18 +195,11 @@ def g_poly(j: int, l: int, eta: EtaVector) -> float:
     """Taylor coefficient of S_j: the signed eight-term sum over (+-1)^3.
 
     g_l^(j) = (1/(8*l!)) * sum_s s_x^p_x s_y^p_y s_z^p_z
-              * (1 + s_x eta_x + s_y eta_y + s_z eta_z)^l.
+              * (1 + s_x eta_x + s_y eta_y + s_z eta_z)^l,
+
+    the l-th term of ``_sector_series(j, 1, eta)``.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    p_x, p_y, p_z = case_parities(j)
-    ex, ey, ez = eta.as_tuple()
-    acc = 0.0
-    for s_x, s_y, s_z in _SIGNS:
-        coeff = (s_x if p_x else 1.0) * (s_y if p_y else 1.0) * (s_z if p_z else 1.0)
-        base = 1.0 + s_x * ex + s_y * ey + s_z * ez
-        acc += coeff * base**l
-    return acc / (8.0 * math.factorial(l))
+    return exp_series_coeff(*_sector_series(j, 1.0, eta), l)
 
 
 def _sector_series(j: int, epsilon: float, eta: EtaVector):
@@ -225,9 +217,10 @@ def _sector_series(j: int, epsilon: float, eta: EtaVector):
 
 def delta_tail(
     j: int, d: int, epsilon: float, eta: EtaVector, rel_tol: float = 1e-15
-) -> float:
-    """Tail Delta_d^(j) = sum_{n > d} g_n^(j)(eta) * eps^n, term by term.
+) -> tuple[float, float]:
+    """Tail Delta_d^(j) = sum_{n > d} g_n^(j)(eta) * eps^n and its leading term.
 
+    Returns ``(Delta_d^(j), g_{d+1}^(j) * eps^(d+1))`` from one pass.
     Sectors whose sinh factor sits on a vanishing eta component are
     identically zero and short-circuit.  Raises NonConvergenceError for
     pathological inputs (see series.exp_series_tail).
@@ -236,36 +229,12 @@ def delta_tail(
         raise ValueError("epsilon must be >= 0")
     check_rel_tol(rel_tol)
     if epsilon == 0.0:
-        return 0.0
+        return 0.0, 0.0
     parities = case_parities(j)
     if any(p and e == 0.0 for p, e in zip(parities, eta.as_tuple())):
-        return 0.0
+        return 0.0, 0.0
     rates, weights = _sector_series(j, epsilon, eta)
     return exp_series_tail(rates, weights, d, rel_tol)
-
-
-def channel_bounds(
-    n1: int,
-    n2: int,
-    epsilon: float,
-    eta: EtaVector,
-    mode: str = "analytic",
-    rel_tol: float = 1e-15,
-) -> ChannelBounds:
-    """Norm bounds L_alpha from the two parity-sector tails of each channel."""
-    orders = decoupling_orders(n1, n2, mode)
-    deltas = _channel_deltas(orders, epsilon, eta, rel_tol)
-    return ChannelBounds(*(sum(deltas[ch]) for ch in ("x", "y", "z")))
-
-
-def _channel_deltas(
-    orders: DecouplingOrders, epsilon: float, eta: EtaVector, rel_tol: float
-) -> dict[str, tuple[float, float]]:
-    out = {}
-    for ch, sectors in CASE_OF_CHANNEL.items():
-        d = orders.for_channel(ch)
-        out[ch] = tuple(delta_tail(j, d, epsilon, eta, rel_tol) for j in sectors)
-    return out
 
 
 def distance_bound(
@@ -278,21 +247,27 @@ def distance_bound(
 ) -> BoundReport:
     """Trace-norm distance bound between protected and uncoupled qubit states.
 
-    Evaluates the expanded form over the six sector tails: all single terms,
-    all squares, same-channel cross terms twice, and every mixed-channel
-    product once.  Algebraically this equals
+    Each channel's norm bound L_alpha is the sum of its two parity-sector
+    tails (``CASE_OF_CHANNEL``) past the channel's suppression order.  The
+    bound is evaluated in expanded form over the six sector tails: all single
+    terms, all squares, same-channel cross terms twice, and every
+    mixed-channel product once.  Algebraically this equals
 
         L_x + L_y + L_z + L_x^2 + L_y^2 + L_z^2 + L_x L_y + L_y L_z + L_x L_z.
 
-    The leading term collects the lowest surviving Taylor order of each
-    channel, ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)``.  Raises
+    The leading term sums the first term of each of the six tails, that is
+    ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)`` over the channels.  Raises
     NonConvergenceError if any reported value overflows double range.
     """
     orders = decoupling_orders(n1, n2, mode)
-    deltas = _channel_deltas(orders, epsilon, eta, rel_tol)
     flat: list[float] = []
-    for ch in ("x", "y", "z"):
-        flat.extend(deltas[ch])
+    leading = 0.0
+    for ch, sectors in CASE_OF_CHANNEL.items():
+        d = orders.for_channel(ch)
+        for j in sectors:
+            tail, first = delta_tail(j, d, epsilon, eta, rel_tol)
+            flat.append(tail)
+            leading += first
     bound = 0.0
     for a in flat:
         bound += a
@@ -303,15 +278,7 @@ def distance_bound(
             elif i < k:
                 pair_same_channel = (i // 2) == (k // 2)
                 bound += (2.0 if pair_same_channel else 1.0) * a * b
-    leading = 0.0
-    try:
-        for ch, sectors in CASE_OF_CHANNEL.items():
-            d = orders.for_channel(ch)
-            coeff = sum(g_poly(j, d + 1, eta) for j in sectors)
-            leading += coeff * epsilon ** (d + 1)
-    except OverflowError:  # a power or (d+1)! beyond double range
-        leading = math.inf
-    cb = ChannelBounds(*(sum(deltas[ch]) for ch in ("x", "y", "z")))
+    cb = ChannelBounds(*(flat[i] + flat[i + 1] for i in (0, 2, 4)))
     check_finite(L_x=cb.L_x, L_y=cb.L_y, L_z=cb.L_z, D_bound=bound, D_leading=leading)
     return BoundReport(
         epsilon=epsilon,
@@ -368,8 +335,8 @@ def sweep_row(
     rel_tol: float = 1e-15,
 ) -> dict:
     """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``."""
-    orders = decoupling_orders(n1, n2, mode)
     report = distance_bound(n1, n2, eps, eta, mode, rel_tol)
+    orders = report.orders
     cb = report.channel_bounds
     return {
         "epsilon": eps,

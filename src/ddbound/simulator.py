@@ -82,6 +82,16 @@ def pauli_labels(qubit_count: int) -> tuple[str, ...]:
     )
 
 
+def _norm_labels(norms: Mapping[str, float], qubit_count: int) -> tuple[str, ...]:
+    """The Pauli labels of ``qubit_count`` qubits, once every key of ``norms``
+    is checked to be one of them."""
+    labels = pauli_labels(qubit_count)
+    unknown = set(norms) - set(labels)
+    if unknown:
+        raise ValueError(f"norm labels {sorted(unknown)} invalid for m={qubit_count}")
+    return labels
+
+
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by ``label``."""
     mats = [PAULI[c] for c in label]
@@ -171,10 +181,7 @@ def build_model(bath: BathSpec, qubit_count: int) -> HamiltonianModel:
     Coupling operators are drawn in sorted label order from independent
     seed-derived streams, so the model is a pure function of (bath, m).
     """
-    labels = pauli_labels(qubit_count)
-    unknown = set(bath.norms) - set(labels)
-    if unknown:
-        raise ValueError(f"norm labels {sorted(unknown)} invalid for m={qubit_count}")
+    labels = _norm_labels(bath.norms, qubit_count)
     d_sys = 2**qubit_count
     total = d_sys * bath.dim
     if total > MAX_TOTAL_DIM:
@@ -369,7 +376,7 @@ class ExperimentConfig:
         if len(orders) % 2 or not orders:
             raise ValueError("orders must come in (z, x) level pairs")
         m = len(orders) // 2
-        pauli_labels(m)  # rejects an unsupported qubit count
+        _norm_labels(self.bath.norms, m)  # also rejects an unsupported qubit count
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be finite and > 0")
         check_rel_tol(self.rel_tol)

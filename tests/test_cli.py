@@ -7,8 +7,10 @@ command functions themselves.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -139,8 +141,6 @@ def test_bounds_nudd_nonconvergence_flagged(capsys):
           "--eps-min", "100", "--eps-max", "150", "--eps-points", "2"], 2),
         (["bounds", "nudd", "--m", "1", "--dmin", "2", "--eta", "1",
           "--eps-min", "100", "--eps-max", "150", "--eps-points", "2"], 2),
-        (["bounds", "qdd", "--n1", "200", "--n2", "200", "--eta", "1"], 41),
-        (["bounds", "nudd", "--m", "1", "--dmin", "200", "--eta", "1"], 41),
     ],
 )
 def test_bounds_overflow_flagged_not_printed(argv, points, capsys):
@@ -153,6 +153,65 @@ def test_bounds_overflow_flagged_not_printed(argv, points, capsys):
     rows = data_lines(out)[1:]
     assert len(rows) == points and all(r.endswith("nan,nan,nan") for r in rows)
     assert "inf" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "qdd", "--n1", "200", "--n2", "200", "--eta", "1"],
+        ["bounds", "nudd", "--m", "1", "--dmin", "200", "--eta", "1"],
+    ],
+)
+def test_bounds_past_factorial_range_are_rows(argv, capsys):
+    """Orders above 170, where (d+1)! is beyond double range, give finite rows."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "non-convergence" not in out
+    rows = data_lines(out)[1:]
+    assert len(rows) == 41
+    values = [float(v) for r in rows for v in r.split(",")]
+    assert all(math.isfinite(v) for v in values)
+    # D_leading at eps = 1, in 60-digit arithmetic
+    leading = float(rows[-1].split(",")[-1])
+    assert leading == pytest.approx(4.8869154231988433e-257, rel=1e-12)
+
+
+def _without_column(text, name):
+    """CSV text with column ``name`` cut from the column header and every row."""
+    out, col = [], None
+    for ln in text.splitlines():
+        if not ln.startswith("#"):
+            cells = ln.split(",")
+            col = cells.index(name) if col is None else col
+            del cells[col]
+            ln = ",".join(cells)
+        out.append(ln)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["bounds", "qdd", "--fig2"],
+         "d8d1336f09cada9f58961d165c97db22e363505125910357aaa1a54525050541"),
+        (["bounds", "qdd", "--fig3"],
+         "fe347dab494692943154710924934b4ffd8dfe21beeef457d2ea63b88a2b846d"),
+        (["bounds", "qdd", "--fig4"],
+         "c9af9865391dd3e51f87908996354cc57468c85a91e2991718c8f37650941faa"),
+        (["bounds", "qdd", "--fig2", "--mode", "numeric-footnote"],
+         "cf8d25cb60d4df0e81465459d0902a2073d231a5b94b3b0ee352f98fb767db42"),
+        (["bounds", "nudd", "--fig5"],
+         "500a912062e9efdc716775d3743b80842ebf970edcecc110c015987227d7b08a"),
+    ],
+)
+def test_preset_csv_frozen(argv, digest, capsys):
+    """sha256 of each preset CSV without its D_leading column, recorded when
+    the leading term was still formed from g_{d+1} and (d+1)!: every other
+    column is unchanged by taking the leading term from the tail pass."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    text = _without_column(out, "D_leading")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_simulate_overflowed_bound_exits_3(tmp_path, capsys):
@@ -362,6 +421,10 @@ def test_sweep_unknown_key(tmp_path, capsys):
          "expected 4 per-level orders"),
         (["verify", "bound", "--nudd", "1,1", "--qubits", "1", "--eps", "0.05",
           "--eta-x", "0.3"], "per-axis eta"),
+        (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
+          "--loosen", "nan"], "--loosen"),
+        (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
+          "--loosen", "inf"], "--loosen"),
     ],
 )
 def test_invalid_flags_exit_2(argv, needle, capsys):
@@ -382,6 +445,12 @@ def test_invalid_flags_exit_2(argv, needle, capsys):
         ("simulate", {**SIM_CONFIG, "rel_tol": 0.5}, [], "rel_tol"),
         ("simulate", {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "seed": "s"}}, [], "seed"),
         ("simulate", SIM_CONFIG, ["--seed", "-1"], "seed"),
+        ("simulate",
+         {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "norms": {"0": 1.0, "q": 0.5}}},
+         [], "'q'"),
+        ("simulate",
+         {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "norms": {"0": 1.0, "xz": 0.5}}},
+         [], "'xz'"),
     ],
 )
 def test_invalid_config_values_exit_2(command, doc, extra, needle, tmp_path, capsys):

@@ -7,22 +7,20 @@ the small ODE cross-check below integrates directly.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ddbound.nudd_bounds import (
     NUDD_SWEEP_COLUMNS,
-    NuddCouplings,
     d_min_for_orders,
     gamma_factor,
     nudd_delta,
     nudd_distance_bound,
     nudd_eps_window,
     nudd_g,
-    nudd_leading_term,
     nudd_sweep_row,
-    nudd_taylor_coeff,
     preset_nudd_cells,
     s_error_sum,
     s_identity_sum,
@@ -75,38 +73,30 @@ def test_error_sum_boundary_values():
 
 def test_taylor_coeffs_reproduce_error_sum():
     j0, j1, m, T = 0.8, 0.3, 2, 0.2
-    acc = sum(nudd_taylor_coeff(k, j0, j1, m) * T**k for k in range(40))
+    acc = sum(nudd_g(k, j1 / j0, m) * (j0 * T) ** k for k in range(40))
     assert acc == pytest.approx(s_error_sum(T, j0, j1, m), rel=1e-12)
 
 
 def test_taylor_coeff_anchors():
     g = gamma_factor(3)
-    assert nudd_taylor_coeff(0, 1.0, 0.5, 3) == 0.0
-    assert nudd_taylor_coeff(1, 1.0, 0.5, 3) == pytest.approx(g * 0.5)
+    assert nudd_g(0, 0.5, 3) == 0.0  # J0 = 1, J1 = 0.5
+    assert nudd_g(1, 0.5, 3) == pytest.approx(g * 0.5)
+    j0, j1 = 1.3, 0.4
     for k in range(12):
-        assert nudd_taylor_coeff(k, 1.3, 0.4, 3) >= 0.0
-
-
-def test_g_matches_taylor_at_unit_j0():
-    for l in range(8):
-        for eta in (0.0, 0.3, 2.0):
-            for m in (1, 2, 6):
-                assert nudd_g(l, eta, m) == pytest.approx(
-                    nudd_taylor_coeff(l, 1.0, eta, m), rel=1e-15, abs=1e-300
-                )
+        assert nudd_g(k, j1 / j0, 3) >= 0.0
 
 
 def test_delta_completes_partial_sum():
     m, eta, eps = 2, 0.6, 0.2
     for d in (0, 1, 3):
         head = sum(nudd_g(l, eta, m) * eps**l for l in range(d + 1))
-        total = nudd_delta(d, eps, eta, m) + head
+        total = nudd_delta(d, eps, eta, m)[0] + head
         assert total == pytest.approx(s_error_sum(eps, 1.0, eta, m), rel=1e-12)
 
 
 def test_delta_zero_cases():
-    assert nudd_delta(3, 0.0, 0.5, 2) == 0.0
-    assert nudd_delta(3, 0.5, 0.0, 2) == 0.0
+    assert nudd_delta(3, 0.0, 0.5, 2)[0] == 0.0
+    assert nudd_delta(3, 0.5, 0.0, 2)[0] == 0.0
 
 
 def test_delta_validation():
@@ -129,15 +119,24 @@ def test_leading_term_ratio():
     assert rep.delta / rep.leading_term == pytest.approx(1.0, abs=1e-2)
 
 
-def test_couplings_container():
-    c = NuddCouplings(m=2, J0=2.0, J1=0.5, T=0.3)
-    assert c.gamma == 15
-    assert c.epsilon == pytest.approx(0.6)
-    assert c.eta == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        NuddCouplings(m=2, J0=0.0, J1=0.5, T=0.3)
-    with pytest.raises(ValueError):
-        NuddCouplings(m=2, J0=1.0, J1=-0.5, T=0.3)
+@pytest.mark.parametrize(
+    "d_min, eps, eta, m",
+    [
+        (2, 0.1, 0.5, 2),
+        (5, 1e-3, 1e-4, 10),
+        (40, 0.5 / (1 + (4**10 - 1) * 100.0), 100.0, 10),
+        (200, 1.0, 1.0, 1),  # (d_min+1)! beyond double range
+    ],
+)
+def test_leading_term_against_mpmath(d_min, eps, eta, m):
+    """D_leading = g_{d_min+1} eps^(d_min+1) in 60-digit arithmetic."""
+    g, l = 4**m - 1, d_min + 1
+    with mp.workdps(60):
+        a = mp.mpf(eps) * (1 + g * mp.mpf(eta))
+        b = mp.mpf(eps) * (1 - mp.mpf(eta))
+        expect = float(mp.mpf(g) / (g + 1) * (a**l - b**l) / mp.factorial(l))
+    rep = nudd_distance_bound(d_min, eps, eta, m)
+    assert rep.leading_term == pytest.approx(expect, rel=1e-12)
 
 
 def test_ode_cross_check():

@@ -6,8 +6,10 @@ eight-term signed sum, and the suppression-order table is transcribed afresh
 rather than imported.
 """
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from ddbound.qdd_bounds import (
     EtaVector,
     bounding_function,
     case_parities,
-    channel_bounds,
     decoupling_orders,
     default_eps_grid,
     delta_tail,
@@ -136,15 +137,15 @@ def test_delta_tail_completes_partial_sum():
     for j in range(1, 7):
         for d in (0, 1, 3, 5):
             head = sum(g_poly(j, n, eta) * eps**n for n in range(d + 1))
-            total = delta_tail(j, d, eps, eta) + head
+            total = delta_tail(j, d, eps, eta)[0] + head
             assert total == pytest.approx(_reference_sector(j, eps, eta), rel=1e-12)
 
 
 def test_delta_tail_zero_cases():
     eta = EtaVector(0.0, 1.0, 2.0)
     # sector 4 has sinh on the x axis; eta_x = 0 kills it identically
-    assert delta_tail(4, 3, 0.7, eta) == 0.0
-    assert delta_tail(3, 2, 0.0, EtaVector.isotropic(1.0)) == 0.0
+    assert delta_tail(4, 3, 0.7, eta)[0] == 0.0
+    assert delta_tail(3, 2, 0.0, EtaVector.isotropic(1.0))[0] == 0.0
 
 
 def test_delta_tail_validation():
@@ -168,10 +169,10 @@ def test_channel_bounds_are_sector_tails():
     eta = EtaVector(0.2, 0.9, 1.4)
     eps = 0.15
     orders = decoupling_orders(2, 3)
-    cb = channel_bounds(2, 3, eps, eta)
+    cb = distance_bound(2, 3, eps, eta).channel_bounds
     for ch, (a, b) in CASE_OF_CHANNEL.items():
         d = orders.for_channel(ch)
-        expect = delta_tail(a, d, eps, eta) + delta_tail(b, d, eps, eta)
+        expect = delta_tail(a, d, eps, eta)[0] + delta_tail(b, d, eps, eta)[0]
         assert cb.for_channel(ch) == pytest.approx(expect, rel=1e-14)
 
 
@@ -198,6 +199,35 @@ def test_leading_term_dominates_small_eps():
     rep = distance_bound(2, 2, 1e-4, EtaVector.isotropic(1.0))
     assert rep.distance_bound / rep.leading_term == pytest.approx(1.0, abs=1e-2)
     assert rep.leading_term <= rep.distance_bound
+
+
+@pytest.mark.parametrize(
+    "n1, n2, eps, eta",
+    [
+        (2, 2, 0.01, EtaVector.isotropic(1e-4)),
+        (6, 6, 1e-3, EtaVector.isotropic(100.0)),
+        (3, 9, 0.5, EtaVector(0.3, 0.3, 1e-2)),
+        (1, 4, 0.2, EtaVector(0.0, 0.7, 0.4)),
+        (200, 200, 1.0, EtaVector.isotropic(1.0)),  # (d+1)! beyond double range
+    ],
+)
+def test_leading_term_against_mpmath(n1, n2, eps, eta):
+    """D_leading = sum over channels of [g_{d+1}^(a) + g_{d+1}^(b)] eps^(d+1),
+    with each g from the eight-term signed sum in 60-digit arithmetic."""
+    orders = dict(zip("xyz", _orders_reference(n1, n2, "analytic")))
+    with mp.workdps(60):
+        expect = mp.mpf(0)
+        for ch, sectors in CASE_OF_CHANNEL.items():
+            l = orders[ch] + 1
+            for j in sectors:
+                acc = mp.mpf(0)
+                for signs in itertools.product((1, -1), repeat=3):
+                    weight = math.prod(s for s, p in zip(signs, case_parities(j)) if p)
+                    dot = sum(s * mp.mpf(e) for s, e in zip(signs, eta.as_tuple()))
+                    acc += weight * (1 + dot) ** l
+                expect += acc / (8 * mp.factorial(l)) * mp.mpf(eps) ** l
+        expect = float(expect)
+    assert distance_bound(n1, n2, eps, eta).leading_term == pytest.approx(expect, rel=1e-12)
 
 
 def test_bound_monotone_in_eps():

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ddbound.series import NonConvergenceError, exp_series_tail, series_cap
+import mpmath as mp
+
+from ddbound.series import (
+    NonConvergenceError,
+    exp_series_coeff,
+    exp_series_tail,
+    series_cap,
+)
 
 
 def test_single_exponential_tail():
@@ -13,17 +20,17 @@ def test_single_exponential_tail():
     for r in (0.1, 1.0, 7.5):
         for d in (0, 1, 4):
             head = sum(r**n / math.factorial(n) for n in range(d + 1))
-            tail = exp_series_tail((r,), (1.0,), d)
+            tail = exp_series_tail((r,), (1.0,), d)[0]
             assert tail == pytest.approx(math.exp(r) - head, rel=1e-13)
 
 
 def test_sinh_and_cosh_tails():
     r = 2.25
     # sinh keeps odd terms only; from order 0 the tail is sinh itself
-    assert exp_series_tail((r, -r), (0.5, -0.5), 0) == pytest.approx(
+    assert exp_series_tail((r, -r), (0.5, -0.5), 0)[0] == pytest.approx(
         math.sinh(r), rel=1e-14
     )
-    assert exp_series_tail((r, -r), (0.5, 0.5), 0) == pytest.approx(
+    assert exp_series_tail((r, -r), (0.5, 0.5), 0)[0] == pytest.approx(
         math.cosh(r) - 1.0, rel=1e-14
     )
 
@@ -39,18 +46,18 @@ def test_exact_cancellation_fails_loud():
 def test_near_cancellation_converges():
     a, b = 3.0, 2.9
     expect = (math.exp(a) - 1 - a) - (math.exp(b) - 1 - b)
-    got = exp_series_tail((a, b), (1.0, -1.0), 1)
+    got = exp_series_tail((a, b), (1.0, -1.0), 1)[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_zero_rates():
-    assert exp_series_tail((0.0, 0.0), (2.0, 5.0), 3) == 0.0
+    assert exp_series_tail((0.0, 0.0), (2.0, 5.0), 3)[0] == 0.0
 
 
 def test_higher_order_drops_leading_terms():
     r = 1.7
-    full = exp_series_tail((r,), (1.0,), 0)
-    t1 = exp_series_tail((r,), (1.0,), 1)
+    full = exp_series_tail((r,), (1.0,), 0)[0]
+    t1 = exp_series_tail((r,), (1.0,), 1)[0]
     assert full - t1 == pytest.approx(r, rel=1e-13)
 
 
@@ -58,14 +65,38 @@ def test_weighted_combination():
     # 2 e^a - e^b tail past order 1
     a, b = 1.2, 0.4
     expect = 2 * (math.exp(a) - 1 - a) - (math.exp(b) - 1 - b)
-    got = exp_series_tail((a, b), (2.0, -1.0), 1)
+    got = exp_series_tail((a, b), (2.0, -1.0), 1)[0]
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_first_term_is_the_leading_term():
+    # the pass also returns its n = order + 1 term, r^(d+1) / (d+1)!; at
+    # d = 70 that term lies in the pass's second block
+    for r in (0.1, 1.0, 7.5, 300.0):
+        for d in (0, 3, 70):
+            first = exp_series_tail((r,), (1.0,), d)[1]
+            assert first == pytest.approx(r ** (d + 1) / math.factorial(d + 1), rel=1e-13)
+    assert exp_series_tail((0.0, 0.0), (2.0, 5.0), 3)[1] == 0.0
+
+
+def test_coeff_is_the_series_term():
+    rates, weights = (2.0, -0.5, 1.25), (1.0, 0.25, -0.5)
+    for n in (0, 1, 5, 30):
+        expect = sum(w * r**n for r, w in zip(rates, weights)) / math.factorial(n)
+        assert exp_series_coeff(rates, weights, n) == pytest.approx(expect, rel=1e-13)
+    # past n = 170, where n! is beyond double range, the term is still formed
+    with mp.workdps(60):
+        expect = float(mp.mpf(4) ** 200 / mp.factorial(200))
+    assert exp_series_coeff((4.0,), (1.0,), 200) == pytest.approx(expect, rel=1e-13)
+    assert exp_series_tail((4.0,), (1.0,), 199)[1] == pytest.approx(expect, rel=1e-13)
+    with pytest.raises(ValueError):
+        exp_series_coeff((1.0,), (1.0,), -1)
 
 
 def test_large_rate_still_converges():
     # r = 300 peaks near n = 300; the cap formula must reach past the peak
     r = 300.0
-    got = exp_series_tail((r,), (1.0,), 3)
+    got = exp_series_tail((r,), (1.0,), 3)[0]
     head = sum(r**n / math.factorial(n) for n in range(4))
     assert got == pytest.approx(math.exp(r) - head, rel=1e-12)
 
