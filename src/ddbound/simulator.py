@@ -2,10 +2,11 @@
 
 The joint Hamiltonian is a sum of Pauli strings on the system tensored with
 Hermitian bath operators of prescribed spectral norm.  Between ideal pulses
-the lab-frame Hamiltonian is constant, so the full evolution is an exact
-product of matrix exponentials (one eigendecomposition, reused for every
-interval) interleaved with Pauli conjugations; the global phase of each pi
-pulse is dropped, which cancels in all density matrices.
+the Hamiltonian is constant, so the evolution is propagated exactly in its
+eigenbasis (one eigendecomposition, reused for every interval): a free
+segment is a diagonal phase scaling, and each pulse is one dense product with
+the Pauli operator in that basis, built once per (axis, qubit).  The global
+phase of each pi pulse is dropped, which cancels in all density matrices.
 
 From the final unitary the per-channel bath operators A are read off by a
 Pauli partial trace, and the protected state is compared against the
@@ -43,7 +44,6 @@ __all__ = [
     "build_model",
     "evolve",
     "extract_channel_ops",
-    "reconstruct_from_channels",
     "unitarity_residuals",
     "spectral_norm",
     "trace_distance",
@@ -208,11 +208,6 @@ def build_model(bath: BathSpec, qubit_count: int) -> HamiltonianModel:
     )
 
 
-def _pulse_operator(axis: str, qubit: int, qubit_count: int, bath_dim: int) -> np.ndarray:
-    label = "".join(axis if q == qubit else "0" for q in range(qubit_count))
-    return np.kron(pauli_matrix(label), np.eye(bath_dim, dtype=complex))
-
-
 def evolve(
     schedule: PulseSchedule,
     model: HamiltonianModel,
@@ -221,10 +216,12 @@ def evolve(
 ) -> np.ndarray:
     """Exact joint unitary at time ``T`` under the pulsed Hamiltonian.
 
-    Free segments use the model's precomputed eigendecomposition; pulses are
-    exact Pauli conjugations (global phase dropped).  ``tie_order`` controls
-    which of two coincident pulses fires first; the default applies the inner
-    level first.
+    The propagator is carried in the eigenbasis of H as W = V^dag U V, so a
+    free segment of length tau is the diagonal row scaling exp(-i w tau) and
+    each pulse is one D x D product with V^dag (sigma x 1) V, built once per
+    (axis, qubit); U = V W V^dag at the end.  Pulses are exact Pauli
+    conjugations (global phase dropped).  ``tie_order`` controls which of two
+    coincident pulses fires first; the default applies the inner level first.
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError("T must be finite and > 0")
@@ -236,28 +233,29 @@ def evolve(
     if tie_order == "outer-first":
         events.sort(key=lambda e: (e.time, -e.level))
     w, v = model.eigenvalues, model.eigenvectors
+    phase_rate = -1j * w
     v_dag = v.conj().T
-
-    def segment(tau: float) -> np.ndarray:
-        return (v * np.exp(-1j * w * tau)) @ v_dag
-
-    dim = len(model.eigenvalues)
-    u = np.eye(dim, dtype=complex)
-    pulse_cache: dict[tuple[str, int], np.ndarray] = {}
+    # rows of V split as (system index, bath index): sigma x 1 acts on the first
+    v_rows = v.reshape(2**model.qubit_count, model.bath_dim, len(w))
+    u_eig = np.eye(len(w), dtype=complex)
+    pulses: dict[tuple[str, int], np.ndarray] = {}
     t_prev = 0.0
     for event in events:
         if event.time > t_prev:
-            u = segment((event.time - t_prev) * T) @ u
+            u_eig *= np.exp(phase_rate * ((event.time - t_prev) * T))[:, None]
             t_prev = event.time
         key = (event.axis, event.qubit)
-        if key not in pulse_cache:
-            pulse_cache[key] = _pulse_operator(
-                event.axis, event.qubit, model.qubit_count, model.bath_dim
+        if key not in pulses:
+            label = "".join(
+                event.axis if q == event.qubit else "0"
+                for q in range(model.qubit_count)
             )
-        u = pulse_cache[key] @ u
+            sigma_v = np.tensordot(pauli_matrix(label), v_rows, axes=1)
+            pulses[key] = v_dag @ sigma_v.reshape(v.shape)
+        u_eig = pulses[key] @ u_eig
     if t_prev < 1.0:
-        u = segment((1.0 - t_prev) * T) @ u
-    return u
+        u_eig *= np.exp(phase_rate * ((1.0 - t_prev) * T))[:, None]
+    return v @ u_eig @ v_dag
 
 
 def extract_channel_ops(u: np.ndarray, qubit_count: int) -> dict[str, np.ndarray]:
@@ -276,17 +274,6 @@ def extract_channel_ops(u: np.ndarray, qubit_count: int) -> dict[str, np.ndarray
         sigma = pauli_matrix(label)
         out[label] = np.einsum("ki,kaib->ab", sigma.conj(), u4) / d_sys
     return out
-
-
-def reconstruct_from_channels(ops: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Inverse of extract_channel_ops: sum of sigma x A over all channels."""
-    labels = sorted(ops)
-    qubit_count = len(labels[0])
-    total = 2**qubit_count * ops[labels[0]].shape[0]
-    u = np.zeros((total, total), dtype=complex)
-    for label in labels:
-        u += np.kron(pauli_matrix(label), ops[label])
-    return u
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -7,9 +7,13 @@ exactly by a single outer level.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ddbound.sequences import nudd_schedule, qdd_schedule
 from ddbound.simulator import (
@@ -23,7 +27,6 @@ from ddbound.simulator import (
     pauli_labels,
     pauli_matrix,
     random_bath,
-    reconstruct_from_channels,
     run_experiment,
     spectral_norm,
     trace_distance,
@@ -119,6 +122,97 @@ def test_evolve_is_unitary():
     model = build_model(bath, 1)
     u = evolve(qdd_schedule(2, 2), model, 0.4)
     assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-12)
+
+
+def reconstruct_from_channels(ops):
+    """Inverse of extract_channel_ops: sum of sigma x A over all channels."""
+    return sum(np.kron(pauli_matrix(label), a) for label, a in ops.items())
+
+
+def _lab_frame_evolve(schedule, model, T, tie_order):
+    """Independent reference for evolve: the ordered product of lab-frame
+    expm(-i H tau) segments and dense sigma x 1 pulses, with H rebuilt as the
+    Pauli sum and coincident pulses ordered by level (inner level first, or
+    outer level first)."""
+    h = _pauli_sum(model)
+    eye_bath = np.eye(model.bath_dim)
+    sign = 1 if tie_order == "inner-first" else -1
+    u = np.eye(h.shape[0], dtype=complex)
+    t_prev = 0.0
+    for e in sorted(schedule.events, key=lambda e: (e.time, sign * e.level)):
+        if e.time > t_prev:
+            u = expm(-1j * h * ((e.time - t_prev) * T)) @ u
+            t_prev = e.time
+        label = "".join(e.axis if q == e.qubit else "0" for q in range(model.qubit_count))
+        u = np.kron(pauli_matrix(label), eye_bath) @ u
+    return expm(-1j * h * ((1.0 - t_prev) * T)) @ u
+
+
+_NORMS = {
+    1: {"0": 1.0, "x": 0.4, "y": 0.3, "z": 0.6},
+    2: {"00": 1.0, "x0": 0.3, "0z": 0.5, "yy": 0.2, "zx": 0.4},
+}
+
+
+@pytest.mark.parametrize("tie_order", ["inner-first", "outer-first"])
+@pytest.mark.parametrize(
+    "orders, bath_dim",
+    [
+        ((2, 2), 2),
+        ((3, 3), 8),
+        ((1, 4), 32),
+        ((10, 10), 16),
+        ((1, 1, 1, 1), 1),
+        ((1, 1, 1, 1), 16),
+    ],
+)
+def test_evolve_matches_lab_frame_oracle(orders, bath_dim, tie_order):
+    m = len(orders) // 2
+    model = build_model(BathSpec(dim=bath_dim, seed=7, norms=_NORMS[m]), m)
+    sched = nudd_schedule(orders, m)
+    u = evolve(sched, model, 0.9, tie_order)
+    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, 0.9, tie_order))) < 1e-12
+
+
+@pytest.mark.parametrize("orders, instants", [((3, 3), 16), ((1, 1, 1, 1), 16)])
+def test_tie_order_is_applied_at_coincident_pulses(orders, instants):
+    """Whole schedules pair their coincident anticommuting pulses, so both tie
+    orders give the same U.  Cut after the first coincident instant, the two
+    orders differ by the sign of one Pauli swap, and each matches the oracle."""
+    m = len(orders) // 2
+    sched = nudd_schedule(orders, m)
+    times = [e.time for e in sched.events]
+    assert len(set(times)) == instants < len(times)
+    first_tie = next(t for t in times if times.count(t) > 1)
+    cut = replace(sched, events=tuple(e for e in sched.events if e.time <= first_tie))
+    model = build_model(BathSpec(dim=2, seed=7, norms=_NORMS[m]), m)
+    inner = evolve(cut, model, 0.9, "inner-first")
+    outer = evolve(cut, model, 0.9, "outer-first")
+    assert np.max(np.abs(inner + outer)) < 1e-12
+    for tie_order, u in (("inner-first", inner), ("outer-first", outer)):
+        assert np.max(np.abs(u - _lab_frame_evolve(cut, model, 0.9, tie_order))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 2),
+    orders=st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    log_bath=st.integers(0, 3),
+    log_t=st.floats(-3.0, 1.0),
+    tie_order=st.sampled_from(["inner-first", "outer-first"]),
+    seed=st.integers(0, 2**16),
+)
+def test_evolve_unitary_and_matches_oracle(m, orders, log_bath, log_t, tie_order, seed):
+    # total dims 2-16 keep the expm oracle cheap at up to 624 events;
+    # the parametrized oracle test covers dims up to 64
+    orders = tuple(orders[: 2 * m])
+    bath_dim = 2 ** max(0, log_bath - m + 1)
+    model = build_model(BathSpec(dim=bath_dim, seed=seed, norms=_NORMS[m]), m)
+    sched = nudd_schedule(orders, m)
+    T = 10.0**log_t
+    u = evolve(sched, model, T, tie_order)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-12
+    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, T, tie_order))) < 1e-11
 
 
 def test_channel_extraction_roundtrip():
