@@ -47,6 +47,7 @@ from .series import NonConvergenceError
 from .simulator import (
     BathSpec,
     ExperimentConfig,
+    ScalingFit,
     SimResult,
     fit_scaling,
     run_experiment,
@@ -68,6 +69,7 @@ __all__ = [
     "OrderCertification",
     "PulseEvent",
     "PulseSchedule",
+    "ScalingFit",
     "SimResult",
     "SwitchingProfile",
     "bounding_function",

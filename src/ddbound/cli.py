@@ -21,8 +21,8 @@ converted.  A ``simulate`` config looks like::
      "bath": {"dim": 8, "seed": 42,
               "norms": {"0": 1.0, "x": 0.3, "y": 0.8, "z": 0.05}}}
 
-with optional ``initial_state``, ``bath_state``, ``mode``, ``rel_tol`` and
-``tie_order`` keys.  A ``sweep`` config gives lists to cross::
+with optional ``initial_state``, ``bath_state``, ``mode`` and ``rel_tol``
+keys.  A ``sweep`` config gives lists to cross::
 
     {"kind": "qdd", "orders": [[1, 1], [2, 2]], "bath_dim": [2, 8],
      "eps": [0.001, 0.01], "eta": [0.1, 1.0], "seeds": 3, "master_seed": 0}
@@ -54,6 +54,7 @@ from typing import Any, Callable, Sequence
 from . import __version__
 from .dyson import verify_orders
 from .nudd_bounds import (
+    _MAX_M,
     NUDD_SWEEP_COLUMNS,
     nudd_eps_window,
     nudd_sweep_row,
@@ -435,8 +436,8 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
             raise CliError("--m and --dmin must be given together")
         m, d_min = resolved["m"], resolved["dmin"]
         eta = 1.0 if resolved["eta"] is None else resolved["eta"]
-        if not 1 <= m <= 31:
-            raise CliError(f"--m must be an integer in [1, 31], got {m!r}")
+        if not 1 <= m <= _MAX_M:
+            raise CliError(f"--m must be an integer in [1, {_MAX_M}], got {m!r}")
         if d_min < 0:
             raise CliError(f"--dmin must be a nonnegative integer, got {d_min!r}")
         if not eta >= 0:
@@ -483,7 +484,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             bath_state=resolved["bath_state"],
             mode=resolved["mode"],
             rel_tol=resolved["rel_tol"],
-            tie_order=resolved["tie_order"],
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -495,7 +495,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": config.bath.seed,
         "mode": config.mode,
         "config": resolved,
-        "result": result.to_jsonable(),
+        "result": asdict(result),
     }
     _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
     return EXIT_OK
@@ -523,7 +523,7 @@ def _eta_label(eta: Any) -> str:
     return "/".join(_fmt(e) for e in axes)
 
 
-_CELL_FIELDS = ("initial_state", "bath_state", "mode", "rel_tol", "tie_order")
+_CELL_FIELDS = ("initial_state", "bath_state", "mode", "rel_tol")
 
 
 def _experiment_grid(grid: dict) -> list[tuple[int, ExperimentConfig, str]]:
@@ -623,8 +623,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify_orders(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _, (n1, n2), _ = _orders(resolved)
-    if resolved["nmax"] < 1:
-        raise CliError("--nmax must be >= 1")
     try:
         cert = verify_orders(
             n1,
@@ -643,7 +641,7 @@ def cmd_verify_orders(args: argparse.Namespace) -> int:
         "seed": None,
         "mode": resolved["mode"],
         "config": resolved,
-        "certification": cert.to_jsonable(),
+        "certification": asdict(cert),
     }
     _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
     return EXIT_OK if cert.certified else EXIT_ASSERTION
@@ -670,7 +668,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         "orders": list(orders),
         "eps": eps,
         "eta": _eta_label(eta),
-        **{k: resolved[k] for k in ("bath_dim", "seeds", "seed", "mode", "tie_order", "loosen")},
+        **{k: resolved[k] for k in ("bath_dim", "seeds", "seed", "mode", "loosen")},
     }
     grid = {
         "kind": kind,
@@ -681,7 +679,6 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         "seeds": resolved["seeds"],
         "master_seed": resolved["seed"],
         "mode": resolved["mode"],
-        "tie_order": resolved["tie_order"],
     }
     rows, violations, failures = _run_cells(
         _experiment_grid(grid), _VERIFY_COLUMNS, resolved["loosen"]
@@ -698,8 +695,6 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
 
 _MODE = Opt("mode", str, "analytic", ("analytic", "numeric-footnote"),
             help="suppression-order table variant")
-_TIE_ORDER = Opt("tie_order", str, "inner-first", ("inner-first", "outer-first"),
-                 help="coincident-pulse ordering")
 _REL_TOL = Opt("rel_tol", float, 1e-15, help="tail summation tolerance")
 _EPS_GRID = (
     Opt("eps_min", float, 1e-4, help="smallest epsilon"),
@@ -761,7 +756,6 @@ _COMMANDS = {
             *_STATES,
             _MODE,
             replace(_REL_TOL, flag=False),
-            _TIE_ORDER,
             Opt("seed", int, key=False, help="override the bath seed"),
         ),
         config="required",
@@ -791,7 +785,6 @@ _COMMANDS = {
             Opt("seeds", int, 20, help="number of random baths"),
             Opt("seed", int, 0, help="master seed"),
             _MODE,
-            _TIE_ORDER,
             Opt("loosen", float, 1.0, help="negative-control hook: multiply the bound "
                 "by this factor before the dominance check"),
         ),
@@ -810,7 +803,6 @@ _COMMANDS = {
                 Opt("seeds", int, 1),
                 Opt("master_seed", int, 0),
                 _MODE,
-                _TIE_ORDER,
                 _REL_TOL,
                 *_STATES,
             )

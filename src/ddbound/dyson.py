@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import mpmath as mp
 import numpy as np
 
-from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, case_parities, decoupling_orders
+from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, decoupling_orders
 from .sequences import (
     _DYADIC_SIN_SQ,
     MU_LABELS,
@@ -49,15 +49,12 @@ from .sequences import (
 
 __all__ = [
     "LETTERS",
-    "word_parities",
-    "word_channel",
     "QddProfiles",
     "qdd_profiles",
     "signature",
     "word_integral",
     "verify_orders",
     "OrderCertification",
-    "parity_class_counts",
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_ZERO_TOL",
     "DEFAULT_WITNESS_TOL",
@@ -98,38 +95,6 @@ def _index_word(index: int, n: int) -> str:
     return "".join(LETTERS[d] for d in np.unravel_index(index, (4,) * n))
 
 
-def _sector(word: Sequence[str]) -> int:
-    j = 0
-    for d in _digits(word):
-        j ^= _LETTER_SECTOR[d]
-    return j
-
-
-def word_parities(word: Sequence[str]) -> tuple[int, int, int]:
-    """Letter-count parities (p_x, p_y, p_z); the letter '0' never counts."""
-    return case_parities(_sector(word))
-
-
-def word_channel(word: Sequence[str]) -> str:
-    """Error channel ('identity', 'x', 'y', 'z') a word contributes to.
-
-    Determined by the parity triple alone: equal parities give the identity;
-    otherwise the unique Pauli whose conjugation signature matches.
-    """
-    return _CHANNEL_OF_SECTOR[_sector(word)]
-
-
-def parity_class_counts(n: int) -> dict[str, int]:
-    """Number of length-n words over the four letters mapping to each channel."""
-    counts = [1] + [0] * 7  # words per sector at length 0
-    for _ in range(n):
-        counts = [sum(counts[j ^ c] for c in _LETTER_SECTOR) for j in range(8)]
-    out = dict.fromkeys(("identity", "x", "y", "z"), 0)
-    for j, c in enumerate(counts):
-        out[_CHANNEL_OF_SECTOR[j]] += c
-    return out
-
-
 def _sin_sq_rational(j: int, n: int) -> Fraction:
     # the float table's positions are dyadic, so Fraction() converts them exactly
     if n > max(_DYADIC_SIN_SQ):
@@ -150,8 +115,6 @@ class QddProfiles:
     """The four switching functions of a quadratic sequence, exact breakpoints."""
 
     backend: str
-    n1: int
-    n2: int
     channels: Mapping[str, SwitchingProfile]
     zero: object
     one: object
@@ -185,8 +148,6 @@ def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
     per_mu = _switching_profiles(events, 1, zero, one)
     return QddProfiles(
         backend=backend,
-        n1=n1,
-        n2=n2,
         channels={label: per_mu[(0, mu)] for mu, label in MU_LABELS.items()},
         zero=zero,
         one=one,
@@ -255,7 +216,8 @@ class OrderCertification:
     claimed order are ``expected_zero`` and any nonzero value there lands in
     ``violations``.  At length d+1 a channel's first clearly nonzero word is
     kept as a saturation ``witness`` ("found" / "inconclusive" /
-    "not-checked").
+    "not-checked") when it exceeds ``witness_tol``, which is always
+    ``DEFAULT_WITNESS_TOL``.
     """
 
     n1: int
@@ -271,26 +233,6 @@ class OrderCertification:
     violations: tuple[dict, ...]
     certified: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "backend": self.backend,
-            "mode": self.mode,
-            "n_max": self.n_max,
-            "zero_tol": self.zero_tol,
-            "witness_tol": self.witness_tol,
-            "orders": {
-                "d_x": self.orders.d_x,
-                "d_y": self.orders.d_y,
-                "d_z": self.orders.d_z,
-            },
-            "rows": list(self.rows),
-            "witness_status": dict(self.witness_status),
-            "violations": list(self.violations),
-            "certified": self.certified,
-        }
-
 
 def verify_orders(
     n1: int,
@@ -299,7 +241,6 @@ def verify_orders(
     backend: str = "auto",
     mode: str = "analytic",
     zero_tol: float = DEFAULT_ZERO_TOL,
-    witness_tol: float = DEFAULT_WITNESS_TOL,
 ) -> OrderCertification:
     """Certify claimed suppression orders by exhaustive word enumeration.
 
@@ -307,13 +248,13 @@ def verify_orders(
     that every error-channel word at or below the channel's claimed order
     integrates to zero (exactly, or below ``zero_tol`` on the mp backend).
     Violations are listed in depth-first word order; a row's ``max_word`` and
-    a witness are the first word of largest magnitude in that order.  Absence
-    of a nonzero witness at length d+1 is reported as "inconclusive", never
-    as failure.  Both tolerances must be finite and >= 0.
+    a witness are the first word of largest magnitude in that order, kept
+    when it exceeds ``DEFAULT_WITNESS_TOL``.  Absence of a nonzero witness at
+    length d+1 is reported as "inconclusive", never as failure.  ``zero_tol``
+    must be finite and >= 0.
     """
-    for name, tol in (("zero_tol", zero_tol), ("witness_tol", witness_tol)):
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    if not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > DEFAULT_MAX_DEPTH:
@@ -352,7 +293,7 @@ def verify_orders(
                         }
                         for i in idx[nonzero]
                     )
-                elif n == d + 1 and top > witness_tol:
+                elif n == d + 1 and top > DEFAULT_WITNESS_TOL:
                     witness[ch] = {
                         "word": _index_word(best, n),
                         "abs": top,
@@ -383,7 +324,7 @@ def verify_orders(
         mode=mode,
         n_max=n_max,
         zero_tol=zero_tol,
-        witness_tol=witness_tol,
+        witness_tol=DEFAULT_WITNESS_TOL,
         orders=orders,
         rows=tuple(rows),
         witness_status=status,

@@ -15,7 +15,6 @@ leading term and the coefficients ``g_l`` all come from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .qdd_bounds import default_eps_grid
@@ -25,8 +24,6 @@ __all__ = [
     "NuddBoundReport",
     "gamma_factor",
     "d_min_for_orders",
-    "s_error_sum",
-    "s_identity_sum",
     "nudd_g",
     "nudd_delta",
     "nudd_distance_bound",
@@ -79,22 +76,6 @@ class NuddBoundReport:
     delta: float
     distance_bound: float
     leading_term: float
-
-
-def s_error_sum(T: float, J0: float, J1: float, m: int) -> float:
-    """Total error-weight bound S_K(T); zero at T = 0 and when J1 = 0."""
-    g = gamma_factor(m)
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    return g * math.exp(J0 * T) * (math.exp(g * J1 * T) - math.exp(-J1 * T)) / (g + 1)
-
-
-def s_identity_sum(T: float, J0: float, J1: float, m: int) -> float:
-    """Identity-channel bound S_0(T); S_0 + S_K = exp((J0 + gamma*J1) T)."""
-    g = gamma_factor(m)
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    return math.exp(J0 * T) * (math.exp(g * J1 * T) + g * math.exp(-J1 * T)) / (g + 1)
 
 
 def _nudd_series(epsilon: float, eta: float, m: int):

@@ -36,7 +36,6 @@ __all__ = [
     "case_parities",
     "decoupling_orders",
     "bounding_function",
-    "scaled_bounding_function",
     "g_poly",
     "delta_tail",
     "distance_bound",
@@ -171,23 +170,6 @@ def bounding_function(j: int, epsilon: float, eta: EtaVector) -> float:
     for p, e in zip(parities, eta.as_tuple()):
         h = math.sinh if p else math.cosh
         out *= h(e * epsilon)
-    return out
-
-
-def scaled_bounding_function(j: int, epsilon: float, eta: EtaVector) -> float:
-    """S_j * exp(-eps*(1 + eta_x + eta_y + eta_z)), stable for any magnitude.
-
-    Each factor is (1 +/- exp(-2*eta_alpha*eps))/2 in [0, 1], so the value is
-    representable even where S_j itself overflows; the eight sector values sum
-    to exactly 1.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    parities = case_parities(j)
-    out = 1.0
-    for p, e in zip(parities, eta.as_tuple()):
-        damped = math.exp(-2.0 * e * epsilon)
-        out *= (1.0 - damped if p else 1.0 + damped) / 2.0
     return out
 
 

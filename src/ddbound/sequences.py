@@ -125,18 +125,13 @@ class PulseEvent:
 class PulseSchedule:
     """Complete pulse sequence on [0, 1], sorted by (time, level).
 
-    ``orders`` are the requested per-level orders, ``effective_orders`` the even
-    pulse counts actually realized.  Ties in time are ordered inner level
-    first, matching the application order of coincident pulses.
+    ``orders`` are the requested per-level orders.  Ties in time are ordered
+    inner level first, which is the order coincident pulses are applied in.
     """
 
     events: tuple[PulseEvent, ...]
     orders: tuple[int, ...]
-    effective_orders: tuple[int, ...]
     qubit_count: int
-
-    def events_at_level(self, level: int) -> tuple[PulseEvent, ...]:
-        return tuple(e for e in self.events if e.level == level)
 
 
 def _axis_qubit(level: int) -> tuple[str, int]:
@@ -192,7 +187,6 @@ def nudd_schedule(orders: Sequence[int], qubit_count: int) -> PulseSchedule:
     return PulseSchedule(
         events=tuple(events),
         orders=orders,
-        effective_orders=tuple(effective_order(n) for n in orders),
         qubit_count=qubit_count,
     )
 
@@ -252,18 +246,6 @@ class SwitchingProfile:
             raise ValueError("s must lie in [0, 1]")
         idx = bisect.bisect_right(self.breakpoints, s) - 1
         return self.signs[min(idx, len(self.signs) - 1)]
-
-    @property
-    def sign_changes(self) -> int:
-        """Number of interior sign flips."""
-        return sum(1 for a, b in zip(self.signs, self.signs[1:]) if a != b)
-
-    def integral(self) -> float:
-        """First moment as a float: sum of sign * interval width."""
-        bp = self.breakpoints
-        return math.fsum(
-            s * (b - a) for s, a, b in zip(self.signs, bp, bp[1:])
-        )
 
     def product(self, other: "SwitchingProfile") -> "SwitchingProfile":
         """Pointwise product profile on the union of breakpoints.

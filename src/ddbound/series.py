@@ -25,7 +25,6 @@ __all__ = [
     "check_rel_tol",
     "exp_series_coeff",
     "exp_series_tail",
-    "series_cap",
 ]
 
 _BLOCK = 64

@@ -65,7 +65,6 @@ MAX_TOTAL_DIM = 256
 MAX_QUBITS = 2
 NORM_FLOOR = 1e-14  # below this, channel norms are numerically unresolvable
 
-_TIE_ORDERS = ("inner-first", "outer-first")
 _BATH_STATES = ("maximally-mixed", "pure-random")
 _INITIAL_STATES = ("random", "plus", "zero")
 
@@ -208,30 +207,21 @@ def build_model(bath: BathSpec, qubit_count: int) -> HamiltonianModel:
     )
 
 
-def evolve(
-    schedule: PulseSchedule,
-    model: HamiltonianModel,
-    T: float,
-    tie_order: str = "inner-first",
-) -> np.ndarray:
+def evolve(schedule: PulseSchedule, model: HamiltonianModel, T: float) -> np.ndarray:
     """Exact joint unitary at time ``T`` under the pulsed Hamiltonian.
 
     The propagator is carried in the eigenbasis of H as W = V^dag U V, so a
     free segment of length tau is the diagonal row scaling exp(-i w tau) and
     each pulse is one D x D product with V^dag (sigma x 1) V, built once per
     (axis, qubit); U = V W V^dag at the end.  Pulses are exact Pauli
-    conjugations (global phase dropped).  ``tie_order`` controls which of two
-    coincident pulses fires first; the default applies the inner level first.
+    conjugations (global phase dropped), applied in schedule order, so of two
+    coincident pulses the inner level fires first.  Two Paulis commute or
+    anticommute, so the other order would only flip the sign of U.
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError("T must be finite and > 0")
-    if tie_order not in _TIE_ORDERS:
-        raise ValueError(f"tie_order must be one of {_TIE_ORDERS}")
     if schedule.qubit_count != model.qubit_count:
         raise ValueError("schedule and model disagree on qubit count")
-    events = list(schedule.events)
-    if tie_order == "outer-first":
-        events.sort(key=lambda e: (e.time, -e.level))
     w, v = model.eigenvalues, model.eigenvectors
     phase_rate = -1j * w
     v_dag = v.conj().T
@@ -240,7 +230,7 @@ def evolve(
     u_eig = np.eye(len(w), dtype=complex)
     pulses: dict[tuple[str, int], np.ndarray] = {}
     t_prev = 0.0
-    for event in events:
+    for event in schedule.events:
         if event.time > t_prev:
             u_eig *= np.exp(phase_rate * ((event.time - t_prev) * T))[:, None]
             t_prev = event.time
@@ -349,7 +339,6 @@ class ExperimentConfig:
     bath_state: str = "maximally-mixed"
     mode: str = "analytic"
     rel_tol: float = 1e-15
-    tie_order: str = "inner-first"
 
     def __post_init__(self) -> None:
         if self.kind not in ("qdd", "nudd"):
@@ -371,8 +360,6 @@ class ExperimentConfig:
             raise ValueError(f"initial_state must be one of {_INITIAL_STATES}")
         if self.bath_state not in _BATH_STATES:
             raise ValueError(f"bath_state must be one of {_BATH_STATES}")
-        if self.tie_order not in _TIE_ORDERS:
-            raise ValueError(f"tie_order must be one of {_TIE_ORDERS}")
         id_label = "0" * m
         if self.bath.norm(id_label) <= 0.0:
             raise ValueError(
@@ -402,25 +389,6 @@ class SimResult:
     channel_margins: dict[str, float]
     unitarity_residual: float
     cross_residuals: dict[str, float]
-    fitted_slopes: dict[str, float] | None = None
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "orders": list(self.orders),
-            "epsilon": self.epsilon,
-            "eta": list(self.eta) if isinstance(self.eta, tuple) else self.eta,
-            "mode": self.mode,
-            "channel_norms": dict(self.channel_norms),
-            "distance_actual": self.distance_actual,
-            "distance_bound": self.distance_bound,
-            "margin": self.margin,
-            "channel_margins": dict(self.channel_margins),
-            "unitarity_residual": self.unitarity_residual,
-            "cross_residuals": dict(self.cross_residuals),
-            "fitted_slopes": self.fitted_slopes,
-        }
-        return out
 
 
 def _initial_system_state(config: ExperimentConfig) -> np.ndarray:
@@ -458,7 +426,7 @@ def run_experiment(config: ExperimentConfig) -> SimResult:
     m = config.qubit_count
     schedule = nudd_schedule(config.orders, m)
     model = build_model(config.bath, m)
-    u = evolve(schedule, model, config.T, config.tie_order)
+    u = evolve(schedule, model, config.T)
     ops = extract_channel_ops(u, m)
     norms = {label: spectral_norm(a) for label, a in ops.items()}
     residuals = unitarity_residuals(ops)
@@ -555,7 +523,6 @@ def fit_scaling(
     n2: int,
     bath: BathSpec,
     eps_grid: Sequence[float] | None = None,
-    tie_order: str = "inner-first",
 ) -> ScalingFit:
     """Fit the small-time power law of each error-channel norm under QDD.
 
@@ -575,7 +542,7 @@ def fit_scaling(
     model = build_model(bath, 1)
     norms: dict[str, list[float]] = {"x": [], "y": [], "z": []}
     for eps in eps_grid:
-        u = evolve(schedule, model, eps / j0, tie_order)
+        u = evolve(schedule, model, eps / j0)
         ops = extract_channel_ops(u, 1)
         for ch in norms:
             norms[ch].append(spectral_norm(ops[ch]))

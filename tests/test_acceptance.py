@@ -23,8 +23,6 @@ from ddbound.nudd_bounds import (
     nudd_eps_window,
     nudd_sweep_row,
     preset_nudd_cells,
-    s_error_sum,
-    s_identity_sum,
 )
 from ddbound.qdd_bounds import (
     EtaVector,
@@ -34,7 +32,6 @@ from ddbound.qdd_bounds import (
     default_eps_grid,
     g_poly,
     preset_cells,
-    scaled_bounding_function,
     sweep_row,
 )
 from ddbound.simulator import (
@@ -45,6 +42,8 @@ from ddbound.simulator import (
     pauli_labels,
     run_experiment,
 )
+
+from closed_forms import s_error_sum, s_identity_sum, scaled_bounding_function
 
 MARGIN_FLOOR = -1e-12
 

@@ -425,6 +425,9 @@ def test_sweep_unknown_key(tmp_path, capsys):
           "--loosen", "nan"], "--loosen"),
         (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
           "--loosen", "inf"], "--loosen"),
+        (["bounds", "nudd", "--m", "32", "--dmin", "1", "--eta", "1"], "[1, 31]"),
+        (["bounds", "nudd", "--m", "0", "--dmin", "1", "--eta", "1"], "[1, 31]"),
+        (["verify", "orders", "--qdd", "1", "1", "--nmax", "0"], "n_max must be >= 1"),
     ],
 )
 def test_invalid_flags_exit_2(argv, needle, capsys):
@@ -451,6 +454,9 @@ def test_invalid_flags_exit_2(argv, needle, capsys):
         ("simulate",
          {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "norms": {"0": 1.0, "xz": 0.5}}},
          [], "'xz'"),
+        # coincident pulses always fire inner level first; the option is gone
+        ("simulate", {**SIM_CONFIG, "tie_order": "outer-first"}, [], "tie_order"),
+        ("sweep", {**SWEEP_CONFIG, "tie_order": "inner-first"}, [], "tie_order"),
     ],
 )
 def test_invalid_config_values_exit_2(command, doc, extra, needle, tmp_path, capsys):
@@ -460,6 +466,25 @@ def test_invalid_config_values_exit_2(command, doc, extra, needle, tmp_path, cap
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "sim.json", "--tie-order", "outer-first"],
+        ["verify", "bound", "--qdd", "2", "2", "--eps", "0.1", "--seeds", "1",
+         "--tie-order", "inner-first"],
+    ],
+)
+def test_tie_order_flag_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_CONFIG))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tie-order" in captured.err
 
 
 # Config-file keys of each command and the JSON type each takes, with a
@@ -477,12 +502,12 @@ KEY_TYPES = {
     },
     "sweep": {
         "kind": str, "orders": list, "bath_dim": list, "eps": list, "eta": list,
-        "seeds": int, "master_seed": int, "mode": str, "tie_order": str,
-        "rel_tol": float, "initial_state": str, "bath_state": str,
+        "seeds": int, "master_seed": int, "mode": str, "rel_tol": float,
+        "initial_state": str, "bath_state": str,
     },
     "simulate": {
         "kind": str, "orders": list, "bath": dict, "T": float, "initial_state": str,
-        "bath_state": str, "mode": str, "rel_tol": float, "tie_order": str,
+        "bath_state": str, "mode": str, "rel_tol": float,
     },
 }
 BASE_CONFIGS = {
@@ -532,7 +557,10 @@ def test_config_null_is_unset_or_rejected(command, key, tmp_path, capsys):
 
 # config_hash of fixed inputs, recorded before the CLI options were declared
 # in one table.  The hash covers only the resolved inputs, so it is the same
-# on every host and must not change when the CLI code does.
+# on every host and must not change when the CLI code does.  The simulate,
+# verify bound and sweep values were re-recorded when the tie_order key left
+# their resolved configs; each equals the hash of the old resolved config
+# with that key deleted.
 HASH_CONFIGS = {
     "cell.json": {"n1": 2, "n2": 2, "eta": 1.0, "eps_points": 3},
     "sim.json": SIM_CONFIG,
@@ -548,16 +576,16 @@ HASH_CONFIGS = {
         (["bounds", "qdd", "--config", "cell.json"], "45b18c924338ac64"),
         (["bounds", "nudd", "--m", "2", "--dmin", "2", "--eta", "0.7", "--eps-points", "5"],
          "6470082c4cadd22b"),
-        (["simulate", "--config", "sim.json"], "4afc135b9a89f6a9"),
+        (["simulate", "--config", "sim.json"], "6ae56db8b48632bb"),
         (["verify", "orders", "--qdd", "1", "1", "--nmax", "2"], "c66947e5704b6438"),
         (
             [
                 "verify", "bound", "--qdd", "2", "2", "--eps", "0.1", "--eta-x", "0.3",
                 "--eta-y", "0.7", "--eta-z", "0.05", "--seeds", "2", "--bath-dim", "2",
             ],
-            "8bf0c559269f8746",
+            "d08b94c7682420b4",
         ),
-        (["sweep", "--config", "sweep.json"], "68153c738d6d52b5"),
+        (["sweep", "--config", "sweep.json"], "60961df5bcd6c5df"),
     ],
 )
 def test_config_hash_frozen(argv, expected, tmp_path, capsys, monkeypatch):

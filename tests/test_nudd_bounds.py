@@ -22,11 +22,11 @@ from ddbound.nudd_bounds import (
     nudd_g,
     nudd_sweep_row,
     preset_nudd_cells,
-    s_error_sum,
-    s_identity_sum,
 )
 from ddbound.qdd_bounds import default_eps_grid
 from ddbound.series import NonConvergenceError
+
+from closed_forms import s_error_sum, s_identity_sum
 
 
 def test_gamma_factor_values():

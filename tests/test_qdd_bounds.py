@@ -25,10 +25,11 @@ from ddbound.qdd_bounds import (
     distance_bound,
     g_poly,
     preset_cells,
-    scaled_bounding_function,
     sweep_row,
 )
 from ddbound.series import NonConvergenceError
+
+from closed_forms import scaled_bounding_function
 
 
 def _reference_sector(j, eps, eta):
