@@ -14,7 +14,7 @@ from ddbound.qdd_bounds import (
     decoupling_orders,
     default_eps_grid,
     preset_cells,
-    sweep_row,
+    sweep_rows,
 )
 
 
@@ -27,7 +27,7 @@ def sweep_panel(name):
         f"{'D(1e-4)':>10} {'D(1e-2)':>10} {'D(1)':>10} {'slope':>6}"
     )
     for n1, n2, eta in preset_cells(name):
-        rows = [sweep_row(n1, n2, e, eta) for e in grid]
+        rows = sweep_rows(n1, n2, eta, grid)
         vals = np.array([r["D_bound"] for r in rows])
         slope = np.polyfit(np.log(window), np.log(vals[: len(window)]), 1)[0]
         d = decoupling_orders(n1, n2).as_tuple()

@@ -14,7 +14,7 @@ import numpy as np
 from ddbound.nudd_bounds import (
     gamma_factor,
     nudd_eps_window,
-    nudd_sweep_row,
+    nudd_sweep_rows,
     preset_nudd_cells,
 )
 
@@ -27,7 +27,7 @@ def main():
     )
     for m, d_min, eta in preset_nudd_cells("fig5"):
         window = np.asarray(nudd_eps_window(eta, m))
-        rows = [nudd_sweep_row(m, d_min, e, eta) for e in window]
+        rows = nudd_sweep_rows(m, d_min, eta, window)
         deltas = np.array([r["Delta"] for r in rows])
         fit = slice(0, 11)  # eps*(1+gamma*eta) from 1e-4 to 1e-3
         slope = np.polyfit(np.log(window[fit]), np.log(deltas[fit]), 1)[0]

@@ -36,7 +36,10 @@ floats use shortest round-trip repr.
 Exit codes: 0 success, 1 a verified property is violated (and nothing else),
 2 invalid input, 3 numerical non-convergence or a bound beyond double range
 (possibly partial: such rows are flagged with ``# non-convergence`` comment
-lines).
+lines).  Every bound is rounded outward, so each printed value is an upper
+bound; a row holding a value below 2^-1022, whose digits overstate its
+precision, is preceded by a ``# subnormal`` comment line and keeps its exit
+code.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from .nudd_bounds import (
     _MAX_M,
     NUDD_SWEEP_COLUMNS,
     nudd_eps_window,
-    nudd_sweep_row,
+    nudd_sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
+    nudd_sweep_rows,
     preset_nudd_cells,
 )
 from .qdd_bounds import (
@@ -66,10 +70,11 @@ from .qdd_bounds import (
     decoupling_orders,
     default_eps_grid,
     preset_cells,
-    sweep_row,
+    sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
+    sweep_rows,
 )
 from .sequences import nudd_schedule, qdd_schedule
-from .series import NonConvergenceError
+from .series import NORMAL_MIN, NonConvergenceError
 from .simulator import BathSpec, ExperimentConfig, pauli_labels, run_experiment
 
 __all__ = ["main"]
@@ -350,9 +355,9 @@ def _eps_grid(resolved: dict, window: Callable = default_eps_grid) -> tuple[floa
         raise CliError(str(exc))
 
 
-def _flag_line(row: dict, columns: Sequence[str]) -> str:
+def _flag_line(kind: str, row: dict, columns: Sequence[str]) -> str:
     parts = " ".join(f"{c}={_fmt(row[c])}" for c in columns if not _is_nan(row[c]))
-    return f"# non-convergence: {parts}"
+    return f"# {kind}: {parts}"
 
 
 def _is_nan(value: Any) -> bool:
@@ -363,26 +368,40 @@ def _bounds_table(
     out: str | None,
     header: list[str],
     columns: Sequence[str],
-    row_at: Callable[..., dict],
+    rows_at: Callable[..., list],
     cells: Sequence[tuple[dict, tuple[float, ...], dict]],
 ) -> int:
-    """Emit ``row_at(eps=eps, **kwargs)`` for each cell and grid point.
+    """Emit ``rows_at(grid=grid, **kwargs)`` for each cell, one pass per cell.
 
     ``cells`` holds (fixed columns, eps grid, kwargs).  A point whose series
-    does not converge becomes a flagged row of its fixed columns and NaN.
+    does not converge (a None row) becomes a flagged row of its fixed columns
+    and NaN.  A row with a value below the smallest normal double, whose
+    printed digits overstate its precision, is preceded by a ``# subnormal``
+    comment line naming those values; it does not change the exit code.
     """
     lines = header + [",".join(columns)]
     failures = 0
     for fixed, grid, kwargs in cells:
-        for eps in grid:
-            try:
-                row = row_at(eps=eps, **kwargs)
-            except NonConvergenceError:
+        if not grid:
+            continue
+        try:
+            rows = rows_at(grid=grid, **kwargs)
+        except ValueError as exc:
+            raise CliError(str(exc))
+        for eps, row in zip(grid, rows):
+            if row is None:
                 row = {**dict.fromkeys(columns, math.nan), **fixed, "epsilon": eps}
-                lines.append(_flag_line(row, columns))
+                lines.append(_flag_line("non-convergence", row, columns))
                 failures += 1
-            except ValueError as exc:
-                raise CliError(str(exc))
+            else:
+                tiny = [c for c in columns if isinstance(row[c], float)
+                        and 0.0 < abs(row[c]) < NORMAL_MIN]
+                if tiny:
+                    key = {c: row[c] for c in ("epsilon", *fixed)}
+                    lines.append(
+                        f"{_flag_line('subnormal', key, key)}; "
+                        f"{', '.join(tiny)} below 2^-1022"
+                    )
             lines.append(_csv_row(row, columns))
     _emit(lines, out)
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
@@ -417,7 +436,7 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
         kwargs = {"n1": n1, "n2": n2, "eta": eta, "mode": mode, "rel_tol": resolved["rel_tol"]}
         table.append((fixed, grid, kwargs))
     header = _header("bounds qdd", resolved, mode=mode)
-    return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, sweep_row, table)
+    return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, sweep_rows, table)
 
 
 def cmd_bounds_nudd(args: argparse.Namespace) -> int:
@@ -449,7 +468,7 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
         fixed = {"m": m, "d_min": d_min, "eta": eta}
         table.append((fixed, grid, {**fixed, "rel_tol": resolved["rel_tol"]}))
     header = _header("bounds nudd", resolved)
-    return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, nudd_sweep_row, table)
+    return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, nudd_sweep_rows, table)
 
 
 # ---------------------------------------------------------------- simulate --
@@ -836,7 +855,16 @@ def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.
+
+    Every command gets its name and help line.  Given ``argv``, only the
+    command it names also gets its options, so a call builds the options of
+    one command rather than of all of them.
+    """
+    words = list(argv or ())
+    names = (" ".join(words[:2]), words[0] if words else "")
+    chosen = next((n for n in names if n in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="ddbound",
         description="Nested dynamical-decoupling schedules, analytic error "
@@ -854,6 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                 groups[group[0]] = g.add_subparsers(dest="subcommand", required=True)
             parent = groups[group[0]]
         p = parent.add_parser(leaf, help=spec.help)
+        p.set_defaults(spec=spec)
+        if argv is not None and name != chosen:
+            continue
         for opt in spec.options:
             if opt.flag:
                 _add_option(p, opt, spec.config is not None)
@@ -861,12 +892,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", metavar="PATH", required=spec.config == "required",
                            help="JSON config (flags override)")
         p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
-        p.set_defaults(spec=spec)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.spec.func(args)
     except CliError as exc:

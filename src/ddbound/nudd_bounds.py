@@ -11,14 +11,35 @@ whose Taylor tail past the sequence's minimum suppression order bounds the
 total error-channel norm; the trace-norm distance bound is then
 ``Delta^2 + Delta``.  ``_nudd_series`` writes that series once; the tail, its
 leading term and the coefficients ``g_l`` all come from it.
+
+``nudd_sweep_rows`` evaluates a cell's whole eps grid in one batched pass;
+``nudd_delta``, ``nudd_distance_bound`` and ``nudd_sweep_row`` are one-point
+views of it.  Every reported value is rounded outward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qdd_bounds import default_eps_grid
-from .series import check_finite, check_rel_tol, exp_series_coeff, exp_series_tail
+from .series import (
+    NonConvergenceError,
+    SeriesTail,
+    check_finite,
+    check_rel_tol,
+    coeff_count,
+    exp_series_coeff,
+    exp_series_tail,
+    gamma,
+    keep_lower,
+    loose,
+    not_converged,
+    power_coeffs,
+    product_tail,
+    round_up,
+)
 
 __all__ = [
     "NuddBoundReport",
@@ -29,6 +50,7 @@ __all__ = [
     "nudd_distance_bound",
     "nudd_eps_window",
     "nudd_sweep_row",
+    "nudd_sweep_rows",
     "preset_nudd_cells",
     "NUDD_SWEEP_COLUMNS",
 ]
@@ -78,15 +100,18 @@ class NuddBoundReport:
     leading_term: float
 
 
-def _nudd_series(epsilon: float, eta: float, m: int):
+def _nudd_series(epsilon, eta: float, m: int):
     """Rates and weights of S_K's Taylor series in epsilon, in the tail format.
 
     S_K = (1 - 4^-m) * (e^(eps (1 + gamma eta)) - e^(eps (1 - eta))) in units
-    of J0 = 1, with gamma = 4^m - 1.
+    of J0 = 1, with gamma = 4^m - 1.  ``epsilon`` may be an array of rows.
+    The weight 1 - 4^-m is exact for m <= 26 and rounds up to 1 beyond, so
+    the series never falls below S_K.
     """
     g = gamma_factor(m)
-    c = g / (g + 1)
-    return (epsilon * (1.0 + g * eta), epsilon * (1.0 - eta)), (c, -c)
+    c = 1.0 - 4.0**-m
+    rates = np.multiply.outer(epsilon, (1.0 + g * eta, 1.0 - eta))
+    return rates, np.broadcast_to([c, -c], rates.shape)
 
 
 def nudd_g(l: int, eta: float, m: int) -> float:
@@ -102,22 +127,96 @@ def nudd_g(l: int, eta: float, m: int) -> float:
     return exp_series_coeff(*_nudd_series(1.0, eta, m), l)
 
 
+def _nudd_tails(d_min: int, eps, eta: float, m: int, rel_tol: float) -> SeriesTail:
+    """Outward-rounded tails Delta_{d_min}(eps) over an eps array, from one pass.
+
+    A loose row also takes the nonnegative form S_K = c e^eps * B(eps) with
+    B = e^(gamma x) - e^(-x), x = eta eps, whose coefficients
+    (gamma^k - (-1)^k) x^k / k! are nonnegative and at most ((gamma+1) x)^k / k!,
+    and keeps the lower of the two bounds.
+    """
+    eps = np.asarray(eps, dtype=float)
+    rows = eps.size
+    out = SeriesTail(np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool), np.zeros(rows))
+    live = np.flatnonzero(eps > 0.0) if eta > 0.0 else np.array([], dtype=np.int64)
+    if live.size == 0:
+        return out
+    g = gamma_factor(m)
+    rates, weights = _nudd_series(eps[live], eta, m)
+    rate_err = gamma(4) * eps[live] * (1.0 + g * eta)
+    res = exp_series_tail(rates, weights, d_min, rel_tol, rate_err)
+    for whole, part in zip(out, res):
+        whole[live] = part
+    redo = live[loose(res)]
+    if redo.size:
+        x = eps[redo] * eta
+        length = coeff_count(d_min)
+        with np.errstate(under="ignore", over="ignore"):
+            ks = np.arange(length)
+            p = power_coeffs(g * x, length) - (-1.0) ** ks * power_coeffs(x, length)
+        big_x = round_up(x * (g + 1.0) * (1.0 + gamma(3)))
+        c = np.full((redo.size, 1), _nudd_series(1.0, eta, m)[1][0])
+        keep_lower(out, redo, product_tail(p, big_x, eps[redo, None], c, d_min, rel_tol))
+    return out
+
+
 def nudd_delta(
     d_min: int, epsilon: float, eta: float, m: int, rel_tol: float = 1e-15
 ) -> tuple[float, float]:
     """Tail Delta_{d_min} = sum_{l > d_min} g_l(eta, m) * eps^l and its leading term.
 
-    Returns ``(Delta_{d_min}, g_{d_min+1} * eps^(d_min+1))`` from one pass.
+    Returns upper bounds on ``(Delta_{d_min}, g_{d_min+1} * eps^(d_min+1))``
+    from one pass: a one-row view of the batched tail.
     """
+    _check_point(d_min, (epsilon,), eta, rel_tol)
+    res = _nudd_tails(d_min, [epsilon], eta, m, rel_tol)
+    if not res.ok[0]:
+        raise not_converged(epsilon)
+    return float(res.tail[0]), float(res.first[0])
+
+
+def _check_point(d_min: int, grid, eta: float, rel_tol: float) -> None:
     if d_min < 0:
         raise ValueError("d_min must be >= 0")
-    if epsilon < 0 or eta < 0:
+    if not (all(e >= 0 for e in grid) and eta >= 0):
         raise ValueError("epsilon and eta must be >= 0")
     check_rel_tol(rel_tol)
-    if epsilon == 0.0 or eta == 0.0:
-        return 0.0, 0.0
-    rates, weights = _nudd_series(epsilon, eta, m)
-    return exp_series_tail(rates, weights, d_min, rel_tol)
+
+
+def _cell_reports(m: int, d_min: int, eta: float, grid, rel_tol: float) -> list:
+    """One cell over an eps grid: a NuddBoundReport per point, or the error it raises.
+
+    The distance bound Delta^2 + Delta and the leading term are rounded
+    outward.
+    """
+    _check_point(d_min, grid, eta, rel_tol)
+    eps = np.asarray(grid, dtype=float).reshape(-1)
+    res = _nudd_tails(d_min, eps, eta, m, rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = round_up((res.tail * res.tail + res.tail) * (1.0 + gamma(2)))
+    out = []
+    for i, e in enumerate(eps):
+        delta, leading = float(res.tail[i]), float(res.first[i])
+        if not res.ok[i]:
+            out.append(not_converged(e))
+            continue
+        try:
+            check_finite(Delta=delta, D_bound=bound[i], D_leading=leading)
+        except NonConvergenceError as exc:
+            out.append(exc)
+            continue
+        out.append(
+            NuddBoundReport(
+                m=m,
+                d_min=d_min,
+                epsilon=float(e),
+                eta=eta,
+                delta=delta,
+                distance_bound=float(bound[i]),
+                leading_term=leading,
+            )
+        )
+    return out
 
 
 def nudd_distance_bound(
@@ -125,20 +224,14 @@ def nudd_distance_bound(
 ) -> NuddBoundReport:
     """Trace-norm distance bound Delta^2 + Delta for a nested sequence.
 
-    Raises NonConvergenceError if a reported value overflows double range.
+    Every value is rounded outward.  A one-point view of ``nudd_sweep_rows``;
+    raises NonConvergenceError if the tail does not converge or a reported
+    value overflows double range.
     """
-    delta, leading = nudd_delta(d_min, epsilon, eta, m, rel_tol)
-    bound = delta * delta + delta
-    check_finite(Delta=delta, D_bound=bound, D_leading=leading)
-    return NuddBoundReport(
-        m=m,
-        d_min=d_min,
-        epsilon=epsilon,
-        eta=eta,
-        delta=delta,
-        distance_bound=bound,
-        leading_term=leading,
-    )
+    report = _cell_reports(m, d_min, eta, (epsilon,), rel_tol)[0]
+    if isinstance(report, NonConvergenceError):
+        raise report
+    return report
 
 
 def nudd_eps_window(
@@ -165,17 +258,34 @@ def preset_nudd_cells(name: str = "fig5") -> tuple[tuple[int, int, float], ...]:
     )
 
 
-def nudd_sweep_row(
-    m: int, d_min: int, eps: float, eta: float, rel_tol: float = 1e-15
-) -> dict:
-    """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``."""
-    rep = nudd_distance_bound(d_min, eps, eta, m, rel_tol)
+def _report_row(rep: NuddBoundReport) -> dict:
     return {
-        "epsilon": eps,
-        "m": m,
-        "d_min": d_min,
-        "eta": eta,
+        "epsilon": rep.epsilon,
+        "m": rep.m,
+        "d_min": rep.d_min,
+        "eta": rep.eta,
         "Delta": rep.delta,
         "D_bound": rep.distance_bound,
         "D_leading": rep.leading_term,
     }
+
+
+def nudd_sweep_rows(
+    m: int, d_min: int, eta: float, grid, rel_tol: float = 1e-15
+) -> list[dict | None]:
+    """One cell of a nested-bound sweep over an eps grid, from one batched pass.
+
+    Rows are keyed by ``NUDD_SWEEP_COLUMNS``; a point whose series does not
+    converge or whose bound overflows double range is None.
+    """
+    return [
+        None if isinstance(rep, NonConvergenceError) else _report_row(rep)
+        for rep in _cell_reports(m, d_min, eta, grid, rel_tol)
+    ]
+
+
+def nudd_sweep_row(
+    m: int, d_min: int, eps: float, eta: float, rel_tol: float = 1e-15
+) -> dict:
+    """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``."""
+    return _report_row(nudd_distance_bound(d_min, eps, eta, m, rel_tol))

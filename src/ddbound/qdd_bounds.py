@@ -13,6 +13,12 @@ here is derived from it: the coefficients ``g_l``, the tail sums ``Delta_d``
 past a sequence's suppression order together with their leading terms,
 per-channel norm bounds ``L_alpha``, and the trace-norm distance bound.
 
+``sweep_rows`` evaluates one cell, all six sector tails at every eps of its
+grid, in one batched pass (``series.exp_series_tail``); ``distance_bound``,
+``delta_tail`` and ``sweep_row`` are one-point views of the same pass.
+Every reported value is rounded outward, so each is an upper bound in
+floating point.
+
 Dimensionless inputs throughout: ``eps = J_0 * T`` and ``eta_alpha =
 J_alpha / J_0`` for bath coupling norms ``J``.
 """
@@ -25,7 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import check_finite, check_rel_tol, exp_series_coeff, exp_series_tail
+from .series import (
+    NonConvergenceError,
+    SeriesTail,
+    check_finite,
+    check_rel_tol,
+    coeff_count,
+    exp_series_coeff,
+    exp_series_tail,
+    gamma,
+    keep_lower,
+    loose,
+    not_converged,
+    power_coeffs,
+    product_tail,
+    round_up,
+)
 
 __all__ = [
     "EtaVector",
@@ -40,6 +61,7 @@ __all__ = [
     "delta_tail",
     "distance_bound",
     "sweep_row",
+    "sweep_rows",
     "preset_cells",
     "default_eps_grid",
     "QDD_SWEEP_COLUMNS",
@@ -184,17 +206,102 @@ def g_poly(j: int, l: int, eta: EtaVector) -> float:
     return exp_series_coeff(*_sector_series(j, 1.0, eta), l)
 
 
-def _sector_series(j: int, epsilon: float, eta: EtaVector):
-    """Rates and weights of sector j's Taylor series in the shared tail format."""
-    p_x, p_y, p_z = case_parities(j)
-    ex, ey, ez = eta.as_tuple()
-    rates, weights = [], []
-    for s_x, s_y, s_z in _SIGNS:
-        rates.append(epsilon * (1.0 + s_x * ex + s_y * ey + s_z * ez))
-        weights.append(
-            (s_x if p_x else 1.0) * (s_y if p_y else 1.0) * (s_z if p_z else 1.0) / 8.0
-        )
-    return rates, weights
+#: Row j: which of (x, y, z) carry a sinh factor in sector j.
+_SINH = np.array([case_parities(j) for j in range(8)], dtype=bool)
+
+#: Row j: the eight weights s_x^p_x s_y^p_y s_z^p_z / 8 of sector j.
+_SECTOR_WEIGHTS = np.prod(np.where(_SINH[:, None, :], _SIGNS, 1.0), axis=2) / 8.0
+
+
+def _sign_rates(etas) -> np.ndarray:
+    """1 + s_x eta_x + s_y eta_y + s_z eta_z over the eight sign triples.
+
+    ``etas`` is (3,) or (rows, 3); the result is (8,) or (rows, 8).
+    """
+    etas = np.asarray(etas, dtype=float)
+    signs = np.array(_SIGNS)
+    out = 1.0
+    for a in range(3):
+        out = out + signs[:, a] * etas[..., a, None]
+    return out
+
+
+def _sector_series(j, epsilon, eta: EtaVector):
+    """Rates and weights of sector j's Taylor series in the shared tail format.
+
+    ``j`` and ``epsilon`` may be arrays of rows, giving one series per row.
+    """
+    return np.multiply.outer(epsilon, _sign_rates(eta.as_tuple())), _SECTOR_WEIGHTS[j]
+
+
+def _rate_err(epsilon, etas) -> np.ndarray:
+    """Bound on the rounding of eps * (1 + s_x eta_x + s_y eta_y + s_z eta_z)."""
+    return gamma(5) * epsilon * (1.0 + np.sum(etas, axis=-1))
+
+
+def _sector_nonneg(sectors, orders, eps, etas, expand, rel_tol: float) -> SeriesTail:
+    """Sector tails in the nonnegative form.
+
+    The sinh factors flagged in ``expand`` (rows, 3) become their series in
+    eps, with coefficients (eta_a eps)^k / k! at odd k; their product P has
+    nonnegative coefficients, each at most X^k / k! with X the sum of the
+    expanded arguments.  The rest of the product, e^eps times the remaining
+    cosh and sinh factors, is the sector series with the expanded components
+    set to zero, whose terms are nonnegative.
+    """
+    length = coeff_count(orders)
+    x = eps[:, None] * etas
+    p = np.zeros((sectors.size, length))
+    p[:, 0] = 1.0
+    for a in range(3):
+        rows = np.flatnonzero(expand[:, a])
+        if rows.size == 0:
+            continue
+        f = power_coeffs(x[rows, a], length)
+        below = p[rows]
+        conv = np.zeros_like(below)
+        # past the last nonzero column of f (underflow) every product is 0
+        with np.errstate(under="ignore"):
+            for k in range(1, 1 + np.flatnonzero(f.any(axis=0)).max(), 2):
+                conv[:, k:] += f[:, k, None] * below[:, : length - k]
+        p[rows] = conv
+    big_x = round_up(np.sum(np.where(expand, x, 0.0), axis=1) * (1.0 + gamma(3)))
+    rest_eta = np.where(expand, 0.0, etas)
+    rest_j = sectors & ~(expand @ np.array([4, 2, 1]))
+    rates = eps[:, None] * _sign_rates(rest_eta)
+    return product_tail(
+        p, big_x, rates, _SECTOR_WEIGHTS[rest_j], orders, rel_tol, _rate_err(eps, rest_eta)
+    )
+
+
+def _sector_tails(sectors, orders, eps, eta: EtaVector, rel_tol: float) -> SeriesTail:
+    """Outward-rounded tails Delta_d^(j)(eps) for rows (j, d, eps), from one pass.
+
+    Sectors whose sinh factor sits on a vanishing eta component, and eps = 0,
+    are identically zero.  A loose row with a sinh factor at eta_a <= 1
+    (where the signed weights cancel) also takes the nonnegative form, which
+    expands those factors, and keeps the lower of the two bounds.
+    """
+    sectors = np.asarray(sectors, dtype=np.int64)
+    orders = np.asarray(orders, dtype=np.int64)
+    eps = np.asarray(eps, dtype=float)
+    rows = sectors.size
+    etas = np.array(eta.as_tuple())
+    sinh = _SINH[sectors]
+    live = np.flatnonzero((eps > 0.0) & ~np.any(sinh & (etas == 0.0), axis=1))
+    out = SeriesTail(np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool), np.zeros(rows))
+    if live.size == 0:
+        return out
+    rates, weights = _sector_series(sectors[live], eps[live], eta)
+    res = exp_series_tail(rates, weights, orders[live], rel_tol, _rate_err(eps[live], etas))
+    for whole, part in zip(out, res):
+        whole[live] = part
+    expand = sinh & (etas <= 1.0)
+    redo = live[loose(res) & expand[live].any(axis=1)]
+    if redo.size:
+        alt = _sector_nonneg(sectors[redo], orders[redo], eps[redo], etas, expand[redo], rel_tol)
+        keep_lower(out, redo, alt)
+    return out
 
 
 def delta_tail(
@@ -202,21 +309,73 @@ def delta_tail(
 ) -> tuple[float, float]:
     """Tail Delta_d^(j) = sum_{n > d} g_n^(j)(eta) * eps^n and its leading term.
 
-    Returns ``(Delta_d^(j), g_{d+1}^(j) * eps^(d+1))`` from one pass.
-    Sectors whose sinh factor sits on a vanishing eta component are
-    identically zero and short-circuit.  Raises NonConvergenceError for
-    pathological inputs (see series.exp_series_tail).
+    Returns upper bounds on ``(Delta_d^(j), g_{d+1}^(j) * eps^(d+1))`` from one
+    pass: a one-row view of ``_sector_tails``.  Raises NonConvergenceError
+    for pathological inputs (see series.exp_series_tail).
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     check_rel_tol(rel_tol)
-    if epsilon == 0.0:
-        return 0.0, 0.0
-    parities = case_parities(j)
-    if any(p and e == 0.0 for p, e in zip(parities, eta.as_tuple())):
-        return 0.0, 0.0
-    rates, weights = _sector_series(j, epsilon, eta)
-    return exp_series_tail(rates, weights, d, rel_tol)
+    case_parities(j)  # rejects a sector index outside 0..7
+    res = _sector_tails([j], [d], [epsilon], eta, rel_tol)
+    if not res.ok[0]:
+        raise not_converged(epsilon)
+    return float(res.tail[0]), float(res.first[0])
+
+
+def _cell_reports(n1, n2, eta, grid, mode, rel_tol) -> list:
+    """One cell over an eps grid: a BoundReport per point, or the error it raises.
+
+    All six sector tails at every grid point come from one batched pass.
+    Each channel's L_alpha is the sum of its two sector tails, rounded up;
+    the distance bound, a polynomial in the L_alpha with nonnegative
+    coefficients, and the leading term, the sum of the six first terms, are
+    widened by their rounding.
+    """
+    orders = decoupling_orders(n1, n2, mode)
+    check_rel_tol(rel_tol)
+    eps = np.asarray(grid, dtype=float).reshape(-1)
+    if not np.all(eps >= 0):
+        raise ValueError("epsilon must be >= 0")
+    sectors = [j for pair in CASE_OF_CHANNEL.values() for j in pair]
+    ds = [orders.for_channel(ch) for ch, pair in CASE_OF_CHANNEL.items() for _ in pair]
+    res = _sector_tails(
+        np.repeat(sectors, eps.size), np.repeat(ds, eps.size), np.tile(eps, 6), eta, rel_tol
+    )
+    flat = res.tail.reshape(6, eps.size)
+    firsts = res.first.reshape(6, eps.size)
+    converged = res.ok.reshape(6, eps.size).all(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ls = round_up(flat[0::2] + flat[1::2])
+        lx, ly, lz = ls
+        bound = lx + ly + lz + lx * lx + ly * ly + lz * lz + lx * ly + ly * lz + lx * lz
+        bound = round_up(bound * (1.0 + gamma(12)))
+        leading = round_up(firsts.sum(axis=0) * (1.0 + gamma(6)))
+    out = []
+    for i, e in enumerate(eps):
+        if not converged[i]:
+            out.append(not_converged(e))
+            continue
+        cb = ChannelBounds(*(float(v) for v in ls[:, i]))
+        try:
+            check_finite(
+                L_x=cb.L_x, L_y=cb.L_y, L_z=cb.L_z, D_bound=bound[i], D_leading=leading[i]
+            )
+        except NonConvergenceError as exc:
+            out.append(exc)
+            continue
+        out.append(
+            BoundReport(
+                epsilon=float(e),
+                eta=eta,
+                orders=orders,
+                channel_bounds=cb,
+                distance_bound=float(bound[i]),
+                leading_term=float(leading[i]),
+                mode=mode,
+            )
+        )
+    return out
 
 
 def distance_bound(
@@ -230,47 +389,21 @@ def distance_bound(
     """Trace-norm distance bound between protected and uncoupled qubit states.
 
     Each channel's norm bound L_alpha is the sum of its two parity-sector
-    tails (``CASE_OF_CHANNEL``) past the channel's suppression order.  The
-    bound is evaluated in expanded form over the six sector tails: all single
-    terms, all squares, same-channel cross terms twice, and every
-    mixed-channel product once.  Algebraically this equals
+    tails (``CASE_OF_CHANNEL``) past the channel's suppression order, and the
+    distance bound is
 
         L_x + L_y + L_z + L_x^2 + L_y^2 + L_z^2 + L_x L_y + L_y L_z + L_x L_z.
 
     The leading term sums the first term of each of the six tails, that is
-    ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)`` over the channels.  Raises
-    NonConvergenceError if any reported value overflows double range.
+    ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)`` over the channels.  Every
+    value is rounded outward, so each is an upper bound.  A one-point view of
+    ``sweep_rows``; raises NonConvergenceError if a tail does not converge or
+    a reported value overflows double range.
     """
-    orders = decoupling_orders(n1, n2, mode)
-    flat: list[float] = []
-    leading = 0.0
-    for ch, sectors in CASE_OF_CHANNEL.items():
-        d = orders.for_channel(ch)
-        for j in sectors:
-            tail, first = delta_tail(j, d, epsilon, eta, rel_tol)
-            flat.append(tail)
-            leading += first
-    bound = 0.0
-    for a in flat:
-        bound += a
-    for i, a in enumerate(flat):
-        for k, b in enumerate(flat):
-            if i == k:
-                bound += a * b
-            elif i < k:
-                pair_same_channel = (i // 2) == (k // 2)
-                bound += (2.0 if pair_same_channel else 1.0) * a * b
-    cb = ChannelBounds(*(flat[i] + flat[i + 1] for i in (0, 2, 4)))
-    check_finite(L_x=cb.L_x, L_y=cb.L_y, L_z=cb.L_z, D_bound=bound, D_leading=leading)
-    return BoundReport(
-        epsilon=epsilon,
-        eta=eta,
-        orders=orders,
-        channel_bounds=cb,
-        distance_bound=bound,
-        leading_term=leading,
-        mode=mode,
-    )
+    report = _cell_reports(n1, n2, eta, (epsilon,), mode, rel_tol)[0]
+    if isinstance(report, NonConvergenceError):
+        raise report
+    return report
 
 
 def default_eps_grid(
@@ -308,20 +441,12 @@ def preset_cells(name: str) -> tuple[tuple[int, int, EtaVector], ...]:
     raise ValueError(f"unknown preset {name!r}; expected fig2, fig3, or fig4")
 
 
-def sweep_row(
-    n1: int,
-    n2: int,
-    eps: float,
-    eta: EtaVector,
-    mode: str = "analytic",
-    rel_tol: float = 1e-15,
-) -> dict:
-    """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``."""
-    report = distance_bound(n1, n2, eps, eta, mode, rel_tol)
+def _report_row(n1: int, n2: int, report: BoundReport) -> dict:
     orders = report.orders
     cb = report.channel_bounds
+    eta = report.eta
     return {
-        "epsilon": eps,
+        "epsilon": report.epsilon,
         "N1": n1,
         "N2": n2,
         "eta_x": eta.eta_x,
@@ -336,3 +461,34 @@ def sweep_row(
         "D_bound": report.distance_bound,
         "D_leading": report.leading_term,
     }
+
+
+def sweep_rows(
+    n1: int,
+    n2: int,
+    eta: EtaVector,
+    grid,
+    mode: str = "analytic",
+    rel_tol: float = 1e-15,
+) -> list[dict | None]:
+    """One cell of a bounds sweep over an eps grid, from one batched pass.
+
+    Rows are keyed by ``QDD_SWEEP_COLUMNS``; a point whose series does not
+    converge or whose bound overflows double range is None.
+    """
+    return [
+        None if isinstance(rep, NonConvergenceError) else _report_row(n1, n2, rep)
+        for rep in _cell_reports(n1, n2, eta, grid, mode, rel_tol)
+    ]
+
+
+def sweep_row(
+    n1: int,
+    n2: int,
+    eps: float,
+    eta: EtaVector,
+    mode: str = "analytic",
+    rel_tol: float = 1e-15,
+) -> dict:
+    """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``."""
+    return _report_row(n1, n2, distance_bound(n1, n2, eps, eta, mode, rel_tol))

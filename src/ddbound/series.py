@@ -1,37 +1,131 @@
-"""Stable tail summation for exponential-type power series.
+"""Outward-rounded tail sums of exponential-type power series, batched over rows.
 
 Each bound family writes its bounding function once, as the series
 
-    sum_n  sum_i w_i * r_i**n / n!
+    sum_n c_n,    c_n = sum_i w_i * r_i**n / n!,
 
-with signed weights ``w_i`` and growth rates ``r_i`` whose combined terms are
-provably nonnegative.  ``exp_series_tail`` sums the tail past a suppression
-order d and also returns its first term, the n = d + 1 leading term;
-``exp_series_coeff`` gives one coefficient.  Powers and factorials are never
-formed in isolation; each ``r_i**n / n!`` is advanced multiplicatively, which
-keeps every intermediate on the order of ``exp(max|r_i|)`` and avoids
-spurious overflow.
+with signed weights ``w_i`` and growth rates ``r_i`` whose combined terms
+``c_n`` are nonnegative.  ``exp_series_tail`` sums the tail past an order d for
+a batch of rows, each with its own rates, weights and order, and also returns
+the tail's first term (n = d + 1).  ``r_i**n / n!`` is advanced as a running
+product of ``r_i / k``, so no power or factorial is formed in isolation.
+
+Every returned value is an upper bound in floating point, by construction:
+
+* each term carries a slack that bounds its rounding error: Higham's
+  dot-product bound ``gamma_k * sum_i |w_i| |path_i|`` (Accuracy and Stability
+  of Numerical Algorithms, ch. 3), widened for the relative error of the
+  running products, plus ``W * rate_err * R**(n-1) / (n-1)!`` for rates known
+  only to within ``rate_err`` (W = sum |w_i|, R = max |r_i| + rate_err);
+* one absolute floor per row, a few multiples of 2**-1074 per rounding,
+  covers underflow;
+* the truncation remainder ``2 W R**(n+1) / (n+1)!`` (valid once n + 1 >= 2R)
+  is added to the total, not only used to stop;
+* the nonnegative sum is widened by ``1 + gamma_N`` and rounded up one ulp.
+
+Signed weights cancel where rates nearly coincide (small eta), and there the
+slack, though rigorous, is loose.  ``product_tail`` is the nonnegative form
+for such rows: the series of ``P * R`` where ``P`` has explicit nonnegative
+coefficients and ``R`` is an exponential sum without severe cancellation.
+Its tail past d is ``sum_k p_k * T_{d-k}(R)``, and every ``T_m(R)`` comes from
+the suffix sums of one pass over R.
+
+A row's result depends only on its own inputs, not on the other rows of the
+batch: terms are formed in fixed blocks of n, each block summed pairwise and
+the blocks in order (suffix sums run sequentially).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "LOOSE",
+    "NORMAL_MIN",
     "NonConvergenceError",
+    "SeriesTail",
     "check_finite",
     "check_rel_tol",
+    "coeff_count",
     "exp_series_coeff",
     "exp_series_tail",
+    "gamma",
+    "keep_lower",
+    "loose",
+    "not_converged",
+    "power_coeffs",
+    "product_tail",
+    "round_up",
 ]
 
 _BLOCK = 64
+_P_EXTRA = 32  # coefficients of P that product_tail reads past order d + 1
+_U = 2.0**-53
+_TINY = 2.0**-1074
+
+#: Smallest normal double; a nonzero value below it has lost significant digits.
+NORMAL_MIN = 2.0**-1022
+
+#: A row whose rounding slack exceeds this fraction of its tail is loose; the
+#: bound families then also sum it in a nonnegative form (``product_tail``)
+#: and keep the lower bound (``keep_lower``).
+LOOSE = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
     """Tail summation hit its iteration cap or produced non-finite values."""
+
+
+class SeriesTail(NamedTuple):
+    """Per-row results of a tail pass; ``tail`` and ``first`` are NaN where not ``ok``.
+
+    ``slack`` is the rounding allowance summed into the tail, from which a
+    caller judges whether the row is tight.
+    """
+
+    tail: np.ndarray
+    first: np.ndarray
+    ok: np.ndarray
+    slack: np.ndarray
+
+
+def not_converged(epsilon: float) -> NonConvergenceError:
+    """The error for a grid point whose tail did not converge or overflowed."""
+    return NonConvergenceError(
+        f"tail series did not converge within its cap or overflowed at epsilon={epsilon:g}; "
+        "the requested (epsilon, eta) regime is outside double range"
+    )
+
+
+def loose(res: SeriesTail) -> np.ndarray:
+    """Mask of the converged rows whose slack exceeds ``LOOSE`` of their tail."""
+    return res.ok & (res.slack > LOOSE * res.tail)
+
+
+def keep_lower(res: SeriesTail, rows: np.ndarray, alt: SeriesTail) -> None:
+    """Where ``alt`` (rows ``rows`` of ``res``) bounds lower, take its tail and first term."""
+    better = alt.ok & (alt.tail < res.tail[rows])
+    res.tail[rows[better]] = alt.tail[better]
+    res.first[rows[better]] = alt.first[better]
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
+    if not isinstance(n, (int, float)):
+        n = np.asarray(n, dtype=float)
+    return n * _U / (1.0 - n * _U)
+
+
+def round_up(x):
+    """The next double above x: an upper bound on the exact result that x rounds.
+
+    Zero stays zero: every value rounded up here is a sum or product of
+    nonnegative bounds, which rounds to zero only when they are all zero.
+    """
+    return np.where(x == 0.0, x, np.nextafter(x, np.inf))
 
 
 def check_finite(**values: float) -> None:
@@ -47,23 +141,30 @@ def check_rel_tol(rel_tol: float) -> None:
         raise ValueError("rel_tol must be in (0, 1e-6]")
 
 
-def series_cap(order: int, r_max: float) -> int:
-    """Hard iteration cap: d + 1 + max(200, 20 * ceil(r_max))."""
-    return order + 1 + max(200, 20 * math.ceil(r_max))
+def series_cap(order, r_max):
+    """Hard iteration cap: d + 1 + max(200, 20 * ceil(r_max)), per row."""
+    return np.asarray(order) + 1 + np.maximum(200.0, 20.0 * np.ceil(r_max))
 
 
 def _series_arrays(rates, weights) -> tuple[np.ndarray, np.ndarray]:
-    r = np.asarray(rates, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if r.shape != w.shape or r.ndim != 1 or r.size == 0:
-        raise ValueError("rates and weights must be matching 1-d sequences")
+    r = np.atleast_2d(np.asarray(rates, dtype=float))
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    if r.shape != w.shape or r.ndim != 2 or r.size == 0:
+        raise ValueError("rates and weights must be matching (rows, K) arrays")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
         raise ValueError("rates and weights must be finite")
     return r, w
 
 
+def _per_row(values, rows: int, dtype, name: str) -> np.ndarray:
+    out = np.broadcast_to(np.asarray(values, dtype=dtype), (rows,)).copy()
+    if not np.all(out >= 0):
+        raise ValueError(f"{name} must be >= 0")
+    return out
+
+
 def exp_series_coeff(rates, weights, n: int) -> float:
-    """The n-th term  sum_i weights[i] * rates[i]**n / n!  of the series.
+    """The n-th term  sum_i weights[i] * rates[i]**n / n!  of one series.
 
     Each ``rates[i]**n / n!`` is the running product of ``rates[i] / k`` over
     k = 1..n, so no factorial is formed; a term beyond double range comes
@@ -72,82 +173,254 @@ def exp_series_coeff(rates, weights, n: int) -> float:
     r, w = _series_arrays(rates, weights)
     if n < 0:
         raise ValueError("n must be >= 0")
-    u = np.ones_like(r)
+    u = np.ones_like(r[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
-            u *= r / k
-        return float(w @ u)
+            u *= r[0] / k
+        return float(w[0] @ u)
+
+
+class _Pass(NamedTuple):
+    """One pass over a batch of series, per row (``terms`` per row and n)."""
+
+    terms: np.ndarray  # upper bounds on c_n, n = 0.., less the underflow floor
+    part: np.ndarray  # their sum past the order: pairwise per block, then blockwise
+    rem: np.ndarray  # truncation remainder past the last term
+    floor: np.ndarray  # underflow allowance, for every term up to the last at once
+    slack: np.ndarray  # rounding slack within ``part``
+    ok: np.ndarray  # converged, and finite
+    n_end: np.ndarray  # last n summed
+
+
+def _groups(key: np.ndarray):
+    """Group equal rows of ``key``: each row's group, its slot within the
+    group (in row order), and one row index per group."""
+    rows = key.shape[0]
+    if np.all(key == key[0]):
+        return np.zeros(rows, dtype=np.int64), np.arange(rows), np.zeros(1, dtype=np.int64)
+    by_grp = np.lexsort(key.T[::-1])  # stable: a group's rows keep their order
+    fresh = np.ones(rows, dtype=bool)
+    fresh[1:] = np.any(key[by_grp[1:]] != key[by_grp[:-1]], axis=1)
+    starts = np.flatnonzero(fresh)
+    grp = np.empty(rows, dtype=np.int64)
+    grp[by_grp] = np.cumsum(fresh) - 1
+    slot = np.empty(rows, dtype=np.int64)
+    slot[by_grp] = np.arange(rows) - starts[grp[by_grp]]
+    return grp, slot, by_grp[starts]
+
+
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
+def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
+    """Term bounds of every row, up to where its remainder meets ``rel_tol``.
+
+    Overflow is an expected signal, caught by the finiteness test.  Underflow
+    to subnormals can lose up to 2**-1075 per rounding.  A term n takes at
+    most 3n + K + 2 roundings, each error scaled by at most max(W, 1) later
+    on, and so does the remainder past it, so ``floor`` = 2**-1074
+    (3 max(W, 1) (n_end + 1)**2 + (K + 2)(n_end + 2)) covers a row's terms
+    and remainder together; it is added once per row rather than per term,
+    because arithmetic on subnormals is slow.
+
+    Rows with the same rates and rate error (a QDD cell's sectors at one eps)
+    form a group that shares one running product; each row applies its own
+    weights, term by term in a fixed order.  Per-row state is laid out as
+    (group, slot), with empty slots where a group has fewer rows.
+    """
+    rows, k = r.shape
+    grp, slot, lead = _groups(np.concatenate([r, rate_err[:, None]], axis=1))
+    shape = (lead.size, int(slot.max()) + 1)
+
+    def lay(values, fill=0.0):
+        out = np.full(shape + np.shape(values)[1:], fill, dtype=np.asarray(values).dtype)
+        out[grp, slot] = values
+        return out
+
+    rates = r[lead]  # one row of rates per group
+    radius = np.abs(rates).max(axis=1) + rate_err[lead]  # bounds |true rate|
+    ws = lay(w)
+    big_w = lay(np.abs(w).sum(axis=1) * (1.0 + gamma(k)))
+    start = lay(orders + 1, -1)
+    cap = series_cap(start - 1, radius[:, None])
+    drift = big_w * rate_err[lead][:, None]
+
+    real = start >= 0
+    active = real & (radius > 0.0)[:, None]
+    ok = real & (radius == 0.0)[:, None]  # all rates zero: every term past n = 0 is 0
+    rem, slack, part = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    n_end = np.zeros(shape, dtype=np.int64)
+    u = np.ones((shape[0], k))  # r_i**(n-1) / (n-1)! at the block start
+    m = np.ones(shape[0])  # radius**(n-1) / (n-1)! at the block start
+    blocks = []
+    n_lo = 1
+    while active.any():
+        gi = np.flatnonzero(active.any(axis=1))
+        at = slice(None) if gi.size == shape[0] else gi
+        act = active[at]
+        ns = np.arange(n_lo, n_lo + _BLOCK, dtype=float)
+        n_hi = n_lo + _BLOCK - 1
+        rad = radius[at]
+        path = rates[at][:, :, None] / ns
+        np.cumprod(path, axis=2, out=path)
+        path *= u[at][:, :, None]
+        m_path = np.cumprod(np.concatenate([m[at][:, None], rad[:, None] / ns], axis=1), axis=1)
+        wg = ws[at]
+        c = np.einsum("gsk,gkn->gsn", wg, path)
+        a = np.einsum("gsk,gkn->gsn", np.abs(wg), np.abs(path))
+        s = gamma(3 * ns + 2 * k + 8) * a
+        s += (drift[at][:, :, None] * m_path[:, None, :-1]) * (1.0 + gamma(3 * ns + 8))
+        t = c + s
+        past = (ns >= start[at][:, :, None]) & act[:, :, None]
+        part[at] += np.where(past, t, 0.0).sum(axis=2)
+        slack[at] += np.where(past, s, 0.0).sum(axis=2)
+        rem_now = 2.0 * big_w[at] * (m_path[:, -1] * rad / (n_hi + 1))[:, None]
+        rem_now *= 1.0 + gamma(3 * n_hi + 12)
+        finite = np.isfinite(part[at]) & np.isfinite(rem_now) & np.all(np.isfinite(t), axis=2)
+        ready = (n_hi >= start[at]) & (n_hi + 1 >= 2.0 * rad)[:, None]
+        done = act & finite & ready & ((rem_now <= rel_tol * part[at]) | (rem_now < 1e-300))
+        failed = act & (~finite | (~done & (n_hi >= cap[at])))
+        blocks.append((gi, np.where(act[:, :, None], t, 0.0)))
+        rem[at] = np.where(done, rem_now, rem[at])
+        ok[at] |= done
+        n_end[at] = np.where(act, n_hi, n_end[at])
+        u[at] = path[:, :, -1]
+        m[at] = m_path[:, -1]
+        active[at] = act & ~(done | failed)
+        n_lo += _BLOCK
+
+    terms = np.zeros(shape + (1 + _BLOCK * len(blocks),))
+    terms[:, :, 0] = ws.sum(axis=2) + gamma(k) * big_w  # c_0 = sum_i w_i
+    for b, (gi, t) in enumerate(blocks):
+        terms[gi, :, 1 + b * _BLOCK : 1 + (b + 1) * _BLOCK] = t
+    ends = n_end + 1.0
+    floor = _TINY * (3 * np.maximum(big_w, 1.0) * ends**2 + (k + 2) * (ends + 1.0))
+    back = (grp, slot)
+    return _Pass(*(x[back] for x in (terms, part, rem, floor, slack, ok, n_end)))
+
+
+def _suffix_bounds(terms, rem, n_end, at) -> np.ndarray:
+    """Upper bounds on the sums of c_n over n >= ``at[row, i]``, remainder included.
+
+    The terms are nonnegative upper bounds, summed sequentially from the last
+    one down, so trailing zeros (another row's longer pass) change nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+        suffix = np.concatenate([suffix, np.zeros((terms.shape[0], 1))], axis=1)
+        total = np.take_along_axis(suffix, at, axis=1) + rem[:, None]
+        return round_up(total * (1.0 + gamma(n_end + 4))[:, None])
 
 
 def exp_series_tail(
     rates,
     weights,
-    order: int,
+    orders,
     rel_tol: float = 1e-15,
-) -> tuple[float, float]:
-    """Sum the series tail  sum_{n > order} sum_i weights[i] * rates[i]**n / n!.
+    rate_err=0.0,
+) -> SeriesTail:
+    """Upper bounds on  sum_{n > d} sum_i w_i * r_i**n / n!  for each row.
 
-    Returns ``(tail, first_term)``, where ``first_term`` is the n = order + 1
-    term of the same pass: the leading term of the tail.
+    ``rates`` and ``weights`` have shape (rows, K) (a 1-d pair is one row);
+    ``orders`` gives d per row and ``rate_err`` (per row, default 0) bounds how
+    far the true rates lie from the given ones.  The combined per-n terms must
+    be nonnegative, as every bounding series here is.  Returns a
+    ``SeriesTail``: the outward-rounded tail, its first term (n = d + 1, the
+    leading term, also an upper bound), the converged mask and the slack.
 
-    The combined per-``n`` terms must be nonnegative (true for every bounding
-    series here); tiny negative roundoff is clamped to zero, in the first term
-    too.  Summation stops once a rigorous remainder estimate,
-
-        2 * (sum_i |w_i|) * r_max**(n+1) / (n+1)!   valid for n+1 >= 2*r_max,
-
-    drops below ``rel_tol`` times the partial sum (or below the subnormal
-    floor when the sum is identically zero).
-
-    Raises
-    ------
-    NonConvergenceError
-        If the cap ``order + 1 + max(200, 20*ceil(r_max))`` is reached first,
-        or if intermediates overflow to non-finite values.
+    Summation of a row stops once the remainder bound drops below ``rel_tol``
+    times its partial tail (or below 1e-300).  A row is not ``ok`` if the cap
+    ``d + 1 + max(200, 20*ceil(R))`` is reached first or if intermediates
+    overflow.
     """
     r, w = _series_arrays(rates, weights)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    rows = r.shape[0]
+    orders = _per_row(orders, rows, np.int64, "order")
+    rate_err = _per_row(rate_err, rows, float, "rate_err")
+    ps = _term_bounds(r, w, orders, rel_tol, rate_err)
+    ok = ps.ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = round_up((ps.part + ps.rem + ps.floor) * (1.0 + gamma(ps.n_end + 5)))
+        at = np.minimum(orders + 1, ps.terms.shape[1] - 1)
+        first = round_up((ps.terms[np.arange(rows), at] + ps.floor) * (1.0 + gamma(2)))
+    zero = ps.n_end == 0  # no term past n = 0 was formed: all rates are exactly zero
+    tail[zero] = first[zero] = 0.0
+    return SeriesTail(np.where(ok, tail, np.nan), np.where(ok, first, np.nan), ok, ps.slack)
 
-    r_max = float(np.max(np.abs(r)))
-    if r_max == 0.0:
-        return 0.0, 0.0
-    start = order + 1
-    cap = series_cap(order, r_max)
-    w_abs = float(np.sum(np.abs(w)))
 
-    total = first = 0.0
-    u = np.ones_like(r)  # r_i**n / n! at the current n
-    m = 1.0  # r_max**n / n!
-    n_lo = 1
-    while True:
-        n_hi = min(n_lo + _BLOCK - 1, cap)
-        ks = np.arange(n_lo, n_hi + 1, dtype=float)
-        # Overflow here is an expected signal, caught via the finiteness check
-        # below; keep numpy quiet about it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            path = np.cumprod(r[:, None] / ks[None, :], axis=1) * u[:, None]
-            m_path = np.cumprod(r_max / ks) * m
-            if n_hi >= start:
-                terms = w @ path[:, max(start - n_lo, 0):]
-                np.maximum(terms, 0.0, out=terms)
-                if n_lo <= start:
-                    first = float(terms[0])
-                total += float(terms.sum())
-        u = path[:, -1]
-        m = float(m_path[-1])
-        if not (math.isfinite(total) and math.isfinite(m)):
-            raise NonConvergenceError(
-                f"series overflowed at n={n_hi} (r_max={r_max:g}); "
-                "the requested (epsilon, eta) regime is outside double range"
-            )
-        remainder = 2.0 * w_abs * m * r_max / (n_hi + 1)
-        if n_hi >= start and n_hi + 1 >= 2.0 * r_max:
-            if remainder <= rel_tol * total or remainder < 1e-300:
-                return total, first
-        if n_hi >= cap:
-            raise NonConvergenceError(
-                f"tail did not meet rel_tol={rel_tol:g} within {cap} terms "
-                f"(r_max={r_max:g})"
-            )
-        n_lo = n_hi + 1
+def coeff_count(orders) -> int:
+    """Columns of P's coefficients that ``product_tail`` reads at these orders."""
+    return int(np.max(orders)) + 2 + _P_EXTRA
+
+
+def power_coeffs(x, length: int) -> np.ndarray:
+    """Rows of x**k / k! for k = 0..length-1, as running products of x / k."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones((x.size, length))
+    with np.errstate(under="ignore", over="ignore"):
+        out[:, 1:] = np.cumprod(x[:, None] / np.arange(1.0, length), axis=1)
+    return out
+
+
+def product_tail(
+    p,
+    big_x,
+    rates,
+    weights,
+    orders,
+    rel_tol: float = 1e-15,
+    rate_err=0.0,
+) -> SeriesTail:
+    """Upper bounds on the tail past d of the product series P * R, per row.
+
+    P has nonnegative coefficients: ``p[row, k]`` is the k-th one computed to
+    within relative error gamma(8k + 8), and every coefficient is at most
+    ``big_x**k / k!``.  Columns up to d + 1 + 32 are read (``coeff_count``);
+    the coefficients past them sum to at most the geometric bound
+    X^L/L! / (1 - X/(L+1)) with L = d + 2 + 32, which is infinite unless
+    X < L + 1.  R is given in the format of ``exp_series_tail`` and has
+    nonnegative terms.  With ``T_m(R)`` the tail of R past m (all of R for
+    m < 0),
+
+        tail = sum_k p_k T_{d-k}(R) + rest(P) * R,
+        first = sum_{k <= d+1} p_k R_{d+1-k},
+
+    sums of nonnegative terms only, widened by their rounding.  The slack is
+    R's.
+    """
+    r, w = _series_arrays(rates, weights)
+    rows = r.shape[0]
+    orders = _per_row(orders, rows, np.int64, "order")
+    rate_err = _per_row(rate_err, rows, float, "rate_err")
+    big_x = _per_row(big_x, rows, float, "big_x")
+    lengths = orders + 2 + _P_EXTRA
+    length = int(lengths.max())
+    ks = np.arange(length)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # Every coefficient is at most e^X, which scales the underflow floor.
+        scale = np.maximum(1.0, np.exp(big_x) * (1.0 + gamma(4)))
+        floor = _TINY * (8 * lengths + 8) * scale
+        p = np.asarray(p, dtype=float)[:, :length] * (1.0 + gamma(8 * ks + 8)) + floor[:, None]
+        p[ks[None, :] >= lengths[:, None]] = 0.0
+        head = power_coeffs(big_x, length + 1)[np.arange(rows), lengths]
+        ratio = big_x / (lengths + 1)
+        rest = np.where(
+            ratio < 1.0, head * (1.0 + gamma(3 * lengths + 8)) / (1.0 - ratio), np.inf
+        )
+        rest = rest + floor
+
+    ps = _term_bounds(r, w, orders, rel_tol, rate_err)
+    # tails[:, 0] bounds all of R, tails[:, 1 + k] bounds T_{d-k}(R)
+    last = ps.terms.shape[1] - 1
+    at = np.clip(orders[:, None] - ks + 1, 0, last + 1)
+    at = np.concatenate([at[:, :1] * 0, at], axis=1)
+    tails = _suffix_bounds(ps.terms, ps.rem + ps.floor, ps.n_end, at)
+    back = orders[:, None] + 1 - ks
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = p * tails[:, 1:]
+        tail = np.cumsum(conv, axis=1)[:, -1] + rest * tails[:, 0]
+        tail = round_up(tail * (1.0 + gamma(lengths + 4)))
+        r_terms = np.take_along_axis(ps.terms, np.clip(back, 0, last), axis=1)
+        lead = np.where(back >= 0, p * r_terms, 0.0)
+        lead = np.cumsum(lead, axis=1)[:, -1] + np.where(back >= 0, p, 0.0).sum(axis=1) * ps.floor
+        first = round_up(lead * (1.0 + gamma(lengths + 4)))
+    ok = ps.ok & np.isfinite(tail) & np.isfinite(first)
+    return SeriesTail(np.where(ok, tail, np.nan), np.where(ok, first, np.nan), ok, ps.slack)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .nudd_bounds import NuddBoundReport, d_min_for_orders, nudd_distance_bound
-from .qdd_bounds import BoundReport, EtaVector, distance_bound
+from .qdd_bounds import _MODES, BoundReport, EtaVector, distance_bound
 from .sequences import PulseSchedule, nudd_schedule
 from .series import check_rel_tol
 
@@ -356,6 +356,8 @@ class ExperimentConfig:
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be finite and > 0")
         check_rel_tol(self.rel_tol)
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}")
         if self.initial_state not in _INITIAL_STATES:
             raise ValueError(f"initial_state must be one of {_INITIAL_STATES}")
         if self.bath_state not in _BATH_STATES:

@@ -22,6 +22,7 @@ from ddbound.nudd_bounds import (
     gamma_factor,
     nudd_eps_window,
     nudd_sweep_row,
+    nudd_sweep_rows,
     preset_nudd_cells,
 )
 from ddbound.qdd_bounds import (
@@ -33,6 +34,7 @@ from ddbound.qdd_bounds import (
     g_poly,
     preset_cells,
     sweep_row,
+    sweep_rows,
 )
 from ddbound.simulator import (
     BathSpec,
@@ -192,7 +194,7 @@ def test_criterion_05_channel_curves():
     assert len(window) == 11
     cells = preset_cells("fig2")
     for n1, n2, eta in cells:
-        rows = [sweep_row(n1, n2, e, eta) for e in grid]
+        rows = sweep_rows(n1, n2, eta, grid)
         for key in ("L_x", "L_y", "L_z", "D_bound"):
             vals = np.array([r[key] for r in rows])
             assert np.all(vals > 0.0)
@@ -217,7 +219,7 @@ def test_criterion_06_nudd_curves():
     t0 = time.perf_counter()
     for m, d_min, eta in preset_nudd_cells("fig5"):
         window = np.asarray(nudd_eps_window(eta, m))
-        rows = [nudd_sweep_row(m, d_min, e, eta) for e in window]
+        rows = nudd_sweep_rows(m, d_min, eta, window)
         for key in ("Delta", "D_bound"):
             vals = np.array([r[key] for r in rows])
             assert np.all(vals > 0.0)

@@ -176,42 +176,103 @@ def test_bounds_past_factorial_range_are_rows(argv, capsys):
     assert leading == pytest.approx(4.8869154231988433e-257, rel=1e-12)
 
 
-def _without_column(text, name):
-    """CSV text with column ``name`` cut from the column header and every row."""
-    out, col = [], None
-    for ln in text.splitlines():
-        if not ln.startswith("#"):
-            cells = ln.split(",")
-            col = cells.index(name) if col is None else col
-            del cells[col]
-            ln = ",".join(cells)
-        out.append(ln)
-    return "\n".join(out) + "\n"
+def test_bounds_subnormal_rows_flagged(capsys):
+    """Values below 2^-1022 have lost digits: their row gets a comment line
+    naming them, and the exit code is unchanged."""
+    code, out, _ = run_cli(["bounds", "qdd", "--n1", "200", "--n2", "200", "--eta", "1"], capsys)
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if not ln.startswith("# ") or "subnormal" in ln]
+    cols = lines[0].split(",")
+    flagged = 0
+    for prev, ln in zip(lines, lines[1:]):
+        if ln.startswith("#"):
+            continue
+        values = dict(zip(cols, map(float, ln.split(","))))
+        tiny = [c for c in cols[9:] if 0.0 < values[c] < 2.0**-1022]
+        if tiny:
+            flagged += 1
+            assert prev.startswith("# subnormal: epsilon=")
+            assert prev.endswith(f"; {', '.join(tiny)} below 2^-1022")
+        else:
+            assert not prev.startswith("# subnormal")
+    # D_leading at eps = 0.5 is 1.52e-317 (the value that once printed 17
+    # digits unflagged); every row from eps = 1e-4 up to it is flagged
+    assert flagged >= 33
 
 
 @pytest.mark.parametrize(
+    "argv, zero_columns",
+    [
+        (["bounds", "qdd", "--n1", "2", "--n2", "2", "--eta-x", "0", "--eta-y", "0",
+          "--eta-z", "0.1", "--eps-points", "2"], ("L_x", "L_y")),
+        (["bounds", "nudd", "--m", "1", "--dmin", "2", "--eta", "0", "--eps-points", "2"],
+         ("Delta", "D_bound", "D_leading")),
+    ],
+)
+def test_bounds_exact_zeros_stay_zero(argv, zero_columns, capsys):
+    """A channel with no coupling has an exact zero bound: outward rounding
+    leaves it 0 rather than the smallest subnormal, and no row is flagged."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "subnormal" not in out
+    lines = data_lines(out)
+    cols = lines[0].split(",")
+    for row in lines[1:]:
+        values = dict(zip(cols, row.split(",")))
+        assert all(values[c] == "0" for c in zero_columns)
+
+
+def test_bounds_overflow_edge_rows(capsys):
+    """A grid that crosses the overflow edge flags exactly the points past it."""
+    argv = ["bounds", "qdd", "--n1", "2", "--n2", "2", "--eta", "1",
+            "--eps-min", "10", "--eps-max", "300", "--eps-points", "13"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 3
+    rows = data_lines(out)[1:]
+    flagged = [r.split(",")[0] for r in rows if r.endswith("nan,nan,nan,nan,nan")]
+    assert flagged == [r.split(",")[0] for r in rows[8:]]
+    assert len([ln for ln in out.splitlines() if ln.startswith("# non-convergence")]) == 5
+
+
+# Each frozen case has an explicit id, the name it had when its digest was
+# first recorded, so re-recording a digest keeps the test's name.
+@pytest.mark.parametrize(
     "argv, digest",
     [
-        (["bounds", "qdd", "--fig2"],
-         "d8d1336f09cada9f58961d165c97db22e363505125910357aaa1a54525050541"),
-        (["bounds", "qdd", "--fig3"],
-         "fe347dab494692943154710924934b4ffd8dfe21beeef457d2ea63b88a2b846d"),
-        (["bounds", "qdd", "--fig4"],
-         "c9af9865391dd3e51f87908996354cc57468c85a91e2991718c8f37650941faa"),
-        (["bounds", "qdd", "--fig2", "--mode", "numeric-footnote"],
-         "cf8d25cb60d4df0e81465459d0902a2073d231a5b94b3b0ee352f98fb767db42"),
-        (["bounds", "nudd", "--fig5"],
-         "500a912062e9efdc716775d3743b80842ebf970edcecc110c015987227d7b08a"),
+        pytest.param(
+            ["bounds", "qdd", "--fig2"],
+            "049be11e80d353c53cc2929d1c6617759cdc8f6c3152af55304c3883421ab706",
+            id="argv0-d8d1336f09cada9f58961d165c97db22e363505125910357aaa1a54525050541",
+        ),
+        pytest.param(
+            ["bounds", "qdd", "--fig3"],
+            "f0fb29c3868119cf187fbb5ba0f91646a65165276cdb8ee28953f07129f7b67a",
+            id="argv1-fe347dab494692943154710924934b4ffd8dfe21beeef457d2ea63b88a2b846d",
+        ),
+        pytest.param(
+            ["bounds", "qdd", "--fig4"],
+            "2588c7b185b0ca32b841736aa00447b4b4ce7269d3bcd0715fcc67e2c7eca49d",
+            id="argv2-c9af9865391dd3e51f87908996354cc57468c85a91e2991718c8f37650941faa",
+        ),
+        pytest.param(
+            ["bounds", "qdd", "--fig2", "--mode", "numeric-footnote"],
+            "30b74a0d6af344987047c8095a6b950c66a9427ed6ed486e7894c3a8645f3b2d",
+            id="argv3-cf8d25cb60d4df0e81465459d0902a2073d231a5b94b3b0ee352f98fb767db42",
+        ),
+        pytest.param(
+            ["bounds", "nudd", "--fig5"],
+            "5477cef54fc8b233616a437c3dd54a4bbeabd2e62db687326cd059cde01dd28d",
+            id="argv4-500a912062e9efdc716775d3743b80842ebf970edcecc110c015987227d7b08a",
+        ),
     ],
 )
 def test_preset_csv_frozen(argv, digest, capsys):
-    """sha256 of each preset CSV without its D_leading column, recorded when
-    the leading term was still formed from g_{d+1} and (d+1)!: every other
-    column is unchanged by taking the leading term from the tail pass."""
+    """sha256 of each whole preset CSV, re-recorded when every bound became
+    an outward-rounded upper bound (values moved up by at most 3.1e-11
+    relative)."""
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    text = _without_column(out, "D_leading")
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_overflowed_bound_exits_3(tmp_path, capsys):
@@ -568,24 +629,36 @@ HASH_CONFIGS = {
 }
 
 
+# Explicit ids, fixed at the names the cases had when their hashes were
+# recorded, so that re-recording a hash keeps the test's name.
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["sequence", "--qdd", "2", "2"], "7ed332f58e69d3b5"),
-        (["sequence", "--nudd", "1,1", "--qubits", "1"], "a0bf6c806d17828e"),
-        (["bounds", "qdd", "--config", "cell.json"], "45b18c924338ac64"),
-        (["bounds", "nudd", "--m", "2", "--dmin", "2", "--eta", "0.7", "--eps-points", "5"],
-         "6470082c4cadd22b"),
-        (["simulate", "--config", "sim.json"], "6ae56db8b48632bb"),
-        (["verify", "orders", "--qdd", "1", "1", "--nmax", "2"], "c66947e5704b6438"),
-        (
+        pytest.param(["sequence", "--qdd", "2", "2"], "7ed332f58e69d3b5",
+                     id="argv0-7ed332f58e69d3b5"),
+        pytest.param(["sequence", "--nudd", "1,1", "--qubits", "1"], "a0bf6c806d17828e",
+                     id="argv1-a0bf6c806d17828e"),
+        pytest.param(["bounds", "qdd", "--config", "cell.json"], "45b18c924338ac64",
+                     id="argv2-45b18c924338ac64"),
+        pytest.param(
+            ["bounds", "nudd", "--m", "2", "--dmin", "2", "--eta", "0.7", "--eps-points", "5"],
+            "6470082c4cadd22b",
+            id="argv3-6470082c4cadd22b",
+        ),
+        pytest.param(["simulate", "--config", "sim.json"], "6ae56db8b48632bb",
+                     id="argv4-6ae56db8b48632bb"),
+        pytest.param(["verify", "orders", "--qdd", "1", "1", "--nmax", "2"], "c66947e5704b6438",
+                     id="argv5-c66947e5704b6438"),
+        pytest.param(
             [
                 "verify", "bound", "--qdd", "2", "2", "--eps", "0.1", "--eta-x", "0.3",
                 "--eta-y", "0.7", "--eta-z", "0.05", "--seeds", "2", "--bath-dim", "2",
             ],
             "d08b94c7682420b4",
+            id="argv6-d08b94c7682420b4",
         ),
-        (["sweep", "--config", "sweep.json"], "60961df5bcd6c5df"),
+        pytest.param(["sweep", "--config", "sweep.json"], "60961df5bcd6c5df",
+                     id="argv7-60961df5bcd6c5df"),
     ],
 )
 def test_config_hash_frozen(argv, expected, tmp_path, capsys, monkeypatch):

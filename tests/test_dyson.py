@@ -323,17 +323,31 @@ def test_mp_zero_floor():
     assert abs(float(val)) < 1e-40
 
 
+# Explicit ids, fixed at the names the cases had when their digests were
+# recorded, so that re-recording a digest keeps the test's name.
 @pytest.mark.parametrize(
     "args, kwargs, digest",
     [
-        ((2, 2, 4), {"backend": "rational"},
-         "bdc7a35e3a43e53b883231f35c5685c13cf593d413e7792d5d9fa5c604f06cd6"),
-        ((1, 1, 5), {"backend": "rational"},
-         "06a09c993063a67969e64be71392909ea037a5c424becaa7f294bbd10829493e"),
-        ((3, 3, 4), {"backend": "mp"},
-         "494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25"),
-        ((1, 4, 4), {"mode": "numeric-footnote"},
-         "b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d"),
+        pytest.param(
+            (2, 2, 4), {"backend": "rational"},
+            "bdc7a35e3a43e53b883231f35c5685c13cf593d413e7792d5d9fa5c604f06cd6",
+            id="args0-kwargs0-bdc7a35e3a43e53b883231f35c5685c13cf593d413e7792d5d9fa5c604f06cd6",
+        ),
+        pytest.param(
+            (1, 1, 5), {"backend": "rational"},
+            "06a09c993063a67969e64be71392909ea037a5c424becaa7f294bbd10829493e",
+            id="args1-kwargs1-06a09c993063a67969e64be71392909ea037a5c424becaa7f294bbd10829493e",
+        ),
+        pytest.param(
+            (3, 3, 4), {"backend": "mp"},
+            "494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25",
+            id="args2-kwargs2-494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25",
+        ),
+        pytest.param(
+            (1, 4, 4), {"mode": "numeric-footnote"},
+            "b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d",
+            id="args3-kwargs3-b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d",
+        ),
     ],
 )
 def test_certificate_json_frozen(args, kwargs, digest):

@@ -102,8 +102,9 @@ def test_delta_zero_cases():
 def test_delta_validation():
     with pytest.raises(ValueError):
         nudd_delta(-1, 0.1, 0.1, 2)
-    with pytest.raises(ValueError):
-        nudd_delta(1, -0.1, 0.1, 2)
+    for eps, eta in ((-0.1, 0.1), (math.nan, 0.1), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            nudd_delta(1, eps, eta, 2)
     with pytest.raises(ValueError):
         nudd_delta(1, 0.1, 0.1, 2, rel_tol=0.5)
 

@@ -278,6 +278,20 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="qdd", orders=(1, 1), bath=no_j0, T=0.1)
 
 
+@pytest.mark.parametrize("kind, orders", [("qdd", (1, 1)), ("nudd", (1, 1))])
+def test_experiment_config_rejects_unknown_mode(kind, orders, monkeypatch):
+    """A bad mode fails in the config, before any model is built or evolved."""
+    import ddbound.simulator as sim
+
+    def no_model(*args):
+        raise AssertionError("build_model ran before the mode was checked")
+
+    monkeypatch.setattr(sim, "build_model", no_model)
+    bath = BathSpec(dim=2, seed=0, norms={"0": 1.0, "z": 0.5})
+    with pytest.raises(ValueError, match="mode"):
+        run_experiment(ExperimentConfig(kind=kind, orders=orders, bath=bath, T=0.1, mode="bogus"))
+
+
 def test_run_experiment_margins_and_determinism():
     bath = BathSpec(dim=8, seed=42, norms={"0": 1.0, "x": 0.3, "y": 0.8, "z": 0.05})
     cfg = ExperimentConfig(kind="qdd", orders=(2, 2), bath=bath, T=0.05)
