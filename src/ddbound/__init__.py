@@ -51,6 +51,7 @@ from .simulator import (
     SimResult,
     fit_scaling,
     run_experiment,
+    run_experiments,
     trace_distance,
 )
 
@@ -85,6 +86,7 @@ __all__ = [
     "nudd_schedule",
     "qdd_schedule",
     "run_experiment",
+    "run_experiments",
     "switching_nudd",
     "switching_qdd",
     "trace_distance",

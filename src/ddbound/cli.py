@@ -75,7 +75,13 @@ from .qdd_bounds import (
 )
 from .sequences import nudd_schedule, qdd_schedule
 from .series import NORMAL_MIN, NonConvergenceError
-from .simulator import BathSpec, ExperimentConfig, pauli_labels, run_experiment
+from .simulator import (
+    BathSpec,
+    ExperimentConfig,
+    pauli_labels,
+    run_experiment,
+    run_experiments,
+)
 
 __all__ = ["main"]
 
@@ -578,7 +584,8 @@ def _run_cells(
     columns: Sequence[str],
     loosen: float = 1.0,
 ) -> tuple[list[str], int, int]:
-    """Run the cells in order: CSV lines, violation count, non-convergence count.
+    """Run the cells as stacked groups: CSV lines in cell order, violation
+    count, non-convergence count.
 
     A cell is a violation when ``loosen`` times its bound falls below the
     measured distance, a channel bound is exceeded, or the propagator is not
@@ -586,14 +593,13 @@ def _run_cells(
     """
     lines: list[str] = []
     violations = failures = 0
-    for index, cfg, eta in cells:
-        try:
-            res = run_experiment(cfg)
-        except NonConvergenceError as exc:
+    results = run_experiments([cfg for _, cfg, _ in cells])
+    for (index, cfg, eta), res in zip(cells, results):
+        if isinstance(res, NonConvergenceError):
             failures += 1
             ids = {"cell": index, "seed": cfg.bath.seed}
             where = " ".join(f"{c}={v}" for c, v in ids.items() if c in columns)
-            lines.append(f"# non-convergence: {where} ({exc})")
+            lines.append(f"# non-convergence: {where} ({res})")
             continue
         bound = loosen * res.distance_bound
         margin = bound - res.distance_actual

@@ -39,6 +39,7 @@ from .series import (
     power_coeffs,
     product_tail,
     round_up,
+    spread,
 )
 
 __all__ = [
@@ -111,7 +112,9 @@ def _nudd_series(epsilon, eta: float, m: int):
     g = gamma_factor(m)
     c = 1.0 - 4.0**-m
     rates = np.multiply.outer(epsilon, (1.0 + g * eta, 1.0 - eta))
-    return rates, np.broadcast_to([c, -c], rates.shape)
+    weights = np.empty_like(rates)
+    weights[...] = (c, -c)
+    return rates, weights
 
 
 def nudd_g(l: int, eta: float, m: int) -> float:
@@ -137,16 +140,14 @@ def _nudd_tails(d_min: int, eps, eta: float, m: int, rel_tol: float) -> SeriesTa
     """
     eps = np.asarray(eps, dtype=float)
     rows = eps.size
-    out = SeriesTail(np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool), np.zeros(rows))
     live = np.flatnonzero(eps > 0.0) if eta > 0.0 else np.array([], dtype=np.int64)
     if live.size == 0:
-        return out
+        return spread(None, live, rows)
     g = gamma_factor(m)
     rates, weights = _nudd_series(eps[live], eta, m)
     rate_err = gamma(4) * eps[live] * (1.0 + g * eta)
     res = exp_series_tail(rates, weights, d_min, rel_tol, rate_err)
-    for whole, part in zip(out, res):
-        whole[live] = part
+    out = spread(res, live, rows)
     redo = live[loose(res)]
     if redo.size:
         x = eps[redo] * eta

@@ -46,6 +46,7 @@ from .series import (
     power_coeffs,
     product_tail,
     round_up,
+    spread,
 )
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
 
 #: Map error channel -> the two parity sectors whose tails bound it.
 CASE_OF_CHANNEL = {"x": (3, 4), "y": (2, 5), "z": (1, 6)}
+_CHANNEL_SECTORS = np.array([j for pair in CASE_OF_CHANNEL.values() for j in pair])
 
 #: The eight sign triples (s_x, s_y, s_z) of the sector decomposition.
 _SIGNS = tuple(itertools.product((1.0, -1.0), repeat=3))
@@ -288,14 +290,12 @@ def _sector_tails(sectors, orders, eps, eta: EtaVector, rel_tol: float) -> Serie
     rows = sectors.size
     etas = np.array(eta.as_tuple())
     sinh = _SINH[sectors]
-    live = np.flatnonzero((eps > 0.0) & ~np.any(sinh & (etas == 0.0), axis=1))
-    out = SeriesTail(np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool), np.zeros(rows))
+    live = np.flatnonzero((eps > 0.0) & ~(sinh & (etas == 0.0)).any(axis=1))
     if live.size == 0:
-        return out
+        return spread(None, live, rows)
     rates, weights = _sector_series(sectors[live], eps[live], eta)
     res = exp_series_tail(rates, weights, orders[live], rel_tol, _rate_err(eps[live], etas))
-    for whole, part in zip(out, res):
-        whole[live] = part
+    out = spread(res, live, rows)
     expand = sinh & (etas <= 1.0)
     redo = live[loose(res) & expand[live].any(axis=1)]
     if redo.size:
@@ -335,12 +335,12 @@ def _cell_reports(n1, n2, eta, grid, mode, rel_tol) -> list:
     orders = decoupling_orders(n1, n2, mode)
     check_rel_tol(rel_tol)
     eps = np.asarray(grid, dtype=float).reshape(-1)
-    if not np.all(eps >= 0):
+    if not (eps >= 0).all():
         raise ValueError("epsilon must be >= 0")
-    sectors = [j for pair in CASE_OF_CHANNEL.values() for j in pair]
-    ds = [orders.for_channel(ch) for ch, pair in CASE_OF_CHANNEL.items() for _ in pair]
+    ds = np.array([orders.for_channel(ch) for ch in CASE_OF_CHANNEL for _ in (0, 1)])
     res = _sector_tails(
-        np.repeat(sectors, eps.size), np.repeat(ds, eps.size), np.tile(eps, 6), eta, rel_tol
+        _CHANNEL_SECTORS.repeat(eps.size), ds.repeat(eps.size), np.concatenate([eps] * 6),
+        eta, rel_tol,
     )
     flat = res.tail.reshape(6, eps.size)
     firsts = res.first.reshape(6, eps.size)

@@ -38,6 +38,7 @@ the blocks in order (suffix sums run sequentially).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +60,7 @@ __all__ = [
     "power_coeffs",
     "product_tail",
     "round_up",
+    "spread",
 ]
 
 _BLOCK = 64
@@ -103,6 +105,18 @@ def not_converged(epsilon: float) -> NonConvergenceError:
 def loose(res: SeriesTail) -> np.ndarray:
     """Mask of the converged rows whose slack exceeds ``LOOSE`` of their tail."""
     return res.ok & (res.slack > LOOSE * res.tail)
+
+
+def spread(res: SeriesTail | None, live: np.ndarray, rows: int) -> SeriesTail:
+    """Results for a batch of ``rows`` from a pass ``res`` over the rows ``live``
+    (None: no pass); every other row is an exact zero."""
+    if res is not None and live.size == rows:
+        return res
+    out = SeriesTail(np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool), np.zeros(rows))
+    if res is not None:
+        for whole, part in zip(out, res):
+            whole[live] = part
+    return out
 
 
 def keep_lower(res: SeriesTail, rows: np.ndarray, alt: SeriesTail) -> None:
@@ -151,14 +165,16 @@ def _series_arrays(rates, weights) -> tuple[np.ndarray, np.ndarray]:
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if r.shape != w.shape or r.ndim != 2 or r.size == 0:
         raise ValueError("rates and weights must be matching (rows, K) arrays")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
+    if not (np.isfinite(r).all() and np.isfinite(w).all()):
         raise ValueError("rates and weights must be finite")
     return r, w
 
 
 def _per_row(values, rows: int, dtype, name: str) -> np.ndarray:
-    out = np.broadcast_to(np.asarray(values, dtype=dtype), (rows,)).copy()
-    if not np.all(out >= 0):
+    out = np.array(values, dtype=dtype, ndmin=1)
+    if out.shape != (rows,):
+        out = np.broadcast_to(out, (rows,)).copy()
+    if not (out >= 0).all():
         raise ValueError(f"{name} must be >= 0")
     return out
 
@@ -196,8 +212,6 @@ def _groups(key: np.ndarray):
     """Group equal rows of ``key``: each row's group, its slot within the
     group (in row order), and one row index per group."""
     rows = key.shape[0]
-    if np.all(key == key[0]):
-        return np.zeros(rows, dtype=np.int64), np.arange(rows), np.zeros(1, dtype=np.int64)
     by_grp = np.lexsort(key.T[::-1])  # stable: a group's rows keep their order
     fresh = np.ones(rows, dtype=bool)
     fresh[1:] = np.any(key[by_grp[1:]] != key[by_grp[:-1]], axis=1)
@@ -207,6 +221,17 @@ def _groups(key: np.ndarray):
     slot = np.empty(rows, dtype=np.int64)
     slot[by_grp] = np.arange(rows) - starts[grp[by_grp]]
     return grp, slot, by_grp[starts]
+
+
+@lru_cache(maxsize=256)
+def _block_factors(n_lo: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n over the block from ``n_lo``, and the rounding factors of its terms
+    (``gamma(3n + 2K + 8)``) and of their rate drift (``1 + gamma(3n + 8)``)."""
+    ns = np.arange(n_lo, n_lo + _BLOCK, dtype=float)
+    factors = (ns, gamma(3 * ns + 2 * k + 8), 1.0 + gamma(3 * ns + 8))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
@@ -224,16 +249,25 @@ def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
     Rows with the same rates and rate error (a QDD cell's sectors at one eps)
     form a group that shares one running product; each row applies its own
     weights, term by term in a fixed order.  Per-row state is laid out as
-    (group, slot), with empty slots where a group has fewer rows.
+    (group, slot), with empty slots where a group has fewer rows; a batch of
+    one group is that layout already.
     """
     rows, k = r.shape
-    grp, slot, lead = _groups(np.concatenate([r, rate_err[:, None]], axis=1))
-    shape = (lead.size, int(slot.max()) + 1)
+    key = np.concatenate([r, rate_err[:, None]], axis=1)
+    if (key == key[0]).all():
+        lead, back, shape = slice(0, 1), 0, (1, rows)
 
-    def lay(values, fill=0.0):
-        out = np.full(shape + np.shape(values)[1:], fill, dtype=np.asarray(values).dtype)
-        out[grp, slot] = values
-        return out
+        def lay(values, fill=0.0):
+            return np.asarray(values)[None]
+
+    else:
+        grp, slot, lead = _groups(key)
+        back, shape = (grp, slot), (lead.size, int(slot.max()) + 1)
+
+        def lay(values, fill=0.0):
+            out = np.full(shape + np.shape(values)[1:], fill, dtype=np.asarray(values).dtype)
+            out[grp, slot] = values
+            return out
 
     rates = r[lead]  # one row of rates per group
     radius = np.abs(rates).max(axis=1) + rate_err[lead]  # bounds |true rate|
@@ -256,7 +290,7 @@ def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
         gi = np.flatnonzero(active.any(axis=1))
         at = slice(None) if gi.size == shape[0] else gi
         act = active[at]
-        ns = np.arange(n_lo, n_lo + _BLOCK, dtype=float)
+        ns, term_gamma, drift_gamma = _block_factors(n_lo, k)
         n_hi = n_lo + _BLOCK - 1
         rad = radius[at]
         path = rates[at][:, :, None] / ns
@@ -266,15 +300,15 @@ def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
         wg = ws[at]
         c = np.einsum("gsk,gkn->gsn", wg, path)
         a = np.einsum("gsk,gkn->gsn", np.abs(wg), np.abs(path))
-        s = gamma(3 * ns + 2 * k + 8) * a
-        s += (drift[at][:, :, None] * m_path[:, None, :-1]) * (1.0 + gamma(3 * ns + 8))
+        s = term_gamma * a
+        s += (drift[at][:, :, None] * m_path[:, None, :-1]) * drift_gamma
         t = c + s
         past = (ns >= start[at][:, :, None]) & act[:, :, None]
         part[at] += np.where(past, t, 0.0).sum(axis=2)
         slack[at] += np.where(past, s, 0.0).sum(axis=2)
         rem_now = 2.0 * big_w[at] * (m_path[:, -1] * rad / (n_hi + 1))[:, None]
         rem_now *= 1.0 + gamma(3 * n_hi + 12)
-        finite = np.isfinite(part[at]) & np.isfinite(rem_now) & np.all(np.isfinite(t), axis=2)
+        finite = np.isfinite(part[at]) & np.isfinite(rem_now) & np.isfinite(t).all(axis=2)
         ready = (n_hi >= start[at]) & (n_hi + 1 >= 2.0 * rad)[:, None]
         done = act & finite & ready & ((rem_now <= rel_tol * part[at]) | (rem_now < 1e-300))
         failed = act & (~finite | (~done & (n_hi >= cap[at])))
@@ -293,7 +327,6 @@ def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
         terms[gi, :, 1 + b * _BLOCK : 1 + (b + 1) * _BLOCK] = t
     ends = n_end + 1.0
     floor = _TINY * (3 * np.maximum(big_w, 1.0) * ends**2 + (k + 2) * (ends + 1.0))
-    back = (grp, slot)
     return _Pass(*(x[back] for x in (terms, part, rem, floor, slack, ok, n_end)))
 
 

@@ -13,10 +13,12 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddbound.simulator as simulator
 from ddbound.cli import main
 
 
@@ -440,6 +442,29 @@ def test_sweep_overflowed_bound_flags_the_cell(tmp_path, capsys):
         "# non-convergence: cell=1 seed=1"
     ]
     assert len(data_lines(out)) == 2  # the column header and cell 0
+
+
+def test_sweep_flags_one_cell_of_a_stacked_group(tmp_path, capsys, monkeypatch):
+    """Three cells of one (schedule, bath dim) group run as one stack; only the
+    middle one's bound overflows, and the other two keep their rows in order."""
+    stacks = []
+    evolve = simulator.evolve
+    monkeypatch.setattr(
+        simulator, "evolve", lambda s, model, T: stacks.append(np.shape(T)) or evolve(s, model, T)
+    )
+    cfg = tmp_path / "sweep.json"
+    doc = {**SWEEP_CONFIG, "orders": [[2, 2]], "eps": [0.05, 150, 0.05], "eta": [1.0],
+           "seeds": 1}
+    cfg.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert stacks == [(3,)]
+    assert code == 3
+    assert [ln.split(" (")[0] for ln in out.splitlines() if "non-convergence" in ln] == [
+        "# non-convergence: cell=1 seed=1"
+    ]
+    rows = data_lines(out)[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "2"]
+    assert out.index("cell=1") < out.index("\n2,")
 
 
 def test_oversized_qubit_count_rejected_before_labels(tmp_path, capsys):

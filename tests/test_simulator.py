@@ -6,18 +6,22 @@ bath is plain Larmor precession, so the protected-state distance is
 exactly by a single outer level.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import ddbound.simulator as simulator
 from ddbound.sequences import nudd_schedule, qdd_schedule
+from ddbound.series import NonConvergenceError
 from ddbound.simulator import (
+    MAX_TOTAL_DIM,
     BathSpec,
     ExperimentConfig,
     build_model,
@@ -29,6 +33,7 @@ from ddbound.simulator import (
     pauli_matrix,
     random_bath,
     run_experiment,
+    run_experiments,
     spectral_norm,
     trace_distance,
     unitarity_residuals,
@@ -387,3 +392,167 @@ def test_result_jsonable():
     assert doc["orders"] == [1, 1] and len(doc["eta"]) == 3
     assert isinstance(doc["channel_norms"], dict)
     assert doc["margin"] == res.margin
+
+
+# ------------------------------------------------------------ stacked runs --
+
+
+def _outcomes(results):
+    """Results with each NonConvergenceError replaced by its message."""
+    return [str(r) if isinstance(r, NonConvergenceError) else r for r in results]
+
+
+def _one_by_one(configs):
+    out = []
+    for cfg in configs:
+        try:
+            out.append(run_experiment(cfg))
+        except NonConvergenceError as exc:
+            out.append(str(exc))
+    return out
+
+
+# (kind, orders, bath dims): QDD up to bath dim 64 (the stack cap is four
+# cells there), NUDD up to 16 to keep the dim-256 cells out of the loop
+_GROUP_SPECS = (
+    ("qdd", (1, 1), (1, 2, 8, 64)),
+    ("qdd", (2, 1), (1, 4, 64)),
+    ("nudd", (1, 1, 1, 1), (1, 2, 16)),
+    ("nudd", (0, 1, 1, 0), (1, 4)),
+)
+
+
+@st.composite
+def _configs(draw):
+    """Configs in groups of one (schedule, bath dim), some over the stack cap,
+    in a shuffled order."""
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind, orders, dims = draw(st.sampled_from(_GROUP_SPECS))
+        dim = draw(st.sampled_from(dims))
+        labels = pauli_labels(len(orders) // 2)
+        for _ in range(draw(st.integers(1, 6 if dim == 64 else 3))):
+            eta = draw(st.floats(1e-3, 5.0))
+            norms = {labels[0]: 1.0}
+            norms.update({lab: eta * (k % 3 + 1) / 3 for k, lab in enumerate(labels[1:])})
+            cells.append(
+                ExperimentConfig(
+                    kind=kind,
+                    orders=orders,
+                    bath=BathSpec(dim=dim, seed=draw(st.integers(0, 2**20)), norms=norms),
+                    T=draw(st.sampled_from((1e-3, 0.05, 0.7, 150.0))),
+                    initial_state=draw(st.sampled_from(("random", "plus", "zero"))),
+                    bath_state=draw(st.sampled_from(("maximally-mixed", "pure-random"))),
+                )
+            )
+    return draw(st.permutations(cells))
+
+
+def _straddling():
+    """Six QDD cells at total dim 128 (stacks of four and two), two of whose
+    bounds overflow at eps = 150, and a NUDD pair between them."""
+    qdd = [
+        ExperimentConfig(
+            kind="qdd", orders=(2, 1), T=T,
+            bath=BathSpec(dim=64, seed=s, norms={"0": 1.0, "x": 1.0, "y": 0.5, "z": 1.0}),
+            initial_state=state, bath_state=bath_state,
+        )
+        for s, (T, state, bath_state) in enumerate(
+            itertools.product((0.05, 150.0, 0.7), ("plus", "random"), ("pure-random",))
+        )
+    ]
+    nudd = [
+        ExperimentConfig(
+            kind="nudd", orders=(1, 1, 1, 1), T=0.05, initial_state="zero",
+            bath=BathSpec(dim=2, seed=s, norms={"00": 1.0, "xy": 0.3, "z0": 0.1}),
+        )
+        for s in range(2)
+    ]
+    return qdd[:3] + nudd + qdd[3:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(configs=_configs())
+@example(configs=_straddling())
+def test_run_experiments_equals_one_by_one(configs):
+    """Stacked groups give every cell, float for float, its lone result."""
+    got = _outcomes(run_experiments(configs))
+    want = _one_by_one(configs)
+    if configs == _straddling():
+        assert [k for k, r in enumerate(got) if isinstance(r, str)] == [2, 5]
+    assert got == want
+    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+
+def test_run_experiments_batch_independence():
+    """A cell's result does not depend on which cells share its stack."""
+    def cfg(seed, T, eta=0.4, state="random"):
+        norms = {"0": 1.0, "x": eta, "y": 0.5 * eta, "z": 2.0 * eta}
+        bath = BathSpec(dim=8, seed=seed, norms=norms)
+        return ExperimentConfig(kind="qdd", orders=(2, 2), bath=bath, T=T, initial_state=state)
+
+    target = cfg(5, 0.3)
+    alone = run_experiments([target])[0]
+    others = [cfg(s, 0.01 * s, eta=0.1 * s, state="plus") for s in range(1, 9)]
+    for stack in (others[:1] + [target], [target] + others, others[:4] + [target] + others[4:]):
+        results = run_experiments(stack)
+        assert repr(results[stack.index(target)]) == repr(alone)
+
+
+def test_run_experiments_empty():
+    assert run_experiments([]) == []
+
+
+def test_stacks_stay_under_the_memory_cap(monkeypatch):
+    """No stacked array holds more than MAX_TOTAL_DIM**2 matrix entries: 20
+    cells at total dim 64 run as stacks of 16 and 4, a dim-256 cell alone."""
+    shapes = []
+    evolve_one = simulator.evolve
+
+    def recording(schedule, model, T):
+        shapes.append(model.eigenvectors.shape)
+        return evolve_one(schedule, model, T)
+
+    monkeypatch.setattr(simulator, "evolve", recording)
+    qdd = [
+        ExperimentConfig(
+            kind="qdd", orders=(1, 1), T=0.1,
+            bath=BathSpec(dim=32, seed=s, norms={"0": 1.0, "x": 0.3}),
+        )
+        for s in range(20)
+    ]
+    big = ExperimentConfig(
+        kind="nudd", orders=(1, 1, 1, 1), T=0.1,
+        bath=BathSpec(dim=64, seed=0, norms={"00": 1.0, "xz": 0.3}),
+    )
+    run_experiments(qdd + [big])
+    assert shapes == [(16, 64, 64), (4, 64, 64), (1, 256, 256)]
+    assert all(np.prod(shape) <= MAX_TOTAL_DIM**2 for shape in shapes)
+
+
+def test_stacked_model_and_evolve_are_the_single_forms():
+    """build_model and evolve over a stack give each model's own arrays."""
+    baths = [BathSpec(dim=4, seed=s, norms={"0": 1.0, "x": 0.2 * s, "z": 0.3}) for s in range(3)]
+    stacked = build_model(baths, 1)
+    times = np.array([0.1, 0.5, 2.0])
+    u = evolve(qdd_schedule(2, 3), stacked, times)
+    for k, bath in enumerate(baths):
+        one = build_model(bath, 1)
+        assert np.array_equal(stacked.eigenvectors[k], one.eigenvectors)
+        assert np.array_equal(stacked.eigenvalues[k], one.eigenvalues)
+        assert all(np.array_equal(stacked.couplings[lab][k], c) for lab, c in one.couplings.items())
+        assert np.array_equal(u[k], evolve(qdd_schedule(2, 3), one, times[k]))
+    with pytest.raises(ValueError, match="one dimension"):
+        build_model([baths[0], BathSpec(dim=2, seed=0, norms={"0": 1.0})], 1)
+    with pytest.raises(ValueError, match="T must be"):
+        evolve(qdd_schedule(1, 1), stacked, np.array([0.1, -1.0, 0.2]))
+
+
+def test_fit_scaling_is_the_per_point_evolution():
+    """fit_scaling's one stacked evolve gives each grid point's lone norms."""
+    bath = BathSpec(dim=4, seed=31, norms={"0": 2.0, "x": 0.4, "y": 0.4, "z": 0.4})
+    fit = fit_scaling(1, 2, bath)
+    model = build_model(bath, 1)
+    for k, eps in enumerate(fit.eps_grid):
+        ops = extract_channel_ops(evolve(qdd_schedule(1, 2), model, eps / 2.0), 1)
+        assert all(fit.norms[ch][k] == spectral_norm(ops[ch]) for ch in "xyz")
