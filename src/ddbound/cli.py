@@ -21,8 +21,8 @@ converted.  A ``simulate`` config looks like::
      "bath": {"dim": 8, "seed": 42,
               "norms": {"0": 1.0, "x": 0.3, "y": 0.8, "z": 0.05}}}
 
-with optional ``initial_state``, ``bath_state``, ``mode`` and ``rel_tol``
-keys.  A ``sweep`` config gives lists to cross::
+with optional ``initial_state``, ``bath_state`` and ``mode`` keys.  A
+``sweep`` config gives lists to cross::
 
     {"kind": "qdd", "orders": [[1, 1], [2, 2]], "bath_dim": [2, 8],
      "eps": [0.001, 0.01], "eta": [0.1, 1.0], "seeds": 3, "master_seed": 0}
@@ -439,8 +439,7 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
         fixed = {"N1": n1, "N2": n2, **asdict(eta), **asdict(orders)}
-        kwargs = {"n1": n1, "n2": n2, "eta": eta, "mode": mode, "rel_tol": resolved["rel_tol"]}
-        table.append((fixed, grid, kwargs))
+        table.append((fixed, grid, {"n1": n1, "n2": n2, "eta": eta, "mode": mode}))
     header = _header("bounds qdd", resolved, mode=mode)
     return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, sweep_rows, table)
 
@@ -472,7 +471,7 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
     table = []
     for m, d_min, eta, grid in cells:
         fixed = {"m": m, "d_min": d_min, "eta": eta}
-        table.append((fixed, grid, {**fixed, "rel_tol": resolved["rel_tol"]}))
+        table.append((fixed, grid, fixed))
     header = _header("bounds nudd", resolved)
     return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, nudd_sweep_rows, table)
 
@@ -508,7 +507,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             initial_state=resolved["initial_state"],
             bath_state=resolved["bath_state"],
             mode=resolved["mode"],
-            rel_tol=resolved["rel_tol"],
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -548,7 +546,7 @@ def _eta_label(eta: Any) -> str:
     return "/".join(_fmt(e) for e in axes)
 
 
-_CELL_FIELDS = ("initial_state", "bath_state", "mode", "rel_tol")
+_CELL_FIELDS = ("initial_state", "bath_state", "mode")
 
 
 def _experiment_grid(grid: dict) -> list[tuple[int, ExperimentConfig, str]]:
@@ -655,7 +653,6 @@ def cmd_verify_orders(args: argparse.Namespace) -> int:
             resolved["nmax"],
             backend=resolved["backend"],
             mode=resolved["mode"],
-            zero_tol=resolved["zero_tol"],
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -720,7 +717,6 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
 
 _MODE = Opt("mode", str, "analytic", ("analytic", "numeric-footnote"),
             help="suppression-order table variant")
-_REL_TOL = Opt("rel_tol", float, 1e-15, help="tail summation tolerance")
 _EPS_GRID = (
     Opt("eps_min", float, 1e-4, help="smallest epsilon"),
     Opt("eps_max", float, 1.0, help="largest epsilon"),
@@ -753,7 +749,6 @@ _COMMANDS = {
             *_ETA_AXES,
             *_EPS_GRID,
             _MODE,
-            _REL_TOL,
         ),
         config="optional",
     ),
@@ -766,7 +761,6 @@ _COMMANDS = {
             Opt("dmin", int, help="minimum suppression order"),
             Opt("eta", float, help="relative coupling strength"),
             *_EPS_GRID,
-            _REL_TOL,
         ),
         config="optional",
     ),
@@ -780,7 +774,6 @@ _COMMANDS = {
             Opt("T", float, help="override the duration", required=True),
             *_STATES,
             _MODE,
-            replace(_REL_TOL, flag=False),
             Opt("seed", int, key=False, help="override the bath seed"),
         ),
         config="required",
@@ -793,7 +786,6 @@ _COMMANDS = {
             Opt("nmax", int, required=True, help="certify all word lengths up to NMAX"),
             Opt("backend", str, "auto", ("auto", "rational", "mp"), help="number backend"),
             _MODE,
-            Opt("zero_tol", float, 1e-25, help="threshold for 'vanishes' on the mp backend"),
         ),
     ),
     "verify bound": Command(
@@ -828,7 +820,6 @@ _COMMANDS = {
                 Opt("seeds", int, 1),
                 Opt("master_seed", int, 0),
                 _MODE,
-                _REL_TOL,
                 *_STATES,
             )
         ),
@@ -861,15 +852,14 @@ def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
     )
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The command-line parser for ``argv``.
 
-    Every command gets its name and help line.  Given ``argv``, only the
-    command it names also gets its options, so a call builds the options of
-    one command rather than of all of them.
+    Every command gets its name and help line; only the command ``argv``
+    names also gets its options, so a call builds the options of one command
+    rather than of all of them.
     """
-    words = list(argv or ())
-    names = (" ".join(words[:2]), words[0] if words else "")
+    names = (" ".join(argv[:2]), argv[0] if argv else "")
     chosen = next((n for n in names if n in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="ddbound",
@@ -889,7 +879,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             parent = groups[group[0]]
         p = parent.add_parser(leaf, help=spec.help)
         p.set_defaults(spec=spec)
-        if argv is not None and name != chosen:
+        if name != chosen:
             continue
         for opt in spec.options:
             if opt.flag:

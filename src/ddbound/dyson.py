@@ -23,13 +23,13 @@ with array operations.
 
 Two arithmetic backends: exact ``Fraction`` rationals whenever every
 breakpoint is rational (inner/outer orders <= 2), and 50-digit ``mpmath``
-otherwise ("zero" then means below a threshold, default 1e-25).
+otherwise ("zero" then means below the fixed threshold ``DEFAULT_ZERO_TOL``,
+1e-25, which every certificate reports as its ``zero_tol``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -216,8 +216,8 @@ class OrderCertification:
     claimed order are ``expected_zero`` and any nonzero value there lands in
     ``violations``.  At length d+1 a channel's first clearly nonzero word is
     kept as a saturation ``witness`` ("found" / "inconclusive" /
-    "not-checked") when it exceeds ``witness_tol``, which is always
-    ``DEFAULT_WITNESS_TOL``.
+    "not-checked") when it exceeds ``witness_tol``.  ``zero_tol`` and
+    ``witness_tol`` are always ``DEFAULT_ZERO_TOL`` and ``DEFAULT_WITNESS_TOL``.
     """
 
     n1: int
@@ -240,21 +240,17 @@ def verify_orders(
     n_max: int,
     backend: str = "auto",
     mode: str = "analytic",
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> OrderCertification:
     """Certify claimed suppression orders by exhaustive word enumeration.
 
     Computes all words up to length ``n_max`` with ``signature`` and checks
     that every error-channel word at or below the channel's claimed order
-    integrates to zero (exactly, or below ``zero_tol`` on the mp backend).
+    integrates to zero (exactly, or below ``DEFAULT_ZERO_TOL`` on the mp backend).
     Violations are listed in depth-first word order; a row's ``max_word`` and
     a witness are the first word of largest magnitude in that order, kept
     when it exceeds ``DEFAULT_WITNESS_TOL``.  Absence of a nonzero witness at
-    length d+1 is reported as "inconclusive", never as failure.  ``zero_tol``
-    must be finite and >= 0.
+    length d+1 is reported as "inconclusive", never as failure.
     """
-    if not (math.isfinite(zero_tol) and zero_tol >= 0):
-        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > DEFAULT_MAX_DEPTH:
@@ -282,7 +278,7 @@ def verify_orders(
                 best = idx[np.argmax(abs_f[idx])]
                 top = float(abs_f[best])
                 if n <= d:
-                    nonzero = values[idx] != 0 if exact else abs_f[idx] > zero_tol
+                    nonzero = values[idx] != 0 if exact else abs_f[idx] > DEFAULT_ZERO_TOL
                     violations += (
                         {
                             "word": _index_word(i, n),
@@ -323,7 +319,7 @@ def verify_orders(
         backend=profiles.backend,
         mode=mode,
         n_max=n_max,
-        zero_tol=zero_tol,
+        zero_tol=DEFAULT_ZERO_TOL,
         witness_tol=DEFAULT_WITNESS_TOL,
         orders=orders,
         rows=tuple(rows),

@@ -19,6 +19,7 @@ views of it.  Every reported value is rounded outward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,7 @@ from .series import (
     NonConvergenceError,
     SeriesTail,
     check_finite,
-    check_rel_tol,
     coeff_count,
-    exp_series_coeff,
     exp_series_tail,
     gamma,
     keep_lower,
@@ -121,16 +120,27 @@ def nudd_g(l: int, eta: float, m: int) -> float:
     """Dimensionless Taylor coefficient of S_K in epsilon.
 
     g_l = (1 - 4^-m) * ((1 + gamma*eta)^l - (1 - eta)^l) / l!; g_0 = 0 and
-    g_1 collapses to gamma*eta.  Nonnegative for every l, since
-    1 + gamma*eta >= |1 - eta|.  With ``eps = J0*T`` and ``eta = J1/J0``,
+    g_1 collapses to gamma*eta.  With ``eps = J0*T`` and ``eta = J1/J0``,
     g_l * eps^l is the T^l term of S_K(T).  The leading term
     g_{d_min+1} * eps^(d_min+1) of a bound comes from ``nudd_delta``, which
     folds epsilon into the running product before it can overflow.
+
+    The two powers are running products u_1, u_2 of their rates over k, and
+    g_l is (1 - 4^-m) * (u_1 - u_2).  Since 1 + gamma*eta >= |1 - eta| and
+    rounding is monotone, u_1 >= |u_2| in floating point too, so every value
+    is nonnegative, and exactly 0 at eta = 0.  A value beyond double range is
+    inf.  Raises ValueError unless l >= 0 and eta is finite and >= 0.
     """
-    return exp_series_coeff(*_nudd_series(1.0, eta, m), l)
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+    rates, weights = _nudd_series(1.0, eta, m)
+    u1, u2 = power_coeffs(rates, l + 1)[:, l]
+    return math.inf if math.isinf(u1) else float(weights[0] * (u1 - u2))
 
 
-def _nudd_tails(d_min: int, eps, eta: float, m: int, rel_tol: float) -> SeriesTail:
+def _nudd_tails(d_min: int, eps, eta: float, m: int) -> SeriesTail:
     """Outward-rounded tails Delta_{d_min}(eps) over an eps array, from one pass.
 
     A loose row also takes the nonnegative form S_K = c e^eps * B(eps) with
@@ -146,7 +156,7 @@ def _nudd_tails(d_min: int, eps, eta: float, m: int, rel_tol: float) -> SeriesTa
     g = gamma_factor(m)
     rates, weights = _nudd_series(eps[live], eta, m)
     rate_err = gamma(4) * eps[live] * (1.0 + g * eta)
-    res = exp_series_tail(rates, weights, d_min, rel_tol, rate_err)
+    res = exp_series_tail(rates, weights, d_min, rate_err)
     out = spread(res, live, rows)
     redo = live[loose(res)]
     if redo.size:
@@ -157,42 +167,39 @@ def _nudd_tails(d_min: int, eps, eta: float, m: int, rel_tol: float) -> SeriesTa
             p = power_coeffs(g * x, length) - (-1.0) ** ks * power_coeffs(x, length)
         big_x = round_up(x * (g + 1.0) * (1.0 + gamma(3)))
         c = np.full((redo.size, 1), _nudd_series(1.0, eta, m)[1][0])
-        keep_lower(out, redo, product_tail(p, big_x, eps[redo, None], c, d_min, rel_tol))
+        keep_lower(out, redo, product_tail(p, big_x, eps[redo, None], c, d_min))
     return out
 
 
-def nudd_delta(
-    d_min: int, epsilon: float, eta: float, m: int, rel_tol: float = 1e-15
-) -> tuple[float, float]:
+def nudd_delta(d_min: int, epsilon: float, eta: float, m: int) -> tuple[float, float]:
     """Tail Delta_{d_min} = sum_{l > d_min} g_l(eta, m) * eps^l and its leading term.
 
     Returns upper bounds on ``(Delta_{d_min}, g_{d_min+1} * eps^(d_min+1))``
     from one pass: a one-row view of the batched tail.
     """
-    _check_point(d_min, (epsilon,), eta, rel_tol)
-    res = _nudd_tails(d_min, [epsilon], eta, m, rel_tol)
+    _check_point(d_min, (epsilon,), eta)
+    res = _nudd_tails(d_min, [epsilon], eta, m)
     if not res.ok[0]:
         raise not_converged(epsilon)
     return float(res.tail[0]), float(res.first[0])
 
 
-def _check_point(d_min: int, grid, eta: float, rel_tol: float) -> None:
+def _check_point(d_min: int, grid, eta: float) -> None:
     if d_min < 0:
         raise ValueError("d_min must be >= 0")
     if not (all(e >= 0 for e in grid) and eta >= 0):
         raise ValueError("epsilon and eta must be >= 0")
-    check_rel_tol(rel_tol)
 
 
-def _cell_reports(m: int, d_min: int, eta: float, grid, rel_tol: float) -> list:
+def _cell_reports(m: int, d_min: int, eta: float, grid) -> list:
     """One cell over an eps grid: a NuddBoundReport per point, or the error it raises.
 
     The distance bound Delta^2 + Delta and the leading term are rounded
     outward.
     """
-    _check_point(d_min, grid, eta, rel_tol)
+    _check_point(d_min, grid, eta)
     eps = np.asarray(grid, dtype=float).reshape(-1)
-    res = _nudd_tails(d_min, eps, eta, m, rel_tol)
+    res = _nudd_tails(d_min, eps, eta, m)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = round_up((res.tail * res.tail + res.tail) * (1.0 + gamma(2)))
     out = []
@@ -220,16 +227,14 @@ def _cell_reports(m: int, d_min: int, eta: float, grid, rel_tol: float) -> list:
     return out
 
 
-def nudd_distance_bound(
-    d_min: int, epsilon: float, eta: float, m: int, rel_tol: float = 1e-15
-) -> NuddBoundReport:
+def nudd_distance_bound(d_min: int, epsilon: float, eta: float, m: int) -> NuddBoundReport:
     """Trace-norm distance bound Delta^2 + Delta for a nested sequence.
 
     Every value is rounded outward.  A one-point view of ``nudd_sweep_rows``;
     raises NonConvergenceError if the tail does not converge or a reported
     value overflows double range.
     """
-    report = _cell_reports(m, d_min, eta, (epsilon,), rel_tol)[0]
+    report = _cell_reports(m, d_min, eta, (epsilon,))[0]
     if isinstance(report, NonConvergenceError):
         raise report
     return report
@@ -271,9 +276,7 @@ def _report_row(rep: NuddBoundReport) -> dict:
     }
 
 
-def nudd_sweep_rows(
-    m: int, d_min: int, eta: float, grid, rel_tol: float = 1e-15
-) -> list[dict | None]:
+def nudd_sweep_rows(m: int, d_min: int, eta: float, grid) -> list[dict | None]:
     """One cell of a nested-bound sweep over an eps grid, from one batched pass.
 
     Rows are keyed by ``NUDD_SWEEP_COLUMNS``; a point whose series does not
@@ -281,12 +284,10 @@ def nudd_sweep_rows(
     """
     return [
         None if isinstance(rep, NonConvergenceError) else _report_row(rep)
-        for rep in _cell_reports(m, d_min, eta, grid, rel_tol)
+        for rep in _cell_reports(m, d_min, eta, grid)
     ]
 
 
-def nudd_sweep_row(
-    m: int, d_min: int, eps: float, eta: float, rel_tol: float = 1e-15
-) -> dict:
+def nudd_sweep_row(m: int, d_min: int, eps: float, eta: float) -> dict:
     """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``."""
-    return _report_row(nudd_distance_bound(d_min, eps, eta, m, rel_tol))
+    return _report_row(nudd_distance_bound(d_min, eps, eta, m))

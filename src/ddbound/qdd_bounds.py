@@ -35,7 +35,6 @@ from .series import (
     NonConvergenceError,
     SeriesTail,
     check_finite,
-    check_rel_tol,
     coeff_count,
     exp_series_coeff,
     exp_series_tail,
@@ -205,6 +204,7 @@ def g_poly(j: int, l: int, eta: EtaVector) -> float:
 
     the l-th term of ``_sector_series(j, 1, eta)``.
     """
+    case_parities(j)  # rejects a sector index outside 0..7
     return exp_series_coeff(*_sector_series(j, 1.0, eta), l)
 
 
@@ -241,7 +241,7 @@ def _rate_err(epsilon, etas) -> np.ndarray:
     return gamma(5) * epsilon * (1.0 + np.sum(etas, axis=-1))
 
 
-def _sector_nonneg(sectors, orders, eps, etas, expand, rel_tol: float) -> SeriesTail:
+def _sector_nonneg(sectors, orders, eps, etas, expand) -> SeriesTail:
     """Sector tails in the nonnegative form.
 
     The sinh factors flagged in ``expand`` (rows, 3) become their series in
@@ -272,11 +272,11 @@ def _sector_nonneg(sectors, orders, eps, etas, expand, rel_tol: float) -> Series
     rest_j = sectors & ~(expand @ np.array([4, 2, 1]))
     rates = eps[:, None] * _sign_rates(rest_eta)
     return product_tail(
-        p, big_x, rates, _SECTOR_WEIGHTS[rest_j], orders, rel_tol, _rate_err(eps, rest_eta)
+        p, big_x, rates, _SECTOR_WEIGHTS[rest_j], orders, _rate_err(eps, rest_eta)
     )
 
 
-def _sector_tails(sectors, orders, eps, eta: EtaVector, rel_tol: float) -> SeriesTail:
+def _sector_tails(sectors, orders, eps, eta: EtaVector) -> SeriesTail:
     """Outward-rounded tails Delta_d^(j)(eps) for rows (j, d, eps), from one pass.
 
     Sectors whose sinh factor sits on a vanishing eta component, and eps = 0,
@@ -294,19 +294,17 @@ def _sector_tails(sectors, orders, eps, eta: EtaVector, rel_tol: float) -> Serie
     if live.size == 0:
         return spread(None, live, rows)
     rates, weights = _sector_series(sectors[live], eps[live], eta)
-    res = exp_series_tail(rates, weights, orders[live], rel_tol, _rate_err(eps[live], etas))
+    res = exp_series_tail(rates, weights, orders[live], _rate_err(eps[live], etas))
     out = spread(res, live, rows)
     expand = sinh & (etas <= 1.0)
     redo = live[loose(res) & expand[live].any(axis=1)]
     if redo.size:
-        alt = _sector_nonneg(sectors[redo], orders[redo], eps[redo], etas, expand[redo], rel_tol)
+        alt = _sector_nonneg(sectors[redo], orders[redo], eps[redo], etas, expand[redo])
         keep_lower(out, redo, alt)
     return out
 
 
-def delta_tail(
-    j: int, d: int, epsilon: float, eta: EtaVector, rel_tol: float = 1e-15
-) -> tuple[float, float]:
+def delta_tail(j: int, d: int, epsilon: float, eta: EtaVector) -> tuple[float, float]:
     """Tail Delta_d^(j) = sum_{n > d} g_n^(j)(eta) * eps^n and its leading term.
 
     Returns upper bounds on ``(Delta_d^(j), g_{d+1}^(j) * eps^(d+1))`` from one
@@ -315,15 +313,14 @@ def delta_tail(
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    check_rel_tol(rel_tol)
     case_parities(j)  # rejects a sector index outside 0..7
-    res = _sector_tails([j], [d], [epsilon], eta, rel_tol)
+    res = _sector_tails([j], [d], [epsilon], eta)
     if not res.ok[0]:
         raise not_converged(epsilon)
     return float(res.tail[0]), float(res.first[0])
 
 
-def _cell_reports(n1, n2, eta, grid, mode, rel_tol) -> list:
+def _cell_reports(n1, n2, eta, grid, mode) -> list:
     """One cell over an eps grid: a BoundReport per point, or the error it raises.
 
     All six sector tails at every grid point come from one batched pass.
@@ -333,14 +330,12 @@ def _cell_reports(n1, n2, eta, grid, mode, rel_tol) -> list:
     widened by their rounding.
     """
     orders = decoupling_orders(n1, n2, mode)
-    check_rel_tol(rel_tol)
     eps = np.asarray(grid, dtype=float).reshape(-1)
     if not (eps >= 0).all():
         raise ValueError("epsilon must be >= 0")
     ds = np.array([orders.for_channel(ch) for ch in CASE_OF_CHANNEL for _ in (0, 1)])
     res = _sector_tails(
-        _CHANNEL_SECTORS.repeat(eps.size), ds.repeat(eps.size), np.concatenate([eps] * 6),
-        eta, rel_tol,
+        _CHANNEL_SECTORS.repeat(eps.size), ds.repeat(eps.size), np.concatenate([eps] * 6), eta
     )
     flat = res.tail.reshape(6, eps.size)
     firsts = res.first.reshape(6, eps.size)
@@ -379,12 +374,7 @@ def _cell_reports(n1, n2, eta, grid, mode, rel_tol) -> list:
 
 
 def distance_bound(
-    n1: int,
-    n2: int,
-    epsilon: float,
-    eta: EtaVector,
-    mode: str = "analytic",
-    rel_tol: float = 1e-15,
+    n1: int, n2: int, epsilon: float, eta: EtaVector, mode: str = "analytic"
 ) -> BoundReport:
     """Trace-norm distance bound between protected and uncoupled qubit states.
 
@@ -400,7 +390,7 @@ def distance_bound(
     ``sweep_rows``; raises NonConvergenceError if a tail does not converge or
     a reported value overflows double range.
     """
-    report = _cell_reports(n1, n2, eta, (epsilon,), mode, rel_tol)[0]
+    report = _cell_reports(n1, n2, eta, (epsilon,), mode)[0]
     if isinstance(report, NonConvergenceError):
         raise report
     return report
@@ -464,12 +454,7 @@ def _report_row(n1: int, n2: int, report: BoundReport) -> dict:
 
 
 def sweep_rows(
-    n1: int,
-    n2: int,
-    eta: EtaVector,
-    grid,
-    mode: str = "analytic",
-    rel_tol: float = 1e-15,
+    n1: int, n2: int, eta: EtaVector, grid, mode: str = "analytic"
 ) -> list[dict | None]:
     """One cell of a bounds sweep over an eps grid, from one batched pass.
 
@@ -478,17 +463,10 @@ def sweep_rows(
     """
     return [
         None if isinstance(rep, NonConvergenceError) else _report_row(n1, n2, rep)
-        for rep in _cell_reports(n1, n2, eta, grid, mode, rel_tol)
+        for rep in _cell_reports(n1, n2, eta, grid, mode)
     ]
 
 
-def sweep_row(
-    n1: int,
-    n2: int,
-    eps: float,
-    eta: EtaVector,
-    mode: str = "analytic",
-    rel_tol: float = 1e-15,
-) -> dict:
+def sweep_row(n1: int, n2: int, eps: float, eta: EtaVector, mode: str = "analytic") -> dict:
     """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``."""
-    return _report_row(n1, n2, distance_bound(n1, n2, eps, eta, mode, rel_tol))
+    return _report_row(n1, n2, distance_bound(n1, n2, eps, eta, mode))

@@ -20,7 +20,9 @@ Every returned value is an upper bound in floating point, by construction:
 * one absolute floor per row, a few multiples of 2**-1074 per rounding,
   covers underflow;
 * the truncation remainder ``2 W R**(n+1) / (n+1)!`` (valid once n + 1 >= 2R)
-  is added to the total, not only used to stop;
+  is added to the total, not only used to stop, so where summation stops
+  (once the remainder falls below the fixed share ``_REL_TOL`` of the partial
+  tail) sets only how tight a bound is, never whether it holds;
 * the nonnegative sum is widened by ``1 + gamma_N`` and rounded up one ulp.
 
 Signed weights cancel where rates nearly coincide (small eta), and there the
@@ -49,7 +51,6 @@ __all__ = [
     "NonConvergenceError",
     "SeriesTail",
     "check_finite",
-    "check_rel_tol",
     "coeff_count",
     "exp_series_coeff",
     "exp_series_tail",
@@ -67,6 +68,7 @@ _BLOCK = 64
 _P_EXTRA = 32  # coefficients of P that product_tail reads past order d + 1
 _U = 2.0**-53
 _TINY = 2.0**-1074
+_REL_TOL = 1e-15  # remainder share of the partial tail at which summation stops
 
 #: Smallest normal double; a nonzero value below it has lost significant digits.
 NORMAL_MIN = 2.0**-1022
@@ -149,12 +151,6 @@ def check_finite(**values: float) -> None:
         raise NonConvergenceError(f"{', '.join(bad)} outside double range")
 
 
-def check_rel_tol(rel_tol: float) -> None:
-    """Raise ValueError unless the tail tolerance lies in (0, 1e-6]."""
-    if not 0.0 < rel_tol <= 1e-6:
-        raise ValueError("rel_tol must be in (0, 1e-6]")
-
-
 def series_cap(order, r_max):
     """Hard iteration cap: d + 1 + max(200, 20 * ceil(r_max)), per row."""
     return np.asarray(order) + 1 + np.maximum(200.0, 20.0 * np.ceil(r_max))
@@ -235,8 +231,8 @@ def _block_factors(n_lo: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
-def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
-    """Term bounds of every row, up to where its remainder meets ``rel_tol``.
+def _term_bounds(r, w, orders, rate_err) -> _Pass:
+    """Term bounds of every row, up to where its remainder meets ``_REL_TOL``.
 
     Overflow is an expected signal, caught by the finiteness test.  Underflow
     to subnormals can lose up to 2**-1075 per rounding.  A term n takes at
@@ -310,7 +306,7 @@ def _term_bounds(r, w, orders, rel_tol, rate_err) -> _Pass:
         rem_now *= 1.0 + gamma(3 * n_hi + 12)
         finite = np.isfinite(part[at]) & np.isfinite(rem_now) & np.isfinite(t).all(axis=2)
         ready = (n_hi >= start[at]) & (n_hi + 1 >= 2.0 * rad)[:, None]
-        done = act & finite & ready & ((rem_now <= rel_tol * part[at]) | (rem_now < 1e-300))
+        done = act & finite & ready & ((rem_now <= _REL_TOL * part[at]) | (rem_now < 1e-300))
         failed = act & (~finite | (~done & (n_hi >= cap[at])))
         blocks.append((gi, np.where(act[:, :, None], t, 0.0)))
         rem[at] = np.where(done, rem_now, rem[at])
@@ -343,13 +339,7 @@ def _suffix_bounds(terms, rem, n_end, at) -> np.ndarray:
         return round_up(total * (1.0 + gamma(n_end + 4))[:, None])
 
 
-def exp_series_tail(
-    rates,
-    weights,
-    orders,
-    rel_tol: float = 1e-15,
-    rate_err=0.0,
-) -> SeriesTail:
+def exp_series_tail(rates, weights, orders, rate_err=0.0) -> SeriesTail:
     """Upper bounds on  sum_{n > d} sum_i w_i * r_i**n / n!  for each row.
 
     ``rates`` and ``weights`` have shape (rows, K) (a 1-d pair is one row);
@@ -359,7 +349,7 @@ def exp_series_tail(
     ``SeriesTail``: the outward-rounded tail, its first term (n = d + 1, the
     leading term, also an upper bound), the converged mask and the slack.
 
-    Summation of a row stops once the remainder bound drops below ``rel_tol``
+    Summation of a row stops once the remainder bound drops below ``_REL_TOL``
     times its partial tail (or below 1e-300).  A row is not ``ok`` if the cap
     ``d + 1 + max(200, 20*ceil(R))`` is reached first or if intermediates
     overflow.
@@ -368,7 +358,7 @@ def exp_series_tail(
     rows = r.shape[0]
     orders = _per_row(orders, rows, np.int64, "order")
     rate_err = _per_row(rate_err, rows, float, "rate_err")
-    ps = _term_bounds(r, w, orders, rel_tol, rate_err)
+    ps = _term_bounds(r, w, orders, rate_err)
     ok = ps.ok
     with np.errstate(over="ignore", invalid="ignore"):
         tail = round_up((ps.part + ps.rem + ps.floor) * (1.0 + gamma(ps.n_end + 5)))
@@ -393,15 +383,7 @@ def power_coeffs(x, length: int) -> np.ndarray:
     return out
 
 
-def product_tail(
-    p,
-    big_x,
-    rates,
-    weights,
-    orders,
-    rel_tol: float = 1e-15,
-    rate_err=0.0,
-) -> SeriesTail:
+def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
     """Upper bounds on the tail past d of the product series P * R, per row.
 
     P has nonnegative coefficients: ``p[row, k]`` is the k-th one computed to
@@ -440,7 +422,7 @@ def product_tail(
         )
         rest = rest + floor
 
-    ps = _term_bounds(r, w, orders, rel_tol, rate_err)
+    ps = _term_bounds(r, w, orders, rate_err)
     # tails[:, 0] bounds all of R, tails[:, 1 + k] bounds T_{d-k}(R)
     last = ps.terms.shape[1] - 1
     at = np.clip(orders[:, None] - ks + 1, 0, last + 1)

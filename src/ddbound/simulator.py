@@ -41,7 +41,7 @@ import numpy as np
 from .nudd_bounds import NuddBoundReport, d_min_for_orders, nudd_distance_bound
 from .qdd_bounds import _MODES, BoundReport, EtaVector, distance_bound
 from .sequences import PulseSchedule, nudd_schedule
-from .series import NonConvergenceError, check_rel_tol
+from .series import NonConvergenceError
 
 __all__ = [
     "PAULI",
@@ -52,7 +52,6 @@ __all__ = [
     "ExperimentConfig",
     "SimResult",
     "ScalingFit",
-    "random_bath",
     "build_model",
     "evolve",
     "extract_channel_ops",
@@ -77,6 +76,7 @@ PAULI = {
 MAX_TOTAL_DIM = 256
 MAX_QUBITS = 2
 NORM_FLOOR = 1e-14  # below this, channel norms are numerically unresolvable
+_DENSITY_TOL = 1e-10  # how far a density matrix may stray from Hermitian, unit trace, PSD
 
 _BATH_STATES = ("maximally-mixed", "pure-random")
 _INITIAL_STATES = ("random", "plus", "zero")
@@ -162,27 +162,6 @@ def _rescale(herm: np.ndarray, J) -> np.ndarray:
     if np.any(scale == 0.0):
         raise RuntimeError("degenerate zero draw; use a different seed")
     return herm * (J / scale)[..., None, None]
-
-
-def random_bath(dim: int, J: float, seed) -> np.ndarray:
-    """Hermitian ``dim x dim`` matrix with spectral norm exactly ``J``.
-
-    Drawn from the rotation-invariant Gaussian Hermitian ensemble, then
-    rescaled so its largest eigenvalue magnitude equals ``J``.  ``seed`` may
-    be an integer or a numpy Generator/SeedSequence.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not (math.isfinite(J) and J >= 0.0):
-        raise ValueError("J must be finite and >= 0")
-    if J == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
-    return _rescale(_hermitian_draw(dim, rng), J)
 
 
 @dataclass
@@ -359,27 +338,25 @@ def unitarity_residuals(ops: Mapping[str, np.ndarray]) -> dict[str, float | np.n
     return {k: float(n) if first.ndim == 2 else n for k, n in zip(mats, norms)}
 
 
-def _check_density(rho: np.ndarray, tol: float) -> None:
+def _check_density(rho: np.ndarray) -> None:
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    if np.any(spectral_norm(rho - _dagger(rho)) > tol):
+    if np.any(spectral_norm(rho - _dagger(rho)) > _DENSITY_TOL):
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    if np.any(abs(trace.real - 1.0) > tol) or np.any(abs(trace.imag) > tol):
+    if np.any(abs(trace.real - 1.0) > _DENSITY_TOL) or np.any(abs(trace.imag) > _DENSITY_TOL):
         raise ValueError("density matrix trace differs from 1")
-    if float(np.min(np.linalg.eigvalsh((rho + _dagger(rho)) / 2))) < -tol:
+    if float(np.min(np.linalg.eigvalsh((rho + _dagger(rho)) / 2))) < -_DENSITY_TOL:
         raise ValueError("density matrix has negative eigenvalues beyond tolerance")
 
 
-def trace_distance(
-    rho1: np.ndarray, rho2: np.ndarray, tol: float = 1e-10
-) -> float | np.ndarray:
+def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float | np.ndarray:
     """Trace-norm distance (1/2)||rho1 - rho2||_1 between density matrices.
 
     Stacks of matrices give an array of distances.
     """
-    _check_density(rho1, tol)
-    _check_density(rho2, tol)
+    _check_density(rho1)
+    _check_density(rho2)
     dist = 0.5 * np.sum(np.linalg.svd(rho1 - rho2, compute_uv=False), axis=-1)
     return float(dist) if rho1.ndim == 2 else dist
 
@@ -406,7 +383,6 @@ class ExperimentConfig:
     initial_state: str = "random"
     bath_state: str = "maximally-mixed"
     mode: str = "analytic"
-    rel_tol: float = 1e-15
 
     def __post_init__(self) -> None:
         if self.kind not in ("qdd", "nudd"):
@@ -423,7 +399,6 @@ class ExperimentConfig:
         _norm_labels(self.bath.norms, m)  # also rejects an unsupported qubit count
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be finite and > 0")
-        check_rel_tol(self.rel_tol)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.initial_state not in _INITIAL_STATES:
@@ -502,7 +477,7 @@ def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str
             realized.get("z", 0.0) / j0,
         )
         report: BoundReport = distance_bound(
-            config.orders[0], config.orders[1], eps, eta, config.mode, config.rel_tol
+            config.orders[0], config.orders[1], eps, eta, config.mode
         )
         channel_margins = {
             ch: report.channel_bounds.for_channel(ch) - norms[ch]
@@ -515,7 +490,7 @@ def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str
     )
     eta_val = j1 / j0
     nrep: NuddBoundReport = nudd_distance_bound(
-        d_min_for_orders(config.orders), eps, eta_val, config.qubit_count, config.rel_tol
+        d_min_for_orders(config.orders), eps, eta_val, config.qubit_count
     )
     error_sum = sum(v for label, v in norms.items() if label != id_label)
     return eps, eta_val, nrep.distance_bound, {"error_sum": nrep.delta - error_sum}

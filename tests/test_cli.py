@@ -243,27 +243,27 @@ def test_bounds_overflow_edge_rows(capsys):
     [
         pytest.param(
             ["bounds", "qdd", "--fig2"],
-            "049be11e80d353c53cc2929d1c6617759cdc8f6c3152af55304c3883421ab706",
+            "0513207964a1017e4877ad7258aa08aa16e9ed2feb65dd7b861637cb6bdd9f4d",
             id="argv0-d8d1336f09cada9f58961d165c97db22e363505125910357aaa1a54525050541",
         ),
         pytest.param(
             ["bounds", "qdd", "--fig3"],
-            "f0fb29c3868119cf187fbb5ba0f91646a65165276cdb8ee28953f07129f7b67a",
+            "c91ef629e7503eeeb117175bd39ca203cdb717496610aceb92ea6c925756349b",
             id="argv1-fe347dab494692943154710924934b4ffd8dfe21beeef457d2ea63b88a2b846d",
         ),
         pytest.param(
             ["bounds", "qdd", "--fig4"],
-            "2588c7b185b0ca32b841736aa00447b4b4ce7269d3bcd0715fcc67e2c7eca49d",
+            "ed7c9a661d26497ae21aed08db31ee190ea49b772ed7a432df008d2771339cca",
             id="argv2-c9af9865391dd3e51f87908996354cc57468c85a91e2991718c8f37650941faa",
         ),
         pytest.param(
             ["bounds", "qdd", "--fig2", "--mode", "numeric-footnote"],
-            "30b74a0d6af344987047c8095a6b950c66a9427ed6ed486e7894c3a8645f3b2d",
+            "7d3ec8855584fe4abd87211ab4cc7d9f48be5c2a7176d0e1ddc89edbef9d59f1",
             id="argv3-cf8d25cb60d4df0e81465459d0902a2073d231a5b94b3b0ee352f98fb767db42",
         ),
         pytest.param(
             ["bounds", "nudd", "--fig5"],
-            "5477cef54fc8b233616a437c3dd54a4bbeabd2e62db687326cd059cde01dd28d",
+            "3da2d42d26dba1aaf5d750a640c645e4b9772ce30d7efe656b5badfc2a782243",
             id="argv4-500a912062e9efdc716775d3743b80842ebf970edcecc110c015987227d7b08a",
         ),
     ],
@@ -271,7 +271,8 @@ def test_bounds_overflow_edge_rows(capsys):
 def test_preset_csv_frozen(argv, digest, capsys):
     """sha256 of each whole preset CSV, re-recorded when every bound became
     an outward-rounded upper bound (values moved up by at most 3.1e-11
-    relative)."""
+    relative), and again when the rel_tol key left the resolved config
+    (only the ``# config_hash=`` line changed)."""
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -367,15 +368,16 @@ def test_verify_orders_certifies(capsys):
     assert cert["orders"] == {"d_x": 1, "d_y": 2, "d_z": 1}
 
 
+# The mp zero threshold is the constant DEFAULT_ZERO_TOL, so argparse itself
+# rejects every --zero-tol value.
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-30"])
 def test_verify_orders_rejects_bad_zero_tol(tol, capsys):
-    code, out, err = run_cli(
-        ["verify", "orders", "--qdd", "3", "3", "--nmax", "2", f"--zero-tol={tol}"],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert "zero_tol" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "orders", "--qdd", "3", "3", "--nmax", "2", f"--zero-tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --zero-tol={tol}" in captured.err
 
 
 def test_verify_bound_rows(capsys):
@@ -493,30 +495,47 @@ def test_sweep_unknown_key(tmp_path, capsys):
     assert "oops" in err
 
 
+# The series stopping tolerance is a constant, so argparse itself rejects
+# --rel-tol, whatever its value; these rows keep the ids they had when the
+# CLI range-checked the flag.
+_REMOVED_FLAGS = [
+    (["bounds", "qdd", "--n1", "1", "--n2", "1", "--rel-tol", "0.1"], "rel_tol"),
+    (["bounds", "qdd", "--n1", "1", "--n2", "1", "--rel-tol", "nan"], "rel_tol"),
+    (["bounds", "nudd", "--m", "2", "--dmin", "1", "--eta", "1", "--rel-tol", "0.5"],
+     "rel_tol"),
+]
+_INVALID_FLAGS = [
+    (["bounds", "nudd", "--fig5", "--eps-points", "1"], "eps_points"),
+    (["bounds", "nudd", "--fig5", "--eps-min", "2", "--eps-max", "1"], "lo < hi"),
+    (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"], "nonnegative"),
+    (["verify", "bound", "--nudd", "1,1", "--qubits", "2", "--eps", "0.1"],
+     "expected 4 per-level orders"),
+    (["verify", "bound", "--nudd", "1,1", "--qubits", "1", "--eps", "0.05",
+      "--eta-x", "0.3"], "per-axis eta"),
+    (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
+      "--loosen", "nan"], "--loosen"),
+    (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
+      "--loosen", "inf"], "--loosen"),
+    (["bounds", "nudd", "--m", "32", "--dmin", "1", "--eta", "1"], "[1, 31]"),
+    (["bounds", "nudd", "--m", "0", "--dmin", "1", "--eta", "1"], "[1, 31]"),
+    (["verify", "orders", "--qdd", "1", "1", "--nmax", "0"], "n_max must be >= 1"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, needle",
-    [
-        (["bounds", "qdd", "--n1", "1", "--n2", "1", "--rel-tol", "0.1"], "rel_tol"),
-        (["bounds", "qdd", "--n1", "1", "--n2", "1", "--rel-tol", "nan"], "rel_tol"),
-        (["bounds", "nudd", "--m", "2", "--dmin", "1", "--eta", "1", "--rel-tol", "0.5"],
-         "rel_tol"),
-        (["bounds", "nudd", "--fig5", "--eps-points", "1"], "eps_points"),
-        (["bounds", "nudd", "--fig5", "--eps-min", "2", "--eps-max", "1"], "lo < hi"),
-        (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"], "nonnegative"),
-        (["verify", "bound", "--nudd", "1,1", "--qubits", "2", "--eps", "0.1"],
-         "expected 4 per-level orders"),
-        (["verify", "bound", "--nudd", "1,1", "--qubits", "1", "--eps", "0.05",
-          "--eta-x", "0.3"], "per-axis eta"),
-        (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
-          "--loosen", "nan"], "--loosen"),
-        (["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1",
-          "--loosen", "inf"], "--loosen"),
-        (["bounds", "nudd", "--m", "32", "--dmin", "1", "--eta", "1"], "[1, 31]"),
-        (["bounds", "nudd", "--m", "0", "--dmin", "1", "--eta", "1"], "[1, 31]"),
-        (["verify", "orders", "--qdd", "1", "1", "--nmax", "0"], "n_max must be >= 1"),
-    ],
+    _REMOVED_FLAGS + _INVALID_FLAGS,
+    ids=[f"argv{i}-{needle}" for i, (_, needle) in enumerate(_REMOVED_FLAGS + _INVALID_FLAGS)],
 )
 def test_invalid_flags_exit_2(argv, needle, capsys):
+    if (argv, needle) in _REMOVED_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --rel-tol {argv[-1]}" in captured.err
+        return
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
@@ -531,6 +550,7 @@ def test_invalid_flags_exit_2(argv, needle, capsys):
          "'eps' is required"),
         ("simulate", {k: v for k, v in SIM_CONFIG.items() if k != "T"}, ["--seed", "1"],
          "'T' is required"),
+        # rel_tol is no config key: the series stopping tolerance is a constant
         ("simulate", {**SIM_CONFIG, "rel_tol": 0.5}, [], "rel_tol"),
         ("simulate", {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "seed": "s"}}, [], "seed"),
         ("simulate", SIM_CONFIG, ["--seed", "-1"], "seed"),
@@ -580,20 +600,20 @@ KEY_TYPES = {
     "bounds qdd": {
         "preset": str, "n1": int, "n2": int, "eta": float, "eta_x": float,
         "eta_y": float, "eta_z": float, "eps_min": float, "eps_max": float,
-        "eps_points": int, "mode": str, "rel_tol": float,
+        "eps_points": int, "mode": str,
     },
     "bounds nudd": {
         "preset": str, "m": int, "dmin": int, "eta": float, "eps_min": float,
-        "eps_max": float, "eps_points": int, "rel_tol": float,
+        "eps_max": float, "eps_points": int,
     },
     "sweep": {
         "kind": str, "orders": list, "bath_dim": list, "eps": list, "eta": list,
-        "seeds": int, "master_seed": int, "mode": str, "rel_tol": float,
+        "seeds": int, "master_seed": int, "mode": str,
         "initial_state": str, "bath_state": str,
     },
     "simulate": {
         "kind": str, "orders": list, "bath": dict, "T": float, "initial_state": str,
-        "bath_state": str, "mode": str, "rel_tol": float,
+        "bath_state": str, "mode": str,
     },
 }
 BASE_CONFIGS = {
@@ -641,12 +661,28 @@ def test_config_null_is_unset_or_rejected(command, key, tmp_path, capsys):
     assert code == 0 or err.startswith("error:")
 
 
+# The series stopping tolerance is a constant, so a rel_tol key is an unknown
+# config key (its removed flag is in test_invalid_flags_exit_2).
+@pytest.mark.parametrize(
+    "command",
+    [pytest.param(command, id=f"{command} rel_tol key") for command in sorted(BASE_CONFIGS)],
+)
+def test_removed_tolerance_inputs_exit_2(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIGS[command], "rel_tol": 1e-15}))
+    code, out, err = run_cli([*command.split(), "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys: rel_tol" in err
+
+
 # config_hash of fixed inputs, recorded before the CLI options were declared
 # in one table.  The hash covers only the resolved inputs, so it is the same
 # on every host and must not change when the CLI code does.  The simulate,
 # verify bound and sweep values were re-recorded when the tie_order key left
-# their resolved configs; each equals the hash of the old resolved config
-# with that key deleted.
+# their resolved configs, and the bounds, simulate, verify orders and sweep
+# values when the rel_tol and zero_tol keys left them; each equals the hash
+# of the old resolved config with those keys deleted.
 HASH_CONFIGS = {
     "cell.json": {"n1": 2, "n2": 2, "eta": 1.0, "eps_points": 3},
     "sim.json": SIM_CONFIG,
@@ -663,16 +699,16 @@ HASH_CONFIGS = {
                      id="argv0-7ed332f58e69d3b5"),
         pytest.param(["sequence", "--nudd", "1,1", "--qubits", "1"], "a0bf6c806d17828e",
                      id="argv1-a0bf6c806d17828e"),
-        pytest.param(["bounds", "qdd", "--config", "cell.json"], "45b18c924338ac64",
+        pytest.param(["bounds", "qdd", "--config", "cell.json"], "5b9dc8c056312615",
                      id="argv2-45b18c924338ac64"),
         pytest.param(
             ["bounds", "nudd", "--m", "2", "--dmin", "2", "--eta", "0.7", "--eps-points", "5"],
-            "6470082c4cadd22b",
+            "6101269da8ac1ca1",
             id="argv3-6470082c4cadd22b",
         ),
-        pytest.param(["simulate", "--config", "sim.json"], "6ae56db8b48632bb",
+        pytest.param(["simulate", "--config", "sim.json"], "28d359854c68dc24",
                      id="argv4-6ae56db8b48632bb"),
-        pytest.param(["verify", "orders", "--qdd", "1", "1", "--nmax", "2"], "c66947e5704b6438",
+        pytest.param(["verify", "orders", "--qdd", "1", "1", "--nmax", "2"], "2deef9ae9775bce6",
                      id="argv5-c66947e5704b6438"),
         pytest.param(
             [
@@ -682,7 +718,7 @@ HASH_CONFIGS = {
             "d08b94c7682420b4",
             id="argv6-d08b94c7682420b4",
         ),
-        pytest.param(["sweep", "--config", "sweep.json"], "60961df5bcd6c5df",
+        pytest.param(["sweep", "--config", "sweep.json"], "73e9f55490f0bfac",
                      id="argv7-60961df5bcd6c5df"),
     ],
 )

@@ -156,10 +156,11 @@ def test_delta_tail_validation():
             delta_tail(1, 0, eps, eta)
         with pytest.raises(ValueError):
             distance_bound(1, 1, eps, eta)
-    with pytest.raises(ValueError):
-        delta_tail(1, 0, 0.1, eta, rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        delta_tail(1, 0, 0.1, eta, rel_tol=0.0)
+    for j in (-1, 8):  # sector indices outside 0..7
+        with pytest.raises(ValueError, match="sector index"):
+            delta_tail(j, 0, 0.1, eta)
+        with pytest.raises(ValueError, match="sector index"):
+            g_poly(j, 1, eta)
 
 
 def test_eta_validation():

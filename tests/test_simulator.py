@@ -31,7 +31,6 @@ from ddbound.simulator import (
     partial_trace_bath,
     pauli_labels,
     pauli_matrix,
-    random_bath,
     run_experiment,
     run_experiments,
     spectral_norm,
@@ -54,15 +53,6 @@ def test_pauli_matrix_kron_order():
     got = pauli_matrix("xz")
     assert np.array_equal(got, np.kron(SX, SZ))
     assert np.array_equal(pauli_matrix("0"), np.eye(2))
-
-
-def test_random_bath_properties():
-    b = random_bath(8, 0.7, 3)
-    assert np.allclose(b, b.conj().T)
-    assert np.linalg.norm(b, 2) == pytest.approx(0.7, rel=1e-12)
-    assert np.array_equal(random_bath(8, 0.7, 3), b)  # deterministic
-    assert not np.array_equal(random_bath(8, 0.7, 4), b)
-    assert np.all(random_bath(4, 0.0, 5) == 0.0)
 
 
 def test_bath_spec_validation():
