@@ -1,10 +1,12 @@
-"""Certify claimed suppression orders by exact nested-integral enumeration.
+"""Certify claimed suppression orders by proving nested word integrals zero.
 
 Every Dyson term of order n carries a word of n channel labels whose
 coefficient is a nested integral of switching-function products. A channel is
 suppressed to order d exactly when all its words of length <= d integrate to
 zero. This demo runs the certifier on a few sequences and prints the row
-table plus the first nonzero witness above each claimed order.
+table, the first nonzero witness above each claimed order, and the proof
+line: the primes whose residues vanish for every zero word, and log2 of
+their product against the bound it must beat.
 
 The last section re-checks an odd inner order in "numeric-footnote" mode,
 where the z channel is claimed at min(2*N1+1, N2) instead of min(N1+1, N2).
@@ -33,6 +35,13 @@ def show(n1, n2, n_max, mode="analytic", backend="auto"):
             f"max |integral| = {row['max_abs']:.3e}  ({mark}){extra}"
         )
     print(f"  witness status: {dict(cert.witness_status)}")
+    proof = cert.proof
+    beats = ">" if proof["status"] == "proved" else "<="
+    print(
+        f"  proof: {proof['status']}, zeros vanish mod {len(proof['primes'])} "
+        f"prime(s) p = 1 (mod L) below 2^26; log2 of their product "
+        f"{proof['log2_product']} {beats} bound {proof['log2_bound']}"
+    )
     print(f"  certified: {cert.certified}\n")
 
 

@@ -6,7 +6,7 @@ Three layers:
 * analytic trace-norm error bounds for the quadratic single-qubit sequence
   (:mod:`ddbound.qdd_bounds`) and the general nested multi-qubit family
   (:mod:`ddbound.nudd_bounds`);
-* verification tools: exact nested-integral order certification
+* verification tools: proof-grade nested-integral order certification
   (:mod:`ddbound.dyson`) and an exact spin-bath simulator
   (:mod:`ddbound.simulator`) that checks measured errors against the bounds.
 

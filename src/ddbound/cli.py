@@ -6,7 +6,7 @@ sequence        emit a pulse schedule as CSV (``time,axis,qubit,level``)
 bounds qdd      two-level distance/channel bounds over a grid
 bounds nudd     nested multi-qubit bound over a grid
 simulate        run one exact spin-bath experiment from a JSON config
-verify orders   certify claimed suppression orders via exact word integrals
+verify orders   certify claimed suppression orders: word integrals proved zero
 verify bound    check bound dominance over randomized baths
 sweep           randomized experiment grid from a JSON config
 
@@ -36,10 +36,10 @@ floats use shortest round-trip repr.
 Exit codes: 0 success, 1 a verified property is violated (and nothing else),
 2 invalid input, 3 numerical non-convergence or a bound beyond double range
 (possibly partial: such rows are flagged with ``# non-convergence`` comment
-lines).  Every bound is rounded outward, so each printed value is an upper
-bound; a row holding a value below 2^-1022, whose digits overstate its
-precision, is preceded by a ``# subnormal`` comment line and keeps its exit
-code.
+lines), or an order certificate whose primes fall short of its proof bound.
+Every bound is rounded outward, so each printed value is an upper bound; a
+row holding a value below 2^-1022, whose digits overstate its precision, is
+preceded by a ``# subnormal`` comment line and keeps its exit code.
 """
 
 from __future__ import annotations
@@ -464,8 +464,8 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
             raise CliError(f"--m must be an integer in [1, {_MAX_M}], got {m!r}")
         if d_min < 0:
             raise CliError(f"--dmin must be a nonnegative integer, got {d_min!r}")
-        if not eta >= 0:
-            raise CliError(f"--eta must be >= 0, got {eta!r}")
+        if not (math.isfinite(eta) and eta >= 0):
+            raise CliError(f"--eta must be finite and >= 0, got {eta!r}")
         cells.append((m, d_min, eta, _eps_grid(resolved)))
 
     table = []
@@ -666,7 +666,9 @@ def cmd_verify_orders(args: argparse.Namespace) -> int:
         "certification": asdict(cert),
     }
     _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
-    return EXIT_OK if cert.certified else EXIT_ASSERTION
+    if cert.violations:
+        return EXIT_ASSERTION
+    return EXIT_OK if cert.certified else EXIT_NONCONVERGENCE
 
 
 def cmd_verify_bound(args: argparse.Namespace) -> int:
@@ -780,11 +782,15 @@ _COMMANDS = {
     ),
     "verify orders": Command(
         cmd_verify_orders,
-        "exact word-integral certification",
+        "word-integral certification, zeros proved by residues",
         (
             replace(_QDD, required=True),
             Opt("nmax", int, required=True, help="certify all word lengths up to NMAX"),
-            Opt("backend", str, "auto", ("auto", "rational", "mp"), help="number backend"),
+            Opt(
+                "backend", str, "auto", ("auto", "rational", "mp"),
+                help="exact arithmetic that orders the breakpoints: rational "
+                "(orders <= 2, exact values) or 50-digit mp (float values)",
+            ),
             _MODE,
         ),
     ),

@@ -187,8 +187,10 @@ def nudd_delta(d_min: int, epsilon: float, eta: float, m: int) -> tuple[float, f
 def _check_point(d_min: int, grid, eta: float) -> None:
     if d_min < 0:
         raise ValueError("d_min must be >= 0")
-    if not (all(e >= 0 for e in grid) and eta >= 0):
-        raise ValueError("epsilon and eta must be >= 0")
+    if not all(e >= 0 for e in grid):
+        raise ValueError("epsilon must be >= 0")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
 def _cell_reports(m: int, d_min: int, eta: float, grid) -> list:

@@ -36,7 +36,6 @@ from .series import (
     SeriesTail,
     check_finite,
     coeff_count,
-    exp_series_coeff,
     exp_series_tail,
     gamma,
     keep_lower,
@@ -197,15 +196,28 @@ def bounding_function(j: int, epsilon: float, eta: EtaVector) -> float:
 
 
 def g_poly(j: int, l: int, eta: EtaVector) -> float:
-    """Taylor coefficient of S_j: the signed eight-term sum over (+-1)^3.
+    """Taylor coefficient of S_j, the signed eight-term sum over (+-1)^3,
 
     g_l^(j) = (1/(8*l!)) * sum_s s_x^p_x s_y^p_y s_z^p_z
               * (1 + s_x eta_x + s_y eta_y + s_z eta_z)^l,
 
-    the l-th term of ``_sector_series(j, 1, eta)``.
+    the l-th term of ``_sector_series(j, 1, eta)``.  It is evaluated as the
+    eps^l coefficient of e^eps times the sinh/cosh factors of ``bounding_function``:
+    a convolution of their nonnegative coefficients 1/k! and eta_a^k/k! (odd k
+    for sinh, even k for cosh), so it is never negative in floating point and
+    is exactly 0 where a sinh axis has eta_a = 0.  A value beyond double range
+    is non-finite.
     """
-    case_parities(j)  # rejects a sector index outside 0..7
-    return exp_series_coeff(*_sector_series(j, 1.0, eta), l)
+    parities = case_parities(j)  # rejects a sector index outside 0..7
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    coeffs = power_coeffs([1.0, *eta.as_tuple()], l + 1)
+    odd = np.arange(l + 1) % 2
+    out = coeffs[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, p in zip(coeffs[1:], parities):
+            out = np.convolve(out, np.where(odd == p, row, 0.0))[: l + 1]
+    return float(out[l])
 
 
 #: Row j: which of (x, y, z) carry a sinh factor in sector j.

@@ -170,10 +170,7 @@ def test_criterion_04_word_certification():
                 for row in cert.rows:
                     if not row["expected_zero"]:
                         continue
-                    if backend == "rational":
-                        assert row["max_abs"] == 0.0, row
-                    else:
-                        assert row["max_abs"] <= 1e-20, row
+                    assert row["max_abs"] == 0.0, row  # proved zero on both backends
                     seen.add((row["channel"], row["n"]))
                 for ch, d in claimed.items():
                     for n in range(1, min(4, d) + 1):

@@ -368,8 +368,8 @@ def test_verify_orders_certifies(capsys):
     assert cert["orders"] == {"d_x": 1, "d_y": 2, "d_z": 1}
 
 
-# The mp zero threshold is the constant DEFAULT_ZERO_TOL, so argparse itself
-# rejects every --zero-tol value.
+# Zero words are proved by residues, with no threshold to set, so argparse
+# itself rejects every --zero-tol value.
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-30"])
 def test_verify_orders_rejects_bad_zero_tol(tol, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -540,6 +540,16 @@ def test_invalid_flags_exit_2(argv, needle, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan", "-1"])
+def test_bounds_nudd_rejects_eta_outside_domain(eta, capsys):
+    code, out, err = run_cli(
+        ["bounds", "nudd", "--m", "2", "--dmin", "2", f"--eta={eta}"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--eta must be finite and >= 0" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Exact nested-integral oracle tests.
+"""Nested-integral oracle tests.
 
 Frozen reference values below were derived by hand from the switching
 patterns and confirmed exactly rational by the Fraction backend, e.g. for
@@ -8,29 +8,38 @@ simplex is
     int_0^1 ds2 f_0(s2) int_0^s2 f_x(s1) ds1 = 1/8
 
 with f_x = +1 on [0, 1/4) u [1/2, 3/4) and -1 elsewhere.
+
+The certifier's residue engine is checked against ``_reference_levels``, the
+same Chen/Horner recurrence run word by word in exact objects: ``Fraction``
+for orders <= 2 and 50-digit mpmath otherwise.
 """
 
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddbound.dyson
+from ddbound.cli import main
 from ddbound.dyson import (
     _CHANNEL_OF_SECTOR,
     _LETTER_SECTOR,
-    DEFAULT_WITNESS_TOL,
-    DEFAULT_ZERO_TOL,
     LETTERS,
     OrderCertification,
+    _read_level,
+    _reduce,
     qdd_profiles,
     signature,
     verify_orders,
@@ -131,15 +140,8 @@ def test_fubini_symmetrization():
 
 
 @cache
-def _rational_levels(n1, n2):
-    return signature(qdd_profiles(n1, n2, backend="rational"), 5)
-
-
-def _from_levels(levels, word):
-    index = 0
-    for a in word:
-        index = 4 * index + LETTERS.index(a)
-    return levels[len(word)][index]
+def _signature(n1, n2):
+    return signature(qdd_profiles(n1, n2), 5)
 
 
 def _shuffles(u, v):
@@ -158,18 +160,45 @@ def _word_pairs(draw):
     return u, v
 
 
+def _column(word):
+    index = 0
+    for a in word:
+        index = 4 * index + LETTERS.index(a)
+    return index
+
+
 @settings(max_examples=300, deadline=None)
-@given(n1=st.integers(0, 2), n2=st.integers(0, 2), words=_word_pairs())
+@given(n1=st.integers(0, 6), n2=st.integers(0, 6), words=_word_pairs())
 def test_shuffle_identity(n1, n2, words):
-    """I(u) I(v) = sum over the shuffles w of u and v of I(w), exactly.
+    """I(u) I(v) = sum over the shuffles w of u and v of I(w), exactly in
+    every residue row.
 
     Holds for the iterated integrals of any path, so a wrong Horner factor
     in the signature update breaks it (e.g. I(x)^2 = 2 I(xx) needs v^2/2).
     """
     u, v = words
-    levels = _rational_levels(n1, n2)
-    rhs = sum(_from_levels(levels, w) for w in _shuffles(u, v))
-    assert _from_levels(levels, u) * _from_levels(levels, v) == rhs
+    sig = _signature(n1, n2)
+
+    def residue(word, r):
+        return int(sig.levels[len(word)][r, _column(word)])
+
+    for r, p in enumerate(sig.primes):
+        rhs = sum(residue(w, r) for w in _shuffles(u, v))
+        assert (residue(u, r) * residue(v, r) - rhs) % p == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(-(2**52) + 1, 2**52 - 1),
+    p=st.sampled_from([67108859, 67108837, 1048573, 8191, 7]),
+)
+def test_reduce_is_exact(x, p):
+    """The residue reduction keeps x mod p and lands within p/2 + 2 of zero."""
+    got = _reduce(np.array([[float(x)]]), np.array([[float(p)]]), np.array([[1.0 / p]]))
+    r = int(got[0, 0])
+    assert r == got[0, 0]
+    assert (x - r) % p == 0
+    assert abs(r) <= p / 2 + 2
 
 
 def test_rational_exact_values_depth4():
@@ -218,15 +247,30 @@ def test_backend_selection_and_limits():
         qdd_profiles(1, 1, backend="fixed")
 
 
+def test_signature_blocks_agree(monkeypatch):
+    """Building the interval coefficients a few intervals at a time, as large
+    orders do, gives the same signature bit for bit."""
+    prof = qdd_profiles(3, 4)
+    whole = signature(prof, 3)
+    monkeypatch.setattr(ddbound.dyson, "_BLOCK", 3)
+    for a, b in zip(whole.levels, signature(prof, 3).levels, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_rational_mp_agreement():
-    """All 340 words of length <= 4 for (2, 2) agree across backends."""
-    exact = signature(qdd_profiles(2, 2, backend="rational"), 4)
+    """All 340 words of length <= 4 for (2, 2): both backends order the same
+    breakpoints, so their residue rows agree exactly, and the mp backend's
+    float row agrees with the rational backend's exact values."""
+    prof = qdd_profiles(2, 2, backend="rational")
+    exact = signature(prof, 4)
     approx = signature(qdd_profiles(2, 2, backend="mp"), 4)
-    assert sum(len(level) for level in exact[1:]) == 340
-    with mp.workdps(60):
-        for lev_r, lev_m in zip(exact[1:], approx[1:]):
-            for r, m in zip(lev_r, lev_m):
-                assert abs(mp.mpf(r.numerator) / r.denominator - m) < 1e-40
+    assert exact.proved and exact.primes == approx.primes
+    assert sum(level.shape[1] for level in exact.levels[1:]) == 340
+    for k in range(1, 5):
+        np.testing.assert_array_equal(exact.levels[k][:-1], approx.levels[k][:-1])
+        value = _read_level(prof, exact, k)[2]
+        for i, m in enumerate(approx.levels[k][-1]):
+            assert abs(value(i) - Fraction(m)) < 1e-16
 
 
 def test_word_validation():
@@ -304,41 +348,61 @@ def test_certification_jsonable():
     cert = verify_orders(1, 1, 2)
     doc = json.loads(json.dumps(asdict(cert)))
     assert doc["certified"] is True
-    assert doc["witness_tol"] == DEFAULT_WITNESS_TOL
+    assert doc["proof"]["status"] == "proved"
     assert doc["orders"] == {"d_x": 1, "d_y": 2, "d_z": 1}
     assert isinstance(doc["rows"], list)
 
 
 def test_mp_zero_floor():
-    """mp-backend zeros sit far below the certification threshold."""
+    """mp-backend words proved zero read exactly 0.0, not roundoff."""
     prof = qdd_profiles(3, 3)
-    val = word_integral(("x",), prof)
-    assert abs(float(val)) < 1e-40
+    for word in product("0xyz", repeat=2):
+        if word.count("0") == 1:  # first-order error words, all suppressed
+            assert word_integral(word, prof) == 0.0
+
+
+def test_proof_field():
+    """The primes are 1 mod L = lcm(2 N1 + 2, 2 N2 + 2), below 2^26, and their
+    product beats 2 (16 M)^(n_max deg) with deg = phi(L)/2."""
+    cert = verify_orders(3, 4, 4)
+    proof = cert.proof
+    assert proof["status"] == "proved"
+    assert all(p % 40 == 1 and p < 2**26 for p in proof["primes"])
+    m = len(qdd_profiles(3, 4).lengths)
+    bound = 2 * (16 * m) ** (4 * 8)  # phi(40) / 2 = 8
+    assert math.prod(proof["primes"]) > bound
+    assert math.prod(proof["primes"][:-1]) <= bound  # no prime more than needed
+    assert proof["log2_bound"] == round(math.log2(bound), 3)
+    assert proof["log2_product"] > proof["log2_bound"]
 
 
 # Explicit ids, fixed at the names the cases had when their digests were
-# recorded, so that re-recording a digest keeps the test's name.
+# first recorded, so that re-recording a digest keeps the test's name.  The
+# digests were re-recorded when residue proofs replaced the zero threshold:
+# every certificate trades zero_tol/witness_tol for a proof field, and mp
+# certificates report proved zeros as 0.0 and float64 value strings; the
+# rational ones are otherwise unchanged.
 @pytest.mark.parametrize(
     "args, kwargs, digest",
     [
         pytest.param(
             (2, 2, 4), {"backend": "rational"},
-            "bdc7a35e3a43e53b883231f35c5685c13cf593d413e7792d5d9fa5c604f06cd6",
+            "6b3f3814265099bb0107e744f6bc0954f271d3a2133e8c50f93bf982cce0e06a",
             id="args0-kwargs0-bdc7a35e3a43e53b883231f35c5685c13cf593d413e7792d5d9fa5c604f06cd6",
         ),
         pytest.param(
             (1, 1, 5), {"backend": "rational"},
-            "06a09c993063a67969e64be71392909ea037a5c424becaa7f294bbd10829493e",
+            "cf2d54086c04ec982865562b00fcad67300ee61b652f31072aefe33990d40ede",
             id="args1-kwargs1-06a09c993063a67969e64be71392909ea037a5c424becaa7f294bbd10829493e",
         ),
         pytest.param(
             (3, 3, 4), {"backend": "mp"},
-            "494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25",
+            "df19158c9d9730c18e5d57622455c87f1a157b184e96b476834b829ecdb5102e",
             id="args2-kwargs2-494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25",
         ),
         pytest.param(
             (1, 4, 4), {"mode": "numeric-footnote"},
-            "b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d",
+            "b321d89d6ca1138e50abade6e532c8ebfd637327c076ea1b52f2be824aa689a8",
             id="args3-kwargs3-b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d",
         ),
     ],
@@ -356,39 +420,149 @@ def _depth_first(n_max, prefix=""):
             yield from _depth_first(n_max, prefix + letter)
 
 
-def _reference_certificate(n1, n2, n_max, backend, d_of):
-    """Rows and violations from a depth-first walk over the words, each word's
-    channel from its letter counts; maxima and witnesses keep the first word
-    of largest magnitude."""
-    profiles = qdd_profiles(n1, n2, backend)
-    levels = signature(profiles, n_max)
+@cache
+def _reference_levels(n1, n2, depth):
+    """Every word integral up to ``depth`` as (nonzero, value) pairs per level,
+    from the Chen/Horner recurrence on object arrays: ``Fraction`` for orders
+    <= 2, 50-digit mpmath otherwise, where "nonzero" means above 1e-25 (the
+    true zeros sit near 1e-50, the smallest nonzero words far above 1e-25)."""
+    profiles = qdd_profiles(n1, n2)
     exact = profiles.backend == "rational"
+    f_y = profiles.channels["y"]
+    z_signs = profiles.channels["x"].product(f_y).signs
+    bp = f_y.breakpoints
+    with mp.workdps(50):
+        levels = [np.array([1], dtype=object)]
+        levels += [np.zeros(4**k, dtype=object) for k in range(1, depth + 1)]
+        for a, b, s_y, s_z in zip(bp, bp[1:], f_y.signs, z_signs):
+            h = b - a
+            signs = (1, s_y * s_z, s_y, s_z)
+
+            def times(x, c):
+                return np.multiply.outer(x * c, signs).ravel()
+
+            for k in range(depth, 0, -1):
+                acc = times(levels[0], h / k)
+                for j in range(1, k):
+                    acc = times(acc + levels[j], h / (k - j))
+                levels[k] = levels[k] + acc
+        return [
+            (
+                np.array([v != 0 if exact else abs(v) > 1e-25 for v in level]),
+                [v if exact else float(v) for v in level],
+            )
+            for level in levels
+        ]
+
+
+def _reference_certificate(n1, n2, n_max, d_of):
+    """Rows and violations from a depth-first walk over the reference words,
+    each word's channel from its letter counts; maxima and witnesses keep the
+    first word of largest magnitude, and a zero word counts as 0."""
+    levels = _reference_levels(n1, n2, n_max)
     rows, violations, witness = {}, [], {}
-    with profiles.precision():
-        for word in _depth_first(n_max):
-            ch, n = _channel_by_counts(word), len(word)
-            if ch == "identity":
-                continue
-            value = _from_levels(levels, word)
-            a = float(abs(value))
-            row = rows.setdefault((n, ch), {
-                "channel": ch, "n": n, "expected_zero": n <= d_of[ch], "words": 0,
-                "max_abs": 0.0, "max_word": None,
-            })
-            row["words"] += 1
-            if a > row["max_abs"]:
-                row["max_abs"], row["max_word"] = a, word
-            if row["expected_zero"] and (value != 0 if exact else a > DEFAULT_ZERO_TOL):
-                violations.append(
-                    {"word": word, "channel": ch, "n": n, "value": str(value), "abs": a}
-                )
-            elif n == d_of[ch] + 1 and a > DEFAULT_WITNESS_TOL:
-                if ch not in witness or a > witness[ch]["abs"]:
-                    witness[ch] = {"word": word, "abs": a, "value": str(value)}
+    for word in _depth_first(n_max):
+        ch, n = _channel_by_counts(word), len(word)
+        if ch == "identity":
+            continue
+        nonzero, values = levels[n]
+        i = _column(word)
+        value = values[i] if nonzero[i] else 0
+        a = float(abs(value))
+        row = rows.setdefault((n, ch), {
+            "channel": ch, "n": n, "expected_zero": n <= d_of[ch], "words": 0,
+            "max_abs": 0.0, "max_word": None,
+        })
+        row["words"] += 1
+        if a > row["max_abs"]:
+            row["max_abs"], row["max_word"] = a, word
+        if row["expected_zero"] and nonzero[i]:
+            violations.append(
+                {"word": word, "channel": ch, "n": n, "value": str(value), "abs": a}
+            )
+        elif n == d_of[ch] + 1 and nonzero[i]:
+            if ch not in witness or a > witness[ch]["abs"]:
+                witness[ch] = {"word": word, "abs": a, "value": str(value)}
     return tuple(
         dict(row, witness=witness.get(ch) if n == d_of[ch] + 1 else None)
         for (n, ch), row in sorted(rows.items())
     ), tuple(violations)
+
+
+def _assert_word_record(got, levels):
+    """A reported word's value and magnitude are the reference's to roundoff."""
+    ref = float(levels[len(got["word"])][1][_column(got["word"])])
+    assert float(Fraction(got["value"])) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    assert got["abs"] == pytest.approx(abs(ref), rel=1e-12, abs=1e-15)
+
+
+def _assert_matches_reference(cert, rows, violations, levels):
+    """The certificate's violations are the reference's words, in order; its
+    rows agree field by field, magnitudes to roundoff.  Among words of equal
+    magnitude float64 may pick another, so a row's max_word or witness need
+    only carry the row's largest reference magnitude."""
+    assert [v["word"] for v in cert.violations] == [v["word"] for v in violations]
+    for got in cert.violations:
+        _assert_word_record(got, levels)
+    assert len(cert.rows) == len(rows)
+    for got, want in zip(cert.rows, rows):
+        for key in ("channel", "n", "expected_zero", "words"):
+            assert got[key] == want[key]
+        assert got["max_abs"] == pytest.approx(want["max_abs"], rel=1e-12, abs=1e-15)
+        assert (got["max_word"] is None) == (want["max_word"] is None)
+        if got["max_word"] is not None:
+            _assert_word_record(
+                {"word": got["max_word"], "abs": got["max_abs"],
+                 "value": str(levels[got["n"]][1][_column(got["max_word"])])},
+                levels,
+            )
+        assert (got["witness"] is None) == (want["witness"] is None)
+        if got["witness"] is not None:
+            _assert_word_record(got["witness"], levels)
+            assert got["witness"]["abs"] == pytest.approx(want["witness"]["abs"], rel=1e-12)
+
+
+#: The benchmark's certify list, (1, 4) in numeric-footnote mode, and (10, 10)
+#: at depth 5.
+ZERO_PATTERN_CASES = [
+    (1, 1, 4), (1, 2, 4), (2, 1, 4), (2, 2, 3), (2, 2, 4), (3, 3, 4), (3, 4, 4),
+    (4, 4, 4), (10, 10, 3), (1, 4, 4), (10, 10, 5),
+]
+
+
+@pytest.mark.parametrize("n1, n2, n_max", ZERO_PATTERN_CASES)
+def test_zero_pattern_matches_reference(n1, n2, n_max):
+    """Every level's residue zero pattern is the reference's, word for word,
+    and the float row is the reference's values to roundoff."""
+    sig = signature(qdd_profiles(n1, n2), n_max)
+    assert sig.proved
+    for k, (nonzero, values) in enumerate(_reference_levels(n1, n2, n_max)):
+        if k == 0:
+            continue
+        np.testing.assert_array_equal((sig.levels[k][:-1] != 0).any(axis=0), nonzero)
+        np.testing.assert_allclose(
+            sig.levels[k][-1], np.array(values, dtype=float), rtol=0, atol=1e-14
+        )
+    mode = "numeric-footnote" if (n1, n2) == (1, 4) else "analytic"
+    assert verify_orders(n1, n2, n_max, mode=mode).certified
+
+
+_PROOF_PRIMES = ddbound.dyson._proof_primes
+
+
+def _one_prime_short(modulus, bound):
+    """The primes the proof needs, less the last one."""
+    return _PROOF_PRIMES(modulus, bound)[:-1]
+
+
+def _overclaim(monkeypatch):
+    """Claim one order more than proven in every channel."""
+    proven = ddbound.dyson.decoupling_orders
+
+    def overclaimed(n1, n2, mode="analytic"):
+        return DecouplingOrders(*(d + 1 for d in proven(n1, n2, mode).as_tuple()))
+
+    monkeypatch.setattr(ddbound.dyson, "decoupling_orders", overclaimed)
 
 
 @pytest.mark.parametrize(
@@ -397,16 +571,57 @@ def _reference_certificate(n1, n2, n_max, backend, d_of):
 )
 def test_overclaimed_orders_violations_match_reference(n1, n2, n_max, backend, monkeypatch):
     """Claim one order more than proven: the violations, in depth-first word
-    order, and the rows match a word-by-word reference."""
-    proven = ddbound.dyson.decoupling_orders
-
-    def overclaimed(n1, n2, mode="analytic"):
-        return DecouplingOrders(*(d + 1 for d in proven(n1, n2, mode).as_tuple()))
-
-    monkeypatch.setattr(ddbound.dyson, "decoupling_orders", overclaimed)
+    order, and the rows match a word-by-word reference, exactly on the
+    rational backend."""
+    _overclaim(monkeypatch)
     cert = verify_orders(n1, n2, n_max, backend=backend)
     d_of = dict(zip("xyz", cert.orders.as_tuple()))
-    rows, violations = _reference_certificate(n1, n2, n_max, backend, d_of)
+    rows, violations = _reference_certificate(n1, n2, n_max, d_of)
     assert violations and not cert.certified
-    assert cert.violations == violations
-    assert cert.rows == rows
+    assert cert.proof["status"] == "proved"
+    if backend == "rational":
+        assert cert.violations == violations
+        assert cert.rows == rows
+    _assert_matches_reference(cert, rows, violations, _reference_levels(n1, n2, n_max))
+
+
+@pytest.mark.parametrize(
+    "n1, n2, n_max, backend", [(2, 2, 4, "rational"), (3, 3, 4, "mp"), (1, 4, 4, "mp")]
+)
+def test_overclaimed_orders_one_prime_short(n1, n2, n_max, backend, monkeypatch):
+    """One prime short of the proof, the words with a nonzero residue still
+    show every violation of an over-claimed order, with float64 values."""
+    _overclaim(monkeypatch)
+    monkeypatch.setattr(ddbound.dyson, "_proof_primes", _one_prime_short)
+    cert = verify_orders(n1, n2, n_max, backend=backend)
+    d_of = dict(zip("xyz", cert.orders.as_tuple()))
+    _, violations = _reference_certificate(n1, n2, n_max, d_of)
+    assert cert.proof["status"] == "not proved" and cert.proof["primes"]
+    assert violations and not cert.certified
+    assert [v["word"] for v in cert.violations] == [v["word"] for v in violations]
+    for got in cert.violations:
+        _assert_word_record(got, _reference_levels(n1, n2, n_max))
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (3, 3)])
+def test_too_few_primes_is_not_proved(n1, n2, monkeypatch, capsys):
+    """A prime product below the bound proves nothing: the certificate reads
+    "not proved", is not certified, and ``verify orders`` exits 3."""
+    monkeypatch.setattr(ddbound.dyson, "_proof_primes", _one_prime_short)
+    cert = verify_orders(n1, n2, 4)
+    assert cert.proof["status"] == "not proved"
+    assert cert.proof["log2_product"] < cert.proof["log2_bound"]
+    assert not cert.certified and not cert.violations
+    code = main(["verify", "orders", "--qdd", str(n1), str(n2), "--nmax", "4"])
+    doc = json.loads(capsys.readouterr().out)["certification"]
+    assert code == 3
+    assert doc["certified"] is False
+    assert doc["proof"]["status"] == "not proved"
+
+
+def test_cli_import_leaves_mpmath_out():
+    """Only the mp backend's breakpoint construction imports mpmath, so
+    ``bounds``, ``simulate`` and ``sweep`` never pay for it."""
+    src = Path(ddbound.dyson.__file__).resolve().parents[1]
+    code = "import sys, ddbound.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)

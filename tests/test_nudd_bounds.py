@@ -133,6 +133,13 @@ def test_delta_validation():
             nudd_delta(1, eps, eta, 2)
 
 
+@pytest.mark.parametrize("eta", [math.inf, math.nan])
+def test_nonfinite_eta_is_named(eta):
+    for call in (nudd_delta, nudd_distance_bound):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+            call(2, 0.1, eta, 2)
+
+
 def test_distance_bound_form():
     rep = nudd_distance_bound(2, 0.1, 0.5, 2)
     assert rep.distance_bound == pytest.approx(rep.delta**2 + rep.delta, rel=1e-15)

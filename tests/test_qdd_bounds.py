@@ -12,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddbound.qdd_bounds import (
     CASE_OF_CHANNEL,
@@ -129,6 +131,23 @@ def test_g_poly_against_signed_sum():
                     acc += weight * (1.0 + dot) ** l
         acc /= 8.0 * math.factorial(l)
         assert g_poly(j, l, eta) == pytest.approx(acc, rel=1e-12, abs=1e-15)
+
+
+_ETA_AXIS = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.integers(0, 7), l=st.integers(0, 80), ex=_ETA_AXIS, ey=_ETA_AXIS, ez=_ETA_AXIS
+)
+@example(j=4, l=6, ex=0.0, ey=0.0, ez=0.0)  # the signed sum once gave -5.4e-20 here
+def test_g_poly_nonnegative(j, l, ex, ey, ez):
+    """g_l >= 0 in floating point, and exactly 0 when a sinh axis has eta 0."""
+    eta = EtaVector(ex, ey, ez)
+    g = g_poly(j, l, eta)
+    assert g >= 0.0
+    if any(p and e == 0.0 for p, e in zip(case_parities(j), eta.as_tuple())):
+        assert g == 0.0
 
 
 def test_delta_tail_completes_partial_sum():
