@@ -663,7 +663,7 @@ def cmd_verify_orders(args: argparse.Namespace) -> int:
         "seed": None,
         "mode": resolved["mode"],
         "config": resolved,
-        "certification": asdict(cert),
+        "certification": {**vars(cert), "orders": asdict(cert.orders)},
     }
     _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
     if cert.violations:

@@ -52,7 +52,6 @@ __all__ = [
     "SeriesTail",
     "check_finite",
     "coeff_count",
-    "exp_series_coeff",
     "exp_series_tail",
     "gamma",
     "keep_lower",
@@ -173,23 +172,6 @@ def _per_row(values, rows: int, dtype, name: str) -> np.ndarray:
     if not (out >= 0).all():
         raise ValueError(f"{name} must be >= 0")
     return out
-
-
-def exp_series_coeff(rates, weights, n: int) -> float:
-    """The n-th term  sum_i weights[i] * rates[i]**n / n!  of one series.
-
-    Each ``rates[i]**n / n!`` is the running product of ``rates[i] / k`` over
-    k = 1..n, so no factorial is formed; a term beyond double range comes
-    back non-finite.
-    """
-    r, w = _series_arrays(rates, weights)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    u = np.ones_like(r[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            u *= r[0] / k
-        return float(w[0] @ u)
 
 
 class _Pass(NamedTuple):

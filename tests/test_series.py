@@ -13,7 +13,6 @@ import mpmath as mp
 
 from ddbound.qdd_bounds import EtaVector, delta_tail
 from ddbound.series import (
-    exp_series_coeff,
     exp_series_tail,
     power_coeffs,
     product_tail,
@@ -96,20 +95,10 @@ def test_first_term_is_the_leading_term():
             with mp.workdps(60):
                 expect = mp.mpf(r) ** (d + 1) / mp.factorial(d + 1)
             assert upper(tail_of((r,), (1.0,), d)[1], expect, 1e-13)
-
-
-def test_coeff_is_the_series_term():
-    rates, weights = (2.0, -0.5, 1.25), (1.0, 0.25, -0.5)
-    for n in (0, 1, 5, 30):
-        expect = sum(w * r**n for r, w in zip(rates, weights)) / math.factorial(n)
-        assert exp_series_coeff(rates, weights, n) == pytest.approx(expect, rel=1e-13)
     # past n = 170, where n! is beyond double range, the term is still formed
     with mp.workdps(60):
         expect = mp.mpf(4) ** 200 / mp.factorial(200)
-    assert exp_series_coeff((4.0,), (1.0,), 200) == pytest.approx(float(expect), rel=1e-13)
     assert upper(tail_of((4.0,), (1.0,), 199)[1], expect, 1e-13)
-    with pytest.raises(ValueError):
-        exp_series_coeff((1.0,), (1.0,), -1)
 
 
 def test_large_rate_still_converges():

@@ -9,6 +9,7 @@ exactly by a single outer level.
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -183,12 +184,13 @@ def test_evolve_matches_lab_frame_oracle(orders, bath_dim, tie_order):
 
 @pytest.mark.parametrize("orders, instants", [((3, 3), 16), ((1, 1, 1, 1), 16)])
 def test_tie_order_is_applied_at_coincident_pulses(orders, instants):
-    """evolve fires coincident pulses in schedule order, inner level first, and
-    this is why no option offers the other order: two coincident pulses are
-    Paulis that commute or anticommute, so firing the outer level first
-    changes U by a global sign, which no channel norm or distance sees.  Whole
-    schedules pair their coincident anticommuting pulses, so the sign is +1;
-    cut after the first coincident instant it is -1."""
+    """evolve fires coincident pulses inner level first, and this is why no
+    option offers the other order: two coincident pulses are Paulis that
+    commute or anticommute, so firing the outer level first changes U by a
+    global sign, which no channel norm or distance sees.  Whole schedules
+    pair their coincident anticommuting pulses, so the sign is +1; cut after
+    the first coincident instant it is -1, which the two oracles show, while
+    evolve refuses the cut schedule since it builds U from the orders."""
     m = len(orders) // 2
     sched = nudd_schedule(orders, m)
     times = [e.time for e in sched.events]
@@ -196,11 +198,29 @@ def test_tie_order_is_applied_at_coincident_pulses(orders, instants):
     first_tie = next(t for t in times if times.count(t) > 1)
     cut = replace(sched, events=tuple(e for e in sched.events if e.time <= first_tie))
     model = build_model(BathSpec(dim=2, seed=7, norms=_NORMS[m]), m)
-    for schedule, sign in ((sched, 1), (cut, -1)):
-        u = evolve(schedule, model, 0.9)
-        outer = _lab_frame_evolve(schedule, model, 0.9, "outer-first")
-        assert np.max(np.abs(u - sign * outer)) < 1e-12
-        assert np.max(np.abs(u - _lab_frame_evolve(schedule, model, 0.9))) < 1e-12
+    u = evolve(sched, model, 0.9)
+    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, 0.9))) < 1e-12
+    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, 0.9, "outer-first"))) < 1e-12
+    inner = _lab_frame_evolve(cut, model, 0.9)
+    assert np.max(np.abs(inner + _lab_frame_evolve(cut, model, 0.9, "outer-first"))) < 1e-12
+    with pytest.raises(ValueError, match="not the nested pulses"):
+        evolve(cut, model, 0.9)
+
+
+@pytest.mark.parametrize("orders, bath_dim, matrices", [((10, 10), 128, 7), ((1, 1, 1, 1), 64, 9)])
+def test_evolve_memory_peak(orders, bath_dim, matrices):
+    """At total dim 256 evolve holds no more than a few D x D complex matrices
+    at once: one per nesting level, the pulses and the working products."""
+    m = len(orders) // 2
+    model = build_model(BathSpec(dim=bath_dim, seed=7, norms=_NORMS[m]), m)
+    sched = nudd_schedule(orders, m)
+    tracemalloc.start()
+    try:
+        evolve(sched, model, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= matrices * MAX_TOTAL_DIM**2 * np.dtype(complex).itemsize
 
 
 @settings(max_examples=40, deadline=None)
