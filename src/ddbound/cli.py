@@ -788,8 +788,8 @@ _COMMANDS = {
             Opt("nmax", int, required=True, help="certify all word lengths up to NMAX"),
             Opt(
                 "backend", str, "auto", ("auto", "rational", "mp"),
-                help="exact arithmetic that orders the breakpoints: rational "
-                "(orders <= 2, exact values) or 50-digit mp (float values)",
+                help="how word values are reported: rational (orders <= 2, exact "
+                "values by CRT) or mp (float64 values)",
             ),
             _MODE,
         ),

@@ -44,12 +44,13 @@ whose residues all vanish is zero, while a nonzero residue proves a word
 nonzero whatever the product.  The factor 2 lets exact values come back as
 the symmetric CRT lift of 16^k k! alpha.
 
-Backends.  The backend is the exact arithmetic that orders the breakpoints
-and matches coincident ones: ``Fraction`` (orders <= 2, where every pulse
-time is dyadic) or 50-digit ``mpmath``; each interval's length, rounded once
-from it, feeds the float64 row.  The rational backend reports exact
-``Fraction`` values; the mp backend reports float64 values, and 0.0 for words
-proved zero.
+Backends.  The merged breakpoints are a fixed (i, j) index grid (see
+``QddProfiles``), so nothing needs to order them, and each interval's length
+is a product of two float64 sin steps.  The backend only chooses how values
+are reported: ``rational`` (orders <= 2, where every pulse time is dyadic and
+every length exact) reports exact ``Fraction`` values, lifted from the
+residues by CRT; ``mp`` reports float64 values, and 0.0 for words proved
+zero.
 """
 
 from __future__ import annotations
@@ -57,21 +58,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, decoupling_orders
-from .sequences import (
-    _DYADIC_SIN_SQ,
-    MU_LABELS,
-    SwitchingProfile,
-    _nested_pulse_times,
-    _sin_sq,
-    _switching_profiles,
-    effective_order,
-)
+from .sequences import _DYADIC_SIN_SQ, _sin_sq
 
 __all__ = [
     "LETTERS",
@@ -88,7 +80,6 @@ __all__ = [
 LETTERS = ("0", "x", "y", "z")
 
 DEFAULT_MAX_DEPTH = 6
-_MP_DPS = 50
 
 #: Residue rows use primes below 2^26, so the product of a residue and a sum
 #: of two residues stays below 2^53, where float64 holds every integer.
@@ -124,72 +115,58 @@ def _index_word(index: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class QddProfiles:
-    """The four switching functions of a quadratic sequence, exact breakpoints.
+    """The merged x/z switching intervals of a quadratic sequence, by index.
 
-    Column c of ``cut_index`` is the pair (i, j) for which breakpoint c of the
-    merged x/z profile (``channels["y"]``) is s2[i-1] (1 - s1[j]) + s2[i] s1[j],
+    Inner pulse j of outer interval i sits at s2[i-1] + (s2[i] - s2[i-1]) s1[j],
     with s_n[j] = sin^2(j pi/(2n+2)) at the inner and outer orders ``orders``.
-    ``lengths`` are the merged intervals' lengths, each rounded once to float64
-    from the exact type.
+    Inside an outer interval these positions rise strictly with j, lie
+    strictly inside it for 1 <= j <= N1, and land on s2[i] at j = N1 + 1.  So
+    the merged breakpoints are the lexicographic (i, j) grid that
+    ``cut_index`` lists: the start (1, 0), then (i, j) for i = 1..N2+1 and
+    j = 1..N1+1.  Interval c ends at column c + 1, whose (i, j) fixes its
+    signs: f_x = (-1)^(j-1) and f_z = (-1)^(i-1).  ``lengths[c]`` is
+    (s2[i] - s2[i-1]) (s1[j] - s1[j-1]) in float64.
     """
 
     backend: str
     orders: tuple[int, int]
-    channels: Mapping[str, SwitchingProfile]
     cut_index: np.ndarray
     lengths: np.ndarray
 
 
+def _steps(n: int) -> np.ndarray:
+    """s_n[j] - s_n[j-1] for j = 1..n+1: sin(k h) sin(h), h = pi/(2n+2) and
+    k = min(2j-1, 2n+3-2j).  The reflected argument stays in (0, pi/2], which
+    keeps each step within 5 ulp of its exact value; for n <= 2 the dyadic
+    table gives the steps exactly."""
+    if n <= max(_DYADIC_SIN_SQ):
+        return np.diff([_sin_sq(j, n) for j in range(n + 2)])
+    h = math.pi / (2 * n + 2)
+    k = np.arange(1, 2 * n + 2, 2)
+    return np.sin(np.minimum(k, 2 * n + 2 - k) * h) * math.sin(h)
+
+
 def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
-    """Build exact-arithmetic switching functions for the quadratic sequence.
+    """The switching intervals of the quadratic sequence with orders (n1, n2).
 
     ``backend="auto"`` picks exact rationals when both orders are <= 2 and
-    50-digit floats otherwise.
+    float64 values otherwise.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("orders must be >= 0")
+    dyadic = max(n1, n2) <= max(_DYADIC_SIN_SQ)
     if backend == "auto":
-        backend = "rational" if max(n1, n2) <= max(_DYADIC_SIN_SQ) else "mp"
-    if backend == "rational":
-        if max(n1, n2) > max(_DYADIC_SIN_SQ):
-            raise ValueError(
-                f"rational backend supports orders <= 2 only (got {n1}, {n2})"
-            )
-        # the float table's positions are dyadic, so Fraction() converts them exactly
-        return _build_profiles(
-            n1, n2, backend, lambda j, n: Fraction(_sin_sq(j, n)), Fraction(0), Fraction(1)
-        )
-    if backend == "mp":
-        import mpmath as mp  # only this backend needs it
-
-        @cache  # the recursion asks for each inner position once per outer interval
-        def sin_sq(j: int, n: int):
-            if j in (0, n + 1):
-                return mp.mpf(j > 0)
-            return mp.sin(mp.pi * j / (2 * n + 2)) ** 2
-
-        with mp.workdps(_MP_DPS):
-            return _build_profiles(n1, n2, backend, sin_sq, mp.mpf(0), mp.mpf(1))
-    raise ValueError("backend must be 'rational', 'mp', or 'auto'")
-
-
-def _build_profiles(n1, n2, backend, sin_sq: Callable, zero, one) -> QddProfiles:
-    events = _nested_pulse_times((n1, n2), sin_sq, zero, one)
-    per_mu = _switching_profiles(events, 1, zero, one)
-    channels = {label: per_mu[(0, mu)] for mu, label in MU_LABELS.items()}
-    # _nested_pulse_times emits the outer cuts, then each outer interval's
-    # inner cuts in turn; outer cut j is s2[j] = (j, n1 + 1), since s1[n1+1] = 1
-    index = [(j, n1 + 1) for j in range(1, effective_order(n2) + 1)]
-    index += [(i, j) for i in range(1, n2 + 2) for j in range(1, effective_order(n1) + 1)]
-    cut_of = {zero: (1, 0), one: (n2 + 1, n1 + 1)}
-    cut_of.update((t, ij) for (t, _), ij in zip(events, index, strict=True))
-    bp = channels["y"].breakpoints
+        backend = "rational" if dyadic else "mp"
+    if backend not in ("rational", "mp"):
+        raise ValueError("backend must be 'rational', 'mp', or 'auto'")
+    if backend == "rational" and not dyadic:
+        raise ValueError(f"rational backend supports orders <= 2 only (got {n1}, {n2})")
+    grid = np.indices((n2 + 1, n1 + 1)).reshape(2, -1) + 1
     return QddProfiles(
         backend=backend,
         orders=(n1, n2),
-        channels=channels,
-        cut_index=np.array([cut_of[t] for t in bp]).T,
-        lengths=np.array([float(b - a) for a, b in zip(bp, bp[1:])]),
+        cut_index=np.hstack([[[1], [0]], grid]),
+        lengths=np.outer(_steps(n2), _steps(n1)).ravel(),
     )
 
 
@@ -336,11 +313,9 @@ def signature(profiles: QddProfiles, depth: int) -> Signature:
     inv_p = np.array([*(1.0 / q for q in primes), 0.0]).reshape(-1, 1)
     coeffs = _coefficients(profiles, s1, s2, inverses, p[:-1], inv_p[:-1])
 
-    f_y = profiles.channels["y"]
-    # f_y's breakpoints hold all of f_x's, so f_x * f_y = f_z on f_y's intervals
-    s_z = np.array(profiles.channels["x"].product(f_y).signs, dtype=float)
-    s_y = np.array(f_y.signs, dtype=float)
-    all_signs = np.stack([np.ones_like(s_y), s_y * s_z, s_y, s_z], axis=1)
+    # interval c ends at cut (i, j): f_z = (-1)^(i-1) and f_x = (-1)^(j-1)
+    s_z, s_x = 1.0 - 2.0 * ((profiles.cut_index[:, 1:] - 1) % 2)
+    all_signs = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
 
     rows = len(p)
     levels = [np.ones((rows, 1))] + [np.zeros((rows, 4**k)) for k in ks]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "PulseEvent",
@@ -69,25 +69,18 @@ def _sin_sq(j: int, n: int) -> float:
     return s * s
 
 
-def _nested_pulse_times(
-    orders: Sequence[int],
-    sin_sq: Callable[[int, int], object] = _sin_sq,
-    lo: object = 0.0,
-    hi: object = 1.0,
-) -> list[tuple[object, int]]:
+def _nested_pulse_times(orders: Sequence[int]) -> list[tuple[float, int]]:
     """Recursively place pulses for nested Uhrig layers; ``orders[i-1]`` is level i.
 
-    Generic over the number type of ``lo``/``hi`` and of ``sin_sq`` values so
-    the same recursion can run in floats, Fractions, or arbitrary precision.
     Interval endpoints are hit exactly: cut points use the convex combination
     ``a*(1-f) + b*f`` which returns ``a`` and ``b`` verbatim at f = 0, 1, so an
     appended inner pulse lands bit-identical to its parent boundary.
     """
-    events: list[tuple[object, int]] = []
+    events: list[tuple[float, int]] = []
 
-    def recurse(level: int, a: object, b: object) -> None:
+    def recurse(level: int, a: float, b: float) -> None:
         n = orders[level - 1]
-        fracs = [sin_sq(j, n) for j in range(n + 2)]
+        fracs = [_sin_sq(j, n) for j in range(n + 2)]
         cuts = [a * (1 - f) + b * f for f in fracs]
         for j in range(1, effective_order(n) + 1):
             events.append((cuts[j], level))
@@ -95,7 +88,7 @@ def _nested_pulse_times(
             for j in range(1, n + 2):
                 recurse(level - 1, cuts[j - 1], cuts[j])
 
-    recurse(len(orders), lo, hi)
+    recurse(len(orders), 0.0, 1.0)
     return events
 
 
@@ -178,11 +171,10 @@ def nudd_schedule(orders: Sequence[int], qubit_count: int) -> PulseSchedule:
             f"expected {2 * qubit_count} per-level orders for {qubit_count} qubit(s), "
             f"got {len(orders)}"
         )
-    raw = _nested_pulse_times(orders)
     events = []
-    for time, level in raw:
+    for time, level in _nested_pulse_times(orders):
         axis, qubit = _axis_qubit(level)
-        events.append(PulseEvent(float(time), axis, qubit, level))
+        events.append(PulseEvent(time, axis, qubit, level))
     events.sort(key=lambda e: (e.time, e.level))
     return PulseSchedule(
         events=tuple(events),
@@ -202,12 +194,12 @@ class SwitchingProfile:
 
     ``signs[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the value at
     s = 1 is the last sign (right-continuous convention, closed at the end).
-    Breakpoints may be floats, ``Fraction`` or ``mpmath.mpf``, one type per
-    profile: every operation here only compares them, so exact breakpoints
-    stay exact and coincident times are matched by exact equality.
+    Breakpoints are floats, and every operation here only compares them:
+    coincident pulse times are bit-identical (see ``_nested_pulse_times``), so
+    exact equality matches them.
     """
 
-    breakpoints: tuple
+    breakpoints: tuple[float, ...]
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -222,23 +214,20 @@ class SwitchingProfile:
             raise ValueError("signs must be +1 or -1")
 
     @classmethod
-    def trivial(cls, zero=0.0, one=1.0) -> "SwitchingProfile":
-        """Identically +1; ``zero``/``one`` give the breakpoints' number type."""
-        return cls((zero, one), (1,))
+    def trivial(cls) -> "SwitchingProfile":
+        """Identically +1."""
+        return cls((0.0, 1.0), (1,))
 
     @classmethod
-    def from_flip_times(cls, times: Iterable, zero=0.0, one=1.0) -> "SwitchingProfile":
-        """Profile starting at +1 that flips at each time in (0, 1).
-
-        ``zero`` and ``one`` are the end breakpoints, in the times' number type.
-        """
+    def from_flip_times(cls, times: Iterable[float]) -> "SwitchingProfile":
+        """Profile starting at +1 that flips at each time in (0, 1)."""
         ts = tuple(times)
         if any(not 0.0 < t < 1.0 for t in ts):
             raise ValueError("flip times must lie strictly inside (0, 1)")
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValueError("flip times must be strictly increasing")
         signs = tuple(1 - 2 * (k % 2) for k in range(len(ts) + 1))
-        return cls((zero, *ts, one), signs)
+        return cls((0.0, *ts, 1.0), signs)
 
     def value(self, s) -> int:
         """Sign at fractional time ``s`` in [0, 1]."""
@@ -266,30 +255,6 @@ class SwitchingProfile:
         return SwitchingProfile(tuple(merged), tuple(signs))
 
 
-def _switching_profiles(
-    events: Iterable[tuple[object, int]], qubit_count: int, zero=0.0, one=1.0
-) -> dict[tuple[int, tuple[int, int]], SwitchingProfile]:
-    """``switching_nudd``'s map, from ``(time, level)`` pulse events whose times
-    (floats, ``Fraction`` or ``mpmath.mpf``) share the type of ``zero``/``one``.
-    An event at time 1 closes the toggling frame and flips nothing."""
-    flips: dict[int, list] = {}
-    for t, level in events:
-        if t < one:
-            flips.setdefault(level, []).append(t)
-    out: dict[tuple[int, tuple[int, int]], SwitchingProfile] = {}
-    for q in range(qubit_count):
-        # qubit q's z pulses sit at level 2q+1, its x pulses at level 2q+2
-        f_x, f_z = (
-            SwitchingProfile.from_flip_times(sorted(flips.get(level, ())), zero, one)
-            for level in (2 * q + 1, 2 * q + 2)
-        )
-        out[(q, (0, 0))] = SwitchingProfile.trivial(zero, one)
-        out[(q, (1, 0))] = f_x
-        out[(q, (0, 1))] = f_z
-        out[(q, (1, 1))] = f_x.product(f_z)
-    return out
-
-
 def switching_nudd(
     schedule: PulseSchedule,
 ) -> dict[tuple[int, tuple[int, int]], SwitchingProfile]:
@@ -297,10 +262,25 @@ def switching_nudd(
 
     Returns a map keyed by ``(qubit, mu)`` where ``mu`` is the single-qubit
     index pair: (0,0) identity, (1,0) flips at the qubit's z-pulse level,
-    (0,1) flips at its x-pulse level, (1,1) their product.
+    (0,1) flips at its x-pulse level, (1,1) their product.  A pulse at time 1
+    closes the toggling frame and flips nothing.
     """
-    events = ((e.time, e.level) for e in schedule.events)
-    return _switching_profiles(events, schedule.qubit_count)
+    flips: dict[int, list[float]] = {}
+    for e in schedule.events:
+        if e.time < 1.0:
+            flips.setdefault(e.level, []).append(e.time)
+    out: dict[tuple[int, tuple[int, int]], SwitchingProfile] = {}
+    for q in range(schedule.qubit_count):
+        # qubit q's z pulses sit at level 2q+1, its x pulses at level 2q+2
+        f_x, f_z = (
+            SwitchingProfile.from_flip_times(sorted(flips.get(level, ())))
+            for level in (2 * q + 1, 2 * q + 2)
+        )
+        out[(q, (0, 0))] = SwitchingProfile.trivial()
+        out[(q, (1, 0))] = f_x
+        out[(q, (0, 1))] = f_z
+        out[(q, (1, 1))] = f_x.product(f_z)
+    return out
 
 
 def switching_qdd(n1: int, n2: int) -> dict[str, SwitchingProfile]:

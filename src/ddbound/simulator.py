@@ -63,7 +63,6 @@ __all__ = [
     "unitarity_residuals",
     "spectral_norm",
     "trace_distance",
-    "partial_trace_bath",
     "run_experiment",
     "run_experiments",
     "fit_scaling",
@@ -426,12 +425,6 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float | np.ndarray:
     _check_density(rho2)
     dist = 0.5 * np.sum(np.linalg.svd(rho1 - rho2, compute_uv=False), axis=-1)
     return float(dist) if rho1.ndim == 2 else dist
-
-
-def partial_trace_bath(rho: np.ndarray, d_sys: int, d_bath: int) -> np.ndarray:
-    """Reduced system state: trace out the bath factor (of each matrix of a stack)."""
-    shape = rho.shape[:-2] + (d_sys, d_bath, d_sys, d_bath)
-    return np.einsum("...aibi->...ab", rho.reshape(shape))
 
 
 @dataclass(frozen=True)

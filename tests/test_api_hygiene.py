@@ -1,7 +1,8 @@
 """Static checks on the package source, in place of a lint tool.
 
-Every name a module lists in ``__all__`` must exist, and no module may import
-a name it never uses (an import marked ``# noqa: F401`` is kept on purpose).
+Every name a module lists in ``__all__`` must exist, and no module, test or
+demo may import a name it never uses (an import marked ``# noqa: F401`` is
+kept on purpose).
 """
 
 import ast
@@ -17,9 +18,20 @@ MODULES = ["ddbound"] + [
     f"ddbound.{info.name}" for info in pkgutil.iter_modules(ddbound.__path__)
 ]
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Test and demo scripts, as paths relative to the repository root.
+SCRIPTS = sorted(
+    p.relative_to(ROOT).as_posix() for d in ("tests", "demos") for p in (ROOT / d).glob("*.py")
+)
+
 
 def _source(name: str) -> tuple[str, ast.Module]:
-    path = Path(importlib.import_module(name).__file__)
+    """Text and syntax tree of a module by name, or of a script by its path."""
+    if name.endswith(".py"):
+        path = ROOT / name
+    else:
+        path = Path(importlib.import_module(name).__file__)
     text = path.read_text(encoding="utf-8")
     return text, ast.parse(text, filename=str(path))
 
@@ -58,7 +70,7 @@ def test_all_names_exist(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", MODULES + SCRIPTS)
 def test_no_unused_imports(name):
     assert unused_imports(*_source(name)) == []
 

@@ -11,9 +11,12 @@ with f_x = +1 on [0, 1/4) u [1/2, 3/4) and -1 elsewhere.
 
 The certifier's residue engine is checked against ``_reference_levels``, the
 same Chen/Horner recurrence run word by word in exact objects: ``Fraction``
-for orders <= 2 and 50-digit mpmath otherwise.
+for orders <= 2 and 50-digit mpmath otherwise.  The reference builds its own
+breakpoints, by sorting and merging the exact inner and outer pulse times
+(``_exact_merge``), so it shares no code with the certifier's index grid.
 """
 
+import bisect
 import hashlib
 import json
 import math
@@ -37,7 +40,6 @@ from ddbound.dyson import (
     _CHANNEL_OF_SECTOR,
     _LETTER_SECTOR,
     LETTERS,
-    OrderCertification,
     _read_level,
     _reduce,
     qdd_profiles,
@@ -217,13 +219,67 @@ def test_rational_exact_values_depth4():
             assert word_integral(word, prof) == value
 
 
-def test_exact_profiles_merge_like_float_profiles():
-    sw = switching_qdd(2, 2)
-    channels = qdd_profiles(2, 2, backend="rational").channels
-    for c in "0xyz":
-        assert all(type(t) is Fraction for t in channels[c].breakpoints)
-        assert channels[c].breakpoints == sw[c].breakpoints
-        assert channels[c].signs == sw[c].signs
+def _exact_sin_sq(n1, n2):
+    """s_n[j] = sin^2(j pi/(2n+2)) for j = 0..n+1 at n = n1 and n = n2:
+    ``Fraction`` when both orders are <= 2, else mpmath at the working
+    precision."""
+    if max(n1, n2) <= 2:
+        table = ("0 1", "0 1/2 1", "0 1/4 3/4 1")
+        return [[Fraction(t) for t in table[n].split()] for n in (n1, n2)]
+    return [
+        [mp.mpf(0), *(mp.sin(mp.pi * j / (2 * n + 2)) ** 2 for j in range(1, n + 1)), mp.mpf(1)]
+        for n in (n1, n2)
+    ]
+
+
+def _cut(s1, s2, i, j):
+    """Inner position j of outer interval i, as a convex combination that
+    returns s2[i] itself at j = n1 + 1."""
+    return s2[i - 1] * (1 - s1[j]) + s2[i] * s1[j]
+
+
+@cache
+def _exact_merge(n1, n2):
+    """Merged x/z breakpoints of QDD(n1, n2) and each interval's (s_x, s_z),
+    from the exact pulse times: ``Fraction`` for orders <= 2, 50-digit mpmath
+    otherwise.  f_x flips at the inner pulses, f_z at the outer ones, and a
+    pulse at time 1 flips nothing; coincident times are matched by equality."""
+    with mp.workdps(50):
+        s1, s2 = _exact_sin_sq(n1, n2)
+        inner = sorted(
+            t
+            for i in range(1, n2 + 2)
+            for j in range(1, n1 + n1 % 2 + 1)
+            if (t := _cut(s1, s2, i, j)) < 1
+        )
+        outer = [t for t in s2[1 : n2 + n2 % 2 + 1] if t < 1]
+        bp = sorted({s2[0], *inner, *outer, s2[-1]})
+        s_x = [(-1) ** bisect.bisect_right(inner, t) for t in bp[:-1]]
+        s_z = [(-1) ** bisect.bisect_right(outer, t) for t in bp[:-1]]
+    return bp, s_x, s_z
+
+
+@settings(max_examples=100, deadline=None)
+@given(n1=st.integers(0, 12), n2=st.integers(0, 12))
+def test_index_grid_is_the_exact_merge(n1, n2):
+    """The (i, j) grid is the exactly merged breakpoint list, in order; the
+    parities of its indices are the merge's signs and ``switching_qdd``'s;
+    and every length is within 8 ulp of the 50-digit value (exact for orders
+    <= 2)."""
+    bp, s_x, s_z = _exact_merge(n1, n2)
+    sw = switching_qdd(n1, n2)
+    with mp.workdps(50):
+        s1, s2 = _exact_sin_sq(n1, n2)
+        exact = np.array([float(b - a) for a, b in zip(bp, bp[1:])])
+        mids = [float((a + b) / 2) for a, b in zip(bp, bp[1:])]
+        for backend in ("rational", "mp") if max(n1, n2) <= 2 else ("mp",):
+            prof = qdd_profiles(n1, n2, backend)
+            i, j = prof.cut_index
+            assert [_cut(s1, s2, a, b) for a, b in zip(i, j)] == bp
+            assert list((-1) ** (j[1:] - 1)) == s_x == [sw["x"].value(t) for t in mids]
+            assert list((-1) ** (i[1:] - 1)) == s_z == [sw["z"].value(t) for t in mids]
+            ulps = np.abs(prof.lengths - exact) / np.spacing(exact)
+            assert ulps.max() <= (0 if max(n1, n2) <= 2 else 8)
 
 
 def test_single_integrals_match_switching_profiles():
@@ -258,9 +314,10 @@ def test_signature_blocks_agree(monkeypatch):
 
 
 def test_rational_mp_agreement():
-    """All 340 words of length <= 4 for (2, 2): both backends order the same
-    breakpoints, so their residue rows agree exactly, and the mp backend's
-    float row agrees with the rational backend's exact values."""
+    """All 340 words of length <= 4 for (2, 2): both backends share the index
+    grid and its exact dyadic lengths, so their residue rows agree exactly,
+    and the mp backend's float row agrees with the rational backend's exact
+    values."""
     prof = qdd_profiles(2, 2, backend="rational")
     exact = signature(prof, 4)
     approx = signature(qdd_profiles(2, 2, backend="mp"), 4)
@@ -381,7 +438,11 @@ def test_proof_field():
 # digests were re-recorded when residue proofs replaced the zero threshold:
 # every certificate trades zero_tol/witness_tol for a proof field, and mp
 # certificates report proved zeros as 0.0 and float64 value strings; the
-# rational ones are otherwise unchanged.
+# rational ones are otherwise unchanged.  The two mp digests were re-recorded
+# again when the interval lengths became float64 products of sin steps
+# instead of differences of 50-digit breakpoints: magnitudes move in the last
+# bits (at most 4e-15 relative here), and among words of exactly equal
+# magnitude a row's max_word or witness may be another word.
 @pytest.mark.parametrize(
     "args, kwargs, digest",
     [
@@ -397,12 +458,12 @@ def test_proof_field():
         ),
         pytest.param(
             (3, 3, 4), {"backend": "mp"},
-            "df19158c9d9730c18e5d57622455c87f1a157b184e96b476834b829ecdb5102e",
+            "e5f628900b34ce19b361fc40ad919d48f09c81091d901b620ae03ff75d84c741",
             id="args2-kwargs2-494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25",
         ),
         pytest.param(
             (1, 4, 4), {"mode": "numeric-footnote"},
-            "b321d89d6ca1138e50abade6e532c8ebfd637327c076ea1b52f2be824aa689a8",
+            "dd0a71ba6d64cc51dcc47983fdf28850bc3637e5c61a5c902c8714da5a12e2cb",
             id="args3-kwargs3-b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d",
         ),
     ],
@@ -423,20 +484,18 @@ def _depth_first(n_max, prefix=""):
 @cache
 def _reference_levels(n1, n2, depth):
     """Every word integral up to ``depth`` as (nonzero, value) pairs per level,
-    from the Chen/Horner recurrence on object arrays: ``Fraction`` for orders
-    <= 2, 50-digit mpmath otherwise, where "nonzero" means above 1e-25 (the
-    true zeros sit near 1e-50, the smallest nonzero words far above 1e-25)."""
-    profiles = qdd_profiles(n1, n2)
-    exact = profiles.backend == "rational"
-    f_y = profiles.channels["y"]
-    z_signs = profiles.channels["x"].product(f_y).signs
-    bp = f_y.breakpoints
+    from the Chen/Horner recurrence on object arrays over ``_exact_merge``'s
+    intervals: ``Fraction`` for orders <= 2, 50-digit mpmath otherwise, where
+    "nonzero" means above 1e-25 (the true zeros sit near 1e-50, the smallest
+    nonzero words far above 1e-25)."""
+    exact = max(n1, n2) <= 2
+    bp, x_signs, z_signs = _exact_merge(n1, n2)
     with mp.workdps(50):
         levels = [np.array([1], dtype=object)]
         levels += [np.zeros(4**k, dtype=object) for k in range(1, depth + 1)]
-        for a, b, s_y, s_z in zip(bp, bp[1:], f_y.signs, z_signs):
+        for a, b, s_x, s_z in zip(bp, bp[1:], x_signs, z_signs):
             h = b - a
-            signs = (1, s_y * s_z, s_y, s_z)
+            signs = (1, s_x, s_x * s_z, s_z)
 
             def times(x, c):
                 return np.multiply.outer(x * c, signs).ravel()
@@ -620,8 +679,14 @@ def test_too_few_primes_is_not_proved(n1, n2, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_mpmath_out():
-    """Only the mp backend's breakpoint construction imports mpmath, so
-    ``bounds``, ``simulate`` and ``sweep`` never pay for it."""
+    """The package never imports mpmath, not even to certify on the mp
+    backend."""
     src = Path(ddbound.dyson.__file__).resolve().parents[1]
-    code = "import sys, ddbound.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
-    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
+    code = (
+        "import sys\n"
+        "from ddbound.cli import main\n"
+        "argv = ['verify', 'orders', '--qdd', '3', '3', '--nmax', '3', '--backend', 'mp']\n"
+        "assert main(argv) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src, capture_output=True)

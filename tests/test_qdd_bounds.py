@@ -29,7 +29,6 @@ from ddbound.qdd_bounds import (
     preset_cells,
     sweep_row,
 )
-from ddbound.series import NonConvergenceError
 
 from closed_forms import scaled_bounding_function
 

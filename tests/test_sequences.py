@@ -6,14 +6,12 @@ pulses at offsets sin^2(l*pi/(2N+2)) of its interval, so order 2 gives
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ddbound.sequences import (
     MU_LABELS,
-    PulseSchedule,
     SwitchingProfile,
     effective_order,
     nudd_schedule,

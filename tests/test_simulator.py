@@ -29,7 +29,6 @@ from ddbound.simulator import (
     evolve,
     extract_channel_ops,
     fit_scaling,
-    partial_trace_bath,
     pauli_labels,
     pauli_matrix,
     run_experiment,
@@ -266,18 +265,6 @@ def test_trace_distance_basics():
     assert trace_distance(p0, p1) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         trace_distance(p0, np.diag([0.7, 0.7]).astype(complex))  # trace != 1
-
-
-def test_partial_trace_factorized():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho_s = a @ a.conj().T
-    rho_s /= np.trace(rho_s).real
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho_b = b @ b.conj().T
-    rho_b /= np.trace(rho_b).real
-    joint = np.kron(rho_s, rho_b)
-    assert np.allclose(partial_trace_bath(joint, 2, 4), rho_s, atol=1e-13)
 
 
 def test_experiment_config_validation():
