@@ -54,27 +54,28 @@ from functools import partial
 from itertools import product
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .dyson import verify_orders
 from .nudd_bounds import (
     _MAX_M,
     NUDD_SWEEP_COLUMNS,
     nudd_eps_window,
+    nudd_sweep_cell,
     nudd_sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
-    nudd_sweep_rows,
     preset_nudd_cells,
 )
 from .qdd_bounds import (
     QDD_SWEEP_COLUMNS,
     EtaVector,
-    decoupling_orders,
     default_eps_grid,
     preset_cells,
+    sweep_cell,
     sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
-    sweep_rows,
 )
 from .sequences import nudd_schedule, qdd_schedule
-from .series import NORMAL_MIN, NonConvergenceError
+from .series import NORMAL_MIN, NonConvergenceError, cell_rows
 from .simulator import (
     BathSpec,
     ExperimentConfig,
@@ -374,27 +375,27 @@ def _bounds_table(
     out: str | None,
     header: list[str],
     columns: Sequence[str],
-    rows_at: Callable[..., list],
-    cells: Sequence[tuple[dict, tuple[float, ...], dict]],
+    cells: Sequence[Callable[[], tuple[dict, Any]]],
 ) -> int:
-    """Emit ``rows_at(grid=grid, **kwargs)`` for each cell, one pass per cell.
+    """Emit the rows of each cell, one batched pass per cell.
 
-    ``cells`` holds (fixed columns, eps grid, kwargs).  A point whose series
-    does not converge (a None row) becomes a flagged row of its fixed columns
-    and NaN.  A row with a value below the smallest normal double, whose
-    printed digits overstate its precision, is preceded by a ``# subnormal``
-    comment line naming those values; it does not change the exit code.
+    ``cells`` holds one callable per cell that returns the cell as columns
+    and the converged mask of its pass (``sweep_cell``/``nudd_sweep_cell``
+    with the cell's arguments bound).  A point that ``cell_rows`` makes None
+    becomes a flagged row of the cell's fixed columns and NaN.  A row with a
+    value below the smallest normal double, whose printed digits overstate
+    its precision, is preceded by a ``# subnormal`` comment line naming those
+    values; it does not change the exit code.
     """
     lines = header + [",".join(columns)]
     failures = 0
-    for fixed, grid, kwargs in cells:
-        if not grid:
-            continue
+    for cell in cells:
         try:
-            rows = rows_at(grid=grid, **kwargs)
+            values, converged = cell()
         except ValueError as exc:
             raise CliError(str(exc))
-        for eps, row in zip(grid, rows):
+        fixed = {c: v for c, v in values.items() if not isinstance(v, np.ndarray)}
+        for eps, row in zip(values["epsilon"].tolist(), cell_rows(values, converged)):
             if row is None:
                 row = {**dict.fromkeys(columns, math.nan), **fixed, "epsilon": eps}
                 lines.append(_flag_line("non-convergence", row, columns))
@@ -432,29 +433,22 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
 
     grid = _eps_grid(resolved)
     mode = resolved["mode"]
-    table = []
-    for n1, n2, eta in cells:
-        try:
-            orders = decoupling_orders(n1, n2, mode)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        fixed = {"N1": n1, "N2": n2, **asdict(eta), **asdict(orders)}
-        table.append((fixed, grid, {"n1": n1, "n2": n2, "eta": eta, "mode": mode}))
+    table = [partial(sweep_cell, n1, n2, eta, grid, mode) for n1, n2, eta in cells]
     header = _header("bounds qdd", resolved, mode=mode)
-    return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, sweep_rows, table)
+    return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, table)
 
 
 def cmd_bounds_nudd(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    # (m, d_min, eta, eps_grid) per cell; the preset rescales each cell's
-    # grid into the representable window for its (eta, m).
-    cells: list[tuple[int, int, float, tuple[float, ...]]] = []
+    # One cell per (m, d_min, eta); the preset rescales each cell's grid into
+    # the representable window for its (eta, m).
+    table = []
     if resolved["preset"] is not None:
         if resolved["m"] is not None or resolved["dmin"] is not None:
             raise CliError("a preset cannot be combined with --m/--dmin")
         for m, d_min, eta in preset_nudd_cells(resolved["preset"]):
-            window = partial(nudd_eps_window, eta, m)
-            cells.append((m, d_min, eta, _eps_grid(resolved, window)))
+            grid = _eps_grid(resolved, partial(nudd_eps_window, eta, m))
+            table.append(partial(nudd_sweep_cell, m, d_min, eta, grid))
     elif resolved["m"] is not None or resolved["dmin"] is not None:
         if resolved["m"] is None or resolved["dmin"] is None:
             raise CliError("--m and --dmin must be given together")
@@ -466,14 +460,10 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
             raise CliError(f"--dmin must be a nonnegative integer, got {d_min!r}")
         if not (math.isfinite(eta) and eta >= 0):
             raise CliError(f"--eta must be finite and >= 0, got {eta!r}")
-        cells.append((m, d_min, eta, _eps_grid(resolved)))
+        table.append(partial(nudd_sweep_cell, m, d_min, eta, _eps_grid(resolved)))
 
-    table = []
-    for m, d_min, eta, grid in cells:
-        fixed = {"m": m, "d_min": d_min, "eta": eta}
-        table.append((fixed, grid, fixed))
     header = _header("bounds nudd", resolved)
-    return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, nudd_sweep_rows, table)
+    return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, table)
 
 
 # ---------------------------------------------------------------- simulate --

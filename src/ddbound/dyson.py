@@ -50,7 +50,8 @@ is a product of two float64 sin steps.  The backend only chooses how values
 are reported: ``rational`` (orders <= 2, where every pulse time is dyadic and
 every length exact) reports exact ``Fraction`` values, lifted from the
 residues by CRT; ``mp`` reports float64 values, and 0.0 for words proved
-zero.
+zero, and states an a-priori bound on their absolute error per word length
+(``_value_error``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, decoupling_orders
-from .sequences import _DYADIC_SIN_SQ, _sin_sq
+from .sequences import _DYADIC_SIN_SQ, _steps
+from .series import gamma, round_up
 
 __all__ = [
     "LETTERS",
@@ -132,18 +134,6 @@ class QddProfiles:
     orders: tuple[int, int]
     cut_index: np.ndarray
     lengths: np.ndarray
-
-
-def _steps(n: int) -> np.ndarray:
-    """s_n[j] - s_n[j-1] for j = 1..n+1: sin(k h) sin(h), h = pi/(2n+2) and
-    k = min(2j-1, 2n+3-2j).  The reflected argument stays in (0, pi/2], which
-    keeps each step within 5 ulp of its exact value; for n <= 2 the dyadic
-    table gives the steps exactly."""
-    if n <= max(_DYADIC_SIN_SQ):
-        return np.diff([_sin_sq(j, n) for j in range(n + 2)])
-    h = math.pi / (2 * n + 2)
-    k = np.arange(1, 2 * n + 2, 2)
-    return np.sin(np.minimum(k, 2 * n + 2 - k) * h) * math.sin(h)
 
 
 def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
@@ -328,6 +318,27 @@ def signature(profiles: QddProfiles, depth: int) -> Signature:
     return Signature(primes=primes, bound=bound, levels=tuple(levels))
 
 
+def _value_error(intervals: int, depth: int) -> list[float]:
+    """Bounds on the absolute error of the float64 row, per word length 1..depth.
+
+    Higham's analysis (Accuracy and Stability of Numerical Algorithms, ch. 3):
+    the float64 row is a sum of products, and each product carries at most N
+    rounding factors, so its error is at most gamma_N times the same
+    computation with every sign +1 and every length exact.  That computation
+    is the all-"0" word, (sum h)^k / k! = 1/k!, which also bounds every
+    length-k integral of +-1 switching functions.  A length-k term has k
+    coefficients h/k', each a product of two sin steps within 5 ulp
+    (gamma_10 each), one rounding for the product and one for the division;
+    it rests in at most k levels, each of whose running sums adds at most one
+    rounding per interval; and it passes at most k Horner chains of 2(k-1)
+    roundings.  So N = k (M + 2k + 20) over M intervals.  Each bound is
+    rounded up, which also covers products that underflow.
+    """
+    ks = np.arange(1, depth + 1)
+    factorials = np.array([math.factorial(k) for k in ks], dtype=float)
+    return round_up(gamma(ks * (intervals + 2 * ks + 20)) / factorials).tolist()
+
+
 def _symmetric_crt(residues: np.ndarray, primes: Sequence[int], scale: int) -> np.ndarray:
     """Per column, the integer in (-P/2, P/2] congruent to scale * residues[r]
     mod primes[r] for every r, P the primes' product.
@@ -392,7 +403,9 @@ class OrderCertification:
     nonzero is kept as a saturation ``witness`` ("found" / "inconclusive" /
     "not-checked").  ``proof`` names the primes used, log2 of their product
     and of the bound it must beat, and reads "proved" or "not proved"; a
-    certificate that is not proved is never ``certified``.
+    certificate that is not proved is never ``certified``.  On the mp
+    backend it also gives ``value_error``: for each word length 1..n_max, a
+    bound on the absolute error of every float64 value and magnitude.
     """
 
     n1: int
@@ -490,6 +503,8 @@ def verify_orders(
         "log2_bound": round(math.log2(sig.bound), 3),
         "status": "proved" if sig.proved else "not proved",
     }
+    if profiles.backend == "mp":
+        proof["value_error"] = _value_error(len(profiles.lengths), n_max)
     return OrderCertification(
         n1=n1,
         n2=n2,

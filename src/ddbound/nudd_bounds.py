@@ -12,9 +12,11 @@ total error-channel norm; the trace-norm distance bound is then
 ``Delta^2 + Delta``.  ``_nudd_series`` writes that series once; the tail, its
 leading term and the coefficients ``g_l`` all come from it.
 
-``nudd_sweep_rows`` evaluates a cell's whole eps grid in one batched pass;
-``nudd_delta``, ``nudd_distance_bound`` and ``nudd_sweep_row`` are one-point
-views of it.  Every reported value is rounded outward.
+``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
+returns it as columns; ``nudd_sweep_rows`` turns them into rows by the one
+rule of ``series.cell_rows``, and ``nudd_delta``, ``nudd_distance_bound`` and
+``nudd_sweep_row`` are one-point views of the same pass.  Every reported
+value is rounded outward.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import numpy as np
 
 from .qdd_bounds import default_eps_grid
 from .series import (
-    NonConvergenceError,
     SeriesTail,
-    check_finite,
+    cell_rows,
     coeff_count,
     exp_series_tail,
+    first_row,
     gamma,
     keep_lower,
     loose,
@@ -49,6 +51,7 @@ __all__ = [
     "nudd_delta",
     "nudd_distance_bound",
     "nudd_eps_window",
+    "nudd_sweep_cell",
     "nudd_sweep_row",
     "nudd_sweep_rows",
     "preset_nudd_cells",
@@ -193,9 +196,11 @@ def _check_point(d_min: int, grid, eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
-def _cell_reports(m: int, d_min: int, eta: float, grid) -> list:
-    """One cell over an eps grid: a NuddBoundReport per point, or the error it raises.
+def nudd_sweep_cell(m: int, d_min: int, eta: float, grid) -> tuple[dict, np.ndarray]:
+    """One cell over an eps grid, as columns, and the converged mask of its pass.
 
+    The columns are keyed by ``NUDD_SWEEP_COLUMNS``: epsilon and the values
+    are float arrays over the grid, and m, d_min and eta are one value each.
     The distance bound Delta^2 + Delta and the leading term are rounded
     outward.
     """
@@ -204,42 +209,27 @@ def _cell_reports(m: int, d_min: int, eta: float, grid) -> list:
     res = _nudd_tails(d_min, eps, eta, m)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = round_up((res.tail * res.tail + res.tail) * (1.0 + gamma(2)))
-    out = []
-    for i, e in enumerate(eps):
-        delta, leading = float(res.tail[i]), float(res.first[i])
-        if not res.ok[i]:
-            out.append(not_converged(e))
-            continue
-        try:
-            check_finite(Delta=delta, D_bound=bound[i], D_leading=leading)
-        except NonConvergenceError as exc:
-            out.append(exc)
-            continue
-        out.append(
-            NuddBoundReport(
-                m=m,
-                d_min=d_min,
-                epsilon=float(e),
-                eta=eta,
-                delta=delta,
-                distance_bound=float(bound[i]),
-                leading_term=leading,
-            )
-        )
-    return out
+    values = (eps, m, d_min, eta, res.tail, bound, res.first)
+    return dict(zip(NUDD_SWEEP_COLUMNS, values)), res.ok
 
 
 def nudd_distance_bound(d_min: int, epsilon: float, eta: float, m: int) -> NuddBoundReport:
     """Trace-norm distance bound Delta^2 + Delta for a nested sequence.
 
-    Every value is rounded outward.  A one-point view of ``nudd_sweep_rows``;
-    raises NonConvergenceError if the tail does not converge or a reported
-    value overflows double range.
+    Every value is rounded outward.  Point 0 of ``nudd_sweep_cell``; raises
+    NonConvergenceError if the tail does not converge or a reported value
+    overflows double range.
     """
-    report = _cell_reports(m, d_min, eta, (epsilon,))[0]
-    if isinstance(report, NonConvergenceError):
-        raise report
-    return report
+    row = nudd_sweep_row(m, d_min, epsilon, eta)
+    return NuddBoundReport(
+        m=m,
+        d_min=d_min,
+        epsilon=row["epsilon"],
+        eta=eta,
+        delta=row["Delta"],
+        distance_bound=row["D_bound"],
+        leading_term=row["D_leading"],
+    )
 
 
 def nudd_eps_window(
@@ -266,30 +256,15 @@ def preset_nudd_cells(name: str = "fig5") -> tuple[tuple[int, int, float], ...]:
     )
 
 
-def _report_row(rep: NuddBoundReport) -> dict:
-    return {
-        "epsilon": rep.epsilon,
-        "m": rep.m,
-        "d_min": rep.d_min,
-        "eta": rep.eta,
-        "Delta": rep.delta,
-        "D_bound": rep.distance_bound,
-        "D_leading": rep.leading_term,
-    }
-
-
 def nudd_sweep_rows(m: int, d_min: int, eta: float, grid) -> list[dict | None]:
-    """One cell of a nested-bound sweep over an eps grid, from one batched pass.
-
-    Rows are keyed by ``NUDD_SWEEP_COLUMNS``; a point whose series does not
-    converge or whose bound overflows double range is None.
-    """
-    return [
-        None if isinstance(rep, NonConvergenceError) else _report_row(rep)
-        for rep in _cell_reports(m, d_min, eta, grid)
-    ]
+    """The rows of ``nudd_sweep_cell``, keyed by ``NUDD_SWEEP_COLUMNS``; a point
+    whose series does not converge or whose bound overflows double range is None."""
+    return cell_rows(*nudd_sweep_cell(m, d_min, eta, grid))
 
 
 def nudd_sweep_row(m: int, d_min: int, eps: float, eta: float) -> dict:
-    """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``."""
-    return _report_row(nudd_distance_bound(d_min, eps, eta, m))
+    """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``.
+
+    Raises the NonConvergenceError that makes the point None in ``nudd_sweep_rows``.
+    """
+    return first_row(*nudd_sweep_cell(m, d_min, eta, (eps,)))

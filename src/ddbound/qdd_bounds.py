@@ -13,9 +13,11 @@ here is derived from it: the coefficients ``g_l``, the tail sums ``Delta_d``
 past a sequence's suppression order together with their leading terms,
 per-channel norm bounds ``L_alpha``, and the trace-norm distance bound.
 
-``sweep_rows`` evaluates one cell, all six sector tails at every eps of its
-grid, in one batched pass (``series.exp_series_tail``); ``distance_bound``,
-``delta_tail`` and ``sweep_row`` are one-point views of the same pass.
+``sweep_cell`` evaluates one cell, all six sector tails at every eps of its
+grid, in one batched pass (``series.exp_series_tail``), and returns it as
+columns; ``sweep_rows`` turns them into rows by the one rule of
+``series.cell_rows``, and ``distance_bound``, ``delta_tail`` and
+``sweep_row`` are one-point views of the same pass.
 Every reported value is rounded outward, so each is an upper bound in
 floating point.
 
@@ -32,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
-    NonConvergenceError,
     SeriesTail,
-    check_finite,
+    cell_rows,
     coeff_count,
     exp_series_tail,
+    first_row,
     gamma,
     keep_lower,
     loose,
@@ -59,6 +61,7 @@ __all__ = [
     "g_poly",
     "delta_tail",
     "distance_bound",
+    "sweep_cell",
     "sweep_row",
     "sweep_rows",
     "preset_cells",
@@ -332,14 +335,18 @@ def delta_tail(j: int, d: int, epsilon: float, eta: EtaVector) -> tuple[float, f
     return float(res.tail[0]), float(res.first[0])
 
 
-def _cell_reports(n1, n2, eta, grid, mode) -> list:
-    """One cell over an eps grid: a BoundReport per point, or the error it raises.
+def sweep_cell(
+    n1: int, n2: int, eta: EtaVector, grid, mode: str = "analytic"
+) -> tuple[dict, np.ndarray]:
+    """One cell over an eps grid, as columns, and the converged mask of its pass.
 
-    All six sector tails at every grid point come from one batched pass.
-    Each channel's L_alpha is the sum of its two sector tails, rounded up;
-    the distance bound, a polynomial in the L_alpha with nonnegative
-    coefficients, and the leading term, the sum of the six first terms, are
-    widened by their rounding.
+    The columns are keyed by ``QDD_SWEEP_COLUMNS``: epsilon and the values
+    are float arrays over the grid, and N1, N2, eta and the orders are one
+    value each.  All six sector tails at every grid point come from one
+    batched pass.  Each channel's L_alpha is the sum of its two sector tails,
+    rounded up; the distance bound, a polynomial in the L_alpha with
+    nonnegative coefficients, and the leading term, the sum of the six first
+    terms, are widened by their rounding.
     """
     orders = decoupling_orders(n1, n2, mode)
     eps = np.asarray(grid, dtype=float).reshape(-1)
@@ -350,39 +357,13 @@ def _cell_reports(n1, n2, eta, grid, mode) -> list:
         _CHANNEL_SECTORS.repeat(eps.size), ds.repeat(eps.size), np.concatenate([eps] * 6), eta
     )
     flat = res.tail.reshape(6, eps.size)
-    firsts = res.first.reshape(6, eps.size)
-    converged = res.ok.reshape(6, eps.size).all(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        ls = round_up(flat[0::2] + flat[1::2])
-        lx, ly, lz = ls
+        lx, ly, lz = round_up(flat[0::2] + flat[1::2])
         bound = lx + ly + lz + lx * lx + ly * ly + lz * lz + lx * ly + ly * lz + lx * lz
         bound = round_up(bound * (1.0 + gamma(12)))
-        leading = round_up(firsts.sum(axis=0) * (1.0 + gamma(6)))
-    out = []
-    for i, e in enumerate(eps):
-        if not converged[i]:
-            out.append(not_converged(e))
-            continue
-        cb = ChannelBounds(*(float(v) for v in ls[:, i]))
-        try:
-            check_finite(
-                L_x=cb.L_x, L_y=cb.L_y, L_z=cb.L_z, D_bound=bound[i], D_leading=leading[i]
-            )
-        except NonConvergenceError as exc:
-            out.append(exc)
-            continue
-        out.append(
-            BoundReport(
-                epsilon=float(e),
-                eta=eta,
-                orders=orders,
-                channel_bounds=cb,
-                distance_bound=float(bound[i]),
-                leading_term=float(leading[i]),
-                mode=mode,
-            )
-        )
-    return out
+        leading = round_up(res.first.reshape(6, eps.size).sum(axis=0) * (1.0 + gamma(6)))
+    values = (eps, n1, n2, *eta.as_tuple(), *orders.as_tuple(), lx, ly, lz, bound, leading)
+    return dict(zip(QDD_SWEEP_COLUMNS, values)), res.ok.reshape(6, eps.size).all(axis=0)
 
 
 def distance_bound(
@@ -398,14 +379,20 @@ def distance_bound(
 
     The leading term sums the first term of each of the six tails, that is
     ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)`` over the channels.  Every
-    value is rounded outward, so each is an upper bound.  A one-point view of
-    ``sweep_rows``; raises NonConvergenceError if a tail does not converge or
+    value is rounded outward, so each is an upper bound.  Point 0 of
+    ``sweep_cell``; raises NonConvergenceError if a tail does not converge or
     a reported value overflows double range.
     """
-    report = _cell_reports(n1, n2, eta, (epsilon,), mode)[0]
-    if isinstance(report, NonConvergenceError):
-        raise report
-    return report
+    row = sweep_row(n1, n2, epsilon, eta, mode)
+    return BoundReport(
+        epsilon=row["epsilon"],
+        eta=eta,
+        orders=DecouplingOrders(row["d_x"], row["d_y"], row["d_z"]),
+        channel_bounds=ChannelBounds(row["L_x"], row["L_y"], row["L_z"]),
+        distance_bound=row["D_bound"],
+        leading_term=row["D_leading"],
+        mode=mode,
+    )
 
 
 def default_eps_grid(
@@ -443,42 +430,17 @@ def preset_cells(name: str) -> tuple[tuple[int, int, EtaVector], ...]:
     raise ValueError(f"unknown preset {name!r}; expected fig2, fig3, or fig4")
 
 
-def _report_row(n1: int, n2: int, report: BoundReport) -> dict:
-    orders = report.orders
-    cb = report.channel_bounds
-    eta = report.eta
-    return {
-        "epsilon": report.epsilon,
-        "N1": n1,
-        "N2": n2,
-        "eta_x": eta.eta_x,
-        "eta_y": eta.eta_y,
-        "eta_z": eta.eta_z,
-        "d_x": orders.d_x,
-        "d_y": orders.d_y,
-        "d_z": orders.d_z,
-        "L_x": cb.L_x,
-        "L_y": cb.L_y,
-        "L_z": cb.L_z,
-        "D_bound": report.distance_bound,
-        "D_leading": report.leading_term,
-    }
-
-
 def sweep_rows(
     n1: int, n2: int, eta: EtaVector, grid, mode: str = "analytic"
 ) -> list[dict | None]:
-    """One cell of a bounds sweep over an eps grid, from one batched pass.
-
-    Rows are keyed by ``QDD_SWEEP_COLUMNS``; a point whose series does not
-    converge or whose bound overflows double range is None.
-    """
-    return [
-        None if isinstance(rep, NonConvergenceError) else _report_row(n1, n2, rep)
-        for rep in _cell_reports(n1, n2, eta, grid, mode)
-    ]
+    """The rows of ``sweep_cell``, keyed by ``QDD_SWEEP_COLUMNS``; a point whose
+    series does not converge or whose bound overflows double range is None."""
+    return cell_rows(*sweep_cell(n1, n2, eta, grid, mode))
 
 
 def sweep_row(n1: int, n2: int, eps: float, eta: EtaVector, mode: str = "analytic") -> dict:
-    """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``."""
-    return _report_row(n1, n2, distance_bound(n1, n2, eps, eta, mode))
+    """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``.
+
+    Raises the NonConvergenceError that makes the point None in ``sweep_rows``.
+    """
+    return first_row(*sweep_cell(n1, n2, eta, (eps,), mode))

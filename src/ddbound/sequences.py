@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "PulseEvent",
     "PulseSchedule",
@@ -67,6 +69,21 @@ def _sin_sq(j: int, n: int) -> float:
         return _DYADIC_SIN_SQ[n][j]
     s = math.sin(math.pi * j / (2 * n + 2))
     return s * s
+
+
+def _steps(n: int) -> np.ndarray:
+    """Uhrig step lengths s_n[j] - s_n[j-1] for j = 1..n+1, with s_n = ``_sin_sq``.
+
+    Each is sin(k h) sin(h) with h = pi/(2n+2) and k = min(2j-1, 2n+3-2j).
+    The reflected argument stays in (0, pi/2], which keeps each step within
+    5 ulp of its exact value; for n <= 2 the dyadic table gives the steps
+    exactly.
+    """
+    if n <= max(_DYADIC_SIN_SQ):
+        return np.diff([_sin_sq(j, n) for j in range(n + 2)])
+    h = math.pi / (2 * n + 2)
+    k = np.arange(1, 2 * n + 2, 2)
+    return np.sin(np.minimum(k, 2 * n + 2 - k) * h) * math.sin(h)
 
 
 def _nested_pulse_times(orders: Sequence[int]) -> list[tuple[float, int]]:

@@ -39,7 +39,6 @@ the blocks in order (suffix sums run sequentially).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -50,9 +49,10 @@ __all__ = [
     "NORMAL_MIN",
     "NonConvergenceError",
     "SeriesTail",
-    "check_finite",
+    "cell_rows",
     "coeff_count",
     "exp_series_tail",
+    "first_row",
     "gamma",
     "keep_lower",
     "loose",
@@ -143,11 +143,33 @@ def round_up(x):
     return np.where(x == 0.0, x, np.nextafter(x, np.inf))
 
 
-def check_finite(**values: float) -> None:
-    """Raise NonConvergenceError naming each reported value beyond double range."""
-    bad = [name for name, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise NonConvergenceError(f"{', '.join(bad)} outside double range")
+def cell_rows(columns: dict, converged) -> list[dict | None]:
+    """The rows of one bounds cell, a dict per grid point keyed like ``columns``.
+
+    ``columns`` maps each column to a float array over the grid (epsilon and
+    the cell's values) or to one value that every row shares (the cell's
+    fixed columns); ``converged`` is the tail pass's mask over the grid.  A
+    point is None where its tail did not converge or any of its values is
+    outside double range.
+    """
+    per_point = {c: v for c, v in columns.items() if isinstance(v, np.ndarray)}
+    ok = np.logical_and.reduce([converged, *map(np.isfinite, per_point.values())])
+    lists = {c: v.tolist() for c, v in per_point.items()}
+    return [
+        {c: lists[c][i] if c in lists else v for c, v in columns.items()} if good else None
+        for i, good in enumerate(ok.tolist())
+    ]
+
+
+def first_row(columns: dict, converged) -> dict:
+    """Row 0 of ``cell_rows``, or the NonConvergenceError that makes it None."""
+    row = cell_rows(columns, converged)[0]
+    if row is not None:
+        return row
+    if not converged[0]:
+        raise not_converged(columns["epsilon"][0])
+    bad = [c for c, v in columns.items() if isinstance(v, np.ndarray) and not np.isfinite(v[0])]
+    raise NonConvergenceError(f"{', '.join(bad)} outside double range")
 
 
 def series_cap(order, r_max):
@@ -227,25 +249,16 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
     Rows with the same rates and rate error (a QDD cell's sectors at one eps)
     form a group that shares one running product; each row applies its own
     weights, term by term in a fixed order.  Per-row state is laid out as
-    (group, slot), with empty slots where a group has fewer rows; a batch of
-    one group is that layout already.
+    (group, slot), with empty slots where a group has fewer rows.
     """
-    rows, k = r.shape
-    key = np.concatenate([r, rate_err[:, None]], axis=1)
-    if (key == key[0]).all():
-        lead, back, shape = slice(0, 1), 0, (1, rows)
+    k = r.shape[1]
+    grp, slot, lead = _groups(np.concatenate([r, rate_err[:, None]], axis=1))
+    shape = (lead.size, int(slot.max()) + 1)
 
-        def lay(values, fill=0.0):
-            return np.asarray(values)[None]
-
-    else:
-        grp, slot, lead = _groups(key)
-        back, shape = (grp, slot), (lead.size, int(slot.max()) + 1)
-
-        def lay(values, fill=0.0):
-            out = np.full(shape + np.shape(values)[1:], fill, dtype=np.asarray(values).dtype)
-            out[grp, slot] = values
-            return out
+    def lay(values, fill=0.0):
+        out = np.full(shape + np.shape(values)[1:], fill, dtype=np.asarray(values).dtype)
+        out[grp, slot] = values
+        return out
 
     rates = r[lead]  # one row of rates per group
     radius = np.abs(rates).max(axis=1) + rate_err[lead]  # bounds |true rate|
@@ -305,7 +318,7 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         terms[gi, :, 1 + b * _BLOCK : 1 + (b + 1) * _BLOCK] = t
     ends = n_end + 1.0
     floor = _TINY * (3 * np.maximum(big_w, 1.0) * ends**2 + (k + 2) * (ends + 1.0))
-    return _Pass(*(x[back] for x in (terms, part, rem, floor, slack, ok, n_end)))
+    return _Pass(*(x[grp, slot] for x in (terms, part, rem, floor, slack, ok, n_end)))
 
 
 def _suffix_bounds(terms, rem, n_end, at) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .nudd_bounds import NuddBoundReport, d_min_for_orders, nudd_distance_bound
 from .qdd_bounds import _MODES, BoundReport, EtaVector, distance_bound
-from .sequences import PulseSchedule, _axis_qubit, _sin_sq, effective_order, nudd_schedule
+from .sequences import PulseSchedule, _axis_qubit, _steps, effective_order, nudd_schedule
 from .series import NonConvergenceError
 
 __all__ = [
@@ -261,8 +261,9 @@ def evolve(schedule: PulseSchedule, model: HamiltonianModel, T) -> np.ndarray:
     list.  An order-N block of length s is the time-ordered product
     B_1 P B_2 P ... P B_K (K = N + 1, and odd N closes with one more P),
     where B_j is the inner block of length s delta_j.  Durations are
-    block-local: delta_j = sin^2(j pi/(2N+2)) - sin^2((j-1) pi/(2N+2)) for
-    j <= ceil(K/2), and delta_{K+1-j} is the same float as delta_j.  So with
+    block-local: delta_j = sin^2(j pi/(2N+2)) - sin^2((j-1) pi/(2N+2)), the
+    Uhrig step of ``sequences._steps``, for j <= ceil(K/2), and
+    delta_{K+1-j} is the same float as delta_j.  So with
     C_j = P B_j the block is B_1 C_2 ... C_m [C_{m+1}] C_m ... C_2 C_1 in
     matrix order (C_1 in place of B_1 for odd N), and it is built inside
     out, W <- C_j W C_j for j = ceil(K/2) down to 1: each distinct C_j is
@@ -313,7 +314,7 @@ def evolve(schedule: PulseSchedule, model: HamiltonianModel, T) -> np.ndarray:
         if not n:
             return block(level - 1, s)
         p = pulses[level]
-        steps = [_sin_sq(j, n) - _sin_sq(j - 1, n) for j in range(1, n // 2 + 2)]
+        steps = _steps(n)[: n // 2 + 1]
         u = None
         for j in range(len(steps), 0, -1):
             b = block(level - 1, s * steps[j - 1])

@@ -278,6 +278,33 @@ def test_preset_csv_frozen(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, code, flags, digest",
+    [
+        ("bounds nudd --m 10 --dmin 3 --eta 100 --eps-max 50",
+         3, ("non-convergence", 41),
+         "978b590cbb39f87dd0d6c058a4becb02e3595ba1dc259e06a71784d5df6b1d8b"),
+        ("bounds qdd --n1 40 --n2 3 --eta 1e3 --eps-max 200 --eps-points 30",
+         3, ("non-convergence", 15),
+         "a8cb394d10b4294f10677e046a83a9ce7b9c154e4bacd4dd6739a765b4025d60"),
+        ("bounds qdd --n1 60 --n2 60 --eta-x 1e-5 --eps-min 1e-9 --eps-points 30",
+         0, ("subnormal", 18),
+         "b754d4fddfb198b1dd2ac1d1c289db4382972cb30dc3f7677de6985bf877f994"),
+        ("bounds nudd --m 1 --dmin 250 --eta 0.5 --eps-min 1e-6",
+         0, ("subnormal", 41),
+         "3f6ae6446a1ac429acd30eca80b429e19c0a29679d1d3bcb0c842c0636904b19"),
+    ],
+)
+def test_flagged_bounds_frozen(argv, code, flags, digest, capsys):
+    """sha256 of whole outputs with flagged rows: the text of the
+    non-convergence and subnormal comment lines is frozen with the data."""
+    got, out, err = run_cli(argv.split(), capsys)
+    assert (got, err) == (code, "")
+    kind, count = flags
+    assert sum(ln.startswith(f"# {kind}: ") for ln in out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_overflowed_bound_exits_3(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     norms = {label: 1 for label in "0xyz"}

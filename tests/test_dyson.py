@@ -48,7 +48,7 @@ from ddbound.dyson import (
     word_integral,
 )
 from ddbound.qdd_bounds import DecouplingOrders, case_parities
-from ddbound.sequences import switching_qdd
+from ddbound.sequences import _steps, switching_qdd
 
 
 def _channel_by_counts(word):
@@ -282,6 +282,18 @@ def test_index_grid_is_the_exact_merge(n1, n2):
             assert ulps.max() <= (0 if max(n1, n2) <= 2 else 8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 400))
+def test_steps_within_five_ulp(n):
+    """Each Uhrig step is within 5 ulp of its 50-digit value, exact for n <= 2:
+    the input error that ``_value_error`` assumes."""
+    with mp.workdps(50):
+        exact = [mp.sin(j * mp.pi / (2 * n + 2)) ** 2 for j in range(n + 2)]
+        exact = np.array([float(b - a) for a, b in zip(exact, exact[1:])])
+    ulps = np.abs(_steps(n) - exact) / np.spacing(exact)
+    assert ulps.max() <= (0 if n <= 2 else 5)
+
+
 def test_single_integrals_match_switching_profiles():
     for n1, n2 in [(2, 3), (1, 4)]:
         prof = qdd_profiles(n1, n2)  # auto picks mp here
@@ -442,7 +454,10 @@ def test_proof_field():
 # again when the interval lengths became float64 products of sin steps
 # instead of differences of 50-digit breakpoints: magnitudes move in the last
 # bits (at most 4e-15 relative here), and among words of exactly equal
-# magnitude a row's max_word or witness may be another word.
+# magnitude a row's max_word or witness may be another word.  They were
+# re-recorded once more when mp proofs began to state ``value_error``, the
+# a-priori error bound of the float64 values per word length; nothing else in
+# those certificates changed.
 @pytest.mark.parametrize(
     "args, kwargs, digest",
     [
@@ -458,12 +473,12 @@ def test_proof_field():
         ),
         pytest.param(
             (3, 3, 4), {"backend": "mp"},
-            "e5f628900b34ce19b361fc40ad919d48f09c81091d901b620ae03ff75d84c741",
+            "5e15972245156620e9a9412cb7837308e6fc9a91444622eb96e9a28191d31329",
             id="args2-kwargs2-494d889b0b92206a1337645cbf3c4ed01cf98db6723a272dbb87874829d7aa25",
         ),
         pytest.param(
             (1, 4, 4), {"mode": "numeric-footnote"},
-            "dd0a71ba6d64cc51dcc47983fdf28850bc3637e5c61a5c902c8714da5a12e2cb",
+            "ac3859167bd753d5b9a03dc1e1ef1ea02ee1aa4e7a83657bf11c385da2842ac8",
             id="args3-kwargs3-b877e3131d86893a39c68aac9964d9323c631da1e0abef0d9d51a7058ee35a1d",
         ),
     ],
@@ -592,18 +607,24 @@ ZERO_PATTERN_CASES = [
 @pytest.mark.parametrize("n1, n2, n_max", ZERO_PATTERN_CASES)
 def test_zero_pattern_matches_reference(n1, n2, n_max):
     """Every level's residue zero pattern is the reference's, word for word,
-    and the float row is the reference's values to roundoff."""
-    sig = signature(qdd_profiles(n1, n2), n_max)
+    and the float row is the reference's values to roundoff, within the
+    a-priori error bound that mp certificates state."""
+    prof = qdd_profiles(n1, n2)
+    sig = signature(prof, n_max)
     assert sig.proved
+    error = ddbound.dyson._value_error(len(prof.lengths), n_max)
     for k, (nonzero, values) in enumerate(_reference_levels(n1, n2, n_max)):
         if k == 0:
             continue
         np.testing.assert_array_equal((sig.levels[k][:-1] != 0).any(axis=0), nonzero)
-        np.testing.assert_allclose(
-            sig.levels[k][-1], np.array(values, dtype=float), rtol=0, atol=1e-14
-        )
+        ref = np.array(values, dtype=float)
+        np.testing.assert_allclose(sig.levels[k][-1], ref, rtol=0, atol=1e-14)
+        # the reference, read as a double, is within half an ulp of its 50 digits
+        assert (np.abs(sig.levels[k][-1] - ref) <= error[k - 1] + np.spacing(np.abs(ref))).all()
     mode = "numeric-footnote" if (n1, n2) == (1, 4) else "analytic"
-    assert verify_orders(n1, n2, n_max, mode=mode).certified
+    cert = verify_orders(n1, n2, n_max, mode=mode)
+    assert cert.certified
+    assert cert.proof.get("value_error") == (error if cert.backend == "mp" else None)
 
 
 _PROOF_PRIMES = ddbound.dyson._proof_primes
@@ -678,15 +699,37 @@ def test_too_few_primes_is_not_proved(n1, n2, monkeypatch, capsys):
     assert doc["proof"]["status"] == "not proved"
 
 
-def test_cli_import_leaves_mpmath_out():
-    """The package never imports mpmath, not even to certify on the mp
-    backend."""
+def test_cli_import_leaves_mpmath_out(tmp_path):
+    """No command imports mpmath or scipy: one op of each, on both certifier
+    backends, runs in a fresh process that then holds neither module."""
     src = Path(ddbound.dyson.__file__).resolve().parents[1]
+    norms = {"0": 1.0, "x": 0.3, "y": 0.8, "z": 0.05}
+    simulate = tmp_path / "simulate.json"
+    simulate.write_text(json.dumps(
+        {"kind": "qdd", "orders": [2, 2], "T": 0.05, "bath": {"dim": 2, "seed": 1, "norms": norms}}
+    ))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(
+        {"kind": "qdd", "orders": [[1, 1]], "bath_dim": [2], "eps": [0.01], "eta": [0.1],
+         "seeds": 1, "master_seed": 0}
+    ))
+    argvs = [
+        ["sequence", "--qdd", "2", "2"],
+        ["bounds", "qdd", "--n1", "2", "--n2", "2"],
+        ["bounds", "nudd", "--m", "2", "--dmin", "2"],
+        ["simulate", "--config", str(simulate)],
+        ["verify", "orders", "--qdd", "2", "2", "--nmax", "3", "--backend", "rational"],
+        ["verify", "orders", "--qdd", "3", "3", "--nmax", "3", "--backend", "mp"],
+        ["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1", "--bath-dim", "2"],
+        ["sweep", "--config", str(sweep)],
+    ]
     code = (
         "import sys\n"
         "from ddbound.cli import main\n"
-        "argv = ['verify', 'orders', '--qdd', '3', '3', '--nmax', '3', '--backend', 'mp']\n"
-        "assert main(argv) == 0\n"
-        "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = {'mpmath', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, f'{loaded} loaded'\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, cwd=src, capture_output=True)
+    res = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

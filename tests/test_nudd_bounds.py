@@ -23,6 +23,7 @@ from ddbound.nudd_bounds import (
     nudd_eps_window,
     nudd_g,
     nudd_sweep_row,
+    nudd_sweep_rows,
     preset_nudd_cells,
 )
 from ddbound.qdd_bounds import default_eps_grid
@@ -216,6 +217,25 @@ def test_preset_cells_fig5():
     assert {d for _, d, _ in cells} == {5, 10, 20, 40}
     with pytest.raises(ValueError):
         preset_nudd_cells("fig2")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 31),
+    d_min=st.integers(0, 300),
+    eta=st.one_of(st.just(0.0), st.floats(1e-6, 1e4)),
+    grid=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e3)), max_size=8),
+)
+def test_sweep_rows_are_one_point_rows(m, d_min, eta, grid):
+    """Each row of a cell is the one-point row at its eps, bit for bit, and a
+    row is None exactly where the one-point view raises."""
+    for eps, row in zip(grid, nudd_sweep_rows(m, d_min, eta, grid), strict=True):
+        try:
+            one = nudd_sweep_row(m, d_min, eps, eta)
+        except NonConvergenceError:
+            assert row is None
+        else:
+            assert repr(row) == repr(one)
 
 
 def test_sweep_row_values():

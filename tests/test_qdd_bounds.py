@@ -28,7 +28,9 @@ from ddbound.qdd_bounds import (
     g_poly,
     preset_cells,
     sweep_row,
+    sweep_rows,
 )
+from ddbound.series import NonConvergenceError
 
 from closed_forms import scaled_bounding_function
 
@@ -327,6 +329,32 @@ def test_preset_cells_shapes():
     assert [(n1, n2) for n1, n2, _ in fig4] == [(3, 9), (10, 9), (19, 9), (34, 9)]
     with pytest.raises(ValueError):
         preset_cells("fig9")
+
+
+#: eps and eta draws that reach exact zeros, subnormal values and overflow.
+_EPS = st.one_of(st.just(0.0), st.floats(1e-9, 1e3))
+_ETA = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n1=st.integers(0, 60),
+    n2=st.integers(0, 60),
+    etas=st.tuples(_ETA, _ETA, _ETA),
+    grid=st.lists(_EPS, max_size=8),
+    mode=st.sampled_from(["analytic", "numeric-footnote"]),
+)
+def test_sweep_rows_are_one_point_rows(n1, n2, etas, grid, mode):
+    """Each row of a cell is the one-point row at its eps, bit for bit, and a
+    row is None exactly where the one-point view raises."""
+    eta = EtaVector(*etas)
+    for eps, row in zip(grid, sweep_rows(n1, n2, eta, grid, mode), strict=True):
+        try:
+            one = sweep_row(n1, n2, eps, eta, mode)
+        except NonConvergenceError:
+            assert row is None
+        else:
+            assert repr(row) == repr(one)
 
 
 def test_sweep_row_matches_direct_eval():
