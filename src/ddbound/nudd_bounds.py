@@ -40,7 +40,7 @@ from .series import (
     power_coeffs,
     product_tail,
     round_up,
-    spread,
+    scale_rates,
 )
 
 __all__ = [
@@ -107,16 +107,15 @@ def _nudd_series(epsilon, eta: float, m: int):
     """Rates and weights of S_K's Taylor series in epsilon, in the tail format.
 
     S_K = (1 - 4^-m) * (e^(eps (1 + gamma eta)) - e^(eps (1 - eta))) in units
-    of J0 = 1, with gamma = 4^m - 1.  ``epsilon`` may be an array of rows.
-    The weight 1 - 4^-m is exact for m <= 26 and rounds up to 1 beyond, so
-    the series never falls below S_K.
+    of J0 = 1, with gamma = 4^m - 1.  ``epsilon`` may be an array of eps
+    points: the rates are then (eps, 2), one group of the tail pass per eps,
+    and the weights, (2,), its one slot.  The weight 1 - 4^-m is exact for
+    m <= 26 and rounds up to 1 beyond, so the series never falls below S_K.
     """
     g = gamma_factor(m)
     c = 1.0 - 4.0**-m
-    rates = np.multiply.outer(epsilon, (1.0 + g * eta, 1.0 - eta))
-    weights = np.empty_like(rates)
-    weights[...] = (c, -c)
-    return rates, weights
+    eps = np.asarray(epsilon, dtype=float)[..., None]
+    return scale_rates(eps, (1.0 + g * eta, 1.0 - eta)), np.array((c, -c))
 
 
 def nudd_g(l: int, eta: float, m: int) -> float:
@@ -146,32 +145,30 @@ def nudd_g(l: int, eta: float, m: int) -> float:
 def _nudd_tails(d_min: int, eps, eta: float, m: int) -> SeriesTail:
     """Outward-rounded tails Delta_{d_min}(eps) over an eps array, from one pass.
 
-    A loose row also takes the nonnegative form S_K = c e^eps * B(eps) with
-    B = e^(gamma x) - e^(-x), x = eta eps, whose coefficients
-    (gamma^k - (-1)^k) x^k / k! are nonnegative and at most ((gamma+1) x)^k / k!,
-    and keeps the lower of the two bounds.
+    Each eps is a group of one slot; at eps = 0 every rate is 0, and the pass
+    gives 0.  At eta = 0 the tail is identically 0.  A loose series also takes
+    the nonnegative form S_K = c e^eps * B(eps) with B = e^(gamma x) - e^(-x),
+    x = eta eps, whose coefficients (gamma^k - (-1)^k) x^k / k! are
+    nonnegative and at most ((gamma+1) x)^k / k!, and keeps the lower of the
+    two bounds.
     """
     eps = np.asarray(eps, dtype=float)
-    rows = eps.size
-    live = np.flatnonzero(eps > 0.0) if eta > 0.0 else np.array([], dtype=np.int64)
-    if live.size == 0:
-        return spread(None, live, rows)
+    if eta == 0.0:
+        return SeriesTail.zeros(eps.size)
     g = gamma_factor(m)
-    rates, weights = _nudd_series(eps[live], eta, m)
-    rate_err = gamma(4) * eps[live] * (1.0 + g * eta)
+    rates, weights = _nudd_series(eps, eta, m)
+    rate_err = scale_rates(gamma(4) * eps, 1.0 + g * eta)
     res = exp_series_tail(rates, weights, d_min, rate_err)
-    out = spread(res, live, rows)
-    redo = live[loose(res)]
-    if redo.size:
-        x = eps[redo] * eta
+    redo = np.nonzero(loose(res))
+    if redo[0].size:
+        x = eps[redo[0]] * eta
         length = coeff_count(d_min)
         with np.errstate(under="ignore", over="ignore"):
             ks = np.arange(length)
             p = power_coeffs(g * x, length) - (-1.0) ** ks * power_coeffs(x, length)
         big_x = round_up(x * (g + 1.0) * (1.0 + gamma(3)))
-        c = np.full((redo.size, 1), _nudd_series(1.0, eta, m)[1][0])
-        keep_lower(out, redo, product_tail(p, big_x, eps[redo, None], c, d_min))
-    return out
+        keep_lower(res, redo, product_tail(p, big_x, eps[redo[0], None], weights[:1], d_min))
+    return SeriesTail(*(v[:, 0] for v in res))
 
 
 def nudd_delta(d_min: int, epsilon: float, eta: float, m: int) -> tuple[float, float]:
@@ -180,20 +177,21 @@ def nudd_delta(d_min: int, epsilon: float, eta: float, m: int) -> tuple[float, f
     Returns upper bounds on ``(Delta_{d_min}, g_{d_min+1} * eps^(d_min+1))``
     from one pass: a one-row view of the batched tail.
     """
-    _check_point(d_min, (epsilon,), eta)
+    _check_point(d_min, (epsilon,), eta, m)
     res = _nudd_tails(d_min, [epsilon], eta, m)
     if not res.ok[0]:
         raise not_converged(epsilon)
     return float(res.tail[0]), float(res.first[0])
 
 
-def _check_point(d_min: int, grid, eta: float) -> None:
+def _check_point(d_min: int, grid, eta: float, m: int) -> None:
     if d_min < 0:
         raise ValueError("d_min must be >= 0")
     if not all(e >= 0 for e in grid):
         raise ValueError("epsilon must be >= 0")
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+    gamma_factor(m)  # rejects m outside 1..31, also where eta = 0 needs no pass
 
 
 def nudd_sweep_cell(m: int, d_min: int, eta: float, grid) -> tuple[dict, np.ndarray]:
@@ -204,7 +202,7 @@ def nudd_sweep_cell(m: int, d_min: int, eta: float, grid) -> tuple[dict, np.ndar
     The distance bound Delta^2 + Delta and the leading term are rounded
     outward.
     """
-    _check_point(d_min, grid, eta)
+    _check_point(d_min, grid, eta, m)
     eps = np.asarray(grid, dtype=float).reshape(-1)
     res = _nudd_tails(d_min, eps, eta, m)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -46,7 +46,7 @@ from .series import (
     power_coeffs,
     product_tail,
     round_up,
-    spread,
+    scale_rates,
 )
 
 __all__ = [
@@ -238,22 +238,27 @@ def _sign_rates(etas) -> np.ndarray:
     etas = np.asarray(etas, dtype=float)
     signs = np.array(_SIGNS)
     out = 1.0
-    for a in range(3):
-        out = out + signs[:, a] * etas[..., a, None]
+    with np.errstate(over="ignore"):  # inf, for exp_series_tail to reject
+        for a in range(3):
+            out = out + signs[:, a] * etas[..., a, None]
     return out
 
 
 def _sector_series(j, epsilon, eta: EtaVector):
     """Rates and weights of sector j's Taylor series in the shared tail format.
 
-    ``j`` and ``epsilon`` may be arrays of rows, giving one series per row.
+    ``epsilon`` may be an array of eps points and ``j`` one of sectors: the
+    rates are then (eps, 8), one group of the tail pass per eps, and the
+    weights (sector, 8), one slot per sector.
     """
-    return np.multiply.outer(epsilon, _sign_rates(eta.as_tuple())), _SECTOR_WEIGHTS[j]
+    eps = np.asarray(epsilon, dtype=float)[..., None]
+    return scale_rates(eps, _sign_rates(eta.as_tuple())), _SECTOR_WEIGHTS[j]
 
 
 def _rate_err(epsilon, etas) -> np.ndarray:
     """Bound on the rounding of eps * (1 + s_x eta_x + s_y eta_y + s_z eta_z)."""
-    return gamma(5) * epsilon * (1.0 + np.sum(etas, axis=-1))
+    with np.errstate(over="ignore"):
+        return scale_rates(gamma(5) * epsilon, 1.0 + np.sum(etas, axis=-1))
 
 
 def _sector_nonneg(sectors, orders, eps, etas, expand) -> SeriesTail:
@@ -292,30 +297,33 @@ def _sector_nonneg(sectors, orders, eps, etas, expand) -> SeriesTail:
 
 
 def _sector_tails(sectors, orders, eps, eta: EtaVector) -> SeriesTail:
-    """Outward-rounded tails Delta_d^(j)(eps) for rows (j, d, eps), from one pass.
+    """Outward-rounded tails Delta_d^(j)(eps) as (eps, sector) arrays, from one pass.
 
-    Sectors whose sinh factor sits on a vanishing eta component, and eps = 0,
-    are identically zero.  A loose row with a sinh factor at eta_a <= 1
+    Each eps is a group of the pass and each sector j, with its order d, a
+    slot.  Sectors whose sinh factor sits on a vanishing eta component are
+    identically zero and stay out of the pass; at eps = 0 every rate is 0,
+    and the pass gives 0.  A loose series with a sinh factor at eta_a <= 1
     (where the signed weights cancel) also takes the nonnegative form, which
     expands those factors, and keeps the lower of the two bounds.
     """
-    sectors = np.asarray(sectors, dtype=np.int64)
-    orders = np.asarray(orders, dtype=np.int64)
+    sectors, orders = np.asarray(sectors), np.asarray(orders)
     eps = np.asarray(eps, dtype=float)
-    rows = sectors.size
+    out = SeriesTail.zeros((eps.size, sectors.size))
     etas = np.array(eta.as_tuple())
     sinh = _SINH[sectors]
-    live = np.flatnonzero((eps > 0.0) & ~(sinh & (etas == 0.0)).any(axis=1))
+    live = np.flatnonzero(~(sinh & (etas == 0.0)).any(axis=1))
     if live.size == 0:
-        return spread(None, live, rows)
-    rates, weights = _sector_series(sectors[live], eps[live], eta)
-    res = exp_series_tail(rates, weights, orders[live], _rate_err(eps[live], etas))
-    out = spread(res, live, rows)
+        return out
+    rates, weights = _sector_series(sectors[live], eps, eta)
+    res = exp_series_tail(rates, weights, orders[live], _rate_err(eps, etas))
+    for whole, part in zip(out, res):
+        whole[:, live] = part
     expand = sinh & (etas <= 1.0)
-    redo = live[loose(res) & expand[live].any(axis=1)]
-    if redo.size:
-        alt = _sector_nonneg(sectors[redo], orders[redo], eps[redo], etas, expand[redo])
-        keep_lower(out, redo, alt)
+    at, slot = np.nonzero(loose(res) & expand[live].any(axis=1))
+    if at.size:
+        js = live[slot]
+        alt = _sector_nonneg(sectors[js], orders[js], eps[at], etas, expand[js])
+        keep_lower(out, (at, js), alt)
     return out
 
 
@@ -323,16 +331,18 @@ def delta_tail(j: int, d: int, epsilon: float, eta: EtaVector) -> tuple[float, f
     """Tail Delta_d^(j) = sum_{n > d} g_n^(j)(eta) * eps^n and its leading term.
 
     Returns upper bounds on ``(Delta_d^(j), g_{d+1}^(j) * eps^(d+1))`` from one
-    pass: a one-row view of ``_sector_tails``.  Raises NonConvergenceError
+    pass: a one-point view of ``_sector_tails``.  Raises NonConvergenceError
     for pathological inputs (see series.exp_series_tail).
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     case_parities(j)  # rejects a sector index outside 0..7
+    if d < 0:
+        raise ValueError("order must be >= 0")
     res = _sector_tails([j], [d], [epsilon], eta)
-    if not res.ok[0]:
+    if not res.ok[0, 0]:
         raise not_converged(epsilon)
-    return float(res.tail[0]), float(res.first[0])
+    return float(res.tail[0, 0]), float(res.first[0, 0])
 
 
 def sweep_cell(
@@ -352,18 +362,15 @@ def sweep_cell(
     eps = np.asarray(grid, dtype=float).reshape(-1)
     if not (eps >= 0).all():
         raise ValueError("epsilon must be >= 0")
-    ds = np.array([orders.for_channel(ch) for ch in CASE_OF_CHANNEL for _ in (0, 1)])
-    res = _sector_tails(
-        _CHANNEL_SECTORS.repeat(eps.size), ds.repeat(eps.size), np.concatenate([eps] * 6), eta
-    )
-    flat = res.tail.reshape(6, eps.size)
+    ds = [orders.for_channel(ch) for ch in CASE_OF_CHANNEL for _ in (0, 1)]
+    res = _sector_tails(_CHANNEL_SECTORS, ds, eps, eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        lx, ly, lz = round_up(flat[0::2] + flat[1::2])
+        lx, ly, lz = round_up(res.tail[:, 0::2] + res.tail[:, 1::2]).T
         bound = lx + ly + lz + lx * lx + ly * ly + lz * lz + lx * ly + ly * lz + lx * lz
         bound = round_up(bound * (1.0 + gamma(12)))
-        leading = round_up(res.first.reshape(6, eps.size).sum(axis=0) * (1.0 + gamma(6)))
+        leading = round_up(res.first.sum(axis=1) * (1.0 + gamma(6)))
     values = (eps, n1, n2, *eta.as_tuple(), *orders.as_tuple(), lx, ly, lz, bound, leading)
-    return dict(zip(QDD_SWEEP_COLUMNS, values)), res.ok.reshape(6, eps.size).all(axis=0)
+    return dict(zip(QDD_SWEEP_COLUMNS, values)), res.ok.all(axis=1)
 
 
 def distance_bound(

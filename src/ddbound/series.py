@@ -1,4 +1,4 @@
-"""Outward-rounded tail sums of exponential-type power series, batched over rows.
+"""Outward-rounded tail sums of exponential-type power series, batched.
 
 Each bound family writes its bounding function once, as the series
 
@@ -6,9 +6,15 @@ Each bound family writes its bounding function once, as the series
 
 with signed weights ``w_i`` and growth rates ``r_i`` whose combined terms
 ``c_n`` are nonnegative.  ``exp_series_tail`` sums the tail past an order d for
-a batch of rows, each with its own rates, weights and order, and also returns
-the tail's first term (n = d + 1).  ``r_i**n / n!`` is advanced as a running
-product of ``r_i / k``, so no power or factorial is formed in isolation.
+a batch of such series, and also returns the tail's first term (n = d + 1).
+``r_i**n / n!`` is advanced as a running product of ``r_i / k``, so no power
+or factorial is formed in isolation.
+
+The caller's array shapes are the batch's layout.  A *group* is one row of
+rates (for a bound family, one eps point), and its *slots* are the series
+that share those rates, each with its own weights and order (the live QDD
+sectors at that eps; NUDD has one).  A group's running products are formed
+once for all its slots, and every result is a (groups, slots) array.
 
 Every returned value is an upper bound in floating point, by construction:
 
@@ -17,7 +23,7 @@ Every returned value is an upper bound in floating point, by construction:
   of Numerical Algorithms, ch. 3), widened for the relative error of the
   running products, plus ``W * rate_err * R**(n-1) / (n-1)!`` for rates known
   only to within ``rate_err`` (W = sum |w_i|, R = max |r_i| + rate_err);
-* one absolute floor per row, a few multiples of 2**-1074 per rounding,
+* one absolute floor per series, a few multiples of 2**-1074 per rounding,
   covers underflow;
 * the truncation remainder ``2 W R**(n+1) / (n+1)!`` (valid once n + 1 >= 2R)
   is added to the total, not only used to stop, so where summation stops
@@ -32,7 +38,7 @@ coefficients and ``R`` is an exponential sum without severe cancellation.
 Its tail past d is ``sum_k p_k * T_{d-k}(R)``, and every ``T_m(R)`` comes from
 the suffix sums of one pass over R.
 
-A row's result depends only on its own inputs, not on the other rows of the
+A series' result depends only on its own inputs, not on the rest of the
 batch: terms are formed in fixed blocks of n, each block summed pairwise and
 the blocks in order (suffix sums run sequentially).
 """
@@ -60,7 +66,7 @@ __all__ = [
     "power_coeffs",
     "product_tail",
     "round_up",
-    "spread",
+    "scale_rates",
 ]
 
 _BLOCK = 64
@@ -72,7 +78,7 @@ _REL_TOL = 1e-15  # remainder share of the partial tail at which summation stops
 #: Smallest normal double; a nonzero value below it has lost significant digits.
 NORMAL_MIN = 2.0**-1022
 
-#: A row whose rounding slack exceeds this fraction of its tail is loose; the
+#: A series whose rounding slack exceeds this fraction of its tail is loose; the
 #: bound families then also sum it in a nonnegative form (``product_tail``)
 #: and keep the lower bound (``keep_lower``).
 LOOSE = 1e-10
@@ -83,16 +89,21 @@ class NonConvergenceError(RuntimeError):
 
 
 class SeriesTail(NamedTuple):
-    """Per-row results of a tail pass; ``tail`` and ``first`` are NaN where not ``ok``.
+    """Per-series results of a tail pass; ``tail`` and ``first`` are NaN where not ``ok``.
 
     ``slack`` is the rounding allowance summed into the tail, from which a
-    caller judges whether the row is tight.
+    caller judges whether the series is tight.
     """
 
     tail: np.ndarray
     first: np.ndarray
     ok: np.ndarray
     slack: np.ndarray
+
+    @classmethod
+    def zeros(cls, shape) -> "SeriesTail":
+        """Results for series that are identically zero."""
+        return cls(np.zeros(shape), np.zeros(shape), np.ones(shape, dtype=bool), np.zeros(shape))
 
 
 def not_converged(epsilon: float) -> NonConvergenceError:
@@ -104,27 +115,17 @@ def not_converged(epsilon: float) -> NonConvergenceError:
 
 
 def loose(res: SeriesTail) -> np.ndarray:
-    """Mask of the converged rows whose slack exceeds ``LOOSE`` of their tail."""
+    """Mask of the converged series whose slack exceeds ``LOOSE`` of their tail."""
     return res.ok & (res.slack > LOOSE * res.tail)
 
 
-def spread(res: SeriesTail | None, live: np.ndarray, rows: int) -> SeriesTail:
-    """Results for a batch of ``rows`` from a pass ``res`` over the rows ``live``
-    (None: no pass); every other row is an exact zero."""
-    if res is not None and live.size == rows:
-        return res
-    out = SeriesTail(np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool), np.zeros(rows))
-    if res is not None:
-        for whole, part in zip(out, res):
-            whole[live] = part
-    return out
-
-
-def keep_lower(res: SeriesTail, rows: np.ndarray, alt: SeriesTail) -> None:
-    """Where ``alt`` (rows ``rows`` of ``res``) bounds lower, take its tail and first term."""
-    better = alt.ok & (alt.tail < res.tail[rows])
-    res.tail[rows[better]] = alt.tail[better]
-    res.first[rows[better]] = alt.first[better]
+def keep_lower(res: SeriesTail, at: tuple, alt: SeriesTail) -> None:
+    """Where ``alt`` (the entries of ``res`` at the index tuple ``at``) bounds
+    lower, take its tail and first term."""
+    better = alt.ok & (alt.tail < res.tail[at])
+    at = tuple(i[better] for i in at)
+    res.tail[at] = alt.tail[better]
+    res.first[at] = alt.first[better]
 
 
 def gamma(n):
@@ -173,18 +174,35 @@ def first_row(columns: dict, converged) -> dict:
 
 
 def series_cap(order, r_max):
-    """Hard iteration cap: d + 1 + max(200, 20 * ceil(r_max)), per row."""
+    """Hard iteration cap: d + 1 + max(200, 20 * ceil(r_max)), per series."""
     return np.asarray(order) + 1 + np.maximum(200.0, 20.0 * np.ceil(r_max))
 
 
-def _series_arrays(rates, weights) -> tuple[np.ndarray, np.ndarray]:
-    r = np.atleast_2d(np.asarray(rates, dtype=float))
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    if r.shape != w.shape or r.ndim != 2 or r.size == 0:
-        raise ValueError("rates and weights must be matching (rows, K) arrays")
+def scale_rates(epsilon, factors) -> np.ndarray:
+    """eps * factors, broadcast: the rates (or rate errors) of a series in eps.
+    A product beyond double range is inf, for ``exp_series_tail`` to reject,
+    without a warning; at eps = 0 it is exactly 0, also for an inf factor."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply(epsilon, factors)
+    return np.where(np.equal(epsilon, 0.0), 0.0, out)
+
+
+def _series_arrays(rates, weights, orders, rate_err):
+    """Rates (groups, K), weights (groups, slots, K), orders (groups, slots)
+    and rate errors (groups,), checked and broadcast to those shapes."""
+    r = np.asarray(rates, dtype=float)
+    r = r[None] if r.ndim == 1 else r
+    w = np.asarray(weights, dtype=float)
+    orders = np.asarray(orders, dtype=np.int64)
+    shape = np.broadcast_shapes(r.shape[:1] + (1,), w.shape[:-1], orders.shape)
+    if r.ndim != 2 or r.shape[1] == 0 or w.shape[-1:] != r.shape[1:] or shape[:-1] != r.shape[:1]:
+        raise ValueError("need rates (groups, K), weights (.., slots, K), orders (.., slots)")
     if not (np.isfinite(r).all() and np.isfinite(w).all()):
         raise ValueError("rates and weights must be finite")
-    return r, w
+    if not (orders >= 0).all():
+        raise ValueError("order must be >= 0")
+    w = np.broadcast_to(w, shape + r.shape[1:])
+    return r, w, np.broadcast_to(orders, shape), _per_row(rate_err, r.shape[0], float, "rate_err")
 
 
 def _per_row(values, rows: int, dtype, name: str) -> np.ndarray:
@@ -197,7 +215,7 @@ def _per_row(values, rows: int, dtype, name: str) -> np.ndarray:
 
 
 class _Pass(NamedTuple):
-    """One pass over a batch of series, per row (``terms`` per row and n)."""
+    """One pass over a batch of series, per (group, slot); ``terms`` per n too."""
 
     terms: np.ndarray  # upper bounds on c_n, n = 0.., less the underflow floor
     part: np.ndarray  # their sum past the order: pairwise per block, then blockwise
@@ -206,21 +224,6 @@ class _Pass(NamedTuple):
     slack: np.ndarray  # rounding slack within ``part``
     ok: np.ndarray  # converged, and finite
     n_end: np.ndarray  # last n summed
-
-
-def _groups(key: np.ndarray):
-    """Group equal rows of ``key``: each row's group, its slot within the
-    group (in row order), and one row index per group."""
-    rows = key.shape[0]
-    by_grp = np.lexsort(key.T[::-1])  # stable: a group's rows keep their order
-    fresh = np.ones(rows, dtype=bool)
-    fresh[1:] = np.any(key[by_grp[1:]] != key[by_grp[:-1]], axis=1)
-    starts = np.flatnonzero(fresh)
-    grp = np.empty(rows, dtype=np.int64)
-    grp[by_grp] = np.cumsum(fresh) - 1
-    slot = np.empty(rows, dtype=np.int64)
-    slot[by_grp] = np.arange(rows) - starts[grp[by_grp]]
-    return grp, slot, by_grp[starts]
 
 
 @lru_cache(maxsize=256)
@@ -236,41 +239,31 @@ def _block_factors(n_lo: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
 def _term_bounds(r, w, orders, rate_err) -> _Pass:
-    """Term bounds of every row, up to where its remainder meets ``_REL_TOL``.
+    """Term bounds of every series, up to where its remainder meets ``_REL_TOL``.
 
     Overflow is an expected signal, caught by the finiteness test.  Underflow
     to subnormals can lose up to 2**-1075 per rounding.  A term n takes at
     most 3n + K + 2 roundings, each error scaled by at most max(W, 1) later
     on, and so does the remainder past it, so ``floor`` = 2**-1074
-    (3 max(W, 1) (n_end + 1)**2 + (K + 2)(n_end + 2)) covers a row's terms
-    and remainder together; it is added once per row rather than per term,
-    because arithmetic on subnormals is slow.
+    (3 max(W, 1) (n_end + 1)**2 + (K + 2)(n_end + 2)) covers a series' terms
+    and remainder together; it is added once per series rather than per
+    term, because arithmetic on subnormals is slow.
 
-    Rows with the same rates and rate error (a QDD cell's sectors at one eps)
-    form a group that shares one running product; each row applies its own
-    weights, term by term in a fixed order.  Per-row state is laid out as
-    (group, slot), with empty slots where a group has fewer rows.
+    The layout is the caller's: each group (row of ``r``, with its
+    ``rate_err``) shares one running product of its rates, and each of its
+    slots applies its own weights (``w[group, slot]``) and order, term by
+    term in a fixed order.
     """
     k = r.shape[1]
-    grp, slot, lead = _groups(np.concatenate([r, rate_err[:, None]], axis=1))
-    shape = (lead.size, int(slot.max()) + 1)
+    shape = orders.shape
+    radius = np.abs(r).max(axis=1) + rate_err  # bounds |true rate|
+    big_w = np.abs(w).sum(axis=2) * (1.0 + gamma(k))
+    start = orders + 1
+    cap = series_cap(orders, radius[:, None])
+    drift = big_w * rate_err[:, None]
 
-    def lay(values, fill=0.0):
-        out = np.full(shape + np.shape(values)[1:], fill, dtype=np.asarray(values).dtype)
-        out[grp, slot] = values
-        return out
-
-    rates = r[lead]  # one row of rates per group
-    radius = np.abs(rates).max(axis=1) + rate_err[lead]  # bounds |true rate|
-    ws = lay(w)
-    big_w = lay(np.abs(w).sum(axis=1) * (1.0 + gamma(k)))
-    start = lay(orders + 1, -1)
-    cap = series_cap(start - 1, radius[:, None])
-    drift = big_w * rate_err[lead][:, None]
-
-    real = start >= 0
-    active = real & (radius > 0.0)[:, None]
-    ok = real & (radius == 0.0)[:, None]  # all rates zero: every term past n = 0 is 0
+    active = np.repeat((radius > 0.0)[:, None], shape[1], axis=1)
+    ok = ~active  # all rates zero: every term past n = 0 is 0
     rem, slack, part = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     n_end = np.zeros(shape, dtype=np.int64)
     u = np.ones((shape[0], k))  # r_i**(n-1) / (n-1)! at the block start
@@ -284,11 +277,11 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         ns, term_gamma, drift_gamma = _block_factors(n_lo, k)
         n_hi = n_lo + _BLOCK - 1
         rad = radius[at]
-        path = rates[at][:, :, None] / ns
+        path = r[at][:, :, None] / ns
         np.cumprod(path, axis=2, out=path)
         path *= u[at][:, :, None]
         m_path = np.cumprod(np.concatenate([m[at][:, None], rad[:, None] / ns], axis=1), axis=1)
-        wg = ws[at]
+        wg = w[at]
         c = np.einsum("gsk,gkn->gsn", wg, path)
         a = np.einsum("gsk,gkn->gsn", np.abs(wg), np.abs(path))
         s = term_gamma * a
@@ -313,12 +306,12 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         n_lo += _BLOCK
 
     terms = np.zeros(shape + (1 + _BLOCK * len(blocks),))
-    terms[:, :, 0] = ws.sum(axis=2) + gamma(k) * big_w  # c_0 = sum_i w_i
+    terms[:, :, 0] = w.sum(axis=2) + gamma(k) * big_w  # c_0 = sum_i w_i
     for b, (gi, t) in enumerate(blocks):
         terms[gi, :, 1 + b * _BLOCK : 1 + (b + 1) * _BLOCK] = t
     ends = n_end + 1.0
     floor = _TINY * (3 * np.maximum(big_w, 1.0) * ends**2 + (k + 2) * (ends + 1.0))
-    return _Pass(*(x[grp, slot] for x in (terms, part, rem, floor, slack, ok, n_end)))
+    return _Pass(terms, part, rem, floor, slack, ok, n_end)
 
 
 def _suffix_bounds(terms, rem, n_end, at) -> np.ndarray:
@@ -335,30 +328,30 @@ def _suffix_bounds(terms, rem, n_end, at) -> np.ndarray:
 
 
 def exp_series_tail(rates, weights, orders, rate_err=0.0) -> SeriesTail:
-    """Upper bounds on  sum_{n > d} sum_i w_i * r_i**n / n!  for each row.
+    """Upper bounds on  sum_{n > d} sum_i w_i * r_i**n / n!  for each series.
 
-    ``rates`` and ``weights`` have shape (rows, K) (a 1-d pair is one row);
-    ``orders`` gives d per row and ``rate_err`` (per row, default 0) bounds how
-    far the true rates lie from the given ones.  The combined per-n terms must
-    be nonnegative, as every bounding series here is.  Returns a
-    ``SeriesTail``: the outward-rounded tail, its first term (n = d + 1, the
-    leading term, also an upper bound), the converged mask and the slack.
+    ``rates`` is (groups, K), a 1-d array one group, and ``rate_err`` (per
+    group, default 0) bounds how far the true rates lie from them; the
+    weights broadcast to (groups, slots, K) and the orders d to (groups,
+    slots).  The combined per-n terms must be nonnegative, as every bounding
+    series here is.  Returns a ``SeriesTail`` of (groups, slots) arrays: the
+    outward-rounded tail, its first term (n = d + 1, the leading term, also
+    an upper bound), the converged mask and the slack; a group whose rates
+    are all 0 has tail and first term exactly 0.
 
-    Summation of a row stops once the remainder bound drops below ``_REL_TOL``
-    times its partial tail (or below 1e-300).  A row is not ``ok`` if the cap
-    ``d + 1 + max(200, 20*ceil(R))`` is reached first or if intermediates
-    overflow.
+    Summation of a series stops once the remainder bound drops below
+    ``_REL_TOL`` times its partial tail (or below 1e-300).  A series is not
+    ``ok`` if the cap ``d + 1 + max(200, 20*ceil(R))`` is reached first or
+    if intermediates overflow.
     """
-    r, w = _series_arrays(rates, weights)
-    rows = r.shape[0]
-    orders = _per_row(orders, rows, np.int64, "order")
-    rate_err = _per_row(rate_err, rows, float, "rate_err")
+    r, w, orders, rate_err = _series_arrays(rates, weights, orders, rate_err)
     ps = _term_bounds(r, w, orders, rate_err)
     ok = ps.ok
     with np.errstate(over="ignore", invalid="ignore"):
         tail = round_up((ps.part + ps.rem + ps.floor) * (1.0 + gamma(ps.n_end + 5)))
-        at = np.minimum(orders + 1, ps.terms.shape[1] - 1)
-        first = round_up((ps.terms[np.arange(rows), at] + ps.floor) * (1.0 + gamma(2)))
+        at = np.minimum(orders + 1, ps.terms.shape[2] - 1)
+        first = np.take_along_axis(ps.terms, at[:, :, None], axis=2)[:, :, 0]
+        first = round_up((first + ps.floor) * (1.0 + gamma(2)))
     zero = ps.n_end == 0  # no term past n = 0 was formed: all rates are exactly zero
     tail[zero] = first[zero] = 0.0
     return SeriesTail(np.where(ok, tail, np.nan), np.where(ok, first, np.nan), ok, ps.slack)
@@ -386,8 +379,9 @@ def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
     ``big_x**k / k!``.  Columns up to d + 1 + 32 are read (``coeff_count``);
     the coefficients past them sum to at most the geometric bound
     X^L/L! / (1 - X/(L+1)) with L = d + 2 + 32, which is infinite unless
-    X < L + 1.  R is given in the format of ``exp_series_tail`` and has
-    nonnegative terms.  With ``T_m(R)`` the tail of R past m (all of R for
+    X < L + 1.  R has nonnegative terms and one series per row: its rates
+    and weights are (rows, K), each row a group of one slot of
+    ``exp_series_tail``.  With ``T_m(R)`` the tail of R past m (all of R for
     m < 0),
 
         tail = sum_k p_k T_{d-k}(R) + rest(P) * R,
@@ -396,10 +390,10 @@ def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
     sums of nonnegative terms only, widened by their rounding.  The slack is
     R's.
     """
-    r, w = _series_arrays(rates, weights)
+    w, orders = np.asarray(weights, dtype=float)[..., None, :], np.asarray(orders)[..., None]
+    r, w, orders, rate_err = _series_arrays(rates, w, orders, rate_err)
+    orders = orders[:, 0]
     rows = r.shape[0]
-    orders = _per_row(orders, rows, np.int64, "order")
-    rate_err = _per_row(rate_err, rows, float, "rate_err")
     big_x = _per_row(big_x, rows, float, "big_x")
     lengths = orders + 2 + _P_EXTRA
     length = int(lengths.max())
@@ -417,7 +411,7 @@ def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
         )
         rest = rest + floor
 
-    ps = _term_bounds(r, w, orders, rate_err)
+    ps = _Pass(*(x[:, 0] for x in _term_bounds(r, w, orders[:, None], rate_err)))
     # tails[:, 0] bounds all of R, tails[:, 1 + k] bounds T_{d-k}(R)
     last = ps.terms.shape[1] - 1
     at = np.clip(orders[:, None] - ks + 1, 0, last + 1)

@@ -160,6 +160,21 @@ def test_bounds_overflow_flagged_not_printed(argv, points, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        "bounds qdd --n1 2 --n2 2 --eps-max 1e300 --eta 1e10",
+        "bounds nudd --m 31 --dmin 2 --eta 1e300 --eps-max 1e300",
+    ],
+)
+def test_bounds_rates_beyond_double_range_are_one_error(argv, capsys):
+    """Rates eps * (1 + ...) beyond double range are invalid input: one
+    ``error:`` line and exit 2, with no library warning before it."""
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: rates and weights must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["bounds", "qdd", "--n1", "200", "--n2", "200", "--eta", "1"],
         ["bounds", "nudd", "--m", "1", "--dmin", "200", "--eta", "1"],
     ],

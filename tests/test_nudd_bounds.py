@@ -124,6 +124,10 @@ def test_delta_completes_partial_sum():
 def test_delta_zero_cases():
     assert nudd_delta(3, 0.0, 0.5, 2)[0] == 0.0
     assert nudd_delta(3, 0.5, 0.0, 2)[0] == 0.0
+    # at eps = 0 every rate is 0, also where 1 + gamma * eta overflows
+    assert nudd_delta(3, 0.0, 1e300, 31) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="rates and weights must be finite"):
+        nudd_delta(3, 1e-300, 1e300, 31)
 
 
 def test_delta_validation():
@@ -132,6 +136,21 @@ def test_delta_validation():
     for eps, eta in ((-0.1, 0.1), (math.nan, 0.1), (0.1, math.nan)):
         with pytest.raises(ValueError):
             nudd_delta(1, eps, eta, 2)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("m", [-5, 0, 32, 99])
+def test_qubit_count_checked_at_every_entry(m, eta):
+    # at eta = 0 the bound needs no tail pass, and m is still checked
+    calls = (
+        lambda: nudd_distance_bound(1, 0.1, eta, m),
+        lambda: nudd_delta(1, 0.1, eta, m),
+        lambda: nudd_sweep_rows(m, 1, eta, [0.1]),
+        lambda: nudd_sweep_row(m, 1, 0.1, eta),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"qubit count m must be in 1\.\.31"):
+            call()
 
 
 @pytest.mark.parametrize("eta", [math.inf, math.nan])

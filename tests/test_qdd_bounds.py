@@ -167,6 +167,12 @@ def test_delta_tail_zero_cases():
     # sector 4 has sinh on the x axis; eta_x = 0 kills it identically
     assert delta_tail(4, 3, 0.7, eta)[0] == 0.0
     assert delta_tail(3, 2, 0.0, EtaVector.isotropic(1.0))[0] == 0.0
+    # at eps = 0 every rate is 0, also where 1 + eta_x + eta_y + eta_z overflows
+    huge = EtaVector.isotropic(1e308)
+    assert delta_tail(1, 2, 0.0, huge) == (0.0, 0.0)
+    assert distance_bound(2, 3, 0.0, huge).distance_bound == 0.0
+    with pytest.raises(ValueError, match="rates and weights must be finite"):
+        delta_tail(1, 2, 1e-300, huge)
 
 
 def test_delta_tail_validation():
@@ -181,6 +187,10 @@ def test_delta_tail_validation():
             delta_tail(j, 0, 0.1, eta)
         with pytest.raises(ValueError, match="sector index"):
             g_poly(j, 1, eta)
+    # a negative order is rejected also where the tail is identically 0
+    for j, eps in ((3, 0.1), (3, 0.0), (4, 0.1)):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            delta_tail(j, -1, eps, EtaVector(0.0, 1.0, 1.0))
 
 
 def test_eta_validation():

@@ -22,10 +22,10 @@ from ddbound.series import (
 
 
 def tail_of(rates, weights, order, **kw):
-    """The one-row tail and first term."""
+    """The tail and first term of one series (one group of one slot)."""
     res = exp_series_tail(rates, weights, order, **kw)
-    assert res.ok[0]
-    return float(res.tail[0]), float(res.first[0])
+    assert res.ok[0, 0]
+    return float(res.tail[0, 0]), float(res.first[0, 0])
 
 
 def upper(got, exact, rel):
@@ -108,7 +108,7 @@ def test_large_rate_still_converges():
 
 def test_overflow_raises():
     res = exp_series_tail((1e8,), (1.0,), 5)
-    assert not res.ok[0] and math.isnan(res.tail[0])
+    assert not res.ok[0, 0] and math.isnan(res.tail[0, 0])
     # the one-row views raise where the batch flags
     with pytest.raises(NonConvergenceError):
         delta_tail(4, 2, 1e3, EtaVector.isotropic(1.0))
@@ -139,15 +139,35 @@ def test_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _series_at(res, g, s):
+    """The tail, first term, converged flag and slack of series (g, s), as a tuple."""
+    return tuple(x[g, s].item() for x in res)
+
+
 def test_rows_do_not_depend_on_their_batch():
-    # each row's bits are those of its one-row pass, whatever shares the batch
+    # each series' bits are those of its own one-series pass, whatever shares
+    # the batch: groups of one slot each ...
     rates = np.array([[0.5, 0.3], [300.0, -2.0], [1e-3, 2e-3], [7.0, 6.9]])
     weights = np.array([[1.0, -0.5], [1.0, 0.5], [2.0, -1.0], [1.0, -1.0]])
     orders = np.array([3, 1, 40, 0])
-    batch = exp_series_tail(rates, weights, orders)
+    batch = exp_series_tail(rates, weights[:, None], orders[:, None])
+    assert batch.tail.shape == (4, 1)
     for i in range(len(orders)):
         one = exp_series_tail(rates[i], weights[i], orders[i])
-        assert (one.tail[0], one.first[0]) == (batch.tail[i], batch.first[i])
+        assert _series_at(one, 0, 0) == _series_at(batch, i, 0)
+    # ... and groups of several slots, which share their group's rates; a
+    # group whose rates are all 0 reads exactly 0, converged
+    rates = np.array([[2.0, -0.5, 1.5], [0.0, 0.0, 0.0], [6.0, -1.5, 4.5]])
+    weights = np.array([[1.0, 0.5, -0.25], [0.5, 0.5, 0.5], [2.0, -1.0, 0.0]])
+    orders = np.array([0, 7, 70])
+    errs = np.array([1e-15, 0.0, 0.0])
+    batch = exp_series_tail(rates, weights, orders, errs)
+    assert batch.tail.shape == (3, 3)
+    for g in range(3):
+        for s in range(3):
+            one = exp_series_tail(rates[g], weights[s], orders[s], errs[g])
+            assert _series_at(one, 0, 0) == _series_at(batch, g, s)
+    assert all(_series_at(batch, 1, s) == (0.0, 0.0, True, 0.0) for s in range(3))
 
 
 def test_rate_error_widens_the_bound():
