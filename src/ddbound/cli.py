@@ -10,7 +10,10 @@ verify orders   certify claimed suppression orders: word integrals proved zero
 verify bound    check bound dominance over randomized baths
 sweep           randomized experiment grid from a JSON config
 
-Each command's options are declared once, in ``_COMMANDS``.  Configs are JSON
+Each command's options are declared once, in ``_COMMANDS``.  A call that
+names a command builds that command's parser only.  The full tree of
+``build_parser`` is built for help above the commands, unknown commands and
+parse errors, so every parse error reads as the tree writes it.  Configs are JSON
 objects whose keys mirror the long flag names with underscores (``--eps-min``
 -> ``"eps_min"``).  Flags override file values; unknown keys are rejected.
 A ``null`` value counts as unset; any other value must have the JSON type and
@@ -414,11 +417,19 @@ def _bounds_table(
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
 
 
+def _preset_alone(resolved: dict, *groups: tuple[str, ...]) -> None:
+    """Reject a preset given with any key of ``groups``, which the preset fixes
+    itself; each group is named as one set of flags."""
+    for keys in groups:
+        if any(resolved[k] is not None for k in keys):
+            flags = "/".join("--" + k.replace("_", "-") for k in keys)
+            raise CliError(f"a preset cannot be combined with {flags}")
+
+
 def cmd_bounds_qdd(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     if resolved["preset"] is not None:
-        if resolved["n1"] is not None or resolved["n2"] is not None:
-            raise CliError("a preset cannot be combined with --n1/--n2")
+        _preset_alone(resolved, ("n1", "n2"), ("eta", "eta_x", "eta_y", "eta_z"))
         cells = preset_cells(resolved["preset"])
     elif resolved["n1"] is not None or resolved["n2"] is not None:
         if resolved["n1"] is None or resolved["n2"] is None:
@@ -444,8 +455,7 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
     # the representable window for its (eta, m).
     table = []
     if resolved["preset"] is not None:
-        if resolved["m"] is not None or resolved["dmin"] is not None:
-            raise CliError("a preset cannot be combined with --m/--dmin")
+        _preset_alone(resolved, ("m", "dmin"), ("eta",))
         for m, d_min, eta in preset_nudd_cells(resolved["preset"]):
             grid = _eps_grid(resolved, partial(nudd_eps_window, eta, m))
             table.append(partial(nudd_sweep_cell, m, d_min, eta, grid))
@@ -848,15 +858,25 @@ def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
     )
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The command-line parser for ``argv``.
+def _add_command(p: argparse.ArgumentParser, spec: Command) -> None:
+    """Give ``p`` the options of ``spec``, and ``spec`` as its ``spec`` default."""
+    p.set_defaults(spec=spec)
+    for opt in spec.options:
+        if opt.flag:
+            _add_option(p, opt, spec.config is not None)
+    if spec.config is not None:
+        p.add_argument("--config", metavar="PATH", required=spec.config == "required",
+                       help="JSON config (flags override)")
+    p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
 
-    Every command gets its name and help line; only the command ``argv``
-    names also gets its options, so a call builds the options of one command
-    rather than of all of them.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser: every command, its help line and options.
+
+    ``main`` parses a call that names a command with that command's parser
+    alone, and builds this tree only for what the tree itself reports: help
+    at the top or group level, an unknown command, and every parse error.
     """
-    names = (" ".join(argv[:2]), argv[0] if argv else "")
-    chosen = next((n for n in names if n in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="ddbound",
         description="Nested dynamical-decoupling schedules, analytic error "
@@ -873,23 +893,43 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
                 g = sub.add_parser(group[0], help=_GROUPS[group[0]])
                 groups[group[0]] = g.add_subparsers(dest="subcommand", required=True)
             parent = groups[group[0]]
-        p = parent.add_parser(leaf, help=spec.help)
-        p.set_defaults(spec=spec)
-        if name != chosen:
-            continue
-        for opt in spec.options:
-            if opt.flag:
-                _add_option(p, opt, spec.config is not None)
-        if spec.config is not None:
-            p.add_argument("--config", metavar="PATH", required=spec.config == "required",
-                           help="JSON config (flags override)")
-        p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
+        _add_command(parent.add_parser(leaf, help=spec.help), spec)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser: it raises its parse errors for the tree to report."""
+
+    def error(self, message: str) -> None:
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with only the parser of the command it names.
+
+    That parser is built as the tree's leaf for the command, so its help and
+    its clean parses are the tree's.  An ``argv`` that names no command, or
+    that this parser rejects or leaves arguments of, is parsed by
+    ``build_parser()``, which reports it as the tree does.
+    """
+    for name, spec in _COMMANDS.items():
+        words = name.split()
+        if argv[: len(words)] == words:
+            parser = _CommandParser(prog=f"ddbound {name}")
+            _add_command(parser, spec)
+            try:
+                args, rest = parser.parse_known_args(argv[len(words) :])
+                if not rest:
+                    return args
+            except argparse.ArgumentError:
+                pass
+            break
+    return build_parser().parse_args(argv)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; its invalid input and non-convergence become
+    exit codes with one ``error:`` line."""
     try:
         return args.spec.func(args)
     except CliError as exc:
@@ -898,6 +938,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"error: series did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
 
 
 if __name__ == "__main__":

@@ -406,8 +406,8 @@ def default_eps_grid(
     lo: float = 1e-4, hi: float = 1.0, points: int = 41
 ) -> tuple[float, ...]:
     """Log-spaced epsilon grid, endpoints included."""
-    if not (0 < lo < hi) or points < 2:
-        raise ValueError("need 0 < lo < hi and at least two points")
+    if not (0 < lo < hi < math.inf) or points < 2:
+        raise ValueError("need finite 0 < lo < hi and at least two points")
     return tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), points))
 
 

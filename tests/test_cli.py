@@ -6,6 +6,7 @@ the emitted header block, and the data rows. Argparse-level failures raise
 command functions themselves.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddbound.cli as cli
 import ddbound.simulator as simulator
 from ddbound.cli import main
 
@@ -155,6 +157,52 @@ def test_bounds_overflow_flagged_not_printed(argv, points, capsys):
     rows = data_lines(out)[1:]
     assert len(rows) == points and all(r.endswith("nan,nan,nan") for r in rows)
     assert "inf" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds qdd --n1 2 --n2 2 --eps-max inf --eps-points 3",
+        "bounds nudd --m 1 --dmin 1 --eps-max inf --eps-points 3",
+        "bounds nudd --fig5 --eps-max inf --eps-points 3",
+    ],
+)
+def test_bounds_infinite_eps_range_is_one_error(argv, capsys):
+    """An infinite grid end is rejected by the grid check itself, with no
+    library warning or message about grid points the user never gave."""
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: need finite 0 < lo < hi and at least two points\n"
+
+
+@pytest.mark.parametrize(
+    "command, preset, key, value",
+    [
+        (command, preset, key, value)
+        for command, preset, keys in [
+            ("bounds qdd", "fig2", ("eta", "eta_x", "eta_y", "eta_z")),
+            ("bounds qdd", "fig3", ("eta", "eta_z")),
+            ("bounds nudd", "fig5", ("eta",)),
+        ]
+        for key in keys
+        for value in (3.0, 0.0)
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_preset_rejects_eta(command, preset, key, value, source, tmp_path, capsys):
+    """A preset fixes its own eta panels, so an eta given with it, which would
+    change nothing but the config hash, is invalid input."""
+    argv = [*command.split(), f"--{preset}"]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a preset cannot be combined with --eta")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -784,3 +832,81 @@ def test_config_hash_frozen(argv, expected, tmp_path, capsys, monkeypatch):
         assert json.loads(out)["config_hash"] == expected
     else:
         assert f"# config_hash={expected}" in header_lines(out)
+
+
+# Argument vectors whose parse the one-command parser must leave exactly as
+# the full tree gives it: help at every level, unknown commands, errors of
+# every kind, and clean parses that run.
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["--version"], ["--version", "bounds", "qdd"],
+    ["bounds"], ["bounds", "-h"], ["verify"], ["verify", "--help"],
+    ["bogus"], ["bounds", "bogus"], ["verify", "bogus"], ["bounds qdd"], ["-x", "sequence"],
+    *([*name.split(), "-h"] for name in (
+        "sequence", "bounds qdd", "bounds nudd", "simulate", "verify orders",
+        "verify bound", "sweep",
+    )),
+    ["bounds", "qdd", "--bogus"], ["bounds", "qdd", "--fig2", "extra"],
+    ["bounds", "qdd", "--version"], ["sequence", "--qdd", "1", "1", "--version"],
+    ["bounds", "qdd", "--eta-", "1"], ["bounds", "qdd", "--n", "1"], ["bounds", "qdd", "--=1"],
+    ["bounds", "qdd", "--fig2", "--fig3"], ["bounds", "qdd", "--n1", "x"],
+    ["bounds", "qdd", "--mode", "other"], ["sequence", "--qdd", "1"],
+    ["verify", "orders", "--qdd", "1", "1"], ["simulate"], ["sweep", "--seed", "1"],
+    ["bounds", "qdd", "--"], ["bounds", "qdd", "--", "--fig2"], ["--", "bounds", "qdd"],
+    ["bounds", "qdd", "--n1", "1", "-h"], ["bounds", "qdd", "-h", "--bogus"],
+    ["bounds", "qdd", "--eps-poi", "0"], ["bounds", "qdd", "--n1", "1"],
+    ["bounds", "nudd", "--m", "1", "--dmin", "1", "--eps-points=2"],
+    ["verify", "orders", "--qdd", "1", "1", "--nmax", "1"],
+]
+
+# One valid call of each command.
+VALID_CALLS = [
+    ["sequence", "--nudd", "1,1", "--qubits", "1"],
+    ["bounds", "qdd", "--n1", "2", "--n2", "1", "--eps-points", "2"],
+    ["bounds", "nudd", "--m", "1", "--dmin", "1", "--eps-points", "2"],
+    ["simulate", "--config", "sim.json"],
+    ["verify", "orders", "--qdd", "1", "1", "--nmax", "1"],
+    ["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1", "--bath-dim", "2"],
+    ["sweep", "--config", "sweep.json"],
+]
+
+
+def _outcome(call, capsys):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def call_configs(tmp_path, monkeypatch):
+    """The configs ``VALID_CALLS`` read, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_CONFIG))
+    (tmp_path / "sweep.json").write_text(json.dumps({**SWEEP_CONFIG, "seeds": 1}))
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS + VALID_CALLS, ids=" ".join)
+def test_main_parses_as_the_full_tree(argv, call_configs, capsys, monkeypatch):
+    """``main`` gives the exit code, stdout and stderr of the full parser
+    tree followed by the command, compared in-process because argparse's
+    wording differs between Python versions."""
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = _outcome(lambda: cli._run(cli.build_parser().parse_args(argv)), capsys)
+    assert _outcome(lambda: main(argv), capsys) == tree
+
+
+@pytest.mark.parametrize("argv", VALID_CALLS, ids=" ".join)
+def test_valid_call_builds_one_parser(argv, call_configs, capsys, monkeypatch):
+    """A call that names a command builds that command's parser and no other."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(built) == 1

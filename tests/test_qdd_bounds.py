@@ -326,6 +326,9 @@ def test_default_eps_grid():
         default_eps_grid(1.0, 0.5, 10)
     with pytest.raises(ValueError):
         default_eps_grid(1e-4, 1.0, 1)
+    for lo, hi in ((1e-4, math.inf), (math.inf, math.inf), (1e-4, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite 0 < lo < hi"):
+            default_eps_grid(lo, hi, 3)
 
 
 def test_preset_cells_shapes():
