@@ -318,14 +318,29 @@ def _orders(resolved: dict) -> tuple[str, tuple[int, ...], int]:
     return kind, orders, m
 
 
+def _check_eta(name: str, eta: float) -> None:
+    """Reject an ``eta`` outside [0, inf), naming the flag or key it came from."""
+    if not (math.isfinite(eta) and eta >= 0):
+        raise CliError(f"{name} must be finite and >= 0, got {eta!r}")
+
+
+def _scalar_eta(resolved: dict) -> float:
+    """``--eta``, default 1, once checked."""
+    eta = 1.0 if resolved["eta"] is None else resolved["eta"]
+    _check_eta("--eta", eta)
+    return eta
+
+
 def _qdd_eta(resolved: dict) -> tuple[float, float, float]:
     """Per-axis eta from ``--eta-x/-y/-z`` (unset axes 0), else ``--eta`` (default 1)."""
     comps = (resolved["eta_x"], resolved["eta_y"], resolved["eta_z"])
     if all(c is None for c in comps):
-        eta = 1.0 if resolved["eta"] is None else resolved["eta"]
-        return (eta, eta, eta)
+        return (_scalar_eta(resolved),) * 3
     if resolved["eta"] is not None:
         raise CliError("--eta conflicts with --eta-x/--eta-y/--eta-z")
+    for axis, c in zip("xyz", comps):
+        if c is not None:
+            _check_eta(f"--eta-{axis}", c)
     return tuple(0.0 if c is None else c for c in comps)
 
 
@@ -434,13 +449,9 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
     elif resolved["n1"] is not None or resolved["n2"] is not None:
         if resolved["n1"] is None or resolved["n2"] is None:
             raise CliError("--n1 and --n2 must be given together")
-        try:
-            eta = EtaVector(*_qdd_eta(resolved))
-        except ValueError as exc:
-            raise CliError(str(exc))
-        cells = ((resolved["n1"], resolved["n2"], eta),)
+        cells = ((resolved["n1"], resolved["n2"], EtaVector(*_qdd_eta(resolved))),)
     else:
-        cells = ()
+        raise CliError("--fig2/--fig3/--fig4 or --n1/--n2 is required")
 
     grid = _eps_grid(resolved)
     mode = resolved["mode"]
@@ -463,14 +474,14 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
         if resolved["m"] is None or resolved["dmin"] is None:
             raise CliError("--m and --dmin must be given together")
         m, d_min = resolved["m"], resolved["dmin"]
-        eta = 1.0 if resolved["eta"] is None else resolved["eta"]
         if not 1 <= m <= _MAX_M:
             raise CliError(f"--m must be an integer in [1, {_MAX_M}], got {m!r}")
         if d_min < 0:
             raise CliError(f"--dmin must be a nonnegative integer, got {d_min!r}")
-        if not (math.isfinite(eta) and eta >= 0):
-            raise CliError(f"--eta must be finite and >= 0, got {eta!r}")
+        eta = _scalar_eta(resolved)
         table.append(partial(nudd_sweep_cell, m, d_min, eta, _eps_grid(resolved)))
+    else:
+        raise CliError("--fig5 or --m/--dmin is required")
 
     header = _header("bounds nudd", resolved)
     return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, table)
@@ -632,6 +643,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     if resolved["seeds"] < 1:
         raise CliError("config key 'seeds' must be a positive integer")
+    for eta in resolved["eta"]:
+        _check_eta("config key 'eta'", eta)
     rows, _, failures = _run_cells(_experiment_grid(resolved), _SWEEP_COLUMNS)
     lines = _header(
         "sweep", resolved, seed=resolved["master_seed"], mode=resolved["mode"]
@@ -686,7 +699,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
     elif any(resolved[f"eta_{axis}"] is not None for axis in "xyz"):
         raise CliError("per-axis eta (--eta-x/-y/-z) needs --qdd; use --eta with --nudd")
     else:
-        eta = 1.0 if resolved["eta"] is None else resolved["eta"]
+        eta = _scalar_eta(resolved)
     meta = {
         "kind": kind,
         "orders": list(orders),

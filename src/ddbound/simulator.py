@@ -19,17 +19,19 @@ uncoupled evolution in trace-norm distance.  Everything is deterministic in
 the configured seed; random baths are rescaled to their exact target norm so
 the dimensionless bound inputs are exact, not estimated.
 
-Experiments run as stacks (``run_experiments``): configs with equal pulse
-schedules and bath dimensions form a group, and each group runs as arrays
-with a leading cell axis, so the coupling rescaling, the eigendecompositions,
-the propagation, the channel extraction and every spectral norm take one
-numpy call per stack rather than per cell.  A stack holds at most
-``MAX_TOTAL_DIM**2`` matrix entries per array, no more than one experiment at
-the largest total dimension.  Each stacked step does to every cell's
-matrices what it does to one alone, so a result does not depend on the cells
-that share its stack; the one-model forms of ``build_model``, ``evolve`` and
-``run_experiment`` are stacks of one.  The distance bound stays one call per
-cell.
+Experiments run as stacks (``run_experiments``): configs with equal qubit
+counts and bath dimensions form a group, and each group runs as arrays with
+a leading cell axis, so the coupling rescaling, the eigendecompositions, the
+channel extraction and every spectral norm take one numpy call per stack
+rather than per cell.  Only ``evolve`` depends on the pulse schedule: a
+group is ordered by schedule, and ``evolve`` runs once per schedule on its
+slice of the stack.  A stack holds at most ``MAX_TOTAL_DIM**2`` matrix
+entries per array, no more than one experiment at the largest total
+dimension.  Each stacked step does to every cell's matrices what it does to
+one alone, so a result does not depend on the cells that share its stack;
+the one-model forms of ``build_model``, ``evolve`` and ``run_experiment``
+are stacks of one.  The distance bound stays one call per cell, because the
+benchmark's tracer (``perfbench/tests``) counts one bound span per cell.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -558,14 +560,33 @@ def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str
 
 
 def _run_stack(
-    schedule: PulseSchedule, configs: Sequence[ExperimentConfig]
+    schedules: Sequence[PulseSchedule], configs: Sequence[ExperimentConfig]
 ) -> list[SimResult | NonConvergenceError]:
-    """Experiments that share a schedule and a bath dimension, as one stack."""
-    m = schedule.qubit_count
+    """Experiments that share a qubit count and a bath dimension, as one stack.
+
+    ``schedules[s]`` is the pulse schedule of ``configs[s]``, and the cells of
+    one schedule are adjacent.  Only ``evolve`` depends on the schedule, so it
+    runs once per schedule on that slice of the stack's model and times; the
+    model build, the channel extraction, the residuals, the norms and the
+    trace distance run once for the whole stack.
+    """
+    m = configs[0].qubit_count
     d_sys, d_bath = 2**m, configs[0].bath.dim
     model = build_model([c.bath for c in configs], m)
     T = np.array([c.T for c in configs])
-    u = evolve(schedule, model, T)
+    parts, lo = [], 0
+    for schedule, run in itertools.groupby(schedules):
+        hi = lo + sum(1 for _ in run)
+        cells = slice(lo, hi)
+        part = replace(
+            model,
+            couplings={label: c[cells] for label, c in model.couplings.items()},
+            eigenvalues=model.eigenvalues[cells],
+            eigenvectors=model.eigenvectors[cells],
+        )
+        parts.append(evolve(schedule, part, T[cells]))
+        lo = hi
+    u = parts[0] if len(parts) == 1 else np.concatenate(parts)
     ops = extract_channel_ops(u, m)
     residuals = unitarity_residuals(ops)
     mats = list(ops.values()) + list(model.couplings.values())
@@ -618,21 +639,25 @@ def run_experiments(
 ) -> list[SimResult | NonConvergenceError]:
     """Run experiments in stacks: per config, its result or the error its bound raised.
 
-    Configs whose schedules and bath dimensions are equal form a group, run
-    in stacks of at most ``MAX_TOTAL_DIM**2`` matrix entries per array.  Every
-    stacked step treats each cell's matrices as it would a lone experiment's,
-    so a result does not depend on the other configs.
+    Configs of equal qubit count and bath dimension form a group, ordered by
+    pulse schedule so that each schedule is one slice of the group, and run
+    in stacks of at most ``MAX_TOTAL_DIM**2`` matrix entries per array; only
+    ``evolve`` splits a stack by schedule.  Every stacked step treats each
+    cell's matrices as it would a lone experiment's, so a result does not
+    depend on the other configs.
     """
-    groups: dict[tuple[PulseSchedule, int], list[int]] = {}
+    groups: dict[tuple[int, int], dict[PulseSchedule, list[int]]] = {}
     for i, config in enumerate(configs):
         schedule = nudd_schedule(config.orders, config.qubit_count)
-        groups.setdefault((schedule, config.bath.dim), []).append(i)
+        group = groups.setdefault((config.qubit_count, config.bath.dim), {})
+        group.setdefault(schedule, []).append(i)
     results: list = [None] * len(configs)
-    for (schedule, d_bath), members in groups.items():
-        size = max(1, MAX_TOTAL_DIM**2 // (2**schedule.qubit_count * d_bath) ** 2)
+    for (m, d_bath), by_schedule in groups.items():
+        members = [(s, i) for s, indices in by_schedule.items() for i in indices]
+        size = max(1, MAX_TOTAL_DIM**2 // (2**m * d_bath) ** 2)
         for lo in range(0, len(members), size):
-            stack = members[lo : lo + size]
-            for i, res in zip(stack, _run_stack(schedule, [configs[i] for i in stack])):
+            schedules, stack = zip(*members[lo : lo + size])
+            for i, res in zip(stack, _run_stack(schedules, [configs[i] for i in stack])):
                 results[i] = res
     return results
 

@@ -643,6 +643,63 @@ def test_bounds_nudd_rejects_eta_outside_domain(eta, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["bounds", "qdd", "--eta-x", "0.3", "--eps-points", "3"],
+         "--fig2/--fig3/--fig4 or --n1/--n2"),
+        (["bounds", "nudd", "--eta", "3"], "--fig5 or --m/--dmin"),
+        (["bounds", "qdd"], "--fig2/--fig3/--fig4 or --n1/--n2"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_bounds_without_preset_or_cell_exit_2(argv, flags, capsys):
+    """A bounds call with neither a preset nor a cell has no table to print."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flags} is required\n"
+
+
+_VERIFY_CELL = ["--eps", "0.05", "--seeds", "1", "--bath-dim", "2"]
+_QDD_CALLS = (
+    ["verify", "bound", "--qdd", "1", "1", *_VERIFY_CELL],
+    ["bounds", "qdd", "--n1", "1", "--n2", "1"],
+)
+_QDD_BAD_ETAS = (
+    (["--eta", "-1"], "--eta"),
+    (["--eta", "nan"], "--eta"),
+    (["--eta-x", "0.3", "--eta-y", "inf"], "--eta-y"),
+    (["--eta-z", "-0.5"], "--eta-z"),
+)
+_NUDD_CALL = ["verify", "bound", "--nudd", "1,1,1,1", "--qubits", "2", *_VERIFY_CELL]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(call + eta, name) for call in _QDD_CALLS for eta, name in _QDD_BAD_ETAS]
+    + [(_NUDD_CALL + ["--eta", "-1"], "--eta"), (_NUDD_CALL + ["--eta", "inf"], "--eta")],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_eta_outside_domain_names_its_flag(argv, name, capsys):
+    """An eta outside [0, inf) exits 2 before any config is built, naming its flag."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be finite and >= 0, got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eta", [-1.0, float("inf")])
+def test_sweep_names_the_bad_eta_key(eta, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**SWEEP_CONFIG, "eta": [0.5, eta]}))
+    code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key 'eta' must be finite and >= 0, got {eta!r}\n"
+
+
+@pytest.mark.parametrize(
     "command, doc, extra, needle",
     [
         ("sweep", {**SWEEP_CONFIG, "orders": [[1, -1]]}, [], ">= 0"),

@@ -468,9 +468,25 @@ def _straddling():
     return qdd[:3] + nudd + qdd[3:]
 
 
+def _mixed_schedules():
+    """Twenty QDD cells at total dim 64, interleaved over orders (1,1), (2,1)
+    and (1,2): grouped by schedule they run as stacks of 16 and 4, each
+    holding two schedules."""
+    orders = [(1, 1)] * 10 + [(2, 1)] * 8 + [(1, 2)] * 2
+    return [
+        ExperimentConfig(
+            kind="qdd", orders=o, T=(0.05, 0.7, 3.0)[s % 3],
+            bath=BathSpec(dim=32, seed=s, norms={"0": 1.0, "x": 0.4, "y": 0.1, "z": 0.8}),
+            initial_state=("plus", "random")[s % 2],
+        )
+        for s, o in sorted(enumerate(orders), key=lambda c: c[0] % 7)
+    ]
+
+
 @settings(max_examples=20, deadline=None)
 @given(configs=_configs())
 @example(configs=_straddling())
+@example(configs=_mixed_schedules())
 def test_run_experiments_equals_one_by_one(configs):
     """Stacked groups give every cell, float for float, its lone result."""
     got = _outcomes(run_experiments(configs))
@@ -525,6 +541,37 @@ def test_stacks_stay_under_the_memory_cap(monkeypatch):
     run_experiments(qdd + [big])
     assert shapes == [(16, 64, 64), (4, 64, 64), (1, 256, 256)]
     assert all(np.prod(shape) <= MAX_TOTAL_DIM**2 for shape in shapes)
+
+
+def test_stacks_split_only_evolve_by_schedule(monkeypatch):
+    """A 24-cell sweep over 4 orders x 3 bath dims builds one model per bath
+    dim and evolves once per (orders, bath dim)."""
+    calls = {"build_model": [], "evolve": []}
+
+    def counting(name):
+        original = getattr(simulator, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, name, wrapper)
+
+    counting("build_model")
+    counting("evolve")
+    configs = [
+        ExperimentConfig(
+            kind="qdd", orders=orders, T=0.1,
+            bath=BathSpec(dim=dim, seed=len(orders) + dim, norms={"0": 1.0, "x": eta}),
+        )
+        for orders, dim, eta in itertools.product(
+            ((1, 1), (2, 2), (1, 4), (3, 3)), (2, 8, 32), (0.1, 1.0)
+        )
+    ]
+    run_experiments(configs)
+    assert [len(baths) for baths, _ in calls["build_model"]] == [8, 8, 8]
+    assert len(calls["evolve"]) == 12
+    assert all(model.eigenvectors.shape[0] == 2 for _, model, _ in calls["evolve"])
 
 
 def test_stacked_model_and_evolve_are_the_single_forms():
