@@ -44,8 +44,9 @@ whose residues all vanish is zero, while a nonzero residue proves a word
 nonzero whatever the product.  The factor 2 lets exact values come back as
 the symmetric CRT lift of 16^k k! alpha.
 
-Backends.  The merged breakpoints are a fixed (i, j) index grid (see
-``QddProfiles``), so nothing needs to order them, and each interval's length
+Backends.  The merged breakpoints are the schedule's index grid
+(``sequences.nesting_grid``), so nothing needs to order them: each interval's
+end is indexed by (i, j), its signs are the grid's sign rows, and its length
 is a product of two float64 sin steps.  The backend only chooses how values
 are reported: ``rational`` (orders <= 2, where every pulse time is dyadic and
 every length exact) reports exact ``Fraction`` values, lifted from the
@@ -64,7 +65,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, decoupling_orders
-from .sequences import _DYADIC_SIN_SQ, _steps
+from .sequences import _DYADIC_SIN_SQ, NestingGrid, nesting_grid
 from .series import gamma, round_up
 
 __all__ = [
@@ -119,21 +120,15 @@ def _index_word(index: int, n: int) -> str:
 class QddProfiles:
     """The merged x/z switching intervals of a quadratic sequence, by index.
 
-    Inner pulse j of outer interval i sits at s2[i-1] + (s2[i] - s2[i-1]) s1[j],
-    with s_n[j] = sin^2(j pi/(2n+2)) at the inner and outer orders ``orders``.
-    Inside an outer interval these positions rise strictly with j, lie
-    strictly inside it for 1 <= j <= N1, and land on s2[i] at j = N1 + 1.  So
-    the merged breakpoints are the lexicographic (i, j) grid that
-    ``cut_index`` lists: the start (1, 0), then (i, j) for i = 1..N2+1 and
-    j = 1..N1+1.  Interval c ends at column c + 1, whose (i, j) fixes its
-    signs: f_x = (-1)^(j-1) and f_z = (-1)^(i-1).  ``lengths[c]`` is
+    ``grid`` is the ``sequences.NestingGrid`` of the orders (N1, N2): interval
+    c ends at inner pulse j of outer interval i, (j, i) = ``grid.index[:, c]``,
+    at s2[i-1] + (s2[i] - s2[i-1]) s1[j] with s_n[j] = sin^2(j pi/(2n+2)).
+    Its sign rows are f_x and f_z, and ``grid.lengths[c]`` is
     (s2[i] - s2[i-1]) (s1[j] - s1[j-1]) in float64.
     """
 
     backend: str
-    orders: tuple[int, int]
-    cut_index: np.ndarray
-    lengths: np.ndarray
+    grid: NestingGrid
 
 
 def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
@@ -142,22 +137,15 @@ def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
     ``backend="auto"`` picks exact rationals when both orders are <= 2 and
     float64 values otherwise.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("orders must be >= 0")
-    dyadic = max(n1, n2) <= max(_DYADIC_SIN_SQ)
+    grid = nesting_grid((n1, n2))
+    dyadic = max(grid.orders) <= max(_DYADIC_SIN_SQ)
     if backend == "auto":
         backend = "rational" if dyadic else "mp"
     if backend not in ("rational", "mp"):
         raise ValueError("backend must be 'rational', 'mp', or 'auto'")
     if backend == "rational" and not dyadic:
         raise ValueError(f"rational backend supports orders <= 2 only (got {n1}, {n2})")
-    grid = np.indices((n2 + 1, n1 + 1)).reshape(2, -1) + 1
-    return QddProfiles(
-        backend=backend,
-        orders=(n1, n2),
-        cut_index=np.hstack([[[1], [0]], grid]),
-        lengths=np.outer(_steps(n2), _steps(n1)).ravel(),
-    )
+    return QddProfiles(backend=backend, grid=grid)
 
 
 def _is_prime(n: int) -> bool:
@@ -255,17 +243,19 @@ _BLOCK = 512
 def _coefficients(profiles: QddProfiles, s1, s2, inverses, p, inv_p):
     """Per merged interval, the (depth, rows, 1) stack of h/k for k = 1..depth:
     h k^-1 mod p in the residue rows and h/k in the float64 row, where each
-    breakpoint's residue is s2[i-1] + (s2[i] - s2[i-1]) s1[j] at its
-    ``cut_index`` (i, j).  Built a block of intervals at a time."""
-    i, j = profiles.cut_index
+    breakpoint's residue is s2[i-1] + (s2[i] - s2[i-1]) s1[j] at its grid
+    index (j, i), and the start 0 is (j, i) = (0, 1).  Built a block of
+    intervals at a time."""
+    j, i = np.hstack([[[0], [1]], profiles.grid.index])
+    lengths = profiles.grid.lengths
     ks = np.arange(1.0, inverses.shape[1] + 1)[:, None]
-    for start in range(0, len(profiles.lengths), _BLOCK):
+    for start in range(0, len(lengths), _BLOCK):
         ib, jb = i[start : start + _BLOCK + 1], j[start : start + _BLOCK + 1]
         cuts = _reduce(s2[:, ib - 1] + (s2[:, ib] - s2[:, ib - 1]) * s1[:, jb], p, inv_p)
         h = _reduce(np.diff(cuts, axis=1), p, inv_p)
         coeff = np.empty((len(h) + 1, len(ks), h.shape[1]))
         coeff[:-1] = _reduce(h[:, None, :] * inverses[:, :, None], p[:, None], inv_p[:, None])
-        coeff[-1] = profiles.lengths[start : start + _BLOCK] / ks
+        coeff[-1] = lengths[start : start + _BLOCK] / ks
         yield from np.ascontiguousarray(coeff.transpose(2, 1, 0))[..., None]
 
 
@@ -274,19 +264,19 @@ def signature(profiles: QddProfiles, depth: int) -> Signature:
 
     Picks primes p = 1 (mod L) until their product exceeds the proof bound
     2 (16 M)^(depth deg), and maps each merged breakpoint to its residue mod p
-    through its ``cut_index``.  Each interval multiplies in exp(v) with
+    through its grid index.  Each interval multiplies in exp(v) with
     v = h * (1, s_x, s_y, s_z), for all rows at once; level k is updated from
     the top down by the Horner form
     S_k += ((S_0 (x) v/k + S_1) (x) v/(k-1) + ... + S_{k-1}) (x) v.
     """
-    n1, n2 = profiles.orders
+    n1, n2 = profiles.grid.orders
     modulus = math.lcm(2 * n1 + 2, 2 * n2 + 2)
     if max(n1, n2) <= max(_DYADIC_SIN_SQ):
         degree = 1  # every breakpoint is rational
     else:
         degree = sum(math.gcd(a, modulus) == 1 for a in range(modulus)) // 2
     # 2 (16 M)^(depth deg): see the module docstring
-    bound = 2 * (16 * len(profiles.lengths)) ** (depth * degree)
+    bound = 2 * (16 * len(profiles.grid.lengths)) ** (depth * degree)
     primes = _proof_primes(modulus, bound)
     s1, s2 = [], []
     for q in primes:
@@ -303,8 +293,7 @@ def signature(profiles: QddProfiles, depth: int) -> Signature:
     inv_p = np.array([*(1.0 / q for q in primes), 0.0]).reshape(-1, 1)
     coeffs = _coefficients(profiles, s1, s2, inverses, p[:-1], inv_p[:-1])
 
-    # interval c ends at cut (i, j): f_z = (-1)^(i-1) and f_x = (-1)^(j-1)
-    s_z, s_x = 1.0 - 2.0 * ((profiles.cut_index[:, 1:] - 1) % 2)
+    s_x, s_z = profiles.grid.signs.astype(float)
     all_signs = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
 
     rows = len(p)
@@ -444,6 +433,7 @@ def verify_orders(
             f"n_max={n_max} exceeds max depth {DEFAULT_MAX_DEPTH} (4^n words explode)"
         )
     profiles = qdd_profiles(n1, n2, backend)
+    n1, n2 = profiles.grid.orders
     orders = decoupling_orders(n1, n2, mode)
     d_of = {"x": orders.d_x, "y": orders.d_y, "z": orders.d_z}
     sig = signature(profiles, n_max)
@@ -504,7 +494,7 @@ def verify_orders(
         "status": "proved" if sig.proved else "not proved",
     }
     if profiles.backend == "mp":
-        proof["value_error"] = _value_error(len(profiles.lengths), n_max)
+        proof["value_error"] = _value_error(len(profiles.grid.lengths), n_max)
     return OrderCertification(
         n1=n1,
         n2=n2,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qdd_bounds import default_eps_grid
+from .sequences import _validate_orders
 from .series import (
     SeriesTail,
     cell_rows,
@@ -82,10 +83,8 @@ def d_min_for_orders(orders) -> int:
     appended pulse sits at the interval end and cannot raise the suppression
     order: the guaranteed order of an odd-N level is still N.
     """
-    orders = tuple(int(n) for n in orders)
-    if not orders or any(n < 0 for n in orders):
-        raise ValueError("orders must be a nonempty sequence of integers >= 0")
-    if len(orders) % 2:
+    orders = _validate_orders(orders)
+    if not orders or len(orders) % 2:
         raise ValueError("orders must pair a z and an x level per qubit")
     return min(orders)
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequences import _validate_orders
 from .series import (
     SeriesTail,
     cell_rows,
@@ -169,8 +170,7 @@ def decoupling_orders(n1: int, n2: int, mode: str = "analytic") -> DecouplingOrd
     value is not backed by the analytic proof; bounds derived from it are
     labeled by their mode.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("orders must be >= 0")
+    n1, n2 = _validate_orders((n1, n2))
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     d_x = n1

@@ -16,18 +16,26 @@ Conventions
   general multi-qubit form nests ``2m`` levels.
 * At coincident times, lower-level (inner) pulses come first: the inner block
   finishes before the enclosing pulse fires.
+
+A schedule is its orders.  ``nesting_grid`` lays out the finest intervals of
+the nesting as one lexicographic index grid, and every view of a schedule is
+read from it: the pulse events, the switching functions, and the certifier's
+intervals, lengths and signs (``dyson``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "NestingGrid",
     "PulseEvent",
     "PulseSchedule",
     "SwitchingProfile",
@@ -35,6 +43,7 @@ __all__ = [
     "qdd_schedule",
     "nudd_schedule",
     "effective_order",
+    "nesting_grid",
     "switching_qdd",
     "switching_nudd",
     "MU_LABELS",
@@ -86,27 +95,62 @@ def _steps(n: int) -> np.ndarray:
     return np.sin(np.minimum(k, 2 * n + 2 - k) * h) * math.sin(h)
 
 
-def _nested_pulse_times(orders: Sequence[int]) -> list[tuple[float, int]]:
-    """Recursively place pulses for nested Uhrig layers; ``orders[i-1]`` is level i.
+def _validate_orders(orders: Iterable) -> tuple[int, ...]:
+    """The one check of nesting orders: each an integral, non-bool value >= 0.
 
-    Interval endpoints are hit exactly: cut points use the convex combination
-    ``a*(1-f) + b*f`` which returns ``a`` and ``b`` verbatim at f = 0, 1, so an
-    appended inner pulse lands bit-identical to its parent boundary.
+    Returns them as a tuple of ints.
     """
-    events: list[tuple[float, int]] = []
+    orders = tuple(orders)
+    for n in orders:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"orders must be integers >= 0, got {n!r}")
+    return tuple(int(n) for n in orders)
 
-    def recurse(level: int, a: float, b: float) -> None:
-        n = orders[level - 1]
-        fracs = [_sin_sq(j, n) for j in range(n + 2)]
-        cuts = [a * (1 - f) + b * f for f in fracs]
-        for j in range(1, effective_order(n) + 1):
-            events.append((cuts[j], level))
-        if level > 1:
-            for j in range(1, n + 2):
-                recurse(level - 1, cuts[j - 1], cuts[j])
 
-    recurse(len(orders), 0.0, 1.0)
-    return events
+@dataclass(frozen=True)
+class NestingGrid:
+    """The finest intervals of a nested schedule, by index.
+
+    Level l of order N_l cuts each interval of level l + 1 (the outermost
+    level cuts [0, 1]) at the fractions s[j] = sin^2(j pi/(2N_l + 2)),
+    j = 0..N_l + 1, by a (1 - f) + b f, which returns a and b verbatim at
+    f = 0 and 1.  So a finest interval is indexed by (i_L, ..., i_1), where
+    i_l = 1..N_l + 1 is its place in its level-l block.  Inside a block the
+    cuts rise strictly with j, so the intervals lie in the lexicographic
+    order of their indices, outermost most significant, and an interval whose
+    inner indices are all last ends bit for bit where its parent ends.  A
+    level fires its N'_l = N_l + N_l mod 2 pulses at cuts j = 1..N'_l of each
+    block, the last at the block's end when N_l is odd.  N'_l is even, so a
+    level's switching sign on an interval is (-1)^(i_l - 1).
+
+    ``index[l - 1]`` holds each interval's i_l; ``ends`` its end time, by the
+    cut formula applied level by level, outermost first; ``lengths`` the
+    product of its levels' Uhrig steps ``_steps(N_l)[i_l - 1]``, outermost
+    factor first.  ``orders`` are innermost (level 1) first.
+    """
+
+    orders: tuple[int, ...]
+    index: np.ndarray
+    ends: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def signs(self) -> np.ndarray:
+        """Per level, its switching sign (-1)^(i_l - 1) on each interval."""
+        return 1 - 2 * ((self.index - 1) % 2)
+
+
+def nesting_grid(orders: Iterable[int]) -> NestingGrid:
+    """The ``NestingGrid`` of per-level ``orders``, innermost (level 1) first."""
+    orders = _validate_orders(orders)
+    starts, ends, lengths = np.zeros(1), np.ones(1), np.ones(1)
+    for n in reversed(orders):
+        f = np.array([_sin_sq(j, n) for j in range(n + 2)])
+        cuts = starts[:, None] * (1 - f) + ends[:, None] * f
+        starts, ends = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        lengths = np.outer(lengths, _steps(n)).ravel()
+    index = np.indices([n + 1 for n in reversed(orders)]).reshape(len(orders), -1)
+    return NestingGrid(orders, index[::-1] + 1, ends, lengths)
 
 
 @dataclass(frozen=True)
@@ -131,32 +175,54 @@ class PulseEvent:
     level: int
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Complete pulse sequence on [0, 1], sorted by (time, level).
-
-    ``orders`` are the requested per-level orders.  Ties in time are ordered
-    inner level first, which is the order coincident pulses are applied in.
-    """
-
-    events: tuple[PulseEvent, ...]
-    orders: tuple[int, ...]
-    qubit_count: int
-
-
 def _axis_qubit(level: int) -> tuple[str, int]:
     if level % 2:
         return "z", (level + 1) // 2 - 1
     return "x", level // 2 - 1
 
 
-def _validate_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for n in orders:
-        if not isinstance(n, (int,)) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"sequence orders must be integers >= 0, got {n!r}")
-        out.append(int(n))
-    return tuple(out)
+@dataclass(frozen=True)
+class PulseSchedule:
+    """The nested pulse sequence of ``orders`` on [0, 1].
+
+    ``orders`` are the per-level orders, innermost (level 1) first, two per
+    protected qubit.  A schedule is its orders: ``events`` are derived from
+    them, not stored, so no schedule holds pulses other than its orders'.
+    """
+
+    orders: tuple[int, ...]
+    qubit_count: int
+
+    def __post_init__(self) -> None:
+        orders = _validate_orders(self.orders)
+        object.__setattr__(self, "orders", orders)
+        if self.qubit_count < 1:
+            raise ValueError("qubit_count must be >= 1")
+        if len(orders) != 2 * self.qubit_count:
+            raise ValueError(
+                f"expected {2 * self.qubit_count} per-level orders for "
+                f"{self.qubit_count} qubit(s), got {len(orders)}"
+            )
+
+    @cached_property
+    def events(self) -> tuple[PulseEvent, ...]:
+        """The pulses, sorted by (time, level), built on first read.
+
+        They are read off ``nesting_grid``: at each interval's end fire the
+        levels whose lower indices are all last (their blocks close there)
+        and whose own index i_l is at most N'_l.  Ties in time are ordered
+        inner level first, which is the order coincident pulses are applied in.
+        """
+        grid = nesting_grid(self.orders)
+        n = np.array(self.orders)[:, None]
+        last = grid.index == n + 1
+        closed = np.vstack([np.ones_like(last[:1]), np.logical_and.accumulate(last[:-1])])
+        fires = closed & (grid.index <= n + n % 2)
+        cells, levels = np.nonzero(fires.T)
+        return tuple(
+            PulseEvent(time, *_axis_qubit(level), level)
+            for time, level in zip(grid.ends[cells].tolist(), (levels + 1).tolist())
+        )
 
 
 def udd_offsets(n: int) -> tuple[float, ...]:
@@ -180,24 +246,7 @@ def nudd_schedule(orders: Sequence[int], qubit_count: int) -> PulseSchedule:
     qubit_count : int
         Number of protected system qubits (m >= 1).
     """
-    orders = _validate_orders(orders)
-    if qubit_count < 1:
-        raise ValueError("qubit_count must be >= 1")
-    if len(orders) != 2 * qubit_count:
-        raise ValueError(
-            f"expected {2 * qubit_count} per-level orders for {qubit_count} qubit(s), "
-            f"got {len(orders)}"
-        )
-    events = []
-    for time, level in _nested_pulse_times(orders):
-        axis, qubit = _axis_qubit(level)
-        events.append(PulseEvent(time, axis, qubit, level))
-    events.sort(key=lambda e: (e.time, e.level))
-    return PulseSchedule(
-        events=tuple(events),
-        orders=orders,
-        qubit_count=qubit_count,
-    )
+    return PulseSchedule(orders, qubit_count)
 
 
 def qdd_schedule(n1: int, n2: int) -> PulseSchedule:
@@ -211,9 +260,6 @@ class SwitchingProfile:
 
     ``signs[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the value at
     s = 1 is the last sign (right-continuous convention, closed at the end).
-    Breakpoints are floats, and every operation here only compares them:
-    coincident pulse times are bit-identical (see ``_nested_pulse_times``), so
-    exact equality matches them.
     """
 
     breakpoints: tuple[float, ...]
@@ -230,46 +276,12 @@ class SwitchingProfile:
         if any(s not in (-1, 1) for s in sg):
             raise ValueError("signs must be +1 or -1")
 
-    @classmethod
-    def trivial(cls) -> "SwitchingProfile":
-        """Identically +1."""
-        return cls((0.0, 1.0), (1,))
-
-    @classmethod
-    def from_flip_times(cls, times: Iterable[float]) -> "SwitchingProfile":
-        """Profile starting at +1 that flips at each time in (0, 1)."""
-        ts = tuple(times)
-        if any(not 0.0 < t < 1.0 for t in ts):
-            raise ValueError("flip times must lie strictly inside (0, 1)")
-        if any(a >= b for a, b in zip(ts, ts[1:])):
-            raise ValueError("flip times must be strictly increasing")
-        signs = tuple(1 - 2 * (k % 2) for k in range(len(ts) + 1))
-        return cls((0.0, *ts, 1.0), signs)
-
     def value(self, s) -> int:
         """Sign at fractional time ``s`` in [0, 1]."""
         if not 0.0 <= s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
         idx = bisect.bisect_right(self.breakpoints, s) - 1
         return self.signs[min(idx, len(self.signs) - 1)]
-
-    def product(self, other: "SwitchingProfile") -> "SwitchingProfile":
-        """Pointwise product profile on the union of breakpoints.
-
-        One merge pass over both sorted breakpoint lists; a point present in
-        both (by exact equality) appears once.  Both lists end at 1, so they
-        run out together.
-        """
-        p, q = self.breakpoints, other.breakpoints
-        merged, signs = [p[0]], []
-        i = j = 0
-        while i < len(self.signs):
-            signs.append(self.signs[i] * other.signs[j])
-            a, b = p[i + 1], q[j + 1]
-            merged.append(a if a <= b else b)
-            i += a <= b
-            j += b <= a
-        return SwitchingProfile(tuple(merged), tuple(signs))
 
 
 def switching_nudd(
@@ -279,24 +291,25 @@ def switching_nudd(
 
     Returns a map keyed by ``(qubit, mu)`` where ``mu`` is the single-qubit
     index pair: (0,0) identity, (1,0) flips at the qubit's z-pulse level,
-    (0,1) flips at its x-pulse level, (1,1) their product.  A pulse at time 1
-    closes the toggling frame and flips nothing.
+    (0,1) flips at its x-pulse level, (1,1) their product.  Each is the
+    product of its levels' sign rows of ``nesting_grid``, broken at every
+    interval end where one of those rows flips; so a flip at time 1, which
+    closes the toggling frame, is no breakpoint, and the product keeps a
+    breakpoint where both levels flip at once.
     """
-    flips: dict[int, list[float]] = {}
-    for e in schedule.events:
-        if e.time < 1.0:
-            flips.setdefault(e.level, []).append(e.time)
+    grid = nesting_grid(schedule.orders)
+    signs = grid.signs
     out: dict[tuple[int, tuple[int, int]], SwitchingProfile] = {}
     for q in range(schedule.qubit_count):
         # qubit q's z pulses sit at level 2q+1, its x pulses at level 2q+2
-        f_x, f_z = (
-            SwitchingProfile.from_flip_times(sorted(flips.get(level, ())))
-            for level in (2 * q + 1, 2 * q + 2)
-        )
-        out[(q, (0, 0))] = SwitchingProfile.trivial()
-        out[(q, (1, 0))] = f_x
-        out[(q, (0, 1))] = f_z
-        out[(q, (1, 1))] = f_x.product(f_z)
+        rows = signs[2 * q : 2 * q + 2]
+        for mu in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            picked = rows[np.array(mu, dtype=bool)]
+            flips = np.flatnonzero((picked[:, 1:] != picked[:, :-1]).any(axis=0))
+            sign = picked.prod(axis=0)[np.r_[0, flips + 1]]
+            out[(q, mu)] = SwitchingProfile(
+                (0.0, *grid.ends[flips].tolist(), 1.0), tuple(sign.tolist())
+            )
     return out
 
 

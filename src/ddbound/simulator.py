@@ -5,8 +5,9 @@ Hermitian bath operators of prescribed spectral norm.  Between ideal pulses
 the Hamiltonian is constant, so the evolution is propagated exactly in its
 eigenbasis (one eigendecomposition, reused for every interval): a free
 segment is a diagonal phase scaling and a pulse is a dense matrix, the Pauli
-operator in that basis, built once per nesting level.  The propagator is
-built from the nesting of the schedule's orders rather than pulse by pulse.
+operator in that basis, built once per nesting level.  A schedule is its
+orders (``sequences.PulseSchedule``), and the propagator is built from their
+nesting rather than pulse by pulse.
 Uhrig sub-intervals are symmetric about each block's midpoint, so mirror
 sub-blocks have the same length and the same inner sequence; each is built
 once from block-local durations and used on both sides, which takes 70 D x D
@@ -47,7 +48,7 @@ import numpy as np
 
 from .nudd_bounds import NuddBoundReport, d_min_for_orders, nudd_distance_bound
 from .qdd_bounds import _MODES, BoundReport, EtaVector, distance_bound
-from .sequences import PulseSchedule, _axis_qubit, _steps, effective_order, nudd_schedule
+from .sequences import PulseSchedule, _axis_qubit, _steps, _validate_orders, nudd_schedule
 from .series import NonConvergenceError
 
 __all__ = [
@@ -242,15 +243,6 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
     )
 
 
-def _nested_event_count(orders: Sequence[int]) -> int:
-    """Pulses in the nested schedule of ``orders``: each level fires N' per block."""
-    count, blocks = 0, 1
-    for n in reversed(orders):
-        count += effective_order(n) * blocks
-        blocks *= n + 1
-    return count
-
-
 def evolve(schedule: PulseSchedule, model: HamiltonianModel, T) -> np.ndarray:
     """Exact joint unitary at time ``T`` under the pulsed Hamiltonian.
 
@@ -278,10 +270,10 @@ def evolve(schedule: PulseSchedule, model: HamiltonianModel, T) -> np.ndarray:
     order would only flip the sign of U, since two Paulis commute or
     anticommute.
 
-    ``schedule`` must hold the nested events of its orders (a cut or edited
-    event list raises ``ValueError``).  ``model`` may be a stack and ``T`` an
-    array of times; they broadcast against each other, and each matrix of the
-    result is the unitary its model and time give alone.
+    A schedule is its orders, so it never holds other events.  ``model`` may
+    be a stack and ``T`` an array of times; they broadcast against each
+    other, and each matrix of the result is the unitary its model and time
+    give alone.
     """
     T = np.asarray(T, dtype=float)
     if not np.all((T > 0.0) & np.isfinite(T)):
@@ -290,8 +282,6 @@ def evolve(schedule: PulseSchedule, model: HamiltonianModel, T) -> np.ndarray:
     if m != model.qubit_count:
         raise ValueError("schedule and model disagree on qubit count")
     orders = schedule.orders
-    if len(orders) != 2 * m or len(schedule.events) != _nested_event_count(orders):
-        raise ValueError("schedule events are not the nested pulses of its orders")
     w, v = model.eigenvalues, model.eigenvectors
     phase_rate = -1j * w
     t_col = T[..., None]
@@ -450,10 +440,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("qdd", "nudd"):
             raise ValueError("kind must be 'qdd' or 'nudd'")
-        orders = tuple(int(n) for n in self.orders)
+        orders = _validate_orders(self.orders)
         object.__setattr__(self, "orders", orders)
-        if any(n < 0 for n in orders):
-            raise ValueError(f"orders must be integers >= 0, got {orders}")
         if self.kind == "qdd" and len(orders) != 2:
             raise ValueError("qdd experiments take exactly two orders")
         if len(orders) % 2 or not orders:

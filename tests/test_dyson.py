@@ -48,7 +48,7 @@ from ddbound.dyson import (
     word_integral,
 )
 from ddbound.qdd_bounds import DecouplingOrders, case_parities
-from ddbound.sequences import _steps, switching_qdd
+from ddbound.sequences import _steps, nesting_grid, nudd_schedule, switching_nudd, switching_qdd
 
 
 def _channel_by_counts(word):
@@ -219,67 +219,95 @@ def test_rational_exact_values_depth4():
             assert word_integral(word, prof) == value
 
 
-def _exact_sin_sq(n1, n2):
-    """s_n[j] = sin^2(j pi/(2n+2)) for j = 0..n+1 at n = n1 and n = n2:
-    ``Fraction`` when both orders are <= 2, else mpmath at the working
-    precision."""
-    if max(n1, n2) <= 2:
+def _exact_sin_sq(orders):
+    """s_n[j] = sin^2(j pi/(2n+2)) for j = 0..n+1 at each order n: ``Fraction``
+    when every order is <= 2, else mpmath at the working precision."""
+    if max(orders) <= 2:
         table = ("0 1", "0 1/2 1", "0 1/4 3/4 1")
-        return [[Fraction(t) for t in table[n].split()] for n in (n1, n2)]
+        return [[Fraction(t) for t in table[n].split()] for n in orders]
     return [
         [mp.mpf(0), *(mp.sin(mp.pi * j / (2 * n + 2)) ** 2 for j in range(1, n + 1)), mp.mpf(1)]
-        for n in (n1, n2)
+        for n in orders
     ]
 
 
-def _cut(s1, s2, i, j):
-    """Inner position j of outer interval i, as a convex combination that
-    returns s2[i] itself at j = n1 + 1."""
-    return s2[i - 1] * (1 - s1[j]) + s2[i] * s1[j]
+def _cut(a, b, f):
+    """The point a (1 - f) + b f of [a, b], which is b itself at f = 1."""
+    return a * (1 - f) + b * f
 
 
 @cache
-def _exact_merge(n1, n2):
-    """Merged x/z breakpoints of QDD(n1, n2) and each interval's (s_x, s_z),
-    from the exact pulse times: ``Fraction`` for orders <= 2, 50-digit mpmath
-    otherwise.  f_x flips at the inner pulses, f_z at the outer ones, and a
-    pulse at time 1 flips nothing; coincident times are matched by equality."""
+def _exact_merge(orders):
+    """Merged breakpoints of the nested schedule of ``orders``, each level's
+    sign on each merged interval, and each level's pulse times, all exact:
+    ``Fraction`` for orders <= 2, 50-digit mpmath otherwise.  The pulses are
+    placed by recursion over the blocks, not by index.  A level's sign flips
+    at its pulses, a pulse at time 1 flips nothing, and coincident times are
+    matched by equality."""
     with mp.workdps(50):
-        s1, s2 = _exact_sin_sq(n1, n2)
-        inner = sorted(
-            t
-            for i in range(1, n2 + 2)
-            for j in range(1, n1 + n1 % 2 + 1)
-            if (t := _cut(s1, s2, i, j)) < 1
-        )
-        outer = [t for t in s2[1 : n2 + n2 % 2 + 1] if t < 1]
-        bp = sorted({s2[0], *inner, *outer, s2[-1]})
-        s_x = [(-1) ** bisect.bisect_right(inner, t) for t in bp[:-1]]
-        s_z = [(-1) ** bisect.bisect_right(outer, t) for t in bp[:-1]]
-    return bp, s_x, s_z
+        s = _exact_sin_sq(orders)
+        pulses = [[] for _ in orders]
+
+        def place(level, a, b):
+            n = orders[level - 1]
+            cuts = [_cut(a, b, f) for f in s[level - 1]]
+            pulses[level - 1] += cuts[1 : n + n % 2 + 1]
+            for j in range(1, n + 2) if level > 1 else ():
+                place(level - 1, cuts[j - 1], cuts[j])
+
+        place(len(orders), s[-1][0], s[-1][-1])
+        bp = sorted({s[-1][0], *(t for times in pulses for t in times), s[-1][-1]})
+        flips = [sorted(t for t in times if t < 1) for times in pulses]
+        signs = [[(-1) ** bisect.bisect_right(f, t) for t in bp[:-1]] for f in flips]
+    return bp, signs, pulses
+
+
+def _exact_end(s, column):
+    """Exact end of the grid interval whose level indices are ``column``,
+    innermost first: the cuts of each level, outermost first."""
+    a, b = s[-1][0], s[-1][-1]
+    for f, i in reversed(list(zip(s, column))):
+        a, b = _cut(a, b, f[i - 1]), _cut(a, b, f[i])
+    return b
+
+
+@st.composite
+def _nested_orders(draw):
+    """Per-level orders of m = 1 (each 0..12) or m = 2 (each 0..6) qubits."""
+    m = draw(st.integers(1, 2))
+    return tuple(draw(st.lists(st.integers(0, 12 // m), min_size=2 * m, max_size=2 * m)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(n1=st.integers(0, 12), n2=st.integers(0, 12))
-def test_index_grid_is_the_exact_merge(n1, n2):
-    """The (i, j) grid is the exactly merged breakpoint list, in order; the
-    parities of its indices are the merge's signs and ``switching_qdd``'s;
-    and every length is within 8 ulp of the 50-digit value (exact for orders
-    <= 2)."""
-    bp, s_x, s_z = _exact_merge(n1, n2)
-    sw = switching_qdd(n1, n2)
+@given(orders=_nested_orders())
+def test_index_grid_is_the_exact_merge(orders):
+    """The nesting grid is the exact merge of every level's pulse times, in
+    order, and its float ends rise strictly to 1.  Each sign row is the parity
+    of its level's flips, and ``switching_nudd``'s profile of that level.  The
+    events are the exact pulses in (time, level) order.  Each length is
+    within (11 L - 1) ulp of its 50-digit value, for L levels, exact when
+    every order is <= 2: a step within 5 ulp is within 10 u relatively
+    (u = 2^-53), each of the L - 1 products adds u, and one ulp of x exceeds
+    u |x|."""
+    bp, signs, pulses = _exact_merge(orders)
+    grid = nesting_grid(orders)
+    schedule = nudd_schedule(orders, len(orders) // 2)
+    sw = switching_nudd(schedule)
     with mp.workdps(50):
-        s1, s2 = _exact_sin_sq(n1, n2)
+        s = _exact_sin_sq(orders)
+        assert [_exact_end(s, column) for column in grid.index.T.tolist()] == bp[1:]
         exact = np.array([float(b - a) for a, b in zip(bp, bp[1:])])
         mids = [float((a + b) / 2) for a, b in zip(bp, bp[1:])]
-        for backend in ("rational", "mp") if max(n1, n2) <= 2 else ("mp",):
-            prof = qdd_profiles(n1, n2, backend)
-            i, j = prof.cut_index
-            assert [_cut(s1, s2, a, b) for a, b in zip(i, j)] == bp
-            assert list((-1) ** (j[1:] - 1)) == s_x == [sw["x"].value(t) for t in mids]
-            assert list((-1) ** (i[1:] - 1)) == s_z == [sw["z"].value(t) for t in mids]
-            ulps = np.abs(prof.lengths - exact) / np.spacing(exact)
-            assert ulps.max() <= (0 if max(n1, n2) <= 2 else 8)
+        float_of = dict(zip(bp[1:], grid.ends.tolist()))
+        want = sorted((t, level) for level, times in enumerate(pulses, 1) for t in times)
+    assert (np.diff(grid.ends) > 0).all() and grid.ends[-1] == 1.0
+    for level, row in enumerate(signs, 1):
+        assert grid.signs[level - 1].tolist() == row
+        profile = sw[((level - 1) // 2, ((1, 0), (0, 1))[(level - 1) % 2])]
+        assert [profile.value(t) for t in mids] == row
+    assert [(e.time, e.level) for e in schedule.events] == [(float_of[t], lv) for t, lv in want]
+    ulps = np.abs(grid.lengths - exact) / np.spacing(exact)
+    assert ulps.max() <= (0 if max(orders) <= 2 else 11 * len(orders) - 1 + 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -437,7 +465,7 @@ def test_proof_field():
     proof = cert.proof
     assert proof["status"] == "proved"
     assert all(p % 40 == 1 and p < 2**26 for p in proof["primes"])
-    m = len(qdd_profiles(3, 4).lengths)
+    m = len(qdd_profiles(3, 4).grid.lengths)
     bound = 2 * (16 * m) ** (4 * 8)  # phi(40) / 2 = 8
     assert math.prod(proof["primes"]) > bound
     assert math.prod(proof["primes"][:-1]) <= bound  # no prime more than needed
@@ -504,7 +532,7 @@ def _reference_levels(n1, n2, depth):
     "nonzero" means above 1e-25 (the true zeros sit near 1e-50, the smallest
     nonzero words far above 1e-25)."""
     exact = max(n1, n2) <= 2
-    bp, x_signs, z_signs = _exact_merge(n1, n2)
+    bp, (x_signs, z_signs), _ = _exact_merge((n1, n2))
     with mp.workdps(50):
         levels = [np.array([1], dtype=object)]
         levels += [np.zeros(4**k, dtype=object) for k in range(1, depth + 1)]
@@ -612,7 +640,7 @@ def test_zero_pattern_matches_reference(n1, n2, n_max):
     prof = qdd_profiles(n1, n2)
     sig = signature(prof, n_max)
     assert sig.proved
-    error = ddbound.dyson._value_error(len(prof.lengths), n_max)
+    error = ddbound.dyson._value_error(len(prof.grid.lengths), n_max)
     for k, (nonzero, values) in enumerate(_reference_levels(n1, n2, n_max)):
         if k == 0:
             continue

@@ -5,13 +5,19 @@ pulses at offsets sin^2(l*pi/(2N+2)) of its interval, so order 2 gives
 {1/4, 3/4} and order 1 gives {1/2} plus an appended frame-closing pulse at 1.
 """
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ddbound.dyson import qdd_profiles, verify_orders
+from ddbound.nudd_bounds import d_min_for_orders
+from ddbound.qdd_bounds import decoupling_orders
 from ddbound.sequences import (
     MU_LABELS,
+    PulseSchedule,
     SwitchingProfile,
     effective_order,
     nudd_schedule,
@@ -20,6 +26,7 @@ from ddbound.sequences import (
     switching_qdd,
     udd_offsets,
 )
+from ddbound.simulator import BathSpec, ExperimentConfig
 
 _MU_OF_LABEL = {label: mu for mu, label in MU_LABELS.items()}
 
@@ -172,12 +179,14 @@ def test_switching_qdd_22_fx_flips_at_z_times():
 
 
 def test_switching_product_identity():
-    """f_y = f_x * f_z pointwise."""
-    profs = switching_qdd(2, 3)
-    fy = profs["x"].product(profs["z"])
-    grid = np.linspace(0.0, 1.0, 501)
-    for s in grid:
-        assert fy.value(s) == profs["y"].value(s)
+    """f_y = f_x * f_z pointwise, on a fine grid and at every breakpoint."""
+    for orders, m in [((2, 3), 1), ((3, 3), 1), ((1, 2, 3, 1), 2)]:
+        profs = switching_nudd(nudd_schedule(orders, m))
+        for q in range(m):
+            f_x, f_z, f_y = (profs[(q, mu)] for mu in ((1, 0), (0, 1), (1, 1)))
+            points = {*np.linspace(0.0, 1.0, 501).tolist(), *f_x.breakpoints, *f_z.breakpoints}
+            for s in points:
+                assert f_y.value(s) == f_x.value(s) * f_z.value(s)
 
 
 def test_switching_integrals_vanish():
@@ -351,3 +360,57 @@ def test_switching_profiles_frozen():
     assert _as_recorded(switching_qdd(3, 2)) == _QDD_32
     assert _as_recorded(switching_nudd(nudd_schedule((2, 3), 1))) == _NUDD_23
     assert _as_recorded(switching_nudd(nudd_schedule((1, 2, 1, 1), 2))) == _NUDD_1211
+
+
+#: sha256 of the ``repr`` of the events and of every switching profile of each
+#: schedule in ``_frozen_orders``, recorded when each level's pulses were still
+#: placed by recursion over its blocks and the profiles merged by float
+#: comparison, before both were read off the nesting grid.
+SCHEDULE_DIGEST = "47bb3d1ca0cf80c757bb2b3f671209189a30317dbbf2298a95b6ec60bdccd49a"
+
+
+def _frozen_orders():
+    """m = 1 with orders 0..12 x 0..12 and (34, 34); m = 2 with orders 0..3."""
+    yield from (((n1, n2), 1) for n1 in range(13) for n2 in range(13))
+    yield (34, 34), 1
+    yield from ((orders, 2) for orders in itertools.product(range(4), repeat=4))
+
+
+def test_schedules_frozen():
+    blob = hashlib.sha256()
+    for orders, m in _frozen_orders():
+        schedule = nudd_schedule(orders, m)
+        blob.update(f"{orders} {schedule.events!r}\n".encode())
+        for key, profile in switching_nudd(schedule).items():
+            blob.update(f"{key} {profile!r}\n".encode())
+    assert blob.hexdigest() == SCHEDULE_DIGEST
+
+
+# ------------------------------------------------------------------- orders
+
+_BATH = BathSpec(dim=2, seed=1, norms={"0": 1.0, "x": 0.3})
+
+#: Every entry point that takes nesting orders, with the first order ``n``.
+_ORDER_ENTRY_POINTS = {
+    "PulseSchedule": lambda n: PulseSchedule((n, 2), 1),
+    "qdd_schedule": lambda n: qdd_schedule(n, 2),
+    "udd_offsets": udd_offsets,
+    "ExperimentConfig": lambda n: ExperimentConfig("qdd", (n, 2), _BATH, 1.0),
+    "d_min_for_orders": lambda n: d_min_for_orders((n, 2)),
+    "decoupling_orders": lambda n: decoupling_orders(n, 2),
+    "qdd_profiles": lambda n: qdd_profiles(n, 2),
+    "verify_orders": lambda n: verify_orders(n, 2, 2),
+}
+
+
+@pytest.mark.parametrize("entry", _ORDER_ENTRY_POINTS)
+@pytest.mark.parametrize("order", [2.5, True, "2", -1], ids=repr)
+def test_orders_check_rejects(entry, order):
+    """One check of the orders: an integral, non-bool value >= 0, everywhere."""
+    with pytest.raises(ValueError, match="orders must be integers >= 0"):
+        _ORDER_ENTRY_POINTS[entry](order)
+
+
+@pytest.mark.parametrize("entry", _ORDER_ENTRY_POINTS)
+def test_orders_check_accepts_numpy_integers(entry):
+    assert repr(_ORDER_ENTRY_POINTS[entry](np.int64(2))) == repr(_ORDER_ENTRY_POINTS[entry](2))

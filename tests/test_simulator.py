@@ -125,17 +125,17 @@ def reconstruct_from_channels(ops):
     return sum(np.kron(pauli_matrix(label), a) for label, a in ops.items())
 
 
-def _lab_frame_evolve(schedule, model, T, tie_order="inner-first"):
+def _lab_frame_evolve(events, model, T, tie_order="inner-first"):
     """Independent reference for evolve: the ordered product of lab-frame
-    expm(-i H tau) segments and dense sigma x 1 pulses, with H rebuilt as the
-    Pauli sum and coincident pulses ordered by level (inner level first, or
-    outer level first)."""
+    expm(-i H tau) segments and dense sigma x 1 pulses at ``events``, with H
+    rebuilt as the Pauli sum and coincident pulses ordered by level (inner
+    level first, or outer level first)."""
     h = _pauli_sum(model)
     eye_bath = np.eye(model.bath_dim)
     sign = 1 if tie_order == "inner-first" else -1
     u = np.eye(h.shape[0], dtype=complex)
     t_prev = 0.0
-    for e in sorted(schedule.events, key=lambda e: (e.time, sign * e.level)):
+    for e in sorted(events, key=lambda e: (e.time, sign * e.level)):
         if e.time > t_prev:
             u = expm(-1j * h * ((e.time - t_prev) * T)) @ u
             t_prev = e.time
@@ -174,7 +174,7 @@ def test_evolve_matches_lab_frame_oracle(orders, bath_dim, tie_order):
     model = build_model(BathSpec(dim=bath_dim, seed=7, norms=_NORMS[m]), m)
     sched = nudd_schedule(orders, m)
     u = evolve(sched, model, 0.9)
-    ref = _lab_frame_evolve(sched, model, 0.9, tie_order)
+    ref = _lab_frame_evolve(sched.events, model, 0.9, tie_order)
     if tie_order == "inner-first":
         assert np.max(np.abs(u - ref)) < 1e-12
     else:
@@ -188,22 +188,32 @@ def test_tie_order_is_applied_at_coincident_pulses(orders, instants):
     commute or anticommute, so firing the outer level first changes U by a
     global sign, which no channel norm or distance sees.  Whole schedules
     pair their coincident anticommuting pulses, so the sign is +1; cut after
-    the first coincident instant it is -1, which the two oracles show, while
-    evolve refuses the cut schedule since it builds U from the orders."""
+    the first coincident instant it is -1, which the two oracles show."""
     m = len(orders) // 2
     sched = nudd_schedule(orders, m)
     times = [e.time for e in sched.events]
     assert len(set(times)) == instants < len(times)
     first_tie = next(t for t in times if times.count(t) > 1)
-    cut = replace(sched, events=tuple(e for e in sched.events if e.time <= first_tie))
+    cut = [e for e in sched.events if e.time <= first_tie]
     model = build_model(BathSpec(dim=2, seed=7, norms=_NORMS[m]), m)
     u = evolve(sched, model, 0.9)
-    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, 0.9))) < 1e-12
-    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, 0.9, "outer-first"))) < 1e-12
+    assert np.max(np.abs(u - _lab_frame_evolve(sched.events, model, 0.9))) < 1e-12
+    assert np.max(np.abs(u - _lab_frame_evolve(sched.events, model, 0.9, "outer-first"))) < 1e-12
     inner = _lab_frame_evolve(cut, model, 0.9)
     assert np.max(np.abs(inner + _lab_frame_evolve(cut, model, 0.9, "outer-first"))) < 1e-12
-    with pytest.raises(ValueError, match="not the nested pulses"):
-        evolve(cut, model, 0.9)
+
+
+def test_edited_schedule_cannot_reach_evolve():
+    """A schedule is its orders: its events cannot be replaced or edited, so
+    evolve never gets a schedule whose pulses differ from its orders'."""
+    sched = qdd_schedule(2, 2)
+    moved = (replace(sched.events[0], time=0.01), *sched.events[1:])
+    model = build_model(BathSpec(dim=2, seed=7, norms=_NORMS[1]), 1)
+    with pytest.raises(TypeError):
+        evolve(replace(sched, events=moved), model, 0.9)
+    with pytest.raises(AttributeError):
+        sched.events = moved
+    assert sched.events[0].time == 1 / 16
 
 
 @pytest.mark.parametrize("orders, bath_dim, matrices", [((10, 10), 128, 7), ((1, 1, 1, 1), 64, 9)])
@@ -240,8 +250,8 @@ def test_evolve_unitary_and_matches_oracle(m, orders, log_bath, log_t, seed):
     T = 10.0**log_t
     u = evolve(sched, model, T)
     assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-12
-    assert np.max(np.abs(u - _lab_frame_evolve(sched, model, T))) < 1e-11
-    assert _sign_distance(u, _lab_frame_evolve(sched, model, T, "outer-first")) < 1e-11
+    assert np.max(np.abs(u - _lab_frame_evolve(sched.events, model, T))) < 1e-11
+    assert _sign_distance(u, _lab_frame_evolve(sched.events, model, T, "outer-first")) < 1e-11
 
 
 def test_channel_extraction_roundtrip():
