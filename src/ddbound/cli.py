@@ -18,7 +18,8 @@ objects whose keys mirror the long flag names with underscores (``--eps-min``
 -> ``"eps_min"``).  Flags override file values; unknown keys are rejected.
 A ``null`` value counts as unset; any other value must have the JSON type and
 one of the choices of the option it sets, and is used as written, never
-converted.  A ``simulate`` config looks like::
+converted.  A value outside its option's domain exits 2 naming its flag or
+key.  A ``simulate`` config looks like::
 
     {"kind": "qdd", "orders": [2, 2], "T": 0.05,
      "bath": {"dim": 8, "seed": 42,
@@ -82,6 +83,7 @@ from .series import NORMAL_MIN, NonConvergenceError, cell_rows
 from .simulator import (
     BathSpec,
     ExperimentConfig,
+    _is_power_of_two,
     pauli_labels,
     run_experiment,
     run_experiments,
@@ -171,14 +173,16 @@ class Opt:
     """One option of one command.
 
     ``type`` is what a config value must be: ``int``, ``float`` (an integer
-    is accepted too), ``str``, ``dict`` (any object), ``[t]`` (a non-empty
+    in double range too), ``str``, ``dict`` (any object), ``[t]`` (a non-empty
     list of ``t``) or ``{str: t}`` (an object of ``t`` values); JSON booleans
     match none of them.  A ``flag`` option is also ``--name`` with dashes for
     underscores; a ``key`` option is a key of the resolved config (and of the
     config file, for commands that read one).  With ``preset`` each choice is
     a flag of its own (``--fig2``).  A ``required`` option must be given on
     the command line, or, for commands that read ``--config``, by the file
-    or a flag.
+    or a flag.  ``domain`` is (text, test): a given value, or list item, that
+    fails the test exits 2 with ``<--flag | config key 'k'> must be <text>,
+    got <value>``.  Defaults must pass too, but are not checked.
     """
 
     name: str
@@ -192,6 +196,7 @@ class Opt:
     nargs: int | None = None
     metavar: Any = None
     required: bool = False
+    domain: tuple[str, Callable[[Any], bool]] | None = None
 
 
 @dataclass(frozen=True)
@@ -237,6 +242,8 @@ def _matches(value: Any, spec: Any) -> bool:
         )
     if isinstance(value, bool):
         return False
+    if spec is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max  # else no double can hold it
     return isinstance(value, (int, float) if spec is float else spec)
 
 
@@ -246,6 +253,19 @@ def _check(name: str, value: Any, spec: Any, choices: Sequence[str] = ()) -> Non
         raise CliError(f"{name} must be {_describe(spec)[0]}, got {json.dumps(value)}")
     if choices and value not in choices:
         raise CliError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+
+
+def _check_domain(name: str, value: Any, domain: tuple[str, Callable] | None) -> None:
+    """Reject a value, or any item of a list value, outside ``domain``."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_domain(name, item, domain)
+    elif domain and not domain[1](value):
+        raise CliError(f"{name} must be {domain[0]}, got {value!r}")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _load_json(path: str) -> dict:
@@ -267,25 +287,30 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     All flags default to None so a set flag is distinguishable from an unset
     one, and a config ``null`` is unset too.  Other config values are checked
     against their option and kept as written, so the config hash sees the
-    input itself.
+    input itself.  Given values must lie in their option's domain.
     """
-    keys = {opt.name: opt for opt in args.spec.options if opt.key}
-    resolved = {name: opt.default for name, opt in keys.items()}
+    opts = {opt.name: opt for opt in args.spec.options}
+    resolved = {opt.name: opt.default for opt in args.spec.options if opt.key}
+    given = {}
     path = getattr(args, "config", None)
     if path is not None:
         doc = _load_json(path)
-        unknown = sorted(set(doc) - set(keys))
+        unknown = sorted(set(doc) - set(resolved))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
         for name, value in doc.items():
             if value is not None:
-                _check(f"config key {name!r}", value, keys[name].type, keys[name].choices)
-                resolved[name] = value
-    for name, opt in keys.items():
-        value = getattr(args, name, None)
-        if value is not None:
+                _check(f"config key {name!r}", value, opts[name].type, opts[name].choices)
+                given[name] = (f"config key {name!r}", value)
+    for name in opts:
+        if (value := getattr(args, name, None)) is not None:
+            given[name] = (_flag(name), value)
+    for name, (source, value) in given.items():
+        _check_domain(source, value, opts[name].domain)
+        if opts[name].key:
             resolved[name] = value
-        if opt.required and resolved[name] is None:
+    for name in resolved:
+        if opts[name].required and resolved[name] is None:
             raise CliError(f"config key {name!r} is required")
     return resolved
 
@@ -296,39 +321,26 @@ def _orders(resolved: dict) -> tuple[str, tuple[int, ...], int]:
     if (qdd is None) == (nudd is None):
         raise CliError("exactly one of --qdd or --nudd is required")
     if qdd is not None:
-        kind, flag, text, m = "qdd", "--qdd", " ".join(map(str, qdd)), 1
-        orders = tuple(qdd)
-    else:
-        kind, flag, text, m = "nudd", "--nudd", nudd, resolved["qubits"]
-        try:
-            orders = tuple(int(tok) for tok in nudd.split(","))
-        except ValueError:
-            raise CliError(f"--nudd: expected comma-separated integers, got {nudd!r}")
-    if any(n < 0 for n in orders):
-        raise CliError(f"{flag}: orders must be nonnegative, got {text}")
+        return "qdd", tuple(qdd), 1
+    try:
+        orders = tuple(int(tok) for tok in nudd.split(","))
+    except ValueError:
+        raise CliError(f"--nudd: expected comma-separated integers, got {nudd!r}")
+    _check_domain("--nudd", orders, _NONNEGATIVE)
+    m = resolved["qubits"]
     if m is None:
         raise CliError("--nudd requires --qubits")
-    if m < 1:
-        raise CliError("--qubits must be >= 1")
     if len(orders) != 2 * m:
         raise CliError(
             f"--nudd/--qubits: expected {2 * m} per-level orders for {m} qubit(s), "
             f"got {len(orders)}"
         )
-    return kind, orders, m
-
-
-def _check_eta(name: str, eta: float) -> None:
-    """Reject an ``eta`` outside [0, inf), naming the flag or key it came from."""
-    if not (math.isfinite(eta) and eta >= 0):
-        raise CliError(f"{name} must be finite and >= 0, got {eta!r}")
+    return "nudd", orders, m
 
 
 def _scalar_eta(resolved: dict) -> float:
-    """``--eta``, default 1, once checked."""
-    eta = 1.0 if resolved["eta"] is None else resolved["eta"]
-    _check_eta("--eta", eta)
-    return eta
+    """``--eta``, default 1."""
+    return 1.0 if resolved["eta"] is None else resolved["eta"]
 
 
 def _qdd_eta(resolved: dict) -> tuple[float, float, float]:
@@ -338,9 +350,6 @@ def _qdd_eta(resolved: dict) -> tuple[float, float, float]:
         return (_scalar_eta(resolved),) * 3
     if resolved["eta"] is not None:
         raise CliError("--eta conflicts with --eta-x/--eta-y/--eta-z")
-    for axis, c in zip("xyz", comps):
-        if c is not None:
-            _check_eta(f"--eta-{axis}", c)
     return tuple(0.0 if c is None else c for c in comps)
 
 
@@ -372,8 +381,6 @@ def _eps_grid(resolved: dict, window: Callable = default_eps_grid) -> tuple[floa
     points = resolved["eps_points"]
     if points == 0:
         return ()
-    if points == 1:
-        raise CliError("eps_points must be 0 (empty grid) or >= 2")
     try:
         return window(resolved["eps_min"], resolved["eps_max"], points)
     except ValueError as exc:
@@ -437,7 +444,7 @@ def _preset_alone(resolved: dict, *groups: tuple[str, ...]) -> None:
     itself; each group is named as one set of flags."""
     for keys in groups:
         if any(resolved[k] is not None for k in keys):
-            flags = "/".join("--" + k.replace("_", "-") for k in keys)
+            flags = "/".join(map(_flag, keys))
             raise CliError(f"a preset cannot be combined with {flags}")
 
 
@@ -473,13 +480,8 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
     elif resolved["m"] is not None or resolved["dmin"] is not None:
         if resolved["m"] is None or resolved["dmin"] is None:
             raise CliError("--m and --dmin must be given together")
-        m, d_min = resolved["m"], resolved["dmin"]
-        if not 1 <= m <= _MAX_M:
-            raise CliError(f"--m must be an integer in [1, {_MAX_M}], got {m!r}")
-        if d_min < 0:
-            raise CliError(f"--dmin must be a nonnegative integer, got {d_min!r}")
-        eta = _scalar_eta(resolved)
-        table.append(partial(nudd_sweep_cell, m, d_min, eta, _eps_grid(resolved)))
+        table.append(partial(nudd_sweep_cell, resolved["m"], resolved["dmin"],
+                             _scalar_eta(resolved), _eps_grid(resolved)))
     else:
         raise CliError("--fig5 or --m/--dmin is required")
 
@@ -641,10 +643,6 @@ def _run_cells(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    if resolved["seeds"] < 1:
-        raise CliError("config key 'seeds' must be a positive integer")
-    for eta in resolved["eta"]:
-        _check_eta("config key 'eta'", eta)
     rows, _, failures = _run_cells(_experiment_grid(resolved), _SWEEP_COLUMNS)
     lines = _header(
         "sweep", resolved, seed=resolved["master_seed"], mode=resolved["mode"]
@@ -688,12 +686,6 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     kind, orders, _ = _orders(resolved)
     eps = resolved["eps"]
-    if eps is None or eps <= 0:
-        raise CliError("--eps is required and must be > 0")
-    if resolved["seeds"] < 1:
-        raise CliError("--seeds must be >= 1")
-    if not math.isfinite(resolved["loosen"]):
-        raise CliError(f"--loosen must be finite, got {resolved['loosen']!r}")
     if kind == "qdd":
         eta = _qdd_eta(resolved)
     elif any(resolved[f"eta_{axis}"] is not None for axis in "xyz"):
@@ -730,25 +722,31 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser --
 
 
+_NONNEGATIVE = (">= 0", lambda v: v >= 0)
+_POSITIVE = (">= 1", lambda v: v >= 1)
+_COUPLING = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_DURATION = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_BATH_DIM = ("a power of two", _is_power_of_two)
+
 _MODE = Opt("mode", str, "analytic", ("analytic", "numeric-footnote"),
             help="suppression-order table variant")
 _EPS_GRID = (
-    Opt("eps_min", float, 1e-4, help="smallest epsilon"),
-    Opt("eps_max", float, 1.0, help="largest epsilon"),
-    Opt("eps_points", int, 41, help="log-grid size, 0 for an empty grid"),
+    Opt("eps_min", float, 1e-4, help="smallest epsilon", domain=_DURATION),
+    Opt("eps_max", float, 1.0, help="largest epsilon", domain=_DURATION),
+    Opt("eps_points", int, 41, help="log-grid size, 0 for an empty grid",
+        domain=("0 or >= 2", lambda n: n == 0 or n >= 2)),
 )
-_ETA_AXES = tuple(
-    Opt(f"eta_{axis}", float, help=f"{axis} relative coupling strength") for axis in "xyz"
-)
+_ETA_AXES = tuple(Opt(f"eta_{a}", float, help=f"{a} relative coupling strength", domain=_COUPLING)
+                  for a in "xyz")
 _KIND = Opt("kind", str, choices=("qdd", "nudd"), flag=False, required=True)
 _STATES = (
     Opt("initial_state", str, "random", flag=False),
     Opt("bath_state", str, "maximally-mixed", flag=False),
 )
 _QDD = Opt("qdd", int, nargs=2, metavar=("N1", "N2"),
-           help="two-level sequence with inner order N1, outer N2")
+           help="two-level sequence with inner order N1, outer N2", domain=_NONNEGATIVE)
 _NUDD = Opt("nudd", str, metavar="N1,N2,...", help="nested sequence orders, innermost first")
-_QUBITS = Opt("qubits", int, help="protected qubit count for --nudd")
+_QUBITS = Opt("qubits", int, help="protected qubit count for --nudd", domain=_POSITIVE)
 
 _COMMANDS = {
     "sequence": Command(cmd_sequence, "emit a pulse schedule as CSV", (_QDD, _NUDD, _QUBITS)),
@@ -758,9 +756,9 @@ _COMMANDS = {
         (
             Opt("preset", str, choices=("fig2", "fig3", "fig4"), help="preset grid",
                 preset=True),
-            Opt("n1", int, help="inner sequence order"),
-            Opt("n2", int, help="outer sequence order"),
-            Opt("eta", float, help="isotropic relative coupling strength"),
+            Opt("n1", int, help="inner sequence order", domain=_NONNEGATIVE),
+            Opt("n2", int, help="outer sequence order", domain=_NONNEGATIVE),
+            Opt("eta", float, help="isotropic relative coupling strength", domain=_COUPLING),
             *_ETA_AXES,
             *_EPS_GRID,
             _MODE,
@@ -772,9 +770,10 @@ _COMMANDS = {
         "nested multi-qubit bound",
         (
             Opt("preset", str, choices=("fig5",), help="preset grid", preset=True),
-            Opt("m", int, help="protected qubit count"),
-            Opt("dmin", int, help="minimum suppression order"),
-            Opt("eta", float, help="relative coupling strength"),
+            Opt("m", int, help="protected qubit count",
+                domain=(f"in [1, {_MAX_M}]", lambda m: 1 <= m <= _MAX_M)),
+            Opt("dmin", int, help="minimum suppression order", domain=_NONNEGATIVE),
+            Opt("eta", float, help="relative coupling strength", domain=_COUPLING),
             *_EPS_GRID,
         ),
         config="optional",
@@ -784,12 +783,12 @@ _COMMANDS = {
         "run one exact experiment from JSON config",
         (
             _KIND,
-            Opt("orders", [int], flag=False, required=True),
+            Opt("orders", [int], flag=False, required=True, domain=_NONNEGATIVE),
             Opt("bath", dict, flag=False, required=True),
-            Opt("T", float, help="override the duration", required=True),
+            Opt("T", float, help="override the duration", required=True, domain=_DURATION),
             *_STATES,
             _MODE,
-            Opt("seed", int, key=False, help="override the bath seed"),
+            Opt("seed", int, key=False, help="override the bath seed", domain=_NONNEGATIVE),
         ),
         config="required",
     ),
@@ -798,7 +797,8 @@ _COMMANDS = {
         "word-integral certification, zeros proved by residues",
         (
             replace(_QDD, required=True),
-            Opt("nmax", int, required=True, help="certify all word lengths up to NMAX"),
+            Opt("nmax", int, required=True, help="certify all word lengths up to NMAX",
+                domain=_POSITIVE),
             Opt(
                 "backend", str, "auto", ("auto", "rational", "mp"),
                 help="how word values are reported: rational (orders <= 2, exact "
@@ -814,15 +814,16 @@ _COMMANDS = {
             _QDD,
             _NUDD,
             _QUBITS,
-            Opt("eps", float, help="epsilon = J0 * T (J0 fixed at 1)"),
-            Opt("eta", float, help="relative coupling strength"),
+            Opt("eps", float, help="epsilon = J0 * T (J0 fixed at 1)", required=True,
+                domain=_DURATION),
+            Opt("eta", float, help="relative coupling strength", domain=_COUPLING),
             *_ETA_AXES,
-            Opt("bath_dim", int, 8, help="bath dimension, a power of two"),
-            Opt("seeds", int, 20, help="number of random baths"),
-            Opt("seed", int, 0, help="master seed"),
+            Opt("bath_dim", int, 8, help="bath dimension", domain=_BATH_DIM),
+            Opt("seeds", int, 20, help="number of random baths", domain=_POSITIVE),
+            Opt("seed", int, 0, help="master seed", domain=_NONNEGATIVE),
             _MODE,
             Opt("loosen", float, 1.0, help="negative-control hook: multiply the bound "
-                "by this factor before the dominance check"),
+                "by this factor before the dominance check", domain=("finite", math.isfinite)),
         ),
     ),
     "sweep": Command(
@@ -832,12 +833,12 @@ _COMMANDS = {
             replace(opt, flag=False)
             for opt in (
                 _KIND,
-                Opt("orders", [[int]], required=True),
-                Opt("bath_dim", [int], required=True),
-                Opt("eps", [float], required=True),
-                Opt("eta", [float], required=True),
-                Opt("seeds", int, 1),
-                Opt("master_seed", int, 0),
+                Opt("orders", [[int]], required=True, domain=_NONNEGATIVE),
+                Opt("bath_dim", [int], required=True, domain=_BATH_DIM),
+                Opt("eps", [float], required=True, domain=_DURATION),
+                Opt("eta", [float], required=True, domain=_COUPLING),
+                Opt("seeds", int, 1, domain=_POSITIVE),
+                Opt("master_seed", int, 0, domain=_NONNEGATIVE),
                 _MODE,
                 *_STATES,
             )
@@ -859,15 +860,17 @@ def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
             group.add_argument(f"--{name}", dest=opt.name, action="store_const",
                                const=name, help=f"{opt.help} '{name}'")
         return
-    default = "" if opt.default is None else f" (default {opt.default})"
+    notes = [opt.domain[0]] if opt.domain else []
+    notes += [] if opt.default is None else [f"default {opt.default}"]
+    note = f" ({', '.join(notes)})" if notes else ""
     p.add_argument(
-        "--" + opt.name.replace("_", "-"),
+        _flag(opt.name),
         type=opt.type,
         choices=opt.choices or None,
         nargs=opt.nargs,
         metavar=opt.metavar,
         required=opt.required and not has_config,
-        help=f"{opt.help or ''}{default}".strip(),
+        help=f"{opt.help or ''}{note}".strip(),
     )
 
 

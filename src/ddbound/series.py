@@ -51,7 +51,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "LOOSE",
     "NORMAL_MIN",
     "NonConvergenceError",
     "SeriesTail",
@@ -81,7 +80,7 @@ NORMAL_MIN = 2.0**-1022
 #: A series whose rounding slack exceeds this fraction of its tail is loose; the
 #: bound families then also sum it in a nonnegative form (``product_tail``)
 #: and keep the lower bound (``keep_lower``).
-LOOSE = 1e-10
+_LOOSE = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
@@ -115,8 +114,8 @@ def not_converged(epsilon: float) -> NonConvergenceError:
 
 
 def loose(res: SeriesTail) -> np.ndarray:
-    """Mask of the converged series whose slack exceeds ``LOOSE`` of their tail."""
-    return res.ok & (res.slack > LOOSE * res.tail)
+    """Mask of the converged series whose slack exceeds ``_LOOSE`` of their tail."""
+    return res.ok & (res.slack > _LOOSE * res.tail)
 
 
 def keep_lower(res: SeriesTail, at: tuple, alt: SeriesTail) -> None:

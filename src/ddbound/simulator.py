@@ -52,7 +52,6 @@ from .sequences import PulseSchedule, _axis_qubit, _steps, _validate_orders, nud
 from .series import NonConvergenceError
 
 __all__ = [
-    "PAULI",
     "pauli_labels",
     "pauli_matrix",
     "BathSpec",
@@ -70,10 +69,9 @@ __all__ = [
     "run_experiments",
     "fit_scaling",
     "MAX_TOTAL_DIM",
-    "NORM_FLOOR",
 ]
 
-PAULI = {
+_PAULI = {
     "0": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -82,7 +80,7 @@ PAULI = {
 
 MAX_TOTAL_DIM = 256
 MAX_QUBITS = 2
-NORM_FLOOR = 1e-14  # below this, channel norms are numerically unresolvable
+_NORM_FLOOR = 1e-14  # below this, channel norms are numerically unresolvable
 _DENSITY_TOL = 1e-10  # how far a density matrix may stray from Hermitian, unit trace, PSD
 
 _BATH_STATES = ("maximally-mixed", "pure-random")
@@ -113,7 +111,7 @@ def _norm_labels(norms: Mapping[str, float], qubit_count: int) -> tuple[str, ...
 
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by ``label``."""
-    mats = [PAULI[c] for c in label]
+    mats = [_PAULI[c] for c in label]
     return reduce(np.kron, mats)
 
 
@@ -677,7 +675,7 @@ class ScalingFit:
     eps_grid: tuple[float, ...]
     norms: dict[str, tuple[float, ...]]
     slopes: dict[str, float | None]
-    floor: float = NORM_FLOOR
+    floor: float = _NORM_FLOOR
 
 
 def fit_scaling(
@@ -708,7 +706,7 @@ def fit_scaling(
     log_t = np.log(np.asarray(eps_grid) / j0)
     for ch, ys in norms.items():
         ys_arr = np.asarray(ys)
-        mask = ys_arr > NORM_FLOOR
+        mask = ys_arr > _NORM_FLOOR
         if int(mask.sum()) < 3:
             slopes[ch] = None
             continue

@@ -168,11 +168,12 @@ def test_bounds_overflow_flagged_not_printed(argv, points, capsys):
     ],
 )
 def test_bounds_infinite_eps_range_is_one_error(argv, capsys):
-    """An infinite grid end is rejected by the grid check itself, with no
-    library warning or message about grid points the user never gave."""
+    """An infinite grid end is outside the domain of ``--eps-max``: one error
+    naming the flag, with no library warning or message about grid points
+    the user never gave."""
     code, out, err = run_cli(argv.split(), capsys)
     assert (code, out) == (2, "")
-    assert err == "error: need finite 0 < lo < hi and at least two points\n"
+    assert err == "error: --eps-max must be finite and > 0, got inf\n"
 
 
 @pytest.mark.parametrize(
@@ -595,9 +596,10 @@ _REMOVED_FLAGS = [
      "rel_tol"),
 ]
 _INVALID_FLAGS = [
-    (["bounds", "nudd", "--fig5", "--eps-points", "1"], "eps_points"),
+    (["bounds", "nudd", "--fig5", "--eps-points", "1"], "--eps-points must be 0 or >= 2"),
     (["bounds", "nudd", "--fig5", "--eps-min", "2", "--eps-max", "1"], "lo < hi"),
-    (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"], "nonnegative"),
+    (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"],
+     "--nudd must be >= 0, got -1"),
     (["verify", "bound", "--nudd", "1,1", "--qubits", "2", "--eps", "0.1"],
      "expected 4 per-level orders"),
     (["verify", "bound", "--nudd", "1,1", "--qubits", "1", "--eps", "0.05",
@@ -608,14 +610,23 @@ _INVALID_FLAGS = [
       "--loosen", "inf"], "--loosen"),
     (["bounds", "nudd", "--m", "32", "--dmin", "1", "--eta", "1"], "[1, 31]"),
     (["bounds", "nudd", "--m", "0", "--dmin", "1", "--eta", "1"], "[1, 31]"),
-    (["verify", "orders", "--qdd", "1", "1", "--nmax", "0"], "n_max must be >= 1"),
+    (["verify", "orders", "--qdd", "1", "1", "--nmax", "0"], "--nmax must be >= 1, got 0"),
 ]
+# The ids keep the needles the cases had when they were first recorded.
+_FIRST_NEEDLES = {
+    "--eps-points must be 0 or >= 2": "eps_points",
+    "--nudd must be >= 0, got -1": "nonnegative",
+    "--nmax must be >= 1, got 0": "n_max must be >= 1",
+}
 
 
 @pytest.mark.parametrize(
     "argv, needle",
     _REMOVED_FLAGS + _INVALID_FLAGS,
-    ids=[f"argv{i}-{needle}" for i, (_, needle) in enumerate(_REMOVED_FLAGS + _INVALID_FLAGS)],
+    ids=[
+        f"argv{i}-{_FIRST_NEEDLES.get(needle, needle)}"
+        for i, (_, needle) in enumerate(_REMOVED_FLAGS + _INVALID_FLAGS)
+    ],
 )
 def test_invalid_flags_exit_2(argv, needle, capsys):
     if (argv, needle) in _REMOVED_FLAGS:
@@ -720,6 +731,9 @@ def test_sweep_names_the_bad_eta_key(eta, tmp_path, capsys):
         # coincident pulses always fire inner level first; the option is gone
         ("simulate", {**SIM_CONFIG, "tie_order": "outer-first"}, [], "tie_order"),
         ("sweep", {**SWEEP_CONFIG, "tie_order": "inner-first"}, [], "tie_order"),
+        ("simulate",
+         {**SIM_CONFIG, "bath": {**SIM_CONFIG["bath"], "norms": {"0": 1.0, "z": 10**400}}},
+         [], "bath key 'norms' must be an object of numbers"),
     ],
 )
 def test_invalid_config_values_exit_2(command, doc, extra, needle, tmp_path, capsys):
@@ -780,9 +794,11 @@ BASE_CONFIGS = {
     "simulate": SIM_CONFIG,
 }
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+# Integers that no double can hold: JSON numbers, but no float option's value.
+_BEYOND_DOUBLES = st.one_of(st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)))
 WRONG_VALUES = {
     int: st.one_of(st.text(), st.booleans(), st.lists(st.integers(), max_size=2)),
-    float: st.one_of(st.text(), st.booleans(), st.lists(_NUMBERS, max_size=2)),
+    float: st.one_of(st.text(), st.booleans(), st.lists(_NUMBERS, max_size=2), _BEYOND_DOUBLES),
     str: st.one_of(st.integers(), _NUMBERS, st.booleans(), st.lists(st.text(), max_size=2)),
     list: st.one_of(
         st.text(), st.integers(), _NUMBERS, st.booleans(),
@@ -831,6 +847,149 @@ def test_removed_tolerance_inputs_exit_2(command, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unknown config keys: rel_tol" in err
+
+
+# The domain of each numeric option of each command: a strategy of values
+# outside it and in-domain values at its edge.  Written out here rather than
+# read from the CLI so the test checks the CLI against an independent
+# statement of its inputs.  A list option (--qdd, --nudd, simulate's orders,
+# sweep's lists) takes the value as one item of the list.
+_NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_ORDER = (st.integers(max_value=-1), [0])
+_COUNT = (st.integers(max_value=0), [1])
+_COUPLING = (st.one_of(st.floats(max_value=-5e-324), _NOT_FINITE, _BEYOND_DOUBLES), [0.0])
+_DURATION = (st.one_of(st.floats(max_value=0.0), _NOT_FINITE, _BEYOND_DOUBLES), [5e-324])
+_EPS_POINTS = (st.one_of(st.integers(max_value=-1), st.just(1)), [0, 2])
+_BATH_DIM = (st.integers(max_value=2**70).filter(lambda n: n < 1 or n & (n - 1)), [1])
+_ETAS = dict.fromkeys(("eta", "eta_x", "eta_y", "eta_z"), _COUPLING)
+_EPS_GRID = {"eps_min": _DURATION, "eps_max": _DURATION, "eps_points": _EPS_POINTS}
+DOMAINS = {
+    "sequence": {"qdd": _ORDER, "nudd": _ORDER, "qubits": _COUNT},
+    "bounds qdd": {"n1": _ORDER, "n2": _ORDER, **_ETAS, **_EPS_GRID},
+    "bounds nudd": {
+        "m": (st.one_of(st.integers(max_value=0), st.integers(min_value=32)), [1, 31]),
+        "dmin": _ORDER, "eta": _COUPLING, **_EPS_GRID,
+    },
+    "simulate": {"orders": _ORDER, "T": _DURATION, "seed": _ORDER},
+    "verify orders": {"qdd": _ORDER, "nmax": _COUNT},
+    "verify bound": {
+        "qdd": _ORDER, "nudd": _ORDER, "qubits": _COUNT, "eps": _DURATION, **_ETAS,
+        "bath_dim": _BATH_DIM, "seeds": _COUNT, "seed": _ORDER,
+        "loosen": (_NOT_FINITE, [-1.0]),
+    },
+    "sweep": {
+        "orders": _ORDER, "bath_dim": _BATH_DIM, "eps": _DURATION, "eta": _COUPLING,
+        "seeds": _COUNT, "master_seed": _ORDER,
+    },
+}
+# A valid call of each command that a flag is appended to (simulate and
+# sweep read BASE_CONFIGS); the orders flag is added where the command needs one.
+DOMAIN_CALLS = {
+    "sequence": ["sequence"],
+    "bounds qdd": ["bounds", "qdd", "--n1", "1", "--n2", "1", "--eps-points", "2"],
+    "bounds nudd": ["bounds", "nudd", "--m", "1", "--dmin", "1", "--eps-points", "2"],
+    "verify orders": ["verify", "orders", "--nmax", "1"],
+    "verify bound": ["verify", "bound", "--eps", "0.05", "--seeds", "1", "--bath-dim", "2"],
+}
+
+
+def _sources(command, name):
+    """How the option can be given: as a flag, as a config key, or both."""
+    flag = command != "sweep" and (command, name) != ("simulate", "orders")
+    config = command in KEY_TYPES and (command, name) != ("simulate", "seed")
+    return ["flag"] * flag + ["config"] * config
+
+
+DOMAIN_CASES = [
+    (command, name, source)
+    for command in DOMAINS
+    for name in DOMAINS[command]
+    for source in _sources(command, name)
+]
+
+
+def _domain_call(command, name, value, source, tmp):
+    """Exit code, stdout and stderr of a valid call of ``command`` in which
+    ``name`` is given ``value`` by ``source`` (the suite turns warnings into
+    errors, so a warning fails the call)."""
+    if source == "config" or command in ("simulate", "sweep"):
+        doc = dict(BASE_CONFIGS[command])
+        if name.startswith("eta_"):
+            del doc["eta"]  # which conflicts with a per-axis eta
+        if source == "config":
+            items = {"simulate orders": [value, 1], "sweep orders": [[value, 1]],
+                     **{f"sweep {key}": [value] for key in ("bath_dim", "eps", "eta")}}
+            doc[name] = items.get(f"{command} {name}", value)
+        (tmp / "domain.json").write_text(json.dumps(doc))
+        argv = [*command.split(), "--config", str(tmp / "domain.json")]
+    else:
+        argv = list(DOMAIN_CALLS[command])
+    if source == "flag":
+        if name == "qdd":
+            argv += ["--qdd", str(value), "1"]
+        elif name == "nudd":
+            argv += [f"--nudd={value},1", "--qubits", "1"]
+        else:
+            argv += ["--qdd", "1", "1"] if command in ("sequence", "verify orders",
+                                                      "verify bound") else []
+            argv.append(f"--{name.replace('_', '-')}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _label(name, source):
+    return f"--{name.replace('_', '-')}" if source == "flag" else f"config key {name!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_value_outside_domain_names_its_source(data, tmp_path_factory):
+    """Every option of every command rejects a value outside its domain, as
+    a flag and as a config key: exit 2, no output and one ``error:`` line
+    that names the flag or key, with no warning or traceback."""
+    command, name, source = data.draw(st.sampled_from(DOMAIN_CASES))
+    value = data.draw(DOMAINS[command][name][0])
+    tmp = tmp_path_factory.getbasetemp()
+    code, out, err = _domain_call(command, name, value, source, tmp)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {_label(name, source)} must be ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, name, value, source",
+    [
+        (command, name, value, source)
+        for command, name, source in DOMAIN_CASES
+        for value in DOMAINS[command][name][1]
+    ],
+    ids=lambda value: repr(value) if isinstance(value, float) else None,
+)
+def test_domain_edges_are_accepted(command, name, value, source, tmp_path):
+    """A value at the edge of its option's domain is no error of that option."""
+    code, _, err = _domain_call(command, name, value, source, tmp_path)
+    assert f"{_label(name, source)} must be" not in err
+
+
+def test_numeric_options_declare_their_domain():
+    """Every int- or float-typed option (or list of them) declares a domain,
+    and its default lies in it, since ``_resolve`` checks given values only.
+    ``DOMAINS`` names the same options, and ``--nudd``, whose orders are
+    checked against the orders domain once they are parsed."""
+    declared = set()
+    for command, spec in cli._COMMANDS.items():
+        for opt in spec.options:
+            base = opt.type
+            while isinstance(base, list):
+                base = base[0]
+            assert (base in (int, float)) == (opt.domain is not None), (command, opt.name)
+            if opt.domain is not None:
+                declared.add((command, opt.name))
+                assert opt.default is None or opt.domain[1](opt.default), (command, opt.name)
+    nudd = {("sequence", "nudd"), ("verify bound", "nudd")}
+    assert declared | nudd == {(c, n) for c in DOMAINS for n in DOMAINS[c]}
 
 
 # config_hash of fixed inputs, recorded before the CLI options were declared
