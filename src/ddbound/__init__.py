@@ -14,7 +14,7 @@ A command-line front end lives in :mod:`ddbound.cli` (entry point
 ``ddbound``).
 """
 
-from .dyson import OrderCertification, verify_orders, word_integral
+from .dyson import OrderCertification, verify_orders
 from .nudd_bounds import (
     NuddBoundReport,
     d_min_for_orders,
@@ -27,11 +27,9 @@ from .qdd_bounds import (
     ChannelBounds,
     DecouplingOrders,
     EtaVector,
-    bounding_function,
     decoupling_orders,
     delta_tail,
     distance_bound,
-    g_poly,
 )
 from .sequences import (
     PulseEvent,
@@ -39,7 +37,6 @@ from .sequences import (
     SwitchingProfile,
     nudd_schedule,
     qdd_schedule,
-    switching_nudd,
     switching_qdd,
     udd_offsets,
 )
@@ -73,13 +70,11 @@ __all__ = [
     "ScalingFit",
     "SimResult",
     "SwitchingProfile",
-    "bounding_function",
     "d_min_for_orders",
     "decoupling_orders",
     "delta_tail",
     "distance_bound",
     "fit_scaling",
-    "g_poly",
     "gamma_factor",
     "nudd_delta",
     "nudd_distance_bound",
@@ -87,10 +82,8 @@ __all__ = [
     "qdd_schedule",
     "run_experiment",
     "run_experiments",
-    "switching_nudd",
     "switching_qdd",
     "trace_distance",
     "udd_offsets",
     "verify_orders",
-    "word_integral",
 ]

@@ -71,6 +71,7 @@ from .nudd_bounds import (
     preset_nudd_cells,
 )
 from .qdd_bounds import (
+    _MODES,
     QDD_SWEEP_COLUMNS,
     EtaVector,
     default_eps_grid,
@@ -281,13 +282,15 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace) -> dict[str, Any]:
+def _resolve(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, str]]:
     """Merge defaults <- config file <- explicitly passed flags.
 
     All flags default to None so a set flag is distinguishable from an unset
     one, and a config ``null`` is unset too.  Other config values are checked
     against their option and kept as written, so the config hash sees the
-    input itself.  Given values must lie in their option's domain.
+    input itself.  Given values must lie in their option's domain.  Returns
+    the resolved config and, for each given option, its source: the flag or
+    ``config key 'k'`` that gave it.
     """
     opts = {opt.name: opt for opt in args.spec.options}
     resolved = {opt.name: opt.default for opt in args.spec.options if opt.key}
@@ -312,7 +315,24 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     for name in resolved:
         if opts[name].required and resolved[name] is None:
             raise CliError(f"config key {name!r} is required")
-    return resolved
+    return resolved, {name: source for name, (source, _) in given.items()}
+
+
+def _named(sources: dict[str, str], keys: Sequence[str]) -> str:
+    """How a rule across options names the options ``keys``: as their set of
+    flags, unless a config key gave one of them; then by what gave them."""
+    given = [sources[k] for k in keys if k in sources]
+    if all(source.startswith("--") for source in given):
+        return "/".join(map(_flag, keys))
+    return "/".join(given)
+
+
+def _together(sources: dict[str, str], a: str, b: str) -> None:
+    """Reject the option ``a`` or ``b`` given without the other."""
+    if (a in sources) != (b in sources):
+        if sources.get(a, sources.get(b)).startswith("--"):
+            raise CliError(f"{_flag(a)} and {_flag(b)} must be given together")
+        raise CliError(f"config keys {a!r} and {b!r} must be given together")
 
 
 def _orders(resolved: dict) -> tuple[str, tuple[int, ...], int]:
@@ -343,13 +363,17 @@ def _scalar_eta(resolved: dict) -> float:
     return 1.0 if resolved["eta"] is None else resolved["eta"]
 
 
-def _qdd_eta(resolved: dict) -> tuple[float, float, float]:
+_ETA_KEYS = ("eta_x", "eta_y", "eta_z")
+
+
+def _qdd_eta(resolved: dict, sources: dict[str, str]) -> tuple[float, float, float]:
     """Per-axis eta from ``--eta-x/-y/-z`` (unset axes 0), else ``--eta`` (default 1)."""
-    comps = (resolved["eta_x"], resolved["eta_y"], resolved["eta_z"])
+    comps = tuple(resolved[k] for k in _ETA_KEYS)
     if all(c is None for c in comps):
         return (_scalar_eta(resolved),) * 3
     if resolved["eta"] is not None:
-        raise CliError("--eta conflicts with --eta-x/--eta-y/--eta-z")
+        eta, axes = _named(sources, ("eta",)), _named(sources, _ETA_KEYS)
+        raise CliError(f"{eta} conflicts with {axes}")
     return tuple(0.0 if c is None else c for c in comps)
 
 
@@ -357,7 +381,7 @@ def _qdd_eta(resolved: dict) -> tuple[float, float, float]:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    kind, orders, m = _orders(_resolve(args))
+    kind, orders, m = _orders(_resolve(args)[0])
     if kind == "qdd":
         schedule = qdd_schedule(*orders)
         resolved: dict[str, Any] = {"qdd": list(orders)}
@@ -439,24 +463,23 @@ def _bounds_table(
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
 
 
-def _preset_alone(resolved: dict, *groups: tuple[str, ...]) -> None:
-    """Reject a preset given with any key of ``groups``, which the preset fixes
-    itself; each group is named as one set of flags."""
+def _preset_alone(sources: dict[str, str], *groups: tuple[str, ...]) -> None:
+    """Reject a preset given with any option of ``groups``, which the preset
+    fixes itself; each group is named as one set (``_named``)."""
     for keys in groups:
-        if any(resolved[k] is not None for k in keys):
-            flags = "/".join(map(_flag, keys))
-            raise CliError(f"a preset cannot be combined with {flags}")
+        if any(k in sources for k in keys):
+            raise CliError(f"a preset cannot be combined with {_named(sources, keys)}")
 
 
 def cmd_bounds_qdd(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved, sources = _resolve(args)
     if resolved["preset"] is not None:
-        _preset_alone(resolved, ("n1", "n2"), ("eta", "eta_x", "eta_y", "eta_z"))
+        _preset_alone(sources, ("n1", "n2"), ("eta", *_ETA_KEYS))
         cells = preset_cells(resolved["preset"])
     elif resolved["n1"] is not None or resolved["n2"] is not None:
-        if resolved["n1"] is None or resolved["n2"] is None:
-            raise CliError("--n1 and --n2 must be given together")
-        cells = ((resolved["n1"], resolved["n2"], EtaVector(*_qdd_eta(resolved))),)
+        _together(sources, "n1", "n2")
+        eta = EtaVector(*_qdd_eta(resolved, sources))
+        cells = ((resolved["n1"], resolved["n2"], eta),)
     else:
         raise CliError("--fig2/--fig3/--fig4 or --n1/--n2 is required")
 
@@ -468,18 +491,17 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_nudd(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved, sources = _resolve(args)
     # One cell per (m, d_min, eta); the preset rescales each cell's grid into
     # the representable window for its (eta, m).
     table = []
     if resolved["preset"] is not None:
-        _preset_alone(resolved, ("m", "dmin"), ("eta",))
+        _preset_alone(sources, ("m", "dmin"), ("eta",))
         for m, d_min, eta in preset_nudd_cells(resolved["preset"]):
             grid = _eps_grid(resolved, partial(nudd_eps_window, eta, m))
             table.append(partial(nudd_sweep_cell, m, d_min, eta, grid))
     elif resolved["m"] is not None or resolved["dmin"] is not None:
-        if resolved["m"] is None or resolved["dmin"] is None:
-            raise CliError("--m and --dmin must be given together")
+        _together(sources, "m", "dmin")
         table.append(partial(nudd_sweep_cell, resolved["m"], resolved["dmin"],
                              _scalar_eta(resolved), _eps_grid(resolved)))
     else:
@@ -496,7 +518,7 @@ _BATH_TYPES = {"dim": int, "seed": int, "norms": {str: float}}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved, _ = _resolve(args)
     if args.seed is not None:
         resolved["bath"] = {**resolved["bath"], "seed": args.seed}
     bath = resolved["bath"]
@@ -642,7 +664,7 @@ def _run_cells(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved, _ = _resolve(args)
     rows, _, failures = _run_cells(_experiment_grid(resolved), _SWEEP_COLUMNS)
     lines = _header(
         "sweep", resolved, seed=resolved["master_seed"], mode=resolved["mode"]
@@ -655,7 +677,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_orders(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved, _ = _resolve(args)
     _, (n1, n2), _ = _orders(resolved)
     try:
         cert = verify_orders(
@@ -683,12 +705,12 @@ def cmd_verify_orders(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bound(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved, sources = _resolve(args)
     kind, orders, _ = _orders(resolved)
     eps = resolved["eps"]
     if kind == "qdd":
-        eta = _qdd_eta(resolved)
-    elif any(resolved[f"eta_{axis}"] is not None for axis in "xyz"):
+        eta = _qdd_eta(resolved, sources)
+    elif any(k in sources for k in _ETA_KEYS):
         raise CliError("per-axis eta (--eta-x/-y/-z) needs --qdd; use --eta with --nudd")
     else:
         eta = _scalar_eta(resolved)
@@ -728,16 +750,15 @@ _COUPLING = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 _DURATION = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 _BATH_DIM = ("a power of two", _is_power_of_two)
 
-_MODE = Opt("mode", str, "analytic", ("analytic", "numeric-footnote"),
-            help="suppression-order table variant")
+_MODE = Opt("mode", str, "analytic", _MODES, help="suppression-order table variant")
 _EPS_GRID = (
     Opt("eps_min", float, 1e-4, help="smallest epsilon", domain=_DURATION),
     Opt("eps_max", float, 1.0, help="largest epsilon", domain=_DURATION),
     Opt("eps_points", int, 41, help="log-grid size, 0 for an empty grid",
         domain=("0 or >= 2", lambda n: n == 0 or n >= 2)),
 )
-_ETA_AXES = tuple(Opt(f"eta_{a}", float, help=f"{a} relative coupling strength", domain=_COUPLING)
-                  for a in "xyz")
+_ETA_AXES = tuple(Opt(k, float, help=f"{k[-1]} relative coupling strength", domain=_COUPLING)
+                  for k in _ETA_KEYS)
 _KIND = Opt("kind", str, choices=("qdd", "nudd"), flag=False, required=True)
 _STATES = (
     Opt("initial_state", str, "random", flag=False),

@@ -45,14 +45,15 @@ nonzero whatever the product.  The factor 2 lets exact values come back as
 the symmetric CRT lift of 16^k k! alpha.
 
 Backends.  The merged breakpoints are the schedule's index grid
-(``sequences.nesting_grid``), so nothing needs to order them: each interval's
-end is indexed by (i, j), its signs are the grid's sign rows, and its length
-is a product of two float64 sin steps.  The backend only chooses how values
-are reported: ``rational`` (orders <= 2, where every pulse time is dyadic and
-every length exact) reports exact ``Fraction`` values, lifted from the
-residues by CRT; ``mp`` reports float64 values, and 0.0 for words proved
-zero, and states an a-priori bound on their absolute error per word length
-(``_value_error``).
+(``sequences.nesting_grid``), so nothing needs to order them: ``signature``
+takes the two-level ``NestingGrid`` of (N1, N2) itself, each interval's end
+is indexed by (i, j), its signs are the grid's sign rows, and its length is a
+product of two float64 sin steps.  The backend only chooses how
+``verify_orders`` reports values: ``rational`` (orders <= 2, where every
+pulse time is dyadic and every length exact) reports exact ``Fraction``
+values, lifted from the residues by CRT; ``mp`` reports float64 values, and
+0.0 for words proved zero, and states an a-priori bound on their absolute
+error per word length (``_value_error``).
 """
 
 from __future__ import annotations
@@ -69,26 +70,22 @@ from .sequences import _DYADIC_SIN_SQ, NestingGrid, nesting_grid
 from .series import gamma, round_up
 
 __all__ = [
-    "LETTERS",
-    "QddProfiles",
     "Signature",
-    "qdd_profiles",
     "signature",
-    "word_integral",
     "verify_orders",
     "OrderCertification",
-    "DEFAULT_MAX_DEPTH",
 ]
 
-LETTERS = ("0", "x", "y", "z")
+_LETTERS = ("0", "x", "y", "z")
 
-DEFAULT_MAX_DEPTH = 6
+#: Longest words ``verify_orders`` enumerates: level n holds 4^n words.
+_MAX_DEPTH = 6
 
 #: Residue rows use primes below 2^26, so the product of a residue and a sum
 #: of two residues stays below 2^53, where float64 holds every integer.
 _PRIME_LIMIT = 2**26
 
-#: Sector code of each letter of ``LETTERS``; a word's sector
+#: Sector code of each letter of ``_LETTERS``; a word's sector
 #: j = 4 p_x + 2 p_y + p_z is the XOR of its letters' codes.
 _LETTER_SECTOR = (0, 4, 2, 1)
 
@@ -99,53 +96,9 @@ _CHANNEL_OF_SECTOR = tuple(
 )
 
 
-def _digits(word: Sequence[str]) -> list[int]:
-    """The word's letters as indices into ``LETTERS``."""
-    for a in word:
-        if a not in LETTERS:
-            raise ValueError(f"invalid letter {a!r}; expected one of {LETTERS}")
-    return [LETTERS.index(a) for a in word]
-
-
-def _word_index(word: Sequence[str]) -> int:
-    """Index of a word in its signature level; ``_index_word`` inverts it."""
-    return int(np.ravel_multi_index(_digits(word), (4,) * len(word)))
-
-
 def _index_word(index: int, n: int) -> str:
-    return "".join(LETTERS[d] for d in np.unravel_index(index, (4,) * n))
-
-
-@dataclass(frozen=True)
-class QddProfiles:
-    """The merged x/z switching intervals of a quadratic sequence, by index.
-
-    ``grid`` is the ``sequences.NestingGrid`` of the orders (N1, N2): interval
-    c ends at inner pulse j of outer interval i, (j, i) = ``grid.index[:, c]``,
-    at s2[i-1] + (s2[i] - s2[i-1]) s1[j] with s_n[j] = sin^2(j pi/(2n+2)).
-    Its sign rows are f_x and f_z, and ``grid.lengths[c]`` is
-    (s2[i] - s2[i-1]) (s1[j] - s1[j-1]) in float64.
-    """
-
-    backend: str
-    grid: NestingGrid
-
-
-def qdd_profiles(n1: int, n2: int, backend: str = "auto") -> QddProfiles:
-    """The switching intervals of the quadratic sequence with orders (n1, n2).
-
-    ``backend="auto"`` picks exact rationals when both orders are <= 2 and
-    float64 values otherwise.
-    """
-    grid = nesting_grid((n1, n2))
-    dyadic = max(grid.orders) <= max(_DYADIC_SIN_SQ)
-    if backend == "auto":
-        backend = "rational" if dyadic else "mp"
-    if backend not in ("rational", "mp"):
-        raise ValueError("backend must be 'rational', 'mp', or 'auto'")
-    if backend == "rational" and not dyadic:
-        raise ValueError(f"rational backend supports orders <= 2 only (got {n1}, {n2})")
-    return QddProfiles(backend=backend, grid=grid)
+    """The length-n word at column ``index`` of its signature level."""
+    return "".join(_LETTERS[d] for d in np.unravel_index(index, (4,) * n))
 
 
 def _is_prime(n: int) -> bool:
@@ -207,7 +160,7 @@ class Signature:
     ``levels[k]`` has shape (len(primes) + 1, 4**k).  Row r < len(primes)
     holds the length-k word integrals mod primes[r], as exact integers in
     (-p, p); the last row holds their float64 values.  Column i is the word
-    whose letters, as indices into ``LETTERS``, are the base-4 digits of i,
+    whose letters, as indices into ``_LETTERS``, are the base-4 digits of i,
     the first (innermost) letter most significant; ``levels[0]`` is all ones.
     Zeros are proved once the primes' product exceeds ``bound``.
     """
@@ -240,14 +193,14 @@ def _times(x: np.ndarray, c: np.ndarray, signs: np.ndarray, p, inv_p) -> np.ndar
 _BLOCK = 512
 
 
-def _coefficients(profiles: QddProfiles, s1, s2, inverses, p, inv_p):
+def _coefficients(grid: NestingGrid, s1, s2, inverses, p, inv_p):
     """Per merged interval, the (depth, rows, 1) stack of h/k for k = 1..depth:
     h k^-1 mod p in the residue rows and h/k in the float64 row, where each
     breakpoint's residue is s2[i-1] + (s2[i] - s2[i-1]) s1[j] at its grid
     index (j, i), and the start 0 is (j, i) = (0, 1).  Built a block of
     intervals at a time."""
-    j, i = np.hstack([[[0], [1]], profiles.grid.index])
-    lengths = profiles.grid.lengths
+    j, i = np.hstack([[[0], [1]], grid.index])
+    lengths = grid.lengths
     ks = np.arange(1.0, inverses.shape[1] + 1)[:, None]
     for start in range(0, len(lengths), _BLOCK):
         ib, jb = i[start : start + _BLOCK + 1], j[start : start + _BLOCK + 1]
@@ -259,8 +212,15 @@ def _coefficients(profiles: QddProfiles, s1, s2, inverses, p, inv_p):
         yield from np.ascontiguousarray(coeff.transpose(2, 1, 0))[..., None]
 
 
-def signature(profiles: QddProfiles, depth: int) -> Signature:
+def signature(grid: NestingGrid, depth: int) -> Signature:
     """Every word integral up to length ``depth``, by Chen's identity.
+
+    ``grid`` is the two-level ``sequences.NestingGrid`` of the orders
+    (N1, N2): interval c ends at inner pulse j of outer interval i,
+    (j, i) = ``grid.index[:, c]``, at s2[i-1] + (s2[i] - s2[i-1]) s1[j] with
+    s_n[j] = sin^2(j pi/(2n+2)).  Its sign rows are f_x and f_z, and
+    ``grid.lengths[c]`` is (s2[i] - s2[i-1]) (s1[j] - s1[j-1]) in float64.
+    A grid of any other number of levels raises ValueError.
 
     Picks primes p = 1 (mod L) until their product exceeds the proof bound
     2 (16 M)^(depth deg), and maps each merged breakpoint to its residue mod p
@@ -269,14 +229,16 @@ def signature(profiles: QddProfiles, depth: int) -> Signature:
     the top down by the Horner form
     S_k += ((S_0 (x) v/k + S_1) (x) v/(k-1) + ... + S_{k-1}) (x) v.
     """
-    n1, n2 = profiles.grid.orders
+    if len(grid.orders) != 2:
+        raise ValueError(f"signature needs a two-level grid, got {len(grid.orders)} levels")
+    n1, n2 = grid.orders
     modulus = math.lcm(2 * n1 + 2, 2 * n2 + 2)
     if max(n1, n2) <= max(_DYADIC_SIN_SQ):
         degree = 1  # every breakpoint is rational
     else:
         degree = sum(math.gcd(a, modulus) == 1 for a in range(modulus)) // 2
     # 2 (16 M)^(depth deg): see the module docstring
-    bound = 2 * (16 * len(profiles.grid.lengths)) ** (depth * degree)
+    bound = 2 * (16 * len(grid.lengths)) ** (depth * degree)
     primes = _proof_primes(modulus, bound)
     s1, s2 = [], []
     for q in primes:
@@ -291,9 +253,9 @@ def signature(profiles: QddProfiles, depth: int) -> Signature:
     # each row's prime and its reciprocal; 0 and 0 leave the float64 row as is
     p = np.array([*primes, 0.0]).reshape(-1, 1)
     inv_p = np.array([*(1.0 / q for q in primes), 0.0]).reshape(-1, 1)
-    coeffs = _coefficients(profiles, s1, s2, inverses, p[:-1], inv_p[:-1])
+    coeffs = _coefficients(grid, s1, s2, inverses, p[:-1], inv_p[:-1])
 
-    s_x, s_z = profiles.grid.signs.astype(float)
+    s_x, s_z = grid.signs.astype(float)
     all_signs = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
 
     rows = len(p)
@@ -334,7 +296,7 @@ def _symmetric_crt(residues: np.ndarray, primes: Sequence[int], scale: int) -> n
 
     Garner's mixed-radix form in int64, which holds while P < 2^62: the
     rational backend's orders <= 2 give M <= 9 merged intervals, so at most
-    two primes below 2^26 beat its bound up to ``DEFAULT_MAX_DEPTH``.
+    two primes below 2^26 beat its bound up to ``_MAX_DEPTH``.
     """
     x = np.zeros(residues.shape[1], dtype=np.int64)
     product = 1
@@ -345,7 +307,7 @@ def _symmetric_crt(residues: np.ndarray, primes: Sequence[int], scale: int) -> n
     return np.where(x > product // 2, x - product, x)
 
 
-def _read_level(profiles: QddProfiles, sig: Signature, k: int):
+def _read_level(backend: str, sig: Signature, k: int):
     """``(nonzero, magnitude, value)`` for the length-k words.
 
     ``nonzero[i]``: a residue of word i is nonzero, which proves it nonzero.
@@ -355,30 +317,13 @@ def _read_level(profiles: QddProfiles, sig: Signature, k: int):
     """
     residues, real = sig.levels[k][:-1], sig.levels[k][-1]
     nonzero = (residues != 0).any(axis=0)
-    if sig.proved and profiles.backend == "rational":
+    if sig.proved and backend == "rational":
         denom = 16**k * math.factorial(k)
         beta = _symmetric_crt(residues, sig.primes, denom)
         return nonzero, np.abs(beta) / denom, lambda i: Fraction(int(beta[i]), denom)
     known = nonzero | (not sig.proved)
     magnitude = np.where(known, np.abs(real), 0.0)
     return nonzero, magnitude, lambda i: float(real[i]) if known[i] else 0.0
-
-
-def word_integral(word: Sequence[str], profiles: QddProfiles):
-    """Nested integral of a word's switching-function product.
-
-    The first letter is innermost (acts earliest).  Returns an exact
-    ``Fraction`` on the rational backend and a float on the mp backend
-    (0.0 for a word proved zero).  Words longer than ``DEFAULT_MAX_DEPTH`` are
-    rejected: the value is read from ``signature``, which computes all 4^n
-    words of the word's length.
-    """
-    word = tuple(word)
-    if not 1 <= len(word) <= DEFAULT_MAX_DEPTH:
-        raise ValueError(f"word length must be in 1..{DEFAULT_MAX_DEPTH}")
-    index = _word_index(word)
-    sig = signature(profiles, len(word))
-    return _read_level(profiles, sig, len(word))[2](index)
 
 
 @dataclass(frozen=True)
@@ -421,22 +366,30 @@ def verify_orders(
 
     Computes all words up to length ``n_max`` with ``signature`` and proves
     that every error-channel word at or below the channel's claimed order
-    integrates to zero.  Violations are listed in depth-first word order; a
-    row's ``max_word`` and a witness are the first word of largest magnitude
-    in that order.  Absence of a nonzero word at length d+1 is reported as
-    "inconclusive", never as failure.
+    integrates to zero.  ``backend="auto"`` reports exact rationals when
+    both orders are <= 2 and float64 values otherwise.  Violations are
+    listed in depth-first word order; a row's ``max_word`` and a witness are
+    the first word of largest magnitude in that order.  Absence of a nonzero
+    word at length d+1 is reported as "inconclusive", never as failure.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > DEFAULT_MAX_DEPTH:
+    if n_max > _MAX_DEPTH:
         raise ValueError(
-            f"n_max={n_max} exceeds max depth {DEFAULT_MAX_DEPTH} (4^n words explode)"
+            f"n_max={n_max} exceeds max depth {_MAX_DEPTH} (4^n words explode)"
         )
-    profiles = qdd_profiles(n1, n2, backend)
-    n1, n2 = profiles.grid.orders
+    grid = nesting_grid((n1, n2))
+    dyadic = max(grid.orders) <= max(_DYADIC_SIN_SQ)
+    if backend == "auto":
+        backend = "rational" if dyadic else "mp"
+    if backend not in ("rational", "mp"):
+        raise ValueError("backend must be 'rational', 'mp', or 'auto'")
+    if backend == "rational" and not dyadic:
+        raise ValueError(f"rational backend supports orders <= 2 only (got {n1}, {n2})")
+    n1, n2 = grid.orders
     orders = decoupling_orders(n1, n2, mode)
     d_of = {"x": orders.d_x, "y": orders.d_y, "z": orders.d_z}
-    sig = signature(profiles, n_max)
+    sig = signature(grid, n_max)
 
     rows: list[dict] = []
     violations: list[dict] = []
@@ -445,7 +398,7 @@ def verify_orders(
     for n in range(1, n_max + 1):
         sectors = (sectors[:, None] ^ np.array(_LETTER_SECTOR, np.int8)).ravel()
         channels = np.array(_CHANNEL_OF_SECTOR)[sectors]
-        nonzero, magnitude, value = _read_level(profiles, sig, n)
+        nonzero, magnitude, value = _read_level(backend, sig, n)
         for ch, d in d_of.items():
             idx = np.flatnonzero(channels == ch)
             best = idx[np.argmax(magnitude[idx])]
@@ -493,12 +446,12 @@ def verify_orders(
         "log2_bound": round(math.log2(sig.bound), 3),
         "status": "proved" if sig.proved else "not proved",
     }
-    if profiles.backend == "mp":
-        proof["value_error"] = _value_error(len(profiles.grid.lengths), n_max)
+    if backend == "mp":
+        proof["value_error"] = _value_error(len(grid.lengths), n_max)
     return OrderCertification(
         n1=n1,
         n2=n2,
-        backend=profiles.backend,
+        backend=backend,
         mode=mode,
         n_max=n_max,
         proof=proof,

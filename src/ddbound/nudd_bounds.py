@@ -9,8 +9,9 @@ error-word weights is bounded by the entire function
 
 whose Taylor tail past the sequence's minimum suppression order bounds the
 total error-channel norm; the trace-norm distance bound is then
-``Delta^2 + Delta``.  ``_nudd_series`` writes that series once; the tail, its
-leading term and the coefficients ``g_l`` all come from it.
+``Delta^2 + Delta``.  ``_nudd_series`` writes that series once; the tail and
+its leading term come from it, and its coefficients ``g_l`` are a reference
+for the tests (``tests/closed_forms.py``).
 
 ``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
 returns it as columns; ``nudd_sweep_rows`` turns them into rows by the one
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qdd_bounds import default_eps_grid
+from .qdd_bounds import _PANEL_ETAS, default_eps_grid
 from .sequences import _validate_orders
 from .series import (
     SeriesTail,
@@ -48,7 +49,6 @@ __all__ = [
     "NuddBoundReport",
     "gamma_factor",
     "d_min_for_orders",
-    "nudd_g",
     "nudd_delta",
     "nudd_distance_bound",
     "nudd_eps_window",
@@ -115,30 +115,6 @@ def _nudd_series(epsilon, eta: float, m: int):
     c = 1.0 - 4.0**-m
     eps = np.asarray(epsilon, dtype=float)[..., None]
     return scale_rates(eps, (1.0 + g * eta, 1.0 - eta)), np.array((c, -c))
-
-
-def nudd_g(l: int, eta: float, m: int) -> float:
-    """Dimensionless Taylor coefficient of S_K in epsilon.
-
-    g_l = (1 - 4^-m) * ((1 + gamma*eta)^l - (1 - eta)^l) / l!; g_0 = 0 and
-    g_1 collapses to gamma*eta.  With ``eps = J0*T`` and ``eta = J1/J0``,
-    g_l * eps^l is the T^l term of S_K(T).  The leading term
-    g_{d_min+1} * eps^(d_min+1) of a bound comes from ``nudd_delta``, which
-    folds epsilon into the running product before it can overflow.
-
-    The two powers are running products u_1, u_2 of their rates over k, and
-    g_l is (1 - 4^-m) * (u_1 - u_2).  Since 1 + gamma*eta >= |1 - eta| and
-    rounding is monotone, u_1 >= |u_2| in floating point too, so every value
-    is nonnegative, and exactly 0 at eta = 0.  A value beyond double range is
-    inf.  Raises ValueError unless l >= 0 and eta is finite and >= 0.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if not (math.isfinite(eta) and eta >= 0):
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
-    rates, weights = _nudd_series(1.0, eta, m)
-    u1, u2 = power_coeffs(rates, l + 1)[:, l]
-    return math.inf if math.isinf(u1) else float(weights[0] * (u1 - u2))
 
 
 def _nudd_tails(d_min: int, eps, eta: float, m: int) -> SeriesTail:
@@ -248,9 +224,7 @@ def preset_nudd_cells(name: str = "fig5") -> tuple[tuple[int, int, float], ...]:
     """Preset grid (fig5): m=10, eta panels {1e-4,1e-2,1,1e2}, d_min {5,10,20,40}."""
     if name != "fig5":
         raise ValueError(f"unknown preset {name!r}; expected fig5")
-    return tuple(
-        (10, d, eta) for eta in (1e-4, 1e-2, 1.0, 1e2) for d in (5, 10, 20, 40)
-    )
+    return tuple((10, d, eta) for eta in _PANEL_ETAS for d in (5, 10, 20, 40))
 
 
 def nudd_sweep_rows(m: int, d_min: int, eta: float, grid) -> list[dict | None]:

@@ -9,9 +9,11 @@ entire function
 
 where ``h_alpha`` is sinh when the sector's alpha-parity is odd and cosh when
 even.  ``_sector_series`` writes its Taylor series once, and everything else
-here is derived from it: the coefficients ``g_l``, the tail sums ``Delta_d``
-past a sequence's suppression order together with their leading terms,
-per-channel norm bounds ``L_alpha``, and the trace-norm distance bound.
+here is derived from it: the tail sums ``Delta_d`` past a sequence's
+suppression order together with their leading terms, per-channel norm bounds
+``L_alpha``, and the trace-norm distance bound.  The closed form S_j and its
+Taylor coefficients ``g_l`` are references for the tests
+(``tests/closed_forms.py``).
 
 ``sweep_cell`` evaluates one cell, all six sector tails at every eps of its
 grid, in one batched pass (``series.exp_series_tail``), and returns it as
@@ -56,10 +58,7 @@ __all__ = [
     "ChannelBounds",
     "BoundReport",
     "CASE_OF_CHANNEL",
-    "case_parities",
     "decoupling_orders",
-    "bounding_function",
-    "g_poly",
     "delta_tail",
     "distance_bound",
     "sweep_cell",
@@ -85,7 +84,7 @@ QDD_SWEEP_COLUMNS = (
 )
 
 
-def case_parities(j: int) -> tuple[int, int, int]:
+def _case_parities(j: int) -> tuple[int, int, int]:
     """Parity triple (p_x, p_y, p_z) of sector ``j`` in 0..7."""
     if not 0 <= j <= 7:
         raise ValueError("sector index must be in 0..7")
@@ -143,10 +142,6 @@ class ChannelBounds:
     def for_channel(self, channel: str) -> float:
         return {"x": self.L_x, "y": self.L_y, "z": self.L_z}[channel]
 
-    @property
-    def total(self) -> float:
-        return self.L_x + self.L_y + self.L_z
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -186,45 +181,8 @@ def decoupling_orders(n1: int, n2: int, mode: str = "analytic") -> DecouplingOrd
     return DecouplingOrders(d_x, d_y, d_z)
 
 
-def bounding_function(j: int, epsilon: float, eta: EtaVector) -> float:
-    """Sector bound S_j = e^eps * prod_alpha (sinh|cosh)(eta_alpha * eps)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    parities = case_parities(j)
-    out = math.exp(epsilon)
-    for p, e in zip(parities, eta.as_tuple()):
-        h = math.sinh if p else math.cosh
-        out *= h(e * epsilon)
-    return out
-
-
-def g_poly(j: int, l: int, eta: EtaVector) -> float:
-    """Taylor coefficient of S_j, the signed eight-term sum over (+-1)^3,
-
-    g_l^(j) = (1/(8*l!)) * sum_s s_x^p_x s_y^p_y s_z^p_z
-              * (1 + s_x eta_x + s_y eta_y + s_z eta_z)^l,
-
-    the l-th term of ``_sector_series(j, 1, eta)``.  It is evaluated as the
-    eps^l coefficient of e^eps times the sinh/cosh factors of ``bounding_function``:
-    a convolution of their nonnegative coefficients 1/k! and eta_a^k/k! (odd k
-    for sinh, even k for cosh), so it is never negative in floating point and
-    is exactly 0 where a sinh axis has eta_a = 0.  A value beyond double range
-    is non-finite.
-    """
-    parities = case_parities(j)  # rejects a sector index outside 0..7
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    coeffs = power_coeffs([1.0, *eta.as_tuple()], l + 1)
-    odd = np.arange(l + 1) % 2
-    out = coeffs[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, p in zip(coeffs[1:], parities):
-            out = np.convolve(out, np.where(odd == p, row, 0.0))[: l + 1]
-    return float(out[l])
-
-
 #: Row j: which of (x, y, z) carry a sinh factor in sector j.
-_SINH = np.array([case_parities(j) for j in range(8)], dtype=bool)
+_SINH = np.array([_case_parities(j) for j in range(8)], dtype=bool)
 
 #: Row j: the eight weights s_x^p_x s_y^p_y s_z^p_z / 8 of sector j.
 _SECTOR_WEIGHTS = np.prod(np.where(_SINH[:, None, :], _SIGNS, 1.0), axis=2) / 8.0
@@ -336,7 +294,7 @@ def delta_tail(j: int, d: int, epsilon: float, eta: EtaVector) -> tuple[float, f
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    case_parities(j)  # rejects a sector index outside 0..7
+    _case_parities(j)  # rejects a sector index outside 0..7
     if d < 0:
         raise ValueError("order must be >= 0")
     res = _sector_tails([j], [d], [epsilon], eta)

@@ -42,15 +42,12 @@ __all__ = [
     "udd_offsets",
     "qdd_schedule",
     "nudd_schedule",
-    "effective_order",
     "nesting_grid",
     "switching_qdd",
-    "switching_nudd",
-    "MU_LABELS",
 ]
 
 #: Pauli label for each single-qubit index pair (z-flip parity, x-flip parity).
-MU_LABELS: Mapping[tuple[int, int], str] = {
+_MU_LABELS: Mapping[tuple[int, int], str] = {
     (0, 0): "0",
     (1, 0): "x",
     (1, 1): "y",
@@ -58,7 +55,7 @@ MU_LABELS: Mapping[tuple[int, int], str] = {
 }
 
 
-def effective_order(n: int) -> int:
+def _effective_order(n: int) -> int:
     """Even pulse count N' = N + (N mod 2) of an order-``n`` Uhrig layer."""
     return n + n % 2
 
@@ -217,7 +214,7 @@ class PulseSchedule:
         n = np.array(self.orders)[:, None]
         last = grid.index == n + 1
         closed = np.vstack([np.ones_like(last[:1]), np.logical_and.accumulate(last[:-1])])
-        fires = closed & (grid.index <= n + n % 2)
+        fires = closed & (grid.index <= _effective_order(n))
         cells, levels = np.nonzero(fires.T)
         return tuple(
             PulseEvent(time, *_axis_qubit(level), level)
@@ -232,7 +229,7 @@ def udd_offsets(n: int) -> tuple[float, ...]:
     ``n`` the last entry is exactly 1.0 (the appended frame-closing pulse).
     """
     (n,) = _validate_orders([n])
-    return tuple(_sin_sq(j, n) for j in range(1, effective_order(n) + 1))
+    return tuple(_sin_sq(j, n) for j in range(1, _effective_order(n) + 1))
 
 
 def nudd_schedule(orders: Sequence[int], qubit_count: int) -> PulseSchedule:
@@ -284,7 +281,7 @@ class SwitchingProfile:
         return self.signs[min(idx, len(self.signs) - 1)]
 
 
-def switching_nudd(
+def _switching_nudd(
     schedule: PulseSchedule,
 ) -> dict[tuple[int, tuple[int, int]], SwitchingProfile]:
     """Per-qubit switching functions of a nested schedule.
@@ -319,5 +316,5 @@ def switching_qdd(n1: int, n2: int) -> dict[str, SwitchingProfile]:
     Keys "0", "x", "y", "z": f_0 is identically +1, f_x flips at the inner
     z pulses, f_z flips at the outer x pulses, and f_y = f_x * f_z.
     """
-    per_qubit = switching_nudd(qdd_schedule(n1, n2))
-    return {MU_LABELS[pair]: per_qubit[(0, pair)] for pair in MU_LABELS}
+    per_qubit = _switching_nudd(qdd_schedule(n1, n2))
+    return {_MU_LABELS[pair]: per_qubit[(0, pair)] for pair in _MU_LABELS}

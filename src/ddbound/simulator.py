@@ -53,7 +53,6 @@ from .series import NonConvergenceError
 
 __all__ = [
     "pauli_labels",
-    "pauli_matrix",
     "BathSpec",
     "HamiltonianModel",
     "ExperimentConfig",
@@ -63,7 +62,6 @@ __all__ = [
     "evolve",
     "extract_channel_ops",
     "unitarity_residuals",
-    "spectral_norm",
     "trace_distance",
     "run_experiment",
     "run_experiments",
@@ -109,7 +107,7 @@ def _norm_labels(norms: Mapping[str, float], qubit_count: int) -> tuple[str, ...
     return labels
 
 
-def pauli_matrix(label: str) -> np.ndarray:
+def _pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by ``label``."""
     mats = [_PAULI[c] for c in label]
     return reduce(np.kron, mats)
@@ -224,7 +222,7 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
         b = couplings[label]
         live = np.any(b, axis=(1, 2))
         if live.any():
-            np.add(h, _kron(pauli_matrix(label), b), out=h, where=live[:, None, None])
+            np.add(h, _kron(_pauli_matrix(label), b), out=h, where=live[:, None, None])
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -291,7 +289,7 @@ def evolve(schedule: PulseSchedule, model: HamiltonianModel, T) -> np.ndarray:
         if n:
             axis, qubit = _axis_qubit(level)
             label = "".join(axis if q == qubit else "0" for q in range(m))
-            pulses[level] = v_dag @ (pauli_matrix(label) @ v_rows).reshape(v.shape)
+            pulses[level] = v_dag @ (_pauli_matrix(label) @ v_rows).reshape(v.shape)
     del v_dag, v_rows
     # levels up to `free` fire no pulse, so their blocks are free segments
     free = next((i for i, n in enumerate(orders) if n), len(orders))
@@ -356,12 +354,12 @@ def extract_channel_ops(u: np.ndarray, qubit_count: int) -> dict[str, np.ndarray
     u4 = u.reshape(u.shape[:-2] + (d_sys, d_bath, d_sys, d_bath))
     out = {}
     for label in pauli_labels(qubit_count):
-        sigma = pauli_matrix(label)
+        sigma = _pauli_matrix(label)
         out[label] = np.einsum("ki,...kaib->...ab", sigma.conj(), u4) / d_sys
     return out
 
 
-def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+def _spectral_norm(a: np.ndarray) -> float | np.ndarray:
     """Largest singular value; an array of them for a stack of matrices."""
     norms = np.linalg.svd(a, compute_uv=False).max(axis=-1)
     return float(norms) if a.ndim == 2 else norms
@@ -398,7 +396,7 @@ def unitarity_residuals(ops: Mapping[str, np.ndarray]) -> dict[str, float | np.n
 def _check_density(rho: np.ndarray) -> None:
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    if np.any(spectral_norm(rho - _dagger(rho)) > _DENSITY_TOL):
+    if np.any(_spectral_norm(rho - _dagger(rho)) > _DENSITY_TOL):
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = np.trace(rho, axis1=-2, axis2=-1)
     if np.any(abs(trace.real - 1.0) > _DENSITY_TOL) or np.any(abs(trace.imag) > _DENSITY_TOL):
@@ -576,7 +574,7 @@ def _run_stack(
     ops = extract_channel_ops(u, m)
     residuals = unitarity_residuals(ops)
     mats = list(ops.values()) + list(model.couplings.values())
-    norms = spectral_norm(np.stack(mats))
+    norms = _spectral_norm(np.stack(mats))
 
     psi = np.stack([_initial_system_state(c) for c in configs])
     rho_bath = np.stack([_initial_bath_state(c) for c in configs])
@@ -701,7 +699,7 @@ def fit_scaling(
     schedule = nudd_schedule((n1, n2), 1)
     model = build_model(bath, 1)
     ops = extract_channel_ops(evolve(schedule, model, np.asarray(eps_grid) / j0), 1)
-    norms = {ch: tuple(float(x) for x in spectral_norm(ops[ch])) for ch in "xyz"}
+    norms = {ch: tuple(float(x) for x in _spectral_norm(ops[ch])) for ch in "xyz"}
     slopes: dict[str, float | None] = {}
     log_t = np.log(np.asarray(eps_grid) / j0)
     for ch, ys in norms.items():

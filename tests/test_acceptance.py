@@ -27,11 +27,9 @@ from ddbound.nudd_bounds import (
 )
 from ddbound.qdd_bounds import (
     EtaVector,
-    bounding_function,
-    case_parities,
+    _case_parities,
     decoupling_orders,
     default_eps_grid,
-    g_poly,
     preset_cells,
     sweep_row,
     sweep_rows,
@@ -45,7 +43,13 @@ from ddbound.simulator import (
     run_experiment,
 )
 
-from closed_forms import s_error_sum, s_identity_sum, scaled_bounding_function
+from closed_forms import (
+    bounding_function,
+    g_poly,
+    s_error_sum,
+    s_identity_sum,
+    scaled_bounding_function,
+)
 
 MARGIN_FLOOR = -1e-12
 
@@ -92,7 +96,7 @@ def test_criterion_02_taylor_coefficients():
     with mp.workdps(50):
         for eta in etas:
             for j in range(1, 7):
-                p = case_parities(j)
+                p = _case_parities(j)
                 comps = eta.as_tuple()
 
                 def sector(e, p=p, comps=comps):

@@ -3,7 +3,9 @@
 Every name a module lists in ``__all__`` must exist, no module, test or
 demo may import a name it never uses (an import marked ``# noqa: F401`` is
 kept on purpose), and every private module-level name of the package must be
-referenced somewhere besides its definition.
+referenced somewhere besides its definition.  Every public name must have a
+user besides the tests, or a reason in ``KEPT``, and the facade
+``ddbound.__all__`` re-exports only public names of the modules.
 """
 
 import ast
@@ -11,6 +13,7 @@ import importlib
 import pkgutil
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -138,3 +141,107 @@ def test_dead_private_name_is_found():
     )
     user = ast.parse("from m import _g\nmonkeypatch.setattr(m, '_K', None)\n")
     assert dead_private_names([module], [module, user]) == ["_B", "_f"]
+
+
+#: Public names that nothing outside the tests reads, each with the reason it
+#: stays public.
+KEPT = {
+    "ddbound.dyson.Signature": "result type of signature",
+    "ddbound.dyson.OrderCertification": "result type of verify_orders",
+    "ddbound.qdd_bounds.ChannelBounds": "result type: distance_bound's channel_bounds",
+    "ddbound.sequences.PulseEvent": "result type: the events of qdd_schedule and nudd_schedule",
+    "ddbound.sequences.SwitchingProfile": "result type of switching_qdd",
+    "ddbound.simulator.HamiltonianModel": "result type of build_model",
+    "ddbound.simulator.SimResult": "result type of run_experiment and run_experiments",
+    "ddbound.simulator.ScalingFit": "result type of fit_scaling",
+    "ddbound.dyson.signature": "the word-sum engine that ROADMAP items 2, 3 and 5 build on",
+    "ddbound.qdd_bounds.delta_tail": "the paper's Delta_d, frozen in test_one_point_frozen.py",
+    "ddbound.nudd_bounds.nudd_delta": "the paper's Delta_d, frozen in test_one_point_frozen.py",
+    "ddbound.simulator.MAX_TOTAL_DIM": "the stack size cap that the README documents",
+}
+
+#: Files whose reads count as uses of a public name: the package itself (but
+#: not the facade, which only re-exports), the demos and the benchmark, tests
+#: excluded.
+USERS = {
+    **{name: _source(name)[1] for name in MODULES if name != "ddbound"},
+    **{
+        path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for d in ("demos", "perfbench")
+        for path in (ROOT / d).rglob("*.py")
+        if "tests" not in path.relative_to(ROOT).parts
+    },
+}
+
+
+def unused_public_names(users: dict[str, ast.Module], kept) -> list[str]:
+    """``module.name`` for each name in the ``__all__`` of a module among
+    ``users`` that no other tree of ``users`` reads and ``kept`` does not list,
+    then each entry of ``kept`` that is not such a name, as ``stale ...``."""
+    unused = set()
+    for module, tree in users.items():
+        refs = sum((_references(t) for key, t in users.items() if key != module), Counter())
+        unused |= {f"{module}.{name}" for name in _all_names(tree) if not refs[name]}
+    return sorted(unused - set(kept)) + [f"stale {k}" for k in sorted(set(kept) - unused)]
+
+
+def test_public_names_have_users():
+    assert unused_public_names(USERS, KEPT) == []
+
+
+def test_unused_public_name_is_found():
+    module = ast.parse("__all__ = ['used', 'unused', 'kept']\nused = unused = kept = 1\n")
+    user = ast.parse("from m import used\n")
+    kept = {"m.kept": "reason", "m.used": "stale: it has a user", "m.gone": "stale: no such name"}
+    assert unused_public_names({"m": module, "demo.py": user}, kept) == [
+        "m.unused", "stale m.gone", "stale m.used",
+    ]
+
+
+def facade_mismatches(tree: ast.Module, facade, modules) -> list[str]:
+    """Names of the facade's ``__all__`` (``tree``, module object ``facade``)
+    that are not the very object of the same name in the ``__all__`` of the
+    module in ``modules`` that the facade imports them from.  A name the
+    facade assigns itself (``__version__``) needs no module."""
+    origin = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    own = {
+        t.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    bad = []
+    for name in _all_names(tree):
+        if name in own:
+            continue
+        module, source = origin.get(name, (None, name))
+        found = modules.get(module)
+        if (
+            found is None
+            or source not in getattr(found, "__all__", ())
+            or getattr(facade, name, None) is not getattr(found, source, None)
+        ):
+            bad.append(name)
+    return bad
+
+
+def test_facade_reexports_module_names():
+    modules = {name.split(".")[1]: importlib.import_module(name) for name in MODULES[1:]}
+    assert facade_mismatches(_source("ddbound")[1], ddbound, modules) == []
+
+
+def test_facade_mismatch_is_found():
+    tree = ast.parse(
+        "from .m import a, _b, c\n__version__ = '1'\n"
+        "__all__ = ['__version__', 'a', '_b', 'c', 'd']\n"
+    )
+    a, b = object(), object()
+    m = SimpleNamespace(__all__=["a", "c"], a=a, _b=b, c=object())
+    facade = SimpleNamespace(__version__="1", a=a, _b=b, c=object())
+    assert facade_mismatches(tree, facade, {"m": m}) == ["_b", "c", "d"]

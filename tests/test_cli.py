@@ -192,18 +192,59 @@ def test_bounds_infinite_eps_range_is_one_error(argv, capsys):
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_preset_rejects_eta(command, preset, key, value, source, tmp_path, capsys):
     """A preset fixes its own eta panels, so an eta given with it, which would
-    change nothing but the config hash, is invalid input."""
+    change nothing but the config hash, is invalid input; the error names the
+    eta flags, or the config key that gave the eta."""
     argv = [*command.split(), f"--{preset}"]
     if source == "flag":
         argv += [f"--{key.replace('_', '-')}", str(value)]
+        named = "--eta"
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         argv += ["--config", str(cfg)]
+        named = f"config key {key!r}\n"
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: a preset cannot be combined with --eta")
+    assert err.startswith(f"error: a preset cannot be combined with {named}")
     assert err.count("\n") == 1
+
+
+_ETAS = "--eta/--eta-x/--eta-y/--eta-z"
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        ("bounds qdd --n1 2 --n2 2 --eta 1 --eta-x 0.5", None,
+         "--eta conflicts with --eta-x/--eta-y/--eta-z"),
+        ("bounds qdd", {"eta": 1.0, "eta_x": 0.5, "n1": 2, "n2": 2},
+         "config key 'eta' conflicts with config key 'eta_x'"),
+        ("bounds qdd --n1 2 --n2 2 --eta 1", {"eta_z": 0.5},
+         "--eta conflicts with config key 'eta_z'"),
+        ("bounds qdd --n1 2 --n2 2 --eta-y 1", {"eta": 0.5},
+         "config key 'eta' conflicts with --eta-x/--eta-y/--eta-z"),
+        ("bounds qdd --n1 2", None, "--n1 and --n2 must be given together"),
+        ("bounds qdd", {"n1": 2}, "config keys 'n1' and 'n2' must be given together"),
+        ("bounds qdd", {"n2": 2}, "config keys 'n1' and 'n2' must be given together"),
+        ("bounds nudd --dmin 2", None, "--m and --dmin must be given together"),
+        ("bounds nudd", {"m": 3}, "config keys 'm' and 'dmin' must be given together"),
+        ("bounds qdd --fig2 --eta 0.5", None, f"a preset cannot be combined with {_ETAS}"),
+        ("bounds qdd --fig2", {"eta": 0.5}, "a preset cannot be combined with config key 'eta'"),
+        ("bounds qdd --fig3 --n2 3", None, "a preset cannot be combined with --n1/--n2"),
+        ("bounds qdd --fig3", {"n2": 3}, "a preset cannot be combined with config key 'n2'"),
+        ("bounds nudd --fig5 --m 2", None, "a preset cannot be combined with --m/--dmin"),
+        ("bounds nudd --fig5", {"dmin": 2}, "a preset cannot be combined with config key 'dmin'"),
+    ],
+)
+def test_cross_option_rules_name_their_source(argv, config, message, tmp_path, capsys):
+    """A rule across options names each option by what gave it: its flag, or
+    the config key when the value came from ``--config``."""
+    argv = argv.split()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -39,16 +39,16 @@ from ddbound.cli import main
 from ddbound.dyson import (
     _CHANNEL_OF_SECTOR,
     _LETTER_SECTOR,
-    LETTERS,
+    _LETTERS,
     _read_level,
     _reduce,
-    qdd_profiles,
     signature,
     verify_orders,
-    word_integral,
 )
-from ddbound.qdd_bounds import DecouplingOrders, case_parities
-from ddbound.sequences import _steps, nesting_grid, nudd_schedule, switching_nudd, switching_qdd
+from ddbound.qdd_bounds import DecouplingOrders, _case_parities
+from ddbound.sequences import _steps, _switching_nudd, nesting_grid, nudd_schedule, switching_qdd
+
+from closed_forms import word_integral
 
 
 def _channel_by_counts(word):
@@ -63,12 +63,12 @@ def _sector(word):
     """A word's sector: the XOR of its letters' codes in the certifier's table."""
     j = 0
     for a in word:
-        j ^= _LETTER_SECTOR[LETTERS.index(a)]
+        j ^= _LETTER_SECTOR[_LETTERS.index(a)]
     return j
 
 
 def word_parities(word):
-    return case_parities(_sector(word))
+    return _case_parities(_sector(word))
 
 
 def word_channel(word):
@@ -78,7 +78,7 @@ def word_channel(word):
 def parity_class_counts(n):
     """Number of length-n words mapping to each channel, by the sector table."""
     counts = dict.fromkeys(("identity", "x", "y", "z"), 0)
-    for word in product(LETTERS, repeat=n):
+    for word in product(_LETTERS, repeat=n):
         counts[word_channel(word)] += 1
     return counts
 
@@ -113,37 +113,37 @@ def test_parity_class_counts():
 
 
 def test_rational_first_order_vanishing():
-    prof = qdd_profiles(1, 1, backend="rational")
+    grid = nesting_grid((1, 1))
     for letter in ("x", "y", "z"):
-        assert word_integral((letter,), prof) == 0
-    assert word_integral(("0",), prof) == 1
+        assert word_integral((letter,), grid, "rational") == 0
+    assert word_integral(("0",), grid, "rational") == 1
 
 
 def test_rational_exact_values_11():
-    prof = qdd_profiles(1, 1, backend="rational")
-    assert word_integral(("x", "0"), prof) == Fraction(1, 8)
-    assert word_integral(("0", "x"), prof) == Fraction(-1, 8)
-    assert word_integral(("0", "0", "0"), prof) == Fraction(1, 6)
-    assert word_integral(("x", "z"), prof) == 0
-    assert word_integral(("z", "x"), prof) == 0
-    assert word_integral(("y", "0"), prof) == 0
-    assert word_integral(("0", "y"), prof) == 0
-    assert word_integral(("0", "z"), prof) == Fraction(-1, 4)
+    grid = nesting_grid((1, 1))
+    assert word_integral(("x", "0"), grid, "rational") == Fraction(1, 8)
+    assert word_integral(("0", "x"), grid, "rational") == Fraction(-1, 8)
+    assert word_integral(("0", "0", "0"), grid, "rational") == Fraction(1, 6)
+    assert word_integral(("x", "z"), grid, "rational") == 0
+    assert word_integral(("z", "x"), grid, "rational") == 0
+    assert word_integral(("y", "0"), grid, "rational") == 0
+    assert word_integral(("0", "y"), grid, "rational") == 0
+    assert word_integral(("0", "z"), grid, "rational") == Fraction(-1, 4)
 
 
 def test_fubini_symmetrization():
     """I(a, b) + I(b, a) equals the product of the two single integrals."""
     for n1, n2 in [(1, 1), (2, 2), (1, 2)]:
-        prof = qdd_profiles(n1, n2, backend="rational")
-        singles = {c: word_integral((c,), prof) for c in "0xyz"}
+        grid = nesting_grid((n1, n2))
+        singles = {c: word_integral((c,), grid, "rational") for c in "0xyz"}
         for a, b in product("0xyz", repeat=2):
-            lhs = word_integral((a, b), prof) + word_integral((b, a), prof)
+            lhs = sum(word_integral(w, grid, "rational") for w in ((a, b), (b, a)))
             assert lhs == singles[a] * singles[b]
 
 
 @cache
 def _signature(n1, n2):
-    return signature(qdd_profiles(n1, n2), 5)
+    return signature(nesting_grid((n1, n2)), 5)
 
 
 def _shuffles(u, v):
@@ -165,7 +165,7 @@ def _word_pairs(draw):
 def _column(word):
     index = 0
     for a in word:
-        index = 4 * index + LETTERS.index(a)
+        index = 4 * index + _LETTERS.index(a)
     return index
 
 
@@ -214,9 +214,9 @@ def test_rational_exact_values_depth4():
         (2, 2): {"0zzx": Fraction(5, 2048), "0x0z": Fraction(-3, 2048)},
     }
     for (n1, n2), words in cases.items():
-        prof = qdd_profiles(n1, n2, backend="rational")
+        grid = nesting_grid((n1, n2))
         for word, value in words.items():
-            assert word_integral(word, prof) == value
+            assert word_integral(word, grid, "rational") == value
 
 
 def _exact_sin_sq(orders):
@@ -283,7 +283,7 @@ def _nested_orders(draw):
 def test_index_grid_is_the_exact_merge(orders):
     """The nesting grid is the exact merge of every level's pulse times, in
     order, and its float ends rise strictly to 1.  Each sign row is the parity
-    of its level's flips, and ``switching_nudd``'s profile of that level.  The
+    of its level's flips, and ``_switching_nudd``'s profile of that level.  The
     events are the exact pulses in (time, level) order.  Each length is
     within (11 L - 1) ulp of its 50-digit value, for L levels, exact when
     every order is <= 2: a step within 5 ulp is within 10 u relatively
@@ -292,7 +292,7 @@ def test_index_grid_is_the_exact_merge(orders):
     bp, signs, pulses = _exact_merge(orders)
     grid = nesting_grid(orders)
     schedule = nudd_schedule(orders, len(orders) // 2)
-    sw = switching_nudd(schedule)
+    sw = _switching_nudd(schedule)
     with mp.workdps(50):
         s = _exact_sin_sq(orders)
         assert [_exact_end(s, column) for column in grid.index.T.tolist()] == bp[1:]
@@ -324,60 +324,68 @@ def test_steps_within_five_ulp(n):
 
 def test_single_integrals_match_switching_profiles():
     for n1, n2 in [(2, 3), (1, 4)]:
-        prof = qdd_profiles(n1, n2)  # auto picks mp here
+        grid = nesting_grid((n1, n2))
         sw = switching_qdd(n1, n2)
         for c in "xyz":
-            got = float(word_integral((c,), prof))
+            got = word_integral((c,), grid, "mp")
             bp, signs = sw[c].breakpoints, sw[c].signs
             moment = math.fsum(s * (b - a) for s, a, b in zip(signs, bp, bp[1:]))
             assert got == pytest.approx(moment, abs=1e-14)
 
 
 def test_backend_selection_and_limits():
-    assert qdd_profiles(2, 2).backend == "rational"
-    assert qdd_profiles(3, 3).backend == "mp"
-    assert qdd_profiles(1, 2, backend="auto").backend == "rational"
-    with pytest.raises(ValueError):
-        qdd_profiles(3, 1, backend="rational")
-    with pytest.raises(ValueError):
-        qdd_profiles(1, 1, backend="fixed")
+    """"auto" reports exact rationals when both orders are <= 2; the backend
+    changes how values are reported, never the proof's primes."""
+    assert verify_orders(2, 2, 1).backend == "rational"
+    assert verify_orders(3, 3, 1).backend == "mp"
+    assert verify_orders(1, 2, 1, backend="auto").backend == "rational"
+    mp_cert = verify_orders(2, 2, 3, backend="mp")
+    assert mp_cert.proof["primes"] == verify_orders(2, 2, 3).proof["primes"]
+    with pytest.raises(ValueError, match=r"orders <= 2 only \(got 3, 1\)"):
+        verify_orders(3, 1, 1, backend="rational")
+    with pytest.raises(ValueError, match="backend must be 'rational', 'mp', or 'auto'"):
+        verify_orders(1, 1, 1, backend="fixed")
+
+
+@pytest.mark.parametrize("orders", [(2,), (1, 1, 1), (1, 1, 1, 1)])
+def test_signature_needs_two_levels(orders):
+    with pytest.raises(ValueError, match="two-level grid"):
+        signature(nesting_grid(orders), 1)
 
 
 def test_signature_blocks_agree(monkeypatch):
     """Building the interval coefficients a few intervals at a time, as large
     orders do, gives the same signature bit for bit."""
-    prof = qdd_profiles(3, 4)
-    whole = signature(prof, 3)
+    grid = nesting_grid((3, 4))
+    whole = signature(grid, 3)
     monkeypatch.setattr(ddbound.dyson, "_BLOCK", 3)
-    for a, b in zip(whole.levels, signature(prof, 3).levels, strict=True):
+    for a, b in zip(whole.levels, signature(grid, 3).levels, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
 def test_rational_mp_agreement():
-    """All 340 words of length <= 4 for (2, 2): both backends share the index
-    grid and its exact dyadic lengths, so their residue rows agree exactly,
-    and the mp backend's float row agrees with the rational backend's exact
-    values."""
-    prof = qdd_profiles(2, 2, backend="rational")
-    exact = signature(prof, 4)
-    approx = signature(qdd_profiles(2, 2, backend="mp"), 4)
-    assert exact.proved and exact.primes == approx.primes
-    assert sum(level.shape[1] for level in exact.levels[1:]) == 340
+    """All 340 words of length <= 4 for (2, 2): the float row, which the mp
+    backend reports, agrees with the exact values that the rational backend
+    lifts from the residue rows, and the two read every word alike as proved
+    zero or proved nonzero."""
+    sig = signature(nesting_grid((2, 2)), 4)
+    assert sig.proved
+    assert sum(level.shape[1] for level in sig.levels[1:]) == 340
     for k in range(1, 5):
-        np.testing.assert_array_equal(exact.levels[k][:-1], approx.levels[k][:-1])
-        value = _read_level(prof, exact, k)[2]
-        for i, m in enumerate(approx.levels[k][-1]):
-            assert abs(value(i) - Fraction(m)) < 1e-16
+        exact, approx = _read_level("rational", sig, k), _read_level("mp", sig, k)
+        np.testing.assert_array_equal(exact[0], approx[0])
+        for i, m in enumerate(sig.levels[k][-1]):
+            assert abs(exact[2](i) - Fraction(m)) < 1e-16
 
 
 def test_word_validation():
-    prof = qdd_profiles(1, 1)
+    grid = nesting_grid((1, 1))
     with pytest.raises(ValueError):
-        word_integral((), prof)
+        word_integral((), grid, "rational")
     with pytest.raises(ValueError):
-        word_integral(("q",), prof)
+        word_integral(("q",), grid, "rational")
     with pytest.raises(ValueError):
-        word_integral(("0",) * 7, prof)  # beyond the default depth guard
+        word_integral(("0",) * 7, grid, "rational")  # beyond the depth cap
 
 
 def test_verify_orders_11():
@@ -416,9 +424,8 @@ def test_verify_orders_24_z_suppression():
     z_rows = {r["n"]: r["max_abs"] for r in cert.rows if r["channel"] == "z"}
     for n in (1, 2, 3, 4):
         assert z_rows[n] <= 1e-20
-    prof = qdd_profiles(2, 4)
-    witness = word_integral(("z", "0", "0", "0", "0"), prof)
-    assert float(witness) == pytest.approx(1 / 6144, rel=1e-12)
+    witness = word_integral(("z", "0", "0", "0", "0"), nesting_grid((2, 4)), "mp")
+    assert witness == pytest.approx(1 / 6144, rel=1e-12)
 
 
 def test_verify_orders_footnote_14():
@@ -452,10 +459,10 @@ def test_certification_jsonable():
 
 def test_mp_zero_floor():
     """mp-backend words proved zero read exactly 0.0, not roundoff."""
-    prof = qdd_profiles(3, 3)
+    grid = nesting_grid((3, 3))
     for word in product("0xyz", repeat=2):
         if word.count("0") == 1:  # first-order error words, all suppressed
-            assert word_integral(word, prof) == 0.0
+            assert word_integral(word, grid, "mp") == 0.0
 
 
 def test_proof_field():
@@ -465,7 +472,7 @@ def test_proof_field():
     proof = cert.proof
     assert proof["status"] == "proved"
     assert all(p % 40 == 1 and p < 2**26 for p in proof["primes"])
-    m = len(qdd_profiles(3, 4).grid.lengths)
+    m = len(nesting_grid((3, 4)).lengths)
     bound = 2 * (16 * m) ** (4 * 8)  # phi(40) / 2 = 8
     assert math.prod(proof["primes"]) > bound
     assert math.prod(proof["primes"][:-1]) <= bound  # no prime more than needed
@@ -637,10 +644,10 @@ def test_zero_pattern_matches_reference(n1, n2, n_max):
     """Every level's residue zero pattern is the reference's, word for word,
     and the float row is the reference's values to roundoff, within the
     a-priori error bound that mp certificates state."""
-    prof = qdd_profiles(n1, n2)
-    sig = signature(prof, n_max)
+    grid = nesting_grid((n1, n2))
+    sig = signature(grid, n_max)
     assert sig.proved
-    error = ddbound.dyson._value_error(len(prof.grid.lengths), n_max)
+    error = ddbound.dyson._value_error(len(grid.lengths), n_max)
     for k, (nonzero, values) in enumerate(_reference_levels(n1, n2, n_max)):
         if k == 0:
             continue

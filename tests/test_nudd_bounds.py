@@ -21,7 +21,6 @@ from ddbound.nudd_bounds import (
     nudd_delta,
     nudd_distance_bound,
     nudd_eps_window,
-    nudd_g,
     nudd_sweep_row,
     nudd_sweep_rows,
     preset_nudd_cells,
@@ -29,7 +28,7 @@ from ddbound.nudd_bounds import (
 from ddbound.qdd_bounds import default_eps_grid
 from ddbound.series import NonConvergenceError
 
-from closed_forms import s_error_sum, s_identity_sum
+from closed_forms import nudd_g, s_error_sum, s_identity_sum
 
 
 def test_gamma_factor_values():

@@ -19,26 +19,24 @@ from ddbound.qdd_bounds import (
     CASE_OF_CHANNEL,
     QDD_SWEEP_COLUMNS,
     EtaVector,
-    bounding_function,
-    case_parities,
+    _case_parities,
     decoupling_orders,
     default_eps_grid,
     delta_tail,
     distance_bound,
-    g_poly,
     preset_cells,
     sweep_row,
     sweep_rows,
 )
 from ddbound.series import NonConvergenceError
 
-from closed_forms import scaled_bounding_function
+from closed_forms import bounding_function, g_poly, scaled_bounding_function
 
 
 def _reference_sector(j, eps, eta):
     """S_j recomputed directly from its definition."""
     out = math.exp(eps)
-    for parity, e in zip(case_parities(j), eta.as_tuple()):
+    for parity, e in zip(_case_parities(j), eta.as_tuple()):
         out *= math.sinh(e * eps) if parity else math.cosh(e * eps)
     return out
 
@@ -46,7 +44,7 @@ def _reference_sector(j, eps, eta):
 def test_case_parities_roundtrip():
     seen = set()
     for j in range(8):
-        p = case_parities(j)
+        p = _case_parities(j)
         assert p == ((j >> 2) & 1, (j >> 1) & 1, j & 1)
         seen.add(p)
     assert len(seen) == 8
@@ -57,7 +55,7 @@ def test_channel_sector_map():
     # the two sectors of a channel carry complementary sinh patterns:
     # one has a single sinh on the channel axis, the other sinh on both others
     for ch, (a, b) in CASE_OF_CHANNEL.items():
-        pa, pb = case_parities(a), case_parities(b)
+        pa, pb = _case_parities(a), _case_parities(b)
         assert sum(pa) + sum(pb) == 3
         axis = "xyz".index(ch)
         assert pa[axis] != pb[axis]
@@ -118,7 +116,7 @@ def test_g_poly_against_signed_sum():
         eta = EtaVector(*rng.uniform(0.0, 2.0, size=3))
         j = int(rng.integers(0, 8))
         l = int(rng.integers(0, 7))
-        p = case_parities(j)
+        p = _case_parities(j)
         acc = 0.0
         for sx in (1, -1):
             for sy in (1, -1):
@@ -147,7 +145,7 @@ def test_g_poly_nonnegative(j, l, ex, ey, ez):
     eta = EtaVector(ex, ey, ez)
     g = g_poly(j, l, eta)
     assert g >= 0.0
-    if any(p and e == 0.0 for p, e in zip(case_parities(j), eta.as_tuple())):
+    if any(p and e == 0.0 for p, e in zip(_case_parities(j), eta.as_tuple())):
         assert g == 0.0
 
 
@@ -257,7 +255,7 @@ def test_leading_term_against_mpmath(n1, n2, eps, eta):
             for j in sectors:
                 acc = mp.mpf(0)
                 for signs in itertools.product((1, -1), repeat=3):
-                    weight = math.prod(s for s, p in zip(signs, case_parities(j)) if p)
+                    weight = math.prod(s for s, p in zip(signs, _case_parities(j)) if p)
                     dot = sum(s * mp.mpf(e) for s, e in zip(signs, eta.as_tuple()))
                     acc += weight * (1 + dot) ** l
                 expect += acc / (8 * mp.factorial(l)) * mp.mpf(eps) ** l

@@ -12,23 +12,24 @@ import math
 import numpy as np
 import pytest
 
-from ddbound.dyson import qdd_profiles, verify_orders
+from ddbound.dyson import signature, verify_orders
 from ddbound.nudd_bounds import d_min_for_orders
 from ddbound.qdd_bounds import decoupling_orders
 from ddbound.sequences import (
-    MU_LABELS,
+    _MU_LABELS,
     PulseSchedule,
     SwitchingProfile,
-    effective_order,
+    _effective_order,
+    _switching_nudd,
+    nesting_grid,
     nudd_schedule,
     qdd_schedule,
-    switching_nudd,
     switching_qdd,
     udd_offsets,
 )
 from ddbound.simulator import BathSpec, ExperimentConfig
 
-_MU_OF_LABEL = {label: mu for mu, label in MU_LABELS.items()}
+_MU_OF_LABEL = {label: mu for mu, label in _MU_LABELS.items()}
 
 
 def _events_at_level(schedule, level):
@@ -47,11 +48,11 @@ def _integral(profile):
 
 
 def test_effective_order():
-    assert effective_order(0) == 0
-    assert effective_order(1) == 2
-    assert effective_order(2) == 2
-    assert effective_order(7) == 8
-    assert effective_order(10) == 10
+    assert _effective_order(0) == 0
+    assert _effective_order(1) == 2
+    assert _effective_order(2) == 2
+    assert _effective_order(7) == 8
+    assert _effective_order(10) == 10
 
 
 def test_udd_offsets_small():
@@ -66,7 +67,7 @@ def test_udd_offsets_small():
 def test_udd_offsets_strictly_increasing():
     for n in range(1, 20):
         off = udd_offsets(n)
-        assert len(off) == effective_order(n)
+        assert len(off) == _effective_order(n)
         assert all(a < b for a, b in zip(off, off[1:]))
         assert 0.0 < off[0] and off[-1] <= 1.0
 
@@ -112,7 +113,7 @@ def test_level_event_counts():
             parents = 1
             for p in range(i, len(orders)):
                 parents *= orders[p] + 1
-            expected = effective_order(n) * parents
+            expected = _effective_order(n) * parents
             assert len(_events_at_level(sched, i)) == expected
 
 
@@ -181,7 +182,7 @@ def test_switching_qdd_22_fx_flips_at_z_times():
 def test_switching_product_identity():
     """f_y = f_x * f_z pointwise, on a fine grid and at every breakpoint."""
     for orders, m in [((2, 3), 1), ((3, 3), 1), ((1, 2, 3, 1), 2)]:
-        profs = switching_nudd(nudd_schedule(orders, m))
+        profs = _switching_nudd(nudd_schedule(orders, m))
         for q in range(m):
             f_x, f_z, f_y = (profs[(q, mu)] for mu in ((1, 0), (0, 1), (1, 1)))
             points = {*np.linspace(0.0, 1.0, 501).tolist(), *f_x.breakpoints, *f_z.breakpoints}
@@ -240,7 +241,7 @@ def test_profile_validation():
 
 def test_nudd_switching_m1_matches_qdd():
     sched = qdd_schedule(2, 2)
-    per_mu = switching_nudd(sched)
+    per_mu = _switching_nudd(sched)
     qdd = switching_qdd(2, 2)
     for label in ("0", "x", "y", "z"):
         assert per_mu[(0, _MU_OF_LABEL[label])] == qdd[label]
@@ -249,7 +250,7 @@ def test_nudd_switching_m1_matches_qdd():
 def test_nudd_switching_m2_factorizes():
     """The outermost qubit's switching profile only sees its own two levels."""
     sched = nudd_schedule((1, 2, 2, 1), 2)
-    per_mu = switching_nudd(sched)
+    per_mu = _switching_nudd(sched)
     solo0 = switching_qdd(1, 2)
     # qubit 1 holds the outer level pair, so alone it behaves like a plain
     # two-level sequence with orders (2, 1)
@@ -358,8 +359,8 @@ def _as_recorded(profiles):
 
 def test_switching_profiles_frozen():
     assert _as_recorded(switching_qdd(3, 2)) == _QDD_32
-    assert _as_recorded(switching_nudd(nudd_schedule((2, 3), 1))) == _NUDD_23
-    assert _as_recorded(switching_nudd(nudd_schedule((1, 2, 1, 1), 2))) == _NUDD_1211
+    assert _as_recorded(_switching_nudd(nudd_schedule((2, 3), 1))) == _NUDD_23
+    assert _as_recorded(_switching_nudd(nudd_schedule((1, 2, 1, 1), 2))) == _NUDD_1211
 
 
 #: sha256 of the ``repr`` of the events and of every switching profile of each
@@ -381,7 +382,7 @@ def test_schedules_frozen():
     for orders, m in _frozen_orders():
         schedule = nudd_schedule(orders, m)
         blob.update(f"{orders} {schedule.events!r}\n".encode())
-        for key, profile in switching_nudd(schedule).items():
+        for key, profile in _switching_nudd(schedule).items():
             blob.update(f"{key} {profile!r}\n".encode())
     assert blob.hexdigest() == SCHEDULE_DIGEST
 
@@ -398,7 +399,7 @@ _ORDER_ENTRY_POINTS = {
     "ExperimentConfig": lambda n: ExperimentConfig("qdd", (n, 2), _BATH, 1.0),
     "d_min_for_orders": lambda n: d_min_for_orders((n, 2)),
     "decoupling_orders": lambda n: decoupling_orders(n, 2),
-    "qdd_profiles": lambda n: qdd_profiles(n, 2),
+    "signature": lambda n: signature(nesting_grid((n, 2)), 1),
     "verify_orders": lambda n: verify_orders(n, 2, 2),
 }
 

@@ -25,15 +25,15 @@ from ddbound.simulator import (
     MAX_TOTAL_DIM,
     BathSpec,
     ExperimentConfig,
+    _pauli_matrix,
+    _spectral_norm,
     build_model,
     evolve,
     extract_channel_ops,
     fit_scaling,
     pauli_labels,
-    pauli_matrix,
     run_experiment,
     run_experiments,
-    spectral_norm,
     trace_distance,
     unitarity_residuals,
 )
@@ -50,9 +50,9 @@ def test_pauli_labels():
 
 
 def test_pauli_matrix_kron_order():
-    got = pauli_matrix("xz")
+    got = _pauli_matrix("xz")
     assert np.array_equal(got, np.kron(SX, SZ))
-    assert np.array_equal(pauli_matrix("0"), np.eye(2))
+    assert np.array_equal(_pauli_matrix("0"), np.eye(2))
 
 
 def test_bath_spec_validation():
@@ -66,7 +66,7 @@ def test_bath_spec_validation():
 
 def _pauli_sum(model):
     """The joint Hamiltonian as the explicit sum of Pauli x coupling terms."""
-    return sum(np.kron(pauli_matrix(label), b) for label, b in model.couplings.items())
+    return sum(np.kron(_pauli_matrix(label), b) for label, b in model.couplings.items())
 
 
 def _from_eigh(model):
@@ -96,7 +96,7 @@ def test_model_matches_explicit_sum():
     bath = BathSpec(dim=2, seed=9, norms={"0": 1.0, "x": 0.4, "z": 0.2})
     model = build_model(bath, 1)
     h = sum(
-        np.kron(pauli_matrix(label), mat) for label, mat in model.couplings.items()
+        np.kron(_pauli_matrix(label), mat) for label, mat in model.couplings.items()
     )
     assert np.allclose(_from_eigh(model), h)
 
@@ -122,7 +122,7 @@ def test_evolve_is_unitary():
 
 def reconstruct_from_channels(ops):
     """Inverse of extract_channel_ops: sum of sigma x A over all channels."""
-    return sum(np.kron(pauli_matrix(label), a) for label, a in ops.items())
+    return sum(np.kron(_pauli_matrix(label), a) for label, a in ops.items())
 
 
 def _lab_frame_evolve(events, model, T, tie_order="inner-first"):
@@ -140,7 +140,7 @@ def _lab_frame_evolve(events, model, T, tie_order="inner-first"):
             u = expm(-1j * h * ((e.time - t_prev) * T)) @ u
             t_prev = e.time
         label = "".join(e.axis if q == e.qubit else "0" for q in range(model.qubit_count))
-        u = np.kron(pauli_matrix(label), eye_bath) @ u
+        u = np.kron(_pauli_matrix(label), eye_bath) @ u
     return expm(-1j * h * ((1.0 - t_prev) * T)) @ u
 
 
@@ -609,4 +609,4 @@ def test_fit_scaling_is_the_per_point_evolution():
     model = build_model(bath, 1)
     for k, eps in enumerate(fit.eps_grid):
         ops = extract_channel_ops(evolve(qdd_schedule(1, 2), model, eps / 2.0), 1)
-        assert all(fit.norms[ch][k] == spectral_norm(ops[ch]) for ch in "xyz")
+        assert all(fit.norms[ch][k] == _spectral_norm(ops[ch]) for ch in "xyz")

@@ -16,7 +16,7 @@ import mpmath as mp
 import pytest
 
 from ddbound.cli import main as cli_main
-from ddbound.qdd_bounds import CASE_OF_CHANNEL, case_parities
+from ddbound.qdd_bounds import CASE_OF_CHANNEL, _case_parities
 
 TIGHT = 1e-9
 DPS = 120
@@ -60,7 +60,7 @@ def qdd_exact(row):
         d = orders[ch]
         out[f"L_{ch}"] = 0
         for j in sectors:
-            par = case_parities(j)
+            par = _case_parities(j)
             for s, (tails, firsts) in zip(SIGNS, per_rate):
                 w = mp.mpf(1) / 8
                 for p, sign in zip(par, s):
