@@ -80,7 +80,7 @@ from .qdd_bounds import (
     sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
 )
 from .sequences import nudd_schedule, qdd_schedule
-from .series import NORMAL_MIN, NonConvergenceError, cell_rows
+from .series import NORMAL_MIN, NonConvergenceError, cell_ok
 from .simulator import (
     BathSpec,
     ExperimentConfig,
@@ -411,15 +411,6 @@ def _eps_grid(resolved: dict, window: Callable = default_eps_grid) -> tuple[floa
         raise CliError(str(exc))
 
 
-def _flag_line(kind: str, row: dict, columns: Sequence[str]) -> str:
-    parts = " ".join(f"{c}={_fmt(row[c])}" for c in columns if not _is_nan(row[c]))
-    return f"# {kind}: {parts}"
-
-
-def _is_nan(value: Any) -> bool:
-    return isinstance(value, float) and math.isnan(value)
-
-
 def _bounds_table(
     out: str | None,
     header: list[str],
@@ -430,11 +421,9 @@ def _bounds_table(
 
     ``cells`` holds one callable per cell that returns the cell as columns
     and the converged mask of its pass (``sweep_cell``/``nudd_sweep_cell``
-    with the cell's arguments bound).  A point that ``cell_rows`` makes None
-    becomes a flagged row of the cell's fixed columns and NaN.  A row with a
-    value below the smallest normal double, whose printed digits overstate
-    its precision, is preceded by a ``# subnormal`` comment line naming those
-    values; it does not change the exit code.
+    with the cell's arguments bound).  Each cell is written from its columns
+    (``_cell_lines``).  A point that fails the row rule ``cell_ok`` counts
+    as a failure and sets the exit code.
     """
     lines = header + [",".join(columns)]
     failures = 0
@@ -443,24 +432,50 @@ def _bounds_table(
             values, converged = cell()
         except ValueError as exc:
             raise CliError(str(exc))
-        fixed = {c: v for c, v in values.items() if not isinstance(v, np.ndarray)}
-        for eps, row in zip(values["epsilon"].tolist(), cell_rows(values, converged)):
-            if row is None:
-                row = {**dict.fromkeys(columns, math.nan), **fixed, "epsilon": eps}
-                lines.append(_flag_line("non-convergence", row, columns))
-                failures += 1
-            else:
-                tiny = [c for c in columns if isinstance(row[c], float)
-                        and 0.0 < abs(row[c]) < NORMAL_MIN]
-                if tiny:
-                    key = {c: row[c] for c in ("epsilon", *fixed)}
-                    lines.append(
-                        f"{_flag_line('subnormal', key, key)}; "
-                        f"{', '.join(tiny)} below 2^-1022"
-                    )
-            lines.append(_csv_row(row, columns))
+        ok = cell_ok(values, converged)
+        failures += ok.size - np.count_nonzero(ok)
+        lines += _cell_lines(values, ok, columns)
     _emit(lines, out)
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
+
+
+def _cell_lines(values: dict, ok: np.ndarray, columns: Sequence[str]) -> list[str]:
+    """The CSV lines of one cell, whose columns start with epsilon.
+
+    The fixed columns are formatted once, into a row template, and every row
+    fills it with its per-point values.  A point not ``ok`` is a row of its
+    epsilon, the fixed columns and NaN, preceded by a ``# non-convergence``
+    comment line.  A row with a value below the smallest normal double,
+    whose printed digits overstate its precision, is preceded by a
+    ``# subnormal`` comment line naming those columns in column order; a
+    subnormal fixed column flags every row.  Both comment lines give the
+    row's epsilon and fixed columns.
+    """
+    per_point = [c for c in columns if isinstance(values[c], np.ndarray)]
+    fixed = {c: values[c] for c in columns if c not in per_point}
+    table = np.array([values[c] for c in per_point])
+    table[1:, ~ok] = np.nan
+    template = ",".join("%.17g" if c in per_point else _fmt(values[c]) for c in columns)
+    rows = [template % row for row in zip(*table.tolist())]
+
+    tiny = dict(zip(per_point, (table != 0.0) & (np.abs(table) < NORMAL_MIN)))
+    tiny.update((c, ok) for c, v in fixed.items()
+                if isinstance(v, float) and 0.0 < abs(v) < NORMAL_MIN)
+    tiny = {c: tiny[c] for c in columns if c in tiny}
+    flagged = np.flatnonzero(np.logical_or.reduce([~ok, *tiny.values()])).tolist()
+    if not flagged:
+        return rows
+    key = "".join(f" {c}={_fmt(v)}" for c, v in fixed.items())
+    lines, start = [], 0
+    for i in flagged:
+        where = f"epsilon={'%.17g' % table[0, i]}{key}"
+        if ok[i]:
+            names = ", ".join(c for c, t in tiny.items() if t[i])
+            lines += rows[start:i] + [f"# subnormal: {where}; {names} below 2^-1022"]
+        else:
+            lines += rows[start:i] + [f"# non-convergence: {where}"]
+        start = i
+    return lines + rows[start:]
 
 
 def _preset_alone(sources: dict[str, str], *groups: tuple[str, ...]) -> None:

@@ -14,10 +14,10 @@ its leading term come from it, and its coefficients ``g_l`` are a reference
 for the tests (``tests/closed_forms.py``).
 
 ``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
-returns it as columns; ``nudd_sweep_rows`` turns them into rows by the one
-rule of ``series.cell_rows``, and ``nudd_delta``, ``nudd_distance_bound`` and
-``nudd_sweep_row`` are one-point views of the same pass.  Every reported
-value is rounded outward.
+returns it as columns; ``nudd_sweep_rows`` turns them into rows
+(``series.cell_rows``) by the one row rule ``series.cell_ok``, and
+``nudd_delta``, ``nudd_distance_bound`` and ``nudd_sweep_row`` are one-point
+views of the same pass.  Every reported value is rounded outward.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Taylor coefficients ``g_l`` are references for the tests
 
 ``sweep_cell`` evaluates one cell, all six sector tails at every eps of its
 grid, in one batched pass (``series.exp_series_tail``), and returns it as
-columns; ``sweep_rows`` turns them into rows by the one rule of
-``series.cell_rows``, and ``distance_bound``, ``delta_tail`` and
+columns; ``sweep_rows`` turns them into rows (``series.cell_rows``) by the
+one row rule ``series.cell_ok``, and ``distance_bound``, ``delta_tail`` and
 ``sweep_row`` are one-point views of the same pass.
 Every reported value is rounded outward, so each is an upper bound in
 floating point.

@@ -54,6 +54,7 @@ __all__ = [
     "NORMAL_MIN",
     "NonConvergenceError",
     "SeriesTail",
+    "cell_ok",
     "cell_rows",
     "coeff_count",
     "exp_series_tail",
@@ -143,21 +144,26 @@ def round_up(x):
     return np.where(x == 0.0, x, np.nextafter(x, np.inf))
 
 
-def cell_rows(columns: dict, converged) -> list[dict | None]:
-    """The rows of one bounds cell, a dict per grid point keyed like ``columns``.
+def cell_ok(columns: dict, converged) -> np.ndarray:
+    """The row rule of a bounds cell: the mask of its good grid points.
 
     ``columns`` maps each column to a float array over the grid (epsilon and
     the cell's values) or to one value that every row shares (the cell's
     fixed columns); ``converged`` is the tail pass's mask over the grid.  A
-    point is None where its tail did not converge or any of its values is
+    point fails where its tail did not converge or any of its values is
     outside double range.
     """
-    per_point = {c: v for c, v in columns.items() if isinstance(v, np.ndarray)}
-    ok = np.logical_and.reduce([converged, *map(np.isfinite, per_point.values())])
-    lists = {c: v.tolist() for c, v in per_point.items()}
+    per_point = [v for v in columns.values() if isinstance(v, np.ndarray)]
+    return np.logical_and.reduce([converged, *map(np.isfinite, per_point)])
+
+
+def cell_rows(columns: dict, converged) -> list[dict | None]:
+    """The rows of one bounds cell, a dict per grid point keyed like ``columns``;
+    a point that fails ``cell_ok`` is None."""
+    lists = {c: v.tolist() for c, v in columns.items() if isinstance(v, np.ndarray)}
     return [
         {c: lists[c][i] if c in lists else v for c, v in columns.items()} if good else None
-        for i, good in enumerate(ok.tolist())
+        for i, good in enumerate(cell_ok(columns, converged).tolist())
     ]
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ from hypothesis import strategies as st
 import ddbound.cli as cli
 import ddbound.simulator as simulator
 from ddbound.cli import main
+from ddbound.nudd_bounds import NUDD_SWEEP_COLUMNS, nudd_sweep_cell
+from ddbound.qdd_bounds import (
+    _MODES,
+    QDD_SWEEP_COLUMNS,
+    EtaVector,
+    default_eps_grid,
+    sweep_cell,
+)
+from ddbound.series import NORMAL_MIN, cell_rows
 
 
 def run_cli(argv, capsys):
@@ -408,6 +418,129 @@ def test_flagged_bounds_frozen(argv, code, flags, digest, capsys):
     kind, count = flags
     assert sum(ln.startswith(f"# {kind}: ") for ln in out.splitlines()) == count
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The bounds-table writer before it wrote each cell from its columns: one
+# row dict per grid point, each value formatted and tested on its own.  Kept
+# as the reference that the column writer must match byte for byte.
+def _oracle_fmt(value):
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def _oracle_flag_line(kind, row, columns):
+    parts = " ".join(
+        f"{c}={_oracle_fmt(row[c])}" for c in columns
+        if not (isinstance(row[c], float) and math.isnan(row[c]))
+    )
+    return f"# {kind}: {parts}"
+
+
+def _oracle_table(columns, cells):
+    """(lines, exit code) of the old row loop over ``cells``."""
+    lines = [",".join(columns)]
+    failures = 0
+    for cell in cells:
+        values, converged = cell()
+        fixed = {c: v for c, v in values.items() if not isinstance(v, np.ndarray)}
+        for eps, row in zip(values["epsilon"].tolist(), cell_rows(values, converged)):
+            if row is None:
+                row = {**dict.fromkeys(columns, math.nan), **fixed, "epsilon": eps}
+                lines.append(_oracle_flag_line("non-convergence", row, columns))
+                failures += 1
+            else:
+                tiny = [c for c in columns if isinstance(row[c], float)
+                        and 0.0 < abs(row[c]) < NORMAL_MIN]
+                if tiny:
+                    key = {c: row[c] for c in ("epsilon", *fixed)}
+                    lines.append(
+                        f"{_oracle_flag_line('subnormal', key, key)}; "
+                        f"{', '.join(tiny)} below 2^-1022"
+                    )
+            lines.append(",".join(_oracle_fmt(row[c]) for c in columns))
+    return lines, 3 if failures else 0
+
+
+def _writer_table(columns, cells):
+    """(lines, exit code) of ``cli._bounds_table`` with an empty header."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli._bounds_table(None, [], columns, cells)
+    return out.getvalue().splitlines(), code
+
+
+def _assert_writer_matches_oracle(columns, cells):
+    got, want = _writer_table(columns, cells), _oracle_table(columns, cells)
+    assert got == want
+    return got[0]
+
+
+# Values drawn by their decade exponent over [lo, hi], so small values are as
+# likely as large ones, with the subnormal decades drawn as often again.
+def _decades(lo, hi):
+    return st.one_of(st.floats(lo, -308.0), st.floats(lo, hi)).map(lambda e: 10.0**e)
+
+
+def _zero_or_decades(lo, hi):
+    return st.one_of(st.just(0.0), _decades(lo, hi))
+
+
+_GRIDS = st.lists(_decades(-320.0, 3.0), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n1=st.integers(0, 40),
+    n2=st.integers(0, 40),
+    eta=st.tuples(*[_zero_or_decades(-310.0, 3.0)] * 3),
+    grid=_GRIDS,
+    mode=st.sampled_from(_MODES),
+)
+def test_qdd_writer_matches_row_loop(n1, n2, eta, grid, mode):
+    """The column writer prints exactly the old row loop's text and exit code
+    for random QDD cells, across the non-convergence and subnormal edges."""
+    cell = partial(sweep_cell, n1, n2, EtaVector(*eta), grid, mode)
+    _assert_writer_matches_oracle(QDD_SWEEP_COLUMNS, [cell])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    d_min=st.integers(0, 60),
+    eta=_zero_or_decades(-310.0, 2.0),
+    grid=_GRIDS,
+)
+def test_nudd_writer_matches_row_loop(m, d_min, eta, grid):
+    """The same for random NUDD cells."""
+    cell = partial(nudd_sweep_cell, m, d_min, eta, grid)
+    _assert_writer_matches_oracle(NUDD_SWEEP_COLUMNS, [cell])
+
+
+def test_writer_mixes_flags_like_row_loop():
+    """One table whose cells mix non-convergence, subnormal and plain rows."""
+    grid = default_eps_grid(1e-4, 300.0, 25)
+    cells = [
+        partial(sweep_cell, 200, 200, EtaVector.isotropic(1.0), grid),
+        partial(sweep_cell, 2, 2, EtaVector.isotropic(1.0), grid),
+    ]
+    _assert_writer_matches_oracle(QDD_SWEEP_COLUMNS, cells)
+    lines, code = _writer_table(QDD_SWEEP_COLUMNS, cells)
+    assert code == 3
+    kinds = {ln.split(":")[0] for ln in lines if ln.startswith("#")}
+    assert kinds == {"# non-convergence", "# subnormal"}
+
+
+def test_writer_subnormal_eta_flags_every_row(capsys):
+    """A subnormal fixed column flags every row, named in column order."""
+    cell = partial(sweep_cell, 2, 2, EtaVector(1e-310, 0.5, 0.5), default_eps_grid(1e-4, 1e-3, 4))
+    _assert_writer_matches_oracle(QDD_SWEEP_COLUMNS, [cell])
+    code, out, _ = run_cli(
+        "bounds qdd --n1 2 --n2 2 --eta-x 1e-310 --eta-y 0.5 --eta-z 0.5 --eps-points 4".split(),
+        capsys,
+    )
+    assert code == 0
+    flags = [ln for ln in out.splitlines() if ln.startswith("# subnormal: ")]
+    assert len(flags) == 4
+    assert all(" eta_x=9.9999999999999694e-311 " in ln for ln in flags)
+    assert all(ln.endswith("; eta_x below 2^-1022") for ln in flags)
 
 
 def test_simulate_overflowed_bound_exits_3(tmp_path, capsys):
