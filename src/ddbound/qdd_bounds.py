@@ -363,10 +363,16 @@ def distance_bound(
 def default_eps_grid(
     lo: float = 1e-4, hi: float = 1.0, points: int = 41
 ) -> tuple[float, ...]:
-    """Log-spaced epsilon grid, endpoints included."""
+    """Log-spaced epsilon grid from ``lo`` to ``hi``, both exactly.
+
+    The points between are powers of 10 and may round past an end, so they
+    are held within [lo, hi]; the grid never decreases.
+    """
     if not (0 < lo < hi < math.inf) or points < 2:
         raise ValueError("need finite 0 < lo < hi and at least two points")
-    return tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), points))
+    grid = np.logspace(math.log10(lo), math.log10(hi), points)
+    grid[[0, -1]] = lo, hi
+    return tuple(np.clip(grid, lo, hi).tolist())
 
 
 _PANEL_ETAS = (1e-4, 1e-2, 1.0, 1e2)

@@ -396,12 +396,20 @@ def test_preset_csv_frozen(argv, digest, capsys):
 @pytest.mark.parametrize(
     "argv, code, flags, digest",
     [
-        ("bounds nudd --m 10 --dmin 3 --eta 100 --eps-max 50",
-         3, ("non-convergence", 41),
-         "978b590cbb39f87dd0d6c058a4becb02e3595ba1dc259e06a71784d5df6b1d8b"),
-        ("bounds qdd --n1 40 --n2 3 --eta 1e3 --eps-max 200 --eps-points 30",
-         3, ("non-convergence", 15),
-         "a8cb394d10b4294f10677e046a83a9ce7b9c154e4bacd4dd6739a765b4025d60"),
+        pytest.param(
+            "bounds nudd --m 10 --dmin 3 --eta 100 --eps-max 50",
+            3, ("non-convergence", 41),
+            "b2ba1a81cf9206e4a2c6cffb978917079b0899262edae0c6d2303c1210ed5afd",
+            id="bounds nudd --m 10 --dmin 3 --eta 100 --eps-max 50-3-flags0-"
+            "978b590cbb39f87dd0d6c058a4becb02e3595ba1dc259e06a71784d5df6b1d8b",
+        ),
+        pytest.param(
+            "bounds qdd --n1 40 --n2 3 --eta 1e3 --eps-max 200 --eps-points 30",
+            3, ("non-convergence", 15),
+            "e1f5b0cc0b28393348f3979434698fe41988a5810fed6cc906b79a3d3f6df71d",
+            id="bounds qdd --n1 40 --n2 3 --eta 1e3 --eps-max 200 --eps-points 30-3-flags1-"
+            "a8cb394d10b4294f10677e046a83a9ce7b9c154e4bacd4dd6739a765b4025d60",
+        ),
         ("bounds qdd --n1 60 --n2 60 --eta-x 1e-5 --eps-min 1e-9 --eps-points 30",
          0, ("subnormal", 18),
          "b754d4fddfb198b1dd2ac1d1c289db4382972cb30dc3f7677de6985bf877f994"),
@@ -412,7 +420,10 @@ def test_preset_csv_frozen(argv, digest, capsys):
 )
 def test_flagged_bounds_frozen(argv, code, flags, digest, capsys):
     """sha256 of whole outputs with flagged rows: the text of the
-    non-convergence and subnormal comment lines is frozen with the data."""
+    non-convergence and subnormal comment lines is frozen with the data.
+    The first two were re-recorded when the eps grid came to end at
+    ``--eps-max`` exactly (their last epsilon was 49.999999999999993 and
+    200.00000000000003); each keeps the id of its first digest."""
     got, out, err = run_cli(argv.split(), capsys)
     assert (got, err) == (code, "")
     kind, count = flags

@@ -329,6 +329,29 @@ def test_default_eps_grid():
             default_eps_grid(lo, hi, 3)
 
 
+# (lo, hi) with hi a relative span above lo, from a few ulps up.
+_EPS_RANGES = st.tuples(
+    st.floats(5e-324, 1e300),
+    st.one_of(st.floats(1e-15, 1e-12), st.floats(1e-12, 1e300)),
+).map(lambda t: (t[0], t[0] * (1.0 + t[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=_EPS_RANGES, points=st.integers(2, 200))
+@example(ends=(1e-3, 0.3), points=41)  # logspace ends at 0.29999999999999993
+@example(ends=(1e-4, 200.0), points=30)  # logspace ends at 200.00000000000003
+def test_default_eps_grid_hits_its_endpoints(ends, points):
+    """The grid starts at lo and ends at hi exactly, and never decreases,
+    also over spans of a few ulps."""
+    lo, hi = ends
+    if not (lo < hi < math.inf):
+        return
+    grid = default_eps_grid(lo, hi, points)
+    assert len(grid) == points
+    assert grid[0] == lo and grid[-1] == hi
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+
 def test_preset_cells_shapes():
     fig2 = preset_cells("fig2")
     assert len(fig2) == 16
