@@ -400,15 +400,21 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ bounds --
 
 
-def _eps_grid(resolved: dict, window: Callable = default_eps_grid) -> tuple[float, ...]:
-    """``window(eps_min, eps_max, eps_points)``; 0 points is an empty grid."""
-    points = resolved["eps_points"]
+def _eps_grid(
+    resolved: dict, sources: dict[str, str], window: Callable = default_eps_grid
+) -> tuple[float, ...]:
+    """``window(eps_min, eps_max, eps_points)``; 0 points is an empty grid.
+
+    The domains of the three options are checked already; the rule across
+    them, lo < hi, names what gave the ends (``_named``).
+    """
+    lo, hi, points = (resolved[k] for k in ("eps_min", "eps_max", "eps_points"))
     if points == 0:
         return ()
-    try:
-        return window(resolved["eps_min"], resolved["eps_max"], points)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if not lo < hi:
+        ends = _named(sources, ("eps_min", "eps_max"))
+        raise CliError(f"{ends} must satisfy lo < hi, got lo={lo!r}, hi={hi!r}")
+    return window(lo, hi, points)
 
 
 def _bounds_table(
@@ -498,7 +504,7 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
     else:
         raise CliError("--fig2/--fig3/--fig4 or --n1/--n2 is required")
 
-    grid = _eps_grid(resolved)
+    grid = _eps_grid(resolved, sources)
     mode = resolved["mode"]
     table = [partial(sweep_cell, n1, n2, eta, grid, mode) for n1, n2, eta in cells]
     header = _header("bounds qdd", resolved, mode=mode)
@@ -513,12 +519,12 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
     if resolved["preset"] is not None:
         _preset_alone(sources, ("m", "dmin"), ("eta",))
         for m, d_min, eta in preset_nudd_cells(resolved["preset"]):
-            grid = _eps_grid(resolved, partial(nudd_eps_window, eta, m))
+            grid = _eps_grid(resolved, sources, partial(nudd_eps_window, eta, m))
             table.append(partial(nudd_sweep_cell, m, d_min, eta, grid))
     elif resolved["m"] is not None or resolved["dmin"] is not None:
         _together(sources, "m", "dmin")
         table.append(partial(nudd_sweep_cell, resolved["m"], resolved["dmin"],
-                             _scalar_eta(resolved), _eps_grid(resolved)))
+                             _scalar_eta(resolved), _eps_grid(resolved, sources)))
     else:
         raise CliError("--fig5 or --m/--dmin is required")
 

@@ -244,6 +244,16 @@ _ETAS = "--eta/--eta-x/--eta-y/--eta-z"
         ("bounds qdd --fig3", {"n2": 3}, "a preset cannot be combined with config key 'n2'"),
         ("bounds nudd --fig5 --m 2", None, "a preset cannot be combined with --m/--dmin"),
         ("bounds nudd --fig5", {"dmin": 2}, "a preset cannot be combined with config key 'dmin'"),
+        ("bounds qdd --n1 2 --n2 2 --eta 1 --eps-min 0.5 --eps-max 0.5", None,
+         "--eps-min/--eps-max must satisfy lo < hi, got lo=0.5, hi=0.5"),
+        ("bounds qdd --n1 2 --n2 2", {"eps_min": 0.5, "eps_max": 0.5},
+         "config key 'eps_min'/config key 'eps_max' must satisfy lo < hi, got lo=0.5, hi=0.5"),
+        ("bounds qdd --n1 2 --n2 2 --eps-max 0.5", {"eps_min": 0.7},
+         "config key 'eps_min'/--eps-max must satisfy lo < hi, got lo=0.7, hi=0.5"),
+        ("bounds nudd --m 2 --dmin 1 --eps-min 2", None,
+         "--eps-min/--eps-max must satisfy lo < hi, got lo=2.0, hi=1.0"),
+        ("bounds nudd --fig5", {"eps_min": 2},
+         "config key 'eps_min' must satisfy lo < hi, got lo=2, hi=1.0"),
     ],
 )
 def test_cross_option_rules_name_their_source(argv, config, message, tmp_path, capsys):
