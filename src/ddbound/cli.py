@@ -643,17 +643,27 @@ def _run_cells(
 
     A cell is a violation when ``loosen`` times its bound falls below the
     measured distance, a channel bound is exceeded, or the propagator is not
-    unitary to ``UNITARITY_TOL``.
+    unitary to ``UNITARITY_TOL``.  A cell whose run fails to converge is a
+    ``# non-convergence`` comment line and a row of the columns the cell
+    fixes, with NaN in every column the run computes.
     """
     lines: list[str] = []
     violations = failures = 0
     results = run_experiments([cfg for _, cfg, _ in cells])
     for (index, cfg, eta), res in zip(cells, results):
+        row = {
+            "cell": index,
+            "kind": cfg.kind,
+            "orders": "/".join(str(n) for n in cfg.orders),
+            "bath_dim": cfg.bath.dim,
+            "seed": cfg.bath.seed,
+            "eta": eta,
+        }
         if isinstance(res, NonConvergenceError):
             failures += 1
-            ids = {"cell": index, "seed": cfg.bath.seed}
-            where = " ".join(f"{c}={v}" for c, v in ids.items() if c in columns)
+            where = " ".join(f"{c}={row[c]}" for c in ("cell", "seed") if c in columns)
             lines.append(f"# non-convergence: {where} ({res})")
+            lines.append(_csv_row({**dict.fromkeys(columns, math.nan), **row}, columns))
             continue
         bound = loosen * res.distance_bound
         margin = bound - res.distance_actual
@@ -665,21 +675,15 @@ def _run_cells(
             and max(res.cross_residuals.values(), default=0.0) <= UNITARITY_TOL
         )
         violations += not ok
-        row = {
-            "cell": index,
-            "kind": cfg.kind,
-            "orders": "/".join(str(n) for n in cfg.orders),
-            "bath_dim": cfg.bath.dim,
-            "seed": cfg.bath.seed,
-            "epsilon": res.epsilon,
-            "eta": eta,
-            "D_actual": res.distance_actual,
-            "D_bound": bound,
-            "margin": margin,
-            "channel_margin_min": ch_min,
-            "unitarity": res.unitarity_residual,
-            "ok": int(ok),
-        }
+        row.update(
+            epsilon=res.epsilon,
+            D_actual=res.distance_actual,
+            D_bound=bound,
+            margin=margin,
+            channel_margin_min=ch_min,
+            unitarity=res.unitarity_residual,
+            ok=int(ok),
+        )
         lines.append(_csv_row(row, columns))
     return lines, violations, failures
 

@@ -729,7 +729,9 @@ def test_sweep_overflowed_bound_flags_the_cell(tmp_path, capsys):
     assert [ln.split(" (")[0] for ln in out.splitlines() if "non-convergence" in ln] == [
         "# non-convergence: cell=1 seed=1"
     ]
-    assert len(data_lines(out)) == 2  # the column header and cell 0
+    # the column header, cell 0, and cell 1 with NaN in every computed column
+    assert data_lines(out)[1:][1] == "1,qdd,2/2,4,1,nan,1,nan,nan,nan,nan,nan"
+    assert len(data_lines(out)) == 3
 
 
 def test_sweep_flags_one_cell_of_a_stacked_group(tmp_path, capsys, monkeypatch):
@@ -751,8 +753,19 @@ def test_sweep_flags_one_cell_of_a_stacked_group(tmp_path, capsys, monkeypatch):
         "# non-convergence: cell=1 seed=1"
     ]
     rows = data_lines(out)[1:]
-    assert [r.split(",")[0] for r in rows] == ["0", "2"]
+    assert [r.split(",")[0] for r in rows] == ["0", "1", "2"]
+    assert rows[1] == "1,qdd,2/2,4,1,nan,1,nan,nan,nan,nan,nan"
     assert out.index("cell=1") < out.index("\n2,")
+
+
+def test_verify_bound_writes_one_row_per_cell(capsys):
+    """Every cell has its row: a cell whose bound overflows keeps its seed and
+    eta and has NaN in the columns its run computes, epsilon included."""
+    argv = "verify bound --qdd 2 2 --eps 400 --eta 1000 --seeds 2 --bath-dim 2".split()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 3
+    assert sum(ln.startswith("# non-convergence: seed=") for ln in out.splitlines()) == 2
+    assert data_lines(out)[1:] == [f"{seed},nan,1000,nan,nan,nan,nan,nan,nan" for seed in (0, 1)]
 
 
 def test_oversized_qubit_count_rejected_before_labels(tmp_path, capsys):
