@@ -439,7 +439,7 @@ def _bounds_table(
         except ValueError as exc:
             raise CliError(str(exc))
         ok = cell_ok(values, converged)
-        failures += ok.size - np.count_nonzero(ok)
+        failures += np.count_nonzero(~ok)
         lines += _cell_lines(values, ok, columns)
     _emit(lines, out)
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
@@ -477,9 +477,10 @@ def _cell_lines(values: dict, ok: np.ndarray, columns: Sequence[str]) -> list[st
         where = f"epsilon={'%.17g' % table[0, i]}{key}"
         if ok[i]:
             names = ", ".join(c for c, t in tiny.items() if t[i])
-            lines += rows[start:i] + [f"# subnormal: {where}; {names} below 2^-1022"]
+            flag = f"# subnormal: {where}; {names} below 2^-1022"
         else:
-            lines += rows[start:i] + [f"# non-convergence: {where}"]
+            flag = f"# non-convergence: {where}"
+        lines += rows[start:i] + [flag]
         start = i
     return lines + rows[start:]
 

@@ -488,12 +488,6 @@ def _writer_table(columns, cells):
     return out.getvalue().splitlines(), code
 
 
-def _assert_writer_matches_oracle(columns, cells):
-    got, want = _writer_table(columns, cells), _oracle_table(columns, cells)
-    assert got == want
-    return got[0]
-
-
 # Values drawn by their decade exponent over [lo, hi], so small values are as
 # likely as large ones, with the subnormal decades drawn as often again.
 def _decades(lo, hi):
@@ -519,7 +513,7 @@ def test_qdd_writer_matches_row_loop(n1, n2, eta, grid, mode):
     """The column writer prints exactly the old row loop's text and exit code
     for random QDD cells, across the non-convergence and subnormal edges."""
     cell = partial(sweep_cell, n1, n2, EtaVector(*eta), grid, mode)
-    _assert_writer_matches_oracle(QDD_SWEEP_COLUMNS, [cell])
+    assert _writer_table(QDD_SWEEP_COLUMNS, [cell]) == _oracle_table(QDD_SWEEP_COLUMNS, [cell])
 
 
 @settings(max_examples=150, deadline=None)
@@ -532,7 +526,7 @@ def test_qdd_writer_matches_row_loop(n1, n2, eta, grid, mode):
 def test_nudd_writer_matches_row_loop(m, d_min, eta, grid):
     """The same for random NUDD cells."""
     cell = partial(nudd_sweep_cell, m, d_min, eta, grid)
-    _assert_writer_matches_oracle(NUDD_SWEEP_COLUMNS, [cell])
+    assert _writer_table(NUDD_SWEEP_COLUMNS, [cell]) == _oracle_table(NUDD_SWEEP_COLUMNS, [cell])
 
 
 def test_writer_mixes_flags_like_row_loop():
@@ -542,8 +536,8 @@ def test_writer_mixes_flags_like_row_loop():
         partial(sweep_cell, 200, 200, EtaVector.isotropic(1.0), grid),
         partial(sweep_cell, 2, 2, EtaVector.isotropic(1.0), grid),
     ]
-    _assert_writer_matches_oracle(QDD_SWEEP_COLUMNS, cells)
     lines, code = _writer_table(QDD_SWEEP_COLUMNS, cells)
+    assert (lines, code) == _oracle_table(QDD_SWEEP_COLUMNS, cells)
     assert code == 3
     kinds = {ln.split(":")[0] for ln in lines if ln.startswith("#")}
     assert kinds == {"# non-convergence", "# subnormal"}
@@ -552,7 +546,7 @@ def test_writer_mixes_flags_like_row_loop():
 def test_writer_subnormal_eta_flags_every_row(capsys):
     """A subnormal fixed column flags every row, named in column order."""
     cell = partial(sweep_cell, 2, 2, EtaVector(1e-310, 0.5, 0.5), default_eps_grid(1e-4, 1e-3, 4))
-    _assert_writer_matches_oracle(QDD_SWEEP_COLUMNS, [cell])
+    assert _writer_table(QDD_SWEEP_COLUMNS, [cell]) == _oracle_table(QDD_SWEEP_COLUMNS, [cell])
     code, out, _ = run_cli(
         "bounds qdd --n1 2 --n2 2 --eta-x 1e-310 --eta-y 0.5 --eta-z 0.5 --eps-points 4".split(),
         capsys,
