@@ -11,9 +11,11 @@ verify bound    check bound dominance over randomized baths
 sweep           randomized experiment grid from a JSON config
 
 Each command's options are declared once, in ``_COMMANDS``.  A call that
-names a command builds that command's parser only.  The full tree of
-``build_parser`` is built for help above the commands, unknown commands and
-parse errors, so every parse error reads as the tree writes it.  Configs are JSON
+names a command and gives it only full flags with well-formed values is read
+straight from that command's option table, with no parser built.  Every other
+call (help, an unknown command or flag, a value that starts with ``-``, a
+parse error) goes whole to the full tree of ``build_parser``, so help and
+every parse error read as the tree writes them.  Configs are JSON
 objects whose keys mirror the long flag names with underscores (``--eps-min``
 -> ``"eps_min"``).  Flags override file values; unknown keys are rejected.
 A ``null`` value counts as unset; any other value must have the JSON type and
@@ -161,9 +163,12 @@ def _emit(lines: list[str], out: str | None, append: bool = False) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "a" if append else "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output {out!r}: {exc}")
 
 
 # ----------------------------------------------------------------- options --
@@ -406,15 +411,14 @@ def _eps_grid(
     """``window(eps_min, eps_max, eps_points)``; 0 points is an empty grid.
 
     The domains of the three options are checked already; the rule across
-    them, lo < hi, names what gave the ends (``_named``).
+    them, lo < hi, holds for the empty grid too and names what gave the
+    ends (``_named``).
     """
     lo, hi, points = (resolved[k] for k in ("eps_min", "eps_max", "eps_points"))
-    if points == 0:
-        return ()
     if not lo < hi:
         ends = _named(sources, ("eps_min", "eps_max"))
         raise CliError(f"{ends} must satisfy lo < hi, got lo={lo!r}, hi={hi!r}")
-    return window(lo, hi, points)
+    return window(lo, hi, points) if points else ()
 
 
 def _bounds_table(
@@ -646,7 +650,10 @@ def _run_cells(
     measured distance, a channel bound is exceeded, or the propagator is not
     unitary to ``UNITARITY_TOL``.  A cell whose run fails to converge is a
     ``# non-convergence`` comment line and a row of the columns the cell
-    fixes, with NaN in every column the run computes.
+    fixes, with NaN in every column the run computes.  A row holding a value
+    below the smallest normal double is preceded by a ``# subnormal`` comment
+    line naming those columns in column order.  Both comment lines give the
+    row's cell and seed, where the columns hold them.
     """
     lines: list[str] = []
     violations = failures = 0
@@ -660,9 +667,9 @@ def _run_cells(
             "seed": cfg.bath.seed,
             "eta": eta,
         }
+        where = " ".join(f"{c}={row[c]}" for c in ("cell", "seed") if c in columns)
         if isinstance(res, NonConvergenceError):
             failures += 1
-            where = " ".join(f"{c}={row[c]}" for c in ("cell", "seed") if c in columns)
             lines.append(f"# non-convergence: {where} ({res})")
             lines.append(_csv_row({**dict.fromkeys(columns, math.nan), **row}, columns))
             continue
@@ -685,6 +692,10 @@ def _run_cells(
             unitarity=res.unitarity_residual,
             ok=int(ok),
         )
+        tiny = ", ".join(c for c in columns if isinstance(row[c], float)
+                         and 0.0 < abs(row[c]) < NORMAL_MIN)
+        if tiny:
+            lines.append(f"# subnormal: {where}; {tiny} below 2^-1022")
         lines.append(_csv_row(row, columns))
     return lines, violations, failures
 
@@ -900,7 +911,21 @@ _GROUPS = {
 }
 
 
-def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
+_CONFIG = Opt("config", str, metavar="PATH", help="JSON config (flags override)")
+_OUT = Opt("out", str, metavar="PATH", help="write to PATH instead of stdout")
+
+
+def _flags(spec: Command) -> list[tuple[Opt, bool]]:
+    """The flag options of ``spec`` in help order, ``--config`` and ``--out``
+    last, each with whether the parser requires it: a required option of a
+    command that reads no config, and a required config."""
+    flags = [(opt, opt.required and spec.config is None) for opt in spec.options if opt.flag]
+    if spec.config is not None:
+        flags.append((_CONFIG, spec.config == "required"))
+    return flags + [(_OUT, False)]
+
+
+def _add_option(p: argparse.ArgumentParser, opt: Opt, required: bool) -> None:
     if opt.preset:
         group = p.add_mutually_exclusive_group()
         for name in opt.choices:
@@ -916,29 +941,17 @@ def _add_option(p: argparse.ArgumentParser, opt: Opt, has_config: bool) -> None:
         choices=opt.choices or None,
         nargs=opt.nargs,
         metavar=opt.metavar,
-        required=opt.required and not has_config,
+        required=required,
         help=f"{opt.help or ''}{note}".strip(),
     )
-
-
-def _add_command(p: argparse.ArgumentParser, spec: Command) -> None:
-    """Give ``p`` the options of ``spec``, and ``spec`` as its ``spec`` default."""
-    p.set_defaults(spec=spec)
-    for opt in spec.options:
-        if opt.flag:
-            _add_option(p, opt, spec.config is not None)
-    if spec.config is not None:
-        p.add_argument("--config", metavar="PATH", required=spec.config == "required",
-                       help="JSON config (flags override)")
-    p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full command-line parser: every command, its help line and options.
 
-    ``main`` parses a call that names a command with that command's parser
-    alone, and builds this tree only for what the tree itself reports: help
-    at the top or group level, an unknown command, and every parse error.
+    It is the one reporter of the command line: ``main`` builds it only for a
+    call that the option table leaves to it (``_parse``), and lets it print
+    that call's help or error, or parse it.
     """
     parser = argparse.ArgumentParser(
         prog="ddbound",
@@ -956,36 +969,84 @@ def build_parser() -> argparse.ArgumentParser:
                 g = sub.add_parser(group[0], help=_GROUPS[group[0]])
                 groups[group[0]] = g.add_subparsers(dest="subcommand", required=True)
             parent = groups[group[0]]
-        _add_command(parent.add_parser(leaf, help=spec.help), spec)
+        p = parent.add_parser(leaf, help=spec.help)
+        p.set_defaults(spec=spec)
+        for opt, required in _flags(spec):
+            _add_option(p, opt, required)
     return parser
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser: it raises its parse errors for the tree to report."""
+def _read(spec: Command, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace the tree's parser of ``spec`` gives ``tokens``, read
+    from the command's option table, or None to leave ``tokens`` to the tree.
 
-    def error(self, message: str) -> None:
-        raise argparse.ArgumentError(None, message)
+    The table read takes flags spelled in full, each followed by its values
+    (``nargs`` of them, none starting with ``-``) or joined to its one value
+    by ``=``, and at most one preset flag.  Each value must convert with the
+    option's ``type`` and lie in its ``choices``, and every flag the parser
+    requires must be given.  Every flag's dest is None unless given, and the
+    last of repeated flags wins, as in the parser.
+    """
+    table: dict[str, tuple[Opt, str | None]] = {}
+    values: dict[str, Any] = {"spec": spec}
+    required = []
+    for opt, needed in _flags(spec):
+        if opt.preset:
+            table.update((f"--{name}", (opt, name)) for name in opt.choices)
+        else:
+            table[_flag(opt.name)] = (opt, None)
+        values[opt.name] = None
+        if needed:
+            required.append(opt.name)
+    i = 0
+    while i < len(tokens):
+        flag, eq, text = tokens[i].partition("=")
+        opt, const = table.get(flag, (None, None))
+        i += 1
+        if opt is None:
+            return None
+        if const is not None:
+            if eq or values[opt.name] is not None:
+                return None
+            values[opt.name] = const
+            continue
+        if eq:
+            if opt.nargs:
+                return None
+            texts = [text]
+        else:
+            n = opt.nargs or 1
+            texts, i = tokens[i : i + n], i + n
+            if len(texts) < n or any(t.startswith("-") for t in texts):
+                return None
+        try:
+            given = [opt.type(t) for t in texts]
+        except (TypeError, ValueError):
+            return None
+        if opt.choices and any(v not in opt.choices for v in given):
+            return None
+        values[opt.name] = given if opt.nargs else given[0]
+    if any(values[name] is None for name in required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with only the parser of the command it names.
+    """Parse ``argv``: from the option table of the command it names, if the
+    table read accepts the rest (``_read``), else by ``build_parser()``.
 
-    That parser is built as the tree's leaf for the command, so its help and
-    its clean parses are the tree's.  An ``argv`` that names no command, or
-    that this parser rejects or leaves arguments of, is parsed by
-    ``build_parser()``, which reports it as the tree does.
+    The tree takes everything else whole, so it parses or reports it as it
+    always has: help, ``--``, an unknown or abbreviated flag, a value that
+    starts with ``-`` (argparse's own negative-number rule decides those), a
+    missing value, a failed conversion or choice, two presets, and a missing
+    required flag.  Nothing is kept across calls.
     """
     for name, spec in _COMMANDS.items():
         words = name.split()
         if argv[: len(words)] == words:
-            parser = _CommandParser(prog=f"ddbound {name}")
-            _add_command(parser, spec)
-            try:
-                args, rest = parser.parse_known_args(argv[len(words) :])
-                if not rest:
-                    return args
-            except argparse.ArgumentError:
-                pass
+            args = _read(spec, argv[len(words) :])
+            if args is not None:
+                return args
             break
     return build_parser().parse_args(argv)
 

@@ -12,8 +12,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,6 +255,14 @@ _ETAS = "--eta/--eta-x/--eta-y/--eta-z"
         ("bounds nudd --m 2 --dmin 1 --eps-min 2", None,
          "--eps-min/--eps-max must satisfy lo < hi, got lo=2.0, hi=1.0"),
         ("bounds nudd --fig5", {"eps_min": 2},
+         "config key 'eps_min' must satisfy lo < hi, got lo=2, hi=1.0"),
+        ("bounds qdd --n1 2 --n2 2 --eps-min 2 --eps-max 1 --eps-points 0", None,
+         "--eps-min/--eps-max must satisfy lo < hi, got lo=2.0, hi=1.0"),
+        ("bounds qdd --n1 2 --n2 2", {"eps_min": 2, "eps_max": 1, "eps_points": 0},
+         "config key 'eps_min'/config key 'eps_max' must satisfy lo < hi, got lo=2, hi=1"),
+        ("bounds nudd --fig5 --eps-min 2 --eps-max 1 --eps-points 0", None,
+         "--eps-min/--eps-max must satisfy lo < hi, got lo=2.0, hi=1.0"),
+        ("bounds nudd --m 2 --dmin 1", {"eps_min": 2, "eps_points": 0},
          "config key 'eps_min' must satisfy lo < hi, got lo=2, hi=1.0"),
     ],
 )
@@ -760,6 +770,51 @@ def test_verify_bound_writes_one_row_per_cell(capsys):
     assert code == 3
     assert sum(ln.startswith("# non-convergence: seed=") for ln in out.splitlines()) == 2
     assert data_lines(out)[1:] == [f"{seed},nan,1000,nan,nan,nan,nan,nan,nan" for seed in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds qdd --n1 2 --n2 2 --eps-points 2",
+        "verify bound --qdd 1 1 --eps 0.05 --seeds 1 --bath-dim 2",
+    ],
+)
+def test_unwritable_out_is_one_error(argv, tmp_path, capsys):
+    """An ``--out`` that cannot be opened, for a command that truncates it
+    or one that appends to it, exits 2 with one error line and no output."""
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli([*argv.split(), "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["verify bound", "sweep"])
+def test_subnormal_experiment_rows_flagged(command, tmp_path, capsys):
+    """A ``verify bound`` or ``sweep`` row holding a value below 2^-1022 is
+    preceded by a ``# subnormal`` line that gives its cell and seed and names
+    those columns in column order; the exit code stays 0."""
+    if command == "sweep":
+        doc = {**SWEEP_CONFIG, "orders": [[1, 1]], "bath_dim": [2], "eps": [1e-300],
+               "eta": [1.0], "seeds": 1}
+        (tmp_path / "sweep.json").write_text(json.dumps(doc))
+        argv = ["sweep", "--config", str(tmp_path / "sweep.json")]
+        where = "cell=0 seed=0"
+    else:
+        argv = "verify bound --qdd 1 1 --eps 1e-300 --seeds 1 --bath-dim 2".split()
+        where = "seed=0"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    columns = data_lines(out)[0].split(",")
+    lines = out.splitlines()
+    flags = [i for i, ln in enumerate(lines) if ln.startswith("# subnormal")]
+    assert len(flags) == 1
+    row = dict(zip(columns, lines[flags[0] + 1].split(",")))
+    floats = ("epsilon", "D_actual", "D_bound", "margin", "channel_margin_min", "unitarity")
+    tiny = [c for c in columns if c in floats and 0 < abs(float(row[c])) < NORMAL_MIN]
+    assert "D_bound" in tiny
+    assert lines[flags[0]] == f"# subnormal: {where}; {', '.join(tiny)} below 2^-1022"
 
 
 def test_oversized_qubit_count_rejected_before_labels(tmp_path, capsys):
@@ -1274,6 +1329,12 @@ PARSE_CORPUS = [
     ["bounds", "qdd", "--eps-poi", "0"], ["bounds", "qdd", "--n1", "1"],
     ["bounds", "nudd", "--m", "1", "--dmin", "1", "--eps-points=2"],
     ["verify", "orders", "--qdd", "1", "1", "--nmax", "1"],
+    ["verify", "bound", "--qdd", "1", "1", "--eps", "0.05", "--seeds", "1", "--bath-dim", "2",
+     "--loosen", "-1"],
+    ["sequence", "--nudd=1,1", "--qubits", "1"], ["sequence", "--qdd=1"],
+    ["bounds", "qdd", "--fig2", "--fig2"],
+    ["verify", "orders", "--qdd", "1", "--nmax", "1"],
+    ["bounds", "qdd", "--n1", "1", "--n2", "1", "--eps-points", "2", "--out"],
 ]
 
 # One valid call of each command.
@@ -1316,8 +1377,9 @@ def test_main_parses_as_the_full_tree(argv, call_configs, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", VALID_CALLS, ids=" ".join)
-def test_valid_call_builds_one_parser(argv, call_configs, capsys, monkeypatch):
-    """A call that names a command builds that command's parser and no other."""
+def test_valid_call_builds_no_parser(argv, call_configs, capsys, monkeypatch):
+    """A well-formed call is read from its command's option table: no parser
+    is built."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1327,4 +1389,123 @@ def test_valid_call_builds_one_parser(argv, call_configs, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run_cli(argv, capsys)[0] == 0
-    assert len(built) == 1
+    assert len(built) == 0
+
+
+# Option values to draw: values the option's type and choices accept, and
+# values they reject or that start with "-".  argparse reads a space-separated
+# value that starts with "-" as a value only if it looks like a negative
+# number ("-1", "-0.5", but not "-1e-3" or "-x").
+_VALUE_TEXTS = {
+    int: (("0", "1", "2"), ("-1", "1.5", "x", "")),
+    float: (("0.05", "1e-3", "1", "0", "nan"), ("-1", "-0.5", "-1e-3", "-inf", "x", "")),
+    str: (("1,1", "1,0,1,0", "1,x"), ("-1", "-x")),
+    "config": (("sim.json", "sweep.json", "cell.json", "missing.json"), ("-", "-x")),
+    "out": (("out.txt", "missing/out.txt", ""), ("-", "-x")),
+}
+# Ways to get one flag wrong, and tokens that only the tree reads.
+_FAULTS = ("abbreviated", "value short", "value over", "value rejected", "joined")
+_TREE_TOKENS = (["-h"], ["--help"], ["--"], ["--bogus", "1"], ["extra"], ["--version"])
+
+
+@st.composite
+def _option_tokens(draw, spec, fault=None):
+    """One flag of ``spec`` and its values, typed right or with one ``fault``:
+    the flag abbreviated, one value short or over, values its type or
+    choices reject, or its values joined to it by ``=``."""
+    opts = [opt for opt, _ in cli._flags(spec)]
+    if fault == "joined":  # a one-value flag may be joined to its value
+        opts = [opt for opt in opts if opt.preset or opt.nargs] or opts
+    opt = draw(st.sampled_from(opts))
+    flag = draw(st.sampled_from(
+        [f"--{name}" for name in opt.choices] if opt.preset else [cli._flag(opt.name)]
+    ))
+    if opt.choices and not opt.preset:
+        accepted, rejected = opt.choices, ("other", "-x")
+    else:
+        accepted, rejected = _VALUE_TEXTS[opt.name if opt.name in _VALUE_TEXTS else opt.type]
+    count = 0 if opt.preset else opt.nargs or 1
+    if fault == "abbreviated":
+        flag = flag[: draw(st.integers(2, len(flag) - 1))]
+    count += {"value short": -1, "value over": 1}.get(fault, 0)
+    texts = rejected if fault == "value rejected" else accepted
+    values = draw(st.lists(st.sampled_from(texts), min_size=max(count, 0), max_size=max(count, 0)))
+    if fault == "joined":
+        return [f"{flag}={values[0] if values else ''}", *values[1 : draw(st.integers(1, 2))]]
+    if count == 1 and draw(st.booleans()):
+        return [f"{flag}={values[0]}"]
+    return [flag, *values]
+
+
+@st.composite
+def _command_argv(draw, name):
+    """A valid call of command ``name``, or its words alone, followed by up
+    to three well-formed flags of its option table; and in half the draws
+    one more group among them: a flag with one fault, or a token that only
+    the tree reads."""
+    spec = cli._COMMANDS[name]
+    words = name.split()
+    base = next(argv for argv in VALID_CALLS if argv[: len(words)] == words)
+    groups = draw(st.lists(_option_tokens(spec), max_size=3))
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from((*_FAULTS, "tree token")))
+        odd = st.sampled_from(_TREE_TOKENS) if fault == "tree token" else _option_tokens(spec, fault)
+        groups.insert(draw(st.integers(0, len(groups))), draw(odd))
+    argv = list(draw(st.sampled_from((words, base))))
+    for group in groups:
+        argv += group
+    return argv
+
+
+def _outcome_with_files(call, where):
+    """Exit code, stdout, stderr and the files written into ``where`` by
+    ``call``, which are then removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    written = {}
+    for path in sorted(where.iterdir()):
+        if path.is_file() and path.name not in ("sim.json", "sweep.json", "cell.json"):
+            written[path.name] = path.read_text()
+            path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_read_parses_as_the_full_tree(name, data, tmp_path_factory):
+    """Command lines drawn from each command's option table, well formed or
+    not, give the exit code, stdout, stderr and files of the full tree; and
+    every one the table read accepts gives the tree's namespace, less the
+    tree's ``command``/``subcommand``."""
+    argv = data.draw(_command_argv(name))
+    where = tmp_path_factory.getbasetemp() / "table_read"
+    where.mkdir(exist_ok=True)
+    configs = {"sim.json": SIM_CONFIG, "sweep.json": {**SWEEP_CONFIG, "seeds": 1},
+               "cell.json": HASH_CONFIGS["cell.json"]}
+    for config, doc in configs.items():
+        (where / config).write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            tree = _outcome_with_files(
+                lambda: cli._run(cli.build_parser().parse_args(argv)), where
+            )
+            assert _outcome_with_files(lambda: main(argv), where) == tree
+            args = cli._read(cli._COMMANDS[name], argv[len(name.split()) :])
+            if args is not None:
+                parsed = vars(cli.build_parser().parse_args(argv))
+    finally:
+        os.chdir(cwd)
+    if args is not None:
+        parsed.pop("command")
+        parsed.pop("subcommand", None)
+        # compared by repr, so that a nan value equals itself
+        assert {k: repr(v) for k, v in vars(args).items()} == {
+            k: repr(v) for k, v in parsed.items()
+        }
