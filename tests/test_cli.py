@@ -1414,7 +1414,7 @@ def _option_tokens(draw, spec, fault=None):
     the flag abbreviated, one value short or over, values its type or
     choices reject, or its values joined to it by ``=``."""
     opts = [opt for opt, _ in cli._flags(spec)]
-    if fault == "joined":  # a one-value flag may be joined to its value
+    if fault == "joined":  # a fault only for a flag of no value or of two
         opts = [opt for opt in opts if opt.preset or opt.nargs] or opts
     opt = draw(st.sampled_from(opts))
     flag = draw(st.sampled_from(
