@@ -45,7 +45,10 @@ Exit codes: 0 success, 1 a verified property is violated (and nothing else),
 lines), or an order certificate whose primes fall short of its proof bound.
 Every bound is rounded outward, so each printed value is an upper bound; a
 row holding a value below 2^-1022, whose digits overstate its precision, is
-preceded by a ``# subnormal`` comment line and keeps its exit code.
+preceded by a ``# subnormal`` comment line and keeps its exit code.  A
+``sweep`` or ``verify bound`` row whose bound is below the margin floor
+(1e-12), where the floor rather than the bound decides the check, is
+preceded by an ``# unresolved`` comment line and keeps its exit code.
 """
 
 from __future__ import annotations
@@ -650,10 +653,13 @@ def _run_cells(
     measured distance, a channel bound is exceeded, or the propagator is not
     unitary to ``UNITARITY_TOL``.  A cell whose run fails to converge is a
     ``# non-convergence`` comment line and a row of the columns the cell
-    fixes, with NaN in every column the run computes.  A row holding a value
-    below the smallest normal double is preceded by a ``# subnormal`` comment
-    line naming those columns in column order.  Both comment lines give the
-    row's cell and seed, where the columns hold them.
+    fixes, with NaN in every column the run computes.  A row whose
+    ``D_bound`` is below ``-MARGIN_FLOOR``, so that the floor and not the
+    bound decides its margin, is preceded by an ``# unresolved`` comment
+    line; a row holding a value below the smallest normal double, by a
+    ``# subnormal`` comment line naming those columns in column order, after
+    any ``# unresolved`` line.  Every comment line gives the row's cell and
+    seed, where the columns hold them.  Neither flag changes ``ok``.
     """
     lines: list[str] = []
     violations = failures = 0
@@ -692,6 +698,9 @@ def _run_cells(
             unitarity=res.unitarity_residual,
             ok=int(ok),
         )
+        if bound < -MARGIN_FLOOR:
+            floor = f"{-MARGIN_FLOOR:g}"
+            lines.append(f"# unresolved: {where}; D_bound below the margin floor {floor}")
         tiny = ", ".join(c for c in columns if isinstance(row[c], float)
                          and 0.0 < abs(row[c]) < NORMAL_MIN)
         if tiny:

@@ -24,15 +24,22 @@ Experiments run as stacks (``run_experiments``): configs with equal qubit
 counts and bath dimensions form a group, and each group runs as arrays with
 a leading cell axis, so the coupling rescaling, the eigendecompositions, the
 channel extraction and every spectral norm take one numpy call per stack
-rather than per cell.  Only ``evolve`` depends on the pulse schedule: a
-group is ordered by schedule, and ``evolve`` runs once per schedule on its
-slice of the stack.  A stack holds at most ``MAX_TOTAL_DIM**2`` matrix
-entries per array, no more than one experiment at the largest total
-dimension.  Each stacked step does to every cell's matrices what it does to
-one alone, so a result does not depend on the cells that share its stack;
-the one-model forms of ``build_model``, ``evolve`` and ``run_experiment``
-are stacks of one.  The distance bound stays one call per cell, because the
-benchmark's tracer (``perfbench/tests``) counts one bound span per cell.
+rather than per cell.  Every spectral norm of a bath-dimension matrix comes
+from a Hermitian eigensolve, and no matrix is decomposed twice: a coupling's
+norm is read off the eigenvalues that rescaled it, a channel operator's is
+the root of its Gram matrix's top eigenvalue, and the unitarity residuals,
+Hermitian by construction, are their largest |eigenvalue|.  Only
+``trace_distance`` takes singular values, of system-dimension matrices.
+
+Only ``evolve`` depends on the pulse schedule: a group is ordered by
+schedule, and ``evolve`` runs once per schedule on its slice of the stack.
+A stack holds at most ``MAX_TOTAL_DIM**2`` matrix entries per array, no
+more than one experiment at the largest total dimension.  Each stacked step
+does to every cell's matrices what it does to one alone, so a result does
+not depend on the cells that share its stack; the one-model forms of
+``build_model``, ``evolve`` and ``run_experiment`` are stacks of one.  The
+distance bound stays one call per cell, because the benchmark's tracer
+(``perfbench/tests``) counts one bound span per cell.
 """
 
 from __future__ import annotations
@@ -159,24 +166,46 @@ def _hermitian_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (raw + raw.conj().T) / 2.0
 
 
-def _rescale(herm: np.ndarray, J) -> np.ndarray:
-    """Hermitian matrices (..., d, d) rescaled so each spectral norm is exactly J."""
-    scale = np.max(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+def _hermitian_norm(h: np.ndarray) -> np.ndarray:
+    """Spectral norms of Hermitian matrices (..., d, d): each one's largest
+    |eigenvalue|, from a backward-stable Hermitian eigensolve.
+
+    ``eigvalsh`` reads only the lower triangle, so each matrix must be
+    Hermitian by construction.
+    """
+    w = np.linalg.eigvalsh(h)
+    return np.maximum(-w[..., 0], w[..., -1])
+
+
+def _rescale(herm: np.ndarray, J) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian matrices (..., d, d) rescaled to spectral norm J, and the
+    norms they realize.
+
+    A matrix of norm s scaled by c = J / s has norm s c up to the rounding of
+    its entries, a few ulp, so the realized norms come from the one
+    eigensolve that found s; no coupling is decomposed again.
+    """
+    scale = _hermitian_norm(herm)
     if np.any(scale == 0.0):
         raise RuntimeError("degenerate zero draw; use a different seed")
-    return herm * (J / scale)[..., None, None]
+    factor = J / scale
+    return herm * factor[..., None, None], scale * factor
 
 
 @dataclass
 class HamiltonianModel:
-    """Couplings of the joint Hamiltonian, and its eigendecomposition V diag(w) V^dag.
+    """Couplings of the joint Hamiltonian, their realized spectral norms, and
+    its eigendecomposition V diag(w) V^dag.
 
-    A stack of models carries a leading cell axis on every array.
+    ``coupling_norms[label]`` is the norm of ``couplings[label]`` as the
+    rescaling realized it (0 for an uncoupled channel).  A stack of models
+    carries a leading cell axis on every array.
     """
 
     qubit_count: int
     bath_dim: int
     couplings: dict[str, np.ndarray]
+    coupling_norms: dict[str, np.ndarray] = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
 
@@ -209,14 +238,15 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
     total = 2**qubit_count * dim
     if total > MAX_TOTAL_DIM:
         raise ValueError(f"total dimension {total} exceeds limit {MAX_TOTAL_DIM}")
-    couplings = {}
+    couplings, norms = {}, {}
     for key, label in enumerate(sorted(labels)):
         j = np.array([b.norm(label) for b in baths])
         live = np.flatnonzero(j)
         couplings[label] = np.zeros((cells, dim, dim), dtype=complex)
+        norms[label] = np.zeros(cells)
         if live.size:
             draws = [_hermitian_draw(dim, _child_rng(baths[s].seed, key)) for s in live]
-            couplings[label][live] = _rescale(np.stack(draws), j[live])
+            couplings[label][live], norms[label][live] = _rescale(np.stack(draws), j[live])
     h = np.zeros((cells, total, total), dtype=complex)
     for label in labels:
         b = couplings[label]
@@ -229,11 +259,13 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     if isinstance(bath, BathSpec):
         couplings = {label: c[0] for label, c in couplings.items()}
+        norms = {label: n[0] for label, n in norms.items()}
         w, v = w[0], v[0]
     return HamiltonianModel(
         qubit_count=qubit_count,
         bath_dim=dim,
         couplings=couplings,
+        coupling_norms=norms,
         eigenvalues=w,
         eigenvectors=v,
     )
@@ -360,8 +392,18 @@ def extract_channel_ops(u: np.ndarray, qubit_count: int) -> dict[str, np.ndarray
 
 
 def _spectral_norm(a: np.ndarray) -> float | np.ndarray:
-    """Largest singular value; an array of them for a stack of matrices."""
-    norms = np.linalg.svd(a, compute_uv=False).max(axis=-1)
+    """Largest singular value; an array of them for a stack of matrices.
+
+    It is the square root of the largest eigenvalue of the Gram matrix
+    B^dag B, where B = 2^k A brings A's largest entry into [1/2, 1) (k from
+    ``np.frexp``, capped so that 2^k is a double).  The scaling is exact, and
+    the Gram matrix of B neither underflows nor overflows, whatever A's scale.
+    """
+    _, e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
+    k = np.minimum(-e, 1023)
+    b = a * np.ldexp(1.0, k)[..., None, None]
+    top = np.linalg.eigvalsh(_dagger(b) @ b)[..., -1]
+    norms = np.ldexp(np.sqrt(top), -k)
     return float(norms) if a.ndim == 2 else norms
 
 
@@ -389,7 +431,7 @@ def unitarity_residuals(ops: Mapping[str, np.ndarray]) -> dict[str, float | np.n
         mats["cross_x"] = cross(ax, a0, ay, az)
         mats["cross_y"] = cross(ay, a0, az, ax)
         mats["cross_z"] = cross(az, a0, ax, ay)
-    norms = np.linalg.svd(np.stack(list(mats.values())), compute_uv=False).max(axis=-1)
+    norms = _hermitian_norm(np.stack(list(mats.values())))
     return {k: float(n) if first.ndim == 2 else n for k, n in zip(mats, norms)}
 
 
@@ -511,8 +553,9 @@ def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str
     """(epsilon, eta, bound, channel margins) of one experiment.
 
     The bound is evaluated at the realized operator norms of the sampled
-    couplings, not the requested ones: rescaling rounds by a few ulp and the
-    dominance margin should not depend on which side that rounding lands.
+    couplings (``HamiltonianModel.coupling_norms``, from the eigenvalues that
+    rescaled them), not the requested ones: rescaling rounds by a few ulp and
+    the dominance margin should not depend on which side that rounding lands.
     """
     id_label = "0" * config.qubit_count
     j0 = realized[id_label]
@@ -565,6 +608,7 @@ def _run_stack(
         part = replace(
             model,
             couplings={label: c[cells] for label, c in model.couplings.items()},
+            coupling_norms={label: n[cells] for label, n in model.coupling_norms.items()},
             eigenvalues=model.eigenvalues[cells],
             eigenvectors=model.eigenvectors[cells],
         )
@@ -573,8 +617,10 @@ def _run_stack(
     u = parts[0] if len(parts) == 1 else np.concatenate(parts)
     ops = extract_channel_ops(u, m)
     residuals = unitarity_residuals(ops)
-    mats = list(ops.values()) + list(model.couplings.values())
-    norms = _spectral_norm(np.stack(mats))
+    labels = tuple(ops)
+    # each operator leaves ``ops`` as it is stacked, so the norms' scaled
+    # copy and Gram matrices take the operators' place in memory
+    norms = _spectral_norm(np.stack([ops.pop(label) for label in labels]))
 
     psi = np.stack([_initial_system_state(c) for c in configs])
     rho_bath = np.stack([_initial_bath_state(c) for c in configs])
@@ -588,12 +634,10 @@ def _run_stack(
 
     out: list[SimResult | NonConvergenceError] = []
     for s, config in enumerate(configs):
-        column = [float(x) for x in norms[:, s]]
-        channel_norms = dict(zip(ops, column))
+        channel_norms = {label: float(x) for label, x in zip(labels, norms[:, s])}
+        realized = {label: float(n[s]) for label, n in model.coupling_norms.items()}
         try:
-            eps, eta, bound, channel_margins = _bound(
-                config, channel_norms, dict(zip(model.couplings, column[len(ops):]))
-            )
+            eps, eta, bound, channel_margins = _bound(config, channel_norms, realized)
         except NonConvergenceError as exc:
             out.append(exc)
             continue

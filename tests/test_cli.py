@@ -13,8 +13,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -815,6 +818,76 @@ def test_subnormal_experiment_rows_flagged(command, tmp_path, capsys):
     tiny = [c for c in columns if c in floats and 0 < abs(float(row[c])) < NORMAL_MIN]
     assert "D_bound" in tiny
     assert lines[flags[0]] == f"# subnormal: {where}; {', '.join(tiny)} below 2^-1022"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # D_actual lands above D_bound in one row, which the floor still passes
+        "verify bound --qdd 3 3 --eps 1e-3 --eta 0.01 --seeds 2 --bath-dim 2",
+        # D_bound is subnormal, so that row carries both flags
+        "verify bound --qdd 1 1 --eps 1e-300 --seeds 1 --bath-dim 2",
+        # bounds far above the floor: no row is flagged
+        "verify bound --qdd 1 1 --eps 0.1 --eta 1 --seeds 2 --bath-dim 2",
+    ],
+)
+def test_floor_decided_rows_flagged_unresolved(argv, capsys):
+    """A row whose D_bound is below the margin floor 1e-12 is preceded by an
+    ``# unresolved`` line giving its seed, placed before any ``# subnormal``
+    line; no other row is flagged, and ``ok`` and the exit code keep what
+    the check decides."""
+    code, out, _ = run_cli(argv.split(), capsys)
+    columns = data_lines(out)[0].split(",")
+    lines = out.splitlines()
+    start = lines.index(",".join(columns)) + 1
+    rows = [(i, dict(zip(columns, ln.split(",")))) for i, ln in enumerate(lines)
+            if i >= start and not ln.startswith("#")]
+    for i, row in rows:
+        flags = []
+        while i > start and lines[i - 1].startswith("#"):
+            i -= 1
+            flags.insert(0, lines[i])
+        unresolved = f"# unresolved: seed={row['seed']}; D_bound below the margin floor 1e-12"
+        if float(row["D_bound"]) < -cli.MARGIN_FLOOR:
+            assert flags[0] == unresolved
+            assert all(f.startswith("# subnormal") for f in flags[1:])
+        else:
+            assert flags == []
+        ok = float(row["margin"]) >= cli.MARGIN_FLOOR and float(
+            row["channel_margin_min"]) >= cli.MARGIN_FLOOR
+        assert row["ok"] == str(int(ok and float(row["unitarity"]) <= cli.UNITARITY_TOL))
+    assert code == (cli.EXIT_OK if all(r["ok"] == "1" for _, r in rows) else cli.EXIT_ASSERTION)
+    assert any(ln.startswith("# unresolved") for ln in lines) == ("0.1" not in argv)
+
+
+def test_sweep_unresolved_row_names_its_cell(tmp_path, capsys):
+    """A ``sweep`` row's ``# unresolved`` line gives its cell and seed."""
+    doc = {**SWEEP_CONFIG, "orders": [[1, 1]], "bath_dim": [2], "eps": [1e-300, 0.1],
+           "eta": [1.0], "seeds": 1}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    code, out, _ = run_cli(["sweep", "--config", str(tmp_path / "sweep.json")], capsys)
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("# unresolved")] == [
+        "# unresolved: cell=0 seed=0; D_bound below the margin floor 1e-12"
+    ]
+
+
+@pytest.mark.parametrize("argv", ["sequence --qdd 2 2", "sequence --qdd 2"])
+def test_python_m_ddbound_is_the_cli(argv, capsys, monkeypatch):
+    """``python -m ddbound`` from a checkout gives ``main``'s output and exit
+    code, for a valid call and for one argparse rejects."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddbound", *argv.split()],
+        capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
 def test_oversized_qubit_count_rejected_before_labels(tmp_path, capsys):

@@ -610,3 +610,139 @@ def test_fit_scaling_is_the_per_point_evolution():
     for k, eps in enumerate(fit.eps_grid):
         ops = extract_channel_ops(evolve(qdd_schedule(1, 2), model, eps / 2.0), 1)
         assert all(fit.norms[ch][k] == _spectral_norm(ops[ch]) for ch in "xyz")
+
+
+# ------------------------------------------------------------------- norms --
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _svd_norm(a):
+    """Spectral norm by singular values, the oracle for the eigensolve norms."""
+    return np.linalg.norm(a, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hermitian=st.booleans(),
+    n=st.integers(1, 64),
+    cells=st.integers(1, 3),
+    k=st.integers(-540, 540),
+    zeros=st.lists(st.booleans(), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# past |k| = 511 the unscaled Gram matrix of a Gaussian draw under- or overflows
+@example(hermitian=False, n=64, cells=2, k=-540, zeros=[False] * 3, seed=0)
+@example(hermitian=False, n=64, cells=2, k=540, zeros=[False] * 3, seed=0)
+@example(hermitian=True, n=1, cells=3, k=0, zeros=[True, False, True], seed=1)
+def test_norm_helpers_match_singular_values(hermitian, n, cells, k, zeros, seed):
+    """Hermitian and general stacks of dims 1-64, scaled by 2^k, some of
+    them all zero: each eigensolve norm is the largest singular value to
+    64 n u relative, and exactly 0 for a zero matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(cells, n, n)) + 1j * rng.normal(size=(cells, n, n))
+    if hermitian:
+        a = (a + a.conj().swapaxes(-1, -2)) / 2
+    a *= 2.0**k  # exact: every entry stays a normal double
+    a[np.array(zeros[:cells])] = 0.0
+    want = np.array([_svd_norm(m) for m in a])
+    helpers = (simulator._hermitian_norm, _spectral_norm) if hermitian else (_spectral_norm,)
+    for norm in helpers:
+        got = norm(a)
+        assert np.all(np.abs(got - want) <= 64 * n * _U * want), (norm.__name__, got, want)
+        assert [norm(m) for m in a] == list(got)  # a stack is its matrices one by one
+
+
+def test_spectral_norm_at_the_ends_of_the_double_range():
+    """The power-of-two prescale reaches subnormal and near-overflow entries."""
+    tiny, huge = 5e-324, 1.5e308
+    assert _spectral_norm(np.array([[tiny]], dtype=complex)) == tiny
+    assert _spectral_norm(np.diag([huge, -huge]).astype(complex)) == huge
+    assert _spectral_norm(np.diag([3 * tiny, tiny]).astype(complex)) == 3 * tiny
+    assert _spectral_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+
+
+def _oracle_cells():
+    """QDD at bath dims 2-32 and NUDD m = 2 at bath dims 2-8, in one list."""
+    qdd = [
+        ExperimentConfig(
+            kind="qdd", orders=orders, T=T, initial_state=state,
+            bath=BathSpec(dim=dim, seed=17 * dim + sum(orders),
+                          norms={"0": 1.0, "x": 0.7, "y": 0.05, "z": 2.0}),
+        )
+        for orders, dim, (T, state) in itertools.product(
+            ((1, 1), (2, 3)), (2, 8, 32), ((0.01, "random"), (0.6, "plus"))
+        )
+    ]
+    nudd = [
+        ExperimentConfig(
+            kind="nudd", orders=(1, 1, 1, 1), T=T, bath_state="pure-random",
+            bath=BathSpec(dim=dim, seed=dim, norms={"00": 1.0, "xz": 0.3, "y0": 0.8, "0x": 0.02}),
+        )
+        for dim, T in itertools.product((2, 4, 8), (0.02, 0.5))
+    ]
+    return [c for pair in itertools.zip_longest(qdd, nudd) for c in pair if c is not None]
+
+
+def _svd_residuals(ops):
+    """Completeness and cross residuals of channel operators, rebuilt from
+    their definitions and normed by singular values."""
+    dag = {k: a.conj().T for k, a in ops.items()}
+    eye = np.eye(ops[min(ops)].shape[-1])
+    mats = {"completeness": sum(dag[k] @ a for k, a in ops.items()) - eye}
+    if "x" in ops:
+        for p, r, s in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
+            mats["cross_" + p] = (dag[p] @ ops["0"] + dag["0"] @ ops[p]
+                                  + 1j * (dag[r] @ ops[s] - dag[s] @ ops[r]))
+    return {k: _svd_norm(m) for k, m in mats.items()}
+
+
+def _close(got, want):
+    return abs(got - want) <= max(1e-13 * abs(want), 1e-15)
+
+
+def test_run_experiments_norms_match_singular_values():
+    """Over mixed QDD and NUDD cells, the channel norms, the realized
+    coupling norms and the residuals of ``run_experiments`` match singular
+    values recomputed here, and D_actual is bit for bit the SVD trace
+    distance of the states the run forms."""
+    configs = _oracle_cells()
+    for cfg, res in zip(configs, run_experiments(configs)):
+        m = cfg.qubit_count
+        model = build_model(cfg.bath, m)
+        realized = {lab: _svd_norm(c) for lab, c in model.couplings.items()}
+        assert all(_close(model.coupling_norms[lab], n) for lab, n in realized.items())
+        assert _close(res.epsilon, realized["0" * m] * cfg.T)
+        u = evolve(nudd_schedule(cfg.orders, m), model, cfg.T)
+        ops = extract_channel_ops(u, m)
+        assert all(_close(res.channel_norms[lab], _svd_norm(a)) for lab, a in ops.items())
+        residuals = _svd_residuals(ops)
+        assert _close(res.unitarity_residual, residuals.pop("completeness"))
+        assert res.cross_residuals.keys() == residuals.keys()
+        assert all(_close(res.cross_residuals[k], r) for k, r in residuals.items())
+        # the states as the run forms them (a stack of one), and their distance
+        psi = simulator._initial_system_state(cfg)[None]
+        rho_bath = simulator._initial_bath_state(cfg)[None]
+        d_sys, d_bath = 2**m, cfg.bath.dim
+        k = np.einsum("saibj,sb->saij", u.reshape(-1, d_sys, d_bath, d_sys, d_bath), psi)
+        flat = (-1, d_sys, d_bath * d_bath)
+        rho_t = (k @ rho_bath[:, None]).reshape(flat) @ k.reshape(flat).conj().swapaxes(-1, -2)
+        rho_sys = psi[:, :, None] * psi.conj()[:, None, :]
+        svd = np.linalg.svd(rho_t[0] - rho_sys[0], compute_uv=False)
+        assert res.distance_actual == 0.5 * np.sum(svd)
+
+
+def test_residual_catches_a_scaled_channel_block():
+    """Negative control: scaling one (system) block of U by 1 + 1e-8 breaks
+    unitarity, and the completeness residual reports more than 1e-9."""
+    for cfg in _oracle_cells()[:4]:
+        m = cfg.qubit_count
+        model = build_model(cfg.bath, m)
+        u = evolve(nudd_schedule(cfg.orders, m), model, cfg.T)
+        assert unitarity_residuals(extract_channel_ops(u, m))["completeness"] < 1e-12
+        d_bath = cfg.bath.dim
+        u[:d_bath, :d_bath] *= 1 + 1e-8
+        ops = extract_channel_ops(u, m)
+        got = unitarity_residuals(ops)["completeness"]
+        assert got > 1e-9
+        assert _close(got, _svd_residuals(ops)["completeness"])
