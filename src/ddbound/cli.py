@@ -143,10 +143,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _csv_row(row: dict, columns: Sequence[str]) -> str:
-    return ",".join(_fmt(row[c]) for c in columns)
-
-
 def _config_hash(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -424,70 +420,89 @@ def _eps_grid(
     return window(lo, hi, points) if points else ()
 
 
-def _bounds_table(
+def _table(
     out: str | None,
     header: list[str],
     columns: Sequence[str],
-    cells: Sequence[Callable[[], tuple[dict, Any]]],
+    parts: Sequence[Callable[[], tuple]],
+    append: bool = False,
 ) -> int:
-    """Emit the rows of each cell, one batched pass per cell.
+    """Emit a table of ``columns`` from its parts; return its count of failed rows.
 
-    ``cells`` holds one callable per cell that returns the cell as columns
-    and the converged mask of its pass (``sweep_cell``/``nudd_sweep_cell``
-    with the cell's arguments bound).  Each cell is written from its columns
-    (``_cell_lines``).  A point that fails the row rule ``cell_ok`` counts
-    as a failure and sets the exit code.
+    ``parts`` holds one callable per part of the table (a bounds cell, an
+    experiment run) that returns the part as columns, the converged mask of
+    its rows and, optionally, a dict of the part's ``_cell_lines`` keywords.
+    The row rule ``cell_ok`` decides which rows fail, and each part is
+    written from its columns (``_cell_lines``).
     """
     lines = header + [",".join(columns)]
     failures = 0
-    for cell in cells:
+    for part in parts:
         try:
-            values, converged = cell()
+            values, converged, *declared = part()
         except ValueError as exc:
             raise CliError(str(exc))
         ok = cell_ok(values, converged)
         failures += np.count_nonzero(~ok)
-        lines += _cell_lines(values, ok, columns)
-    _emit(lines, out)
-    return EXIT_NONCONVERGENCE if failures else EXIT_OK
+        lines += _cell_lines(values, ok, columns, **(declared[0] if declared else {}))
+    _emit(lines, out, append)
+    return failures
 
 
-def _cell_lines(values: dict, ok: np.ndarray, columns: Sequence[str]) -> list[str]:
-    """The CSV lines of one cell, whose columns start with epsilon.
+def _cell_lines(
+    values: dict,
+    ok: np.ndarray,
+    columns: Sequence[str],
+    key: Sequence[str] | None = None,
+    notes: Sequence[str] | None = None,
+    flags: Sequence[tuple[str, dict, str]] = (),
+) -> list[str]:
+    """The CSV lines of one part of a table.
 
-    The fixed columns are formatted once, into a row template, and every row
-    fills it with its per-point values.  A point not ``ok`` is a row of its
-    epsilon, the fixed columns and NaN, preceded by a ``# non-convergence``
-    comment line.  A row with a value below the smallest normal double,
-    whose printed digits overstate its precision, is preceded by a
-    ``# subnormal`` comment line naming those columns in column order; a
-    subnormal fixed column flags every row.  Both comment lines give the
-    row's epsilon and fixed columns.
+    A column is a float array over the rows, a list of row text, or one
+    value that every row shares.  The shared columns are formatted once,
+    into a row template, and every row fills it with its own values.
+    Comment lines give the row's ``key`` columns, in column order: by
+    default epsilon and the shared columns.  A row not ``ok`` keeps its key,
+    text and shared columns, has NaN in its other float columns, and is
+    preceded by a ``# non-convergence`` comment line that ends in its entry
+    of ``notes``.  An ``ok`` row is preceded by one comment line
+    ``# <kind>: <key>; <names> <text>`` for each flag ``(kind, masks, text)``
+    with a mask true on the row, naming those masks in order.  The last flag
+    is ``subnormal``: its masks are the columns holding a value below the
+    smallest normal double, whose printed digits overstate its precision,
+    and a subnormal shared column flags every row.
     """
-    per_point = [c for c in columns if isinstance(values[c], np.ndarray)]
-    fixed = {c: values[c] for c in columns if c not in per_point}
-    table = np.array([values[c] for c in per_point])
-    table[1:, ~ok] = np.nan
-    template = ",".join("%.17g" if c in per_point else _fmt(values[c]) for c in columns)
-    rows = [template % row for row in zip(*table.tolist())]
+    floats = [c for c in columns if isinstance(values[c], np.ndarray)]
+    texts = {c: values[c] for c in columns if isinstance(values[c], list)}
+    shared = {c: values[c] for c in columns if c not in floats and c not in texts}
+    spec = {c: "%.17g" if c in floats else "%s" if c in texts else _fmt(values[c])
+            for c in columns}
+    key = [c for c in columns if c in (key or ("epsilon", *shared))]
+    table = np.array([values[c] for c in floats])
+    table[np.outer([c not in key for c in floats], ~ok)] = np.nan
+    by_row = {**texts, **dict(zip(floats, table.tolist()))}
+    template = ",".join(spec.values())
+    rows = [template % row for row in zip(*(by_row[c] for c in columns if c in by_row))]
 
-    tiny = dict(zip(per_point, (table != 0.0) & (np.abs(table) < NORMAL_MIN)))
-    tiny.update((c, ok) for c, v in fixed.items()
+    tiny = dict(zip(floats, (table != 0.0) & (np.abs(table) < NORMAL_MIN)))
+    tiny.update((c, ok) for c, v in shared.items()
                 if isinstance(v, float) and 0.0 < abs(v) < NORMAL_MIN)
-    tiny = {c: tiny[c] for c in columns if c in tiny}
-    flagged = np.flatnonzero(np.logical_or.reduce([~ok, *tiny.values()])).tolist()
+    flags = [*flags, ("subnormal", {c: tiny[c] for c in columns if c in tiny}, "below 2^-1022")]
+    marks = [m for _, masks, _ in flags for m in masks.values()]
+    flagged = np.flatnonzero(np.logical_or.reduce([~ok, *marks])).tolist()
     if not flagged:
         return rows
-    key = "".join(f" {c}={_fmt(v)}" for c, v in fixed.items())
+    where = " ".join(f"{c}={spec[c]}" for c in key)
     lines, start = [], 0
     for i in flagged:
-        where = f"epsilon={'%.17g' % table[0, i]}{key}"
+        at = where % tuple(by_row[c][i] for c in key if c in by_row)
         if ok[i]:
-            names = ", ".join(c for c, t in tiny.items() if t[i])
-            flag = f"# subnormal: {where}; {names} below 2^-1022"
+            named = [(kind, ", ".join(c for c, m in masks.items() if m[i]), text)
+                     for kind, masks, text in flags]
+            lines += rows[start:i] + [f"# {k}: {at}; {n} {t}" for k, n, t in named if n]
         else:
-            flag = f"# non-convergence: {where}"
-        lines += rows[start:i] + [flag]
+            lines += rows[start:i] + [f"# non-convergence: {at}{notes[i] if notes else ''}"]
         start = i
     return lines + rows[start:]
 
@@ -516,7 +531,7 @@ def cmd_bounds_qdd(args: argparse.Namespace) -> int:
     mode = resolved["mode"]
     table = [partial(sweep_cell, n1, n2, eta, grid, mode) for n1, n2, eta in cells]
     header = _header("bounds qdd", resolved, mode=mode)
-    return _bounds_table(args.out, header, QDD_SWEEP_COLUMNS, table)
+    return EXIT_NONCONVERGENCE if _table(args.out, header, QDD_SWEEP_COLUMNS, table) else EXIT_OK
 
 
 def cmd_bounds_nudd(args: argparse.Namespace) -> int:
@@ -537,7 +552,7 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
         raise CliError("--fig5 or --m/--dmin is required")
 
     header = _header("bounds nudd", resolved)
-    return _bounds_table(args.out, header, NUDD_SWEEP_COLUMNS, table)
+    return EXIT_NONCONVERGENCE if _table(args.out, header, NUDD_SWEEP_COLUMNS, table) else EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate --
@@ -642,81 +657,62 @@ def _experiment_grid(grid: dict) -> list[tuple[int, ExperimentConfig, str]]:
 
 
 def _run_cells(
-    cells: Sequence[tuple[int, ExperimentConfig, str]],
-    columns: Sequence[str],
-    loosen: float = 1.0,
-) -> tuple[list[str], int, int]:
-    """Run the cells as stacked groups: CSV lines in cell order, violation
-    count, non-convergence count.
+    cells: Sequence[tuple[int, ExperimentConfig, str]], loosen: float = 1.0
+) -> tuple[dict, np.ndarray, dict]:
+    """Run the cells as stacked groups, as one part of a table (``_table``):
+    the columns, the converged mask and the ``_cell_lines`` keywords.
 
-    A cell is a violation when ``loosen`` times its bound falls below the
-    measured distance, a channel bound is exceeded, or the propagator is not
-    unitary to ``UNITARITY_TOL``.  A cell whose run fails to converge is a
-    ``# non-convergence`` comment line and a row of the columns the cell
-    fixes, with NaN in every column the run computes.  A row whose
-    ``D_bound`` is below ``-MARGIN_FLOOR``, so that the floor and not the
-    bound decides its margin, is preceded by an ``# unresolved`` comment
-    line; a row holding a value below the smallest normal double, by a
-    ``# subnormal`` comment line naming those columns in column order, after
-    any ``# unresolved`` line.  Every comment line gives the row's cell and
-    seed, where the columns hold them.  Neither flag changes ``ok``.
+    A cell is a violation (``ok`` 0) when ``loosen`` times its bound falls
+    below the measured distance, a channel bound is exceeded, or the
+    propagator is not unitary to ``UNITARITY_TOL``.  A cell whose run fails
+    to converge has NaN in every column the run computes, and its
+    ``# non-convergence`` line ends in the error.  A row whose ``D_bound``
+    is below ``-MARGIN_FLOOR``, so that the floor and not the bound decides
+    its margin, is flagged ``# unresolved``.  Every comment line gives the
+    row's cell and seed, where the columns hold them.  No flag changes ``ok``.
     """
-    lines: list[str] = []
-    violations = failures = 0
     results = run_experiments([cfg for _, cfg, _ in cells])
-    for (index, cfg, eta), res in zip(cells, results):
-        row = {
-            "cell": index,
-            "kind": cfg.kind,
-            "orders": "/".join(str(n) for n in cfg.orders),
-            "bath_dim": cfg.bath.dim,
-            "seed": cfg.bath.seed,
-            "eta": eta,
-        }
-        where = " ".join(f"{c}={row[c]}" for c in ("cell", "seed") if c in columns)
-        if isinstance(res, NonConvergenceError):
-            failures += 1
-            lines.append(f"# non-convergence: {where} ({res})")
-            lines.append(_csv_row({**dict.fromkeys(columns, math.nan), **row}, columns))
-            continue
-        bound = loosen * res.distance_bound
-        margin = bound - res.distance_actual
-        ch_min = min(res.channel_margins.values())
-        ok = (
-            margin >= MARGIN_FLOOR
-            and ch_min >= MARGIN_FLOOR
-            and res.unitarity_residual <= UNITARITY_TOL
-            and max(res.cross_residuals.values(), default=0.0) <= UNITARITY_TOL
-        )
-        violations += not ok
-        row.update(
-            epsilon=res.epsilon,
-            D_actual=res.distance_actual,
-            D_bound=bound,
-            margin=margin,
-            channel_margin_min=ch_min,
-            unitarity=res.unitarity_residual,
-            ok=int(ok),
-        )
-        if bound < -MARGIN_FLOOR:
-            floor = f"{-MARGIN_FLOOR:g}"
-            lines.append(f"# unresolved: {where}; D_bound below the margin floor {floor}")
-        tiny = ", ".join(c for c in columns if isinstance(row[c], float)
-                         and 0.0 < abs(row[c]) < NORMAL_MIN)
-        if tiny:
-            lines.append(f"# subnormal: {where}; {tiny} below 2^-1022")
-        lines.append(_csv_row(row, columns))
-    return lines, violations, failures
+    done = np.array([not isinstance(r, NonConvergenceError) for r in results], dtype=bool)
+
+    def column(read: Callable) -> np.ndarray:
+        return np.array([read(r) if d else math.nan for r, d in zip(results, done)])
+
+    bound = column(lambda r: loosen * r.distance_bound)
+    actual = column(lambda r: r.distance_actual)
+    channel = column(lambda r: min(r.channel_margins.values()))
+    unitarity = column(lambda r: r.unitarity_residual)
+    cross = column(lambda r: max(r.cross_residuals.values(), default=0.0))
+    ok = ((bound - actual >= MARGIN_FLOOR) & (channel >= MARGIN_FLOOR)
+          & (unitarity <= UNITARITY_TOL) & (cross <= UNITARITY_TOL))
+    values = {
+        "cell": [index for index, _, _ in cells],
+        "kind": [cfg.kind for _, cfg, _ in cells],
+        "orders": ["/".join(map(str, cfg.orders)) for _, cfg, _ in cells],
+        "bath_dim": [cfg.bath.dim for _, cfg, _ in cells],
+        "seed": [cfg.bath.seed for _, cfg, _ in cells],
+        "eta": [eta for _, _, eta in cells],
+        "epsilon": column(lambda r: r.epsilon),
+        "D_actual": actual,
+        "D_bound": bound,
+        "margin": bound - actual,
+        "channel_margin_min": channel,
+        "unitarity": unitarity,
+        "ok": np.where(done, ok, math.nan),
+    }
+    floor = -MARGIN_FLOOR
+    declared = {
+        "key": ("cell", "seed"),
+        "notes": [f" ({r})" if not d else "" for r, d in zip(results, done)],
+        "flags": [("unresolved", {"D_bound": bound < floor}, f"below the margin floor {floor:g}")],
+    }
+    return values, done, declared
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved, _ = _resolve(args)
-    rows, _, failures = _run_cells(_experiment_grid(resolved), _SWEEP_COLUMNS)
-    lines = _header(
-        "sweep", resolved, seed=resolved["master_seed"], mode=resolved["mode"]
-    )
-    _emit(lines + [",".join(_SWEEP_COLUMNS)] + rows, args.out)
-    return EXIT_NONCONVERGENCE if failures else EXIT_OK
+    part = partial(_run_cells, _experiment_grid(resolved))
+    header = _header("sweep", resolved, seed=resolved["master_seed"], mode=resolved["mode"])
+    return EXIT_NONCONVERGENCE if _table(args.out, header, _SWEEP_COLUMNS, [part]) else EXIT_OK
 
 
 # ------------------------------------------------------------------ verify --
@@ -777,12 +773,10 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         "master_seed": resolved["seed"],
         "mode": resolved["mode"],
     }
-    rows, violations, failures = _run_cells(
-        _experiment_grid(grid), _VERIFY_COLUMNS, resolved["loosen"]
-    )
-    lines = _header("verify bound", meta, seed=resolved["seed"], mode=resolved["mode"])
-    _emit(lines + [",".join(_VERIFY_COLUMNS)] + rows, args.out, append=True)
-    if violations:
+    run = _run_cells(_experiment_grid(grid), resolved["loosen"])
+    header = _header("verify bound", meta, seed=resolved["seed"], mode=resolved["mode"])
+    failures = _table(args.out, header, _VERIFY_COLUMNS, [lambda: run], append=True)
+    if np.any(run[0]["ok"] == 0.0):
         return EXIT_ASSERTION
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
 

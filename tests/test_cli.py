@@ -495,9 +495,9 @@ def _oracle_table(columns, cells):
 
 
 def _writer_table(columns, cells):
-    """(lines, exit code) of ``cli._bounds_table`` with an empty header."""
+    """(lines, exit code) of ``cli._table`` with an empty header."""
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli._bounds_table(None, [], columns, cells)
+        code = 3 if cli._table(None, [], columns, cells) else 0
     return out.getvalue().splitlines(), code
 
 
