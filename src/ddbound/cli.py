@@ -40,15 +40,17 @@ produce byte-identical output.  CSV floats use 17 significant digits; JSON
 floats use shortest round-trip repr.
 
 Exit codes: 0 success, 1 a verified property is violated (and nothing else),
-2 invalid input, 3 numerical non-convergence or a bound beyond double range
+2 invalid input, 3 numerical non-convergence or a value beyond double range
 (possibly partial: such rows are flagged with ``# non-convergence`` comment
 lines), or an order certificate whose primes fall short of its proof bound.
-Every bound is rounded outward, so each printed value is an upper bound; a
-row holding a value below 2^-1022, whose digits overstate its precision, is
-preceded by a ``# subnormal`` comment line and keeps its exit code.  A
-``sweep`` or ``verify bound`` row whose bound is below the margin floor
-(1e-12), where the floor rather than the bound decides the check, is
-preceded by an ``# unresolved`` comment line and keeps its exit code.
+Every bound is rounded outward, so each printed value is an upper bound.
+One writer, under one row rule (``series.cell_ok``), writes the ``bounds``,
+``sweep`` and ``verify bound`` tables, and precedes a row holding a value
+below 2^-1022, whose digits overstate its precision, by a ``# subnormal``
+comment line.  A ``sweep`` or ``verify bound`` row where the margin floor
+(1e-12) rather than a bound decides the check, as its ``D_bound`` or a
+channel bound ``L_<channel>`` is below the floor, is preceded by an
+``# unresolved`` line naming that bound.  Neither flag changes the exit code.
 """
 
 from __future__ import annotations
@@ -421,11 +423,7 @@ def _eps_grid(
 
 
 def _table(
-    out: str | None,
-    header: list[str],
-    columns: Sequence[str],
-    parts: Sequence[Callable[[], tuple]],
-    append: bool = False,
+    out: str | None, header: list[str], columns: Sequence[str], parts: Sequence, append=False
 ) -> int:
     """Emit a table of ``columns`` from its parts; return its count of failed rows.
 
@@ -450,12 +448,8 @@ def _table(
 
 
 def _cell_lines(
-    values: dict,
-    ok: np.ndarray,
-    columns: Sequence[str],
-    key: Sequence[str] | None = None,
-    notes: Sequence[str] | None = None,
-    flags: Sequence[tuple[str, dict, str]] = (),
+    values: dict, ok: np.ndarray, columns: Sequence[str], key: Sequence[str] | None = None,
+    notes: Sequence[str] | None = None, flags: Sequence[tuple[str, dict, str]] = (),
 ) -> list[str]:
     """The CSV lines of one part of a table.
 
@@ -485,9 +479,9 @@ def _cell_lines(
     template = ",".join(spec.values())
     rows = [template % row for row in zip(*(by_row[c] for c in columns if c in by_row))]
 
-    tiny = dict(zip(floats, (table != 0.0) & (np.abs(table) < NORMAL_MIN)))
-    tiny.update((c, ok) for c, v in shared.items()
-                if isinstance(v, float) and 0.0 < abs(v) < NORMAL_MIN)
+    consts = [c for c, v in shared.items() if isinstance(v, float)]
+    numbers = np.vstack([table, np.outer([shared[c] for c in consts], ok)])
+    tiny = dict(zip(floats + consts, (numbers != 0.0) & (np.abs(numbers) < NORMAL_MIN)))
     flags = [*flags, ("subnormal", {c: tiny[c] for c in columns if c in tiny}, "below 2^-1022")]
     marks = [m for _, masks, _ in flags for m in masks.values()]
     flagged = np.flatnonzero(np.logical_or.reduce([~ok, *marks])).tolist()
@@ -660,16 +654,18 @@ def _run_cells(
     cells: Sequence[tuple[int, ExperimentConfig, str]], loosen: float = 1.0
 ) -> tuple[dict, np.ndarray, dict]:
     """Run the cells as stacked groups, as one part of a table (``_table``):
-    the columns, the converged mask and the ``_cell_lines`` keywords.
+    its columns, converged mask and ``_cell_lines`` keywords.
 
     A cell is a violation (``ok`` 0) when ``loosen`` times its bound falls
     below the measured distance, a channel bound is exceeded, or the
     propagator is not unitary to ``UNITARITY_TOL``.  A cell whose run fails
     to converge has NaN in every column the run computes, and its
-    ``# non-convergence`` line ends in the error.  A row whose ``D_bound``
-    is below ``-MARGIN_FLOOR``, so that the floor and not the bound decides
-    its margin, is flagged ``# unresolved``.  Every comment line gives the
-    row's cell and seed, where the columns hold them.  No flag changes ``ok``.
+    ``# non-convergence`` line ends in the error.  A row whose check the
+    floor and not a bound decides is flagged ``# unresolved``, naming its
+    ``D_bound`` if that is below ``-MARGIN_FLOOR``, else each channel bound
+    below it (``L_<channel>``, from ``SimResult.channel_bounds``).  Comment
+    lines give the row's cell and seed, where the columns hold them.  No
+    flag changes ``ok``.
     """
     results = run_experiments([cfg for _, cfg, _ in cells])
     done = np.array([not isinstance(r, NonConvergenceError) for r in results], dtype=bool)
@@ -700,10 +696,13 @@ def _run_cells(
         "ok": np.where(done, ok, math.nan),
     }
     floor = -MARGIN_FLOOR
+    unresolved = {"D_bound": bound < floor}
+    for ch in dict.fromkeys(ch for r, d in zip(results, done) if d for ch in r.channel_bounds):
+        unresolved[f"L_{ch}"] = (bound >= floor) & (column(lambda r: r.channel_bounds[ch]) < floor)
     declared = {
         "key": ("cell", "seed"),
         "notes": [f" ({r})" if not d else "" for r, d in zip(results, done)],
-        "flags": [("unresolved", {"D_bound": bound < floor}, f"below the margin floor {floor:g}")],
+        "flags": [("unresolved", unresolved, f"below the margin floor {floor:g}")],
     }
     return values, done, declared
 

@@ -145,13 +145,16 @@ def round_up(x):
 
 
 def cell_ok(columns: dict, converged) -> np.ndarray:
-    """The row rule of a bounds cell: the mask of its good grid points.
+    """The row rule of a table: the mask of its good rows.
 
-    ``columns`` maps each column to a float array over the grid (epsilon and
-    the cell's values) or to one value that every row shares (the cell's
-    fixed columns); ``converged`` is the tail pass's mask over the grid.  A
-    point fails where its tail did not converge or any of its values is
-    outside double range.
+    It decides the failed rows of every bounds cell and of every CLI table
+    (``bounds``, ``sweep``, ``verify bound``).  ``columns`` maps each column
+    to a float array over the rows (a cell's epsilon and values, a run's
+    measured and bound values), to a list of row text, or to one value that
+    every row shares; ``converged`` is the mask of the rows whose pass
+    converged (a bounds cell's tail pass, an experiment's bound).  A row
+    fails where it did not converge or any of its float values is outside
+    double range.
     """
     per_point = [v for v in columns.values() if isinstance(v, np.ndarray)]
     return np.logical_and.reduce([converged, *map(np.isfinite, per_point)])

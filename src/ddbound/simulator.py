@@ -509,7 +509,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Measured quantities of one experiment next to their analytic bounds."""
+    """Measured quantities of one experiment next to their analytic bounds.
+
+    ``channel_bounds`` holds the bounds that ``channel_margins`` measures the
+    channel norms against, keyed alike: L_x, L_y and L_z for QDD, and
+    NUDD's Delta for the sum of the error-channel norms.
+    """
 
     kind: str
     orders: tuple[int, ...]
@@ -520,6 +525,7 @@ class SimResult:
     distance_actual: float
     distance_bound: float
     margin: float
+    channel_bounds: dict[str, float]
     channel_margins: dict[str, float]
     unitarity_residual: float
     cross_residuals: dict[str, float]
@@ -550,7 +556,7 @@ def _initial_bath_state(config: ExperimentConfig) -> np.ndarray:
 
 
 def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str, float]):
-    """(epsilon, eta, bound, channel margins) of one experiment.
+    """(epsilon, eta, bound, channel bounds, channel margins) of one experiment.
 
     The bound is evaluated at the realized operator norms of the sampled
     couplings (``HamiltonianModel.coupling_norms``, from the eigenvalues that
@@ -569,11 +575,9 @@ def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str
         report: BoundReport = distance_bound(
             config.orders[0], config.orders[1], eps, eta, config.mode
         )
-        channel_margins = {
-            ch: report.channel_bounds.for_channel(ch) - norms[ch]
-            for ch in ("x", "y", "z")
-        }
-        return eps, eta.as_tuple(), report.distance_bound, channel_margins
+        bounds = {ch: report.channel_bounds.for_channel(ch) for ch in ("x", "y", "z")}
+        margins = {ch: bounds[ch] - norms[ch] for ch in bounds}
+        return eps, eta.as_tuple(), report.distance_bound, bounds, margins
     j1 = max(
         (v for label, v in realized.items() if label != id_label),
         default=0.0,
@@ -583,7 +587,8 @@ def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str
         d_min_for_orders(config.orders), eps, eta_val, config.qubit_count
     )
     error_sum = sum(v for label, v in norms.items() if label != id_label)
-    return eps, eta_val, nrep.distance_bound, {"error_sum": nrep.delta - error_sum}
+    bounds = {"error_sum": nrep.delta}
+    return eps, eta_val, nrep.distance_bound, bounds, {"error_sum": nrep.delta - error_sum}
 
 
 def _run_stack(
@@ -637,7 +642,9 @@ def _run_stack(
         channel_norms = {label: float(x) for label, x in zip(labels, norms[:, s])}
         realized = {label: float(n[s]) for label, n in model.coupling_norms.items()}
         try:
-            eps, eta, bound, channel_margins = _bound(config, channel_norms, realized)
+            eps, eta, bound, channel_bounds, channel_margins = _bound(
+                config, channel_norms, realized
+            )
         except NonConvergenceError as exc:
             out.append(exc)
             continue
@@ -652,6 +659,7 @@ def _run_stack(
                 distance_actual=float(dist[s]),
                 distance_bound=bound,
                 margin=bound - float(dist[s]),
+                channel_bounds=channel_bounds,
                 channel_margins=channel_margins,
                 unitarity_residual=float(residuals["completeness"][s]),
                 cross_residuals={

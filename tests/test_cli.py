@@ -36,7 +36,7 @@ from ddbound.qdd_bounds import (
     default_eps_grid,
     sweep_cell,
 )
-from ddbound.series import NORMAL_MIN, cell_rows
+from ddbound.series import NORMAL_MIN, NonConvergenceError, cell_rows
 
 
 def run_cli(argv, capsys):
@@ -870,6 +870,147 @@ def test_sweep_unresolved_row_names_its_cell(tmp_path, capsys):
     assert [ln for ln in out.splitlines() if ln.startswith("# unresolved")] == [
         "# unresolved: cell=0 seed=0; D_bound below the margin floor 1e-12"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, low",
+    [
+        # L_y = 4.35e-14 under a D_bound of 3.45e-11: the floor decides channel y
+        ("verify bound --qdd 3 3 --eps 0.01 --eta 0.01 --seeds 4 --bath-dim 8", "L_y"),
+        # every bound clears the floor: no row is flagged
+        ("verify bound --qdd 1 1 --eps 0.1 --eta 1 --seeds 2 --bath-dim 2", None),
+    ],
+)
+def test_floor_decided_channel_bounds_flagged(argv, low, capsys, monkeypatch):
+    """A row whose D_bound clears the margin floor but one of whose channel
+    bounds does not, so that the floor decides that channel's check, is
+    preceded by one ``# unresolved`` line naming it; the bounds compared are
+    the run's own ``SimResult.channel_bounds``."""
+    results = []
+    run = cli.run_experiments
+    monkeypatch.setattr(cli, "run_experiments", lambda configs: results.extend(run(configs)) or results)
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    floor = -cli.MARGIN_FLOOR
+    expected = []
+    for res, row in zip(results, data_lines(out)[1:], strict=True):
+        assert res.distance_bound >= floor
+        assert [f"L_{ch}" for ch, b in res.channel_bounds.items() if b < floor] == [low] * bool(low)
+        if low:
+            seed = row.split(",")[0]
+            expected.append(f"# unresolved: seed={seed}; {low} below the margin floor 1e-12")
+        expected.append(row)
+    assert out.splitlines()[6:] == expected  # after the header block and the column line
+
+
+# The experiment-table writer before it joined the bounds writer: one row
+# dict per cell, each flag tested on its own.  Kept as the reference that
+# ``cli._run_cells`` and ``cli._table`` must match byte for byte.
+def _oracle_run_cells(cells, columns, loosen):
+    """(lines, violation count, failure count) of the old row loop over ``cells``."""
+    lines = []
+    violations = failures = 0
+    results = cli.run_experiments([cfg for _, cfg, _ in cells])
+    for (index, cfg, eta), res in zip(cells, results):
+        row = {
+            "cell": index,
+            "kind": cfg.kind,
+            "orders": "/".join(str(n) for n in cfg.orders),
+            "bath_dim": cfg.bath.dim,
+            "seed": cfg.bath.seed,
+            "eta": eta,
+        }
+        where = " ".join(f"{c}={row[c]}" for c in ("cell", "seed") if c in columns)
+        if isinstance(res, NonConvergenceError):
+            failures += 1
+            lines.append(f"# non-convergence: {where} ({res})")
+            lines.append(",".join(_oracle_fmt({**dict.fromkeys(columns, math.nan), **row}[c])
+                                  for c in columns))
+            continue
+        bound = loosen * res.distance_bound
+        margin = bound - res.distance_actual
+        ch_min = min(res.channel_margins.values())
+        ok = (
+            margin >= cli.MARGIN_FLOOR
+            and ch_min >= cli.MARGIN_FLOOR
+            and res.unitarity_residual <= cli.UNITARITY_TOL
+            and max(res.cross_residuals.values(), default=0.0) <= cli.UNITARITY_TOL
+        )
+        violations += not ok
+        row.update(
+            epsilon=res.epsilon,
+            D_actual=res.distance_actual,
+            D_bound=bound,
+            margin=margin,
+            channel_margin_min=ch_min,
+            unitarity=res.unitarity_residual,
+            ok=int(ok),
+        )
+        if bound < -cli.MARGIN_FLOOR:
+            lines.append(f"# unresolved: {where}; D_bound below the margin floor 1e-12")
+        # added with the channel flag: a D_bound above the floor names the
+        # channel bounds below it
+        elif low := [f"L_{ch}" for ch, b in res.channel_bounds.items() if b < -cli.MARGIN_FLOOR]:
+            lines.append(f"# unresolved: {where}; {', '.join(low)} below the margin floor 1e-12")
+        tiny = ", ".join(c for c in columns if isinstance(row[c], float)
+                         and 0.0 < abs(row[c]) < NORMAL_MIN)
+        if tiny:
+            lines.append(f"# subnormal: {where}; {tiny} below 2^-1022")
+        lines.append(",".join(_oracle_fmt(row[c]) for c in columns))
+    return lines, violations, failures
+
+
+# Values by decade, near the margin floor 1e-12 as often as across the rest
+_SIM_VALUES = st.one_of(
+    st.just(0.0), _decades(-320.0, 1.0), st.floats(-13.0, -11.0).map(lambda e: 10.0**e)
+)
+
+
+@st.composite
+def _outcomes(draw):
+    """Synthetic ``run_experiments`` results of one family's channels:
+    SimResults drawn across the subnormal and floor edges, and errors."""
+    channels = draw(st.sampled_from([("x", "y", "z"), ("error_sum",)]))
+    outcomes = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            outcomes.append(NonConvergenceError(draw(st.sampled_from(["tail", "overflow"]))))
+            continue
+        bound = draw(_SIM_VALUES)
+        outcomes.append(simulator.SimResult(
+            kind="qdd", orders=(2, 2), epsilon=draw(_SIM_VALUES), eta=(0.5,) * 3,
+            mode="analytic", channel_norms={}, distance_actual=draw(_SIM_VALUES),
+            distance_bound=bound, margin=0.0,
+            channel_bounds={ch: min(bound, draw(_SIM_VALUES)) for ch in channels},
+            channel_margins={ch: draw(st.sampled_from([1.0, -1.0])) * draw(_SIM_VALUES)
+                             for ch in channels},
+            unitarity_residual=draw(_SIM_VALUES),
+            cross_residuals=draw(st.dictionaries(st.sampled_from(["cross_x", "cross_z"]),
+                                                 _SIM_VALUES, max_size=2)),
+        ))
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    outcomes=_outcomes(),
+    loosen=st.sampled_from([1.0, -1.0]),
+    columns=st.sampled_from([cli._SWEEP_COLUMNS, cli._VERIFY_COLUMNS]),
+)
+def test_experiment_writer_matches_row_loop(outcomes, loosen, columns):
+    """The shared writer prints exactly the old experiment row loop's text,
+    with its violation and failure counts, which set the exit codes of
+    ``verify bound`` and ``sweep``, for synthetic runs of either column set."""
+    grid = {"kind": "qdd", "orders": [[2, 2]], "bath_dim": [2], "eps": [0.1], "eta": [0.5],
+            "seeds": len(outcomes), "master_seed": 3}
+    cells = cli._experiment_grid(grid)
+    with mock.patch.object(cli, "run_experiments", lambda configs: list(outcomes)):
+        expected = _oracle_run_cells(cells, columns, loosen)
+        part = cli._run_cells(cells, loosen)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        failures = cli._table(None, [], columns, [lambda: part])
+    violations = np.count_nonzero(part[0]["ok"] == 0.0)
+    assert (out.getvalue().splitlines()[1:], violations, failures) == expected
 
 
 @pytest.mark.parametrize("argv", ["sequence --qdd 2 2", "sequence --qdd 2"])

@@ -232,6 +232,71 @@ def test_evolve_memory_peak(orders, bath_dim, matrices):
     assert peak <= matrices * MAX_TOTAL_DIM**2 * np.dtype(complex).itemsize
 
 
+def _counted_evolve(schedule, model, T):
+    """``evolve``'s unitary and the number of D x D matrix products it took.
+
+    The eigenvectors enter as an array subclass whose ufuncs count each
+    matmul of two D x D operands and pass it on unchanged, so every array
+    derived from them is counted too.
+    """
+    dim = model.eigenvectors.shape[-1]
+    products = 0
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            nonlocal products
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            if ufunc is np.matmul and all(np.shape(x)[-2:] == (dim, dim) for x in plain):
+                products += 1
+            if "out" in kwargs:
+                kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return result.view(Counting) if isinstance(result, np.ndarray) else result
+
+    counted = replace(model, eigenvectors=model.eigenvectors.view(Counting))
+    return evolve(schedule, counted, T).view(np.ndarray), products
+
+
+@pytest.mark.parametrize(
+    "orders, block", [((2, 2), 6), ((6, 6), 30), ((10, 10), 70), ((1, 1, 1, 1), 7)]
+)
+def test_evolve_dense_product_count(orders, block):
+    """evolve's D x D products: its docstring's count for the nested blocks,
+    one per pulsed level to form that level's pulse, and two for V W V^dag."""
+    m = len(orders) // 2
+    model = build_model(BathSpec(dim=2, seed=7, norms=_NORMS[m]), m)
+    sched = nudd_schedule(orders, m)
+    u, products = _counted_evolve(sched, model, 0.9)
+    assert products == block + np.count_nonzero(orders) + 2
+    assert np.array_equal(u, evolve(sched, model, 0.9))
+
+
+def _unitarity_bound(dim, products, pulses, phi):
+    """A first-order bound on max|U U^dag - I| for ``evolve``'s U.
+
+    Two sources, with u = 2^-53 and gamma_n = n u / (1 - n u):
+    - Each of the ``products`` D x D products of near-unitary factors rounds
+      by at most gamma_{D+2} |A| |B| entrywise (Higham, Accuracy and
+      Stability of Numerical Algorithms, Thm 3.5, with the complex
+      arithmetic of its section 3.6).  Its 2-norm is then at most
+      D gamma_{D+2}, and sqrt(D) gamma_{D+2} when the entry errors have
+      independent signs (the probabilistic model of Higham and Mary, 2019),
+      which is the model taken here.
+    - The eigenvectors V are orthonormal only up to phi = |V^dag V - I|_2.
+      So each pulse P = V^dag (sigma x 1) V has |P^dag P - I| <= 2 phi, each
+      of the schedule's ``pulses`` events carries that into U, and the
+      change of basis U = V W V^dag adds 2 phi more.
+    An error E of U adds E U^dag + U E^dag to U U^dag - I, so each product
+    counts twice, and the product U U^dag of the check adds one.
+    """
+    gamma = (dim + 2) * 2.0**-53 / (1 - (dim + 2) * 2.0**-53)
+    return 2 * (pulses + 1) * phi + (2 * products + 1) * math.sqrt(dim) * gamma
+
+
+def _unitarity_residual(u):
+    return np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 2),
@@ -240,6 +305,8 @@ def test_evolve_memory_peak(orders, bath_dim, matrices):
     log_t=st.floats(-3.0, 1.0),
     seed=st.integers(0, 2**16),
 )
+# 524 pulses at total dim 16: its residual of 1.0056e-12 broke a fixed 1e-12
+@example(m=2, orders=[3, 3, 4, 4], log_bath=3, log_t=0.0, seed=154)
 def test_evolve_unitary_and_matches_oracle(m, orders, log_bath, log_t, seed):
     # total dims 2-16 keep the expm oracle cheap at up to 624 events;
     # the parametrized oracle test covers dims up to 64
@@ -248,8 +315,15 @@ def test_evolve_unitary_and_matches_oracle(m, orders, log_bath, log_t, seed):
     model = build_model(BathSpec(dim=bath_dim, seed=seed, norms=_NORMS[m]), m)
     sched = nudd_schedule(orders, m)
     T = 10.0**log_t
-    u = evolve(sched, model, T)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-12
+    u, products = _counted_evolve(sched, model, T)
+    v = model.eigenvectors
+    phi = np.linalg.norm(v.conj().T @ v - np.eye(len(v)), 2)
+    bound = _unitarity_bound(len(u), products, len(sched.events), phi)
+    assert bound < 1e-11
+    assert _unitarity_residual(u) < bound
+    off = u.copy()
+    off[0, 0] += 10 * bound  # negative control: one entry off by 10x the bound
+    assert _unitarity_residual(off) >= bound
     assert np.max(np.abs(u - _lab_frame_evolve(sched.events, model, T))) < 1e-11
     assert _sign_distance(u, _lab_frame_evolve(sched.events, model, T, "outer-first")) < 1e-11
 
