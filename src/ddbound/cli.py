@@ -423,7 +423,8 @@ def _eps_grid(
 
 
 def _table(
-    out: str | None, header: list[str], columns: Sequence[str], parts: Sequence, append=False
+    out: str | None, header: list[str], columns: Sequence[str], parts: Sequence[Callable],
+    append: bool = False,
 ) -> int:
     """Emit a table of ``columns`` from its parts; return its count of failed rows.
 
@@ -474,26 +475,28 @@ def _cell_lines(
             for c in columns}
     key = [c for c in columns if c in (key or ("epsilon", *shared))]
     table = np.array([values[c] for c in floats])
-    table[np.outer([c not in key for c in floats], ~ok)] = np.nan
+    if not ok.all():
+        table[np.ix_([c not in key for c in floats], ~ok)] = np.nan
     by_row = {**texts, **dict(zip(floats, table.tolist()))}
     template = ",".join(spec.values())
     rows = [template % row for row in zip(*(by_row[c] for c in columns if c in by_row))]
 
-    consts = [c for c, v in shared.items() if isinstance(v, float)]
-    numbers = np.vstack([table, np.outer([shared[c] for c in consts], ok)])
-    tiny = dict(zip(floats + consts, (numbers != 0.0) & (np.abs(numbers) < NORMAL_MIN)))
+    tiny = dict(zip(floats, (table != 0.0) & (np.abs(table) < NORMAL_MIN)))
+    tiny.update((c, ok) for c, v in shared.items()
+                if isinstance(v, float) and 0.0 < abs(v) < NORMAL_MIN)
     flags = [*flags, ("subnormal", {c: tiny[c] for c in columns if c in tiny}, "below 2^-1022")]
     marks = [m for _, masks, _ in flags for m in masks.values()]
     flagged = np.flatnonzero(np.logical_or.reduce([~ok, *marks])).tolist()
     if not flagged:
         return rows
     where = " ".join(f"{c}={spec[c]}" for c in key)
+    keyed = [by_row[c] for c in key if c in by_row]
+    flags = [(kind, [(c, m.tolist()) for c, m in masks.items()], text) for kind, masks, text in flags]
     lines, start = [], 0
     for i in flagged:
-        at = where % tuple(by_row[c][i] for c in key if c in by_row)
+        at = where % tuple(col[i] for col in keyed)
         if ok[i]:
-            named = [(kind, ", ".join(c for c, m in masks.items() if m[i]), text)
-                     for kind, masks, text in flags]
+            named = [(kind, ", ".join(c for c, m in masks if m[i]), text) for kind, masks, text in flags]
             lines += rows[start:i] + [f"# {k}: {at}; {n} {t}" for k, n, t in named if n]
         else:
             lines += rows[start:i] + [f"# non-convergence: {at}{notes[i] if notes else ''}"]
@@ -675,10 +678,11 @@ def _run_cells(
 
     bound = column(lambda r: loosen * r.distance_bound)
     actual = column(lambda r: r.distance_actual)
+    margin = bound - actual
     channel = column(lambda r: min(r.channel_margins.values()))
     unitarity = column(lambda r: r.unitarity_residual)
     cross = column(lambda r: max(r.cross_residuals.values(), default=0.0))
-    ok = ((bound - actual >= MARGIN_FLOOR) & (channel >= MARGIN_FLOOR)
+    ok = ((margin >= MARGIN_FLOOR) & (channel >= MARGIN_FLOOR)
           & (unitarity <= UNITARITY_TOL) & (cross <= UNITARITY_TOL))
     values = {
         "cell": [index for index, _, _ in cells],
@@ -690,7 +694,7 @@ def _run_cells(
         "epsilon": column(lambda r: r.epsilon),
         "D_actual": actual,
         "D_bound": bound,
-        "margin": bound - actual,
+        "margin": margin,
         "channel_margin_min": channel,
         "unitarity": unitarity,
         "ok": np.where(done, ok, math.nan),
