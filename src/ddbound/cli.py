@@ -779,7 +779,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
     run = _run_cells(_experiment_grid(grid), resolved["loosen"])
     header = _header("verify bound", meta, seed=resolved["seed"], mode=resolved["mode"])
     failures = _table(args.out, header, _VERIFY_COLUMNS, [lambda: run], append=True)
-    if np.any(run[0]["ok"] == 0.0):
+    if np.any(cell_ok(*run[:2]) & (run[0]["ok"] == 0.0)):
         return EXIT_ASSERTION
     return EXIT_NONCONVERGENCE if failures else EXIT_OK
 

@@ -775,6 +775,20 @@ def test_verify_bound_writes_one_row_per_cell(capsys):
     assert data_lines(out)[1:] == [f"{seed},nan,1000,nan,nan,nan,nan,nan,nan" for seed in (0, 1)]
 
 
+@pytest.mark.parametrize("loosen", ["1e308", "-1e308"])
+def test_verify_bound_loosened_overflow_is_a_failed_row(loosen, capsys):
+    """A loosened bound beyond double range fails the row rule, as a bounds
+    value there does: a ``# non-convergence`` row of NaN and exit 3, whatever
+    the sign of ``--loosen``."""
+    argv = "verify bound --qdd 2 2 --eps 1 --eta 1 --seeds 2 --bath-dim 2".split()
+    code, out, _ = run_cli([*argv, f"--loosen={loosen}"], capsys)
+    assert code == 3
+    assert [ln for ln in out.splitlines() if ln.startswith("# ")][5:] == [
+        "# non-convergence: seed=0", "# non-convergence: seed=1"
+    ]
+    assert data_lines(out)[1:] == [f"{seed},nan,1,nan,nan,nan,nan,nan,nan" for seed in (0, 1)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
