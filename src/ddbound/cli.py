@@ -491,12 +491,12 @@ def _cell_lines(
         return rows
     where = " ".join(f"{c}={spec[c]}" for c in key)
     keyed = [by_row[c] for c in key if c in by_row]
-    flags = [(kind, [(c, m.tolist()) for c, m in masks.items()], text) for kind, masks, text in flags]
+    listed = [(k, [(c, m.tolist()) for c, m in masks.items()], t) for k, masks, t in flags]
     lines, start = [], 0
     for i in flagged:
         at = where % tuple(col[i] for col in keyed)
         if ok[i]:
-            named = [(kind, ", ".join(c for c, m in masks if m[i]), text) for kind, masks, text in flags]
+            named = [(k, ", ".join(c for c, m in masks if m[i]), t) for k, masks, t in listed]
             lines += rows[start:i] + [f"# {k}: {at}; {n} {t}" for k, n, t in named if n]
         else:
             lines += rows[start:i] + [f"# non-convergence: {at}{notes[i] if notes else ''}"]

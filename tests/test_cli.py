@@ -902,7 +902,9 @@ def test_floor_decided_channel_bounds_flagged(argv, low, capsys, monkeypatch):
     the run's own ``SimResult.channel_bounds``."""
     results = []
     run = cli.run_experiments
-    monkeypatch.setattr(cli, "run_experiments", lambda configs: results.extend(run(configs)) or results)
+    monkeypatch.setattr(
+        cli, "run_experiments", lambda configs: results.extend(run(configs)) or results
+    )
     code, out, _ = run_cli(argv.split(), capsys)
     assert code == 0
     floor = -cli.MARGIN_FLOOR
