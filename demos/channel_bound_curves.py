@@ -14,8 +14,9 @@ from ddbound.qdd_bounds import (
     decoupling_orders,
     default_eps_grid,
     preset_cells,
-    sweep_rows,
+    sweep_cell,
 )
+from ddbound.series import cell_ok
 
 
 def sweep_panel(name):
@@ -27,8 +28,8 @@ def sweep_panel(name):
         f"{'D(1e-4)':>10} {'D(1e-2)':>10} {'D(1)':>10} {'slope':>6}"
     )
     for n1, n2, eta in preset_cells(name):
-        rows = sweep_rows(n1, n2, eta, grid)
-        vals = np.array([r["D_bound"] for r in rows])
+        columns, converged = sweep_cell(n1, n2, eta, grid)
+        vals = np.where(cell_ok(columns, converged), columns["D_bound"], np.nan)
         slope = np.polyfit(np.log(window), np.log(vals[: len(window)]), 1)[0]
         d = decoupling_orders(n1, n2).as_tuple()
         picks = [vals[0], vals[20], vals[40]]

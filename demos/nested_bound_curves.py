@@ -14,9 +14,10 @@ import numpy as np
 from ddbound.nudd_bounds import (
     gamma_factor,
     nudd_eps_window,
-    nudd_sweep_rows,
+    nudd_sweep_cell,
     preset_nudd_cells,
 )
+from ddbound.series import cell_ok
 
 
 def main():
@@ -27,8 +28,8 @@ def main():
     )
     for m, d_min, eta in preset_nudd_cells("fig5"):
         window = np.asarray(nudd_eps_window(eta, m))
-        rows = nudd_sweep_rows(m, d_min, eta, window)
-        deltas = np.array([r["Delta"] for r in rows])
+        columns, converged = nudd_sweep_cell(m, d_min, eta, window)
+        deltas = np.where(cell_ok(columns, converged), columns["Delta"], np.nan)
         fit = slice(0, 11)  # eps*(1+gamma*eta) from 1e-4 to 1e-3
         slope = np.polyfit(np.log(window[fit]), np.log(deltas[fit]), 1)[0]
         print(

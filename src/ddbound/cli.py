@@ -160,6 +160,21 @@ def _header(command: str, resolved: dict, seed: Any = None, mode: Any = None) ->
     ]
 
 
+def _record(command: str, resolved: dict, seed: Any, mode: Any, out: str | None, **body) -> None:
+    """Append one JSON record: the header fields of ``_header``, the resolved
+    config, and ``body``."""
+    record = {
+        "ddbound": __version__,
+        "command": command,
+        "config_hash": _config_hash(resolved),
+        "seed": seed,
+        "mode": mode,
+        "config": resolved,
+        **body,
+    }
+    _emit([json.dumps(record, sort_keys=True)], out, append=True)
+
+
 def _emit(lines: list[str], out: str | None, append: bool = False) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -584,19 +599,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             bath_state=resolved["bath_state"],
             mode=resolved["mode"],
         )
+        result = run_experiment(config)
     except ValueError as exc:
         raise CliError(str(exc))
-    result = run_experiment(config)
-    record = {
-        "ddbound": __version__,
-        "command": "simulate",
-        "config_hash": _config_hash(resolved),
-        "seed": config.bath.seed,
-        "mode": config.mode,
-        "config": resolved,
-        "result": asdict(result),
-    }
-    _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
+    _record("simulate", resolved, config.bath.seed, config.mode, args.out, result=asdict(result))
     return EXIT_OK
 
 
@@ -734,16 +740,8 @@ def cmd_verify_orders(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    record = {
-        "ddbound": __version__,
-        "command": "verify orders",
-        "config_hash": _config_hash(resolved),
-        "seed": None,
-        "mode": resolved["mode"],
-        "config": resolved,
-        "certification": {**vars(cert), "orders": asdict(cert.orders)},
-    }
-    _emit([json.dumps(record, sort_keys=True)], args.out, append=True)
+    _record("verify orders", resolved, None, resolved["mode"], args.out,
+            certification={**vars(cert), "orders": asdict(cert.orders)})
     if cert.violations:
         return EXIT_ASSERTION
     return EXIT_OK if cert.certified else EXIT_NONCONVERGENCE
@@ -776,7 +774,10 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         "master_seed": resolved["seed"],
         "mode": resolved["mode"],
     }
-    run = _run_cells(_experiment_grid(grid), resolved["loosen"])
+    try:
+        run = _run_cells(_experiment_grid(grid), resolved["loosen"])
+    except ValueError as exc:
+        raise CliError(str(exc))
     header = _header("verify bound", meta, seed=resolved["seed"], mode=resolved["mode"])
     failures = _table(args.out, header, _VERIFY_COLUMNS, [lambda: run], append=True)
     if np.any(cell_ok(*run[:2]) & (run[0]["ok"] == 0.0)):

@@ -14,10 +14,10 @@ its leading term come from it, and its coefficients ``g_l`` are a reference
 for the tests (``tests/closed_forms.py``).
 
 ``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
-returns it as columns; ``nudd_sweep_rows`` turns them into rows
-(``series.cell_rows``) by the one row rule ``series.cell_ok``, and
-``nudd_delta``, ``nudd_distance_bound`` and ``nudd_sweep_row`` are one-point
-views of the same pass.  Every reported value is rounded outward.
+returns it as columns and the converged mask, whose good points the one row
+rule ``series.cell_ok`` decides.  ``nudd_sweep_row`` (``series.first_row``),
+``nudd_distance_bound`` and ``nudd_delta`` are one-point views of the same
+pass.  Every reported value is rounded outward.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .qdd_bounds import _PANEL_ETAS, default_eps_grid
 from .sequences import _validate_orders
 from .series import (
     SeriesTail,
-    cell_rows,
     coeff_count,
     exp_series_tail,
     first_row,
@@ -54,7 +53,6 @@ __all__ = [
     "nudd_eps_window",
     "nudd_sweep_cell",
     "nudd_sweep_row",
-    "nudd_sweep_rows",
     "preset_nudd_cells",
     "NUDD_SWEEP_COLUMNS",
 ]
@@ -227,15 +225,13 @@ def preset_nudd_cells(name: str = "fig5") -> tuple[tuple[int, int, float], ...]:
     return tuple((10, d, eta) for eta in _PANEL_ETAS for d in (5, 10, 20, 40))
 
 
-def nudd_sweep_rows(m: int, d_min: int, eta: float, grid) -> list[dict | None]:
-    """The rows of ``nudd_sweep_cell``, keyed by ``NUDD_SWEEP_COLUMNS``; a point
-    whose series does not converge or whose bound overflows double range is None."""
-    return cell_rows(*nudd_sweep_cell(m, d_min, eta, grid))
-
-
 def nudd_sweep_row(m: int, d_min: int, eps: float, eta: float) -> dict:
     """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``.
 
-    Raises the NonConvergenceError that makes the point None in ``nudd_sweep_rows``.
+``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
+returns it as columns and the converged mask, whose good points the one row
+rule ``series.cell_ok`` decides.  ``nudd_sweep_row`` (``series.first_row``),
+``nudd_distance_bound`` and ``nudd_delta`` are one-point views of the same
+pass.  Every reported value is rounded outward.
     """
     return first_row(*nudd_sweep_cell(m, d_min, eta, (eps,)))

@@ -17,9 +17,9 @@ Taylor coefficients ``g_l`` are references for the tests
 
 ``sweep_cell`` evaluates one cell, all six sector tails at every eps of its
 grid, in one batched pass (``series.exp_series_tail``), and returns it as
-columns; ``sweep_rows`` turns them into rows (``series.cell_rows``) by the
-one row rule ``series.cell_ok``, and ``distance_bound``, ``delta_tail`` and
-``sweep_row`` are one-point views of the same pass.
+columns and the converged mask, whose good points the one row rule
+``series.cell_ok`` decides.  ``sweep_row`` (``series.first_row``),
+``distance_bound`` and ``delta_tail`` are one-point views of the same pass.
 Every reported value is rounded outward, so each is an upper bound in
 floating point.
 
@@ -38,7 +38,6 @@ import numpy as np
 from .sequences import _validate_orders
 from .series import (
     SeriesTail,
-    cell_rows,
     coeff_count,
     exp_series_tail,
     first_row,
@@ -63,7 +62,6 @@ __all__ = [
     "distance_bound",
     "sweep_cell",
     "sweep_row",
-    "sweep_rows",
     "preset_cells",
     "default_eps_grid",
     "QDD_SWEEP_COLUMNS",
@@ -401,17 +399,9 @@ def preset_cells(name: str) -> tuple[tuple[int, int, EtaVector], ...]:
     raise ValueError(f"unknown preset {name!r}; expected fig2, fig3, or fig4")
 
 
-def sweep_rows(
-    n1: int, n2: int, eta: EtaVector, grid, mode: str = "analytic"
-) -> list[dict | None]:
-    """The rows of ``sweep_cell``, keyed by ``QDD_SWEEP_COLUMNS``; a point whose
-    series does not converge or whose bound overflows double range is None."""
-    return cell_rows(*sweep_cell(n1, n2, eta, grid, mode))
-
-
 def sweep_row(n1: int, n2: int, eps: float, eta: EtaVector, mode: str = "analytic") -> dict:
     """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``.
 
-    Raises the NonConvergenceError that makes the point None in ``sweep_rows``.
+    Raises the NonConvergenceError of a point that fails ``series.cell_ok``.
     """
     return first_row(*sweep_cell(n1, n2, eta, (eps,), mode))

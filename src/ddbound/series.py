@@ -55,7 +55,6 @@ __all__ = [
     "NonConvergenceError",
     "SeriesTail",
     "cell_ok",
-    "cell_rows",
     "coeff_count",
     "exp_series_tail",
     "first_row",
@@ -160,25 +159,19 @@ def cell_ok(columns: dict, converged) -> np.ndarray:
     return np.logical_and.reduce([converged, *map(np.isfinite, per_point)])
 
 
-def cell_rows(columns: dict, converged) -> list[dict | None]:
-    """The rows of one bounds cell, a dict per grid point keyed like ``columns``;
-    a point that fails ``cell_ok`` is None."""
-    lists = {c: v.tolist() for c, v in columns.items() if isinstance(v, np.ndarray)}
-    return [
-        {c: lists[c][i] if c in lists else v for c, v in columns.items()} if good else None
-        for i, good in enumerate(cell_ok(columns, converged).tolist())
-    ]
-
-
 def first_row(columns: dict, converged) -> dict:
-    """Row 0 of ``cell_rows``, or the NonConvergenceError that makes it None."""
-    row = cell_rows(columns, converged)[0]
-    if row is not None:
-        return row
+    """Point 0 of a cell's columns as a dict keyed like ``columns``.
+
+    Where the point fails the row rule ``cell_ok``, raises its
+    NonConvergenceError instead: the not-converged error, or the error that
+    names the float columns outside double range.
+    """
     if not converged[0]:
         raise not_converged(columns["epsilon"][0])
     bad = [c for c, v in columns.items() if isinstance(v, np.ndarray) and not np.isfinite(v[0])]
-    raise NonConvergenceError(f"{', '.join(bad)} outside double range")
+    if bad:
+        raise NonConvergenceError(f"{', '.join(bad)} outside double range")
+    return {c: v[0].item() if isinstance(v, np.ndarray) else v for c, v in columns.items()}
 
 
 def series_cap(order, r_max):

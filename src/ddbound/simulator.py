@@ -226,7 +226,9 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
     Coupling operators are drawn in sorted label order from independent
     seed-derived streams, so the model is a pure function of (bath, m).  A
     sequence of baths of one dimension gives their models stacked along a
-    leading axis; one bath is a view of a stack of one.
+    leading axis; one bath is a view of a stack of one.  Raises ValueError
+    where the eigensolve returns a non-finite eigenvalue, so ``evolve`` never
+    receives one.
     """
     baths = [bath] if isinstance(bath, BathSpec) else list(bath)
     if not baths or any(b.dim != baths[0].dim for b in baths):
@@ -257,6 +259,11 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise ValueError(
+            "an eigenvalue of the Hamiltonian is not finite: its coupling norms are too large "
+            "to decompose in double precision"
+        )
     if isinstance(bath, BathSpec):
         couplings = {label: c[0] for label, c in couplings.items()}
         norms = {label: n[0] for label, n in norms.items()}

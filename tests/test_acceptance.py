@@ -21,8 +21,8 @@ from ddbound.dyson import verify_orders
 from ddbound.nudd_bounds import (
     gamma_factor,
     nudd_eps_window,
+    nudd_sweep_cell,
     nudd_sweep_row,
-    nudd_sweep_rows,
     preset_nudd_cells,
 )
 from ddbound.qdd_bounds import (
@@ -31,9 +31,10 @@ from ddbound.qdd_bounds import (
     decoupling_orders,
     default_eps_grid,
     preset_cells,
+    sweep_cell,
     sweep_row,
-    sweep_rows,
 )
+from ddbound.series import cell_ok
 from ddbound.simulator import (
     BathSpec,
     ExperimentConfig,
@@ -195,9 +196,10 @@ def test_criterion_05_channel_curves():
     assert len(window) == 11
     cells = preset_cells("fig2")
     for n1, n2, eta in cells:
-        rows = sweep_rows(n1, n2, eta, grid)
+        columns, converged = sweep_cell(n1, n2, eta, grid)
+        assert cell_ok(columns, converged).all(), (n1, eta.eta_x)
         for key in ("L_x", "L_y", "L_z", "D_bound"):
-            vals = np.array([r[key] for r in rows])
+            vals = columns[key]
             assert np.all(vals > 0.0)
             assert np.all(np.diff(vals) > 0.0), (n1, key)  # monotone in eps
             slope = np.polyfit(np.log(window), np.log(vals[: len(window)]), 1)[0]
@@ -220,14 +222,15 @@ def test_criterion_06_nudd_curves():
     t0 = time.perf_counter()
     for m, d_min, eta in preset_nudd_cells("fig5"):
         window = np.asarray(nudd_eps_window(eta, m))
-        rows = nudd_sweep_rows(m, d_min, eta, window)
+        columns, converged = nudd_sweep_cell(m, d_min, eta, window)
+        assert cell_ok(columns, converged).all(), (d_min, eta)
         for key in ("Delta", "D_bound"):
-            vals = np.array([r[key] for r in rows])
+            vals = columns[key]
             assert np.all(vals > 0.0)
             assert np.all(np.diff(vals) > 0.0), (d_min, eta, key)
         # slope fitted where eps * (1 + gamma * eta) spans [1e-4, 1e-3]
         fit = window[:11]
-        deltas = np.array([r["Delta"] for r in rows[:11]])
+        deltas = columns["Delta"][:11]
         slope = np.polyfit(np.log(fit), np.log(deltas), 1)[0]
         assert abs(slope - (d_min + 1)) <= 0.1, (d_min, eta, slope)
     for eta in (1e-4, 1e-2, 1.0, 1e2):

@@ -2,10 +2,11 @@
 
 Every name a module lists in ``__all__`` must exist, no module, test or
 demo may import a name it never uses (an import marked ``# noqa: F401`` is
-kept on purpose), and every private module-level name of the package must be
-referenced somewhere besides its definition.  Every public name must have a
-user besides the tests, or a reason in ``KEPT``, and the facade
-``ddbound.__all__`` re-exports only public names of the modules.
+kept on purpose, and in the package only for the benchmark's tracer to
+patch, as its ``PATCHES`` lists), and every private module-level name of the
+package must be referenced somewhere besides its definition.  Every public
+name must have a user besides the tests, or a reason in ``KEPT``, and the
+facade ``ddbound.__all__`` re-exports only public names of the modules.
 """
 
 import ast
@@ -54,19 +55,22 @@ def _all_names(tree: ast.Module) -> list[str]:
     return []
 
 
-def unused_imports(text: str, tree: ast.Module) -> list[str]:
-    """Names bound by imports in ``tree`` that nothing reads or re-exports."""
+def _imports(text: str, tree: ast.Module):
+    """(bound name, line, kept on purpose) for each name an import in
+    ``tree`` binds; an import is kept on purpose when marked ``# noqa: F401``."""
     lines = text.splitlines()
-    imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "noqa: F401" in lines[alias.lineno - 1]:
-                    continue
                 bound = alias.asname or alias.name.split(".")[0]
-                imported[bound] = alias.lineno
+                yield bound, alias.lineno, "noqa: F401" in lines[alias.lineno - 1]
+
+
+def unused_imports(text: str, tree: ast.Module) -> list[str]:
+    """Names bound by imports in ``tree`` that nothing reads or re-exports."""
+    imported = {name: line for name, line, kept in _imports(text, tree) if not kept}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     used |= set(_all_names(tree))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
@@ -87,6 +91,38 @@ def test_no_unused_imports(name):
 def test_unused_import_is_found():
     text = "import math\nimport os  # noqa: F401\nfrom numpy import pi, e\nx = pi\n"
     assert unused_imports(text, ast.parse(text)) == ["math (line 1)", "e (line 3)"]
+
+
+def _tracer_patches() -> set[tuple[str, str]]:
+    """(module, attribute) of each entry of ``PATCHES`` in perfbench/tracer.py,
+    read from its syntax tree: the names the tracer replaces while it runs."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]:
+            return {(e.elts[0].value, e.elts[1].value) for e in node.value.elts}
+    return set()
+
+
+def unpatched_kept_imports(module: str, text: str, tree: ast.Module, patched) -> list[str]:
+    """Imports of ``tree`` kept on purpose (``# noqa: F401``) whose name is not
+    an attribute of ``module`` that ``patched`` lists: a kept import needs the
+    reason that the tracer patches it there."""
+    return [
+        f"{name} (line {line})"
+        for name, line, kept in _imports(text, tree)
+        if kept and (module, name) not in patched
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_kept_imports_are_patched(name):
+    assert unpatched_kept_imports(name, *_source(name), _tracer_patches()) == []
+
+
+def test_unpatched_kept_import_is_found():
+    text = "from a import f  # noqa: F401\nfrom a import g  # noqa: F401\nimport h\nh.x = 1\n"
+    patched = {("m", "f"), ("n", "g"), ("m", "h")}
+    assert unpatched_kept_imports("m", text, ast.parse(text), patched) == ["g (line 2)"]
 
 
 def _references(tree: ast.AST) -> Counter:

@@ -36,7 +36,7 @@ from ddbound.qdd_bounds import (
     default_eps_grid,
     sweep_cell,
 )
-from ddbound.series import NORMAL_MIN, NonConvergenceError, cell_rows
+from ddbound.series import NORMAL_MIN, NonConvergenceError
 
 
 def run_cli(argv, capsys):
@@ -295,6 +295,39 @@ def test_bounds_rates_beyond_double_range_are_one_error(argv, capsys):
     assert err == "error: rates and weights must be finite\n"
 
 
+_RUN_BATH = {"dim": 2, "seed": 0}
+_RUN_GRID = {"kind": "qdd", "orders": [[1, 1]], "bath_dim": [2], "seeds": 1, "master_seed": 0}
+_RATES = "rates and weights must be finite"
+_EIGH = "an eigenvalue of the Hamiltonian is not finite"
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        ("verify bound --qdd 1 1 --eps 1.7e308 --eta 1 --seeds 1 --bath-dim 2", None, _RATES),
+        ("verify bound --qdd 1 1 --eps 0.1 --eta 1e308 --seeds 1 --bath-dim 2", None, _EIGH),
+        ("simulate", {"kind": "qdd", "orders": [1, 1], "T": 1.7e308,
+                      "bath": {**_RUN_BATH, "norms": {"0": 1, "x": 1}}}, _RATES),
+        ("simulate", {"kind": "qdd", "orders": [1, 1], "T": 0.1,
+                      "bath": {**_RUN_BATH, "norms": {"0": 1e-320, "x": 0.3}}},
+         "eta components must be finite and >= 0"),
+        ("sweep", {**_RUN_GRID, "eps": [1.7e308], "eta": [1.0]}, _RATES),
+        ("sweep", {**_RUN_GRID, "eps": [0.1], "eta": [1e308]}, _EIGH),
+    ],
+)
+def test_runs_beyond_double_range_are_one_error(argv, config, message, tmp_path, capsys):
+    """A run whose bound rates, Hamiltonian eigenvalues or eta leave double
+    range is invalid input, as in ``bounds``: one ``error:`` line and exit 2,
+    nothing on stdout and no library warning before it."""
+    argv = argv.split()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -475,9 +508,11 @@ def _oracle_table(columns, cells):
     failures = 0
     for cell in cells:
         values, converged = cell()
-        fixed = {c: v for c, v in values.items() if not isinstance(v, np.ndarray)}
-        for eps, row in zip(values["epsilon"].tolist(), cell_rows(values, converged)):
-            if row is None:
+        lists = {c: v.tolist() for c, v in values.items() if isinstance(v, np.ndarray)}
+        fixed = {c: v for c, v in values.items() if c not in lists}
+        for i, eps in enumerate(lists["epsilon"]):
+            row = {**fixed, **{c: v[i] for c, v in lists.items()}}
+            if not (converged[i] and all(math.isfinite(v[i]) for v in lists.values())):
                 row = {**dict.fromkeys(columns, math.nan), **fixed, "epsilon": eps}
                 lines.append(_oracle_flag_line("non-convergence", row, columns))
                 failures += 1

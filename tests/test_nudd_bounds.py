@@ -21,12 +21,12 @@ from ddbound.nudd_bounds import (
     nudd_delta,
     nudd_distance_bound,
     nudd_eps_window,
+    nudd_sweep_cell,
     nudd_sweep_row,
-    nudd_sweep_rows,
     preset_nudd_cells,
 )
 from ddbound.qdd_bounds import default_eps_grid
-from ddbound.series import NonConvergenceError
+from ddbound.series import NonConvergenceError, cell_ok
 
 from closed_forms import nudd_g, s_error_sum, s_identity_sum
 
@@ -144,7 +144,7 @@ def test_qubit_count_checked_at_every_entry(m, eta):
     calls = (
         lambda: nudd_distance_bound(1, 0.1, eta, m),
         lambda: nudd_delta(1, 0.1, eta, m),
-        lambda: nudd_sweep_rows(m, 1, eta, [0.1]),
+        lambda: nudd_sweep_cell(m, 1, eta, [0.1]),
         lambda: nudd_sweep_row(m, 1, 0.1, eta),
     )
     for call in calls:
@@ -244,16 +244,22 @@ def test_preset_cells_fig5():
     eta=st.one_of(st.just(0.0), st.floats(1e-6, 1e4)),
     grid=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e3)), max_size=8),
 )
-def test_sweep_rows_are_one_point_rows(m, d_min, eta, grid):
-    """Each row of a cell is the one-point row at its eps, bit for bit, and a
-    row is None exactly where the one-point view raises."""
-    for eps, row in zip(grid, nudd_sweep_rows(m, d_min, eta, grid), strict=True):
+def test_sweep_cell_points_are_one_point_rows(m, d_min, eta, grid):
+    """Each point of a cell's columns is the one-point row at its eps, bit for
+    bit, and a point fails ``cell_ok`` exactly where the one-point view raises."""
+    columns, converged = nudd_sweep_cell(m, d_min, eta, grid)
+    good = cell_ok(columns, converged)
+    assert good.shape == (len(grid),)
+    for i, eps in enumerate(grid):
         try:
             one = nudd_sweep_row(m, d_min, eps, eta)
         except NonConvergenceError:
-            assert row is None
+            assert not good[i]
         else:
-            assert repr(row) == repr(one)
+            assert good[i]
+            point = {c: float(v[i]) if isinstance(v, np.ndarray) else v
+                     for c, v in columns.items()}
+            assert repr(point) == repr(one)
 
 
 def test_sweep_row_values():

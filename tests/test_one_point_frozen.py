@@ -5,16 +5,19 @@ and ``nudd_delta`` calls is evaluated, and each value's ``repr`` (or the
 type and message of the error it raises) goes into one sha256.  The set
 covers eps = 0, eta with zero components, results below the smallest normal
 double and tails beyond double range, so a change to the tail pass that moves
-any bit of these views, or the text of their errors, shows here.
+any bit of these views, or the text of their errors, shows here.  The two
+errors of a point that fails the row rule are also checked by name.
 """
 
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
+import pytest
 
-from ddbound.nudd_bounds import nudd_delta, nudd_distance_bound
-from ddbound.qdd_bounds import EtaVector, delta_tail, distance_bound
+from ddbound.nudd_bounds import nudd_delta, nudd_distance_bound, nudd_sweep_row
+from ddbound.qdd_bounds import EtaVector, delta_tail, distance_bound, sweep_row
 from ddbound.series import NORMAL_MIN, NonConvergenceError
 
 DIGEST = "985641ae0258f61df192f93d2e0c44ddf5f6f4755acca96aeb735b2bf0aab63f"
@@ -74,3 +77,31 @@ def test_one_point_views_frozen():
         blob.update(f"{view.__name__}{args!r} -> {text}\n".encode())
     assert all(count >= 5 for count in seen.values()), seen
     assert blob.hexdigest() == DIGEST
+
+
+_NOT_CONVERGED = (
+    "tail series did not converge within its cap or overflowed at epsilon={}; "
+    "the requested (epsilon, eta) regime is outside double range"
+)
+_OVERFLOW = "D_bound outside double range"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(sweep_row, 2, 2, 700.0, EtaVector.isotropic(1.0)), _NOT_CONVERGED.format(700)),
+        (partial(nudd_sweep_row, 10, 5, 1.0, 100.0), _NOT_CONVERGED.format(1)),
+        (partial(sweep_row, 2, 2, 100.0, EtaVector.isotropic(1.0)), _OVERFLOW),
+        (partial(nudd_sweep_row, 1, 2, 100.0, 1.0), _OVERFLOW),
+        (partial(distance_bound, 2, 2, 100.0, EtaVector.isotropic(1.0)), _OVERFLOW),
+        (partial(nudd_distance_bound, 2, 100.0, 1.0, 1), _OVERFLOW),
+    ],
+    ids=["qdd-row-not-converged", "nudd-row-not-converged", "qdd-row-overflow",
+         "nudd-row-overflow", "qdd-bound-overflow", "nudd-bound-overflow"],
+)
+def test_one_point_errors(call, message):
+    """A point that did not converge, or whose D_bound overflows, raises
+    exactly its message."""
+    with pytest.raises(NonConvergenceError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -25,10 +25,10 @@ from ddbound.qdd_bounds import (
     delta_tail,
     distance_bound,
     preset_cells,
+    sweep_cell,
     sweep_row,
-    sweep_rows,
 )
-from ddbound.series import NonConvergenceError
+from ddbound.series import NonConvergenceError, cell_ok
 
 from closed_forms import bounding_function, g_poly, scaled_bounding_function
 
@@ -378,17 +378,23 @@ _ETA = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
     grid=st.lists(_EPS, max_size=8),
     mode=st.sampled_from(["analytic", "numeric-footnote"]),
 )
-def test_sweep_rows_are_one_point_rows(n1, n2, etas, grid, mode):
-    """Each row of a cell is the one-point row at its eps, bit for bit, and a
-    row is None exactly where the one-point view raises."""
+def test_sweep_cell_points_are_one_point_rows(n1, n2, etas, grid, mode):
+    """Each point of a cell's columns is the one-point row at its eps, bit for
+    bit, and a point fails ``cell_ok`` exactly where the one-point view raises."""
     eta = EtaVector(*etas)
-    for eps, row in zip(grid, sweep_rows(n1, n2, eta, grid, mode), strict=True):
+    columns, converged = sweep_cell(n1, n2, eta, grid, mode)
+    good = cell_ok(columns, converged)
+    assert good.shape == (len(grid),)
+    for i, eps in enumerate(grid):
         try:
             one = sweep_row(n1, n2, eps, eta, mode)
         except NonConvergenceError:
-            assert row is None
+            assert not good[i]
         else:
-            assert repr(row) == repr(one)
+            assert good[i]
+            point = {c: float(v[i]) if isinstance(v, np.ndarray) else v
+                     for c, v in columns.items()}
+            assert repr(point) == repr(one)
 
 
 def test_sweep_row_matches_direct_eval():
