@@ -89,6 +89,8 @@ from .qdd_bounds import (
 from .sequences import nudd_schedule, qdd_schedule
 from .series import NORMAL_MIN, NonConvergenceError, cell_ok
 from .simulator import (
+    _BATH_STATES,
+    _INITIAL_STATES,
     BathSpec,
     ExperimentConfig,
     _is_power_of_two,
@@ -805,8 +807,8 @@ _ETA_AXES = tuple(Opt(k, float, help=f"{k[-1]} relative coupling strength", doma
                   for k in _ETA_KEYS)
 _KIND = Opt("kind", str, choices=("qdd", "nudd"), flag=False, required=True)
 _STATES = (
-    Opt("initial_state", str, "random", flag=False),
-    Opt("bath_state", str, "maximally-mixed", flag=False),
+    Opt("initial_state", str, "random", _INITIAL_STATES, flag=False),
+    Opt("bath_state", str, "maximally-mixed", _BATH_STATES, flag=False),
 )
 _QDD = Opt("qdd", int, nargs=2, metavar=("N1", "N2"),
            help="two-level sequence with inner order N1, outer N2", domain=_NONNEGATIVE)

@@ -228,10 +228,6 @@ def preset_nudd_cells(name: str = "fig5") -> tuple[tuple[int, int, float], ...]:
 def nudd_sweep_row(m: int, d_min: int, eps: float, eta: float) -> dict:
     """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``.
 
-``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
-returns it as columns and the converged mask, whose good points the one row
-rule ``series.cell_ok`` decides.  ``nudd_sweep_row`` (``series.first_row``),
-``nudd_distance_bound`` and ``nudd_delta`` are one-point views of the same
-pass.  Every reported value is rounded outward.
+    Raises the NonConvergenceError of a point that fails ``series.cell_ok``.
     """
     return first_row(*nudd_sweep_cell(m, d_min, eta, (eps,)))

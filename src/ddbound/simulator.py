@@ -16,9 +16,12 @@ pi pulse is dropped, which cancels in all density matrices.
 
 From the final unitary the per-channel bath operators A are read off by a
 Pauli partial trace, and the protected state is compared against the
-uncoupled evolution in trace-norm distance.  Everything is deterministic in
-the configured seed; random baths are rescaled to their exact target norm so
-the dimensionless bound inputs are exact, not estimated.
+uncoupled evolution in trace-norm distance.  The same partial trace, of
+U^dag U - 1, gives the unitarity relations at every qubit count: its
+identity component is the completeness relation and every other component
+a cross relation.  Everything is deterministic in the configured seed;
+random baths are rescaled to their exact target norm so the dimensionless
+bound inputs are exact, not estimated.
 
 Experiments run as stacks (``run_experiments``): configs with equal qubit
 counts and bath dimensions form a group, and each group runs as arrays with
@@ -28,8 +31,9 @@ rather than per cell.  Every spectral norm of a bath-dimension matrix comes
 from a Hermitian eigensolve, and no matrix is decomposed twice: a coupling's
 norm is read off the eigenvalues that rescaled it, a channel operator's is
 the root of its Gram matrix's top eigenvalue, and the unitarity residuals,
-Hermitian by construction, are their largest |eigenvalue|.  Only
-``trace_distance`` takes singular values, of system-dimension matrices.
+components of U^dag U - 1 and Hermitian by construction, are their largest
+|eigenvalue|.  Only ``trace_distance`` takes singular values, of
+system-dimension matrices.
 
 Only ``evolve`` depends on the pulse schedule: a group is ordered by
 schedule, and ``evolve`` runs once per schedule on its slice of the stack.
@@ -48,7 +52,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -114,10 +118,13 @@ def _norm_labels(norms: Mapping[str, float], qubit_count: int) -> tuple[str, ...
     return labels
 
 
+@cache
 def _pauli_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis named by ``label``."""
-    mats = [_PAULI[c] for c in label]
-    return reduce(np.kron, mats)
+    """Tensor product of single-qubit Paulis named by ``label``; built once
+    per label and read-only."""
+    mat = reduce(np.kron, [_PAULI[c] for c in label])
+    mat.flags.writeable = False
+    return mat
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -383,19 +390,19 @@ def extract_channel_ops(u: np.ndarray, qubit_count: int) -> dict[str, np.ndarray
     """Bath operators A per Pauli-string channel: U = sum sigma x A.
 
     A_label = (1/2^m) tr_system[(sigma_label)^dagger U], per matrix of a
-    stack of unitaries.
+    stack of operators, all labels in one contraction over the stacked
+    Pauli table; the operators are views into one array.
     """
     d_sys = 2**qubit_count
     total = u.shape[-1]
     if u.ndim < 2 or u.shape[-2] != total or total % d_sys:
         raise ValueError("unitary shape incompatible with qubit count")
     d_bath = total // d_sys
+    labels = pauli_labels(qubit_count)
+    sigma = np.stack([_pauli_matrix(label) for label in labels]).conj()
     u4 = u.reshape(u.shape[:-2] + (d_sys, d_bath, d_sys, d_bath))
-    out = {}
-    for label in pauli_labels(qubit_count):
-        sigma = _pauli_matrix(label)
-        out[label] = np.einsum("ki,...kaib->...ab", sigma.conj(), u4) / d_sys
-    return out
+    ops = np.einsum("pki,...kaib->p...ab", sigma, u4) / d_sys
+    return dict(zip(labels, ops))
 
 
 def _spectral_norm(a: np.ndarray) -> float | np.ndarray:
@@ -414,32 +421,21 @@ def _spectral_norm(a: np.ndarray) -> float | np.ndarray:
     return float(norms) if a.ndim == 2 else norms
 
 
-def unitarity_residuals(ops: Mapping[str, np.ndarray]) -> dict[str, float | np.ndarray]:
-    """Residual norms of the channel-operator unitarity relations.
+def unitarity_residuals(u: np.ndarray, qubit_count: int) -> dict[str, float | np.ndarray]:
+    """Residual norms of the unitarity relations of U, per Pauli channel.
 
-    Always includes "completeness" (sum A^dag A minus the bath identity).
-    For one qubit also the three cross relations mixing the identity channel
-    with each Pauli pair.  For stacked operators each residual is an array
-    over the stack.
+    W = U^dag U - 1 is split by the Pauli partial trace of
+    ``extract_channel_ops``: its identity component, sum A^dag A minus the
+    bath identity, is "completeness", and each other component P is
+    "cross_P".  Each is Hermitian, so its norm is its largest |eigenvalue|.
+    For a stack of unitaries each residual is an array over the stack.
     """
-    labels = sorted(ops)
-    first = ops[labels[0]]
-    acc = np.zeros(first.shape, dtype=complex)
-    for label in labels:
-        a = ops[label]
-        acc += _dagger(a) @ a
-    mats = {"completeness": acc - np.eye(first.shape[-1])}
-    if all(len(label) == 1 for label in labels):
-        a0, ax, ay, az = (ops[k] for k in ("0", "x", "y", "z"))
-
-        def cross(p, q, r, s):
-            return _dagger(p) @ q + _dagger(q) @ p + 1j * (_dagger(r) @ s - _dagger(s) @ r)
-
-        mats["cross_x"] = cross(ax, a0, ay, az)
-        mats["cross_y"] = cross(ay, a0, az, ax)
-        mats["cross_z"] = cross(az, a0, ax, ay)
-    norms = _hermitian_norm(np.stack(list(mats.values())))
-    return {k: float(n) if first.ndim == 2 else n for k, n in zip(mats, norms)}
+    w = _dagger(u) @ u
+    w -= np.eye(w.shape[-1])
+    comps = extract_channel_ops(w, qubit_count)
+    norms = _hermitian_norm(np.stack(list(comps.values())))
+    keys = ["completeness"] + [f"cross_{label}" for label in list(comps)[1:]]
+    return {k: float(n) if u.ndim == 2 else n for k, n in zip(keys, norms)}
 
 
 def _check_density(rho: np.ndarray) -> None:
@@ -521,6 +517,9 @@ class SimResult:
     ``channel_bounds`` holds the bounds that ``channel_margins`` measures the
     channel norms against, keyed alike: L_x, L_y and L_z for QDD, and
     NUDD's Delta for the sum of the error-channel norms.
+    ``unitarity_residual`` is the completeness residual of U^dag U - 1 and
+    ``cross_residuals`` its other Pauli components, ``cross_<label>`` for
+    each of the 4^m - 1 non-identity labels (``unitarity_residuals``).
     """
 
     kind: str
@@ -628,11 +627,10 @@ def _run_stack(
         lo = hi
     u = parts[0] if len(parts) == 1 else np.concatenate(parts)
     ops = extract_channel_ops(u, m)
-    residuals = unitarity_residuals(ops)
+    residuals = unitarity_residuals(u, m)
     labels = tuple(ops)
-    # each operator leaves ``ops`` as it is stacked, so the norms' scaled
-    # copy and Gram matrices take the operators' place in memory
-    norms = _spectral_norm(np.stack([ops.pop(label) for label in labels]))
+    norms = _spectral_norm(np.stack(list(ops.values())))
+    del ops
 
     psi = np.stack([_initial_system_state(c) for c in configs])
     rho_bath = np.stack([_initial_bath_state(c) for c in configs])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ddbound.cli import MARGIN_FLOOR
 from ddbound.cli import main as cli_main
 from ddbound.dyson import verify_orders
 from ddbound.nudd_bounds import (
@@ -51,8 +52,6 @@ from closed_forms import (
     s_identity_sum,
     scaled_bounding_function,
 )
-
-MARGIN_FLOOR = -1e-12
 
 
 def test_criterion_01_partition_identity():

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -267,6 +268,7 @@ _ETAS = "--eta/--eta-x/--eta-y/--eta-z"
          "--eps-min/--eps-max must satisfy lo < hi, got lo=2.0, hi=1.0"),
         ("bounds nudd --m 2 --dmin 1", {"eps_min": 2, "eps_points": 0},
          "config key 'eps_min' must satisfy lo < hi, got lo=2, hi=1.0"),
+        ("verify bound --nudd 1,1 --eps 0.1", None, "--nudd requires --qubits"),
     ],
 )
 def test_cross_option_rules_name_their_source(argv, config, message, tmp_path, capsys):
@@ -647,6 +649,68 @@ SIM_CONFIG = {
 }
 
 
+_FROZEN_CONFIGS = {
+    "sweep-qdd": {"kind": "qdd", "orders": [[1, 1], [2, 2]], "bath_dim": [2, 4],
+                  "eps": [0.05, 0.3], "eta": [0.5], "seeds": 1, "master_seed": 3},
+    "sweep-nudd": {"kind": "nudd", "orders": [[1, 1, 1, 1]], "bath_dim": [2],
+                   "eps": [0.05, 0.2], "eta": [0.3], "seeds": 2, "master_seed": 5,
+                   "initial_state": "plus", "bath_state": "pure-random"},
+    "simulate-qdd": {**SIM_CONFIG, "bath": {"dim": 8, "seed": 7,
+                                            "norms": {"0": 1.0, "x": 0.3, "y": 0.1, "z": 0.5}}},
+    "simulate-nudd": {"kind": "nudd", "orders": [1, 1, 1, 1], "T": 0.2,
+                      "bath": {"dim": 4, "seed": 11,
+                               "norms": {"00": 1.0, "xz": 0.3, "y0": 0.5, "0x": 0.05}}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            "sweep --config sweep-qdd.json",
+            "6f1ac9c5d8ae12a93d348e3cc5d2c74283b62fde83731258290f0e87af992ef5",
+            id="sweep-qdd",
+        ),
+        pytest.param(
+            "sweep --config sweep-nudd.json",
+            "e872b401b3641bbd8d08e9978361134e1709bad15d461b13377980bdc2d89dce",
+            id="sweep-nudd",
+        ),
+        pytest.param(
+            "verify bound --qdd 2 2 --eps 0.1 --eta-x 0.5 --eta-z 0.2 --seeds 3 --bath-dim 4",
+            "0e9ff1954a224f3e2d98a05bcf9a89e24e9b9795d1744d95d4841a0fbcb3aa56",
+            id="verify-bound-qdd",
+        ),
+        pytest.param(
+            "verify bound --nudd 1,1,1,1 --qubits 2 --eps 0.05 --eta 0.5 --seeds 2 --bath-dim 2",
+            "8b59b53c53be37443bac416af70d1cc33225454a661d3fce31b26113831b85cb",
+            id="verify-bound-nudd",
+        ),
+        pytest.param(
+            "simulate --config simulate-qdd.json",
+            "6b0504615db8aa823c7197982a5da492ae087ae11d0dc5f8152cec3f17a3897c",
+            id="simulate-qdd",
+        ),
+        pytest.param(
+            "simulate --config simulate-nudd.json",
+            "8dc47857b07b1d56610c626fa9227d3f3150d34cd30bab0070ce62bc35de9376",
+            id="simulate-nudd",
+        ),
+    ],
+)
+def test_experiment_outputs_frozen(argv, digest, tmp_path, capsys, monkeypatch):
+    """sha256 of the whole stdout of small experiment runs, so that a change
+    to the draws or the numerics of the simulator shows.  Recorded when the
+    unitarity relations came to be read off U^dag U at every qubit count
+    (two-qubit ``simulate`` records carry 15 ``cross_<label>`` keys)."""
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _FROZEN_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_record(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps(SIM_CONFIG))
@@ -708,6 +772,25 @@ def test_verify_orders_rejects_bad_zero_tol(tol, capsys):
     assert f"unrecognized arguments: --zero-tol={tol}" in captured.err
 
 
+def test_verify_orders_over_claim_exits_1(capsys, monkeypatch):
+    """Negative control: claiming d_x = 2 for QDD (1,1), whose x channel
+    starts at order 1, lists the four nonzero x words of length 2 as
+    violations and exits 1."""
+    import ddbound.dyson as dyson
+
+    claimed = dyson.decoupling_orders
+    monkeypatch.setattr(dyson, "decoupling_orders",
+                        lambda *args: replace(claimed(*args), d_x=2))
+    code, out, err = run_cli("verify orders --qdd 1 1 --nmax 2".split(), capsys)
+    assert (code, err) == (1, "")
+    cert = json.loads(out)["certification"]
+    assert cert["certified"] is False
+    assert cert["violations"] == [
+        {"abs": 0.125, "channel": "x", "n": 2, "value": value, "word": word}
+        for word, value in (("0x", "-1/8"), ("x0", "1/8"), ("yz", "1/8"), ("zy", "-1/8"))
+    ]
+
+
 def test_verify_bound_rows(capsys):
     code, out, _ = run_cli(
         [
@@ -736,6 +819,27 @@ def test_verify_bound_loosen_fails(capsys):
     assert code == 1
     body = data_lines(out)[1:]
     assert all(r.split(",")[-1] == "0" for r in body)
+
+
+def test_verify_bound_fails_a_two_qubit_cross_relation(capsys, monkeypatch):
+    """Negative control: an evolve whose U is off by 1e-8 sigma_xz x H
+    (||H|| = 1) breaks a two-qubit cross relation and not completeness, and
+    every row fails."""
+    evolve = simulator.evolve
+
+    def skewed(schedule, model, T):
+        u = evolve(schedule, model, T)
+        h = np.diag(np.linspace(-1.0, 1.0, model.bath_dim))
+        return u @ (np.eye(u.shape[-1]) + 1e-8 * np.kron(simulator._pauli_matrix("xz"), h))
+
+    argv = "verify bound --nudd 1,1,1,1 --qubits 2 --eps 0.1 --seeds 2 --bath-dim 4".split()
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr(simulator, "evolve", skewed)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    body = [r.split(",") for r in data_lines(out)[1:]]
+    assert len(body) == 2
+    assert all(float(r[-2]) < 1e-12 and r[-1] == "0" for r in body)
 
 
 SWEEP_CONFIG = {
@@ -1265,6 +1369,50 @@ def test_invalid_config_values_exit_2(command, doc, extra, needle, tmp_path, cap
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and needle in err
+
+
+_BATH = SIM_CONFIG["bath"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        pytest.param("simulate --config cfg.json", "{",
+                     "config 'cfg.json' is not valid JSON: Expecting property name enclosed in "
+                     "double quotes: line 1 column 2 (char 1)", id="config-not-json"),
+        pytest.param("sweep --config cfg.json", "[1]", "config 'cfg.json' must be a JSON object",
+                     id="config-not-object"),
+        pytest.param("sequence --nudd 1,a --qubits 1", None,
+                     "--nudd: expected comma-separated integers, got '1,a'", id="nudd-not-int"),
+        pytest.param("simulate --config cfg.json",
+                     json.dumps({**SIM_CONFIG, "bath": {**_BATH, "spin": 1}}),
+                     "unknown bath keys: spin", id="bath-unknown-key"),
+        pytest.param("simulate --config cfg.json",
+                     json.dumps({**SIM_CONFIG, "bath": {"dim": 4, "norms": _BATH["norms"]}}),
+                     "bath key 'seed' is required", id="bath-missing-key"),
+        *(
+            pytest.param(f"{command} --config cfg.json", json.dumps({**doc, key: "bogus"}),
+                         f"config key {key!r} must be one of {choices}, got 'bogus'",
+                         id=f"{command}-{key}")
+            for command, doc in (("simulate", SIM_CONFIG), ("sweep", SWEEP_CONFIG))
+            for key, choices in (("initial_state", "random, plus, zero"),
+                                 ("bath_state", "maximally-mixed, pure-random"))
+        ),
+        pytest.param("verify orders --qdd 3 3 --nmax 3 --backend rational", None,
+                     "rational backend supports orders <= 2 only (got 3, 3)",
+                     id="verify-orders-rational-backend"),
+        pytest.param("verify orders --qdd 2 2 --nmax 7", None,
+                     "n_max=7 exceeds max depth 6 (4^n words explode)",
+                     id="verify-orders-depth"),
+    ],
+)
+def test_invalid_inputs_are_one_error(argv, text, message, tmp_path, capsys, monkeypatch):
+    """Input that a command's own checks reject (``text`` is the config
+    file, if any): one exact ``error:`` line, nothing on stdout, exit 2."""
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    assert run_cli(argv.split(), capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

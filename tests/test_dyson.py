@@ -768,3 +768,13 @@ def test_cli_import_leaves_mpmath_out(tmp_path):
     )
     res = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize(
+    "n_max, message",
+    [(0, "n_max must be >= 1"), (7, "n_max=7 exceeds max depth 6 (4^n words explode)")],
+)
+def test_verify_orders_depth_messages(n_max, message):
+    with pytest.raises(ValueError) as exc:
+        verify_orders(1, 1, n_max)
+    assert str(exc.value) == message

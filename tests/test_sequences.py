@@ -415,3 +415,26 @@ def test_orders_check_rejects(entry, order):
 @pytest.mark.parametrize("entry", _ORDER_ENTRY_POINTS)
 def test_orders_check_accepts_numpy_integers(entry):
     assert repr(_ORDER_ENTRY_POINTS[entry](np.int64(2))) == repr(_ORDER_ENTRY_POINTS[entry](2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: SwitchingProfile((0.1, 1.0), (1,)),
+                     "breakpoints must start at 0.0 and end at 1.0", id="profile-ends"),
+        pytest.param(lambda: SwitchingProfile((0.0, 0.5, 0.5, 1.0), (1, -1, 1)),
+                     "breakpoints must be strictly increasing", id="profile-increasing"),
+        pytest.param(lambda: SwitchingProfile((0.0, 1.0), (1, -1)),
+                     "need exactly one sign per interval", id="profile-sign-count"),
+        pytest.param(lambda: SwitchingProfile((0.0, 0.5, 1.0), (1, 2)),
+                     "signs must be +1 or -1", id="profile-sign-value"),
+        pytest.param(lambda: SwitchingProfile((0.0, 1.0), (1,)).value(1.5),
+                     "s must lie in [0, 1]", id="value-above"),
+        pytest.param(lambda: SwitchingProfile((0.0, 1.0), (1,)).value(-0.1),
+                     "s must lie in [0, 1]", id="value-below"),
+    ],
+)
+def test_profile_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -52,6 +52,7 @@ def test_pauli_labels():
 def test_pauli_matrix_kron_order():
     got = _pauli_matrix("xz")
     assert np.array_equal(got, np.kron(SX, SZ))
+    assert not got.flags.writeable  # built once per label and shared
     assert np.array_equal(_pauli_matrix("0"), np.eye(2))
 
 
@@ -307,6 +308,9 @@ def _unitarity_residual(u):
 )
 # 524 pulses at total dim 16: its residual of 1.0056e-12 broke a fixed 1e-12
 @example(m=2, orders=[3, 3, 4, 4], log_bath=3, log_t=0.0, seed=154)
+# Re u[0, 0] = 0.017: a real shift of that one entry moved the residual by less
+# than the bound, so the negative control scales a whole row instead
+@example(m=1, orders=[0, 0, 0, 0], log_bath=0, log_t=0.8984375, seed=1)
 def test_evolve_unitary_and_matches_oracle(m, orders, log_bath, log_t, seed):
     # total dims 2-16 keep the expm oracle cheap at up to 624 events;
     # the parametrized oracle test covers dims up to 64
@@ -322,7 +326,7 @@ def test_evolve_unitary_and_matches_oracle(m, orders, log_bath, log_t, seed):
     assert bound < 1e-11
     assert _unitarity_residual(u) < bound
     off = u.copy()
-    off[0, 0] += 10 * bound  # negative control: one entry off by 10x the bound
+    off[0] *= 1 + 10 * bound  # negative control: (U U^dag)[0, 0] moves by 20x the bound
     assert _unitarity_residual(off) >= bound
     assert np.max(np.abs(u - _lab_frame_evolve(sched.events, model, T))) < 1e-11
     assert _sign_distance(u, _lab_frame_evolve(sched.events, model, T, "outer-first")) < 1e-11
@@ -335,7 +339,8 @@ def test_channel_extraction_roundtrip():
     ops = extract_channel_ops(u, 1)
     assert set(ops) == {"0", "x", "y", "z"}
     assert np.allclose(reconstruct_from_channels(ops), u, atol=1e-13)
-    res = unitarity_residuals(ops)
+    res = unitarity_residuals(u, 1)
+    assert set(res) == {"completeness", "cross_x", "cross_y", "cross_z"}
     assert res["completeness"] < 1e-12
     for key in ("cross_x", "cross_y", "cross_z"):
         assert res[key] < 1e-12
@@ -760,14 +765,23 @@ def _oracle_cells():
 
 def _svd_residuals(ops):
     """Completeness and cross residuals of channel operators, rebuilt from
-    their definitions and normed by singular values."""
+    their definitions and normed by singular values.
+
+    With U = sum_P sigma_P x A_P, the component Q of U^dag U - 1 is
+    sum_{P,R} tr(sigma_Q sigma_P sigma_R) / 2^m A_P^dag A_R, less the bath
+    identity for Q = identity ("completeness"; the others are "cross_Q").
+    """
+    labels = list(ops)
+    sigma = {k: _pauli_matrix(k) for k in labels}
     dag = {k: a.conj().T for k, a in ops.items()}
-    eye = np.eye(ops[min(ops)].shape[-1])
-    mats = {"completeness": sum(dag[k] @ a for k, a in ops.items()) - eye}
-    if "x" in ops:
-        for p, r, s in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-            mats["cross_" + p] = (dag[p] @ ops["0"] + dag["0"] @ ops[p]
-                                  + 1j * (dag[r] @ ops[s] - dag[s] @ ops[r]))
+    mats = {}
+    for q in labels:
+        mat = -np.eye(ops[q].shape[-1]) if q == labels[0] else 0.0
+        for p, r in itertools.product(labels, labels):
+            c = np.trace(sigma[q] @ sigma[p] @ sigma[r]) / len(sigma[q])
+            if c:
+                mat = mat + c * (dag[p] @ ops[r])
+        mats["completeness" if q == labels[0] else "cross_" + q] = mat
     return {k: _svd_norm(m) for k, m in mats.items()}
 
 
@@ -813,10 +827,77 @@ def test_residual_catches_a_scaled_channel_block():
         m = cfg.qubit_count
         model = build_model(cfg.bath, m)
         u = evolve(nudd_schedule(cfg.orders, m), model, cfg.T)
-        assert unitarity_residuals(extract_channel_ops(u, m))["completeness"] < 1e-12
+        assert unitarity_residuals(u, m)["completeness"] < 1e-12
         d_bath = cfg.bath.dim
         u[:d_bath, :d_bath] *= 1 + 1e-8
         ops = extract_channel_ops(u, m)
-        got = unitarity_residuals(ops)["completeness"]
+        got = unitarity_residuals(u, m)["completeness"]
         assert got > 1e-9
         assert _close(got, _svd_residuals(ops)["completeness"])
+
+
+def test_residual_catches_a_two_qubit_cross_term():
+    """Negative control for two qubits: U (1 + 1e-8 sigma_xz x H) with
+    ||H|| = 1 keeps completeness to second order in 1e-8, and its xz cross
+    relation reads 2e-8 (U^dag U = 1 + 2e-8 sigma_xz x H + O(1e-16))."""
+    cfg = ExperimentConfig(
+        kind="nudd", orders=(1, 1, 1, 1), T=0.3,
+        bath=BathSpec(dim=4, seed=5, norms={"00": 1.0, "xz": 0.3, "y0": 0.8, "0x": 0.02}),
+    )
+    u = evolve(nudd_schedule(cfg.orders, 2), build_model(cfg.bath, 2), cfg.T)
+    h = np.diag(np.linspace(-1.0, 1.0, 4))
+    skewed = u @ (np.eye(16) + 1e-8 * np.kron(_pauli_matrix("xz"), h))
+    res = unitarity_residuals(skewed, 2)
+    assert list(res) == ["completeness"] + [f"cross_{k}" for k in pauli_labels(2)[1:]]
+    assert res["completeness"] < 1e-12
+    assert res["cross_xz"] > 1e-9
+    assert max(v for k, v in res.items() if k != "cross_xz") < 1e-12
+    want = _svd_residuals(extract_channel_ops(skewed, 2))
+    assert all(_close(res[k], r) for k, r in want.items())
+
+
+_BATH = BathSpec(dim=2, seed=0, norms={"0": 1.0})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: BathSpec(dim=2, seed=-1, norms={}),
+                     "bath seed must be an integer >= 0, got -1", id="BathSpec-negative-seed"),
+        pytest.param(lambda: evolve(qdd_schedule(1, 1),
+                                    build_model(replace(_BATH, norms={"00": 1.0}), 2), 0.1),
+                     "schedule and model disagree on qubit count", id="evolve-qubit-count"),
+        pytest.param(lambda: extract_channel_ops(np.eye(6), 2),
+                     "unitary shape incompatible with qubit count", id="extract-shape"),
+        pytest.param(lambda: trace_distance(np.ones((1, 2)), np.eye(2) / 2),
+                     "density matrix must be square", id="density-square"),
+        pytest.param(lambda: trace_distance(np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(2) / 2),
+                     "density matrix is not Hermitian within tolerance", id="density-hermitian"),
+        pytest.param(lambda: trace_distance(np.eye(2), np.eye(2) / 2),
+                     "density matrix trace differs from 1", id="density-trace"),
+        pytest.param(lambda: trace_distance(np.diag([1.5, -0.5]), np.eye(2) / 2),
+                     "density matrix has negative eigenvalues beyond tolerance",
+                     id="density-negative"),
+        pytest.param(lambda: ExperimentConfig(kind="nudd", orders=(1, 1, 1), bath=_BATH, T=0.1),
+                     "orders must come in (z, x) level pairs", id="config-odd-levels"),
+        pytest.param(lambda: ExperimentConfig(kind="qdd", orders=(1, 1), T=0.1,
+                                              bath=replace(_BATH, dim=MAX_TOTAL_DIM)),
+                     "total dimension exceeds supported limit", id="config-total-dim"),
+        pytest.param(lambda: ExperimentConfig(kind="qdd", orders=(1, 1), bath=_BATH, T=0.1,
+                                              initial_state="bogus"),
+                     "initial_state must be one of ('random', 'plus', 'zero')",
+                     id="config-initial-state"),
+        pytest.param(lambda: ExperimentConfig(kind="qdd", orders=(1, 1), bath=_BATH, T=0.1,
+                                              bath_state="bogus"),
+                     "bath_state must be one of ('maximally-mixed', 'pure-random')",
+                     id="config-bath-state"),
+        pytest.param(lambda: fit_scaling(1, 1, _BATH, eps_grid=(1e-3, 1e-2)),
+                     "need at least three grid points for a slope", id="fit-grid"),
+        pytest.param(lambda: fit_scaling(1, 1, replace(_BATH, norms={"x": 1.0})),
+                     "bath must set the identity norm J0 > 0", id="fit-j0"),
+    ],
+)
+def test_validation_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
