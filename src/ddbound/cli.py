@@ -61,7 +61,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from typing import Any, Callable, Sequence
 
@@ -91,6 +91,7 @@ from .series import NORMAL_MIN, NonConvergenceError, cell_ok
 from .simulator import (
     _BATH_STATES,
     _INITIAL_STATES,
+    MAX_QUBITS,
     BathSpec,
     ExperimentConfig,
     _is_power_of_two,
@@ -280,9 +281,9 @@ def _check(name: str, value: Any, spec: Any, choices: Sequence[str] = ()) -> Non
 
 
 def _check_domain(name: str, value: Any, domain: tuple[str, Callable] | None) -> None:
-    """Reject a value, or any item of a list value, outside ``domain``."""
-    if isinstance(value, (list, tuple)):
-        for item in value:
+    """Reject a value, or any item of a list or object value, outside ``domain``."""
+    if isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
             _check_domain(name, item, domain)
     elif domain and not domain[1](value):
         raise CliError(f"{name} must be {domain[0]}, got {value!r}")
@@ -572,21 +573,19 @@ def cmd_bounds_nudd(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- simulate --
 
 
-_BATH_TYPES = {"dim": int, "seed": int, "norms": {str: float}}
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     resolved, _ = _resolve(args)
     if args.seed is not None:
         resolved["bath"] = {**resolved["bath"], "seed": args.seed}
     bath = resolved["bath"]
-    unknown = sorted(set(bath) - set(_BATH_TYPES))
+    unknown = sorted(set(bath) - set(_BATH_KEYS))
     if unknown:
         raise CliError(f"unknown bath keys: {', '.join(unknown)}")
-    for key, spec in _BATH_TYPES.items():
+    for key, (spec, domain) in _BATH_KEYS.items():
         if key not in bath:
             raise CliError(f"bath key {key!r} is required")
         _check(f"bath key {key!r}", bath[key], spec)
+        _check_domain(f"bath key {key!r}", bath[key], domain)
     try:
         config = ExperimentConfig(
             kind=resolved["kind"],
@@ -670,28 +669,24 @@ def _run_cells(
     A cell is a violation (``ok`` 0) when ``loosen`` times its bound falls
     below the measured distance, a channel bound is exceeded, or the
     propagator is not unitary to ``UNITARITY_TOL``.  A cell whose run fails
-    to converge has NaN in every column the run computes, and its
+    to converge is written with NaN in every column the run computes, and its
     ``# non-convergence`` line ends in the error.  A row whose check the
     floor and not a bound decides is flagged ``# unresolved``, naming its
     ``D_bound`` if that is below ``-MARGIN_FLOOR``, else each channel bound
-    below it (``L_<channel>``, from ``SimResult.channel_bounds``).  Comment
+    below it (``L_<channel>``, from the run's ``channel_bounds``).  Comment
     lines give the row's cell and seed, where the columns hold them.  No
     flag changes ``ok``.
     """
-    results = run_experiments([cfg for _, cfg, _ in cells])
-    done = np.array([not isinstance(r, NonConvergenceError) for r in results], dtype=bool)
-
-    def column(read: Callable) -> np.ndarray:
-        return np.array([read(r) if d else math.nan for r, d in zip(results, done)])
-
-    bound = column(lambda r: loosen * r.distance_bound)
-    actual = column(lambda r: r.distance_actual)
-    margin = bound - actual
-    channel = column(lambda r: min(r.channel_margins.values()))
-    unitarity = column(lambda r: r.unitarity_residual)
-    cross = column(lambda r: max(r.cross_residuals.values(), default=0.0))
+    run, done = run_experiments([cfg for _, cfg, _ in cells])
+    with np.errstate(over="ignore"):  # a loosened bound beyond double range is inf
+        bound = loosen * run["distance_bound"]
+    margin = bound - run["distance_actual"]
+    # the first of equal margins, as min() over a cell's margins takes it:
+    # np.fmin's pick between 0.0 and -0.0 depends on the length of the arrays
+    channel = reduce(lambda a, b: np.where(b < a, b, a), run["channel_margins"].values())
+    cross = np.fmax.reduce(list(run["cross_residuals"].values()))
     ok = ((margin >= MARGIN_FLOOR) & (channel >= MARGIN_FLOOR)
-          & (unitarity <= UNITARITY_TOL) & (cross <= UNITARITY_TOL))
+          & (run["unitarity_residual"] <= UNITARITY_TOL) & (cross <= UNITARITY_TOL))
     values = {
         "cell": [index for index, _, _ in cells],
         "kind": [cfg.kind for _, cfg, _ in cells],
@@ -699,21 +694,21 @@ def _run_cells(
         "bath_dim": [cfg.bath.dim for _, cfg, _ in cells],
         "seed": [cfg.bath.seed for _, cfg, _ in cells],
         "eta": [eta for _, _, eta in cells],
-        "epsilon": column(lambda r: r.epsilon),
-        "D_actual": actual,
+        "epsilon": run["epsilon"],
+        "D_actual": run["distance_actual"],
         "D_bound": bound,
         "margin": margin,
         "channel_margin_min": channel,
-        "unitarity": unitarity,
+        "unitarity": run["unitarity_residual"],
         "ok": np.where(done, ok, math.nan),
     }
     floor = -MARGIN_FLOOR
     unresolved = {"D_bound": bound < floor}
-    for ch in dict.fromkeys(ch for r, d in zip(results, done) if d for ch in r.channel_bounds):
-        unresolved[f"L_{ch}"] = (bound >= floor) & (column(lambda r: r.channel_bounds[ch]) < floor)
+    for ch, low in run["channel_bounds"].items():
+        unresolved[f"L_{ch}"] = (bound >= floor) & (low < floor)
     declared = {
         "key": ("cell", "seed"),
-        "notes": [f" ({r})" if not d else "" for r, d in zip(results, done)],
+        "notes": [f" ({error})" if not d else "" for error, d in zip(run["error"], done)],
         "flags": [("unresolved", unresolved, f"below the margin floor {floor:g}")],
     }
     return values, done, declared
@@ -795,6 +790,7 @@ _POSITIVE = (">= 1", lambda v: v >= 1)
 _COUPLING = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 _DURATION = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 _BATH_DIM = ("a power of two", _is_power_of_two)
+_BATH_KEYS = dict(dim=(int, _BATH_DIM), seed=(int, _NONNEGATIVE), norms=({str: float}, _COUPLING))
 
 _MODE = Opt("mode", str, "analytic", _MODES, help="suppression-order table variant")
 _EPS_GRID = (
@@ -880,7 +876,7 @@ _COMMANDS = {
         (
             _QDD,
             _NUDD,
-            _QUBITS,
+            replace(_QUBITS, domain=(f"in [1, {MAX_QUBITS}]", lambda m: 1 <= m <= MAX_QUBITS)),
             Opt("eps", float, help="epsilon = J0 * T (J0 fixed at 1)", required=True,
                 domain=_DURATION),
             Opt("eta", float, help="relative coupling strength", domain=_COUPLING),

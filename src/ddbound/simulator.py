@@ -41,9 +41,11 @@ A stack holds at most ``MAX_TOTAL_DIM**2`` matrix entries per array, no
 more than one experiment at the largest total dimension.  Each stacked step
 does to every cell's matrices what it does to one alone, so a result does
 not depend on the cells that share its stack; the one-model forms of
-``build_model``, ``evolve`` and ``run_experiment`` are stacks of one.  The
-distance bound stays one call per cell, because the benchmark's tracer
-(``perfbench/tests``) counts one bound span per cell.
+``build_model`` and ``evolve`` are stacks of one.  A run is columns, arrays
+over its cells and a converged mask, and a ``SimResult`` is one cell of them
+(``run_experiment`` runs one).  The distance bound stays one call per cell,
+because the benchmark's tracer (``perfbench/tests``) counts one bound span
+per cell.
 """
 
 from __future__ import annotations
@@ -51,14 +53,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .nudd_bounds import NuddBoundReport, d_min_for_orders, nudd_distance_bound
-from .qdd_bounds import _MODES, BoundReport, EtaVector, distance_bound
+from .nudd_bounds import d_min_for_orders, nudd_distance_bound
+from .qdd_bounds import _MODES, EtaVector, distance_bound
 from .sequences import PulseSchedule, _axis_qubit, _steps, _validate_orders, nudd_schedule
 from .series import NonConvergenceError
 
@@ -512,7 +514,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Measured quantities of one experiment next to their analytic bounds.
+    """Measured quantities of one experiment next to their analytic bounds, as
+    ``run_experiment`` returns them: one cell of a run's columns.
 
     ``channel_bounds`` holds the bounds that ``channel_margins`` measures the
     channel norms against, keyed alike: L_x, L_y and L_z for QDD, and
@@ -561,46 +564,12 @@ def _initial_bath_state(config: ExperimentConfig) -> np.ndarray:
     return np.outer(raw, raw.conj())
 
 
-def _bound(config: ExperimentConfig, norms: dict[str, float], realized: dict[str, float]):
-    """(epsilon, eta, bound, channel bounds, channel margins) of one experiment.
-
-    The bound is evaluated at the realized operator norms of the sampled
-    couplings (``HamiltonianModel.coupling_norms``, from the eigenvalues that
-    rescaled them), not the requested ones: rescaling rounds by a few ulp and
-    the dominance margin should not depend on which side that rounding lands.
-    """
-    id_label = "0" * config.qubit_count
-    j0 = realized[id_label]
-    eps = j0 * config.T
-    if config.kind == "qdd":
-        eta = EtaVector(
-            realized.get("x", 0.0) / j0,
-            realized.get("y", 0.0) / j0,
-            realized.get("z", 0.0) / j0,
-        )
-        report: BoundReport = distance_bound(
-            config.orders[0], config.orders[1], eps, eta, config.mode
-        )
-        bounds = {ch: report.channel_bounds.for_channel(ch) for ch in ("x", "y", "z")}
-        margins = {ch: bounds[ch] - norms[ch] for ch in bounds}
-        return eps, eta.as_tuple(), report.distance_bound, bounds, margins
-    j1 = max(
-        (v for label, v in realized.items() if label != id_label),
-        default=0.0,
-    )
-    eta_val = j1 / j0
-    nrep: NuddBoundReport = nudd_distance_bound(
-        d_min_for_orders(config.orders), eps, eta_val, config.qubit_count
-    )
-    error_sum = sum(v for label, v in norms.items() if label != id_label)
-    bounds = {"error_sum": nrep.delta}
-    return eps, eta_val, nrep.distance_bound, bounds, {"error_sum": nrep.delta - error_sum}
-
-
 def _run_stack(
-    schedules: Sequence[PulseSchedule], configs: Sequence[ExperimentConfig]
-) -> list[SimResult | NonConvergenceError]:
-    """Experiments that share a qubit count and a bath dimension, as one stack.
+    schedules: Sequence[PulseSchedule], configs: Sequence[ExperimentConfig], rows: list[int],
+    run: dict, converged: np.ndarray,
+) -> None:
+    """Experiments that share a qubit count and a bath dimension, as one
+    stack, written into a run's columns and converged mask at ``rows``.
 
     ``schedules[s]`` is the pulse schedule of ``configs[s]``, and the cells of
     one schedule are adjacent.  Only ``evolve`` depends on the schedule, so it
@@ -613,8 +582,8 @@ def _run_stack(
     model = build_model([c.bath for c in configs], m)
     T = np.array([c.T for c in configs])
     parts, lo = [], 0
-    for schedule, run in itertools.groupby(schedules):
-        hi = lo + sum(1 for _ in run)
+    for schedule, group in itertools.groupby(schedules):
+        hi = lo + sum(1 for _ in group)
         cells = slice(lo, hi)
         part = replace(
             model,
@@ -642,43 +611,51 @@ def _run_stack(
     rho_t = (k @ rho_bath[:, None]).reshape(flat) @ _dagger(k.reshape(flat))
     dist = trace_distance(rho_t, rho_sys)
 
-    out: list[SimResult | NonConvergenceError] = []
-    for s, config in enumerate(configs):
-        channel_norms = {label: float(x) for label, x in zip(labels, norms[:, s])}
-        realized = {label: float(n[s]) for label, n in model.coupling_norms.items()}
+    # The bound takes the realized coupling norms, not the requested ones:
+    # rescaling rounds by a few ulp, and the dominance margin should not
+    # depend on which side that rounding lands.
+    j = np.stack([model.coupling_norms[label] for label in labels])
+    with np.errstate(all="ignore"):  # beyond double range: inf or NaN, which the bounds reject
+        eps, eta = j[0] * T, j[1:] / j[0]
+    bounds, channels = run["distance_bound"], run["channel_bounds"]
+    for row, config, e, ratios in zip(rows, configs, eps.tolist(), eta.T.tolist()):
+        qdd = config.kind == "qdd"
+        run["eta"][row] = tuple(ratios) if qdd else max(ratios)
         try:
-            eps, eta, bound, channel_bounds, channel_margins = _bound(
-                config, channel_norms, realized
-            )
+            if qdd:
+                report = distance_bound(*config.orders, e, EtaVector(*ratios), config.mode)
+                for ch in "xyz":
+                    channels[ch][row] = report.channel_bounds.for_channel(ch)
+            else:
+                report = nudd_distance_bound(d_min_for_orders(config.orders), e, max(ratios), m)
+                channels["error_sum"][row] = report.delta
+            bounds[row] = report.distance_bound
         except NonConvergenceError as exc:
-            out.append(exc)
-            continue
-        out.append(
-            SimResult(
-                kind=config.kind,
-                orders=config.orders,
-                epsilon=eps,
-                eta=eta,
-                mode=config.mode,
-                channel_norms=channel_norms,
-                distance_actual=float(dist[s]),
-                distance_bound=bound,
-                margin=bound - float(dist[s]),
-                channel_bounds=channel_bounds,
-                channel_margins=channel_margins,
-                unitarity_residual=float(residuals["completeness"][s]),
-                cross_residuals={
-                    k: float(v[s]) for k, v in residuals.items() if k != "completeness"
-                },
-            )
-        )
-    return out
+            run["error"][row] = str(exc)
+            converged[row] = False
+    # NUDD's Delta bounds the sum of the error-channel norms, added left to right
+    measured = {**dict(zip(labels, norms)), "error_sum": sum(norms[1:])}
+    for ch in channels.keys() & measured.keys():
+        run["channel_margins"][ch][rows] = channels[ch][rows] - measured[ch]
+    run["epsilon"][rows], run["distance_actual"][rows] = eps, dist
+    run["margin"][rows] = bounds[rows] - dist
+    run["unitarity_residual"][rows] = residuals.pop("completeness")
+    for label, n in zip(labels, norms):
+        run["channel_norms"][label][rows] = n
+    for key, r in residuals.items():
+        run["cross_residuals"][key][rows] = r
 
 
-def run_experiments(
-    configs: Sequence[ExperimentConfig],
-) -> list[SimResult | NonConvergenceError]:
-    """Run experiments in stacks: per config, its result or the error its bound raised.
+def run_experiments(configs: Sequence[ExperimentConfig]) -> tuple[dict, np.ndarray]:
+    """Run experiments in stacks; return the run as columns over the configs
+    and the mask of the configs whose bound converged.
+
+    The columns are keyed by ``SimResult``'s fields and ``error``, the text
+    of a cell's bound error ("" where it converged).  ``kind``, ``orders``,
+    ``eta``, ``mode`` and ``error`` are lists, the other fields float arrays,
+    and each dict field a dict of them by label.  NaN marks a value that a
+    cell does not have: a label of another qubit count or bound family, or
+    what its failed bound would have given.
 
     Configs of equal qubit count and bath dimension form a group, ordered by
     pulse schedule so that each schedule is one slice of the group, and run
@@ -687,20 +664,48 @@ def run_experiments(
     cell's matrices as it would a lone experiment's, so a result does not
     depend on the other configs.
     """
+    n = len(configs)
+    counts = sorted({c.qubit_count for c in configs})
+    kinds = {c.kind for c in configs}
+    channels = ("x", "y", "z") * ("qdd" in kinds) + ("error_sum",) * ("nudd" in kinds)
+    run: dict = {"kind": [c.kind for c in configs], "orders": [c.orders for c in configs],
+                 "eta": [None] * n, "mode": [c.mode for c in configs], "error": [""] * n}
+    for name in ("epsilon", "distance_actual", "distance_bound", "margin", "unitarity_residual"):
+        run[name] = np.full(n, np.nan)
+    for name, keys in (
+        ("channel_norms", [label for m in counts for label in pauli_labels(m)]),
+        ("channel_bounds", channels),
+        ("channel_margins", channels),
+        ("cross_residuals", [f"cross_{label}" for m in counts for label in pauli_labels(m)[1:]]),
+    ):
+        run[name] = {key: np.full(n, np.nan) for key in keys}
+    converged = np.ones(n, dtype=bool)
     groups: dict[tuple[int, int], dict[PulseSchedule, list[int]]] = {}
     for i, config in enumerate(configs):
         schedule = nudd_schedule(config.orders, config.qubit_count)
         group = groups.setdefault((config.qubit_count, config.bath.dim), {})
         group.setdefault(schedule, []).append(i)
-    results: list = [None] * len(configs)
     for (m, d_bath), by_schedule in groups.items():
         members = [(s, i) for s, indices in by_schedule.items() for i in indices]
         size = max(1, MAX_TOTAL_DIM**2 // (2**m * d_bath) ** 2)
         for lo in range(0, len(members), size):
             schedules, stack = zip(*members[lo : lo + size])
-            for i, res in zip(stack, _run_stack(schedules, [configs[i] for i in stack])):
-                results[i] = res
-    return results
+            _run_stack(schedules, [configs[i] for i in stack], list(stack), run, converged)
+    return run, converged
+
+
+def _result(run: dict, converged: np.ndarray, s: int) -> SimResult:
+    """Point ``s`` of a run's columns as a SimResult, without the labels that
+    are NaN there; raises the NonConvergenceError of a cell whose bound failed."""
+    if not converged[s]:
+        raise NonConvergenceError(run["error"][s])
+
+    def point(col):
+        if isinstance(col, dict):
+            return {k: v[s].item() for k, v in col.items() if not np.isnan(v[s])}
+        return col[s] if isinstance(col, list) else col[s].item()
+
+    return SimResult(**{f.name: point(run[f.name]) for f in fields(SimResult)})
 
 
 def run_experiment(config: ExperimentConfig) -> SimResult:
@@ -710,21 +715,19 @@ def run_experiment(config: ExperimentConfig) -> SimResult:
     (system, bath) blocks of U and compares it with the uncoupled reference,
     the bath evolved alone, which leaves the system state as it started; then
     reports their trace distance, per-channel operator norms, the matching
-    distance bound, and all unitarity residuals.  A stack of one
-    (``run_experiments``); raises the bound's NonConvergenceError.
+    distance bound, and all unitarity residuals.  The one-cell view of a run
+    of one (``run_experiments``); raises the bound's NonConvergenceError.
     """
-    result = run_experiments([config])[0]
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
+    return _result(*run_experiments([config]), 0)
 
 
 @dataclass(frozen=True)
 class ScalingFit:
     """Log-log slope fit of channel norms vs time over a small-epsilon grid.
 
-    ``slopes[ch]`` is None when the channel stayed below the resolvable floor
-    on too many grid points ("order too high to resolve" rather than zero).
+    ``slopes[ch]`` is None when the channel rose above the resolvable floor
+    at fewer than three distinct grid points ("order too high to resolve"
+    rather than zero).
     """
 
     eps_grid: tuple[float, ...]
@@ -748,8 +751,8 @@ def fit_scaling(
         eps_grid = tuple(float(x) for x in np.geomspace(1e-3, 1e-2, 8))
     else:
         eps_grid = tuple(float(x) for x in eps_grid)
-        if len(eps_grid) < 3:
-            raise ValueError("need at least three grid points for a slope")
+        if len(set(eps_grid)) < 3:
+            raise ValueError("need at least three distinct grid points for a slope")
     j0 = bath.norm("0")
     if j0 <= 0.0:
         raise ValueError("bath must set the identity norm J0 > 0")
@@ -762,7 +765,7 @@ def fit_scaling(
     for ch, ys in norms.items():
         ys_arr = np.asarray(ys)
         mask = ys_arr > _NORM_FLOOR
-        if int(mask.sum()) < 3:
+        if np.unique(log_t[mask]).size < 3:
             slopes[ch] = None
             continue
         slope, _ = np.polyfit(log_t[mask], np.log(ys_arr[mask]), 1)

@@ -184,11 +184,13 @@ def test_dead_private_name_is_found():
 KEPT = {
     "ddbound.dyson.Signature": "result type of signature",
     "ddbound.dyson.OrderCertification": "result type of verify_orders",
+    "ddbound.qdd_bounds.BoundReport": "result type of distance_bound",
     "ddbound.qdd_bounds.ChannelBounds": "result type: distance_bound's channel_bounds",
+    "ddbound.nudd_bounds.NuddBoundReport": "result type of nudd_distance_bound",
     "ddbound.sequences.PulseEvent": "result type: the events of qdd_schedule and nudd_schedule",
     "ddbound.sequences.SwitchingProfile": "result type of switching_qdd",
     "ddbound.simulator.HamiltonianModel": "result type of build_model",
-    "ddbound.simulator.SimResult": "result type of run_experiment and run_experiments",
+    "ddbound.simulator.SimResult": "result type of run_experiment",
     "ddbound.simulator.ScalingFit": "result type of fit_scaling",
     "ddbound.dyson.signature": "the word-sum engine that ROADMAP items 2, 3 and 5 build on",
     "ddbound.qdd_bounds.delta_tail": "the paper's Delta_d, frozen in test_one_point_frozen.py",

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -315,6 +316,14 @@ _EIGH = "an eigenvalue of the Hamiltonian is not finite"
          "eta components must be finite and >= 0"),
         ("sweep", {**_RUN_GRID, "eps": [1.7e308], "eta": [1.0]}, _RATES),
         ("sweep", {**_RUN_GRID, "eps": [0.1], "eta": [1e308]}, _EIGH),
+        # J0 = 5e-324 rescales to a realized J0 of 0 at this draw (appended, so
+        # earlier cases keep their ids)
+        ("simulate", {"kind": "qdd", "orders": [1, 1], "T": 0.1,
+                      "bath": {"dim": 8, "seed": 1, "norms": {"0": 5e-324, "x": 0.3}}},
+         "eta components must be finite and >= 0"),
+        ("simulate", {"kind": "nudd", "orders": [1, 1], "T": 0.1,
+                      "bath": {"dim": 8, "seed": 1, "norms": {"0": 5e-324, "x": 0.3}}},
+         "eta must be finite and >= 0, got inf"),
     ],
 )
 def test_runs_beyond_double_range_are_one_error(argv, config, message, tmp_path, capsys):
@@ -1013,6 +1022,29 @@ def test_floor_decided_rows_flagged_unresolved(argv, capsys):
     assert any(ln.startswith("# unresolved") for ln in lines) == ("0.1" not in argv)
 
 
+def test_sweep_over_qubit_counts_is_its_one_count_sweeps(tmp_path, capsys):
+    """A NUDD sweep over m = 1 and m = 2 orders, whose run holds the channel
+    labels of both qubit counts, prints in every column but ``cell`` the
+    rows and comment lines of the two one-orders sweeps whose master seeds
+    give the same cell seeds, and exits as the worse of them."""
+    doc = {"kind": "nudd", "bath_dim": [2], "eps": [0.05, 300.0], "eta": [0.3, 1.0],
+           "seeds": 2, "master_seed": 5}
+
+    def sweep(**changes):
+        (tmp_path / "sweep.json").write_text(json.dumps({**doc, **changes}))
+        code, out, _ = run_cli(["sweep", "--config", str(tmp_path / "sweep.json")], capsys)
+        lines = out.splitlines()
+        body = lines[lines.index(",".join(cli._SWEEP_COLUMNS)) + 1:]
+        return code, [re.sub(r"^(# [a-z-]+: )cell=\d+ |^\d+,", r"\1", ln) for ln in body]
+
+    code, both = sweep(orders=[[1, 1], [1, 1, 1, 1]])
+    one_code, one = sweep(orders=[[1, 1]])
+    two_code, two = sweep(orders=[[1, 1, 1, 1]], master_seed=5 + 8)
+    assert both == one + two
+    assert code == max(one_code, two_code)
+    assert any(ln.startswith("# non-convergence") for ln in one + two)
+
+
 def test_sweep_unresolved_row_names_its_cell(tmp_path, capsys):
     """A ``sweep`` row's ``# unresolved`` line gives its cell and seed."""
     doc = {**SWEEP_CONFIG, "orders": [[1, 1]], "bath_dim": [2], "eps": [1e-300, 0.1],
@@ -1038,17 +1070,20 @@ def test_floor_decided_channel_bounds_flagged(argv, low, capsys, monkeypatch):
     """A row whose D_bound clears the margin floor but one of whose channel
     bounds does not, so that the floor decides that channel's check, is
     preceded by one ``# unresolved`` line naming it; the bounds compared are
-    the run's own ``SimResult.channel_bounds``."""
-    results = []
+    the run's own channel bounds, each cell read as a SimResult."""
+    runs = []
     run = cli.run_experiments
     monkeypatch.setattr(
-        cli, "run_experiments", lambda configs: results.extend(run(configs)) or results
+        cli, "run_experiments", lambda configs: runs.append(run(configs)) or runs[0]
     )
     code, out, _ = run_cli(argv.split(), capsys)
     assert code == 0
     floor = -cli.MARGIN_FLOOR
     expected = []
-    for res, row in zip(results, data_lines(out)[1:], strict=True):
+    (columns, converged), = runs
+    assert len(data_lines(out)[1:]) == len(converged)
+    for s, row in enumerate(data_lines(out)[1:]):
+        res = simulator._result(columns, converged, s)
         assert res.distance_bound >= floor
         assert [f"L_{ch}" for ch, b in res.channel_bounds.items() if b < floor] == [low] * bool(low)
         if low:
@@ -1065,8 +1100,8 @@ def _oracle_run_cells(cells, columns, loosen):
     """(lines, violation count, failure count) of the old row loop over ``cells``."""
     lines = []
     violations = failures = 0
-    results = cli.run_experiments([cfg for _, cfg, _ in cells])
-    for (index, cfg, eta), res in zip(cells, results):
+    run, converged = cli.run_experiments([cfg for _, cfg, _ in cells])
+    for s, (index, cfg, eta) in enumerate(cells):
         row = {
             "cell": index,
             "kind": cfg.kind,
@@ -1076,9 +1111,11 @@ def _oracle_run_cells(cells, columns, loosen):
             "eta": eta,
         }
         where = " ".join(f"{c}={row[c]}" for c in ("cell", "seed") if c in columns)
-        if isinstance(res, NonConvergenceError):
+        try:
+            res = simulator._result(run, converged, s)
+        except NonConvergenceError as exc:
             failures += 1
-            lines.append(f"# non-convergence: {where} ({res})")
+            lines.append(f"# non-convergence: {where} ({exc})")
             lines.append(",".join(_oracle_fmt({**dict.fromkeys(columns, math.nan), **row}[c])
                                   for c in columns))
             continue
@@ -1123,27 +1160,30 @@ _SIM_VALUES = st.one_of(
 
 @st.composite
 def _outcomes(draw):
-    """Synthetic ``run_experiments`` results of one family's channels:
-    SimResults drawn across the subnormal and floor edges, and errors."""
-    channels = draw(st.sampled_from([("x", "y", "z"), ("error_sum",)]))
-    outcomes = []
-    for _ in range(draw(st.integers(1, 8))):
-        if draw(st.integers(0, 3)) == 0:
-            outcomes.append(NonConvergenceError(draw(st.sampled_from(["tail", "overflow"]))))
-            continue
-        bound = draw(_SIM_VALUES)
-        outcomes.append(simulator.SimResult(
-            kind="qdd", orders=(2, 2), epsilon=draw(_SIM_VALUES), eta=(0.5,) * 3,
-            mode="analytic", channel_norms={}, distance_actual=draw(_SIM_VALUES),
-            distance_bound=bound, margin=0.0,
-            channel_bounds={ch: min(bound, draw(_SIM_VALUES)) for ch in channels},
-            channel_margins={ch: draw(st.sampled_from([1.0, -1.0])) * draw(_SIM_VALUES)
-                             for ch in channels},
-            unitarity_residual=draw(_SIM_VALUES),
-            cross_residuals=draw(st.dictionaries(st.sampled_from(["cross_x", "cross_z"]),
-                                                 _SIM_VALUES, max_size=2)),
-        ))
-    return outcomes
+    """A synthetic ``run_experiments`` run of one family's channels: columns
+    drawn across the subnormal and floor edges, and failed cells."""
+    kind, channels, eta = draw(st.sampled_from([("qdd", "xyz", (0.5,) * 3),
+                                                ("nudd", ("error_sum",), 0.5)]))
+    n = draw(st.integers(1, 8))
+    converged = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))) != 0
+
+    def floats(strategy=_SIM_VALUES, failed=np.nan):
+        """One drawn value per cell; ``failed`` where a cell's bound failed."""
+        drawn = np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+        return np.where(converged, drawn, failed)
+
+    bound = floats()
+    return {
+        "kind": [kind] * n, "orders": [(2, 2)] * n, "eta": [eta] * n, "mode": ["analytic"] * n,
+        "error": ["" if ok else draw(st.sampled_from(["tail", "overflow"])) for ok in converged],
+        "epsilon": floats(failed=0.5), "distance_actual": floats(failed=0.5),
+        "distance_bound": bound, "margin": np.zeros(n), "unitarity_residual": floats(failed=0.5),
+        "channel_norms": {label: np.zeros(n) for label in simulator.pauli_labels(1)},
+        "channel_bounds": {ch: np.fmin(bound, floats()) for ch in channels},
+        "channel_margins": {ch: floats(st.sampled_from([1.0, -1.0])) * floats()
+                            for ch in channels},
+        "cross_residuals": {f"cross_{a}": floats(failed=0.5) for a in "xyz"},
+    }, converged
 
 
 @settings(max_examples=150, deadline=None)
@@ -1157,9 +1197,9 @@ def test_experiment_writer_matches_row_loop(outcomes, loosen, columns):
     with its violation and failure counts, which set the exit codes of
     ``verify bound`` and ``sweep``, for synthetic runs of either column set."""
     grid = {"kind": "qdd", "orders": [[2, 2]], "bath_dim": [2], "eps": [0.1], "eta": [0.5],
-            "seeds": len(outcomes), "master_seed": 3}
+            "seeds": len(outcomes[1]), "master_seed": 3}
     cells = cli._experiment_grid(grid)
-    with mock.patch.object(cli, "run_experiments", lambda configs: list(outcomes)):
+    with mock.patch.object(cli, "run_experiments", lambda configs: outcomes):
         expected = _oracle_run_cells(cells, columns, loosen)
         part = cli._run_cells(cells, loosen)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -1391,6 +1431,18 @@ _BATH = SIM_CONFIG["bath"]
                      json.dumps({**SIM_CONFIG, "bath": {"dim": 4, "norms": _BATH["norms"]}}),
                      "bath key 'seed' is required", id="bath-missing-key"),
         *(
+            pytest.param("simulate --config cfg.json",
+                         json.dumps({**SIM_CONFIG, "bath": {**_BATH, key: value}}),
+                         f"bath key {key!r} must be {text}, got {shown}", id=f"bath-{key}-domain")
+            for key, value, text, shown in (
+                ("dim", 3, "a power of two", "3"),
+                ("seed", -1, ">= 0", "-1"),
+                ("norms", {"0": 1.0, "x": -0.5}, "finite and >= 0", "-0.5"),
+            )
+        ),
+        pytest.param("verify bound --nudd 1,1,1,1,1,1 --qubits 3 --eps 0.1 --seeds 1 --bath-dim 2",
+                     None, "--qubits must be in [1, 2], got 3", id="verify-bound-qubits"),
+        *(
             pytest.param(f"{command} --config cfg.json", json.dumps({**doc, key: "bogus"}),
                          f"config key {key!r} must be one of {choices}, got 'bogus'",
                          id=f"{command}-{key}")
@@ -1543,7 +1595,8 @@ DOMAINS = {
     "simulate": {"orders": _ORDER, "T": _DURATION, "seed": _ORDER},
     "verify orders": {"qdd": _ORDER, "nmax": _COUNT},
     "verify bound": {
-        "qdd": _ORDER, "nudd": _ORDER, "qubits": _COUNT, "eps": _DURATION, **_ETAS,
+        "qdd": _ORDER, "nudd": _ORDER, "eps": _DURATION, **_ETAS,
+        "qubits": (st.one_of(st.integers(max_value=0), st.integers(min_value=3)), [1, 2]),
         "bath_dim": _BATH_DIM, "seeds": _COUNT, "seed": _ORDER,
         "loosen": (_NOT_FINITE, [-1.0]),
     },

@@ -470,6 +470,14 @@ def test_fit_scaling_underflow_reports_none():
     assert fit.slopes["x"] is None
 
 
+def test_fit_scaling_needs_three_distinct_resolved_points():
+    """A channel resolved at three grid points that are one eps has no slope."""
+    bath = BathSpec(dim=4, seed=31, norms={"0": 1.0, "x": 0.4, "y": 0.4, "z": 0.4})
+    fit = fit_scaling(1, 1, bath, eps_grid=[1e-12, 1e-11, 0.01, 0.01, 0.01])
+    assert all(min(fit.norms[ch][2:]) > fit.floor > max(fit.norms[ch][:2]) for ch in "xyz")
+    assert fit.slopes == dict.fromkeys("xyz")
+
+
 def test_result_jsonable():
     bath = BathSpec(dim=2, seed=41, norms={"0": 1.0, "x": 0.1})
     res = run_experiment(ExperimentConfig(kind="qdd", orders=(1, 1), bath=bath, T=0.1))
@@ -483,9 +491,16 @@ def test_result_jsonable():
 # ------------------------------------------------------------ stacked runs --
 
 
-def _outcomes(results):
-    """Results with each NonConvergenceError replaced by its message."""
-    return [str(r) if isinstance(r, NonConvergenceError) else r for r in results]
+def _outcomes(columns, converged):
+    """Each cell of a run's columns as its SimResult, or as the message of
+    its bound's NonConvergenceError."""
+    out = []
+    for s in range(len(converged)):
+        try:
+            out.append(simulator._result(columns, converged, s))
+        except NonConvergenceError as exc:
+            out.append(str(exc))
+    return out
 
 
 def _one_by_one(configs):
@@ -572,13 +587,26 @@ def _mixed_schedules():
     ]
 
 
+def _mixed_kinds():
+    """QDD (1,1) and NUDD (1,1) cells of one qubit at one bath dimension: one
+    stack holding both bound families."""
+    return [
+        ExperimentConfig(
+            kind=kind, orders=(1, 1), T=T,
+            bath=BathSpec(dim=4, seed=s, norms={"0": 1.0, "x": 0.2, "y": 0.6, "z": 0.4}),
+        )
+        for s, (kind, T) in enumerate(itertools.product(("nudd", "qdd"), (0.05, 0.7)))
+    ]
+
+
 @settings(max_examples=20, deadline=None)
 @given(configs=_configs())
 @example(configs=_straddling())
 @example(configs=_mixed_schedules())
+@example(configs=_mixed_kinds())
 def test_run_experiments_equals_one_by_one(configs):
     """Stacked groups give every cell, float for float, its lone result."""
-    got = _outcomes(run_experiments(configs))
+    got = _outcomes(*run_experiments(configs))
     want = _one_by_one(configs)
     if configs == _straddling():
         assert [k for k, r in enumerate(got) if isinstance(r, str)] == [2, 5]
@@ -594,15 +622,45 @@ def test_run_experiments_batch_independence():
         return ExperimentConfig(kind="qdd", orders=(2, 2), bath=bath, T=T, initial_state=state)
 
     target = cfg(5, 0.3)
-    alone = run_experiments([target])[0]
+    alone = _outcomes(*run_experiments([target]))[0]
     others = [cfg(s, 0.01 * s, eta=0.1 * s, state="plus") for s in range(1, 9)]
     for stack in (others[:1] + [target], [target] + others, others[:4] + [target] + others[4:]):
-        results = run_experiments(stack)
+        results = _outcomes(*run_experiments(stack))
         assert repr(results[stack.index(target)]) == repr(alone)
 
 
 def test_run_experiments_empty():
-    assert run_experiments([]) == []
+    columns, converged = run_experiments([])
+    assert converged.shape == (0,) and columns["kind"] == [] and columns["channel_norms"] == {}
+
+
+def test_run_columns_mark_absent_values_nan():
+    """A run's columns hold the labels of every qubit count and bound family
+    in it, NaN where a cell has no such label, and NaN for the bound values
+    of a cell whose bound failed, whose error text they keep."""
+    norms = {"0": 1.0, "x": 1.0, "z": 0.5}
+    configs = [
+        ExperimentConfig(kind="qdd", orders=(2, 1), T=T, bath=BathSpec(dim=2, seed=0, norms=norms))
+        for T in (0.1, 150.0)
+    ] + [
+        ExperimentConfig(kind="nudd", orders=(1, 1, 1, 1), T=0.1,
+                         bath=BathSpec(dim=2, seed=0, norms={"00": 1.0, "xy": 0.3}))
+    ]
+    columns, converged = run_experiments(configs)
+    assert converged.tolist() == [True, False, True]
+    assert columns["error"][0] == columns["error"][2] == ""
+    with pytest.raises(NonConvergenceError) as exc:
+        run_experiment(configs[1])
+    assert columns["error"][1] == str(exc.value)
+    assert list(columns["channel_norms"]) == list(pauli_labels(1) + pauli_labels(2))
+    assert list(columns["channel_bounds"]) == ["x", "y", "z", "error_sum"]
+    nan = {label: np.isnan(col).tolist() for label, col in columns["channel_norms"].items()}
+    assert nan["x"] == [False, False, True] and nan["xy"] == [True, True, False]
+    for name in ("channel_bounds", "channel_margins"):
+        assert np.isnan(columns[name]["x"]).tolist() == [False, True, True]
+        assert np.isnan(columns[name]["error_sum"]).tolist() == [True, True, False]
+    assert np.isnan(columns["distance_bound"]).tolist() == [False, True, False]
+    assert np.isfinite(columns["distance_actual"]).all()
 
 
 def test_stacks_stay_under_the_memory_cap(monkeypatch):
@@ -795,7 +853,7 @@ def test_run_experiments_norms_match_singular_values():
     values recomputed here, and D_actual is bit for bit the SVD trace
     distance of the states the run forms."""
     configs = _oracle_cells()
-    for cfg, res in zip(configs, run_experiments(configs)):
+    for cfg, res in zip(configs, _outcomes(*run_experiments(configs))):
         m = cfg.qubit_count
         model = build_model(cfg.bath, m)
         realized = {lab: _svd_norm(c) for lab, c in model.couplings.items()}
@@ -892,7 +950,11 @@ _BATH = BathSpec(dim=2, seed=0, norms={"0": 1.0})
                      "bath_state must be one of ('maximally-mixed', 'pure-random')",
                      id="config-bath-state"),
         pytest.param(lambda: fit_scaling(1, 1, _BATH, eps_grid=(1e-3, 1e-2)),
-                     "need at least three grid points for a slope", id="fit-grid"),
+                     "need at least three distinct grid points for a slope", id="fit-grid"),
+        pytest.param(lambda: fit_scaling(1, 1, BathSpec(2, 0, {"0": 1.0, "x": 0.3}),
+                                         eps_grid=[0.01] * 3),
+                     "need at least three distinct grid points for a slope",
+                     id="fit-grid-repeated"),
         pytest.param(lambda: fit_scaling(1, 1, replace(_BATH, norms={"x": 1.0})),
                      "bath must set the identity norm J0 > 0", id="fit-j0"),
     ],
