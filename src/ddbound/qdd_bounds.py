@@ -264,16 +264,18 @@ def _sector_tails(sectors, orders, eps, eta: EtaVector) -> SeriesTail:
     """
     sectors, orders = np.asarray(sectors), np.asarray(orders)
     eps = np.asarray(eps, dtype=float)
-    out = SeriesTail.zeros((eps.size, sectors.size))
     etas = np.array(eta.as_tuple())
     sinh = _SINH[sectors]
     live = np.flatnonzero(~(sinh & (etas == 0.0)).any(axis=1))
     if live.size == 0:
-        return out
+        return SeriesTail.zeros((eps.size, sectors.size))
     rates, weights = _sector_series(sectors[live], eps, eta)
     res = exp_series_tail(rates, weights, orders[live], _rate_err(eps, etas))
-    for whole, part in zip(out, res):
-        whole[:, live] = part
+    out = res
+    if live.size < sectors.size:
+        out = SeriesTail.zeros((eps.size, sectors.size))
+        for whole, part in zip(out, res):
+            whole[:, live] = part
     expand = sinh & (etas <= 1.0)
     at, slot = np.nonzero(loose(res) & expand[live].any(axis=1))
     if at.size:

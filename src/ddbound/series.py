@@ -14,7 +14,10 @@ The caller's array shapes are the batch's layout.  A *group* is one row of
 rates (for a bound family, one eps point), and its *slots* are the series
 that share those rates, each with its own weights and order (the live QDD
 sectors at that eps; NUDD has one).  A group's running products are formed
-once for all its slots, and every result is a (groups, slots) array.
+once for all its slots, and every result is a (groups, slots) array.  The
+absolute sums ``sum_i |w_i| |path_i|`` and the rate-drift slack read the
+weights only through |w|, so where every group's slots share one |w| row (the
+QDD sectors, whose weights are all +-1/8) they are formed once per group too.
 
 Every returned value is an upper bound in floating point, by construction:
 
@@ -253,12 +256,16 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
     The layout is the caller's: each group (row of ``r``, with its
     ``rate_err``) shares one running product of its rates, and each of its
     slots applies its own weights (``w[group, slot]``) and order, term by
-    term in a fixed order.
+    term in a fixed order.  Slots with equal |w| rows share one absolute sum
+    and one drift slack, the same bits each would form alone.
     """
     k = r.shape[1]
     shape = orders.shape
     radius = np.abs(r).max(axis=1) + rate_err  # bounds |true rate|
-    big_w = np.abs(w).sum(axis=2) * (1.0 + gamma(k))
+    abs_w = np.abs(w)
+    if (abs_w == abs_w[:, :1]).all():
+        abs_w = abs_w[:, :1]  # the slots share |w|: one absolute sum serves them all
+    big_w = abs_w.sum(axis=2) * (1.0 + gamma(k))
     start = orders + 1
     cap = series_cap(orders, radius[:, None])
     drift = big_w * rate_err[:, None]
@@ -275,6 +282,7 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         gi = np.flatnonzero(active.any(axis=1))
         at = slice(None) if gi.size == shape[0] else gi
         act = active[at]
+        every = act.all()
         ns, term_gamma, drift_gamma = _block_factors(n_lo, k)
         n_hi = n_lo + _BLOCK - 1
         rad = radius[at]
@@ -282,13 +290,13 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         np.cumprod(path, axis=2, out=path)
         path *= u[at][:, :, None]
         m_path = np.cumprod(np.concatenate([m[at][:, None], rad[:, None] / ns], axis=1), axis=1)
-        wg = w[at]
-        c = np.einsum("gsk,gkn->gsn", wg, path)
-        a = np.einsum("gsk,gkn->gsn", np.abs(wg), np.abs(path))
-        s = term_gamma * a
+        c = np.einsum("gsk,gkn->gsn", w[at], path)
+        s = term_gamma * np.einsum("gsk,gkn->gsn", abs_w[at], np.abs(path))
         s += (drift[at][:, :, None] * m_path[:, None, :-1]) * drift_gamma
         t = c + s
-        past = (ns >= start[at][:, :, None]) & act[:, :, None]
+        past = ns >= start[at][:, :, None]
+        if not every:
+            past &= act[:, :, None]
         part[at] += np.where(past, t, 0.0).sum(axis=2)
         slack[at] += np.where(past, s, 0.0).sum(axis=2)
         rem_now = 2.0 * big_w[at] * (m_path[:, -1] * rad / (n_hi + 1))[:, None]
@@ -297,7 +305,7 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         ready = (n_hi >= start[at]) & (n_hi + 1 >= 2.0 * rad)[:, None]
         done = act & finite & ready & ((rem_now <= _REL_TOL * part[at]) | (rem_now < 1e-300))
         failed = act & (~finite | (~done & (n_hi >= cap[at])))
-        blocks.append((gi, np.where(act[:, :, None], t, 0.0)))
+        blocks.append((gi, t if every else np.where(act[:, :, None], t, 0.0)))
         rem[at] = np.where(done, rem_now, rem[at])
         ok[at] |= done
         n_end[at] = np.where(act, n_hi, n_end[at])

@@ -236,8 +236,9 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
     seed-derived streams, so the model is a pure function of (bath, m).  A
     sequence of baths of one dimension gives their models stacked along a
     leading axis; one bath is a view of a stack of one.  Raises ValueError
-    where the eigensolve returns a non-finite eigenvalue, so ``evolve`` never
-    receives one.
+    where a requested norm J > 0 realizes as 0 (J / ||draw|| underflows), so
+    no channel is silently uncoupled, and where the eigensolve returns a
+    non-finite eigenvalue, so ``evolve`` never receives one.
     """
     baths = [bath] if isinstance(bath, BathSpec) else list(bath)
     if not baths or any(b.dim != baths[0].dim for b in baths):
@@ -258,6 +259,12 @@ def build_model(bath: BathSpec | Sequence[BathSpec], qubit_count: int) -> Hamilt
         if live.size:
             draws = [_hermitian_draw(dim, _child_rng(baths[s].seed, key)) for s in live]
             couplings[label][live], norms[label][live] = _rescale(np.stack(draws), j[live])
+            lost = live[norms[label][live] == 0.0]
+            if lost.size:
+                raise ValueError(
+                    f"norm for channel {label!r} of {float(j[lost[0]])!r} realizes as 0 at "
+                    f"bath dim {dim}: rescaling a draw to it underflows"
+                )
     h = np.zeros((cells, total, total), dtype=complex)
     for label in labels:
         b = couplings[label]

@@ -316,14 +316,6 @@ _EIGH = "an eigenvalue of the Hamiltonian is not finite"
          "eta components must be finite and >= 0"),
         ("sweep", {**_RUN_GRID, "eps": [1.7e308], "eta": [1.0]}, _RATES),
         ("sweep", {**_RUN_GRID, "eps": [0.1], "eta": [1e308]}, _EIGH),
-        # J0 = 5e-324 rescales to a realized J0 of 0 at this draw (appended, so
-        # earlier cases keep their ids)
-        ("simulate", {"kind": "qdd", "orders": [1, 1], "T": 0.1,
-                      "bath": {"dim": 8, "seed": 1, "norms": {"0": 5e-324, "x": 0.3}}},
-         "eta components must be finite and >= 0"),
-        ("simulate", {"kind": "nudd", "orders": [1, 1], "T": 0.1,
-                      "bath": {"dim": 8, "seed": 1, "norms": {"0": 5e-324, "x": 0.3}}},
-         "eta must be finite and >= 0, got inf"),
     ],
 )
 def test_runs_beyond_double_range_are_one_error(argv, config, message, tmp_path, capsys):
@@ -337,6 +329,36 @@ def test_runs_beyond_double_range_are_one_error(argv, config, message, tmp_path,
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
+_TINY_BATH = {"dim": 8, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, config, label",
+    [
+        ("simulate", {"kind": "qdd", "orders": [2, 2], "T": 0.1,
+                      "bath": {**_TINY_BATH, "norms": {"0": 5e-324, "x": 0.3}}}, "0"),
+        ("simulate", {"kind": "qdd", "orders": [2, 2], "T": 0.1,
+                      "bath": {**_TINY_BATH, "norms": {"0": 1.0, "x": 5e-324}}}, "x"),
+        ("simulate", {"kind": "nudd", "orders": [1, 1], "T": 0.1,
+                      "bath": {**_TINY_BATH, "norms": {"0": 5e-324, "x": 0.3}}}, "0"),
+        ("verify bound --qdd 1 1 --eps 0.1 --eta 5e-324 --seeds 1 --bath-dim 8", None, "x"),
+    ],
+    ids=["simulate-J0", "simulate-Jx", "simulate-nudd-J0", "verify-bound-eta"],
+)
+def test_norm_that_realizes_as_zero_is_one_error(argv, config, label, tmp_path, capsys):
+    """A requested norm J > 0 whose rescaled draw underflows to 0 would run
+    the channel uncoupled (or make eta infinite): one ``error:`` line naming
+    the channel, the norm and the bath dimension, and exit 2."""
+    argv = argv.split()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(argv, capsys)
+    message = (f"error: norm for channel {label!r} of 5e-324 realizes as 0 at bath dim 8: "
+               "rescaling a draw to it underflows\n")
+    assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpmath as mp
 
@@ -168,6 +170,53 @@ def test_rows_do_not_depend_on_their_batch():
             one = exp_series_tail(rates[g], weights[s], orders[s], errs[g])
             assert _series_at(one, 0, 0) == _series_at(batch, g, s)
     assert all(_series_at(batch, 1, s) == (0.0, 0.0, True, 0.0) for s in range(3))
+
+
+_RATE = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-800.0, 800.0),  # e^|r| past 709 overflows before the pass converges
+    st.sampled_from([0.0, 1e8, -1e8]),
+)
+
+
+@st.composite
+def _batches(draw):
+    """A batch of groups 1-5, slots 1-6 and K 1-8, whose slots either share
+    their group's |w| row (random signs on one row) or have their own."""
+    groups, slots, k = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rates = np.array(draw(st.lists(_RATE, min_size=groups * k, max_size=groups * k)))
+    if draw(st.booleans()):
+        row = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=groups * k,
+                                     max_size=groups * k)))
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=groups * slots * k,
+                              max_size=groups * slots * k))
+        weights = row.reshape(groups, 1, k) * np.reshape(signs, (groups, slots, k))
+    else:
+        weights = draw(st.lists(st.floats(-4.0, 4.0), min_size=groups * slots * k,
+                                max_size=groups * slots * k))
+    orders = draw(st.lists(st.integers(0, 40), min_size=groups * slots, max_size=groups * slots))
+    errs = draw(st.lists(st.floats(0.0, 1e-6), min_size=groups, max_size=groups))
+    return (rates.reshape(groups, k), np.reshape(weights, (groups, slots, k)),
+            np.reshape(orders, (groups, slots)), np.array(errs))
+
+
+def _bits(res, g, s):
+    """The bytes of series (g, s)'s tail, first term, converged flag and slack,
+    so NaN equals NaN and -0.0 differs from 0.0."""
+    return tuple(x[g, s].tobytes() for x in res)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches())
+def test_batched_series_equal_their_own_pass(batch):
+    # the slots of a group may share one |w| row, which the pass then sums
+    # once for them all; every series still reads the bits of its own pass,
+    # converged, cut off at its cap or overflowed alike
+    rates, weights, orders, errs = batch
+    res = exp_series_tail(rates, weights, orders, errs)
+    for g, s in np.ndindex(orders.shape):
+        one = exp_series_tail(rates[g], weights[g, s], orders[g, s], errs[g])
+        assert _bits(one, 0, 0) == _bits(res, g, s)
 
 
 def test_rate_error_widens_the_bound():

@@ -93,6 +93,22 @@ def test_build_model_shapes_and_limits():
         build_model(BathSpec(dim=4, seed=0, norms={"q": 1.0}), 1)
 
 
+def test_norm_that_underflows_is_rejected():
+    # J = 5e-324 over a draw of norm above 1 rounds to a factor of 0; in a
+    # stack the first cell that loses its coupling is named, the others build
+    tiny = BathSpec(dim=8, seed=1, norms={"00": 1.0, "zx": 5e-324})
+    fine = BathSpec(dim=8, seed=1, norms={"00": 1.0, "zx": 0.5})
+    message = (
+        "norm for channel 'zx' of 5e-324 realizes as 0 at bath dim 8: "
+        "rescaling a draw to it underflows"
+    )
+    for baths in (tiny, [fine, tiny, tiny]):
+        with pytest.raises(ValueError) as info:
+            build_model(baths, 2)
+        assert str(info.value) == message
+    assert build_model([fine, fine], 2).coupling_norms["zx"] == pytest.approx([0.5, 0.5])
+
+
 def test_model_matches_explicit_sum():
     bath = BathSpec(dim=2, seed=9, norms={"0": 1.0, "x": 0.4, "z": 0.2})
     model = build_model(bath, 1)
