@@ -217,32 +217,55 @@ def _rate_err(epsilon, etas) -> np.ndarray:
         return scale_rates(gamma(5) * epsilon, 1.0 + np.sum(etas, axis=-1))
 
 
+def _sinh_product(x, expand, length: int) -> np.ndarray:
+    """Columns 0..length-1 of the eps series of each row's sinh product.
+
+    Row i is the product of sinh(x[i, a] eps) over the axes a flagged in
+    ``expand[i]``, in axis order (1 where none is).  A sinh series has only
+    odd powers, x^k / k! at odd k, so after j factors the product is nonzero
+    only on columns of parity j mod 2.  The first factor is therefore its
+    power row with the even columns set to 0, with no convolution, and each
+    later factor convolves only the columns of the parity it reaches.  Every
+    coefficient is summed sequentially in ascending k; the terms left out
+    are exact zeros, so the bits are those of convolving each factor over
+    every column (``tests/closed_forms.py::sinh_product``).
+    """
+    rows, axes = np.nonzero(expand)
+    rank = (np.cumsum(expand, axis=1) - 1)[rows, axes]  # factor index within its row
+    f = power_coeffs(x[rows, axes], length)[:, 1::2]  # odd powers k = 2t + 1
+    p = np.zeros((expand.shape[0], length))
+    p[~expand.any(axis=1), 0] = 1.0
+    first = rank == 0
+    p[rows[first], 1::2] = f[first]
+    for j in range(1, 1 + rank.max(initial=0)):
+        q = j % 2  # the parity of the product of j factors
+        at = rank == j
+        rr, fj = rows[at], f[at]
+        below = p[rr, q::2]  # column q + 2i
+        out = np.zeros((rr.size, len(range(q + 1, length, 2))))  # column q + 1 + 2s
+        # past the last nonzero power (underflow) every product is 0
+        with np.errstate(under="ignore"):
+            for t in range(1 + np.flatnonzero(fj.any(axis=0)).max(initial=-1)):
+                out[:, t:] += fj[:, t, None] * below[:, : out.shape[1] - t]
+        p[rr, q::2] = 0.0
+        p[rr, q + 1 :: 2] = out
+    return p
+
+
 def _sector_nonneg(sectors, orders, eps, etas, expand) -> SeriesTail:
     """Sector tails in the nonnegative form.
 
     The sinh factors flagged in ``expand`` (rows, 3) become their series in
-    eps, with coefficients (eta_a eps)^k / k! at odd k; their product P has
-    nonnegative coefficients, each at most X^k / k! with X the sum of the
-    expanded arguments.  The rest of the product, e^eps times the remaining
-    cosh and sinh factors, is the sector series with the expanded components
-    set to zero, whose terms are nonnegative.
+    eps, with coefficients (eta_a eps)^k / k! at odd k; their product P
+    (``_sinh_product``) has nonnegative coefficients, each at most X^k / k!
+    with X the sum of the expanded arguments, and is nonzero only on the
+    columns of the parity of its factor count, so the first factor needs no
+    convolution.  The rest of the product, e^eps times the remaining cosh
+    and sinh factors, is the sector series with the expanded components set
+    to zero, whose terms are nonnegative.
     """
-    length = coeff_count(orders)
     x = eps[:, None] * etas
-    p = np.zeros((sectors.size, length))
-    p[:, 0] = 1.0
-    for a in range(3):
-        rows = np.flatnonzero(expand[:, a])
-        if rows.size == 0:
-            continue
-        f = power_coeffs(x[rows, a], length)
-        below = p[rows]
-        conv = np.zeros_like(below)
-        # past the last nonzero column of f (underflow) every product is 0
-        with np.errstate(under="ignore"):
-            for k in range(1, 1 + np.flatnonzero(f.any(axis=0)).max(), 2):
-                conv[:, k:] += f[:, k, None] * below[:, : length - k]
-        p[rows] = conv
+    p = _sinh_product(x, expand, coeff_count(orders))
     big_x = round_up(np.sum(np.where(expand, x, 0.0), axis=1) * (1.0 + gamma(3)))
     rest_eta = np.where(expand, 0.0, etas)
     rest_j = sectors & ~(expand @ np.array([4, 2, 1]))

@@ -397,7 +397,9 @@ def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
         first = sum_{k <= d+1} p_k R_{d+1-k},
 
     sums of nonnegative terms only, widened by their rounding.  The slack is
-    R's.
+    R's.  Every column of P is read, so a P that is nonzero only on columns
+    of one parity (a product of sinh series: ``qdd_bounds._sinh_product``)
+    adds exact zeros on the others, and the sums keep their bits.
     """
     w, orders = np.asarray(weights, dtype=float)[..., None, :], np.asarray(orders)[..., None]
     r, w, orders, rate_err = _series_arrays(rates, w, orders, rate_err)
@@ -423,17 +425,20 @@ def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
     ps = _Pass(*(x[:, 0] for x in _term_bounds(r, w, orders[:, None], rate_err)))
     # tails[:, 0] bounds all of R, tails[:, 1 + k] bounds T_{d-k}(R)
     last = ps.terms.shape[1] - 1
-    at = np.clip(orders[:, None] - ks + 1, 0, last + 1)
-    at = np.concatenate([at[:, :1] * 0, at], axis=1)
+    at = np.clip(orders[:, None] + 1 - np.arange(-1, length), 0, last + 1)
+    at[:, 0] = 0
     tails = _suffix_bounds(ps.terms, ps.rem + ps.floor, ps.n_end, at)
-    back = orders[:, None] + 1 - ks
+    # the leading term reads p_k R_{d+1-k} at k <= d + 1 only; the pairwise
+    # sum of those p_k runs over every column, zeros included, as its bits need
+    back = orders[:, None] + 1 - ks[: int(orders.max()) + 2]
     with np.errstate(over="ignore", invalid="ignore"):
         conv = p * tails[:, 1:]
         tail = np.cumsum(conv, axis=1)[:, -1] + rest * tails[:, 0]
         tail = round_up(tail * (1.0 + gamma(lengths + 4)))
         r_terms = np.take_along_axis(ps.terms, np.clip(back, 0, last), axis=1)
-        lead = np.where(back >= 0, p * r_terms, 0.0)
-        lead = np.cumsum(lead, axis=1)[:, -1] + np.where(back >= 0, p, 0.0).sum(axis=1) * ps.floor
+        lead = np.where(back >= 0, p[:, : back.shape[1]] * r_terms, 0.0)
+        p_sum = np.where(ks <= orders[:, None] + 1, p, 0.0).sum(axis=1)
+        lead = np.cumsum(lead, axis=1)[:, -1] + p_sum * ps.floor
         first = round_up(lead * (1.0 + gamma(lengths + 4)))
     ok = ps.ok & np.isfinite(tail) & np.isfinite(first)
     return SeriesTail(np.where(ok, tail, np.nan), np.where(ok, first, np.nan), ok, ps.slack)

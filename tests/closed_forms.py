@@ -67,6 +67,36 @@ def g_poly(j, l, eta):
     return float(out[l])
 
 
+def sinh_product(x, expand, length):
+    """Coefficients of prod over the expanded axes of sinh(x_a eps), factor by factor.
+
+    Row i holds columns 0..length-1 of the eps series of the product of
+    sinh(x[i, a] eps) over the axes a flagged in ``expand[i]`` (1 where none
+    is).  Each factor in turn, x then y then z, is convolved with the
+    product so far over every column, from its odd power coefficients
+    x_a^k / k! summed in ascending k.  The nonnegative tail form built its
+    product this way before ``qdd_bounds._sinh_product`` took only the
+    columns of the reachable parity; that build must match this one bit for
+    bit.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.zeros((x.shape[0], length))
+    p[:, 0] = 1.0
+    for a in range(x.shape[1]):
+        rows = np.flatnonzero(expand[:, a])
+        if rows.size == 0:
+            continue
+        f = power_coeffs(x[rows, a], length)
+        below = p[rows]
+        conv = np.zeros_like(below)
+        # past the last nonzero column of f (underflow) every product is 0
+        with np.errstate(under="ignore"):
+            for k in range(1, 1 + np.flatnonzero(f.any(axis=0)).max(), 2):
+                conv[:, k:] += f[:, k, None] * below[:, : length - k]
+        p[rows] = conv
+    return p
+
+
 def nudd_g(l, eta, m):
     """Dimensionless Taylor coefficient of S_K in epsilon.
 

@@ -20,6 +20,7 @@ from ddbound.qdd_bounds import (
     QDD_SWEEP_COLUMNS,
     EtaVector,
     _case_parities,
+    _sinh_product,
     decoupling_orders,
     default_eps_grid,
     delta_tail,
@@ -28,9 +29,9 @@ from ddbound.qdd_bounds import (
     sweep_cell,
     sweep_row,
 )
-from ddbound.series import NonConvergenceError, cell_ok
+from ddbound.series import NonConvergenceError, cell_ok, coeff_count
 
-from closed_forms import bounding_function, g_poly, scaled_bounding_function
+from closed_forms import bounding_function, g_poly, scaled_bounding_function, sinh_product
 
 
 def _reference_sector(j, eps, eta):
@@ -363,6 +364,37 @@ def test_preset_cells_shapes():
     assert [(n1, n2) for n1, n2, _ in fig4] == [(3, 9), (10, 9), (19, 9), (34, 9)]
     with pytest.raises(ValueError):
         preset_cells("fig9")
+
+
+#: Arguments of the nonnegative form's sinh factors: exact zero, the least
+#: subnormal, values whose powers underflow within the columns, and up to 1.
+_SINH_X = st.one_of(
+    st.just(0.0), st.just(5e-324), st.floats(1e-300, 1e-4), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def _sinh_rows(draw):
+    """(x, expand): rows of three arguments, each row expanding 1-3 axes."""
+    rows = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(_SINH_X, min_size=3 * rows, max_size=3 * rows)))
+    masks = [m for m in itertools.product((False, True), repeat=3) if any(m)]
+    expand = np.array(draw(st.lists(st.sampled_from(masks), min_size=rows, max_size=rows)))
+    return x.reshape(rows, 3), expand
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_sinh_rows(), order=st.integers(0, 40))
+def test_sinh_product_is_the_factor_by_factor_convolution(batch, order):
+    """The parity-sparse build of the nonnegative form's P equals convolving
+    each sinh factor over every column, bit for bit, and each row of a batch
+    equals its own one-row result."""
+    x, expand = batch
+    length = coeff_count(order)
+    got = _sinh_product(x, expand, length)
+    assert np.array_equal(got, sinh_product(x, expand, length))
+    for i in range(x.shape[0]):
+        assert np.array_equal(got[i : i + 1], _sinh_product(x[i : i + 1], expand[i : i + 1], length))
 
 
 #: eps and eta draws that reach exact zeros, subnormal values and overflow.
