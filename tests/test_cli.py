@@ -1287,7 +1287,7 @@ _INVALID_FLAGS = [
     (["bounds", "nudd", "--fig5", "--eps-points", "1"], "--eps-points must be 0 or >= 2"),
     (["bounds", "nudd", "--fig5", "--eps-min", "2", "--eps-max", "1"], "lo < hi"),
     (["verify", "bound", "--nudd=-1,1", "--qubits", "1", "--eps", "0.1"],
-     "--nudd must be >= 0, got -1"),
+     "--nudd must be in [0, 10000], got -1"),
     (["verify", "bound", "--nudd", "1,1", "--qubits", "2", "--eps", "0.1"],
      "expected 4 per-level orders"),
     (["verify", "bound", "--nudd", "1,1", "--qubits", "1", "--eps", "0.05",
@@ -1303,7 +1303,7 @@ _INVALID_FLAGS = [
 # The ids keep the needles the cases had when they were first recorded.
 _FIRST_NEEDLES = {
     "--eps-points must be 0 or >= 2": "eps_points",
-    "--nudd must be >= 0, got -1": "nonnegative",
+    "--nudd must be in [0, 10000], got -1": "nonnegative",
     "--nmax must be >= 1, got 0": "n_max must be >= 1",
 }
 
@@ -1401,7 +1401,9 @@ def test_sweep_names_the_bad_eta_key(eta, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, doc, extra, needle",
     [
-        ("sweep", {**SWEEP_CONFIG, "orders": [[1, -1]]}, [], ">= 0"),
+        # the id keeps the needle of the case's first recording
+        pytest.param("sweep", {**SWEEP_CONFIG, "orders": [[1, -1]]}, [], "in [0, 10000]",
+                     id="sweep-doc0-extra0->= 0"),
         ("sweep", {k: v for k, v in SWEEP_CONFIG.items() if k != "eps"}, [],
          "'eps' is required"),
         ("simulate", {k: v for k, v in SIM_CONFIG.items() if k != "T"}, ["--seed", "1"],
@@ -1487,6 +1489,73 @@ def test_invalid_inputs_are_one_error(argv, text, message, tmp_path, capsys, mon
     if text is not None:
         (tmp_path / "cfg.json").write_text(text)
     assert run_cli(argv.split(), capsys) == (2, "", f"error: {message}\n")
+
+
+# Every sequence order shares one domain, in [0, 10000]: past it the tail
+# underflows wherever the pass converges, while its cost grows with the order.
+_ORDER_DOMAIN = "in [0, 10000]"
+
+
+_ORDER_CASES = [
+    ("bounds qdd --n1 10001 --n2 2 --eta 1e-4 --eps-points 2", None, "--n1", 10001),
+    ("bounds qdd --n1 2 --n2 100000000 --eps-points 2", None, "--n2", 100000000),
+    ("bounds qdd --config cfg.json", json.dumps({"n1": 2, "n2": 10001}), "config key 'n2'", 10001),
+    ("bounds nudd --m 1 --dmin 10001 --eta 1", None, "--dmin", 10001),
+    ("bounds nudd --config cfg.json", json.dumps({"m": 1, "dmin": 20000}),
+     "config key 'dmin'", 20000),
+    ("sequence --qdd 1 10001", None, "--qdd", 10001),
+    ("sequence --nudd 10001,1 --qubits 1", None, "--nudd", 10001),
+    ("verify orders --qdd 10001 1 --nmax 1", None, "--qdd", 10001),
+    ("verify bound --qdd 2 10001 --eps 0.1 --seeds 1", None, "--qdd", 10001),
+    ("verify bound --nudd 1,10001 --qubits 1 --eps 0.1 --seeds 1", None, "--nudd", 10001),
+    ("simulate --config cfg.json", json.dumps({**SIM_CONFIG, "orders": [2, 10001]}),
+     "config key 'orders'", 10001),
+    ("sweep --config cfg.json", json.dumps({**SWEEP_CONFIG, "orders": [[1, 1], [10001, 1]]}),
+     "config key 'orders'", 10001),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, name, value", _ORDER_CASES, ids=[case[0] for case in _ORDER_CASES]
+)
+def test_order_beyond_its_domain_is_one_error(argv, text, name, value, tmp_path, capsys,
+                                              monkeypatch):
+    """An order above the shared order domain exits 2 with one line naming its
+    flag or config key; nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    message = f"error: {name} must be {_ORDER_DOMAIN}, got {value!r}\n"
+    assert run_cli(argv.split(), capsys) == (2, "", message)
+
+
+def test_order_at_its_domain_end_runs(capsys):
+    code, out, err = run_cli(
+        "bounds qdd --n1 10000 --n2 2 --eta 1e-4 --eps-points 2".split(), capsys
+    )
+    assert (code, err) == (0, "")
+    assert data_lines(out)[1].split(",")[1:3] == ["10000", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("bounds qdd", ("--n1 N1", "--n2 N2")),
+        ("bounds nudd", ("--dmin DMIN",)),
+        ("sequence", ("--qdd N1 N2", "--nudd N1,N2,...")),
+        ("verify orders", ("--qdd N1 N2",)),
+        ("verify bound", ("--qdd N1 N2", "--nudd N1,N2,...")),
+    ],
+)
+def test_help_states_the_order_domain(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    text = text.split(" options: ", 1)[1]
+    for flag in flags:
+        help_line = text.split(f" {flag} ", 1)[1].split(" --", 1)[0]
+        assert _ORDER_DOMAIN in help_line, (flag, help_line)
 
 
 @pytest.mark.parametrize(
