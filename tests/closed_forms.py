@@ -74,10 +74,9 @@ def sinh_product(x, expand, length):
     sinh(x[i, a] eps) over the axes a flagged in ``expand[i]`` (1 where none
     is).  Each factor in turn, x then y then z, is convolved with the
     product so far over every column, from its odd power coefficients
-    x_a^k / k! summed in ascending k.  The nonnegative tail form built its
-    product this way before ``qdd_bounds._sinh_product`` took only the
-    columns of the reachable parity; that build must match this one bit for
-    bit.
+    x_a^k / k! summed in ascending k.  ``qdd_bounds._sinh_product``, which
+    convolves only the columns of the parity each factor reaches, must match
+    it bit for bit.
     """
     x = np.asarray(x, dtype=float)
     p = np.zeros((x.shape[0], length))
