@@ -262,6 +262,7 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
     k = r.shape[1]
     shape = orders.shape
     radius = np.abs(r).max(axis=1) + rate_err  # bounds |true rate|
+    signed = np.signbit(r).any()  # else every running product is its own |path|
     abs_w = np.abs(w)
     if (abs_w == abs_w[:, :1]).all():
         abs_w = abs_w[:, :1]  # the slots share |w|: one absolute sum serves them all
@@ -288,17 +289,22 @@ def _term_bounds(r, w, orders, rate_err) -> _Pass:
         rad = radius[at]
         path = r[at][:, :, None] / ns
         np.cumprod(path, axis=2, out=path)
-        path *= u[at][:, :, None]
+        if n_lo > 1:  # u is 1 in the first block
+            path *= u[at][:, :, None]
         m_path = np.cumprod(np.concatenate([m[at][:, None], rad[:, None] / ns], axis=1), axis=1)
         c = np.einsum("gsk,gkn->gsn", w[at], path)
-        s = term_gamma * np.einsum("gsk,gkn->gsn", abs_w[at], np.abs(path))
+        s = term_gamma * np.einsum("gsk,gkn->gsn", abs_w[at], np.abs(path) if signed else path)
         s += (drift[at][:, :, None] * m_path[:, None, :-1]) * drift_gamma
         t = c + s
         past = ns >= start[at][:, :, None]
         if not every:
             past &= act[:, :, None]
-        part[at] += np.where(past, t, 0.0).sum(axis=2)
-        slack[at] += np.where(past, s, 0.0).sum(axis=2)
+        if past.all():  # the whole block is summed
+            part[at] += t.sum(axis=2)
+            slack[at] += s.sum(axis=2)
+        else:
+            part[at] += np.where(past, t, 0.0).sum(axis=2)
+            slack[at] += np.where(past, s, 0.0).sum(axis=2)
         rem_now = 2.0 * big_w[at] * (m_path[:, -1] * rad / (n_hi + 1))[:, None]
         rem_now *= 1.0 + gamma(3 * n_hi + 12)
         finite = np.isfinite(part[at]) & np.isfinite(rem_now) & np.isfinite(t).all(axis=2)
@@ -330,9 +336,9 @@ def _suffix_bounds(terms, rem, n_end, at) -> np.ndarray:
     one down, so trailing zeros (another row's longer pass) change nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-        suffix = np.concatenate([suffix, np.zeros((terms.shape[0], 1))], axis=1)
-        total = np.take_along_axis(suffix, at, axis=1) + rem[:, None]
+        suffix = np.zeros((terms.shape[0], terms.shape[1] + 1))  # the last sum is 0
+        np.cumsum(terms[:, ::-1], axis=1, out=suffix[:, -2::-1])
+        total = suffix[np.arange(terms.shape[0])[:, None], at] + rem[:, None]
         return round_up(total * (1.0 + gamma(n_end + 4))[:, None])
 
 
@@ -435,7 +441,7 @@ def product_tail(p, big_x, rates, weights, orders, rate_err=0.0) -> SeriesTail:
         conv = p * tails[:, 1:]
         tail = np.cumsum(conv, axis=1)[:, -1] + rest * tails[:, 0]
         tail = round_up(tail * (1.0 + gamma(lengths + 4)))
-        r_terms = np.take_along_axis(ps.terms, np.clip(back, 0, last), axis=1)
+        r_terms = ps.terms[np.arange(rows)[:, None], np.clip(back, 0, last)]
         lead = np.where(back >= 0, p[:, : back.shape[1]] * r_terms, 0.0)
         p_sum = np.where(ks <= orders[:, None] + 1, p, 0.0).sum(axis=1)
         lead = np.cumsum(lead, axis=1)[:, -1] + p_sum * ps.floor
