@@ -394,7 +394,8 @@ def test_sinh_product_is_the_factor_by_factor_convolution(batch, order):
     got = _sinh_product(x, expand, length)
     assert np.array_equal(got, sinh_product(x, expand, length))
     for i in range(x.shape[0]):
-        assert np.array_equal(got[i : i + 1], _sinh_product(x[i : i + 1], expand[i : i + 1], length))
+        one = _sinh_product(x[i : i + 1], expand[i : i + 1], length)
+        assert np.array_equal(got[i : i + 1], one)
 
 
 #: eps and eta draws that reach exact zeros, subnormal values and overflow.
