@@ -6,27 +6,16 @@ of an in-process ``cli.main`` call and its exit code.  Re-record it with
 purpose.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from ddbound.cli import main
+from record_golden_bounds import GOLDEN, run
 
-ENTRIES = json.loads(Path(__file__).with_name("golden_bounds.json").read_text())["entries"]
+ENTRIES = json.loads(GOLDEN.read_text())["entries"]
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])
-def test_bounds_output_frozen(entry, capsys):
-    try:
-        code = main(entry["argv"])
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    got = {
-        "stdout": hashlib.sha256(out.encode()).hexdigest(),
-        "stderr": hashlib.sha256(err.encode()).hexdigest(),
-        "code": code,
-    }
+def test_bounds_output_frozen(entry):
+    got = run(entry["argv"])
     assert got == {k: entry[k] for k in got}
