@@ -23,6 +23,7 @@ pass.  Every reported value is rounded outward.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,12 @@ NUDD_SWEEP_COLUMNS = ("epsilon", "m", "d_min", "eta", "Delta", "D_bound", "D_lea
 def gamma_factor(m: int) -> int:
     """Number of non-identity channels, 4^m - 1, as an exact integer.
 
-    Rejects m outside 1..31: beyond that 4^m exceeds any simulable regime and
-    would silently lose integer exactness in downstream floats.
+    Rejects m other than an integer in 1..31: beyond that 4^m exceeds any
+    simulable regime and would silently lose integer exactness in downstream
+    floats.
     """
-    if not 1 <= m <= _MAX_M:
-        raise ValueError(f"qubit count m must be in 1..{_MAX_M}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_M:
+        raise ValueError(f"qubit count m must be in 1..{_MAX_M}, got {m!r}")
     return 4**m - 1
 
 
@@ -150,21 +152,22 @@ def nudd_delta(d_min: int, epsilon: float, eta: float, m: int) -> tuple[float, f
     Returns upper bounds on ``(Delta_{d_min}, g_{d_min+1} * eps^(d_min+1))``
     from one pass: a one-row view of the batched tail.
     """
-    _check_point(d_min, (epsilon,), eta, m)
+    d_min = _check_point(d_min, (epsilon,), eta, m)
     res = _nudd_tails(d_min, [epsilon], eta, m)
     if not res.ok[0]:
         raise not_converged(epsilon)
     return float(res.tail[0]), float(res.first[0])
 
 
-def _check_point(d_min: int, grid, eta: float, m: int) -> None:
-    if d_min < 0:
-        raise ValueError("d_min must be >= 0")
+def _check_point(d_min: int, grid, eta: float, m: int) -> int:
+    """Check a cell's inputs; return ``d_min`` as an int (``_validate_orders``)."""
+    (d_min,) = _validate_orders([d_min])
     if not all(e >= 0 for e in grid):
         raise ValueError("epsilon must be >= 0")
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     gamma_factor(m)  # rejects m outside 1..31, also where eta = 0 needs no pass
+    return d_min
 
 
 def nudd_sweep_cell(m: int, d_min: int, eta: float, grid) -> tuple[dict, np.ndarray]:
@@ -175,7 +178,7 @@ def nudd_sweep_cell(m: int, d_min: int, eta: float, grid) -> tuple[dict, np.ndar
     The distance bound Delta^2 + Delta and the leading term are rounded
     outward.
     """
-    _check_point(d_min, grid, eta, m)
+    d_min = _check_point(d_min, grid, eta, m)
     eps = np.asarray(grid, dtype=float).reshape(-1)
     res = _nudd_tails(d_min, eps, eta, m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,7 +197,7 @@ def nudd_distance_bound(d_min: int, epsilon: float, eta: float, m: int) -> NuddB
     row = nudd_sweep_row(m, d_min, epsilon, eta)
     return NuddBoundReport(
         m=m,
-        d_min=d_min,
+        d_min=row["d_min"],
         epsilon=row["epsilon"],
         eta=eta,
         delta=row["Delta"],

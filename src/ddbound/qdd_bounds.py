@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,9 @@ QDD_SWEEP_COLUMNS = (
 
 
 def _case_parities(j: int) -> tuple[int, int, int]:
-    """Parity triple (p_x, p_y, p_z) of sector ``j`` in 0..7."""
-    if not 0 <= j <= 7:
-        raise ValueError("sector index must be in 0..7")
+    """Parity triple (p_x, p_y, p_z) of sector ``j``, an integer in 0..7."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= 7:
+        raise ValueError(f"sector index must be in 0..7, got {j!r}")
     return ((j >> 2) & 1, (j >> 1) & 1, j & 1)
 
 
@@ -318,8 +319,7 @@ def delta_tail(j: int, d: int, epsilon: float, eta: EtaVector) -> tuple[float, f
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     _case_parities(j)  # rejects a sector index outside 0..7
-    if d < 0:
-        raise ValueError("order must be >= 0")
+    (d,) = _validate_orders([d])
     res = _sector_tails([j], [d], [epsilon], eta)
     if not res.ok[0, 0]:
         raise not_converged(epsilon)

@@ -40,6 +40,10 @@ def test_gamma_factor_values():
         gamma_factor(0)
     with pytest.raises(ValueError):
         gamma_factor(32)
+    with pytest.raises(ValueError):
+        gamma_factor(2.5)
+    with pytest.raises(ValueError):
+        gamma_factor(True)
 
 
 def test_d_min_uses_requested_orders():

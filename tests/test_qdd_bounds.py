@@ -188,7 +188,7 @@ def test_delta_tail_validation():
             g_poly(j, 1, eta)
     # a negative order is rejected also where the tail is identically 0
     for j, eps in ((3, 0.1), (3, 0.0), (4, 0.1)):
-        with pytest.raises(ValueError, match="order must be >= 0"):
+        with pytest.raises(ValueError, match="orders must be integers >= 0"):
             delta_tail(j, -1, eps, EtaVector(0.0, 1.0, 1.0))
 
 

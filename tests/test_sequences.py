@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from ddbound.dyson import signature, verify_orders
-from ddbound.nudd_bounds import d_min_for_orders
-from ddbound.qdd_bounds import decoupling_orders
+from ddbound.nudd_bounds import d_min_for_orders, nudd_delta, nudd_distance_bound, nudd_sweep_cell
+from ddbound.qdd_bounds import EtaVector, decoupling_orders, delta_tail
 from ddbound.sequences import (
     _MU_LABELS,
     PulseSchedule,
@@ -401,6 +401,10 @@ _ORDER_ENTRY_POINTS = {
     "decoupling_orders": lambda n: decoupling_orders(n, 2),
     "signature": lambda n: signature(nesting_grid((n, 2)), 1),
     "verify_orders": lambda n: verify_orders(n, 2, 2),
+    "delta_tail": lambda n: delta_tail(4, n, 0.1, EtaVector.isotropic(0.1)),
+    "nudd_delta": lambda n: nudd_delta(n, 0.1, 0.1, 2),
+    "nudd_distance_bound": lambda n: nudd_distance_bound(n, 0.1, 0.1, 2),
+    "nudd_sweep_cell": lambda n: nudd_sweep_cell(2, n, 0.1, (0.1,)),
 }
 
 
@@ -415,6 +419,14 @@ def test_orders_check_rejects(entry, order):
 @pytest.mark.parametrize("entry", _ORDER_ENTRY_POINTS)
 def test_orders_check_accepts_numpy_integers(entry):
     assert repr(_ORDER_ENTRY_POINTS[entry](np.int64(2))) == repr(_ORDER_ENTRY_POINTS[entry](2))
+
+
+def test_schedule_size_is_bounded():
+    """A schedule has at most 10^6 finest intervals, the product of N_l + 1."""
+    assert nudd_schedule((9,) * 6, 3).orders == (9,) * 6  # 10^6 intervals
+    for build in (lambda o: nudd_schedule(o, 3), nesting_grid):
+        with pytest.raises(ValueError, match="make a schedule of 1100000 intervals"):
+            build((9,) * 5 + (10,))
 
 
 @pytest.mark.parametrize(
