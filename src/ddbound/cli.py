@@ -406,12 +406,15 @@ def _qdd_eta(resolved: dict, sources: dict[str, str]) -> tuple[float, float, flo
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     kind, orders, m = _orders(_resolve(args)[0])
-    if kind == "qdd":
-        schedule = qdd_schedule(*orders)
-        resolved: dict[str, Any] = {"qdd": list(orders)}
-    else:
-        schedule = nudd_schedule(orders, m)
-        resolved = {"nudd": list(orders), "qubits": m}
+    try:
+        if kind == "qdd":
+            schedule = qdd_schedule(*orders)
+            resolved: dict[str, Any] = {"qdd": list(orders)}
+        else:
+            schedule = nudd_schedule(orders, m)
+            resolved = {"nudd": list(orders), "qubits": m}
+    except ValueError as exc:  # a schedule past its size limit
+        raise CliError(str(exc))
 
     lines = _header("sequence", resolved)
     lines.append("time,axis,qubit,level")

@@ -92,6 +92,22 @@ def _steps(n: int) -> np.ndarray:
     return np.sin(np.minimum(k, 2 * n + 2 - k) * h) * math.sin(h)
 
 
+#: The most finest intervals a schedule may have: the product of N_l + 1 over
+#: its levels.  A schedule costs about 300 bytes per interval to build, so at
+#: the limit ``sequence --qdd 999 999`` peaks near 0.35 GB.  Each order alone
+#: may reach 10^4, but (10^4, 10^4) would make 10^8 intervals.
+_MAX_INTERVALS = 10**6
+
+
+def _check_size(orders: tuple[int, ...]) -> None:
+    """Reject nesting ``orders`` whose schedule has more than ``_MAX_INTERVALS``."""
+    count = math.prod(n + 1 for n in orders)
+    if count > _MAX_INTERVALS:
+        raise ValueError(
+            f"orders {orders} make a schedule of {count} intervals, more than {_MAX_INTERVALS}"
+        )
+
+
 def _validate_orders(orders: Iterable) -> tuple[int, ...]:
     """The one check of nesting orders: each an integral, non-bool value >= 0.
 
@@ -140,6 +156,7 @@ class NestingGrid:
 def nesting_grid(orders: Iterable[int]) -> NestingGrid:
     """The ``NestingGrid`` of per-level ``orders``, innermost (level 1) first."""
     orders = _validate_orders(orders)
+    _check_size(orders)
     starts, ends, lengths = np.zeros(1), np.ones(1), np.ones(1)
     for n in reversed(orders):
         f = np.array([_sin_sq(j, n) for j in range(n + 2)])
@@ -192,6 +209,7 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         orders = _validate_orders(self.orders)
+        _check_size(orders)
         object.__setattr__(self, "orders", orders)
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")

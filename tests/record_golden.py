@@ -162,6 +162,14 @@ ERRORS = (
     ("verify bound --nudd 1,10001 --qubits 1 --eps 0.1 --seeds 1", None),
     _cfg("simulate", {**SIM_CONFIG, "orders": [2, 10001]}),
     _cfg("sweep", {**SWEEP_CONFIG, "orders": [[1, 1], [10001, 1]]}),
+    # a schedule of more than 10^6 intervals, the product of N_l + 1
+    ("sequence --qdd 1000 1000", None),
+    ("sequence --qdd 10000 10000", None),
+    (f"sequence --nudd {','.join(['1'] * 20)} --qubits 10", None),
+    ("verify orders --qdd 1000 1000 --nmax 1", None),
+    ("verify bound --qdd 1000 1000 --eps 0.1 --seeds 1 --bath-dim 2", None),
+    _cfg("simulate", {**SIM_CONFIG, "orders": [1000, 1000]}),
+    _cfg("sweep", {**SWEEP_CONFIG, "orders": [[1, 1], [1000, 1000]]}),
     # rules across options, each option named by the flag or key that gave it
     ("bounds qdd --n1 2 --n2 2 --eta 1 --eta-x 0.5", None),
     _cfg("bounds qdd", {"eta": 1.0, "eta_x": 0.5, "n1": 2, "n2": 2}),
