@@ -92,10 +92,10 @@ def _steps(n: int) -> np.ndarray:
     return np.sin(np.minimum(k, 2 * n + 2 - k) * h) * math.sin(h)
 
 
-#: The most finest intervals a schedule may have: the product of N_l + 1 over
-#: its levels.  A schedule costs about 300 bytes per interval to build, so at
-#: the limit ``sequence --qdd 999 999`` peaks near 0.35 GB.  Each order alone
-#: may reach 10^4, but (10^4, 10^4) would make 10^8 intervals.
+#: The largest number of finest intervals a schedule may have, the product of
+#: N_l + 1 over its levels.  Building a schedule takes about 300 bytes per
+#: interval (``sequence --qdd 999 999``, just under the limit, peaked at
+#: 329 MB), and each order alone may reach 10^4: (10^4, 10^4) would make 10^8.
 _MAX_INTERVALS = 10**6
 
 
