@@ -16,15 +16,12 @@ A command-line front end lives in :mod:`ddbound.cli` (entry point
 
 from .dyson import OrderCertification, verify_orders
 from .nudd_bounds import (
-    NuddBoundReport,
     d_min_for_orders,
     gamma_factor,
     nudd_delta,
     nudd_distance_bound,
 )
 from .qdd_bounds import (
-    BoundReport,
-    ChannelBounds,
     DecouplingOrders,
     EtaVector,
     decoupling_orders,
@@ -57,13 +54,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BathSpec",
-    "BoundReport",
-    "ChannelBounds",
     "DecouplingOrders",
     "EtaVector",
     "ExperimentConfig",
     "NonConvergenceError",
-    "NuddBoundReport",
     "OrderCertification",
     "PulseEvent",
     "PulseSchedule",

@@ -72,9 +72,9 @@ from .dyson import verify_orders
 from .nudd_bounds import (
     _MAX_M,
     NUDD_SWEEP_COLUMNS,
+    nudd_distance_bound as nudd_sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
     nudd_eps_window,
     nudd_sweep_cell,
-    nudd_sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
     preset_nudd_cells,
 )
 from .qdd_bounds import (
@@ -82,9 +82,9 @@ from .qdd_bounds import (
     QDD_SWEEP_COLUMNS,
     EtaVector,
     default_eps_grid,
+    distance_bound as sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
     preset_cells,
     sweep_cell,
-    sweep_row,  # noqa: F401  (patched here by perfbench/tracer.py)
 )
 from .sequences import nudd_schedule, qdd_schedule
 from .series import NORMAL_MIN, NonConvergenceError, cell_ok
@@ -142,9 +142,13 @@ class CliError(ValueError):
     """Invalid command-line or config input (exit code 2)."""
 
 
+#: The one float format of every output: 17 significant digits round-trip.
+_FLOAT = "%.17g"
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
-        return "%.17g" % value
+        return _FLOAT % value
     return str(value)
 
 
@@ -492,7 +496,7 @@ def _cell_lines(
     floats = [c for c in columns if isinstance(values[c], np.ndarray)]
     texts = {c: values[c] for c in columns if isinstance(values[c], list)}
     shared = {c: values[c] for c in columns if c not in floats and c not in texts}
-    spec = {c: "%.17g" if c in floats else "%s" if c in texts else _fmt(values[c])
+    spec = {c: _FLOAT if c in floats else "%s" if c in texts else _fmt(values[c])
             for c in columns}
     key = [c for c in columns if c in (key or ("epsilon", *shared))]
     table = np.array([values[c] for c in floats])
@@ -634,18 +638,28 @@ def _eta_label(eta: Any) -> str:
 
 _CELL_FIELDS = ("initial_state", "bath_state", "mode")
 
+#: The largest number of cells a sweep or verify-bound grid may have, the
+#: product of its axes' lengths and ``seeds``.  Building the grid takes
+#: 20-70 us and about 0.65 kB per cell on a shared 2-core host, before any
+#: cell runs, so a grid at the limit builds in a few seconds and about 65 MB.
+_MAX_CELLS = 10**5
+
 
 def _experiment_grid(grid: dict) -> list[tuple[int, ExperimentConfig, str]]:
     """(index, config, eta label) per cell of a sweep config, in nesting order.
 
     Each cell's bath seed is master_seed + index, so results do not depend on
     the order the cells run in.  Cell fields the config lacks take their
-    ``ExperimentConfig`` defaults.
+    ``ExperimentConfig`` defaults.  A grid of more than ``_MAX_CELLS`` cells
+    is rejected before any config is built.
     """
+    axes = [grid[k] for k in ("orders", "bath_dim", "eps", "eta")]
+    count = math.prod(map(len, axes)) * grid["seeds"]
+    if count > _MAX_CELLS:
+        raise CliError(f"the grid has {count} cells (axes times seeds), more than {_MAX_CELLS}")
     fields = {k: grid[k] for k in _CELL_FIELDS if k in grid}
     cells = []
-    axes = product(grid["orders"], grid["bath_dim"], grid["eps"], grid["eta"])
-    for orders, bath_dim, eps, eta in axes:
+    for orders, bath_dim, eps, eta in product(*axes):
         for _ in range(grid["seeds"]):
             index = len(cells)
             try:

@@ -15,16 +15,16 @@ for the tests (``tests/closed_forms.py``).
 
 ``nudd_sweep_cell`` evaluates a cell's whole eps grid in one batched pass and
 returns it as columns and the converged mask, whose good points the one row
-rule ``series.cell_ok`` decides.  ``nudd_sweep_row`` (``series.first_row``),
-``nudd_distance_bound`` and ``nudd_delta`` are one-point views of the same
-pass.  Every reported value is rounded outward.
+rule ``series.cell_ok`` decides.  ``nudd_distance_bound`` is its one-point
+view, the cell's row at one eps (``series.first_row``); ``nudd_delta`` gives
+the tail Delta_{d_min} from the same pass.  Every reported value is rounded
+outward.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +46,12 @@ from .series import (
 )
 
 __all__ = [
-    "NuddBoundReport",
     "gamma_factor",
     "d_min_for_orders",
     "nudd_delta",
     "nudd_distance_bound",
     "nudd_eps_window",
     "nudd_sweep_cell",
-    "nudd_sweep_row",
     "preset_nudd_cells",
     "NUDD_SWEEP_COLUMNS",
 ]
@@ -87,19 +85,6 @@ def d_min_for_orders(orders) -> int:
     if not orders or len(orders) % 2:
         raise ValueError("orders must pair a z and an x level per qubit")
     return min(orders)
-
-
-@dataclass(frozen=True)
-class NuddBoundReport:
-    """Distance-bound evaluation at one (m, d_min, epsilon, eta) point."""
-
-    m: int
-    d_min: int
-    epsilon: float
-    eta: float
-    delta: float
-    distance_bound: float
-    leading_term: float
 
 
 def _nudd_series(epsilon, eta: float, m: int):
@@ -187,23 +172,15 @@ def nudd_sweep_cell(m: int, d_min: int, eta: float, grid) -> tuple[dict, np.ndar
     return dict(zip(NUDD_SWEEP_COLUMNS, values)), res.ok
 
 
-def nudd_distance_bound(d_min: int, epsilon: float, eta: float, m: int) -> NuddBoundReport:
-    """Trace-norm distance bound Delta^2 + Delta for a nested sequence.
+def nudd_distance_bound(d_min: int, epsilon: float, eta: float, m: int) -> dict:
+    """The bound at one eps: point 0 of ``nudd_sweep_cell``, keyed by
+    ``NUDD_SWEEP_COLUMNS``.
 
-    Every value is rounded outward.  Point 0 of ``nudd_sweep_cell``; raises
-    NonConvergenceError if the tail does not converge or a reported value
-    overflows double range.
+    ``D_bound`` is the trace-norm distance bound Delta^2 + Delta, and every
+    value is rounded outward.  Raises the NonConvergenceError of a point
+    that fails ``series.cell_ok`` (``series.first_row``).
     """
-    row = nudd_sweep_row(m, d_min, epsilon, eta)
-    return NuddBoundReport(
-        m=m,
-        d_min=row["d_min"],
-        epsilon=row["epsilon"],
-        eta=eta,
-        delta=row["Delta"],
-        distance_bound=row["D_bound"],
-        leading_term=row["D_leading"],
-    )
+    return first_row(*nudd_sweep_cell(m, d_min, eta, (epsilon,)))
 
 
 def nudd_eps_window(
@@ -226,11 +203,3 @@ def preset_nudd_cells(name: str = "fig5") -> tuple[tuple[int, int, float], ...]:
     if name != "fig5":
         raise ValueError(f"unknown preset {name!r}; expected fig5")
     return tuple((10, d, eta) for eta in _PANEL_ETAS for d in (5, 10, 20, 40))
-
-
-def nudd_sweep_row(m: int, d_min: int, eps: float, eta: float) -> dict:
-    """One grid point of a nested-bound sweep, keyed by ``NUDD_SWEEP_COLUMNS``.
-
-    Raises the NonConvergenceError of a point that fails ``series.cell_ok``.
-    """
-    return first_row(*nudd_sweep_cell(m, d_min, eta, (eps,)))

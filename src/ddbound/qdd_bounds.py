@@ -18,10 +18,10 @@ Taylor coefficients ``g_l`` are references for the tests
 ``sweep_cell`` evaluates one cell, all six sector tails at every eps of its
 grid, in one batched pass (``series.exp_series_tail``), and returns it as
 columns and the converged mask, whose good points the one row rule
-``series.cell_ok`` decides.  ``sweep_row`` (``series.first_row``),
-``distance_bound`` and ``delta_tail`` are one-point views of the same pass.
-Every reported value is rounded outward, so each is an upper bound in
-floating point.
+``series.cell_ok`` decides.  ``distance_bound`` is its one-point view, the
+cell's row at one eps (``series.first_row``); ``delta_tail`` gives one
+sector's tail Delta_d from the same pass.  Every reported value is rounded
+outward, so each is an upper bound in floating point.
 
 Dimensionless inputs throughout: ``eps = J_0 * T`` and ``eta_alpha =
 J_alpha / J_0`` for bath coupling norms ``J``.
@@ -55,14 +55,11 @@ from .series import (
 __all__ = [
     "EtaVector",
     "DecouplingOrders",
-    "ChannelBounds",
-    "BoundReport",
     "CASE_OF_CHANNEL",
     "decoupling_orders",
     "delta_tail",
     "distance_bound",
     "sweep_cell",
-    "sweep_row",
     "preset_cells",
     "default_eps_grid",
     "QDD_SWEEP_COLUMNS",
@@ -128,31 +125,6 @@ class DecouplingOrders:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.d_x, self.d_y, self.d_z)
-
-
-@dataclass(frozen=True)
-class ChannelBounds:
-    """Upper bounds L_alpha >= ||A_alpha(T)|| on the channel operator norms."""
-
-    L_x: float
-    L_y: float
-    L_z: float
-
-    def for_channel(self, channel: str) -> float:
-        return {"x": self.L_x, "y": self.L_y, "z": self.L_z}[channel]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Full evaluation of the distance bound at one (N1, N2, eps, eta) point."""
-
-    epsilon: float
-    eta: EtaVector
-    orders: DecouplingOrders
-    channel_bounds: ChannelBounds
-    distance_bound: float
-    leading_term: float
-    mode: str = "analytic"
 
 
 def decoupling_orders(n1: int, n2: int, mode: str = "analytic") -> DecouplingOrders:
@@ -356,31 +328,23 @@ def sweep_cell(
 
 def distance_bound(
     n1: int, n2: int, epsilon: float, eta: EtaVector, mode: str = "analytic"
-) -> BoundReport:
-    """Trace-norm distance bound between protected and uncoupled qubit states.
+) -> dict:
+    """The bound at one eps: point 0 of ``sweep_cell``, keyed by ``QDD_SWEEP_COLUMNS``.
 
     Each channel's norm bound L_alpha is the sum of its two parity-sector
-    tails (``CASE_OF_CHANNEL``) past the channel's suppression order, and the
-    distance bound is
+    tails (``CASE_OF_CHANNEL``) past the channel's suppression order, and
+    ``D_bound``, the trace-norm distance bound between protected and
+    uncoupled qubit states, is
 
         L_x + L_y + L_z + L_x^2 + L_y^2 + L_z^2 + L_x L_y + L_y L_z + L_x L_z.
 
-    The leading term sums the first term of each of the six tails, that is
+    ``D_leading`` sums the first term of each of the six tails, that is
     ``[g_{d+1}^(a) + g_{d+1}^(b)] * eps^(d+1)`` over the channels.  Every
-    value is rounded outward, so each is an upper bound.  Point 0 of
-    ``sweep_cell``; raises NonConvergenceError if a tail does not converge or
-    a reported value overflows double range.
+    value is rounded outward, so each is an upper bound.  Raises the
+    NonConvergenceError of a point that fails ``series.cell_ok``
+    (``series.first_row``).
     """
-    row = sweep_row(n1, n2, epsilon, eta, mode)
-    return BoundReport(
-        epsilon=row["epsilon"],
-        eta=eta,
-        orders=DecouplingOrders(row["d_x"], row["d_y"], row["d_z"]),
-        channel_bounds=ChannelBounds(row["L_x"], row["L_y"], row["L_z"]),
-        distance_bound=row["D_bound"],
-        leading_term=row["D_leading"],
-        mode=mode,
-    )
+    return first_row(*sweep_cell(n1, n2, eta, (epsilon,), mode))
 
 
 def default_eps_grid(
@@ -422,11 +386,3 @@ def preset_cells(name: str) -> tuple[tuple[int, int, EtaVector], ...]:
         pairs = zip(_PANEL_ETAS, (3, 10, 19, 34))
         return tuple((n1, 9, EtaVector(e, e, 1e-2)) for e, n1 in pairs)
     raise ValueError(f"unknown preset {name!r}; expected fig2, fig3, or fig4")
-
-
-def sweep_row(n1: int, n2: int, eps: float, eta: EtaVector, mode: str = "analytic") -> dict:
-    """One grid point of a bounds sweep, keyed by ``QDD_SWEEP_COLUMNS``.
-
-    Raises the NonConvergenceError of a point that fails ``series.cell_ok``.
-    """
-    return first_row(*sweep_cell(n1, n2, eta, (eps,), mode))

@@ -630,13 +630,13 @@ def _run_stack(
         run["eta"][row] = tuple(ratios) if qdd else max(ratios)
         try:
             if qdd:
-                report = distance_bound(*config.orders, e, EtaVector(*ratios), config.mode)
+                point = distance_bound(*config.orders, e, EtaVector(*ratios), config.mode)
                 for ch in "xyz":
-                    channels[ch][row] = report.channel_bounds.for_channel(ch)
+                    channels[ch][row] = point[f"L_{ch}"]
             else:
-                report = nudd_distance_bound(d_min_for_orders(config.orders), e, max(ratios), m)
-                channels["error_sum"][row] = report.delta
-            bounds[row] = report.distance_bound
+                point = nudd_distance_bound(d_min_for_orders(config.orders), e, max(ratios), m)
+                channels["error_sum"][row] = point["Delta"]
+            bounds[row] = point["D_bound"]
         except NonConvergenceError as exc:
             run["error"][row] = str(exc)
             converged[row] = False

@@ -170,6 +170,9 @@ ERRORS = (
     ("verify bound --qdd 1000 1000 --eps 0.1 --seeds 1 --bath-dim 2", None),
     _cfg("simulate", {**SIM_CONFIG, "orders": [1000, 1000]}),
     _cfg("sweep", {**SWEEP_CONFIG, "orders": [[1, 1], [1000, 1000]]}),
+    # a grid of more than 10^5 cells, the product of its axes' lengths and seeds
+    ("verify bound --qdd 1 1 --eps 0.1 --seeds 100001", None),
+    _cfg("sweep", {**SWEEP_CONFIG, "orders": [[1, 1]], "eps": [0.05] * 11, "seeds": 9091}),
     # rules across options, each option named by the flag or key that gave it
     ("bounds qdd --n1 2 --n2 2 --eta 1 --eta-x 0.5", None),
     _cfg("bounds qdd", {"eta": 1.0, "eta_x": 0.5, "n1": 2, "n2": 2}),

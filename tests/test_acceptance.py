@@ -21,9 +21,9 @@ from ddbound.cli import main as cli_main
 from ddbound.dyson import verify_orders
 from ddbound.nudd_bounds import (
     gamma_factor,
+    nudd_distance_bound,
     nudd_eps_window,
     nudd_sweep_cell,
-    nudd_sweep_row,
     preset_nudd_cells,
 )
 from ddbound.qdd_bounds import (
@@ -31,9 +31,9 @@ from ddbound.qdd_bounds import (
     _case_parities,
     decoupling_orders,
     default_eps_grid,
+    distance_bound,
     preset_cells,
     sweep_cell,
-    sweep_row,
 )
 from ddbound.series import cell_ok
 from ddbound.simulator import (
@@ -206,7 +206,7 @@ def test_criterion_05_channel_curves():
     for eta_val in (1e-4, 1e-2, 1.0, 1e2):
         eps_star = 1e-3 * min(1.0, 1.0 / eta_val)
         eta = EtaVector.isotropic(eta_val)
-        by_n = {n: sweep_row(n, n, eps_star, eta) for n in (2, 6, 16, 34)}
+        by_n = {n: distance_bound(n, n, eps_star, eta) for n in (2, 6, 16, 34)}
         for key in ("L_x", "L_y", "L_z", "D_bound"):
             assert by_n[34][key] < by_n[16][key] < by_n[6][key] < by_n[2][key]
     elapsed = time.perf_counter() - t0
@@ -235,7 +235,7 @@ def test_criterion_06_nudd_curves():
     for eta in (1e-4, 1e-2, 1.0, 1e2):
         scale = 1.0 + gamma_factor(10) * eta
         eps_star = 1e-3 * min(1.0, 1.0 / eta) / scale
-        by_d = {d: nudd_sweep_row(10, d, eps_star, eta) for d in (5, 10, 20, 40)}
+        by_d = {d: nudd_distance_bound(d, eps_star, eta, 10) for d in (5, 10, 20, 40)}
         for key in ("Delta", "D_bound"):
             assert by_d[40][key] < by_d[20][key] < by_d[10][key] < by_d[5][key]
     elapsed = time.perf_counter() - t0

@@ -184,9 +184,6 @@ def test_dead_private_name_is_found():
 KEPT = {
     "ddbound.dyson.Signature": "result type of signature",
     "ddbound.dyson.OrderCertification": "result type of verify_orders",
-    "ddbound.qdd_bounds.BoundReport": "result type of distance_bound",
-    "ddbound.qdd_bounds.ChannelBounds": "result type: distance_bound's channel_bounds",
-    "ddbound.nudd_bounds.NuddBoundReport": "result type of nudd_distance_bound",
     "ddbound.sequences.PulseEvent": "result type: the events of qdd_schedule and nudd_schedule",
     "ddbound.sequences.SwitchingProfile": "result type of switching_qdd",
     "ddbound.simulator.HamiltonianModel": "result type of build_model",

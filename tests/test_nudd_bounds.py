@@ -22,7 +22,6 @@ from ddbound.nudd_bounds import (
     nudd_distance_bound,
     nudd_eps_window,
     nudd_sweep_cell,
-    nudd_sweep_row,
     preset_nudd_cells,
 )
 from ddbound.qdd_bounds import default_eps_grid
@@ -149,7 +148,6 @@ def test_qubit_count_checked_at_every_entry(m, eta):
         lambda: nudd_distance_bound(1, 0.1, eta, m),
         lambda: nudd_delta(1, 0.1, eta, m),
         lambda: nudd_sweep_cell(m, 1, eta, [0.1]),
-        lambda: nudd_sweep_row(m, 1, 0.1, eta),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"qubit count m must be in 1\.\.31"):
@@ -164,14 +162,14 @@ def test_nonfinite_eta_is_named(eta):
 
 
 def test_distance_bound_form():
-    rep = nudd_distance_bound(2, 0.1, 0.5, 2)
-    assert rep.distance_bound == pytest.approx(rep.delta**2 + rep.delta, rel=1e-15)
-    assert rep.leading_term <= rep.delta * (1 + 1e-12)
+    row = nudd_distance_bound(2, 0.1, 0.5, 2)
+    assert row["D_bound"] == pytest.approx(row["Delta"] ** 2 + row["Delta"], rel=1e-15)
+    assert row["D_leading"] <= row["Delta"] * (1 + 1e-12)
 
 
 def test_leading_term_ratio():
-    rep = nudd_distance_bound(3, 1e-4, 0.5, 2)
-    assert rep.delta / rep.leading_term == pytest.approx(1.0, abs=1e-2)
+    row = nudd_distance_bound(3, 1e-4, 0.5, 2)
+    assert row["Delta"] / row["D_leading"] == pytest.approx(1.0, abs=1e-2)
 
 
 @pytest.mark.parametrize(
@@ -190,8 +188,7 @@ def test_leading_term_against_mpmath(d_min, eps, eta, m):
         a = mp.mpf(eps) * (1 + g * mp.mpf(eta))
         b = mp.mpf(eps) * (1 - mp.mpf(eta))
         expect = float(mp.mpf(g) / (g + 1) * (a**l - b**l) / mp.factorial(l))
-    rep = nudd_distance_bound(d_min, eps, eta, m)
-    assert rep.leading_term == pytest.approx(expect, rel=1e-12)
+    assert nudd_distance_bound(d_min, eps, eta, m)["D_leading"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_ode_cross_check():
@@ -256,7 +253,7 @@ def test_sweep_cell_points_are_one_point_rows(m, d_min, eta, grid):
     assert good.shape == (len(grid),)
     for i, eps in enumerate(grid):
         try:
-            one = nudd_sweep_row(m, d_min, eps, eta)
+            one = nudd_distance_bound(d_min, eps, eta, m)
         except NonConvergenceError:
             assert not good[i]
         else:
@@ -266,12 +263,11 @@ def test_sweep_cell_points_are_one_point_rows(m, d_min, eta, grid):
             assert repr(point) == repr(one)
 
 
-def test_sweep_row_values():
-    row = nudd_sweep_row(2, 2, 0.05, 0.7)
+def test_distance_bound_is_the_cell_row():
+    row = nudd_distance_bound(2, 0.05, 0.7, 2)
     assert tuple(row) == NUDD_SWEEP_COLUMNS
-    rep = nudd_distance_bound(2, 0.05, 0.7, 2)
-    assert row["Delta"] == rep.delta
-    assert row["D_bound"] == rep.distance_bound
+    assert (row["epsilon"], row["m"], row["d_min"], row["eta"]) == (0.05, 2, 2, 0.7)
+    assert row["Delta"] == nudd_delta(2, 0.05, 0.7, 2)[0]
 
 
 def test_overflow_regime_raises():

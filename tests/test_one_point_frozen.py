@@ -1,8 +1,10 @@
 """The one-point bound views are frozen bit for bit.
 
 A seeded set of ``distance_bound``, ``delta_tail``, ``nudd_distance_bound``
-and ``nudd_delta`` calls is evaluated, and each value's ``repr`` (or the
-type and message of the error it raises) goes into one sha256.  The set
+and ``nudd_delta`` calls is evaluated, and each value's text (or the type
+and message of the error it raises) goes into one sha256.  A tail's text is
+its ``repr``; a bound's row is written as the report that the digest was
+recorded from (``_report``), so the digest still pins every bit.  The set
 covers eps = 0, eta with zero components, results below the smallest normal
 double and tails beyond double range, so a change to the tail pass that moves
 any bit of these views, or the text of their errors, shows here.  The two
@@ -16,8 +18,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ddbound.nudd_bounds import nudd_delta, nudd_distance_bound, nudd_sweep_row
-from ddbound.qdd_bounds import EtaVector, delta_tail, distance_bound, sweep_row
+from ddbound.nudd_bounds import nudd_delta, nudd_distance_bound
+from ddbound.qdd_bounds import DecouplingOrders, EtaVector, delta_tail, distance_bound
 from ddbound.series import NORMAL_MIN, NonConvergenceError
 
 DIGEST = "985641ae0258f61df192f93d2e0c44ddf5f6f4755acca96aeb735b2bf0aab63f"
@@ -54,10 +56,37 @@ def _calls(rng, per_view=120):
         yield nudd_delta, (d_min, _eps(rng), _eta(rng), m)
 
 
-def _floats(value):
+#: The float values of each bound's row.
+_ROW_FLOATS = {
+    distance_bound: ("epsilon", "D_bound", "D_leading"),
+    nudd_distance_bound: ("epsilon", "eta", "Delta", "D_bound", "D_leading"),
+}
+
+
+def _floats(view, value):
     if isinstance(value, tuple):
         return list(value)
-    return [v for v in vars(value).values() if isinstance(v, float)]
+    return [value[c] for c in _ROW_FLOATS[view]]
+
+
+def _report(view, args, r):
+    """The text of a value ``r``: a tail's ``repr``, and a bound's row as the
+    ``repr`` of the report type that held it when the digest was recorded."""
+    if isinstance(r, tuple):
+        return repr(r)
+    if view is nudd_distance_bound:
+        return (
+            f"NuddBoundReport(m={r['m']!r}, d_min={r['d_min']!r}, epsilon={r['epsilon']!r}, "
+            f"eta={r['eta']!r}, delta={r['Delta']!r}, distance_bound={r['D_bound']!r}, "
+            f"leading_term={r['D_leading']!r})"
+        )
+    eta = EtaVector(r["eta_x"], r["eta_y"], r["eta_z"])
+    orders = DecouplingOrders(r["d_x"], r["d_y"], r["d_z"])
+    return (
+        f"BoundReport(epsilon={r['epsilon']!r}, eta={eta!r}, orders={orders!r}, "
+        f"channel_bounds=ChannelBounds(L_x={r['L_x']!r}, L_y={r['L_y']!r}, L_z={r['L_z']!r}), "
+        f"distance_bound={r['D_bound']!r}, leading_term={r['D_leading']!r}, mode={args[4]!r})"
+    )
 
 
 def test_one_point_views_frozen():
@@ -70,9 +99,9 @@ def test_one_point_views_frozen():
             text = f"{type(exc).__name__}: {exc}"
             seen["error"] += 1
         else:
-            text = repr(value)
-            seen["subnormal"] += any(0.0 < v < NORMAL_MIN for v in _floats(value))
-            assert all(not math.isnan(v) for v in _floats(value))
+            text = _report(view, args, value)
+            seen["subnormal"] += any(0.0 < v < NORMAL_MIN for v in _floats(view, value))
+            assert all(not math.isnan(v) for v in _floats(view, value))
         seen["zero eps"] += args[_EPS_AT[view]] == 0.0
         blob.update(f"{view.__name__}{args!r} -> {text}\n".encode())
     assert all(count >= 5 for count in seen.values()), seen
@@ -89,15 +118,13 @@ _OVERFLOW = "D_bound outside double range"
 @pytest.mark.parametrize(
     "call, message",
     [
-        (partial(sweep_row, 2, 2, 700.0, EtaVector.isotropic(1.0)), _NOT_CONVERGED.format(700)),
-        (partial(nudd_sweep_row, 10, 5, 1.0, 100.0), _NOT_CONVERGED.format(1)),
-        (partial(sweep_row, 2, 2, 100.0, EtaVector.isotropic(1.0)), _OVERFLOW),
-        (partial(nudd_sweep_row, 1, 2, 100.0, 1.0), _OVERFLOW),
+        (partial(distance_bound, 2, 2, 700.0, EtaVector.isotropic(1.0)),
+         _NOT_CONVERGED.format(700)),
+        (partial(nudd_distance_bound, 5, 1.0, 100.0, 10), _NOT_CONVERGED.format(1)),
         (partial(distance_bound, 2, 2, 100.0, EtaVector.isotropic(1.0)), _OVERFLOW),
         (partial(nudd_distance_bound, 2, 100.0, 1.0, 1), _OVERFLOW),
     ],
-    ids=["qdd-row-not-converged", "nudd-row-not-converged", "qdd-row-overflow",
-         "nudd-row-overflow", "qdd-bound-overflow", "nudd-bound-overflow"],
+    ids=["qdd-not-converged", "nudd-not-converged", "qdd-overflow", "nudd-overflow"],
 )
 def test_one_point_errors(call, message):
     """A point that did not converge, or whose D_bound overflows, raises

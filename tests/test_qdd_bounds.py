@@ -27,7 +27,6 @@ from ddbound.qdd_bounds import (
     distance_bound,
     preset_cells,
     sweep_cell,
-    sweep_row,
 )
 from ddbound.series import NonConvergenceError, cell_ok, coeff_count
 
@@ -169,7 +168,7 @@ def test_delta_tail_zero_cases():
     # at eps = 0 every rate is 0, also where 1 + eta_x + eta_y + eta_z overflows
     huge = EtaVector.isotropic(1e308)
     assert delta_tail(1, 2, 0.0, huge) == (0.0, 0.0)
-    assert distance_bound(2, 3, 0.0, huge).distance_bound == 0.0
+    assert distance_bound(2, 3, 0.0, huge)["D_bound"] == 0.0
     with pytest.raises(ValueError, match="rates and weights must be finite"):
         delta_tail(1, 2, 1e-300, huge)
 
@@ -203,36 +202,31 @@ def test_channel_bounds_are_sector_tails():
     eta = EtaVector(0.2, 0.9, 1.4)
     eps = 0.15
     orders = decoupling_orders(2, 3)
-    cb = distance_bound(2, 3, eps, eta).channel_bounds
+    row = distance_bound(2, 3, eps, eta)
     for ch, (a, b) in CASE_OF_CHANNEL.items():
         d = orders.for_channel(ch)
         expect = delta_tail(a, d, eps, eta)[0] + delta_tail(b, d, eps, eta)[0]
-        assert cb.for_channel(ch) == pytest.approx(expect, rel=1e-14)
+        assert row[f"L_{ch}"] == pytest.approx(expect, rel=1e-14)
 
 
 def test_distance_bound_expansion():
     """The distance bound is the channel-product expansion, rounded up."""
-    rep = distance_bound(2, 2, 0.1, EtaVector.isotropic(1.0))
-    L = rep.channel_bounds
-    expanded = (
-        L.L_x + L.L_y + L.L_z
-        + L.L_x**2 + L.L_y**2 + L.L_z**2
-        + L.L_x * L.L_y + L.L_y * L.L_z + L.L_x * L.L_z
-    )
-    assert expanded <= rep.distance_bound <= expanded * (1 + 1e-14)
+    row = distance_bound(2, 2, 0.1, EtaVector.isotropic(1.0))
+    lx, ly, lz = row["L_x"], row["L_y"], row["L_z"]
+    expanded = lx + ly + lz + lx**2 + ly**2 + lz**2 + lx * ly + ly * lz + lx * lz
+    assert expanded <= row["D_bound"] <= expanded * (1 + 1e-14)
 
 
 def test_distance_bound_isotropy():
-    rep = distance_bound(2, 2, 0.2, EtaVector.isotropic(0.7))
-    cb = rep.channel_bounds
-    assert cb.L_x == pytest.approx(cb.L_y, rel=1e-13)
-    assert cb.L_y == pytest.approx(cb.L_z, rel=1e-13)
+    row = distance_bound(2, 2, 0.2, EtaVector.isotropic(0.7))
+    assert row["L_x"] == pytest.approx(row["L_y"], rel=1e-13)
+    assert row["L_y"] == pytest.approx(row["L_z"], rel=1e-13)
 
 
 def test_leading_term_dominates_small_eps():
-    rep = distance_bound(2, 2, 1e-4, EtaVector.isotropic(1.0))
-    assert rep.distance_bound / rep.leading_term == pytest.approx(1.0, abs=1e-2)
-    assert rep.leading_term <= rep.distance_bound
+    row = distance_bound(2, 2, 1e-4, EtaVector.isotropic(1.0))
+    assert row["D_bound"] / row["D_leading"] == pytest.approx(1.0, abs=1e-2)
+    assert row["D_leading"] <= row["D_bound"]
 
 
 @pytest.mark.parametrize(
@@ -261,12 +255,12 @@ def test_leading_term_against_mpmath(n1, n2, eps, eta):
                     acc += weight * (1 + dot) ** l
                 expect += acc / (8 * mp.factorial(l)) * mp.mpf(eps) ** l
         expect = float(expect)
-    assert distance_bound(n1, n2, eps, eta).leading_term == pytest.approx(expect, rel=1e-12)
+    assert distance_bound(n1, n2, eps, eta)["D_leading"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_bound_monotone_in_eps():
     eta = EtaVector.isotropic(1.0)
-    values = [distance_bound(2, 2, e, eta).distance_bound
+    values = [distance_bound(2, 2, e, eta)["D_bound"]
               for e in np.logspace(-4, 0, 13)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -420,7 +414,7 @@ def test_sweep_cell_points_are_one_point_rows(n1, n2, etas, grid, mode):
     assert good.shape == (len(grid),)
     for i, eps in enumerate(grid):
         try:
-            one = sweep_row(n1, n2, eps, eta, mode)
+            one = distance_bound(n1, n2, eps, eta, mode)
         except NonConvergenceError:
             assert not good[i]
         else:
@@ -430,11 +424,10 @@ def test_sweep_cell_points_are_one_point_rows(n1, n2, etas, grid, mode):
             assert repr(point) == repr(one)
 
 
-def test_sweep_row_matches_direct_eval():
+def test_distance_bound_is_the_cell_row():
     eta = EtaVector(0.1, 0.2, 0.3)
-    row = sweep_row(2, 3, 0.05, eta)
+    row = distance_bound(2, 3, 0.05, eta)
     assert tuple(row) == QDD_SWEEP_COLUMNS
-    rep = distance_bound(2, 3, 0.05, eta)
-    assert row["D_bound"] == rep.distance_bound
-    assert row["L_y"] == rep.channel_bounds.L_y
+    assert (row["epsilon"], row["N1"], row["N2"]) == (0.05, 2, 3)
+    assert (row["eta_x"], row["eta_y"], row["eta_z"]) == eta.as_tuple()
     assert (row["d_x"], row["d_y"], row["d_z"]) == (2, 3, 3)

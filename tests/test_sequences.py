@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddbound.dyson import signature, verify_orders
 from ddbound.nudd_bounds import d_min_for_orders, nudd_delta, nudd_distance_bound, nudd_sweep_cell
@@ -427,6 +429,33 @@ def test_schedule_size_is_bounded():
     for build in (lambda o: nudd_schedule(o, 3), nesting_grid):
         with pytest.raises(ValueError, match="make a schedule of 1100000 intervals"):
             build((9,) * 5 + (10,))
+
+
+#: The orders of one to three qubits, each order near a value that puts the
+#: schedule on either side of 10^6 intervals for two or four levels, or
+#: anywhere in its domain.
+_SIZE_ORDER = st.one_of(
+    st.integers(0, 12), st.integers(25, 40), st.integers(990, 1010), st.integers(0, 10_000)
+)
+_SIZE_ORDERS = st.integers(1, 3).flatmap(
+    lambda m: st.lists(_SIZE_ORDER, min_size=2 * m, max_size=2 * m)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders=_SIZE_ORDERS)
+@example(orders=[999, 999])
+@example(orders=[999, 1000])
+def test_schedule_accepted_exactly_up_to_the_size_limit(orders):
+    """``PulseSchedule`` accepts its orders exactly when the product of
+    N_l + 1 is at most 10^6, and builds no grid to decide."""
+    count = math.prod(n + 1 for n in orders)
+    if count <= 10**6:
+        schedule = PulseSchedule(tuple(orders), len(orders) // 2)
+        assert "events" not in vars(schedule)  # the grid is built on first read
+    else:
+        with pytest.raises(ValueError, match=f"make a schedule of {count} intervals, more than"):
+            PulseSchedule(tuple(orders), len(orders) // 2)
 
 
 @pytest.mark.parametrize(
