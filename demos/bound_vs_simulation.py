@@ -47,8 +47,8 @@ def random_panel():
             )
             print(
                 f"  {str(orders):>8} {dim:>4} {eps:>7.1e} "
-                f"{res.distance_actual:>10.3e} {res.distance_bound:>10.3e} "
-                f"{res.margin:>10.3e} {res.unitarity_residual:>10.1e}"
+                f"{res['distance_actual']:>10.3e} {res['distance_bound']:>10.3e} "
+                f"{res['margin']:>10.3e} {res['unitarity_residual']:>10.1e}"
             )
     print()
 
@@ -66,8 +66,8 @@ def nested_panel():
             ExperimentConfig(kind="nudd", orders=(1, 1, 1, 1), bath=bath, T=0.05)
         )
         print(
-            f"  D_actual {res.distance_actual:.3e}  D_bound "
-            f"{res.distance_bound:.3e}  margin {res.margin:.3e}"
+            f"  D_actual {res['distance_actual']:.3e}  D_bound "
+            f"{res['distance_bound']:.3e}  margin {res['margin']:.3e}"
         )
     print()
 
@@ -82,7 +82,7 @@ def closed_forms():
         )
     )
     print(
-        f"  free precession: D = {res.distance_actual:.12f}, "
+        f"  free precession: D = {res['distance_actual']:.12f}, "
         f"|sin(b_z T)| = {abs(math.sin(bz)):.12f}"
     )
     res = run_experiment(
@@ -91,7 +91,7 @@ def closed_forms():
         )
     )
     print(
-        f"  commuting dephasing, one pulse layer: D = {res.distance_actual:.3e} "
+        f"  commuting dephasing, one pulse layer: D = {res['distance_actual']:.3e} "
         f"(refocused exactly)"
     )
 

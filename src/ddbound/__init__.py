@@ -42,7 +42,6 @@ from .simulator import (
     BathSpec,
     ExperimentConfig,
     ScalingFit,
-    SimResult,
     fit_scaling,
     run_experiment,
     run_experiments,
@@ -62,7 +61,6 @@ __all__ = [
     "PulseEvent",
     "PulseSchedule",
     "ScalingFit",
-    "SimResult",
     "SwitchingProfile",
     "d_min_for_orders",
     "decoupling_orders",

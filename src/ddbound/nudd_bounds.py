@@ -24,12 +24,11 @@ outward.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .qdd_bounds import _PANEL_ETAS, default_eps_grid
-from .sequences import _validate_orders
+from .sequences import _is_int, _validate_orders
 from .series import (
     SeriesTail,
     coeff_count,
@@ -68,7 +67,7 @@ def gamma_factor(m: int) -> int:
     simulable regime and would silently lose integer exactness in downstream
     floats.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_M:
+    if not (_is_int(m) and 1 <= m <= _MAX_M):
         raise ValueError(f"qubit count m must be in 1..{_MAX_M}, got {m!r}")
     return 4**m - 1
 

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _validate_orders
+from .sequences import _is_int, _validate_orders
 from .series import (
     SeriesTail,
     coeff_count,
@@ -82,7 +81,7 @@ QDD_SWEEP_COLUMNS = (
 
 def _case_parities(j: int) -> tuple[int, int, int]:
     """Parity triple (p_x, p_y, p_z) of sector ``j``, an integer in 0..7."""
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= 7:
+    if not (_is_int(j) and 0 <= j <= 7):
         raise ValueError(f"sector index must be in 0..7, got {j!r}")
     return ((j >> 2) & 1, (j >> 1) & 1, j & 1)
 

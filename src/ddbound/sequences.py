@@ -108,14 +108,20 @@ def _check_size(orders: tuple[int, ...]) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    """The one integer rule of the package: an integral value that is not a
+    bool (numpy integers count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate_orders(orders: Iterable) -> tuple[int, ...]:
-    """The one check of nesting orders: each an integral, non-bool value >= 0.
+    """The one check of nesting orders: each an integer (``_is_int``) >= 0.
 
     Returns them as a tuple of ints.
     """
     orders = tuple(orders)
     for n in orders:
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError(f"orders must be integers >= 0, got {n!r}")
     return tuple(int(n) for n in orders)
 
@@ -211,6 +217,8 @@ class PulseSchedule:
         orders = _validate_orders(self.orders)
         _check_size(orders)
         object.__setattr__(self, "orders", orders)
+        if not _is_int(self.qubit_count):
+            raise ValueError(f"qubit_count must be an integer, got {self.qubit_count!r}")
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if len(orders) != 2 * self.qubit_count:

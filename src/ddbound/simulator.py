@@ -42,18 +42,17 @@ more than one experiment at the largest total dimension.  Each stacked step
 does to every cell's matrices what it does to one alone, so a result does
 not depend on the cells that share its stack; the one-model forms of
 ``build_model`` and ``evolve`` are stacks of one.  A run is columns, arrays
-over its cells and a converged mask, and a ``SimResult`` is one cell of them
-(``run_experiment`` runs one).  The distance bound stays one call per cell,
-because the benchmark's tracer (``perfbench/tests``) counts one bound span
-per cell.
+over its cells and a converged mask, and an experiment's result is its row:
+one cell of them as a dict keyed by the columns (``run_experiment`` runs
+one).  The distance bound stays one call per cell, because the benchmark's
+tracer (``perfbench/tests``) counts one bound span per cell.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from typing import Mapping, Sequence
 
@@ -61,7 +60,7 @@ import numpy as np
 
 from .nudd_bounds import d_min_for_orders, nudd_distance_bound
 from .qdd_bounds import _MODES, EtaVector, distance_bound
-from .sequences import PulseSchedule, _axis_qubit, _steps, _validate_orders, nudd_schedule
+from .sequences import PulseSchedule, _axis_qubit, _is_int, _steps, _validate_orders, nudd_schedule
 from .series import NonConvergenceError
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "BathSpec",
     "HamiltonianModel",
     "ExperimentConfig",
-    "SimResult",
     "ScalingFit",
     "build_model",
     "evolve",
@@ -101,9 +99,10 @@ _INITIAL_STATES = ("random", "plus", "zero")
 def pauli_labels(qubit_count: int) -> tuple[str, ...]:
     """All length-m Pauli strings over '0xyz' in lexicographic product order.
 
-    A count outside 1..MAX_QUBITS raises before any of its 4^m labels is built.
+    A count that is not an integer in 1..MAX_QUBITS raises before any of its
+    4^m labels is built.
     """
-    if not 1 <= qubit_count <= MAX_QUBITS:
+    if not (_is_int(qubit_count) and 1 <= qubit_count <= MAX_QUBITS):
         raise ValueError(f"qubit count {qubit_count} outside supported range")
     return tuple(
         "".join(p) for p in itertools.product("0xyz", repeat=qubit_count)
@@ -130,7 +129,7 @@ def _pauli_matrix(label: str) -> np.ndarray:
 
 
 def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+    return _is_int(n) and n >= 1 and (n & (n - 1)) == 0
 
 
 def _child_rng(seed: int, key: int) -> np.random.Generator:
@@ -159,7 +158,7 @@ class BathSpec:
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.dim):
             raise ValueError("bath dim must be a power of two >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"bath seed must be an integer >= 0, got {self.seed!r}")
         for label, j in self.norms.items():
             if not (math.isfinite(j) and j >= 0.0):
@@ -519,34 +518,6 @@ class ExperimentConfig:
         return len(self.orders) // 2
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """Measured quantities of one experiment next to their analytic bounds, as
-    ``run_experiment`` returns them: one cell of a run's columns.
-
-    ``channel_bounds`` holds the bounds that ``channel_margins`` measures the
-    channel norms against, keyed alike: L_x, L_y and L_z for QDD, and
-    NUDD's Delta for the sum of the error-channel norms.
-    ``unitarity_residual`` is the completeness residual of U^dag U - 1 and
-    ``cross_residuals`` its other Pauli components, ``cross_<label>`` for
-    each of the 4^m - 1 non-identity labels (``unitarity_residuals``).
-    """
-
-    kind: str
-    orders: tuple[int, ...]
-    epsilon: float
-    eta: tuple[float, ...] | float
-    mode: str
-    channel_norms: dict[str, float]
-    distance_actual: float
-    distance_bound: float
-    margin: float
-    channel_bounds: dict[str, float]
-    channel_margins: dict[str, float]
-    unitarity_residual: float
-    cross_residuals: dict[str, float]
-
-
 def _initial_system_state(config: ExperimentConfig) -> np.ndarray:
     d_sys = 2**config.qubit_count
     if config.initial_state == "zero":
@@ -657,12 +628,23 @@ def run_experiments(configs: Sequence[ExperimentConfig]) -> tuple[dict, np.ndarr
     """Run experiments in stacks; return the run as columns over the configs
     and the mask of the configs whose bound converged.
 
-    The columns are keyed by ``SimResult``'s fields and ``error``, the text
-    of a cell's bound error ("" where it converged).  ``kind``, ``orders``,
-    ``eta``, ``mode`` and ``error`` are lists, the other fields float arrays,
-    and each dict field a dict of them by label.  NaN marks a value that a
-    cell does not have: a label of another qubit count or bound family, or
-    what its failed bound would have given.
+    The columns, in one place: ``kind``, ``orders``, ``mode`` and ``eta``
+    (the realized ratios J_alpha / J_0, an (x, y, z) tuple for QDD and their
+    largest for NUDD); ``epsilon`` = J_0 T; ``distance_actual``, the trace
+    distance of the protected state from its uncoupled reference, against
+    ``distance_bound`` (``margin`` is their difference); ``channel_norms``,
+    the spectral norm of each channel's bath operator by Pauli label;
+    ``channel_bounds``, the bounds those norms are measured against, L_x,
+    L_y and L_z for QDD and NUDD's Delta under ``error_sum`` for the sum of
+    the error-channel norms, with ``channel_margins`` keyed alike;
+    ``unitarity_residual``, the completeness residual of U^dag U - 1, and
+    ``cross_residuals``, its other Pauli components, ``cross_<label>`` for
+    each non-identity label (``unitarity_residuals``); and ``error``, the
+    text of a cell's bound error ("" where it converged).  ``kind``,
+    ``orders``, ``eta``, ``mode`` and ``error`` are lists, the others float
+    arrays, and each dict column a dict of them by label.  NaN marks a value
+    that a cell does not have: a label of another qubit count or bound
+    family, or what its failed bound would have given.
 
     Configs of equal qubit count and bath dimension form a group, ordered by
     pulse schedule so that each schedule is one slice of the group, and run
@@ -701,9 +683,11 @@ def run_experiments(configs: Sequence[ExperimentConfig]) -> tuple[dict, np.ndarr
     return run, converged
 
 
-def _result(run: dict, converged: np.ndarray, s: int) -> SimResult:
-    """Point ``s`` of a run's columns as a SimResult, without the labels that
-    are NaN there; raises the NonConvergenceError of a cell whose bound failed."""
+def _result(run: dict, converged: np.ndarray, s: int) -> dict:
+    """Point ``s`` of a run's columns, its row: a dict keyed by the columns
+    less ``error``, with Python scalars for array columns and without the
+    labels that are NaN there; raises the NonConvergenceError of a cell whose
+    bound failed."""
     if not converged[s]:
         raise NonConvergenceError(run["error"][s])
 
@@ -712,18 +696,19 @@ def _result(run: dict, converged: np.ndarray, s: int) -> SimResult:
             return {k: v[s].item() for k, v in col.items() if not np.isnan(v[s])}
         return col[s] if isinstance(col, list) else col[s].item()
 
-    return SimResult(**{f.name: point(run[f.name]) for f in fields(SimResult)})
+    return {name: point(col) for name, col in run.items() if name != "error"}
 
 
-def run_experiment(config: ExperimentConfig) -> SimResult:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Run one pulsed evolution and compare it against the analytic bound.
 
     Reads the protected state tr_B rho(T) under the schedule off the
     (system, bath) blocks of U and compares it with the uncoupled reference,
     the bath evolved alone, which leaves the system state as it started; then
     reports their trace distance, per-channel operator norms, the matching
-    distance bound, and all unitarity residuals.  The one-cell view of a run
-    of one (``run_experiments``); raises the bound's NonConvergenceError.
+    distance bound, and all unitarity residuals.  Returns the row of a run of
+    one, keyed by the columns of ``run_experiments``; raises the bound's
+    NonConvergenceError.
     """
     return _result(*run_experiments([config]), 0)
 

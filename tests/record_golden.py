@@ -135,6 +135,10 @@ ERRORS = (
     ("bounds nudd --m 1 --dmin 1 --eps-max inf --eps-points 3", None),
     ("bounds nudd --fig5 --eps-max inf --eps-points 3", None),
     ("bounds nudd --fig5 --eps-points 1", None),
+    # at most 1000 eps points
+    ("bounds qdd --n1 2 --n2 2 --eta 1 --eps-points 1001", None),
+    ("bounds nudd --m 1 --dmin 1 --eps-points 10000000", None),
+    _cfg("bounds qdd", {**BASE_CONFIGS["bounds qdd"], "eps_points": 1001}),
     ("verify bound --nudd=-1,1 --qubits 1 --eps 0.1", None),
     ("verify bound --qdd 1 1 --eps 0.05 --seeds 1 --loosen nan", None),
     ("verify bound --qdd 1 1 --eps 0.05 --seeds 1 --loosen inf", None),

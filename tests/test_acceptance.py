@@ -331,8 +331,8 @@ def test_criterion_08_bound_dominance():
     t0 = time.perf_counter()
     results = _dominance_suite()
     assert len(results) == 240
-    worst_margin = min(r.margin for r in results)
-    worst_channel = min(min(r.channel_margins.values()) for r in results)
+    worst_margin = min(r["margin"] for r in results)
+    worst_channel = min(min(r["channel_margins"].values()) for r in results)
     assert worst_margin >= MARGIN_FLOOR
     assert worst_channel >= MARGIN_FLOOR
     elapsed = time.perf_counter() - t0
@@ -348,9 +348,9 @@ def test_criterion_09_unitarity_suite():
     results = _dominance_suite()
     worst = 0.0
     for r in results:
-        worst = max(worst, r.unitarity_residual)
-        if r.cross_residuals:
-            worst = max(worst, max(r.cross_residuals.values()))
+        worst = max(worst, r["unitarity_residual"])
+        if r["cross_residuals"]:
+            worst = max(worst, max(r["cross_residuals"].values()))
     assert worst <= 1e-10
     print(
         f"criterion 09 PASS: completeness and cross residuals on all 240 "
@@ -377,14 +377,14 @@ def test_criterion_10_scaling_and_closed_forms():
                 kind="qdd", orders=(0, 0), bath=scalar, T=T, initial_state="plus"
             )
         )
-        assert res.distance_actual == pytest.approx(abs(math.sin(bz * T)), abs=1e-12)
+        assert res["distance_actual"] == pytest.approx(abs(math.sin(bz * T)), abs=1e-12)
     for orders in ((0, 1), (0, 3)):
         res = run_experiment(
             ExperimentConfig(
                 kind="qdd", orders=orders, bath=scalar, T=0.9, initial_state="plus"
             )
         )
-        assert res.distance_actual <= 1e-12
+        assert res["distance_actual"] <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(

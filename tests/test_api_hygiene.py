@@ -187,7 +187,6 @@ KEPT = {
     "ddbound.sequences.PulseEvent": "result type: the events of qdd_schedule and nudd_schedule",
     "ddbound.sequences.SwitchingProfile": "result type of switching_qdd",
     "ddbound.simulator.HamiltonianModel": "result type of build_model",
-    "ddbound.simulator.SimResult": "result type of run_experiment",
     "ddbound.simulator.ScalingFit": "result type of fit_scaling",
     "ddbound.dyson.signature": "the word-sum engine that ROADMAP items 2, 3 and 5 build on",
     "ddbound.qdd_bounds.delta_tail": "the paper's Delta_d, frozen in test_one_point_frozen.py",

@@ -377,16 +377,27 @@ def test_bounds_qdd_config_file(tmp_path, capsys):
     assert len(data_lines(out)) == 3
 
 
-def test_simulate_record(tmp_path, capsys):
+@pytest.mark.parametrize("doc", [
+    SIM_CONFIG,
+    {"kind": "nudd", "orders": [1, 1, 1, 1], "T": 0.2,
+     "bath": {"dim": 2, "seed": 11, "norms": {"00": 1.0, "xz": 0.3}}},
+], ids=["qdd", "nudd"])
+def test_simulate_record(doc, tmp_path, capsys):
+    """A simulate record holds its config, and its result is
+    run_experiment's row through JSON."""
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps(SIM_CONFIG))
+    cfg.write_text(json.dumps(doc))
     code, out, _ = run_cli(["simulate", "--config", str(cfg)], capsys)
     assert code == 0
     record = json.loads(out)
     assert record["ddbound"]
-    assert record["seed"] == 7
+    assert record["seed"] == doc["bath"]["seed"]
     assert record["result"]["margin"] > 0.0
-    assert record["config"]["orders"] == [1, 1]
+    assert record["config"]["orders"] == doc["orders"]
+    config = simulator.ExperimentConfig(
+        kind=doc["kind"], orders=tuple(doc["orders"]), T=doc["T"],
+        bath=simulator.BathSpec(**doc["bath"]))
+    assert record["result"] == json.loads(json.dumps(simulator.run_experiment(config)))
 
 
 def test_simulate_seed_override_and_append(tmp_path, capsys):
@@ -706,7 +717,7 @@ def test_floor_decided_channel_bounds_flagged(argv, low, capsys, monkeypatch):
     """A row whose D_bound clears the margin floor but one of whose channel
     bounds does not, so that the floor decides that channel's check, is
     preceded by one ``# unresolved`` line naming it; the bounds compared are
-    the run's own channel bounds, each cell read as a SimResult."""
+    the run's own channel bounds, each cell read as its row."""
     runs = []
     run = cli.run_experiments
     monkeypatch.setattr(
@@ -720,8 +731,9 @@ def test_floor_decided_channel_bounds_flagged(argv, low, capsys, monkeypatch):
     assert len(data_lines(out)[1:]) == len(converged)
     for s, row in enumerate(data_lines(out)[1:]):
         res = simulator._result(columns, converged, s)
-        assert res.distance_bound >= floor
-        assert [f"L_{ch}" for ch, b in res.channel_bounds.items() if b < floor] == [low] * bool(low)
+        assert res["distance_bound"] >= floor
+        below = [f"L_{ch}" for ch, b in res["channel_bounds"].items() if b < floor]
+        assert below == [low] * bool(low)
         if low:
             seed = row.split(",")[0]
             expected.append(f"# unresolved: seed={seed}; {low} below the margin floor 1e-12")
@@ -755,30 +767,30 @@ def _oracle_run_cells(cells, columns, loosen):
             lines.append(",".join(_oracle_fmt({**dict.fromkeys(columns, math.nan), **row}[c])
                                   for c in columns))
             continue
-        bound = loosen * res.distance_bound
-        margin = bound - res.distance_actual
-        ch_min = min(res.channel_margins.values())
+        bound = loosen * res["distance_bound"]
+        margin = bound - res["distance_actual"]
+        ch_min = min(res["channel_margins"].values())
         ok = (
             margin >= cli.MARGIN_FLOOR
             and ch_min >= cli.MARGIN_FLOOR
-            and res.unitarity_residual <= cli.UNITARITY_TOL
-            and max(res.cross_residuals.values(), default=0.0) <= cli.UNITARITY_TOL
+            and res["unitarity_residual"] <= cli.UNITARITY_TOL
+            and max(res["cross_residuals"].values(), default=0.0) <= cli.UNITARITY_TOL
         )
         violations += not ok
         row.update(
-            epsilon=res.epsilon,
-            D_actual=res.distance_actual,
+            epsilon=res["epsilon"],
+            D_actual=res["distance_actual"],
             D_bound=bound,
             margin=margin,
             channel_margin_min=ch_min,
-            unitarity=res.unitarity_residual,
+            unitarity=res["unitarity_residual"],
             ok=int(ok),
         )
         if bound < -cli.MARGIN_FLOOR:
             lines.append(f"# unresolved: {where}; D_bound below the margin floor 1e-12")
         # added with the channel flag: a D_bound above the floor names the
         # channel bounds below it
-        elif low := [f"L_{ch}" for ch, b in res.channel_bounds.items() if b < -cli.MARGIN_FLOOR]:
+        elif low := [f"L_{ch}" for ch, b in res["channel_bounds"].items() if b < -cli.MARGIN_FLOOR]:
             lines.append(f"# unresolved: {where}; {', '.join(low)} below the margin floor 1e-12")
         tiny = ", ".join(c for c in columns if isinstance(row[c], float)
                          and 0.0 < abs(row[c]) < NORMAL_MIN)
@@ -1045,7 +1057,8 @@ _ORDER = (st.integers(max_value=-1), [0])
 _COUNT = (st.integers(max_value=0), [1])
 _COUPLING = (st.one_of(st.floats(max_value=-5e-324), _NOT_FINITE, _BEYOND_DOUBLES), [0.0])
 _DURATION = (st.one_of(st.floats(max_value=0.0), _NOT_FINITE, _BEYOND_DOUBLES), [5e-324])
-_EPS_POINTS = (st.one_of(st.integers(max_value=-1), st.just(1)), [0, 2])
+_EPS_POINTS = (st.one_of(st.integers(max_value=-1), st.just(1), st.integers(min_value=1001)),
+               [0, 2, 1000])
 _BATH_DIM = (st.integers(max_value=2**70).filter(lambda n: n < 1 or n & (n - 1)), [1])
 _ETAS = dict.fromkeys(("eta", "eta_x", "eta_y", "eta_z"), _COUPLING)
 _EPS_GRID = {"eps_min": _DURATION, "eps_max": _DURATION, "eps_points": _EPS_POINTS}

@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +63,38 @@ def test_bath_spec_validation():
         BathSpec(dim=4, seed=0, norms={"0": -1.0})
     spec = BathSpec(dim=4, seed=0, norms={"0": 1.0})
     assert spec.norm("x") == 0.0
+
+
+def _evolve_qubits(m):
+    """Build and run a schedule of ``m`` qubits, one level pair each."""
+    model = build_model(BathSpec(dim=2, seed=0, norms={"0" * int(m): 1.0}), int(m))
+    return evolve(nudd_schedule((1, 1) * int(m), m), model, 0.1)
+
+
+def _run_bath(**bath):
+    """Build and run a QDD experiment on ``BathSpec(**bath)``."""
+    spec = BathSpec(**{"dim": 2, "seed": 0, "norms": {"0": 1.0}, **bath})
+    return run_experiment(ExperimentConfig(kind="qdd", orders=(1, 1), bath=spec, T=0.1))
+
+
+_INTEGER_SITES = {
+    "PulseSchedule.qubit_count": _evolve_qubits,
+    "pauli_labels": pauli_labels,
+    "BathSpec.dim": lambda v: _run_bath(dim=v),
+    "BathSpec.seed": lambda v: _run_bath(seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True, np.int64(2)], ids=["float", "bool", "numpy-int"])
+@pytest.mark.parametrize("site", sorted(_INTEGER_SITES))
+def test_integer_rule(site, value):
+    """One integer rule: a float or a bool is refused with ValueError where
+    an integer is due, and a numpy integer is accepted and runs."""
+    if isinstance(value, np.integer):
+        _INTEGER_SITES[site](value)
+    else:
+        with pytest.raises(ValueError):
+            _INTEGER_SITES[site](value)
 
 
 def _pauli_sum(model):
@@ -403,20 +435,20 @@ def test_run_experiment_margins_and_determinism():
     bath = BathSpec(dim=8, seed=42, norms={"0": 1.0, "x": 0.3, "y": 0.8, "z": 0.05})
     cfg = ExperimentConfig(kind="qdd", orders=(2, 2), bath=bath, T=0.05)
     res = run_experiment(cfg)
-    assert 0.0 <= res.distance_actual <= res.distance_bound
-    assert res.margin > 0.0
-    assert all(v > 0.0 for v in res.channel_margins.values())
-    assert res.unitarity_residual < 1e-12
+    assert 0.0 <= res["distance_actual"] <= res["distance_bound"]
+    assert res["margin"] > 0.0
+    assert all(v > 0.0 for v in res["channel_margins"].values())
+    assert res["unitarity_residual"] < 1e-12
     res2 = run_experiment(cfg)
-    assert res2.distance_actual == res.distance_actual
-    assert res2.channel_norms == res.channel_norms
+    assert res2["distance_actual"] == res["distance_actual"]
+    assert res2["channel_norms"] == res["channel_norms"]
 
 
 def test_run_experiment_eta_from_realized_norms():
     bath = BathSpec(dim=8, seed=1, norms={"0": 1.0, "x": 0.3, "y": 0.8, "z": 0.05})
     res = run_experiment(ExperimentConfig(kind="qdd", orders=(1, 1), bath=bath, T=0.1))
-    assert res.epsilon == pytest.approx(0.1, rel=1e-12)
-    assert res.eta[0] == pytest.approx(0.3, rel=1e-12)
+    assert res["epsilon"] == pytest.approx(0.1, rel=1e-12)
+    assert res["eta"][0] == pytest.approx(0.3, rel=1e-12)
 
 
 def test_run_experiment_nudd():
@@ -425,10 +457,10 @@ def test_run_experiment_nudd():
     )
     cfg = ExperimentConfig(kind="nudd", orders=(1, 1, 1, 1), bath=bath, T=0.05)
     res = run_experiment(cfg)
-    assert res.kind == "nudd"
-    assert res.margin > 0.0
-    assert res.unitarity_residual < 1e-11
-    assert "error_sum" in res.channel_margins
+    assert res["kind"] == "nudd"
+    assert res["margin"] > 0.0
+    assert res["unitarity_residual"] < 1e-11
+    assert "error_sum" in res["channel_margins"]
 
 
 def test_initial_state_options():
@@ -444,7 +476,7 @@ def test_initial_state_options():
                 bath_state=bath_state,
             )
             res = run_experiment(cfg)
-            assert res.margin > -1e-12
+            assert res["margin"] > -1e-12
 
 
 def test_scalar_bath_sine_closed_form():
@@ -457,7 +489,7 @@ def test_scalar_bath_sine_closed_form():
             kind="qdd", orders=(0, 0), bath=bath, T=T, initial_state="plus"
         )
         res = run_experiment(cfg)
-        assert res.distance_actual == pytest.approx(abs(math.sin(bz * T)), abs=1e-12)
+        assert res["distance_actual"] == pytest.approx(abs(math.sin(bz * T)), abs=1e-12)
 
 
 def test_commuting_dephasing_fully_refocused():
@@ -468,7 +500,7 @@ def test_commuting_dephasing_fully_refocused():
             kind="qdd", orders=orders, bath=bath, T=0.9, initial_state="plus"
         )
         res = run_experiment(cfg)
-        assert res.distance_actual <= 1e-12
+        assert res["distance_actual"] <= 1e-12
 
 
 def test_fit_scaling_orders_11():
@@ -497,18 +529,36 @@ def test_fit_scaling_needs_three_distinct_resolved_points():
 def test_result_jsonable():
     bath = BathSpec(dim=2, seed=41, norms={"0": 1.0, "x": 0.1})
     res = run_experiment(ExperimentConfig(kind="qdd", orders=(1, 1), bath=bath, T=0.1))
-    doc = json.loads(json.dumps(asdict(res)))
+    doc = json.loads(json.dumps(res))
     assert doc["kind"] == "qdd"
     assert doc["orders"] == [1, 1] and len(doc["eta"]) == 3
     assert isinstance(doc["channel_norms"], dict)
-    assert doc["margin"] == res.margin
+    assert doc["margin"] == res["margin"]
+
+
+def test_row_is_the_run_columns_less_error():
+    """A row is keyed by exactly the run's columns less ``error``, with Python
+    scalars; in a mixed QDD/NUDD run each row drops the labels that are NaN
+    at its point: the other family's channel bounds and the other qubit
+    count's norms and residuals."""
+    configs = _oracle_cells()[:2]
+    assert [c.kind for c in configs] == ["qdd", "nudd"]
+    run, converged = run_experiments(configs)
+    assert run["channel_bounds"].keys() == {"x", "y", "z", "error_sum"}
+    rows = [simulator._result(run, converged, s) for s in range(2)]
+    for row, m, channels in zip(rows, (1, 2), ({"x", "y", "z"}, {"error_sum"})):
+        assert list(row) == [name for name in run if name != "error"]
+        assert type(row["epsilon"]) is float and type(row["margin"]) is float
+        assert row["channel_bounds"].keys() == row["channel_margins"].keys() == channels
+        assert row["channel_norms"].keys() == set(pauli_labels(m))
+        assert row["cross_residuals"].keys() == {f"cross_{lab}" for lab in pauli_labels(m)[1:]}
 
 
 # ------------------------------------------------------------ stacked runs --
 
 
 def _outcomes(columns, converged):
-    """Each cell of a run's columns as its SimResult, or as the message of
+    """Each cell of a run's columns as its row, or as the message of
     its bound's NonConvergenceError."""
     out = []
     for s in range(len(converged)):
@@ -874,14 +924,14 @@ def test_run_experiments_norms_match_singular_values():
         model = build_model(cfg.bath, m)
         realized = {lab: _svd_norm(c) for lab, c in model.couplings.items()}
         assert all(_close(model.coupling_norms[lab], n) for lab, n in realized.items())
-        assert _close(res.epsilon, realized["0" * m] * cfg.T)
+        assert _close(res["epsilon"], realized["0" * m] * cfg.T)
         u = evolve(nudd_schedule(cfg.orders, m), model, cfg.T)
         ops = extract_channel_ops(u, m)
-        assert all(_close(res.channel_norms[lab], _svd_norm(a)) for lab, a in ops.items())
+        assert all(_close(res["channel_norms"][lab], _svd_norm(a)) for lab, a in ops.items())
         residuals = _svd_residuals(ops)
-        assert _close(res.unitarity_residual, residuals.pop("completeness"))
-        assert res.cross_residuals.keys() == residuals.keys()
-        assert all(_close(res.cross_residuals[k], r) for k, r in residuals.items())
+        assert _close(res["unitarity_residual"], residuals.pop("completeness"))
+        assert res["cross_residuals"].keys() == residuals.keys()
+        assert all(_close(res["cross_residuals"][k], r) for k, r in residuals.items())
         # the states as the run forms them (a stack of one), and their distance
         psi = simulator._initial_system_state(cfg)[None]
         rho_bath = simulator._initial_bath_state(cfg)[None]
@@ -891,7 +941,7 @@ def test_run_experiments_norms_match_singular_values():
         rho_t = (k @ rho_bath[:, None]).reshape(flat) @ k.reshape(flat).conj().swapaxes(-1, -2)
         rho_sys = psi[:, :, None] * psi.conj()[:, None, :]
         svd = np.linalg.svd(rho_t[0] - rho_sys[0], compute_uv=False)
-        assert res.distance_actual == 0.5 * np.sum(svd)
+        assert res["distance_actual"] == 0.5 * np.sum(svd)
 
 
 def test_residual_catches_a_scaled_channel_block():
