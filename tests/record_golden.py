@@ -11,6 +11,9 @@ call with warnings as errors.  The calls, in order:
 * bounds cells with flagged rows (``FLAGGED``);
 * one call of each command whose header or record carries a config hash that
   does not depend on the floating-point libraries (``CONFIG_HASH``);
+* schedules and certificates the rounds above do not reach (``SCHEDULES``):
+  a level that fires no pulse, an odd/even mix, numeric-footnote mode and a
+  two-qubit schedule;
 * small experiment runs (``EXPERIMENTS``): ``sweep``, ``verify bound`` and
   ``simulate``, QDD and NUDD.  Their stdout holds simulated distances, whose
   last bits depend on the BLAS and LAPACK that numpy links; they are the only
@@ -93,6 +96,12 @@ CONFIG_HASH = (
     ("bounds qdd --config cell.json", {"cell.json": CELL_CONFIG}),
     ("bounds nudd --m 2 --dmin 2 --eta 0.7 --eps-points 5", None),
     ("verify orders --qdd 1 1 --nmax 2", None),
+)
+SCHEDULES = (
+    ("verify orders --qdd 0 7 --nmax 4", None),
+    ("verify orders --qdd 7 0 --nmax 4", None),
+    ("verify orders --qdd 3 9 --nmax 5 --mode numeric-footnote", None),
+    ("sequence --nudd 1,2,1,1 --qubits 2", None),
 )
 EXPERIMENTS = (
     ("sweep --config sweep-qdd.json", {"sweep-qdd.json": {
@@ -312,7 +321,7 @@ def calls() -> list[tuple[list[str], dict | None]]:
     ]
     found += [(op.argv, None) for op in workloads.certify(SEEDS[0])]
     found += [(argv.split(), None) for argv in (*PRESETS, *FLAGGED)]
-    found += [(argv.split(), files) for argv, files in (*CONFIG_HASH, *EXPERIMENTS, *ERRORS)]
+    found += [(argv.split(), files) for argv, files in (*CONFIG_HASH, *SCHEDULES, *EXPERIMENTS, *ERRORS)]
     return list({key(*call): call for call in found}.values())
 
 
