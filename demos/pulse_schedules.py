@@ -5,10 +5,12 @@ orders get a frame-closing pulse appended, and evaluates the three switching
 functions on a few sample points.
 """
 
+import numpy as np
+
 from ddbound.sequences import (
+    nesting_grid,
     nudd_schedule,
     qdd_schedule,
-    switching_qdd,
     udd_offsets,
 )
 
@@ -31,13 +33,17 @@ def show_qdd_events(n1, n2):
 
 
 def show_switching(n1, n2):
-    profiles = switching_qdd(n1, n2)
+    grid = nesting_grid((n1, n2))
     print(f"switching functions for QDD({n1},{n2}) at sample times:")
     samples = [0.0, 0.3, 0.45, 0.7, 0.9, 0.99]
     header = "  ".join(f"{s:>6.2f}" for s in samples)
     print(f"  t      {header}")
-    for axis in ("x", "y", "z"):
-        vals = "  ".join(f"{profiles[axis].value(s):>+6d}" for s in samples)
+    # the interval each sample lies in, right-continuous at its ends, and the
+    # last interval at t = 1
+    cells = np.minimum(np.searchsorted(grid.ends, samples, side="right"), grid.ends.size - 1)
+    axes = ("x", "y", "z")
+    for axis, row in zip(axes, grid.switching(axes)):
+        vals = "  ".join(f"{int(v):>+6d}" for v in row[cells])
         print(f"  f_{axis}    {vals}")
     print("note f_y = f_x * f_z pointwise\n")
 

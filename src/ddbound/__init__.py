@@ -31,10 +31,8 @@ from .qdd_bounds import (
 from .sequences import (
     PulseEvent,
     PulseSchedule,
-    SwitchingProfile,
     nudd_schedule,
     qdd_schedule,
-    switching_qdd,
     udd_offsets,
 )
 from .series import NonConvergenceError
@@ -61,7 +59,6 @@ __all__ = [
     "PulseEvent",
     "PulseSchedule",
     "ScalingFit",
-    "SwitchingProfile",
     "d_min_for_orders",
     "decoupling_orders",
     "delta_tail",
@@ -74,7 +71,6 @@ __all__ = [
     "qdd_schedule",
     "run_experiment",
     "run_experiments",
-    "switching_qdd",
     "trace_distance",
     "udd_offsets",
     "verify_orders",

@@ -47,8 +47,8 @@ the symmetric CRT lift of 16^k k! alpha.
 Backends.  The merged breakpoints are the schedule's index grid
 (``sequences.nesting_grid``), so nothing needs to order them: ``signature``
 takes the two-level ``NestingGrid`` of (N1, N2) itself, each interval's end
-is indexed by (i, j), its signs are the grid's sign rows, and its length is a
-product of two float64 sin steps.  The backend only chooses how
+is indexed by (i, j), its signs are the grid's switching rows, and its length
+is a product of two float64 sin steps.  The backend only chooses how
 ``verify_orders`` reports values: ``rational`` (orders <= 2, where every
 pulse time is dyadic and every length exact) reports exact ``Fraction``
 values, lifted from the residues by CRT; ``mp`` reports float64 values, and
@@ -66,7 +66,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .qdd_bounds import CASE_OF_CHANNEL, DecouplingOrders, decoupling_orders
-from .sequences import _DYADIC_SIN_SQ, NestingGrid, nesting_grid
+from .sequences import _DYADIC_SIN_SQ, NestingGrid, _is_int, nesting_grid
 from .series import gamma, round_up
 
 __all__ = [
@@ -78,7 +78,7 @@ __all__ = [
 
 _LETTERS = ("0", "x", "y", "z")
 
-#: Longest words ``verify_orders`` enumerates: level n holds 4^n words.
+#: Longest words ``signature`` builds: level n holds 4^n words.
 _MAX_DEPTH = 6
 
 #: Residue rows use primes below 2^26, so the product of a residue and a sum
@@ -94,6 +94,17 @@ _CHANNEL_OF_SECTOR = tuple(
     next((ch for ch, pair in CASE_OF_CHANNEL.items() if j in pair), "identity")
     for j in range(8)
 )
+
+
+def _check_depth(name: str, value, low: int) -> int:
+    """Word length ``value`` as an int, if an integer in [low, ``_MAX_DEPTH``]."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if value > _MAX_DEPTH:
+        raise ValueError(f"{name}={value} exceeds max depth {_MAX_DEPTH} (4^n words explode)")
+    return int(value)
 
 
 def _index_word(index: int, n: int) -> str:
@@ -218,9 +229,10 @@ def signature(grid: NestingGrid, depth: int) -> Signature:
     ``grid`` is the two-level ``sequences.NestingGrid`` of the orders
     (N1, N2): interval c ends at inner pulse j of outer interval i,
     (j, i) = ``grid.index[:, c]``, at s2[i-1] + (s2[i] - s2[i-1]) s1[j] with
-    s_n[j] = sin^2(j pi/(2n+2)).  Its sign rows are f_x and f_z, and
-    ``grid.lengths[c]`` is (s2[i] - s2[i-1]) (s1[j] - s1[j-1]) in float64.
-    A grid of any other number of levels raises ValueError.
+    s_n[j] = sin^2(j pi/(2n+2)).  Its switching rows are f_0, f_x, f_y, f_z,
+    and ``grid.lengths[c]`` is (s2[i] - s2[i-1]) (s1[j] - s1[j-1]) in float64.
+    A grid of any other number of levels raises ValueError, and so does a
+    ``depth`` that is not an integer in [0, ``_MAX_DEPTH``].
 
     Picks primes p = 1 (mod L) until their product exceeds the proof bound
     2 (16 M)^(depth deg), and maps each merged breakpoint to its residue mod p
@@ -229,6 +241,7 @@ def signature(grid: NestingGrid, depth: int) -> Signature:
     the top down by the Horner form
     S_k += ((S_0 (x) v/k + S_1) (x) v/(k-1) + ... + S_{k-1}) (x) v.
     """
+    depth = _check_depth("depth", depth, 0)
     if len(grid.orders) != 2:
         raise ValueError(f"signature needs a two-level grid, got {len(grid.orders)} levels")
     n1, n2 = grid.orders
@@ -255,12 +268,9 @@ def signature(grid: NestingGrid, depth: int) -> Signature:
     inv_p = np.array([*(1.0 / q for q in primes), 0.0]).reshape(-1, 1)
     coeffs = _coefficients(grid, s1, s2, inverses, p[:-1], inv_p[:-1])
 
-    s_x, s_z = grid.signs.astype(float)
-    all_signs = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
-
     rows = len(p)
     levels = [np.ones((rows, 1))] + [np.zeros((rows, 4**k)) for k in ks]
-    for c, signs in zip(coeffs, all_signs, strict=True):
+    for c, signs in zip(coeffs, grid.switching(_LETTERS).T, strict=True):
         for k in range(depth, 0, -1):
             acc = c[k - 1] * signs
             for j in range(1, k):
@@ -372,12 +382,7 @@ def verify_orders(
     the first word of largest magnitude in that order.  Absence of a nonzero
     word at length d+1 is reported as "inconclusive", never as failure.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if n_max > _MAX_DEPTH:
-        raise ValueError(
-            f"n_max={n_max} exceeds max depth {_MAX_DEPTH} (4^n words explode)"
-        )
+    n_max = _check_depth("n_max", n_max, 1)
     grid = nesting_grid((n1, n2))
     dyadic = max(grid.orders) <= max(_DYADIC_SIN_SQ)
     if backend == "auto":

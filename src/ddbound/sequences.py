@@ -19,18 +19,18 @@ Conventions
 
 A schedule is its orders.  ``nesting_grid`` lays out the finest intervals of
 the nesting as one lexicographic index grid, and every view of a schedule is
-read from it: the pulse events, the switching functions, and the certifier's
-intervals, lengths and signs (``dyson``).
+read from it: the pulse events, the switching functions
+(``NestingGrid.switching``), and the certifier's intervals, lengths and signs
+(``dyson``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,21 +38,14 @@ __all__ = [
     "NestingGrid",
     "PulseEvent",
     "PulseSchedule",
-    "SwitchingProfile",
     "udd_offsets",
     "qdd_schedule",
     "nudd_schedule",
     "nesting_grid",
-    "switching_qdd",
 ]
 
-#: Pauli label for each single-qubit index pair (z-flip parity, x-flip parity).
-_MU_LABELS: Mapping[tuple[int, int], str] = {
-    (0, 0): "0",
-    (1, 0): "x",
-    (1, 1): "y",
-    (0, 1): "z",
-}
+#: The levels of its qubit's two that each letter of a switching label reads.
+_LETTER_LEVELS = {"0": (), "x": (0,), "y": (0, 1), "z": (1,)}
 
 
 def _effective_order(n: int) -> int:
@@ -157,6 +150,27 @@ class NestingGrid:
     def signs(self) -> np.ndarray:
         """Per level, its switching sign (-1)^(i_l - 1) on each interval."""
         return 1 - 2 * ((self.index - 1) % 2)
+
+    def switching(self, labels: Iterable[str]) -> np.ndarray:
+        """The toggling-frame switching function of each Pauli-string label:
+        one +-1 float row per label, over the finest intervals.
+
+        A label has one letter of ``0xyz`` per qubit, and letter q reads
+        qubit q's levels: x reads level 2q + 1 (its z pulses), z reads level
+        2q + 2 (its x pulses), y both and 0 neither.  The row is the product
+        of the ``signs`` rows it reads.  Any other label raises ValueError.
+        """
+        signs, rows = self.signs, []
+        for label in labels:
+            known = isinstance(label, str) and set(label) <= _LETTER_LEVELS.keys()
+            if not known or 2 * len(label) != len(signs):
+                raise ValueError(
+                    f"a switching label needs one letter of 0, x, y, z per qubit "
+                    f"of orders {self.orders}, got {label!r}"
+                )
+            reads = [2 * q + i for q, letter in enumerate(label) for i in _LETTER_LEVELS[letter]]
+            rows.append(signs[reads].prod(axis=0))
+        return np.array(rows, dtype=float).reshape(len(rows), self.ends.size)
 
 
 def nesting_grid(orders: Iterable[int]) -> NestingGrid:
@@ -275,72 +289,3 @@ def nudd_schedule(orders: Sequence[int], qubit_count: int) -> PulseSchedule:
 def qdd_schedule(n1: int, n2: int) -> PulseSchedule:
     """Single-qubit quadratic schedule: order-``n1`` z layer inside order-``n2`` x layer."""
     return nudd_schedule([n1, n2], 1)
-
-
-@dataclass(frozen=True)
-class SwitchingProfile:
-    """Piecewise-constant +/-1 switching function on [0, 1].
-
-    ``signs[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the value at
-    s = 1 is the last sign (right-continuous convention, closed at the end).
-    """
-
-    breakpoints: tuple[float, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bp, sg = self.breakpoints, self.signs
-        if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0.0 and end at 1.0")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(sg) != len(bp) - 1:
-            raise ValueError("need exactly one sign per interval")
-        if any(s not in (-1, 1) for s in sg):
-            raise ValueError("signs must be +1 or -1")
-
-    def value(self, s) -> int:
-        """Sign at fractional time ``s`` in [0, 1]."""
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("s must lie in [0, 1]")
-        idx = bisect.bisect_right(self.breakpoints, s) - 1
-        return self.signs[min(idx, len(self.signs) - 1)]
-
-
-def _switching_nudd(
-    schedule: PulseSchedule,
-) -> dict[tuple[int, tuple[int, int]], SwitchingProfile]:
-    """Per-qubit switching functions of a nested schedule.
-
-    Returns a map keyed by ``(qubit, mu)`` where ``mu`` is the single-qubit
-    index pair: (0,0) identity, (1,0) flips at the qubit's z-pulse level,
-    (0,1) flips at its x-pulse level, (1,1) their product.  Each is the
-    product of its levels' sign rows of ``nesting_grid``, broken at every
-    interval end where one of those rows flips; so a flip at time 1, which
-    closes the toggling frame, is no breakpoint, and the product keeps a
-    breakpoint where both levels flip at once.
-    """
-    grid = nesting_grid(schedule.orders)
-    signs = grid.signs
-    out: dict[tuple[int, tuple[int, int]], SwitchingProfile] = {}
-    for q in range(schedule.qubit_count):
-        # qubit q's z pulses sit at level 2q+1, its x pulses at level 2q+2
-        rows = signs[2 * q : 2 * q + 2]
-        for mu in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            picked = rows[np.array(mu, dtype=bool)]
-            flips = np.flatnonzero((picked[:, 1:] != picked[:, :-1]).any(axis=0))
-            sign = picked.prod(axis=0)[np.r_[0, flips + 1]]
-            out[(q, mu)] = SwitchingProfile(
-                (0.0, *grid.ends[flips].tolist(), 1.0), tuple(sign.tolist())
-            )
-    return out
-
-
-def switching_qdd(n1: int, n2: int) -> dict[str, SwitchingProfile]:
-    """The four toggling-frame switching functions of the quadratic sequence.
-
-    Keys "0", "x", "y", "z": f_0 is identically +1, f_x flips at the inner
-    z pulses, f_z flips at the outer x pulses, and f_y = f_x * f_z.
-    """
-    per_qubit = _switching_nudd(qdd_schedule(n1, n2))
-    return {_MU_LABELS[pair]: per_qubit[(0, pair)] for pair in _MU_LABELS}

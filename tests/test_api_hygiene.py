@@ -185,7 +185,6 @@ KEPT = {
     "ddbound.dyson.Signature": "result type of signature",
     "ddbound.dyson.OrderCertification": "result type of verify_orders",
     "ddbound.sequences.PulseEvent": "result type: the events of qdd_schedule and nudd_schedule",
-    "ddbound.sequences.SwitchingProfile": "result type of switching_qdd",
     "ddbound.simulator.HamiltonianModel": "result type of build_model",
     "ddbound.simulator.ScalingFit": "result type of fit_scaling",
     "ddbound.dyson.signature": "the word-sum engine that ROADMAP items 2, 3 and 5 build on",

@@ -46,7 +46,7 @@ from ddbound.dyson import (
     verify_orders,
 )
 from ddbound.qdd_bounds import DecouplingOrders, _case_parities
-from ddbound.sequences import _steps, _switching_nudd, nesting_grid, nudd_schedule, switching_qdd
+from ddbound.sequences import _steps, nesting_grid, nudd_schedule
 
 from closed_forms import word_integral
 
@@ -283,7 +283,8 @@ def _nested_orders(draw):
 def test_index_grid_is_the_exact_merge(orders):
     """The nesting grid is the exact merge of every level's pulse times, in
     order, and its float ends rise strictly to 1.  Each sign row is the parity
-    of its level's flips, and ``_switching_nudd``'s profile of that level.  The
+    of its level's flips, and the switching row of the letter that reads that
+    level alone (x for a qubit's z level, z for its x level).  The
     events are the exact pulses in (time, level) order.  Each length is
     within (11 L - 1) ulp of its 50-digit value, for L levels, exact when
     every order is <= 2: a step within 5 ulp is within 10 u relatively
@@ -291,20 +292,19 @@ def test_index_grid_is_the_exact_merge(orders):
     u |x|."""
     bp, signs, pulses = _exact_merge(orders)
     grid = nesting_grid(orders)
-    schedule = nudd_schedule(orders, len(orders) // 2)
-    sw = _switching_nudd(schedule)
+    m = len(orders) // 2
+    schedule = nudd_schedule(orders, m)
     with mp.workdps(50):
         s = _exact_sin_sq(orders)
         assert [_exact_end(s, column) for column in grid.index.T.tolist()] == bp[1:]
         exact = np.array([float(b - a) for a, b in zip(bp, bp[1:])])
-        mids = [float((a + b) / 2) for a, b in zip(bp, bp[1:])]
         float_of = dict(zip(bp[1:], grid.ends.tolist()))
         want = sorted((t, level) for level, times in enumerate(pulses, 1) for t in times)
     assert (np.diff(grid.ends) > 0).all() and grid.ends[-1] == 1.0
     for level, row in enumerate(signs, 1):
         assert grid.signs[level - 1].tolist() == row
-        profile = sw[((level - 1) // 2, ((1, 0), (0, 1))[(level - 1) % 2])]
-        assert [profile.value(t) for t in mids] == row
+        q, letter = (level - 1) // 2, "xz"[(level - 1) % 2]
+        assert grid.switching(["0" * q + letter + "0" * (m - q - 1)])[0].tolist() == row
     assert [(e.time, e.level) for e in schedule.events] == [(float_of[t], lv) for t, lv in want]
     ulps = np.abs(grid.lengths - exact) / np.spacing(exact)
     assert ulps.max() <= (0 if max(orders) <= 2 else 11 * len(orders) - 1 + 1e-9)
@@ -322,14 +322,12 @@ def test_steps_within_five_ulp(n):
     assert ulps.max() <= (0 if n <= 2 else 5)
 
 
-def test_single_integrals_match_switching_profiles():
+def test_single_integrals_match_switching_rows():
     for n1, n2 in [(2, 3), (1, 4)]:
         grid = nesting_grid((n1, n2))
-        sw = switching_qdd(n1, n2)
         for c in "xyz":
             got = word_integral((c,), grid, "mp")
-            bp, signs = sw[c].breakpoints, sw[c].signs
-            moment = math.fsum(s * (b - a) for s, a, b in zip(signs, bp, bp[1:]))
+            moment = math.fsum(grid.lengths * grid.switching([c])[0])
             assert got == pytest.approx(moment, abs=1e-14)
 
 
@@ -778,3 +776,39 @@ def test_verify_orders_depth_messages(n_max, message):
     with pytest.raises(ValueError) as exc:
         verify_orders(1, 1, n_max)
     assert str(exc.value) == message
+
+
+#: Each entry point that takes a word length, by the name it gives it.
+_DEPTH_ENTRY_POINTS = {
+    "n_max": lambda depth: verify_orders(1, 1, depth),
+    "depth": lambda depth: signature(nesting_grid((1, 1)), depth),
+}
+
+
+@pytest.mark.parametrize("name", _DEPTH_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "depth, message",
+    [
+        pytest.param(depth, message, id=repr(depth))
+        for depth, message in (
+            (True, "{name} must be an integer, got True"),
+            (2.5, "{name} must be an integer, got 2.5"),
+            ("2", "{name} must be an integer, got '2'"),
+            (-1, "{name} must be >= {low}"),
+            (7, "{name}=7 exceeds max depth 6 (4^n words explode)"),
+        )
+    ],
+)
+def test_depth_check(name, depth, message):
+    """One check of a word length at both entry points: an integer
+    (``_is_int``) from 1 (``n_max``) or 0 (``depth``) up to 6, raising a
+    ValueError that names the argument."""
+    with pytest.raises(ValueError) as exc:
+        _DEPTH_ENTRY_POINTS[name](depth)
+    assert str(exc.value) == message.format(name=name, low=int(name == "n_max"))
+
+
+def test_depth_accepts_numpy_integers():
+    cert = verify_orders(1, 1, np.int64(2))
+    assert cert == verify_orders(1, 1, 2) and type(cert.n_max) is int
+    assert len(signature(nesting_grid((1, 1)), np.int64(0)).levels) == 1

@@ -18,35 +18,60 @@ from ddbound.dyson import signature, verify_orders
 from ddbound.nudd_bounds import d_min_for_orders, nudd_delta, nudd_distance_bound, nudd_sweep_cell
 from ddbound.qdd_bounds import EtaVector, decoupling_orders, delta_tail
 from ddbound.sequences import (
-    _MU_LABELS,
     PulseSchedule,
-    SwitchingProfile,
     _effective_order,
-    _switching_nudd,
     nesting_grid,
     nudd_schedule,
     qdd_schedule,
-    switching_qdd,
     udd_offsets,
 )
 from ddbound.simulator import BathSpec, ExperimentConfig
 
-_MU_OF_LABEL = {label: mu for mu, label in _MU_LABELS.items()}
+#: The levels of its qubit's two (z pulses first) that each letter of a
+#: switching label reads, and the (z-level, x-level) pair ``mu`` that keyed
+#: each qubit's switching functions when they were float breakpoint profiles.
+_READS = {"0": (), "x": (0,), "z": (1,), "y": (0, 1)}
+_MU = {"0": (0, 0), "x": (1, 0), "z": (0, 1), "y": (1, 1)}
 
 
 def _events_at_level(schedule, level):
     return tuple(e for e in schedule.events if e.level == level)
 
 
+def _label(letter, qubit, m):
+    """The m-qubit label with ``letter`` at ``qubit`` and 0 elsewhere."""
+    return "0" * qubit + letter + "0" * (m - qubit - 1)
+
+
+def _profile(grid, label):
+    """``label``'s switching function as a float profile: its breakpoints, a
+    grid end wherever one of the levels it reads flips (so a flip at time 1,
+    which closes the toggling frame, is none), and one int sign per piece."""
+    picked = grid.signs[[2 * q + i for q, letter in enumerate(label) for i in _READS[letter]]]
+    flips = np.flatnonzero((picked[:, 1:] != picked[:, :-1]).any(axis=0))
+    row = grid.switching([label])[0]
+    return (0.0, *grid.ends[flips].tolist(), 1.0), tuple(int(v) for v in row[np.r_[0, flips + 1]])
+
+
+def _per_qubit(orders):
+    """Each qubit's four switching profiles, keyed by ``(qubit, mu)``."""
+    grid, m = nesting_grid(orders), len(orders) // 2
+    return {
+        (q, mu): _profile(grid, _label(letter, q, m))
+        for q in range(m)
+        for letter, mu in _MU.items()
+    }
+
+
 def _sign_changes(profile):
     """Number of interior sign flips."""
-    return sum(1 for a, b in zip(profile.signs, profile.signs[1:]) if a != b)
+    signs = profile[1]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _integral(profile):
-    """First moment as a float: sum of sign * interval width."""
-    bp = profile.breakpoints
-    return math.fsum(s * (b - a) for s, a, b in zip(profile.signs, bp, bp[1:]))
+def _moment(grid, label):
+    """First moment of ``label``'s switching function: sum of sign * length."""
+    return math.fsum(grid.lengths * grid.switching([label])[0])
 
 
 def test_effective_order():
@@ -168,99 +193,138 @@ def test_validation_errors():
 
 
 def test_switching_qdd_22_fz():
-    prof = switching_qdd(2, 2)["z"]
-    assert prof.breakpoints == (0.0, 0.25, 0.75, 1.0)
-    assert prof.signs == (1.0, -1.0, 1.0)
+    grid = nesting_grid((2, 2))
+    assert grid.switching(["z"]).tolist() == [[1.0] * 3 + [-1.0] * 3 + [1.0] * 3]
+    assert _profile(grid, "z") == ((0.0, 0.25, 0.75, 1.0), (1, -1, 1))
 
 
 def test_switching_qdd_22_fx_flips_at_z_times():
-    prof = switching_qdd(2, 2)["x"]
-    assert prof.breakpoints == (0.0, 1 / 16, 3 / 16, 3 / 8, 5 / 8, 13 / 16, 15 / 16, 1.0)
-    signs = prof.signs
-    assert signs[0] == 1.0
+    breakpoints, signs = _profile(nesting_grid((2, 2)), "x")
+    assert breakpoints == (0.0, 1 / 16, 3 / 16, 3 / 8, 5 / 8, 13 / 16, 15 / 16, 1.0)
+    assert signs[0] == 1
     assert all(a == -b for a, b in zip(signs, signs[1:]))
 
 
 def test_switching_product_identity():
-    """f_y = f_x * f_z pointwise, on a fine grid and at every breakpoint."""
+    """f_y = f_x * f_z on every interval, for every qubit."""
     for orders, m in [((2, 3), 1), ((3, 3), 1), ((1, 2, 3, 1), 2)]:
-        profs = _switching_nudd(nudd_schedule(orders, m))
+        grid = nesting_grid(orders)
         for q in range(m):
-            f_x, f_z, f_y = (profs[(q, mu)] for mu in ((1, 0), (0, 1), (1, 1)))
-            points = {*np.linspace(0.0, 1.0, 501).tolist(), *f_x.breakpoints, *f_z.breakpoints}
-            for s in points:
-                assert f_y.value(s) == f_x.value(s) * f_z.value(s)
+            f_x, f_z, f_y = grid.switching([_label(c, q, m) for c in "xzy"])
+            assert (f_y == f_x * f_z).all()
 
 
 def test_switching_integrals_vanish():
-    """First-moment suppression: every switching integral is exactly 0 when
-    both levels have order >= 1."""
+    """First-moment suppression: every switching integral is 0 up to
+    rounding when both levels have order >= 1."""
     for n1, n2 in [(1, 1), (2, 2), (1, 2), (2, 1), (3, 3), (2, 4)]:
-        profs = switching_qdd(n1, n2)
+        grid = nesting_grid((n1, n2))
         for ch in ("x", "y", "z"):
-            assert _integral(profs[ch]) == pytest.approx(0.0, abs=1e-15)
+            assert _moment(grid, ch) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_switching_trivial_channel():
-    profs = switching_qdd(2, 2)
-    assert profs["0"].signs == (1.0,)
-    assert _integral(profs["0"]) == 1.0
+    grid = nesting_grid((2, 2))
+    assert (grid.switching(["0"]) == 1.0).all()
+    assert _profile(grid, "0") == ((0.0, 1.0), (1,))
+    assert _moment(grid, "0") == 1.0
 
 
 def test_switching_no_outer_pulses():
     # without outer pulses the z switching function never flips
-    prof = switching_qdd(3, 0)["z"]
-    assert _sign_changes(prof) == 0
-    assert _integral(prof) == 1.0
+    grid = nesting_grid((3, 0))
+    assert (grid.switching(["z"]) == 1.0).all()
+    assert _profile(grid, "z") == ((0.0, 1.0), (1,))
 
 
 def test_interior_flip_count_matches_events():
     for n1, n2 in [(1, 1), (2, 2), (3, 2)]:
         sched = qdd_schedule(n1, n2)
-        profs = switching_qdd(n1, n2)
+        grid = nesting_grid((n1, n2))
         z_interior = len([e for e in sched.events if e.axis == "z" and e.time < 1.0])
         x_interior = len([e for e in sched.events if e.axis == "x" and e.time < 1.0])
-        assert _sign_changes(profs["x"]) == z_interior
-        assert _sign_changes(profs["z"]) == x_interior
-
-
-def test_profile_value_semantics():
-    prof = SwitchingProfile((0.0, 0.5, 1.0), (1.0, -1.0))
-    assert prof.value(0.0) == 1.0
-    assert prof.value(0.499) == 1.0
-    assert prof.value(0.5) == -1.0  # right continuous at breakpoints
-    assert prof.value(1.0) == -1.0  # closing endpoint takes the last sign
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        SwitchingProfile((0.0, 1.0), (1.0, -1.0))  # sign count mismatch
-    with pytest.raises(ValueError):
-        SwitchingProfile((0.0, 0.5, 0.5, 1.0), (1.0, -1.0, 1.0))  # dup breakpoint
-    with pytest.raises(ValueError):
-        SwitchingProfile((0.0, 0.5, 1.0), (1.0, 2.0))  # non-unit sign
+        assert _sign_changes(_profile(grid, "x")) == z_interior
+        assert _sign_changes(_profile(grid, "z")) == x_interior
 
 
 def test_nudd_switching_m1_matches_qdd():
-    sched = qdd_schedule(2, 2)
-    per_mu = _switching_nudd(sched)
-    qdd = switching_qdd(2, 2)
-    for label in ("0", "x", "y", "z"):
-        assert per_mu[(0, _MU_OF_LABEL[label])] == qdd[label]
+    """One qubit's rows are the stack (1, s_x, s_x s_z, s_z) of its two level
+    sign rows, inner (z pulses) first."""
+    grid = nesting_grid((2, 2))
+    s_x, s_z = grid.signs
+    assert grid.switching(["0", "x", "y", "z"]).tolist() == [
+        [1] * len(s_x), s_x.tolist(), (s_x * s_z).tolist(), s_z.tolist()
+    ]
 
 
 def test_nudd_switching_m2_factorizes():
     """The outermost qubit's switching profile only sees its own two levels."""
-    sched = nudd_schedule((1, 2, 2, 1), 2)
-    per_mu = _switching_nudd(sched)
-    solo0 = switching_qdd(1, 2)
+    per_mu = _per_qubit((1, 2, 2, 1))
+    solo0 = nesting_grid((1, 2))
     # qubit 1 holds the outer level pair, so alone it behaves like a plain
     # two-level sequence with orders (2, 1)
-    solo1 = switching_qdd(2, 1)
+    solo1 = nesting_grid((2, 1))
     for label in ("x", "y", "z"):
-        assert per_mu[(1, _MU_OF_LABEL[label])] == solo1[label]
+        assert per_mu[(1, _MU[label])] == _profile(solo1, label)
     # qubit 0 profiles flip once per outer segment, more than standalone
-    assert _sign_changes(per_mu[(0, _MU_OF_LABEL["x"])]) >= _sign_changes(solo0["x"])
+    assert _sign_changes(per_mu[(0, _MU["x"])]) >= _sign_changes(_profile(solo0, "x"))
+
+
+#: Per-level orders of one qubit or two, each 0..6.
+_GRID_ORDERS = st.integers(1, 2).flatmap(
+    lambda m: st.lists(st.integers(0, 6), min_size=2 * m, max_size=2 * m)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders=_GRID_ORDERS, data=st.data())
+def test_switching_rows_are_level_products(orders, data):
+    """Each label's row is the product of the level sign rows its letters
+    read, an all-0 label's row is ones, and for one qubit a letter's first
+    moment vanishes as soon as a level it reads fires a pulse."""
+    grid, m = nesting_grid(orders), len(orders) // 2
+    labels = data.draw(st.lists(st.text("0xyz", min_size=m, max_size=m), max_size=6))
+    rows = grid.switching(labels)
+    assert rows.shape == (len(labels), grid.ends.size) and rows.dtype == np.float64
+    for label, row in zip(labels, rows):
+        reads = [2 * q + i for q, letter in enumerate(label) for i in _READS[letter]]
+        assert row.tolist() == np.prod(grid.signs[reads], axis=0).tolist()
+    assert (grid.switching(["0" * m]) == 1.0).all()
+    if m == 1:
+        n1, n2 = orders
+        for label, fires in (("x", n1 >= 1), ("z", n2 >= 1), ("y", n1 >= 1 or n2 >= 1)):
+            if fires:
+                assert abs(_moment(grid, label)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders=_GRID_ORDERS, label=st.one_of(st.text("0xyzXY1 ", max_size=5), st.integers()))
+def test_switching_rejects_bad_labels(orders, label):
+    """A label is a string of one letter of 0xyz per qubit; anything else is
+    refused, however it sits among good labels."""
+    m = len(orders) // 2
+    good = isinstance(label, str) and len(label) == m and set(label) <= set("0xyz")
+    grid = nesting_grid(orders)
+    if good:
+        assert grid.switching(["0" * m, label]).shape == (2, grid.ends.size)
+    else:
+        with pytest.raises(ValueError, match="a switching label needs one letter of 0, x, y, z"):
+            grid.switching(["0" * m, label])
+
+
+@pytest.mark.parametrize(
+    "orders, label",
+    [((1, 1), "xx"), ((1, 1), ""), ((1, 1, 1, 1), "x"), ((1, 1), "X"), ((1, 1, 1), "x"),
+     ((1, 1), 1)],
+    ids=repr,
+)
+def test_switching_label_messages(orders, label):
+    with pytest.raises(ValueError) as exc:
+        nesting_grid(orders).switching([label])
+    assert str(exc.value) == (
+        f"a switching label needs one letter of 0, x, y, z per qubit of orders {orders}, "
+        f"got {label!r}"
+    )
 
 
 # Frozen breakpoints and signs ("+" for +1) of the float switching functions,
@@ -354,21 +418,23 @@ _NUDD_1211 = {
 
 def _as_recorded(profiles):
     return {
-        key: (p.breakpoints, "".join("+" if s > 0 else "-" for s in p.signs))
-        for key, p in profiles.items()
+        key: (breakpoints, "".join("+" if s > 0 else "-" for s in signs))
+        for key, (breakpoints, signs) in profiles.items()
     }
 
 
 def test_switching_profiles_frozen():
-    assert _as_recorded(switching_qdd(3, 2)) == _QDD_32
-    assert _as_recorded(_switching_nudd(nudd_schedule((2, 3), 1))) == _NUDD_23
-    assert _as_recorded(_switching_nudd(nudd_schedule((1, 2, 1, 1), 2))) == _NUDD_1211
+    qdd_32 = {letter: _profile(nesting_grid((3, 2)), letter) for letter in _MU}
+    assert _as_recorded(qdd_32) == _QDD_32
+    assert _as_recorded(_per_qubit((2, 3))) == _NUDD_23
+    assert _as_recorded(_per_qubit((1, 2, 1, 1))) == _NUDD_1211
 
 
 #: sha256 of the ``repr`` of the events and of every switching profile of each
 #: schedule in ``_frozen_orders``, recorded when each level's pulses were still
 #: placed by recursion over its blocks and the profiles merged by float
-#: comparison, before both were read off the nesting grid.
+#: comparison, before both were read off the nesting grid.  Each profile is
+#: written as the ``repr`` of the breakpoint type it was recorded from.
 SCHEDULE_DIGEST = "47bb3d1ca0cf80c757bb2b3f671209189a30317dbbf2298a95b6ec60bdccd49a"
 
 
@@ -384,8 +450,9 @@ def test_schedules_frozen():
     for orders, m in _frozen_orders():
         schedule = nudd_schedule(orders, m)
         blob.update(f"{orders} {schedule.events!r}\n".encode())
-        for key, profile in _switching_nudd(schedule).items():
-            blob.update(f"{key} {profile!r}\n".encode())
+        for key, (breakpoints, signs) in _per_qubit(orders).items():
+            profile = f"SwitchingProfile(breakpoints={breakpoints!r}, signs={signs!r})"
+            blob.update(f"{key} {profile}\n".encode())
     assert blob.hexdigest() == SCHEDULE_DIGEST
 
 
@@ -456,26 +523,3 @@ def test_schedule_accepted_exactly_up_to_the_size_limit(orders):
     else:
         with pytest.raises(ValueError, match=f"make a schedule of {count} intervals, more than"):
             PulseSchedule(tuple(orders), len(orders) // 2)
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        pytest.param(lambda: SwitchingProfile((0.1, 1.0), (1,)),
-                     "breakpoints must start at 0.0 and end at 1.0", id="profile-ends"),
-        pytest.param(lambda: SwitchingProfile((0.0, 0.5, 0.5, 1.0), (1, -1, 1)),
-                     "breakpoints must be strictly increasing", id="profile-increasing"),
-        pytest.param(lambda: SwitchingProfile((0.0, 1.0), (1, -1)),
-                     "need exactly one sign per interval", id="profile-sign-count"),
-        pytest.param(lambda: SwitchingProfile((0.0, 0.5, 1.0), (1, 2)),
-                     "signs must be +1 or -1", id="profile-sign-value"),
-        pytest.param(lambda: SwitchingProfile((0.0, 1.0), (1,)).value(1.5),
-                     "s must lie in [0, 1]", id="value-above"),
-        pytest.param(lambda: SwitchingProfile((0.0, 1.0), (1,)).value(-0.1),
-                     "s must lie in [0, 1]", id="value-below"),
-    ],
-)
-def test_profile_messages(call, message):
-    with pytest.raises(ValueError) as exc:
-        call()
-    assert str(exc.value) == message
